@@ -1,6 +1,8 @@
 #include "index/tree_index.h"
 
 #include <numeric>
+#include <string>
+#include <vector>
 
 #include "util/check.h"
 #include "util/math_util.h"
@@ -123,10 +125,10 @@ util::Status TreeIndex::AttachShared(const TreeIndexView& view) {
         "attach: aggregate array length does not match node count");
   }
   // Structural sweep: the root covers every point, every internal node's
-  // children appear after it and tile its range exactly. This is what the
-  // traversal and the bottom-up aggregate contract rely on; a snapshot
-  // that passed the checksum but violates these is rejected rather than
-  // trusted.
+  // children appear after it and tile its range exactly, and perm is a
+  // permutation of the rows. This is what the traversal and the
+  // bottom-up aggregate contract rely on; a snapshot that passed the
+  // checksum but violates these is rejected rather than trusted.
   const auto& nodes = view.nodes;
   if (nodes[0].begin != 0 || nodes[0].end != n) {
     return util::Status::InvalidArgument("attach: root does not cover all points");
@@ -160,11 +162,19 @@ util::Status TreeIndex::AttachShared(const TreeIndexView& view) {
       }
     }
   }
+  // perm must be a permutation of [0, n): in range and no repeats.
+  std::vector<bool> seen(n);
   for (size_t i = 0; i < n; ++i) {
-    if (view.perm[i] >= n) {
+    const size_t p = view.perm[i];
+    if (p >= n) {
       return util::Status::InvalidArgument(
           "attach: permutation entry out of range");
     }
+    if (seen[p]) {
+      return util::Status::InvalidArgument(
+          "attach: permutation entry " + std::to_string(p) + " repeats");
+    }
+    seen[p] = true;
   }
 
   leaf_capacity_ = view.leaf_capacity;

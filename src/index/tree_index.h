@@ -164,9 +164,10 @@ class TreeIndex {
   /// an mmap-ed snapshot section — see registry/snapshot.h) without
   /// copying points, nodes, weights, or aggregates; only the derived SoA
   /// leaf mirror is rebuilt. Validates structural invariants (root
-  /// coverage, child ranges, array lengths) and fails rather than adopt
-  /// an inconsistent tree. Region geometry stays with the subclass
-  /// (see KdTree::Attach / BallTree::Attach).
+  /// coverage, child ranges, array lengths, perm a permutation of the
+  /// rows) and fails rather than adopt an inconsistent tree. Region
+  /// geometry stays with the subclass (see KdTree::Attach /
+  /// BallTree::Attach).
   util::Status AttachShared(const TreeIndexView& view);
 
   /// Subclass hook: reorders perm[begin, end) (indices into

@@ -57,18 +57,6 @@ constexpr size_t kTreeBlockBytes = 24;
 static_assert(kOffChecksum == kSnapshotChecksumOffset);
 static_assert(kOffTreeBlock + 2 * kTreeBlockBytes <= kSnapshotHeaderBytes);
 
-// FNV-1a 64-bit, streamed.
-struct Fnv64 {
-  uint64_t h = 14695981039346656037ull;
-  void Update(const void* data, size_t n) {
-    const auto* b = static_cast<const unsigned char*>(data);
-    for (size_t i = 0; i < n; ++i) {
-      h ^= b[i];
-      h *= 1099511628211ull;
-    }
-  }
-};
-
 void PutU32(unsigned char* buf, size_t off, uint32_t v) {
   std::memcpy(buf + off, &v, sizeof(v));
 }
@@ -92,6 +80,40 @@ double GetF64(const unsigned char* buf, size_t off) {
   double v;
   std::memcpy(&v, buf + off, sizeof(v));
   return v;
+}
+
+// XXH64 primes (Collet's published specification).
+constexpr uint64_t kPrime1 = 0x9E3779B185EBCA87ull;
+constexpr uint64_t kPrime2 = 0xC2B2AE3D27D4EB4Full;
+constexpr uint64_t kPrime3 = 0x165667B19E3779F9ull;
+constexpr uint64_t kPrime4 = 0x85EBCA77C2B2AE63ull;
+constexpr uint64_t kPrime5 = 0x27D4EB2F165667C5ull;
+constexpr size_t kStripeBytes = 32;
+
+uint64_t Round(uint64_t acc, uint64_t input) {
+  return std::rotl(acc + input * kPrime2, 31) * kPrime1;
+}
+
+uint64_t MergeRound(uint64_t acc, uint64_t lane) {
+  return (acc ^ Round(0, lane)) * kPrime1 + kPrime4;
+}
+
+// Folds whole 32-byte stripes of `p` into the four lanes; returns the
+// number of bytes consumed (a multiple of kStripeBytes).
+size_t ConsumeStripes(uint64_t lanes[4], const unsigned char* p, size_t n) {
+  uint64_t v0 = lanes[0], v1 = lanes[1], v2 = lanes[2], v3 = lanes[3];
+  size_t i = 0;
+  for (; i + kStripeBytes <= n; i += kStripeBytes) {
+    v0 = Round(v0, GetU64(p, i));
+    v1 = Round(v1, GetU64(p, i + 8));
+    v2 = Round(v2, GetU64(p, i + 16));
+    v3 = Round(v3, GetU64(p, i + 24));
+  }
+  lanes[0] = v0;
+  lanes[1] = v1;
+  lanes[2] = v2;
+  lanes[3] = v3;
+  return i;
 }
 
 size_t AlignUp(size_t v) {
@@ -133,19 +155,20 @@ SectionLayout ComputeLayout(size_t start, uint64_t rows, uint64_t num_nodes,
 
 // Writes zero padding up to `target`, then `len` bytes of `data`;
 // everything written also feeds the checksum.
-util::Status WriteSection(std::ostream& out, Fnv64& hasher, size_t* cur,
-                          size_t target, const void* data, size_t len) {
+util::Status WriteSection(std::ostream& out, SnapshotHasher& hasher,
+                          size_t* cur, size_t target, const void* data,
+                          size_t len) {
   static constexpr char kZeros[kSnapshotSectionAlign] = {};
   while (*cur < target) {
     const size_t pad = std::min(target - *cur, sizeof(kZeros));
     out.write(kZeros, static_cast<std::streamsize>(pad));
-    hasher.Update(kZeros, pad);
+    hasher.Update({reinterpret_cast<const unsigned char*>(kZeros), pad});
     *cur += pad;
   }
   if (len > 0) {
     out.write(static_cast<const char*>(data),
               static_cast<std::streamsize>(len));
-    hasher.Update(data, len);
+    hasher.Update({static_cast<const unsigned char*>(data), len});
     *cur += len;
   }
   if (!out) return util::Status::IOError("snapshot write failed");
@@ -153,6 +176,66 @@ util::Status WriteSection(std::ostream& out, Fnv64& hasher, size_t* cur,
 }
 
 }  // namespace
+
+SnapshotHasher::SnapshotHasher()
+    : lanes_{kPrime1 + kPrime2, kPrime2, 0, 0 - kPrime1} {}
+
+void SnapshotHasher::Update(std::span<const unsigned char> bytes) {
+  const unsigned char* p = bytes.data();
+  size_t n = bytes.size();
+  total_ += n;
+  if (tail_len_ + n < kStripeBytes) {
+    if (n > 0) std::memcpy(tail_ + tail_len_, p, n);
+    tail_len_ += n;
+    return;
+  }
+  if (tail_len_ > 0) {
+    const size_t fill = kStripeBytes - tail_len_;
+    std::memcpy(tail_ + tail_len_, p, fill);
+    ConsumeStripes(lanes_, tail_, kStripeBytes);
+    p += fill;
+    n -= fill;
+  }
+  const size_t used = ConsumeStripes(lanes_, p, n);
+  tail_len_ = n - used;
+  if (tail_len_ > 0) std::memcpy(tail_, p + used, tail_len_);
+}
+
+uint64_t SnapshotHasher::Digest() const {
+  uint64_t h;
+  if (total_ >= kStripeBytes) {
+    h = std::rotl(lanes_[0], 1) + std::rotl(lanes_[1], 7) +
+        std::rotl(lanes_[2], 12) + std::rotl(lanes_[3], 18);
+    for (const uint64_t lane : lanes_) h = MergeRound(h, lane);
+  } else {
+    h = kPrime5;  // Seed 0 plus kPrime5.
+  }
+  h += total_;
+  size_t i = 0;
+  for (; i + 8 <= tail_len_; i += 8) {
+    h = std::rotl(h ^ Round(0, GetU64(tail_, i)), 27) * kPrime1 + kPrime4;
+  }
+  if (i + 4 <= tail_len_) {
+    h = std::rotl(h ^ uint64_t{GetU32(tail_, i)} * kPrime1, 23) * kPrime2 +
+        kPrime3;
+    i += 4;
+  }
+  for (; i < tail_len_; ++i) {
+    h = std::rotl(h ^ tail_[i] * kPrime5, 11) * kPrime1;
+  }
+  h ^= h >> 33;
+  h *= kPrime2;
+  h ^= h >> 29;
+  h *= kPrime3;
+  h ^= h >> 32;
+  return h;
+}
+
+uint64_t SnapshotChecksum(std::span<const unsigned char> bytes) {
+  SnapshotHasher hasher;
+  hasher.Update(bytes);
+  return hasher.Digest();
+}
 
 util::Status WriteSnapshot(const std::string& path, const Engine& engine) {
   const index::TreeIndex* trees[2] = {&engine.plus_tree(),
@@ -201,8 +284,8 @@ util::Status WriteSnapshot(const std::string& path, const Engine& engine) {
     return util::Status::IOError("cannot open " + path + " for writing: " +
                                  util::ErrnoString(errno));
   }
-  Fnv64 hasher;
-  hasher.Update(header, sizeof(header));
+  SnapshotHasher hasher;
+  hasher.Update(header);
   out.write(reinterpret_cast<const char*>(header), sizeof(header));
   size_t cur = kSnapshotHeaderBytes;
 
@@ -251,7 +334,7 @@ util::Status WriteSnapshot(const std::string& path, const Engine& engine) {
       WriteSection(out, hasher, &cur, file_bytes, nullptr, 0));
 
   out.seekp(static_cast<std::streamoff>(kOffChecksum));
-  const uint64_t checksum = hasher.h;
+  const uint64_t checksum = hasher.Digest();
   out.write(reinterpret_cast<const char*>(&checksum), sizeof(checksum));
   out.flush();
   if (!out) {
@@ -344,10 +427,10 @@ util::Status MappedSnapshot::Parse() {
   unsigned char header_copy[kSnapshotHeaderBytes];
   std::memcpy(header_copy, base, kSnapshotHeaderBytes);
   PutU64(header_copy, kOffChecksum, 0);
-  Fnv64 hasher;
-  hasher.Update(header_copy, kSnapshotHeaderBytes);
-  hasher.Update(base + kSnapshotHeaderBytes, bytes_ - kSnapshotHeaderBytes);
-  if (hasher.h != GetU64(base, kOffChecksum)) {
+  SnapshotHasher hasher;
+  hasher.Update(header_copy);
+  hasher.Update({base + kSnapshotHeaderBytes, bytes_ - kSnapshotHeaderBytes});
+  if (hasher.Digest() != GetU64(base, kOffChecksum)) {
     return reject("checksum mismatch (corrupt or partially written file)");
   }
 

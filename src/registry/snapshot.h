@@ -13,8 +13,9 @@
 // On-disk layout (all integers little-endian; doubles IEEE-754):
 //
 //   [0,256)  header — magic "KSNP", version, geometry counts, engine
-//            options, weighting type, file size, FNV-1a checksum of the
-//            entire file (checksum field zeroed during hashing).
+//            options, weighting type, file size, XXH64 (seed 0)
+//            checksum of the entire file (checksum field zeroed during
+//            hashing).
 //   [256,…)  per-tree sections in fixed order, each aligned to 64 bytes:
 //            nodes, points, weights, perm, weight_sums, sqnorm_sums,
 //            point_sums, region_a, region_b. Type III engines store two
@@ -34,8 +35,10 @@
 #ifndef KARL_REGISTRY_SNAPSHOT_H_
 #define KARL_REGISTRY_SNAPSHOT_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 
 #include "core/karl.h"
@@ -46,10 +49,32 @@ namespace karl::registry {
 
 /// Format constants, exported so tests can corrupt specific fields.
 inline constexpr uint32_t kSnapshotMagic = 0x504E534Bu;  // "KSNP" LE.
-inline constexpr uint32_t kSnapshotVersion = 1;
+/// Version 2 replaced the v1 FNV-1a checksum with XXH64; v1 files are
+/// rejected as an unsupported version and must be recompiled.
+inline constexpr uint32_t kSnapshotVersion = 2;
 inline constexpr size_t kSnapshotHeaderBytes = 256;
 inline constexpr size_t kSnapshotSectionAlign = 64;
 inline constexpr size_t kSnapshotChecksumOffset = 80;
+
+/// Streaming XXH64 with seed 0: the snapshot checksum. Up to 31 bytes
+/// that do not yet fill a 32-byte stripe are carried between Update()
+/// calls, so any split of the input yields the same digest.
+class SnapshotHasher {
+ public:
+  SnapshotHasher();
+  void Update(std::span<const unsigned char> bytes);
+  uint64_t Digest() const;
+
+ private:
+  uint64_t lanes_[4];
+  uint64_t total_ = 0;
+  unsigned char tail_[32] = {};
+  size_t tail_len_ = 0;
+};
+
+/// One-shot SnapshotHasher over `bytes`. A file's stored checksum is this
+/// value over the whole file with the checksum field zeroed.
+uint64_t SnapshotChecksum(std::span<const unsigned char> bytes);
 
 /// Serializes a built engine to `path`. The engine may itself be
 /// attached (re-snapshotting round-trips). Overwrites any existing file.

@@ -6,10 +6,13 @@
 
 #include <atomic>
 #include <cmath>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <string_view>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/engine_io.h"
@@ -113,9 +116,74 @@ void WriteFileBytes(const std::string& path, const std::string& bytes) {
   out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
 }
 
+std::span<const unsigned char> AsBytes(std::string_view s) {
+  return {reinterpret_cast<const unsigned char*>(s.data()), s.size()};
+}
+
+// Recomputes and stores the checksum of a deliberately edited file, so
+// that only the structural checks stand between the edit and an engine.
+void Reseal(std::string& bytes) {
+  std::memset(bytes.data() + kSnapshotChecksumOffset, 0, sizeof(uint64_t));
+  const uint64_t sum = SnapshotChecksum(AsBytes(bytes));
+  std::memcpy(bytes.data() + kSnapshotChecksumOffset, &sum, sizeof(sum));
+}
+
+// (file offset, byte length) of every section of every tree, in file
+// order. Tree 0's node section starts right after the header, which
+// anchors the mapping's base address.
+std::vector<std::pair<size_t, size_t>> SectionExtents(
+    const MappedSnapshot& snap) {
+  const auto* base =
+      reinterpret_cast<const unsigned char*>(snap.tree_view(0).nodes.data()) -
+      kSnapshotHeaderBytes;
+  std::vector<std::pair<size_t, size_t>> out;
+  const auto add = [&](const void* p, size_t bytes) {
+    out.emplace_back(static_cast<const unsigned char*>(p) - base, bytes);
+  };
+  for (size_t t = 0; t < snap.num_trees(); ++t) {
+    const index::TreeIndexView& v = snap.tree_view(t);
+    add(v.nodes.data(), v.nodes.size_bytes());
+    add(v.points, v.rows * v.cols * sizeof(double));
+    add(v.weights.data(), v.weights.size_bytes());
+    add(v.perm.data(), v.perm.size_bytes());
+    add(v.weight_sums.data(), v.weight_sums.size_bytes());
+    add(v.sqnorm_sums.data(), v.sqnorm_sums.size_bytes());
+    add(v.point_sums.data(), v.point_sums.size_bytes());
+    add(v.region_a.data(), v.region_a.size_bytes());
+    add(v.region_b.data(), v.region_b.size_bytes());
+  }
+  return out;
+}
+
 // ---------------------------------------------------------------------
 // Snapshot format.
 // ---------------------------------------------------------------------
+
+TEST(SnapshotTest, ChecksumMatchesPublishedXxh64Vectors) {
+  EXPECT_EQ(SnapshotChecksum(AsBytes("")), 0xef46db3751d8e999ull);
+  EXPECT_EQ(SnapshotChecksum(AsBytes("a")), 0xd24ec4f1a98c6e5bull);
+  EXPECT_EQ(SnapshotChecksum(AsBytes("abc")), 0x44bc2cf5ad770999ull);
+  EXPECT_EQ(SnapshotChecksum(
+                AsBytes("Nobody inspects the spammish repetition")),
+            0xfbcea83c8a378bf1ull);
+}
+
+TEST(SnapshotTest, StreamedChecksumMatchesOneShotAtEverySplit) {
+  util::Rng rng(15);
+  std::vector<unsigned char> buf(1000);
+  for (auto& b : buf) b = static_cast<unsigned char>(rng.NextU64());
+  const std::span<const unsigned char> all(buf);
+  const uint64_t expected = SnapshotChecksum(all);
+  for (size_t split = 0; split <= buf.size(); ++split) {
+    SnapshotHasher hasher;
+    hasher.Update(all.first(split));
+    hasher.Update(all.subspan(split));
+    ASSERT_EQ(hasher.Digest(), expected) << "split=" << split;
+  }
+  SnapshotHasher bytewise;
+  for (size_t i = 0; i < buf.size(); ++i) bytewise.Update(all.subspan(i, 1));
+  EXPECT_EQ(bytewise.Digest(), expected);
+}
 
 TEST(SnapshotTest, KdTypeIIIRoundTripAnswersIdentically) {
   TempDir dir("karl_snap_rt_kd");
@@ -251,15 +319,20 @@ TEST(SnapshotTest, RejectsCorruptHeaderFields) {
   WriteFileBytes(bad_path, bad);
   EXPECT_FALSE(MappedSnapshot::Map(bad_path).ok());
 
-  // Wrong version.
-  bad = bytes;
-  bad[4] = static_cast<char>(0x7F);
-  WriteFileBytes(bad_path, bad);
-  auto wrong_version = MappedSnapshot::Map(bad_path);
-  ASSERT_FALSE(wrong_version.ok());
-  EXPECT_NE(wrong_version.status().message().find("version"),
-            std::string::npos)
-      << wrong_version.status().ToString();
+  // Wrong version, including a format v1 (FNV-1a) file. Resealed, so
+  // the version check alone must reject it.
+  for (const uint32_t version : {1u, 0x7Fu}) {
+    bad = bytes;
+    std::memcpy(bad.data() + 4, &version, sizeof(version));
+    Reseal(bad);
+    WriteFileBytes(bad_path, bad);
+    auto wrong_version = MappedSnapshot::Map(bad_path);
+    ASSERT_FALSE(wrong_version.ok());
+    EXPECT_NE(wrong_version.status().message().find(
+                  "unsupported format version " + std::to_string(version)),
+              std::string::npos)
+        << wrong_version.status().ToString();
+  }
 
   // Flipped checksum byte.
   bad = bytes;
@@ -272,11 +345,74 @@ TEST(SnapshotTest, RejectsCorruptHeaderFields) {
             std::string::npos)
       << bad_checksum.status().ToString();
 
-  // Flipped payload byte (middle of the section area).
-  bad = bytes;
-  bad[bytes.size() / 2] = static_cast<char>(bad[bytes.size() / 2] ^ 0x01);
+  // One flipped byte inside every section of both trees, then one in
+  // the zero padding between two sections: the checksum covers it all.
+  auto snapshot = MappedSnapshot::Map(path);
+  ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
+  ASSERT_EQ(snapshot.value().num_trees(), 2u);
+  const auto sections = SectionExtents(snapshot.value());
+  ASSERT_EQ(sections.size(), 18u);
+  std::vector<size_t> flips;
+  for (const auto& [at, len] : sections) {
+    ASSERT_GT(len, 0u);
+    flips.push_back(at + len / 2);
+  }
+  for (size_t i = 0; i + 1 < sections.size(); ++i) {
+    const size_t end = sections[i].first + sections[i].second;
+    if (end < sections[i + 1].first) {
+      ASSERT_EQ(bytes[end], '\0');
+      flips.push_back(end);
+      break;
+    }
+  }
+  ASSERT_EQ(flips.size(), sections.size() + 1) << "no inter-section padding";
+  for (const size_t at : flips) {
+    bad = bytes;
+    bad[at] = static_cast<char>(bad[at] ^ 0x01);
+    WriteFileBytes(bad_path, bad);
+    auto mapped = MappedSnapshot::Map(bad_path);
+    ASSERT_FALSE(mapped.ok()) << "offset " << at;
+    EXPECT_NE(mapped.status().message().find("checksum"), std::string::npos)
+        << "offset " << at << ": " << mapped.status().ToString();
+  }
+}
+
+TEST(SnapshotTest, RejectsDuplicatePermEntryEvenWhenResealed) {
+  TempDir dir("karl_snap_perm");
+  const data::Matrix points = MakePoints(13, 200);
+  const std::vector<double> weights = MixedWeights(13, points.rows());
+  const Engine engine =
+      BuildEngine(points, weights, core::KernelParams::Gaussian(1.0));
+  const std::string path = dir.File("m.snap");
+  ASSERT_TRUE(WriteSnapshot(path, engine).ok());
+  const std::string bytes = ReadFileBytes(path);
+
+  // The streamed writer's checksum equals the one-shot checksum.
+  std::string bad = bytes;
+  Reseal(bad);
+  ASSERT_EQ(bad, bytes);
+
+  size_t perm_at = 0;
+  {
+    auto snapshot = MappedSnapshot::Map(path);
+    ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
+    perm_at = SectionExtents(snapshot.value())[3].first;  // Tree 0 perm.
+  }
+  // perm[1] = perm[0]: every entry stays in range, one repeats.
+  std::memcpy(bad.data() + perm_at + sizeof(uint64_t), bad.data() + perm_at,
+              sizeof(uint64_t));
+  Reseal(bad);
+  const std::string bad_path = dir.File("bad.snap");
   WriteFileBytes(bad_path, bad);
-  EXPECT_FALSE(MappedSnapshot::Map(bad_path).ok());
+  auto mapped = MappedSnapshot::Map(bad_path);
+  ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
+  auto attached = AttachEngine(mapped.value(), nullptr, nullptr);
+  ASSERT_FALSE(attached.ok());
+  EXPECT_NE(attached.status().message().find("permutation"),
+            std::string::npos)
+      << attached.status().ToString();
+  EXPECT_NE(attached.status().message().find(bad_path), std::string::npos)
+      << attached.status().ToString();
 }
 
 TEST(SnapshotTest, UnlinkedFileKeepsAnswering) {
