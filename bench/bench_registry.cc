@@ -1,6 +1,6 @@
 // Registry cold-start harness: measures how fast a model becomes
 // servable from disk via the mmap snapshot path (MappedSnapshot::Map +
-// AttachEngine, which rebuilds only the derived SoA leaf mirror) versus
+// AttachEngine, which validates and points at the mapped sections) versus
 // the legacy path (LoadEngineModel + Engine::Build, which re-runs full
 // index construction and bound precomputation), at three model sizes.
 //

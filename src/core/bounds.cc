@@ -452,12 +452,8 @@ double ExactNodeAggregate(const KernelParams& params,
                           const index::TreeIndex& tree, index::NodeId id,
                           std::span<const double> q) {
   const auto& nd = tree.node(id);
-  const auto weights = tree.weights();
-  util::KahanAccumulator acc;
-  for (uint32_t i = nd.begin; i < nd.end; ++i) {
-    acc.Add(weights[i] * KernelValue(params, q, tree.points().Row(i)));
-  }
-  return acc.Total();
+  return simd::ScalarLeafAggregate(params, tree.points(), nd.begin, nd.end,
+                                   q.data());
 }
 
 std::unique_ptr<BoundFunction> MakeAuditingBoundFunction(

@@ -144,25 +144,6 @@ void Evaluator::RecordQueryMetrics(telemetry::Counter* query_counter,
   }
 }
 
-double Evaluator::LeafAggregate(const index::TreeIndex& tree, uint32_t begin,
-                                uint32_t end,
-                                std::span<const double> q) const {
-  // Vector tiers run over the tree's blocked SoA mirror; see the
-  // accuracy contract in core/simd/simd.h. The scalar tier keeps the
-  // literal pre-SIMD loop below so it stays the bit-exact oracle the
-  // differential tests (and KARL_SIMD=scalar runs) compare against.
-  if (simd::ActiveTier() != simd::Tier::kScalar) {
-    return simd::LeafAggregate(kernel_, tree.soa(), begin, end, q);
-  }
-  const auto& points = tree.points();
-  const auto weights = tree.weights();
-  util::KahanAccumulator acc;
-  for (uint32_t i = begin; i < end; ++i) {
-    acc.Add(weights[i] * KernelValue(kernel_, q, points.Row(i)));
-  }
-  return acc.Total();
-}
-
 void Evaluator::Refine(std::span<const double> q, const StopFn& stop,
                        double* out_lb, double* out_ub, EvalStats* stats,
                        const TraceFn* trace,
@@ -218,7 +199,8 @@ void Evaluator::Refine(std::span<const double> q, const StopFn& stop,
     if (is_effective_leaf(tree, id)) {
       const auto& nd = tree.node(id);
       const double exact =
-          static_cast<double>(side) * LeafAggregate(tree, nd.begin, nd.end, q);
+          static_cast<double>(side) *
+          simd::LeafAggregate(kernel_, tree.points(), nd.begin, nd.end, q);
       kernel_evals += nd.count();
       if (profile != nullptr) {
         TraversalProfile::Level& level = ProfileLevel(profile, nd.depth);
@@ -488,13 +470,14 @@ double Evaluator::QueryExact(std::span<const double> q,
   if (instrumented_) timer.emplace();
   const uint64_t trace_start = tracer != nullptr ? tracer->NowMicros() : 0;
 
-  double total = LeafAggregate(*plus_tree_, 0,
-                               static_cast<uint32_t>(plus_tree_->points().rows()), q);
+  const auto full_scan = [&](const index::TreeIndex& tree) {
+    return simd::LeafAggregate(kernel_, tree.points(), 0,
+                               static_cast<uint32_t>(tree.points().rows()), q);
+  };
+  double total = full_scan(*plus_tree_);
   size_t evals = plus_tree_->points().rows();
   if (minus_tree_ != nullptr) {
-    total -= LeafAggregate(
-        *minus_tree_, 0, static_cast<uint32_t>(minus_tree_->points().rows()),
-        q);
+    total -= full_scan(*minus_tree_);
     evals += minus_tree_->points().rows();
   }
   if (stats != nullptr) stats->kernel_evals += evals;

@@ -172,10 +172,6 @@ class Evaluator {
               double* ub, EvalStats* stats, const TraceFn* trace,
               TraversalProfile* profile = nullptr) const;
 
-  // Exact aggregate of the permuted range [begin, end) of `tree`.
-  double LeafAggregate(const index::TreeIndex& tree, uint32_t begin,
-                       uint32_t end, std::span<const double> q) const;
-
   // Points across both trees — the work a full scan would do per query.
   size_t TotalPoints() const;
 

@@ -13,9 +13,9 @@ namespace {
 
 // -----------------------------------------------------------------------
 // Scalar tier: the reference oracle. These are deliberately the plain
-// ascending loops of util::Dot / util::SquaredNorm and the legacy Kahan
-// leaf loop of Evaluator::LeafAggregate, so KARL_SIMD=scalar reproduces
-// pre-SIMD results bit-for-bit.
+// ascending loops of util::Dot / util::SquaredNorm and a Kahan sum of
+// wᵢ·KernelValue(q, pᵢ) in row order (ScalarLeafAggregate, below), so
+// KARL_SIMD=scalar reproduces pre-SIMD results bit-for-bit.
 // -----------------------------------------------------------------------
 
 double ScalarDot(const double* a, const double* b, size_t n) {
@@ -24,33 +24,6 @@ double ScalarDot(const double* a, const double* b, size_t n) {
 
 double ScalarSqnorm(const double* a, size_t n) {
   return util::SquaredNorm({a, n});
-}
-
-double ScalarLeafAggregate(const KernelParams& kernel,
-                           const SoaLeafBlocks& soa, uint32_t begin,
-                           uint32_t end, const double* q) {
-  const size_t d = soa.dims();
-  util::KahanAccumulator acc;
-  for (uint32_t i = begin; i < end; ++i) {
-    double value;
-    if (IsInnerProductKernel(kernel.type)) {
-      double ip = 0.0;
-      for (size_t j = 0; j < d; ++j) ip += q[j] * soa.At(i, j);
-      value = KernelProfile(kernel, kernel.gamma * ip + kernel.beta);
-    } else {
-      double sq = 0.0;
-      for (size_t j = 0; j < d; ++j) {
-        const double diff = q[j] - soa.At(i, j);
-        sq += diff * diff;
-      }
-      // Matches KernelValue's argument construction per family exactly.
-      value = kernel.type == KernelType::kLaplacian
-                  ? std::exp(-kernel.gamma * std::sqrt(sq))
-                  : KernelProfile(kernel, kernel.gamma * sq);
-    }
-    acc.Add(soa.WeightAt(i) * value);
-  }
-  return acc.Total();
 }
 
 void ScalarExpBlock(const double* in, double* out, size_t n) {
@@ -98,6 +71,33 @@ bool CpuSupports(Tier tier) {
 std::atomic<int> g_active_tier{-1};
 
 }  // namespace
+
+double ScalarLeafAggregate(const KernelParams& kernel,
+                           const SoaLeafBlocks& soa, uint32_t begin,
+                           uint32_t end, const double* q) {
+  const size_t d = soa.dims();
+  util::KahanAccumulator acc;
+  for (uint32_t i = begin; i < end; ++i) {
+    double value;
+    if (IsInnerProductKernel(kernel.type)) {
+      double ip = 0.0;
+      for (size_t j = 0; j < d; ++j) ip += q[j] * soa.At(i, j);
+      value = KernelProfile(kernel, kernel.gamma * ip + kernel.beta);
+    } else {
+      double sq = 0.0;
+      for (size_t j = 0; j < d; ++j) {
+        const double diff = q[j] - soa.At(i, j);
+        sq += diff * diff;
+      }
+      // Matches KernelValue's argument construction per family exactly.
+      value = kernel.type == KernelType::kLaplacian
+                  ? std::exp(-kernel.gamma * std::sqrt(sq))
+                  : KernelProfile(kernel, kernel.gamma * sq);
+    }
+    acc.Add(soa.WeightAt(i) * value);
+  }
+  return acc.Total();
+}
 
 namespace internal {
 

@@ -145,7 +145,7 @@ inline double SquaredNorm(std::span<const double> a) {
 }
 
 /// Σ wᵢ·K(q, pᵢ) over SoA rows [begin, end) under the active tier.
-/// Scalar tier is bit-identical to the legacy Kahan row loop.
+/// Scalar tier is ScalarLeafAggregate.
 inline double LeafAggregate(const KernelParams& kernel,
                             const SoaLeafBlocks& soa, uint32_t begin,
                             uint32_t end, std::span<const double> q) {
@@ -157,6 +157,14 @@ inline double LeafAggregate(const KernelParams& kernel,
   return internal::ActiveOps().leaf_aggregate(kernel, soa, begin, end,
                                               q.data());
 }
+
+/// The scalar oracle of LeafAggregate, whatever the active tier: a Kahan
+/// sum of wᵢ·K(q, pᵢ) in row order, each kernel argument built exactly as
+/// KernelValue builds it. The KARL_SIMD=scalar tier runs it, and so does
+/// ExactNodeAggregate (the bound auditor's ground truth).
+double ScalarLeafAggregate(const KernelParams& kernel,
+                           const SoaLeafBlocks& soa, uint32_t begin,
+                           uint32_t end, const double* q);
 
 /// out[i] = exp(in[i]) under the active tier — the seam simd_test uses
 /// to pin kVectorExpUlpBound per tier. Spans must have equal length.

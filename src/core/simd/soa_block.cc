@@ -1,5 +1,7 @@
 #include "core/simd/soa_block.h"
 
+#include <string>
+
 #include "util/check.h"
 
 namespace karl::core::simd {
@@ -11,17 +13,52 @@ void SoaLeafBlocks::Build(const data::Matrix& points,
       << " points";
   rows_ = points.rows();
   dims_ = points.cols();
-  num_blocks_ = (rows_ + kBlockPoints - 1) / kBlockPoints;
-  data_.assign(num_blocks_ * dims_ * kBlockPoints, 0.0);
-  weights_.assign(num_blocks_ * kBlockPoints, 0.0);
+  num_blocks_ = NumBlocks(rows_);
+  owned_coords_.assign(num_blocks_ * dims_ * kBlockPoints, 0.0);
+  owned_weights_.assign(num_blocks_ * kBlockPoints, 0.0);
   for (size_t i = 0; i < rows_; ++i) {
     const size_t block = i / kBlockPoints;
     const size_t lane = i % kBlockPoints;
     const auto row = points.Row(i);
-    double* base = data_.data() + block * dims_ * kBlockPoints + lane;
+    double* base = owned_coords_.data() + block * dims_ * kBlockPoints + lane;
     for (size_t j = 0; j < dims_; ++j) base[j * kBlockPoints] = row[j];
-    weights_[i] = weights[i];
+    owned_weights_[i] = weights[i];
   }
+  coords_ = owned_coords_;
+  weights_ = owned_weights_;
+}
+
+util::Status SoaLeafBlocks::Attach(size_t rows, size_t dims,
+                                   std::span<const double> coords,
+                                   std::span<const double> weights) {
+  const size_t blocks = NumBlocks(rows);
+  if (coords.size() != blocks * dims * kBlockPoints ||
+      weights.size() != blocks * kBlockPoints) {
+    return util::Status::InvalidArgument(
+        "blocks section has " + std::to_string(coords.size()) + "/" +
+        std::to_string(weights.size()) + " coordinate/weight values, want " +
+        std::to_string(blocks * dims * kBlockPoints) + "/" +
+        std::to_string(blocks * kBlockPoints));
+  }
+  // Pad lanes exist only in the last block: lanes [rows % 8, 8).
+  for (size_t i = rows; i < blocks * kBlockPoints; ++i) {
+    const size_t lane = i % kBlockPoints;
+    bool zero = weights[i] == 0.0;
+    for (size_t j = 0; zero && j < dims; ++j) {
+      zero = coords[((blocks - 1) * dims + j) * kBlockPoints + lane] == 0.0;
+    }
+    if (!zero) {
+      return util::Status::InvalidArgument(
+          "pad lane " + std::to_string(lane) + " of the last block has a "
+          "non-zero weight or coordinate");
+    }
+  }
+  rows_ = rows;
+  dims_ = dims;
+  num_blocks_ = blocks;
+  coords_ = coords;
+  weights_ = weights;
+  return util::Status::OK();
 }
 
 }  // namespace karl::core::simd

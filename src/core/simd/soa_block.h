@@ -1,13 +1,13 @@
-// Blocked structure-of-arrays (SoA) leaf storage for the vectorized
-// evaluator hot path (see DESIGN.md §14).
+// Blocked structure-of-arrays (SoA) point storage: the only copy of a
+// tree's points and weights, read by every SIMD tier (see DESIGN.md §14).
 //
-// The tree's permuted row-major point matrix is great for pointer-chased
-// per-row access but hostile to SIMD: gathering one dimension across 8
-// points touches 8 cache lines. SoaLeafBlocks re-materialises the SAME
-// permuted order as fixed-size blocks of kBlockPoints points, dimension-
-// major inside each block:
+// A row-major point matrix is great for pointer-chased per-row access but
+// hostile to SIMD: gathering one dimension across 8 points touches 8
+// cache lines. SoaLeafBlocks stores the tree-permuted points as
+// fixed-size blocks of kBlockPoints points, dimension-major inside each
+// block:
 //
-//   data[(block*d + dim)*kBlockPoints + lane]   lane = row % kBlockPoints
+//   coords[(block*d + dim)*kBlockPoints + lane]   lane = row % kBlockPoints
 //
 // so a vector load of lanes 0..7 of one dimension is one contiguous,
 // cache-friendly read. Weights are blocked the same way; padding lanes
@@ -17,7 +17,13 @@
 // The layout is blocked over the ENTIRE permuted array, not per leaf:
 // any node range [begin, end) — a real leaf, a level-capped effective
 // leaf, or the full array for QueryExact — maps onto whole blocks plus
-// at most two partial blocks handled with masked weights.
+// at most two partial blocks handled with masked weights. Only the last
+// block can hold pad lanes.
+//
+// Storage duality, as for TreeIndex: the blocks are either *built*
+// (Build — owned vectors) or *attached* (Attach — non-owning views into
+// caller memory, typically the blocks section of an mmap-ed snapshot;
+// see registry/snapshot.h). Readers go through spans either way.
 
 #ifndef KARL_CORE_SIMD_SOA_BLOCK_H_
 #define KARL_CORE_SIMD_SOA_BLOCK_H_
@@ -28,23 +34,44 @@
 #include <vector>
 
 #include "data/matrix.h"
+#include "util/status.h"
 
 namespace karl::core::simd {
 
-/// Dimension-major blocked copy of a permuted point set + weights.
+/// Dimension-major blocked point set + weights, in tree-permuted order.
 class SoaLeafBlocks {
  public:
   /// Points per block == the widest vector width we target (AVX-512:
   /// 8 doubles). AVX2 processes a block as two 4-lane half-blocks.
   static constexpr size_t kBlockPoints = 8;
 
-  SoaLeafBlocks() = default;
+  /// Blocks needed for `rows` points (the last one possibly padded).
+  static constexpr size_t NumBlocks(size_t rows) {
+    return (rows + kBlockPoints - 1) / kBlockPoints;
+  }
 
-  /// (Re)builds the blocked layout from `points` (row-major, already in
+  SoaLeafBlocks() = default;
+  // Moving keeps the owned vectors' buffers, so the spans stay valid;
+  // a copy would alias the source's storage.
+  SoaLeafBlocks(const SoaLeafBlocks&) = delete;
+  SoaLeafBlocks& operator=(const SoaLeafBlocks&) = delete;
+  SoaLeafBlocks(SoaLeafBlocks&&) = default;
+  SoaLeafBlocks& operator=(SoaLeafBlocks&&) = default;
+
+  /// Builds owned blocks from `points` (row-major, already in
   /// tree-permuted order) and the matching `weights`. O(n·d) copy.
   void Build(const data::Matrix& points, std::span<const double> weights);
 
-  /// True iff Build has not been called (or was called on empty input).
+  /// Adopts external blocked arrays without copying: `coords` holds
+  /// NumBlocks(rows)·dims·kBlockPoints values, `weights`
+  /// NumBlocks(rows)·kBlockPoints. Fails on a length mismatch or on a
+  /// pad lane whose weight or coordinate is not 0 (the vector kernels
+  /// rely on pad lanes contributing exactly 0). Both spans must outlive
+  /// this object.
+  util::Status Attach(size_t rows, size_t dims, std::span<const double> coords,
+                      std::span<const double> weights);
+
+  /// True iff nothing has been built or attached.
   bool empty() const { return rows_ == 0; }
 
   size_t rows() const { return rows_; }
@@ -53,7 +80,7 @@ class SoaLeafBlocks {
 
   /// The kBlockPoints lanes of dimension `dim` in block `block`.
   const double* BlockDim(size_t block, size_t dim) const {
-    return data_.data() + (block * dims_ + dim) * kBlockPoints;
+    return coords_.data() + (block * dims_ + dim) * kBlockPoints;
   }
 
   /// The kBlockPoints weight lanes of block `block` (pad lanes are 0).
@@ -61,28 +88,40 @@ class SoaLeafBlocks {
     return weights_.data() + block * kBlockPoints;
   }
 
-  /// Scalar gather of one coordinate — the round-trip accessor the P7
-  /// property fuzz uses to prove Build is a bit-exact re-layout.
+  /// Scalar gather of one coordinate of permuted row `row`.
   double At(size_t row, size_t dim) const {
     return *(BlockDim(row / kBlockPoints, dim) + row % kBlockPoints);
   }
 
-  /// Weight of one row through the blocked layout (pad-free rows only).
-  double WeightAt(size_t row) const {
-    return weights_[row];
-  }
+  /// Weight of permuted row `row` (< rows()).
+  double WeightAt(size_t row) const { return weights_[row]; }
 
-  /// Heap bytes held by the blocked copy (index memory accounting).
+  /// Whole blocked coordinate array, pad lanes included (snapshot
+  /// serialization).
+  std::span<const double> coords() const { return coords_; }
+
+  /// Whole blocked weight array, pad lanes included.
+  std::span<const double> block_weights() const { return weights_; }
+
+  /// Per-row weights: the first rows() entries of block_weights().
+  std::span<const double> weights() const { return weights_.first(rows_); }
+
+  /// Bytes of the blocked arrays, owned or attached (index memory
+  /// accounting; mapped pages are resident memory all the same).
   size_t MemoryUsageBytes() const {
-    return (data_.capacity() + weights_.capacity()) * sizeof(double);
+    return (coords_.size() + weights_.size()) * sizeof(double);
   }
 
  private:
   size_t rows_ = 0;
   size_t dims_ = 0;
   size_t num_blocks_ = 0;
-  std::vector<double> data_;     // num_blocks * dims * kBlockPoints.
-  std::vector<double> weights_;  // num_blocks * kBlockPoints.
+  // Owned storage; empty for attached blocks.
+  std::vector<double> owned_coords_;
+  std::vector<double> owned_weights_;
+  // Active storage: the owned vectors or caller memory.
+  std::span<const double> coords_;   // num_blocks * dims * kBlockPoints.
+  std::span<const double> weights_;  // num_blocks * kBlockPoints.
 };
 
 }  // namespace karl::core::simd

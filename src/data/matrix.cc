@@ -5,7 +5,6 @@
 namespace karl::data {
 
 void Matrix::AppendRow(std::span<const double> row) {
-  KARL_CHECK(!is_view()) << ": cannot append to a Matrix view";
   if (rows_ == 0 && cols_ == 0) {
     cols_ = row.size();
   }

@@ -16,12 +16,6 @@
 namespace karl::data {
 
 /// Dense row-major matrix of doubles; each row is one data point.
-///
-/// A Matrix either owns its storage (the default) or is a non-owning
-/// *view* over external memory (Matrix::View) — e.g. a section of an
-/// mmap(2)-ed model snapshot. Views are read-only: every mutating
-/// operation checks against view mode, and the viewed memory must
-/// outlive the Matrix.
 class Matrix {
  public:
   /// Constructs an empty 0 x 0 matrix.
@@ -40,22 +34,6 @@ class Matrix {
         << rows_ << "x" << cols_;
   }
 
-  /// Wraps external row-major storage without copying. `data` must stay
-  /// valid (and unchanged) for the lifetime of the returned Matrix and
-  /// anything derived from it.
-  static Matrix View(size_t rows, size_t cols, const double* data) {
-    KARL_CHECK(data != nullptr || rows * cols == 0)
-        << ": null data for a " << rows << "x" << cols << " view";
-    Matrix m;
-    m.rows_ = rows;
-    m.cols_ = cols;
-    m.view_ = data;
-    return m;
-  }
-
-  /// True iff this matrix is a non-owning view of external memory.
-  bool is_view() const { return view_ != nullptr; }
-
   /// Number of points (rows).
   size_t rows() const { return rows_; }
 
@@ -71,10 +49,9 @@ class Matrix {
     return {data() + i * cols_, cols_};
   }
 
-  /// Mutable view of row `i`. Invalid on a view.
+  /// Mutable view of row `i`.
   std::span<double> MutableRow(size_t i) {
     KARL_DCHECK(i < rows_) << ": row " << i << " of " << rows_;
-    KARL_DCHECK(!is_view()) << ": cannot mutate a Matrix view";
     return {values_.data() + i * cols_, cols_};
   }
 
@@ -87,23 +64,18 @@ class Matrix {
   double& operator()(size_t i, size_t j) {
     KARL_DCHECK(i < rows_ && j < cols_)
         << ": (" << i << "," << j << ") of " << rows_ << "x" << cols_;
-    KARL_DCHECK(!is_view()) << ": cannot mutate a Matrix view";
     return values_[i * cols_ + j];
   }
 
   /// Appends a row; `row.size()` must match cols() (or set cols on the
-  /// first row of an empty matrix). Invalid on a view.
+  /// first row of an empty matrix).
   void AppendRow(std::span<const double> row);
 
-  /// Flat row-major storage, valid for owned and view matrices alike.
-  std::span<const double> Flat() const { return {data(), rows_ * cols_}; }
+  /// Flat row-major storage.
+  std::span<const double> Flat() const { return values_; }
 
-  /// Flat row-major storage as the owned vector. Invalid on a view —
-  /// prefer Flat() unless vector identity is required.
-  const std::vector<double>& values() const {
-    KARL_CHECK(!is_view()) << ": values() on a Matrix view; use Flat()";
-    return values_;
-  }
+  /// Flat row-major storage as the owned vector.
+  const std::vector<double>& values() const { return values_; }
 
   /// Returns a new matrix containing the given rows, in order.
   Matrix SelectRows(std::span<const size_t> indices) const;
@@ -113,12 +85,11 @@ class Matrix {
   Matrix TruncateColumns(size_t k) const;
 
  private:
-  const double* data() const { return view_ != nullptr ? view_ : values_.data(); }
+  const double* data() const { return values_.data(); }
 
   size_t rows_ = 0;
   size_t cols_ = 0;
   std::vector<double> values_;
-  const double* view_ = nullptr;  // Non-null iff this is a view.
 };
 
 }  // namespace karl::data

@@ -110,15 +110,15 @@ util::Result<std::unique_ptr<BallTree>> BallTree::Attach(
   return tree;
 }
 
-void BallTree::ComputeRegions() {
+void BallTree::ComputeRegions(const data::Matrix& points) {
   const size_t num = num_nodes();
-  const size_t d = points().cols();
+  const size_t d = points.cols();
   owned_balls_.assign(num * d + num, 0.0);
   double* centers = owned_balls_.data();
   double* radii = centers + num * d;
   for (size_t id = 0; id < num; ++id) {
     const Node& nd = node(static_cast<NodeId>(id));
-    const BoundingBall ball = BoundingBall::FitRange(points(), nd.begin, nd.end);
+    const BoundingBall ball = BoundingBall::FitRange(points, nd.begin, nd.end);
     std::copy(ball.center().begin(), ball.center().end(), centers + id * d);
     radii[id] = ball.radius();
   }
@@ -128,7 +128,7 @@ void BallTree::ComputeRegions() {
 
 void BallTree::DistanceBounds(NodeId id, std::span<const double> q,
                               double* min_sq, double* max_sq) const {
-  const size_t d = points().cols();
+  const size_t d = points().dims();
   BoundingBall::DistanceBoundsFlat(
       centers_.subspan(static_cast<size_t>(id) * d, d), radii_[id], q,
       min_sq, max_sq);
@@ -136,7 +136,7 @@ void BallTree::DistanceBounds(NodeId id, std::span<const double> q,
 
 void BallTree::InnerProductBounds(NodeId id, std::span<const double> q,
                                   double* ip_min, double* ip_max) const {
-  const size_t d = points().cols();
+  const size_t d = points().dims();
   BoundingBall::InnerProductBoundsFlat(
       centers_.subspan(static_cast<size_t>(id) * d, d), radii_[id], q,
       ip_min, ip_max);

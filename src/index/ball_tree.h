@@ -26,7 +26,7 @@ class BallTree final : public TreeIndex {
 
   /// Attaches over pre-built external storage (see TreeIndexView):
   /// region_a = packed centres (num_nodes × d), region_b = radii
-  /// (num_nodes). Nothing is copied except the derived SoA mirror.
+  /// (num_nodes). Nothing is copied.
   static util::Result<std::unique_ptr<BallTree>> Attach(
       const TreeIndexView& view);
 
@@ -42,7 +42,7 @@ class BallTree final : public TreeIndex {
 
   /// Per-node ball accessors (tests/diagnostics).
   std::span<const double> node_center(NodeId id) const {
-    const size_t d = points().cols();
+    const size_t d = points().dims();
     return centers_.subspan(static_cast<size_t>(id) * d, d);
   }
   double node_radius(NodeId id) const { return radii_[id]; }
@@ -53,7 +53,7 @@ class BallTree final : public TreeIndex {
   size_t Partition(const data::Matrix& input_points,
                    std::vector<size_t>& perm, size_t begin,
                    size_t end) override;
-  void ComputeRegions() override;
+  void ComputeRegions(const data::Matrix& points) override;
 
   // Owned backing (build path): centres then radii.
   std::vector<double> owned_balls_;

@@ -72,15 +72,15 @@ util::Result<std::unique_ptr<KdTree>> KdTree::Attach(
   return tree;
 }
 
-void KdTree::ComputeRegions() {
+void KdTree::ComputeRegions(const data::Matrix& points) {
   const size_t num = num_nodes();
-  const size_t d = points().cols();
+  const size_t d = points.cols();
   owned_corners_.assign(2 * num * d, 0.0);
   double* lo = owned_corners_.data();
   double* up = lo + num * d;
   for (size_t id = 0; id < num; ++id) {
     const Node& nd = node(static_cast<NodeId>(id));
-    const BoundingBox box = BoundingBox::FitRange(points(), nd.begin, nd.end);
+    const BoundingBox box = BoundingBox::FitRange(points, nd.begin, nd.end);
     std::copy(box.lower().begin(), box.lower().end(), lo + id * d);
     std::copy(box.upper().begin(), box.upper().end(), up + id * d);
   }
@@ -90,7 +90,7 @@ void KdTree::ComputeRegions() {
 
 void KdTree::DistanceBounds(NodeId id, std::span<const double> q,
                             double* min_sq, double* max_sq) const {
-  const size_t d = points().cols();
+  const size_t d = points().dims();
   BoundingBox::SquaredDistanceBoundsFlat(
       lower_.subspan(static_cast<size_t>(id) * d, d),
       upper_.subspan(static_cast<size_t>(id) * d, d), q, min_sq, max_sq);
@@ -98,7 +98,7 @@ void KdTree::DistanceBounds(NodeId id, std::span<const double> q,
 
 void KdTree::InnerProductBounds(NodeId id, std::span<const double> q,
                                 double* ip_min, double* ip_max) const {
-  const size_t d = points().cols();
+  const size_t d = points().dims();
   BoundingBox::InnerProductBoundsFlat(
       lower_.subspan(static_cast<size_t>(id) * d, d),
       upper_.subspan(static_cast<size_t>(id) * d, d), q, ip_min, ip_max);

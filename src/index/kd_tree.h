@@ -26,7 +26,7 @@ class KdTree final : public TreeIndex {
 
   /// Attaches over pre-built external storage (see TreeIndexView):
   /// region_a = packed lower corners, region_b = packed upper corners,
-  /// each num_nodes × d. Nothing is copied except the derived SoA mirror.
+  /// each num_nodes × d. Nothing is copied.
   static util::Result<std::unique_ptr<KdTree>> Attach(
       const TreeIndexView& view);
 
@@ -42,11 +42,11 @@ class KdTree final : public TreeIndex {
 
   /// Per-node corner accessors (tests/diagnostics).
   std::span<const double> node_lower(NodeId id) const {
-    const size_t d = points().cols();
+    const size_t d = points().dims();
     return lower_.subspan(static_cast<size_t>(id) * d, d);
   }
   std::span<const double> node_upper(NodeId id) const {
-    const size_t d = points().cols();
+    const size_t d = points().dims();
     return upper_.subspan(static_cast<size_t>(id) * d, d);
   }
 
@@ -56,7 +56,7 @@ class KdTree final : public TreeIndex {
   size_t Partition(const data::Matrix& input_points,
                    std::vector<size_t>& perm, size_t begin,
                    size_t end) override;
-  void ComputeRegions() override;
+  void ComputeRegions(const data::Matrix& points) override;
 
   // Owned backing (build path): lower corners then upper corners.
   std::vector<double> owned_corners_;

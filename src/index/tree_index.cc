@@ -1,7 +1,10 @@
 #include "index/tree_index.h"
 
+#include <algorithm>
+#include <cmath>
 #include <numeric>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "util/check.h"
@@ -18,6 +21,48 @@ std::string_view IndexKindToString(IndexKind kind) {
   }
   return "unknown";
 }
+
+namespace {
+
+// Index of the first non-finite value in `values`, or values.size().
+// The all-finite case runs without a branch per value: x·0 is ±0 for a
+// finite x and NaN otherwise, summed in four independent chains.
+size_t FirstNonFinite(std::span<const double> values) {
+  double acc[4] = {};
+  size_t i = 0;
+  for (; i + 4 <= values.size(); i += 4) {
+    for (size_t k = 0; k < 4; ++k) acc[k] += values[i + k] * 0.0;
+  }
+  for (; i < values.size(); ++i) acc[0] += values[i] * 0.0;
+  if (acc[0] + acc[1] + acc[2] + acc[3] == 0.0) return values.size();
+  return static_cast<size_t>(
+      std::find_if(values.begin(), values.end(),
+                   [](double v) { return !std::isfinite(v); }) -
+      values.begin());
+}
+
+// OK iff `perm` is a permutation of [0, perm.size()): in range and no
+// repeats.
+util::Status CheckPermutation(std::span<const size_t> perm) {
+  const size_t n = perm.size();
+  std::vector<uint64_t> seen((n + 63) / 64);
+  for (size_t i = 0; i < n; ++i) {
+    const size_t p = perm[i];
+    if (p >= n) {
+      return util::Status::InvalidArgument(
+          "attach: permutation entry out of range");
+    }
+    const uint64_t bit = uint64_t{1} << (p % 64);
+    if ((seen[p / 64] & bit) != 0) {
+      return util::Status::InvalidArgument(
+          "attach: permutation entry " + std::to_string(p) + " repeats");
+    }
+    seen[p / 64] |= bit;
+  }
+  return util::Status::OK();
+}
+
+}  // namespace
 
 void TreeIndex::BuildShared(const data::Matrix& input_points,
                             std::span<const double> input_weights,
@@ -76,31 +121,31 @@ void TreeIndex::BuildShared(const data::Matrix& input_points,
     stack.push_back({right_id, mid, frame.end});
   }
 
-  // Phase 2: materialise the permuted point matrix and weights.
+  // Phase 2: a row-major temporary of the permuted points and weights,
+  // from which the blocks, the aggregates and the regions are computed.
   const size_t d = input_points.cols();
-  points_ = data::Matrix(n, d);
-  owned_weights_.resize(n);
+  data::Matrix permuted(n, d);
+  std::vector<double> permuted_weights(n);
   for (size_t i = 0; i < n; ++i) {
     const auto src = input_points.Row(owned_perm_[i]);
-    auto dst = points_.MutableRow(i);
+    auto dst = permuted.MutableRow(i);
     for (size_t j = 0; j < d; ++j) dst[j] = src[j];
-    owned_weights_[i] = input_weights[owned_perm_[i]];
+    permuted_weights[i] = input_weights[owned_perm_[i]];
   }
 
-  // Phase 3: blocked SoA mirror for the vectorized leaf kernels.
-  soa_.Build(points_, owned_weights_);
+  // Phase 3: the blocked SoA layout — the tree's only copy of the points.
+  soa_.Build(permuted, permuted_weights);
 
   // Phase 4: aggregates, then point the read-side spans at the owned
   // storage (all vectors have reached their final size), then the
   // subclass region geometry (ComputeRegions reads via the spans).
-  ComputeSummaries();
+  ComputeSummaries(permuted, permuted_weights);
   nodes_ = owned_nodes_;
-  weights_ = owned_weights_;
   perm_ = owned_perm_;
   weight_sums_ = owned_weight_sums_;
   sqnorm_sums_ = owned_sqnorm_sums_;
   point_sums_ = owned_point_sums_;
-  ComputeRegions();
+  ComputeRegions(permuted);
 }
 
 util::Status TreeIndex::AttachShared(const TreeIndexView& view) {
@@ -115,24 +160,31 @@ util::Status TreeIndex::AttachShared(const TreeIndexView& view) {
   if (view.leaf_capacity < 1) {
     return util::Status::InvalidArgument("attach: leaf capacity must be >= 1");
   }
-  if (view.weights.size() != n || view.perm.size() != n) {
+  if (view.perm.size() != n) {
     return util::Status::InvalidArgument(
-        "attach: weights/perm length does not match row count");
+        "attach: perm length does not match row count");
   }
   if (view.weight_sums.size() != num || view.sqnorm_sums.size() != num ||
       view.point_sums.size() != num * d) {
     return util::Status::InvalidArgument(
         "attach: aggregate array length does not match node count");
   }
-  // Structural sweep: the root covers every point, every internal node's
-  // children appear after it and tile its range exactly, and perm is a
-  // permutation of the rows. This is what the traversal and the
-  // bottom-up aggregate contract rely on; a snapshot that passed the
-  // checksum but violates these is rejected rather than trusted.
+  // Structural sweep: the root covers every point at depth 0, every
+  // internal node's children appear after it, tile its range exactly and
+  // sit one level deeper, the recorded max depth is the deepest node's,
+  // and perm is a permutation of the rows. This is what the traversal,
+  // the level cap and the bottom-up aggregate contract rely on; a
+  // snapshot that passed the checksum but violates these is rejected
+  // rather than trusted.
   const auto& nodes = view.nodes;
   if (nodes[0].begin != 0 || nodes[0].end != n) {
     return util::Status::InvalidArgument("attach: root does not cover all points");
   }
+  if (nodes[0].depth != 0) {
+    return util::Status::InvalidArgument("attach: root has depth " +
+                                         std::to_string(nodes[0].depth));
+  }
+  size_t deepest = 0;
   for (size_t id = 0; id < num; ++id) {
     const TreeIndex::Node& nd = nodes[id];
     if (nd.begin > nd.end || nd.end > n) {
@@ -160,41 +212,53 @@ util::Status TreeIndex::AttachShared(const TreeIndexView& view) {
             "attach: children of node " + std::to_string(id) +
             " do not tile its range");
       }
+      if (l.depth != nd.depth + 1 || r.depth != nd.depth + 1) {
+        return util::Status::InvalidArgument(
+            "attach: a child of node " + std::to_string(id) +
+            " is not at depth " + std::to_string(nd.depth + 1));
+      }
+    }
+    deepest = std::max(deepest, static_cast<size_t>(nd.depth));
+  }
+  if (view.max_depth != deepest) {
+    return util::Status::InvalidArgument(
+        "attach: max_depth " + std::to_string(view.max_depth) +
+        " differs from the deepest node's depth " + std::to_string(deepest));
+  }
+  // Non-finite aggregates or geometry would turn every bound through the
+  // node into NaN rather than fail.
+  const std::pair<const char*, std::span<const double>> finite_arrays[] = {
+      {"weight_sums", view.weight_sums}, {"sqnorm_sums", view.sqnorm_sums},
+      {"point_sums", view.point_sums},   {"region_a", view.region_a},
+      {"region_b", view.region_b}};
+  for (const auto& [name, values] : finite_arrays) {
+    const size_t bad = FirstNonFinite(values);
+    if (bad < values.size()) {
+      return util::Status::InvalidArgument(
+          std::string("attach: non-finite value in ") + name + "[" +
+          std::to_string(bad) + "]");
     }
   }
-  // perm must be a permutation of [0, n): in range and no repeats.
-  std::vector<bool> seen(n);
-  for (size_t i = 0; i < n; ++i) {
-    const size_t p = view.perm[i];
-    if (p >= n) {
-      return util::Status::InvalidArgument(
-          "attach: permutation entry out of range");
-    }
-    if (seen[p]) {
-      return util::Status::InvalidArgument(
-          "attach: permutation entry " + std::to_string(p) + " repeats");
-    }
-    seen[p] = true;
-  }
+  KARL_RETURN_NOT_OK(CheckPermutation(view.perm));
 
+  const util::Status blocks =
+      soa_.Attach(n, d, view.blocks, view.block_weights);
+  if (!blocks.ok()) {
+    return util::Status::InvalidArgument("attach: " + blocks.message());
+  }
   leaf_capacity_ = view.leaf_capacity;
   max_depth_ = view.max_depth;
-  points_ = data::Matrix::View(n, d, view.points);
   nodes_ = view.nodes;
-  weights_ = view.weights;
   perm_ = view.perm;
   weight_sums_ = view.weight_sums;
   sqnorm_sums_ = view.sqnorm_sums;
   point_sums_ = view.point_sums;
-
-  // The SoA mirror is derived state and always rebuilt (same contract as
-  // LoadEngine): it is the only per-model allocation of an attach.
-  soa_.Build(points_, weights_);
   return util::Status::OK();
 }
 
-void TreeIndex::ComputeSummaries() {
-  const size_t d = points_.cols();
+void TreeIndex::ComputeSummaries(const data::Matrix& points,
+                                 std::span<const double> weights) {
+  const size_t d = points.cols();
   const size_t num = owned_nodes_.size();
   owned_weight_sums_.assign(num, 0.0);
   owned_sqnorm_sums_.assign(num, 0.0);
@@ -210,8 +274,8 @@ void TreeIndex::ComputeSummaries() {
       double w_sum = 0.0;
       double b_sum = 0.0;
       for (size_t i = nd.begin; i < nd.end; ++i) {
-        const double w = owned_weights_[i];
-        const auto row = points_.Row(i);
+        const double w = weights[i];
+        const auto row = points.Row(i);
         w_sum += w;
         b_sum += w * util::SquaredNorm(row);
         for (size_t j = 0; j < d; ++j) sums[j] += w * row[j];
@@ -234,11 +298,9 @@ void TreeIndex::ComputeSummaries() {
 
 size_t TreeIndex::MemoryUsageBytes() const {
   return nodes_.size() * sizeof(Node) +
-         (weight_sums_.size() + sqnorm_sums_.size() + point_sums_.size() +
-          weights_.size()) *
+         (weight_sums_.size() + sqnorm_sums_.size() + point_sums_.size()) *
              sizeof(double) +
-         perm_.size() * sizeof(size_t) +
-         points_.Flat().size() * sizeof(double) + soa_.MemoryUsageBytes();
+         perm_.size() * sizeof(size_t) + soa_.MemoryUsageBytes();
 }
 
 }  // namespace karl::index

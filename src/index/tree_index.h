@@ -1,8 +1,9 @@
 // Common interface and storage for KARL's hierarchical indexes (kd-tree,
 // ball-tree).
 //
-// A TreeIndex holds a permuted copy of the point set (each node's points
-// are contiguous), per-point weights, and per-node *weighted aggregates*
+// A TreeIndex holds the point set and its weights in tree-permuted order
+// (each node's points are contiguous), stored once as blocked SoA
+// (core/simd/soa_block.h), and per-node *weighted aggregates*
 // that let KARL's linear bound functions be evaluated in O(d) per node
 // (paper Lemma 2 / Lemma 5):
 //
@@ -14,12 +15,12 @@
 // bounds); everything else is shared.
 //
 // Storage duality: a tree is either *built* (BuildShared — it owns every
-// array) or *attached* (AttachShared — node, point, weight, aggregate and
-// geometry arrays are non-owning views into caller-provided memory,
-// typically an mmap(2)-ed snapshot; see registry/snapshot.h). All read
-// accessors go through spans that point at whichever storage is active,
-// so the query path is identical for both. Only the blocked SoA leaf
-// mirror is always rebuilt in memory — it is derived state.
+// array) or *attached* (AttachShared — node, point block, permutation,
+// aggregate and geometry arrays are non-owning views into caller-provided
+// memory, typically an mmap(2)-ed snapshot; see registry/snapshot.h).
+// All read accessors go through spans that point at whichever storage is
+// active, so the query path is identical for both, and an attach copies
+// nothing: it validates the arrays and points at them.
 
 #ifndef KARL_INDEX_TREE_INDEX_H_
 #define KARL_INDEX_TREE_INDEX_H_
@@ -94,20 +95,20 @@ class TreeIndex {
   /// Leaf capacity the tree was built with.
   size_t leaf_capacity() const { return leaf_capacity_; }
 
-  /// The permuted point matrix; node ranges index into it.
-  const data::Matrix& points() const { return points_; }
+  /// The permuted points and weights as blocked SoA — the one copy of
+  /// the point set, read by every leaf kernel tier. Node ranges index
+  /// into it directly: row i is At(i, ·) / WeightAt(i).
+  const core::simd::SoaLeafBlocks& points() const { return soa_; }
+
+  /// Same object as points(), under the name it had when it was a
+  /// mirror; kept for callers outside the library.
+  const core::simd::SoaLeafBlocks& soa() const { return soa_; }
 
   /// Per-point weights, permuted alongside points().
-  std::span<const double> weights() const { return weights_; }
+  std::span<const double> weights() const { return soa_.weights(); }
 
   /// Maps permuted position -> original row index in the input matrix.
   std::span<const size_t> original_indices() const { return perm_; }
-
-  /// Blocked SoA mirror of points()/weights() in the same permuted
-  /// order, built once per (re)build or attach — the layout the
-  /// vectorized leaf kernels (core/simd) read. Node ranges index into it
-  /// directly.
-  const core::simd::SoaLeafBlocks& soa() const { return soa_; }
 
   /// w_P of the node (Σ w_i).
   double weight_sum(NodeId id) const { return weight_sums_[id]; }
@@ -117,7 +118,7 @@ class TreeIndex {
 
   /// a_P of the node (Σ w_i p_i), as a length-d span.
   std::span<const double> weighted_point_sum(NodeId id) const {
-    const size_t d = points_.cols();
+    const size_t d = soa_.dims();
     return point_sums_.subspan(static_cast<size_t>(id) * d, d);
   }
 
@@ -154,19 +155,21 @@ class TreeIndex {
   TreeIndex() = default;
 
   /// Shared build driver: recursively partitions the permutation using the
-  /// subclass's Partition hook, then materialises the permuted matrix and
-  /// the per-node aggregates, then calls the subclass's ComputeRegions.
+  /// subclass's Partition hook, then materialises the permuted points as
+  /// a row-major temporary, writes the blocks from it, and computes the
+  /// per-node aggregates and the subclass's ComputeRegions from it. The
+  /// temporary is dropped on return.
   void BuildShared(const data::Matrix& input_points,
                    std::span<const double> input_weights,
                    size_t leaf_capacity);
 
   /// Shared attach driver: adopts pre-built arrays (typically views into
   /// an mmap-ed snapshot section — see registry/snapshot.h) without
-  /// copying points, nodes, weights, or aggregates; only the derived SoA
-  /// leaf mirror is rebuilt. Validates structural invariants (root
-  /// coverage, child ranges, array lengths, perm a permutation of the
-  /// rows) and fails rather than adopt an inconsistent tree. Region
-  /// geometry stays with the subclass (see KdTree::Attach /
+  /// copying anything. Validates structural invariants (array lengths,
+  /// root coverage, child ranges and depths, the recorded max depth, perm
+  /// a permutation of the rows, zero pad lanes, finite aggregates and
+  /// region geometry) and fails rather than adopt an inconsistent tree.
+  /// Region geometry stays with the subclass (see KdTree::Attach /
   /// BallTree::Attach).
   util::Status AttachShared(const TreeIndexView& view);
 
@@ -178,16 +181,16 @@ class TreeIndex {
                            std::vector<size_t>& perm, size_t begin,
                            size_t end) = 0;
 
-  /// Subclass hook: after points are permuted, compute each node's region
-  /// geometry from its contiguous range.
-  virtual void ComputeRegions() = 0;
+  /// Subclass hook: compute each node's region geometry from its
+  /// contiguous range of `points` (the permuted row-major temporary).
+  virtual void ComputeRegions(const data::Matrix& points) = 0;
 
  private:
-  void ComputeSummaries();
+  void ComputeSummaries(const data::Matrix& points,
+                        std::span<const double> weights);
 
   // Owned storage; empty for an attached tree.
   std::vector<Node> owned_nodes_;
-  std::vector<double> owned_weights_;
   std::vector<size_t> owned_perm_;
   std::vector<double> owned_weight_sums_;
   std::vector<double> owned_sqnorm_sums_;
@@ -196,14 +199,12 @@ class TreeIndex {
   // Active storage: spans over the owned vectors (built tree) or over
   // caller-provided memory (attached tree). All read accessors go here.
   std::span<const Node> nodes_;
-  std::span<const double> weights_;
   std::span<const size_t> perm_;
   std::span<const double> weight_sums_;
   std::span<const double> sqnorm_sums_;
   std::span<const double> point_sums_;
 
-  data::Matrix points_;  // Permuted copy of the input, or a view.
-  core::simd::SoaLeafBlocks soa_;  // Derived mirror; always rebuilt.
+  core::simd::SoaLeafBlocks soa_;  // Points and weights, built or attached.
   size_t leaf_capacity_ = 0;
   size_t max_depth_ = 0;
 };
@@ -215,8 +216,10 @@ struct TreeIndexView {
   std::span<const TreeIndex::Node> nodes;
   size_t rows = 0;
   size_t cols = 0;
-  const double* points = nullptr;       ///< rows × cols, row-major.
-  std::span<const double> weights;      ///< rows.
+  /// Blocked coordinates, NumBlocks(rows) × cols × kBlockPoints, and
+  /// blocked weights, NumBlocks(rows) × kBlockPoints (soa_block.h).
+  std::span<const double> blocks;
+  std::span<const double> block_weights;
   std::span<const size_t> perm;         ///< rows.
   std::span<const double> weight_sums;  ///< num_nodes.
   std::span<const double> sqnorm_sums;  ///< num_nodes.

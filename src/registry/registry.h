@@ -20,8 +20,8 @@
 //
 // Thread safety: every public method is safe to call concurrently; one
 // annotated util::Mutex guards the table. Loads run under the lock —
-// snapshot attach is cheap by design (mmap + SoA rebuild), which is the
-// point of the format.
+// snapshot attach is cheap by design (mmap + checksum + validation, no
+// copies), which is the point of the format.
 
 #ifndef KARL_REGISTRY_REGISTRY_H_
 #define KARL_REGISTRY_REGISTRY_H_

@@ -30,6 +30,7 @@ static_assert(sizeof(size_t) == sizeof(uint64_t),
               "snapshot perm sections are u64; need an LP64 host");
 
 using Node = index::TreeIndex::Node;
+using Blocks = core::simd::SoaLeafBlocks;
 static_assert(sizeof(Node) == 20 && offsetof(Node, left) == 0 &&
                   offsetof(Node, right) == 4 && offsetof(Node, begin) == 8 &&
                   offsetof(Node, end) == 12 && offsetof(Node, depth) == 16 &&
@@ -123,7 +124,7 @@ size_t AlignUp(size_t v) {
 // Byte offsets of one tree's sections; a pure function of the header
 // counts (offsets are derived, never stored).
 struct SectionLayout {
-  size_t nodes, points, weights, perm;
+  size_t nodes, blocks, block_weights, perm;
   size_t weight_sums, sqnorm_sums, point_sums;
   size_t region_a, region_b;
   size_t end;  // First byte past this tree (aligned).
@@ -138,9 +139,14 @@ SectionLayout ComputeLayout(size_t start, uint64_t rows, uint64_t num_nodes,
     off = AlignUp(off + bytes);
     return at;
   };
+  // One blocks section: the blocked coordinates, then the blocked
+  // weights (soa_block.h). The coordinate part is a whole number of
+  // 64-byte blocks per dimension, so the weights start aligned too.
+  constexpr size_t kLaneBytes = Blocks::kBlockPoints * sizeof(double);
+  const uint64_t num_blocks = Blocks::NumBlocks(rows);
   out.nodes = section(num_nodes * sizeof(Node));
-  out.points = section(rows * cols * sizeof(double));
-  out.weights = section(rows * sizeof(double));
+  out.blocks = section(num_blocks * (cols + 1) * kLaneBytes);
+  out.block_weights = out.blocks + num_blocks * cols * kLaneBytes;
   out.perm = section(rows * sizeof(uint64_t));
   out.weight_sums = section(num_nodes * sizeof(double));
   out.sqnorm_sums = section(num_nodes * sizeof(double));
@@ -241,7 +247,7 @@ util::Status WriteSnapshot(const std::string& path, const Engine& engine) {
   const index::TreeIndex* trees[2] = {&engine.plus_tree(),
                                       engine.minus_tree()};
   const size_t num_trees = trees[1] != nullptr ? 2 : 1;
-  const uint64_t cols = trees[0]->points().cols();
+  const uint64_t cols = trees[0]->points().dims();
   const EngineOptions& options = engine.options();
 
   SectionLayout layouts[2];
@@ -293,8 +299,8 @@ util::Status WriteSnapshot(const std::string& path, const Engine& engine) {
     const index::TreeIndex& tree = *trees[t];
     const SectionLayout& sec = layouts[t];
     const auto nodes = tree.nodes();
-    const auto points = tree.points().Flat();
-    const auto weights = tree.weights();
+    const auto coords = tree.points().coords();
+    const auto block_weights = tree.points().block_weights();
     const auto perm = tree.original_indices();
     const auto wsums = tree.node_weight_sums();
     const auto sqsums = tree.node_sqnorm_sums();
@@ -304,12 +310,12 @@ util::Status WriteSnapshot(const std::string& path, const Engine& engine) {
     KARL_RETURN_NOT_OK(WriteSection(out, hasher, &cur, sec.nodes,
                                     nodes.data(),
                                     nodes.size() * sizeof(Node)));
-    KARL_RETURN_NOT_OK(WriteSection(out, hasher, &cur, sec.points,
-                                    points.data(),
-                                    points.size() * sizeof(double)));
-    KARL_RETURN_NOT_OK(WriteSection(out, hasher, &cur, sec.weights,
-                                    weights.data(),
-                                    weights.size() * sizeof(double)));
+    KARL_RETURN_NOT_OK(WriteSection(out, hasher, &cur, sec.blocks,
+                                    coords.data(),
+                                    coords.size() * sizeof(double)));
+    KARL_RETURN_NOT_OK(WriteSection(out, hasher, &cur, sec.block_weights,
+                                    block_weights.data(),
+                                    block_weights.size() * sizeof(double)));
     KARL_RETURN_NOT_OK(WriteSection(out, hasher, &cur, sec.perm, perm.data(),
                                     perm.size() * sizeof(uint64_t)));
     KARL_RETURN_NOT_OK(WriteSection(out, hasher, &cur, sec.weight_sums,
@@ -494,9 +500,12 @@ util::Status MappedSnapshot::Parse() {
                   num_nodes};
     view.rows = rows;
     view.cols = cols;
-    view.points = reinterpret_cast<const double*>(base + sec.points);
-    view.weights = {reinterpret_cast<const double*>(base + sec.weights),
-                    rows};
+    const uint64_t num_blocks = Blocks::NumBlocks(rows);
+    view.blocks = {reinterpret_cast<const double*>(base + sec.blocks),
+                   num_blocks * cols * Blocks::kBlockPoints};
+    view.block_weights = {
+        reinterpret_cast<const double*>(base + sec.block_weights),
+        num_blocks * Blocks::kBlockPoints};
     view.perm = {reinterpret_cast<const size_t*>(base + sec.perm), rows};
     view.weight_sums = {
         reinterpret_cast<const double*>(base + sec.weight_sums), num_nodes};

@@ -1,14 +1,15 @@
 // Zero-deserialization engine snapshots.
 //
 // A snapshot is a flat, pointer-free, little-endian binary image of a
-// *built* engine: the tree node arrays, the permuted point matrix, the
-// weights, the permutation, and the precomputed per-node linear-bound
-// aggregates (w_P, a_P, b_P — the coefficients of paper Lemma 2/5) plus
-// the node region geometry, each stored as a 64-byte-aligned,
-// offset-addressed section. An engine is *constructed over* the mapping
-// with mmap(2): no point matrix or tree copy is made — only the derived
-// blocked SoA leaf mirror is rebuilt, exactly as LoadEngine rebuilds it
-// from the legacy format today.
+// *built* engine: the tree node arrays, the permuted points and weights
+// in the blocked SoA layout the leaf kernels read (core/simd/
+// soa_block.h), the permutation, and the precomputed per-node
+// linear-bound aggregates (w_P, a_P, b_P — the coefficients of paper
+// Lemma 2/5) plus the node region geometry, each stored as a
+// 64-byte-aligned, offset-addressed section. An engine is *constructed
+// over* the mapping with mmap(2): attach validates the sections and
+// points at them, and copies nothing — the mapped blocks are the tree's
+// only copy of its points.
 //
 // On-disk layout (all integers little-endian; doubles IEEE-754):
 //
@@ -17,9 +18,12 @@
 //            checksum of the entire file (checksum field zeroed during
 //            hashing).
 //   [256,…)  per-tree sections in fixed order, each aligned to 64 bytes:
-//            nodes, points, weights, perm, weight_sums, sqnorm_sums,
-//            point_sums, region_a, region_b. Type III engines store two
-//            trees (positive then negative side); I/II store one.
+//            nodes, blocks, perm, weight_sums, sqnorm_sums, point_sums,
+//            region_a, region_b. The blocks section holds
+//            num_blocks·d·8 coordinates then num_blocks·8 weights
+//            (num_blocks = ⌈rows/8⌉; pad lanes of the last block are 0).
+//            Type III engines store two trees (positive then negative
+//            side); I/II store one.
 //
 // Section offsets are *derived* from the header counts, not stored: the
 // layout is a pure function of (rows, num_nodes, cols, index kind), so a
@@ -27,9 +31,9 @@
 // file size.
 //
 // Determinism and portability: index construction is deterministic, so
-// compile-snapshot produces identical bytes for identical inputs. As
-// with the legacy format, a snapshot written on one SIMD tier loads on
-// any other (the SoA mirror is rebuilt); answers are then subject to the
+// compile-snapshot produces identical bytes for identical inputs. The
+// blocked layout is the same for every SIMD tier, so a snapshot written
+// on one tier loads on any other; answers are then subject to the
 // core/simd tolerance contract rather than bit-equality.
 
 #ifndef KARL_REGISTRY_SNAPSHOT_H_
@@ -49,9 +53,11 @@ namespace karl::registry {
 
 /// Format constants, exported so tests can corrupt specific fields.
 inline constexpr uint32_t kSnapshotMagic = 0x504E534Bu;  // "KSNP" LE.
-/// Version 2 replaced the v1 FNV-1a checksum with XXH64; v1 files are
-/// rejected as an unsupported version and must be recompiled.
-inline constexpr uint32_t kSnapshotVersion = 2;
+/// Version 2 replaced the v1 FNV-1a checksum with XXH64; version 3
+/// replaced the row-major points and weights sections with the blocks
+/// section. Older files are rejected as an unsupported version and must
+/// be recompiled.
+inline constexpr uint32_t kSnapshotVersion = 3;
 inline constexpr size_t kSnapshotHeaderBytes = 256;
 inline constexpr size_t kSnapshotSectionAlign = 64;
 inline constexpr size_t kSnapshotChecksumOffset = 80;
@@ -134,8 +140,8 @@ class MappedSnapshot {
   index::TreeIndexView views_[2];
 };
 
-/// Constructs an engine over a mapped snapshot (no copies; the SoA leaf
-/// mirror is rebuilt). `snapshot` must outlive the returned engine —
+/// Constructs an engine over a mapped snapshot (no copies; see
+/// TreeIndex::AttachShared for what is validated). `snapshot` must outlive the returned engine —
 /// callers typically keep both in one owning object (registry
 /// LoadedModel). `metrics`/`tracer` may be null.
 util::Result<Engine> AttachEngine(const MappedSnapshot& snapshot,

@@ -173,7 +173,7 @@ Router::Outcome Router::Handle(uint64_t conn_id, std::string_view line,
   }
   registry::ModelHandle handle = std::move(acquired).ValueOrDie();
   const Engine& engine = handle->engine();
-  const size_t dims = engine.plus_tree().points().cols();
+  const size_t dims = engine.plus_tree().points().dims();
   if (request.queries.cols() != dims) {
     bad_request_total_->Increment();
     outcome.immediate_response = ErrorResponse(
@@ -1014,7 +1014,7 @@ std::string Server::VarzJson() const {
               Json::Str(std::string(
                   core::BoundKindToString(engine.options().bounds))));
     model.Set("dims", Json::Number(static_cast<double>(
-                          engine.plus_tree().points().cols())));
+                          engine.plus_tree().points().dims())));
     size_t points = engine.plus_tree().points().rows();
     if (engine.minus_tree() != nullptr) {
       points += engine.minus_tree()->points().rows();

@@ -198,8 +198,11 @@ TEST_P(NodeBoundsTest, EveryNodeBoundSandwichesBruteForce) {
       const auto& nd = tree->node(id);
       double exact = 0.0;
       for (uint32_t i = nd.begin; i < nd.end; ++i) {
-        exact += tree->weights()[i] *
-                 KernelValue(tc.kernel, q, tree->points().Row(i));
+        std::vector<double> row(q.size());
+        for (size_t j = 0; j < row.size(); ++j) {
+          row[j] = tree->points().At(i, j);
+        }
+        exact += tree->points().WeightAt(i) * KernelValue(tc.kernel, q, row);
       }
       double lb = 0.0, ub = 0.0;
       bounds->NodeBounds(*tree, static_cast<index::NodeId>(id), ctx, &lb, &ub);

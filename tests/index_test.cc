@@ -5,6 +5,7 @@
 
 #include <cmath>
 #include <numeric>
+#include <vector>
 
 #include "data/synthetic.h"
 #include "index/ball_tree.h"
@@ -16,6 +17,13 @@
 
 namespace karl::index {
 namespace {
+
+// Permuted point `i` of `tree`, gathered from its blocks.
+std::vector<double> PermutedRow(const TreeIndex& tree, size_t i) {
+  std::vector<double> row(tree.points().dims());
+  for (size_t j = 0; j < row.size(); ++j) row[j] = tree.points().At(i, j);
+  return row;
+}
 
 data::Matrix TestPoints() {
   // 6 points in 2-d.
@@ -240,7 +248,7 @@ TEST_P(TreeInvariantTest, PermutationIsBijective) {
   for (size_t i = 0; i < pts.rows(); ++i) {
     const size_t orig = tree->original_indices()[i];
     for (size_t j = 0; j < pts.cols(); ++j) {
-      EXPECT_DOUBLE_EQ(tree->points()(i, j), pts(orig, j));
+      EXPECT_DOUBLE_EQ(tree->points().At(i, j), pts(orig, j));
     }
   }
 }
@@ -256,7 +264,7 @@ TEST_P(TreeInvariantTest, NodeRegionsContainTheirPoints) {
     double min_sq = 0.0, max_sq = 0.0;
     tree->DistanceBounds(static_cast<NodeId>(id), q, &min_sq, &max_sq);
     for (uint32_t i = nd.begin; i < nd.end; ++i) {
-      const double sq = util::SquaredDistance(q, tree->points().Row(i));
+      const double sq = util::SquaredDistance(q, PermutedRow(*tree, i));
       EXPECT_LE(min_sq, sq + 1e-9);
       EXPECT_GE(max_sq, sq - 1e-9);
     }
@@ -275,8 +283,8 @@ TEST_P(TreeInvariantTest, WeightedAggregatesMatchDirectSums) {
     double w_sum = 0.0, b_sum = 0.0;
     std::vector<double> a_sum(pts.cols(), 0.0);
     for (uint32_t i = nd.begin; i < nd.end; ++i) {
-      const double w = tree->weights()[i];
-      const auto row = tree->points().Row(i);
+      const double w = tree->points().WeightAt(i);
+      const std::vector<double> row = PermutedRow(*tree, i);
       w_sum += w;
       b_sum += w * util::SquaredNorm(row);
       for (size_t j = 0; j < row.size(); ++j) a_sum[j] += w * row[j];

@@ -12,12 +12,17 @@
 //  P5. Linear-bound functions sandwich the profile pointwise on the
 //      interval they were constructed for.
 //  P6. Randomised batch queries match brute force (see below).
-//  P7. The blocked SoA mirror is a bit-exact re-layout of the tree's
-//      permuted points, and vectorized queries match brute force.
+//  P7. The blocked SoA storage is a bit-exact re-layout of the permuted
+//      input (built or attached from a snapshot), and vectorized queries
+//      match brute force.
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstring>
+#include <filesystem>
+#include <string>
 #include <vector>
 
 #include "core/batch.h"
@@ -28,6 +33,7 @@
 #include "data/synthetic.h"
 #include "index/ball_tree.h"
 #include "index/kd_tree.h"
+#include "registry/snapshot.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 
@@ -166,8 +172,10 @@ TEST_P(QueryPropertyTest, NodeBoundsAreValidEverywhere) {
         const auto& nd = tree->node(id);
         double exact = 0.0;
         for (uint32_t i = nd.begin; i < nd.end; ++i) {
-          exact += tree->weights()[i] *
-                   core::KernelValue(kernel, q, tree->points().Row(i));
+          std::vector<double> row(pc.d);
+          for (size_t j = 0; j < pc.d; ++j) row[j] = tree->points().At(i, j);
+          exact += tree->points().WeightAt(i) *
+                   core::KernelValue(kernel, q, row);
         }
         double lb = 0.0, ub = 0.0;
         bounds->NodeBounds(*tree, static_cast<index::NodeId>(id), ctx, &lb,
@@ -439,11 +447,17 @@ TEST(BatchQueryProperty, RandomisedBatchMatchesBruteForce) {
   }
 }
 
-// P7a: the blocked SoA mirror every tree builds (core/simd/soa_block.h)
-// must be a bit-exact re-layout — every coordinate and weight read back
-// through the blocked accessors equals the permuted source EXACTLY, for
-// fuzzed shapes including ragged final blocks and n < kBlockPoints.
+// P7a: the blocked SoA storage every tree keeps (core/simd/soa_block.h)
+// must be a bit-exact re-layout of the input — every coordinate and
+// weight read back through the blocked accessors equals the input row
+// the permutation names, bit for bit, for fuzzed shapes including ragged
+// final blocks and n < kBlockPoints. A tree attached from a snapshot
+// must hold byte-identical blocks, pad lanes included.
 TEST(SimdSoaProperty, BlockedLayoutRoundTripsBitExactly) {
+  const auto bits = [](double v) { return std::bit_cast<uint64_t>(v); };
+  const std::string snap_path =
+      (std::filesystem::temp_directory_path() / "karl_p7_blocks.snap")
+          .string();
   util::Rng rng(20260808);
   for (int trial = 0; trial < 12; ++trial) {
     const size_t d = 1 + static_cast<size_t>(rng.Uniform(0.0, 9.0));
@@ -454,6 +468,7 @@ TEST(SimdSoaProperty, BlockedLayoutRoundTripsBitExactly) {
     }
     std::vector<double> weights(n);
     for (auto& w : weights) w = rng.Uniform(-1.0, 1.0);
+    weights[0] = std::abs(weights[0]) + 0.25;  // An engine needs one w > 0.
 
     const PropertyCase pc{0, n, d,
                           trial % 2 == 0 ? index::IndexKind::kKdTree
@@ -461,18 +476,51 @@ TEST(SimdSoaProperty, BlockedLayoutRoundTripsBitExactly) {
                           1 + static_cast<size_t>(rng.Uniform(0.0, 31.0)),
                           0, 2};
     const auto tree = TreeForCase(pc, pts, weights);
-    const auto& soa = tree->soa();
-    ASSERT_EQ(soa.rows(), n) << "trial " << trial;
-    ASSERT_EQ(soa.dims(), d) << "trial " << trial;
+    const auto& blocks = tree->points();
+    ASSERT_EQ(blocks.rows(), n) << "trial " << trial;
+    ASSERT_EQ(blocks.dims(), d) << "trial " << trial;
     for (size_t i = 0; i < n; ++i) {
-      ASSERT_EQ(soa.WeightAt(i), tree->weights()[i])
+      const size_t orig = tree->original_indices()[i];
+      ASSERT_EQ(bits(blocks.WeightAt(i)), bits(weights[orig]))
           << "trial " << trial << " row " << i;
       for (size_t j = 0; j < d; ++j) {
-        ASSERT_EQ(soa.At(i, j), tree->points().Row(i)[j])
+        ASSERT_EQ(bits(blocks.At(i, j)), bits(pts(orig, j)))
             << "trial " << trial << " row " << i << " dim " << j;
       }
     }
+
+    EngineOptions options;
+    options.index_kind = pc.index_kind;
+    options.leaf_capacity = pc.leaf_capacity;
+    const Engine built = Engine::Build(pts, weights, options).ValueOrDie();
+    ASSERT_TRUE(registry::WriteSnapshot(snap_path, built).ok());
+    auto snapshot = registry::MappedSnapshot::Map(snap_path);
+    ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
+    auto attached = registry::AttachEngine(snapshot.value(), nullptr, nullptr);
+    ASSERT_TRUE(attached.ok()) << attached.status().ToString();
+    const index::TreeIndex* built_trees[] = {&built.plus_tree(),
+                                             built.minus_tree()};
+    const index::TreeIndex* attached_trees[] = {
+        &attached.value().plus_tree(), attached.value().minus_tree()};
+    for (size_t t = 0; t < 2; ++t) {
+      ASSERT_EQ(built_trees[t] == nullptr, attached_trees[t] == nullptr);
+      if (built_trees[t] == nullptr) continue;
+      const auto& want = built_trees[t]->points();
+      const auto& got = attached_trees[t]->points();
+      ASSERT_EQ(got.coords().size(), want.coords().size());
+      ASSERT_EQ(got.block_weights().size(), want.block_weights().size());
+      EXPECT_EQ(std::memcmp(got.coords().data(), want.coords().data(),
+                            want.coords().size_bytes()),
+                0)
+          << "trial " << trial << " tree " << t;
+      EXPECT_EQ(std::memcmp(got.block_weights().data(),
+                            want.block_weights().data(),
+                            want.block_weights().size_bytes()),
+                0)
+          << "trial " << trial << " tree " << t;
+    }
   }
+  std::filesystem::remove(snap_path);
 }
 
 // P7b: randomised vectorized-vs-brute-force. Under every tier the host

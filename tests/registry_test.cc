@@ -6,6 +6,7 @@
 
 #include <atomic>
 #include <cmath>
+#include <cstddef>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -128,7 +129,38 @@ void Reseal(std::string& bytes) {
   std::memcpy(bytes.data() + kSnapshotChecksumOffset, &sum, sizeof(sum));
 }
 
-// (file offset, byte length) of every section of every tree, in file
+constexpr size_t kLanes = core::simd::SoaLeafBlocks::kBlockPoints;
+
+// Per-tree header block (rows, num_nodes, max_depth; u64 each); see the
+// header layout in registry/snapshot.cc.
+constexpr size_t kHeaderTreeBlock = 88;
+constexpr size_t kHeaderTreeBlockBytes = 24;
+
+// Byte offset, inside the blocked coordinates of a tree with `rows`
+// rows and `cols` dimensions, of dimension `dim` of the first pad lane
+// (the lane after the last real row; requires rows % kLanes != 0).
+size_t PadCoordOffset(size_t rows, size_t cols, size_t dim) {
+  const size_t last_block = rows / kLanes;
+  return ((last_block * cols + dim) * kLanes + rows % kLanes) *
+         sizeof(double);
+}
+
+// The extents SectionExtents reports per tree, in file order; the
+// blocks section counts as two (coordinates, then weights).
+enum Extent : size_t {
+  kNodes,
+  kBlockCoords,
+  kBlockWeights,
+  kPerm,
+  kWeightSums,
+  kSqnormSums,
+  kPointSums,
+  kRegionA,
+  kRegionB,
+};
+constexpr size_t kExtentsPerTree = kRegionB + 1;
+
+// (file offset, byte length) of every extent of every tree, in file
 // order. Tree 0's node section starts right after the header, which
 // anchors the mapping's base address.
 std::vector<std::pair<size_t, size_t>> SectionExtents(
@@ -143,8 +175,8 @@ std::vector<std::pair<size_t, size_t>> SectionExtents(
   for (size_t t = 0; t < snap.num_trees(); ++t) {
     const index::TreeIndexView& v = snap.tree_view(t);
     add(v.nodes.data(), v.nodes.size_bytes());
-    add(v.points, v.rows * v.cols * sizeof(double));
-    add(v.weights.data(), v.weights.size_bytes());
+    add(v.blocks.data(), v.blocks.size_bytes());
+    add(v.block_weights.data(), v.block_weights.size_bytes());
     add(v.perm.data(), v.perm.size_bytes());
     add(v.weight_sums.data(), v.weight_sums.size_bytes());
     add(v.sqnorm_sums.data(), v.sqnorm_sums.size_bytes());
@@ -319,9 +351,10 @@ TEST(SnapshotTest, RejectsCorruptHeaderFields) {
   WriteFileBytes(bad_path, bad);
   EXPECT_FALSE(MappedSnapshot::Map(bad_path).ok());
 
-  // Wrong version, including a format v1 (FNV-1a) file. Resealed, so
-  // the version check alone must reject it.
-  for (const uint32_t version : {1u, 0x7Fu}) {
+  // Wrong version, including a format v1 (FNV-1a) and a format v2
+  // (row-major points) file. Resealed, so the version check alone must
+  // reject it.
+  for (const uint32_t version : {1u, 2u, 0x7Fu}) {
     bad = bytes;
     std::memcpy(bad.data() + 4, &version, sizeof(version));
     Reseal(bad);
@@ -345,13 +378,16 @@ TEST(SnapshotTest, RejectsCorruptHeaderFields) {
             std::string::npos)
       << bad_checksum.status().ToString();
 
-  // One flipped byte inside every section of both trees, then one in
-  // the zero padding between two sections: the checksum covers it all.
+  // One flipped byte inside every section of both trees (the blocks
+  // section's coordinates and weights separately), then one in the zero
+  // padding between two sections, then one in a pad-lane weight and a
+  // pad-lane coordinate of each tree's last block: the checksum covers
+  // it all.
   auto snapshot = MappedSnapshot::Map(path);
   ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
   ASSERT_EQ(snapshot.value().num_trees(), 2u);
   const auto sections = SectionExtents(snapshot.value());
-  ASSERT_EQ(sections.size(), 18u);
+  ASSERT_EQ(sections.size(), 2 * kExtentsPerTree);
   std::vector<size_t> flips;
   for (const auto& [at, len] : sections) {
     ASSERT_GT(len, 0u);
@@ -366,6 +402,15 @@ TEST(SnapshotTest, RejectsCorruptHeaderFields) {
     }
   }
   ASSERT_EQ(flips.size(), sections.size() + 1) << "no inter-section padding";
+  for (size_t t = 0; t < 2; ++t) {
+    const index::TreeIndexView& v = snapshot.value().tree_view(t);
+    ASSERT_NE(v.rows % kLanes, 0u) << "tree " << t << " has no pad lanes";
+    const size_t first = t * kExtentsPerTree;
+    flips.push_back(sections[first + kBlockWeights].first +
+                    v.rows * sizeof(double));
+    flips.push_back(sections[first + kBlockCoords].first +
+                    PadCoordOffset(v.rows, v.cols, v.cols - 1));
+  }
   for (const size_t at : flips) {
     bad = bytes;
     bad[at] = static_cast<char>(bad[at] ^ 0x01);
@@ -377,42 +422,179 @@ TEST(SnapshotTest, RejectsCorruptHeaderFields) {
   }
 }
 
-TEST(SnapshotTest, RejectsDuplicatePermEntryEvenWhenResealed) {
-  TempDir dir("karl_snap_perm");
-  const data::Matrix points = MakePoints(13, 200);
-  const std::vector<double> weights = MixedWeights(13, points.rows());
+// A Type III kd-tree snapshot in `dir` (m.snap) whose two trees both
+// end in a padded block, plus its bytes and section extents.
+struct TestSnapshot {
+  std::string bytes;
+  std::vector<std::pair<size_t, size_t>> sections;
+  size_t rows[2] = {};
+  size_t cols = 0;
+};
+
+TestSnapshot WriteTestSnapshot(const TempDir& dir, uint64_t seed) {
+  const data::Matrix points = MakePoints(seed, 200);
+  const std::vector<double> weights = MixedWeights(seed, points.rows());
   const Engine engine =
       BuildEngine(points, weights, core::KernelParams::Gaussian(1.0));
   const std::string path = dir.File("m.snap");
-  ASSERT_TRUE(WriteSnapshot(path, engine).ok());
-  const std::string bytes = ReadFileBytes(path);
-
-  // The streamed writer's checksum equals the one-shot checksum.
-  std::string bad = bytes;
-  Reseal(bad);
-  ASSERT_EQ(bad, bytes);
-
-  size_t perm_at = 0;
-  {
-    auto snapshot = MappedSnapshot::Map(path);
-    ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
-    perm_at = SectionExtents(snapshot.value())[3].first;  // Tree 0 perm.
+  KARL_CHECK(WriteSnapshot(path, engine).ok());
+  TestSnapshot out;
+  out.bytes = ReadFileBytes(path);
+  auto snapshot = MappedSnapshot::Map(path);
+  KARL_CHECK(snapshot.ok()) << snapshot.status().ToString();
+  KARL_CHECK(snapshot.value().num_trees() == 2);
+  out.sections = SectionExtents(snapshot.value());
+  for (size_t t = 0; t < 2; ++t) {
+    out.rows[t] = snapshot.value().tree_view(t).rows;
   }
-  // perm[1] = perm[0]: every entry stays in range, one repeats.
-  std::memcpy(bad.data() + perm_at + sizeof(uint64_t), bad.data() + perm_at,
-              sizeof(uint64_t));
+  out.cols = snapshot.value().tree_view(0).cols;
+  return out;
+}
+
+// File offset of extent `e` of tree `t`.
+size_t ExtentAt(const TestSnapshot& snap, size_t t, Extent e) {
+  return snap.sections[t * kExtentsPerTree + e].first;
+}
+
+// Reseals `bad` and requires that it still maps (checksum and layout
+// hold) but fails to attach with a message naming the file and `why`.
+void ExpectAttachRejects(const TempDir& dir, std::string bad,
+                         const std::string& why) {
   Reseal(bad);
   const std::string bad_path = dir.File("bad.snap");
   WriteFileBytes(bad_path, bad);
   auto mapped = MappedSnapshot::Map(bad_path);
   ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
   auto attached = AttachEngine(mapped.value(), nullptr, nullptr);
-  ASSERT_FALSE(attached.ok());
-  EXPECT_NE(attached.status().message().find("permutation"),
-            std::string::npos)
+  ASSERT_FALSE(attached.ok()) << "accepted a file that should fail: " << why;
+  EXPECT_NE(attached.status().message().find(why), std::string::npos)
       << attached.status().ToString();
   EXPECT_NE(attached.status().message().find(bad_path), std::string::npos)
       << attached.status().ToString();
+}
+
+template <typename T>
+void Poke(std::string& bytes, size_t at, T value) {
+  std::memcpy(bytes.data() + at, &value, sizeof(value));
+}
+
+TEST(SnapshotTest, RejectsDuplicatePermEntryEvenWhenResealed) {
+  TempDir dir("karl_snap_perm");
+  const TestSnapshot snap = WriteTestSnapshot(dir, 13);
+
+  // The streamed writer's checksum equals the one-shot checksum.
+  std::string bad = snap.bytes;
+  Reseal(bad);
+  ASSERT_EQ(bad, snap.bytes);
+
+  // perm[1] = perm[0]: every entry stays in range, one repeats.
+  const size_t perm_at = ExtentAt(snap, 0, kPerm);
+  std::memcpy(bad.data() + perm_at + sizeof(uint64_t), bad.data() + perm_at,
+              sizeof(uint64_t));
+  ExpectAttachRejects(dir, bad, "permutation");
+}
+
+TEST(SnapshotTest, RejectsNonZeroPadLaneEvenWhenResealed) {
+  TempDir dir("karl_snap_pad");
+  const TestSnapshot snap = WriteTestSnapshot(dir, 13);
+  for (size_t t = 0; t < 2; ++t) {
+    ASSERT_NE(snap.rows[t] % kLanes, 0u) << "tree " << t << " has no pad";
+    std::string bad = snap.bytes;
+    Poke(bad, ExtentAt(snap, t, kBlockWeights) + snap.rows[t] * 8, 0.5);
+    ExpectAttachRejects(dir, bad, "pad lane");
+    for (const size_t dim : {size_t{0}, snap.cols - 1}) {
+      bad = snap.bytes;
+      Poke(bad,
+           ExtentAt(snap, t, kBlockCoords) +
+               PadCoordOffset(snap.rows[t], snap.cols, dim),
+           -1e-300);
+      ExpectAttachRejects(dir, bad, "pad lane");
+    }
+  }
+}
+
+TEST(SnapshotTest, RejectsNonFiniteAggregatesEvenWhenResealed) {
+  TempDir dir("karl_snap_finite");
+  const TestSnapshot snap = WriteTestSnapshot(dir, 13);
+  const std::pair<Extent, const char*> arrays[] = {
+      {kWeightSums, "weight_sums"}, {kSqnormSums, "sqnorm_sums"},
+      {kPointSums, "point_sums"},   {kRegionA, "region_a"},
+      {kRegionB, "region_b"}};
+  for (size_t t = 0; t < 2; ++t) {
+    for (const auto& [extent, name] : arrays) {
+      for (const double value : {std::nan(""), HUGE_VAL, -HUGE_VAL}) {
+        std::string bad = snap.bytes;
+        Poke(bad, ExtentAt(snap, t, extent) + sizeof(double), value);
+        ExpectAttachRejects(dir, bad,
+                            std::string("non-finite value in ") + name);
+      }
+    }
+  }
+}
+
+TEST(SnapshotTest, RejectsChildDepthMismatchEvenWhenResealed) {
+  TempDir dir("karl_snap_depth");
+  const TestSnapshot snap = WriteTestSnapshot(dir, 13);
+  for (size_t t = 0; t < 2; ++t) {
+    // Node 1 is the root's left child: depth 1 is the only valid value.
+    for (const uint16_t depth : {uint16_t{0}, uint16_t{2}}) {
+      std::string bad = snap.bytes;
+      Poke(bad, ExtentAt(snap, t, kNodes) + sizeof(index::TreeIndex::Node) +
+                    offsetof(index::TreeIndex::Node, depth),
+           depth);
+      ExpectAttachRejects(dir, bad, "is not at depth 1");
+    }
+  }
+}
+
+TEST(SnapshotTest, RejectsWrongMaxDepthEvenWhenResealed) {
+  TempDir dir("karl_snap_max_depth");
+  const TestSnapshot snap = WriteTestSnapshot(dir, 13);
+  for (size_t t = 0; t < 2; ++t) {
+    const size_t at = kHeaderTreeBlock + t * kHeaderTreeBlockBytes + 16;
+    uint64_t max_depth = 0;
+    std::memcpy(&max_depth, snap.bytes.data() + at, sizeof(max_depth));
+    ASSERT_GT(max_depth, 0u);
+    for (const uint64_t wrong : {max_depth - 1, max_depth + 1}) {
+      std::string bad = snap.bytes;
+      Poke(bad, at, wrong);
+      ExpectAttachRejects(dir, bad, "max_depth");
+    }
+  }
+}
+
+TEST(SnapshotTest, AttachedMemoryMatchesBuiltEngineAndFileSize) {
+  TempDir dir("karl_snap_memory");
+  const data::Matrix points = MakePoints(14, 300);
+  const std::vector<double> uniform(points.rows(), 0.5);
+  const std::vector<double> positive = PositiveWeights(14, points.rows());
+  const std::vector<double> mixed = MixedWeights(14, points.rows());
+  const std::pair<const std::vector<double>*, WeightingType> cases[] = {
+      {&uniform, WeightingType::kTypeI},
+      {&positive, WeightingType::kTypeII},
+      {&mixed, WeightingType::kTypeIII}};
+  for (const auto& [weights, type] : cases) {
+    for (const auto kind :
+         {index::IndexKind::kKdTree, index::IndexKind::kBallTree}) {
+      const Engine built = BuildEngine(
+          points, *weights, core::KernelParams::Gaussian(2.0), kind);
+      ASSERT_EQ(built.weighting_type(), type);
+      const std::string path = dir.File("m.snap");
+      ASSERT_TRUE(WriteSnapshot(path, built).ok());
+      auto snapshot = MappedSnapshot::Map(path);
+      ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
+      auto attached = AttachEngine(snapshot.value(), nullptr, nullptr);
+      ASSERT_TRUE(attached.ok()) << attached.status().ToString();
+      const size_t bytes = attached.value().MemoryUsageBytes();
+      EXPECT_EQ(bytes, built.MemoryUsageBytes())
+          << WeightingTypeToString(type) << " "
+          << index::IndexKindToString(kind);
+      EXPECT_LE(static_cast<double>(bytes),
+                1.05 * static_cast<double>(snapshot.value().file_bytes()))
+          << WeightingTypeToString(type) << " "
+          << index::IndexKindToString(kind);
+    }
+  }
 }
 
 TEST(SnapshotTest, UnlinkedFileKeepsAnswering) {
@@ -651,6 +833,38 @@ TEST(RegistryTest, EvictsLruUnderBudgetButNeverPinned) {
   util::Rng rng(44);
   const std::vector<double> q = RandomQuery(rng);
   EXPECT_DOUBLE_EQ(hb2.value()->engine().Exact(q), b_built.Exact(q));
+}
+
+TEST(RegistryTest, BudgetOfSnapshotSizesKeepsEveryModelResident) {
+  TempDir dir("karl_reg_fit");
+  const std::vector<std::string> names = {"a", "b", "c", "d"};
+  uint64_t snapshot_bytes = 0;
+  for (size_t i = 0; i < names.size(); ++i) {
+    const std::string path = dir.File(names[i] + ".snap");
+    WriteModel(path, 61 + i, 300 + 50 * i);
+    snapshot_bytes += fs::file_size(path);
+  }
+
+  // An attached model's resident bytes are its mapped sections, so a
+  // budget of the summed file sizes holds every model at once.
+  RegistryOptions options;
+  options.memory_budget_bytes = snapshot_bytes;
+  auto registry = ModelRegistry::Open(dir.File(""), options);
+  ASSERT_TRUE(registry.ok());
+  ModelRegistry& reg = *registry.value();
+  for (int cycle = 0; cycle < 2; ++cycle) {
+    for (const std::string& name : names) {
+      ASSERT_TRUE(reg.Acquire(name).ok()) << name;
+    }
+  }
+  EXPECT_EQ(reg.evictions(), 0u);
+  EXPECT_LE(reg.resident_bytes(), snapshot_bytes);
+  size_t resident = 0;
+  for (const auto& info : reg.List()) {
+    EXPECT_TRUE(info.resident) << info.name;
+    resident += info.resident ? 1 : 0;
+  }
+  EXPECT_EQ(resident, names.size());
 }
 
 TEST(RegistryTest, HotReloadSwapsAtomicallyWhileOldHandlesKeepServing) {
