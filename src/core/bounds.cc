@@ -177,109 +177,25 @@ LinearFn PivotLine(const KernelParams& params, double lo, double hi,
 
 namespace {
 
-// ---------------------------------------------------------------------
-// Distance-kernel bounds (Gaussian, Laplacian, Cauchy). Profile
-// argument: x = DistanceArgScale·dist(q,p)², on which every distance
-// profile is convex decreasing.
-// ---------------------------------------------------------------------
-
-// SOTA (§II-B): w_P·f(x_hi) <= Σ <= w_P·f(x_lo), f decreasing.
-class SotaDistanceBounds final : public BoundFunction {
- public:
-  explicit SotaDistanceBounds(const KernelParams& params)
-      : params_(params), scale_(DistanceArgScale(params)) {}
-
-  void NodeBounds(const index::TreeIndex& tree, index::NodeId id,
-                  const QueryContext& ctx, double* lb,
-                  double* ub) const override {
-    double min_sq = 0.0, max_sq = 0.0;
-    tree.DistanceBounds(id, ctx.q, &min_sq, &max_sq);
-    const double w = tree.weight_sum(id);
-    *lb = w * KernelProfile(params_, scale_ * max_sq);
-    *ub = w * KernelProfile(params_, scale_ * min_sq);
+// The node geometry the distance bounds need: mindist², maxdist² of the
+// node region from q, and q·a_P. A kd box takes the fused tier-dispatched
+// pass over its corners and a_P; a ball one centre distance plus the dot.
+simd::NodeGeometry DistanceGeometry(const index::TreeIndex& tree,
+                                    index::NodeId id,
+                                    const QueryContext& ctx) {
+  const std::span<const double> a_p = tree.weighted_point_sum(id);
+  if (tree.kind() == index::IndexKind::kKdTree) {
+    const size_t d = a_p.size();
+    const size_t off = static_cast<size_t>(id) * d;
+    return simd::BoxGeometry(tree.region_data_a().subspan(off, d),
+                             tree.region_data_b().subspan(off, d), a_p,
+                             ctx.q);
   }
-
- private:
-  KernelParams params_;
-  double scale_;
-};
-
-// KARL (§III): chord upper bound + optimal-tangent lower bound, each
-// aggregated in O(d) via the node sums. The tangent point at the
-// weighted mean is optimal for ANY convex profile (Theorem 1/2's proof
-// uses only H'(t) = f''(t)·(X − t·w_P)). The constructor flags disable
-// one side (replacing it with the SOTA constant) for ablation studies.
-class KarlDistanceBounds final : public BoundFunction {
- public:
-  KarlDistanceBounds(const KernelParams& params, bool use_chord_upper,
-                     bool use_tangent_lower)
-      : params_(params),
-        scale_(DistanceArgScale(params)),
-        use_chord_upper_(use_chord_upper),
-        use_tangent_lower_(use_tangent_lower) {}
-
-  void NodeBounds(const index::TreeIndex& tree, index::NodeId id,
-                  const QueryContext& ctx, double* lb,
-                  double* ub) const override {
-    double min_sq = 0.0, max_sq = 0.0;
-    tree.DistanceBounds(id, ctx.q, &min_sq, &max_sq);
-    const double x_lo = scale_ * min_sq;
-    const double x_hi = scale_ * max_sq;
-    const double w = tree.weight_sum(id);
-    const bool gaussian = params_.type == KernelType::kGaussian;
-
-    if (x_hi - x_lo < kDegenerateInterval) {
-      // Numerically constant profile over the node.
-      *lb = w * KernelProfile(params_, x_hi);
-      *ub = w * KernelProfile(params_, x_lo);
-      return;
-    }
-
-    // X = Σ w_i·x_i = s·(w_P‖q‖² − 2 q·a_P + b_P)  (Lemma 2/5), clamped
-    // into its mathematically feasible range for numerical robustness.
-    // The q·a_P dot is the O(d) linear-bound hot spot — tier-dispatched.
-    const double sum_x =
-        util::Clamp(scale_ * (w * ctx.q_sqnorm -
-                              2.0 * simd::Dot(ctx.q,
-                                              tree.weighted_point_sum(id)) +
-                              tree.weighted_sqnorm_sum(id)),
-                    w * x_lo, w * x_hi);
-
-    if (use_chord_upper_) {
-      const LinearFn chord =
-          gaussian ? ExpChord(x_lo, x_hi) : ProfileChord(params_, x_lo, x_hi);
-      *ub = chord.m * sum_x + chord.c * w;
-    } else {
-      *ub = w * KernelProfile(params_, x_lo);
-    }
-
-    if (use_tangent_lower_) {
-      // Optimal tangent point (Theorem 1/2): the weighted mean of the
-      // x_i. The Laplacian profile's derivative is singular at 0; keep
-      // the tangent point strictly positive (any tangent point is valid,
-      // the mean is merely optimal).
-      double t_opt = util::Clamp(sum_x / w, x_lo, x_hi);
-      if (!gaussian) t_opt = std::max(t_opt, 1e-12 * (1.0 + x_hi));
-      const LinearFn tangent =
-          gaussian ? ExpTangent(t_opt) : ProfileTangent(params_, t_opt);
-      *lb = std::max(0.0, tangent.m * sum_x + tangent.c * w);
-    } else {
-      *lb = w * KernelProfile(params_, x_hi);
-    }
-    *lb = std::min(*lb, *ub);
-  }
-
- private:
-  KernelParams params_;
-  double scale_;
-  bool use_chord_upper_;
-  bool use_tangent_lower_;
-};
-
-// ---------------------------------------------------------------------
-// Inner-product kernel bounds (polynomial, sigmoid).
-// Profile argument: x = γ·(q·p) + β over [x_lo, x_hi].
-// ---------------------------------------------------------------------
+  simd::NodeGeometry g;
+  tree.DistanceBounds(id, ctx.q, &g.min_sq, &g.max_sq);
+  g.q_dot_a = simd::Dot(ctx.q, a_p);
+  return g;
+}
 
 // Computes the node's profile-argument interval and aggregate
 // X = Σ w_i·x_i = γ·(q·a_P) + β·w_P.
@@ -306,110 +222,177 @@ IpNodeState MakeIpState(const KernelParams& params,
   return st;
 }
 
-// SOTA-style constant bounds for inner-product kernels: w_P times the
-// min/max of the profile on [x_lo, x_hi].
-class SotaInnerProductBounds final : public BoundFunction {
- public:
-  explicit SotaInnerProductBounds(const KernelParams& params)
-      : params_(params) {}
+}  // namespace
 
-  void NodeBounds(const index::TreeIndex& tree, index::NodeId id,
-                  const QueryContext& ctx, double* lb,
-                  double* ub) const override {
-    const IpNodeState st = MakeIpState(params_, tree, id, ctx);
-    const double flo = KernelProfile(params_, st.x_lo);
-    const double fhi = KernelProfile(params_, st.x_hi);
-    double f_min = std::min(flo, fhi);
-    double f_max = std::max(flo, fhi);
-    // Even-degree polynomials dip to 0 inside a straddling interval.
-    if (params_.type == KernelType::kPolynomial && params_.degree % 2 == 0 &&
-        st.x_lo < 0.0 && st.x_hi > 0.0) {
-      f_min = 0.0;
-    }
-    *lb = st.w * f_min;
-    *ub = st.w * f_max;
+// ---------------------------------------------------------------------
+// Distance-kernel bounds (Gaussian, Laplacian, Cauchy). Profile
+// argument: x = DistanceArgScale·dist(q,p)², on which every distance
+// profile is convex decreasing.
+// ---------------------------------------------------------------------
+
+SotaDistanceBounds::SotaDistanceBounds(const KernelParams& params)
+    : params_(params), scale_(DistanceArgScale(params)) {}
+
+void SotaDistanceBounds::NodeBounds(const index::TreeIndex& tree,
+                                    index::NodeId id, const QueryContext& ctx,
+                                    double* lb, double* ub) const {
+  const simd::NodeGeometry g = DistanceGeometry(tree, id, ctx);
+  const double w = tree.weight_sum(id);
+  *lb = w * KernelProfile(params_, scale_ * g.max_sq);
+  *ub = w * KernelProfile(params_, scale_ * g.min_sq);
+}
+
+KarlDistanceBounds::KarlDistanceBounds(const KernelParams& params,
+                                       bool use_chord_upper,
+                                       bool use_tangent_lower)
+    : params_(params),
+      scale_(DistanceArgScale(params)),
+      use_chord_upper_(use_chord_upper),
+      use_tangent_lower_(use_tangent_lower) {}
+
+void KarlDistanceBounds::NodeBounds(const index::TreeIndex& tree,
+                                    index::NodeId id, const QueryContext& ctx,
+                                    double* lb, double* ub) const {
+  const simd::NodeGeometry g = DistanceGeometry(tree, id, ctx);
+  const double x_lo = scale_ * g.min_sq;
+  const double x_hi = scale_ * g.max_sq;
+  const double w = tree.weight_sum(id);
+  const bool gaussian = params_.type == KernelType::kGaussian;
+
+  if (x_hi - x_lo < kDegenerateInterval) {
+    // Numerically constant profile over the node.
+    *lb = w * KernelProfile(params_, x_hi);
+    *ub = w * KernelProfile(params_, x_lo);
+    return;
   }
 
- private:
-  KernelParams params_;
-};
+  // X = Σ w_i·x_i = s·(w_P‖q‖² − 2 q·a_P + b_P)  (Lemma 2/5), clamped
+  // into its mathematically feasible range for numerical robustness.
+  const double sum_x = util::Clamp(
+      scale_ * (w * ctx.q_sqnorm - 2.0 * g.q_dot_a +
+                tree.weighted_sqnorm_sum(id)),
+      w * x_lo, w * x_hi);
 
-// KARL linear bounds for inner-product kernels, dispatching on curvature
-// (§IV-B): chord/tangent for convex or concave intervals, the Fig. 8
-// pivot construction for mixed monotone intervals.
-class KarlInnerProductBounds final : public BoundFunction {
- public:
-  explicit KarlInnerProductBounds(const KernelParams& params)
-      : params_(params) {}
-
-  void NodeBounds(const index::TreeIndex& tree, index::NodeId id,
-                  const QueryContext& ctx, double* lb,
-                  double* ub) const override {
-    const IpNodeState st = MakeIpState(params_, tree, id, ctx);
-
-    if (st.x_hi - st.x_lo < kDegenerateInterval) {
-      const double flo = KernelProfile(params_, st.x_lo);
-      const double fhi = KernelProfile(params_, st.x_hi);
-      *lb = st.w * std::min(flo, fhi);
-      *ub = st.w * std::max(flo, fhi);
-      return;
-    }
-
-    LinearFn lower, upper;
-    const double t_opt = util::Clamp(st.sum_x / st.w, st.x_lo, st.x_hi);
-    switch (ClassifyProfile(params_, st.x_lo, st.x_hi)) {
-      case Curvature::kLinear:
-        // Degree-1 polynomial: the aggregate is exact.
-        lower = upper = LinearFn{1.0, 0.0};
-        break;
-      case Curvature::kConvex:
-        upper = ProfileChord(params_, st.x_lo, st.x_hi);
-        lower = ProfileTangent(params_, t_opt);
-        break;
-      case Curvature::kConcave:
-        lower = ProfileChord(params_, st.x_lo, st.x_hi);
-        upper = ProfileTangent(params_, t_opt);
-        break;
-      case Curvature::kMixedConcaveConvex:
-        // Odd x^deg: rotate down about the right endpoint for the upper
-        // bound, rotate up about the left endpoint for the lower bound.
-        upper = PivotLine(params_, st.x_lo, st.x_hi, /*pivot_at_right=*/true,
-                          /*upper=*/true);
-        lower = PivotLine(params_, st.x_lo, st.x_hi, /*pivot_at_right=*/false,
-                          /*upper=*/false);
-        break;
-      case Curvature::kMixedConvexConcave:
-        // tanh: the pivots swap sides.
-        upper = PivotLine(params_, st.x_lo, st.x_hi, /*pivot_at_right=*/false,
-                          /*upper=*/true);
-        lower = PivotLine(params_, st.x_lo, st.x_hi, /*pivot_at_right=*/true,
-                          /*upper=*/false);
-        break;
-    }
-
-    *lb = lower.m * st.sum_x + lower.c * st.w;
-    *ub = upper.m * st.sum_x + upper.c * st.w;
-
-    // Clamp against the constant (SOTA-style) bounds: a single line on a
-    // mixed monotone interval can be looser than the constant bound on
-    // part of the interval, and the clamp guarantees KARL never loses to
-    // SOTA (cheap, and preserves validity).
-    const double flo = KernelProfile(params_, st.x_lo);
-    const double fhi = KernelProfile(params_, st.x_hi);
-    double f_min = std::min(flo, fhi);
-    const double f_max = std::max(flo, fhi);
-    if (params_.type == KernelType::kPolynomial && params_.degree % 2 == 0 &&
-        st.x_lo < 0.0 && st.x_hi > 0.0) {
-      f_min = 0.0;
-    }
-    *lb = std::max(*lb, st.w * f_min);
-    *ub = std::min(*ub, st.w * f_max);
-    *lb = std::min(*lb, *ub);
+  if (use_chord_upper_) {
+    const LinearFn chord =
+        gaussian ? ExpChord(x_lo, x_hi) : ProfileChord(params_, x_lo, x_hi);
+    *ub = chord.m * sum_x + chord.c * w;
+  } else {
+    *ub = w * KernelProfile(params_, x_lo);
   }
 
- private:
-  KernelParams params_;
-};
+  if (use_tangent_lower_) {
+    // Optimal tangent point (Theorem 1/2): the weighted mean of the
+    // x_i. The Laplacian profile's derivative is singular at 0; keep
+    // the tangent point strictly positive (any tangent point is valid,
+    // the mean is merely optimal).
+    double t_opt = util::Clamp(sum_x / w, x_lo, x_hi);
+    if (!gaussian) t_opt = std::max(t_opt, 1e-12 * (1.0 + x_hi));
+    const LinearFn tangent =
+        gaussian ? ExpTangent(t_opt) : ProfileTangent(params_, t_opt);
+    *lb = std::max(0.0, tangent.m * sum_x + tangent.c * w);
+  } else {
+    *lb = w * KernelProfile(params_, x_hi);
+  }
+  *lb = std::min(*lb, *ub);
+}
+
+// ---------------------------------------------------------------------
+// Inner-product kernel bounds (polynomial, sigmoid).
+// Profile argument: x = γ·(q·p) + β over [x_lo, x_hi].
+// ---------------------------------------------------------------------
+
+SotaInnerProductBounds::SotaInnerProductBounds(const KernelParams& params)
+    : params_(params) {}
+
+void SotaInnerProductBounds::NodeBounds(const index::TreeIndex& tree,
+                                        index::NodeId id,
+                                        const QueryContext& ctx, double* lb,
+                                        double* ub) const {
+  const IpNodeState st = MakeIpState(params_, tree, id, ctx);
+  const double flo = KernelProfile(params_, st.x_lo);
+  const double fhi = KernelProfile(params_, st.x_hi);
+  double f_min = std::min(flo, fhi);
+  double f_max = std::max(flo, fhi);
+  // Even-degree polynomials dip to 0 inside a straddling interval.
+  if (params_.type == KernelType::kPolynomial && params_.degree % 2 == 0 &&
+      st.x_lo < 0.0 && st.x_hi > 0.0) {
+    f_min = 0.0;
+  }
+  *lb = st.w * f_min;
+  *ub = st.w * f_max;
+}
+
+KarlInnerProductBounds::KarlInnerProductBounds(const KernelParams& params)
+    : params_(params) {}
+
+void KarlInnerProductBounds::NodeBounds(const index::TreeIndex& tree,
+                                        index::NodeId id,
+                                        const QueryContext& ctx, double* lb,
+                                        double* ub) const {
+  const IpNodeState st = MakeIpState(params_, tree, id, ctx);
+
+  if (st.x_hi - st.x_lo < kDegenerateInterval) {
+    const double flo = KernelProfile(params_, st.x_lo);
+    const double fhi = KernelProfile(params_, st.x_hi);
+    *lb = st.w * std::min(flo, fhi);
+    *ub = st.w * std::max(flo, fhi);
+    return;
+  }
+
+  LinearFn lower, upper;
+  const double t_opt = util::Clamp(st.sum_x / st.w, st.x_lo, st.x_hi);
+  switch (ClassifyProfile(params_, st.x_lo, st.x_hi)) {
+    case Curvature::kLinear:
+      // Degree-1 polynomial: the aggregate is exact.
+      lower = upper = LinearFn{1.0, 0.0};
+      break;
+    case Curvature::kConvex:
+      upper = ProfileChord(params_, st.x_lo, st.x_hi);
+      lower = ProfileTangent(params_, t_opt);
+      break;
+    case Curvature::kConcave:
+      lower = ProfileChord(params_, st.x_lo, st.x_hi);
+      upper = ProfileTangent(params_, t_opt);
+      break;
+    case Curvature::kMixedConcaveConvex:
+      // Odd x^deg: rotate down about the right endpoint for the upper
+      // bound, rotate up about the left endpoint for the lower bound.
+      upper = PivotLine(params_, st.x_lo, st.x_hi, /*pivot_at_right=*/true,
+                        /*upper=*/true);
+      lower = PivotLine(params_, st.x_lo, st.x_hi, /*pivot_at_right=*/false,
+                        /*upper=*/false);
+      break;
+    case Curvature::kMixedConvexConcave:
+      // tanh: the pivots swap sides.
+      upper = PivotLine(params_, st.x_lo, st.x_hi, /*pivot_at_right=*/false,
+                        /*upper=*/true);
+      lower = PivotLine(params_, st.x_lo, st.x_hi, /*pivot_at_right=*/true,
+                        /*upper=*/false);
+      break;
+  }
+
+  *lb = lower.m * st.sum_x + lower.c * st.w;
+  *ub = upper.m * st.sum_x + upper.c * st.w;
+
+  // Clamp against the constant (SOTA-style) bounds: a single line on a
+  // mixed monotone interval can be looser than the constant bound on
+  // part of the interval, and the clamp guarantees KARL never loses to
+  // SOTA (cheap, and preserves validity).
+  const double flo = KernelProfile(params_, st.x_lo);
+  const double fhi = KernelProfile(params_, st.x_hi);
+  double f_min = std::min(flo, fhi);
+  const double f_max = std::max(flo, fhi);
+  if (params_.type == KernelType::kPolynomial && params_.degree % 2 == 0 &&
+      st.x_lo < 0.0 && st.x_hi > 0.0) {
+    f_min = 0.0;
+  }
+  *lb = std::max(*lb, st.w * f_min);
+  *ub = std::min(*ub, st.w * f_max);
+  *lb = std::min(*lb, *ub);
+}
+
+namespace {
 
 // Auditing decorator: forwards to the wrapped BoundFunction, then
 // verifies the produced interval against the exact leaf-level aggregate

@@ -75,6 +75,76 @@ class BoundFunction {
                           double* ub) const = 0;
 };
 
+// ---------------------------------------------------------------------
+// The bound families. Each is final, so a caller holding the concrete
+// type (the evaluator resolves it once at creation) calls NodeBounds
+// directly instead of through the vtable.
+// ---------------------------------------------------------------------
+
+/// Distance kernels (Gaussian, Laplacian, Cauchy), SOTA constants
+/// (§II-B): w_P·f(x_hi) ≤ Σ ≤ w_P·f(x_lo), f decreasing, where
+/// x = DistanceArgScale·dist² over the node region.
+class SotaDistanceBounds final : public BoundFunction {
+ public:
+  explicit SotaDistanceBounds(const KernelParams& params);
+  void NodeBounds(const index::TreeIndex& tree, index::NodeId id,
+                  const QueryContext& ctx, double* lb,
+                  double* ub) const override;
+
+ private:
+  KernelParams params_;
+  double scale_;
+};
+
+/// Distance kernels, KARL (§III): chord upper bound + optimal-tangent
+/// lower bound, each aggregated in O(d) via the node sums. The tangent
+/// point at the weighted mean is optimal for ANY convex profile (Theorem
+/// 1/2's proof uses only H'(t) = f''(t)·(X − t·w_P)). The constructor
+/// flags disable one side (replacing it with the SOTA constant) for
+/// ablation studies.
+class KarlDistanceBounds final : public BoundFunction {
+ public:
+  KarlDistanceBounds(const KernelParams& params, bool use_chord_upper,
+                     bool use_tangent_lower);
+  void NodeBounds(const index::TreeIndex& tree, index::NodeId id,
+                  const QueryContext& ctx, double* lb,
+                  double* ub) const override;
+
+ private:
+  KernelParams params_;
+  double scale_;
+  bool use_chord_upper_;
+  bool use_tangent_lower_;
+};
+
+/// Inner-product kernels (polynomial, sigmoid), SOTA-style constants:
+/// w_P times the min/max of the profile on [x_lo, x_hi], where
+/// x = γ·(q·p) + β over the node region.
+class SotaInnerProductBounds final : public BoundFunction {
+ public:
+  explicit SotaInnerProductBounds(const KernelParams& params);
+  void NodeBounds(const index::TreeIndex& tree, index::NodeId id,
+                  const QueryContext& ctx, double* lb,
+                  double* ub) const override;
+
+ private:
+  KernelParams params_;
+};
+
+/// Inner-product kernels, KARL linear bounds dispatching on curvature
+/// (§IV-B): chord/tangent for convex or concave intervals, the Fig. 8
+/// pivot construction for mixed monotone intervals.
+class KarlInnerProductBounds final : public BoundFunction {
+ public:
+  explicit KarlInnerProductBounds(const KernelParams& params);
+  void NodeBounds(const index::TreeIndex& tree, index::NodeId id,
+                  const QueryContext& ctx, double* lb,
+                  double* ub) const override;
+
+ private:
+  KernelParams params_;
+};
+
 /// Creates the bound implementation for the kernel/bound-kind pair.
 /// Fails for invalid kernel parameters.
 util::Result<std::unique_ptr<BoundFunction>> MakeBoundFunction(

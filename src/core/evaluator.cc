@@ -69,8 +69,24 @@ util::Result<Evaluator> Evaluator::Create(const index::TreeIndex* plus_tree,
                                           const Options& options) {
   auto bound_fn = MakeBoundFunction(kernel, options.bounds);
   if (!bound_fn.ok()) return bound_fn.status();
-  return CreateWithBounds(plus_tree, minus_tree, kernel, options,
-                          std::move(bound_fn).ValueOrDie());
+  util::Result<Evaluator> ev =
+      CreateWithBounds(plus_tree, minus_tree, kernel, options,
+                       std::move(bound_fn).ValueOrDie());
+  if (!ev.ok()) return ev;
+  // The auditor wraps the bound function, so an audited evaluator keeps
+  // the virtual path (none of the casts below match the wrapper).
+  Evaluator& e = ev.value();
+  const BoundFunction* fn = e.bound_fn_.get();
+  if (dynamic_cast<const KarlDistanceBounds*>(fn) != nullptr) {
+    e.bound_call_ = BoundCall::kKarlDistance;
+  } else if (dynamic_cast<const SotaDistanceBounds*>(fn) != nullptr) {
+    e.bound_call_ = BoundCall::kSotaDistance;
+  } else if (dynamic_cast<const KarlInnerProductBounds*>(fn) != nullptr) {
+    e.bound_call_ = BoundCall::kKarlInnerProduct;
+  } else if (dynamic_cast<const SotaInnerProductBounds*>(fn) != nullptr) {
+    e.bound_call_ = BoundCall::kSotaInnerProduct;
+  }
+  return ev;
 }
 
 util::Result<Evaluator> Evaluator::CreateWithBounds(
@@ -145,9 +161,35 @@ void Evaluator::RecordQueryMetrics(telemetry::Counter* query_counter,
 }
 
 void Evaluator::Refine(std::span<const double> q, const StopFn& stop,
-                       double* out_lb, double* out_ub, EvalStats* stats,
+                       double* lb, double* ub, EvalStats* stats,
                        const TraceFn* trace,
                        TraversalProfile* profile) const {
+  const BoundFunction& fn = *bound_fn_;
+  switch (bound_call_) {
+    case BoundCall::kSotaDistance:
+      return RefineWith(static_cast<const SotaDistanceBounds&>(fn), q, stop,
+                        lb, ub, stats, trace, profile);
+    case BoundCall::kKarlDistance:
+      return RefineWith(static_cast<const KarlDistanceBounds&>(fn), q, stop,
+                        lb, ub, stats, trace, profile);
+    case BoundCall::kSotaInnerProduct:
+      return RefineWith(static_cast<const SotaInnerProductBounds&>(fn), q,
+                        stop, lb, ub, stats, trace, profile);
+    case BoundCall::kKarlInnerProduct:
+      return RefineWith(static_cast<const KarlInnerProductBounds&>(fn), q,
+                        stop, lb, ub, stats, trace, profile);
+    case BoundCall::kVirtual:
+      break;
+  }
+  RefineWith(fn, q, stop, lb, ub, stats, trace, profile);
+}
+
+template <typename Bound>
+void Evaluator::RefineWith(const Bound& bound, std::span<const double> q,
+                           const StopFn& stop, double* out_lb,
+                           double* out_ub, EvalStats* stats,
+                           const TraceFn* trace,
+                           TraversalProfile* profile) const {
   const QueryContext ctx = QueryContext::Make(q);
   if (profile != nullptr) {
     profile->Clear();
@@ -216,7 +258,7 @@ void Evaluator::Refine(std::span<const double> q, const StopFn& stop,
       ++ProfileLevel(profile, tree.node(id).depth).visited;
     }
     double node_lb = 0.0, node_ub = 0.0;
-    bound_fn_->NodeBounds(tree, id, ctx, &node_lb, &node_ub);
+    bound.NodeBounds(tree, id, ctx, &node_lb, &node_ub);
     Entry e;
     e.node = id;
     e.side = side;

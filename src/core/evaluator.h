@@ -97,7 +97,8 @@ class Evaluator {
                                         const Options& options);
 
   /// Like Create, but evaluates with the caller-supplied bound function
-  /// instead of MakeBoundFunction(kernel, options.bounds). The audit seam:
+  /// instead of MakeBoundFunction(kernel, options.bounds), called through
+  /// its vtable (Create calls the concrete class directly). The audit seam:
   /// lets tests and fuzz drivers inject deliberately broken bounds and
   /// prove the auditor fires. `options.audit_bounds` wraps `bound_fn`
   /// with the node-level auditor exactly as Create does.
@@ -166,11 +167,29 @@ class Evaluator {
     telemetry::Gauge* overall_prune_ratio = nullptr;
   };
 
+  // The bound family Refine calls without a virtual dispatch, resolved
+  // once by Create. kVirtual goes through BoundFunction's vtable: the
+  // path for CreateWithBounds' injected functions and the auditor.
+  enum class BoundCall : uint8_t {
+    kVirtual,
+    kSotaDistance,
+    kKarlDistance,
+    kSotaInnerProduct,
+    kKarlInnerProduct,
+  };
+
   // Runs the refinement loop; outputs the final bounds. `profile`, when
   // non-null, receives the per-level / per-iteration EXPLAIN counters.
+  // Dispatches once per query to RefineWith on the concrete bound class.
   void Refine(std::span<const double> q, const StopFn& stop, double* lb,
               double* ub, EvalStats* stats, const TraceFn* trace,
               TraversalProfile* profile = nullptr) const;
+
+  template <typename Bound>
+  void RefineWith(const Bound& bound, std::span<const double> q,
+                  const StopFn& stop, double* lb, double* ub,
+                  EvalStats* stats, const TraceFn* trace,
+                  TraversalProfile* profile) const;
 
   // Points across both trees — the work a full scan would do per query.
   size_t TotalPoints() const;
@@ -184,6 +203,7 @@ class Evaluator {
   KernelParams kernel_;
   Options options_;
   std::unique_ptr<BoundFunction> bound_fn_;
+  BoundCall bound_call_ = BoundCall::kVirtual;
   Instruments instruments_;
   bool instrumented_ = false;  // True iff options_.metrics != nullptr.
 };

@@ -20,6 +20,12 @@ struct Avx2Ops {
   static constexpr size_t kLanes = 4;
 
   static Vec Load(const double* p) { return _mm256_loadu_pd(p); }
+  static Vec LoadN(const double* p, size_t n) {
+    const __m256i mask = _mm256_cmpgt_epi64(
+        _mm256_set1_epi64x(static_cast<long long>(n)),
+        _mm256_setr_epi64x(0, 1, 2, 3));
+    return _mm256_maskload_pd(p, mask);
+  }
   static void Store(double* p, Vec v) { _mm256_storeu_pd(p, v); }
   static Vec Set1(double x) { return _mm256_set1_pd(x); }
   static Vec Zero() { return _mm256_setzero_pd(); }
@@ -58,6 +64,7 @@ constexpr Ops kAvx2OpsTable = {
     SqnormN<Avx2Ops>,
     LeafAggregateN<Avx2Ops>,
     ExpBlockN<Avx2Ops>,
+    BoxGeometryN<Avx2Ops>,
 };
 
 }  // namespace

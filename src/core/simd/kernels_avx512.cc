@@ -21,6 +21,9 @@ struct Avx512Ops {
   static constexpr size_t kLanes = 8;
 
   static Vec Load(const double* p) { return _mm512_loadu_pd(p); }
+  static Vec LoadN(const double* p, size_t n) {
+    return _mm512_maskz_loadu_pd(static_cast<__mmask8>((1u << n) - 1), p);
+  }
   static void Store(double* p, Vec v) { _mm512_storeu_pd(p, v); }
   static Vec Set1(double x) { return _mm512_set1_pd(x); }
   static Vec Zero() { return _mm512_setzero_pd(); }
@@ -47,10 +50,10 @@ struct Avx512Ops {
     return _mm512_mul_pd(p, _mm512_castsi512_pd(bits));
   }
   static double ReduceAdd(Vec v) {
-    // Hand-rolled instead of _mm512_reduce_add_pd: the builtin reduce
-    // goes through an undefined-source extract that trips
-    // -Wmaybe-uninitialized under -Werror.
-    const __m256d lo = _mm512_castpd512_pd256(v);
+    // Hand-rolled instead of _mm512_reduce_add_pd: the builtin reduce,
+    // and _mm512_castpd512_pd256 too, go through an undefined-source
+    // extract that trips -W(maybe-)uninitialized under -Werror.
+    const __m256d lo = _mm512_maskz_extractf64x4_pd(0xF, v, 0);
     const __m256d hi = _mm512_maskz_extractf64x4_pd(0xF, v, 1);
     const __m256d quad = _mm256_add_pd(lo, hi);
     const __m128d pair = _mm_add_pd(_mm256_castpd256_pd128(quad),
@@ -65,6 +68,7 @@ constexpr Ops kAvx512OpsTable = {
     SqnormN<Avx512Ops>,
     LeafAggregateN<Avx512Ops>,
     ExpBlockN<Avx512Ops>,
+    BoxGeometryN<Avx512Ops>,
 };
 
 }  // namespace

@@ -5,6 +5,8 @@
 //   using Vec;                          // __m256d / __m512d
 //   static constexpr size_t kLanes;     // 4 / 8
 //   Vec  Load(const double*);           // unaligned
+//   Vec  LoadN(const double*, size_t n);  // first n < kLanes lanes, rest 0;
+//                                         // never touches memory past n
 //   void Store(double*, Vec);
 //   Vec  Set1(double);  Vec Zero();
 //   Vec  Add/Sub/Mul/Div(Vec, Vec);
@@ -62,16 +64,37 @@ inline constexpr double kExpTaylor[14] = {
 // and the clamped value ≤ 3.4e-308 (contract: kVectorExpUnderflowAbs);
 // above it the true result overflows and callers never produce it
 // (kernel profiles are ≤ 1).
+//
+// P(r) = 1 + r·Q(r), with the degree-12 Q = Σ c_{i+1}·rⁱ evaluated in
+// Estrin form: coefficient pairs, then pairs of pairs joined by r², r⁴
+// and r⁸. That is 5 dependent FMAs after the reduction instead of
+// Horner's 14. The one Horner step left (1 + r·Q) keeps the final
+// rounding where Horner has it: Q's own rounding errors reach P scaled
+// by |r| ≤ 0.35.
 template <typename O>
 inline typename O::Vec VExp(typename O::Vec x) {
   using V = typename O::Vec;
+  const auto c = [](int i) { return O::Set1(kExpTaylor[i]); };
   const V xc = O::Min(O::Max(x, O::Set1(-708.0)), O::Set1(709.0));
   const V k = O::Round(O::Mul(xc, O::Set1(kInvLn2)));
   V r = O::Fnma(k, O::Set1(kLn2Hi), xc);
   r = O::Fnma(k, O::Set1(kLn2Lo), r);
-  V p = O::Set1(kExpTaylor[13]);
-  for (int i = 12; i >= 0; --i) p = O::Fma(p, r, O::Set1(kExpTaylor[i]));
-  return O::Ldexpk(p, k);
+  const V r2 = O::Mul(r, r);
+  const V r4 = O::Mul(r2, r2);
+  const V r8 = O::Mul(r4, r4);
+  const V q12 = O::Fma(c(2), r, c(1));
+  const V q34 = O::Fma(c(4), r, c(3));
+  const V q56 = O::Fma(c(6), r, c(5));
+  const V q78 = O::Fma(c(8), r, c(7));
+  const V q910 = O::Fma(c(10), r, c(9));
+  const V q1112 = O::Fma(c(12), r, c(11));
+  const V q1_4 = O::Fma(q34, r2, q12);
+  const V q5_8 = O::Fma(q78, r2, q56);
+  const V q9_12 = O::Fma(q1112, r2, q910);
+  const V q1_8 = O::Fma(q5_8, r4, q1_4);
+  const V q9_13 = O::Fma(c(13), r4, q9_12);
+  const V q = O::Fma(q9_13, r8, q1_8);
+  return O::Ldexpk(O::Fma(q, r, c(0)), k);
 }
 
 // x^e per lane with the same multiply sequence as scalar IntPow, so
@@ -158,13 +181,25 @@ double LeafAggregateImpl(const KernelParams& kernel, const SoaLeafBlocks& soa,
         }
         arg = O::Fma(O::Set1(scale), dot, O::Set1(kernel.beta));
       } else {
-        V sq = O::Zero();
-        for (size_t j = 0; j < d; ++j) {
+        // Even and odd dimensions feed two independent FMA chains, which
+        // halves the serial latency of the distance per block.
+        V sq_even = O::Zero();
+        V sq_odd = O::Zero();
+        size_t j = 0;
+        for (; j + 1 < d; j += 2) {
+          const V diff_even =
+              O::Sub(O::Set1(q[j]), O::Load(soa.BlockDim(b, j) + off));
+          const V diff_odd = O::Sub(O::Set1(q[j + 1]),
+                                    O::Load(soa.BlockDim(b, j + 1) + off));
+          sq_even = O::Fma(diff_even, diff_even, sq_even);
+          sq_odd = O::Fma(diff_odd, diff_odd, sq_odd);
+        }
+        if (j < d) {
           const V diff =
               O::Sub(O::Set1(q[j]), O::Load(soa.BlockDim(b, j) + off));
-          sq = O::Fma(diff, diff, sq);
+          sq_even = O::Fma(diff, diff, sq_even);
         }
-        arg = O::Mul(O::Set1(scale), sq);
+        arg = O::Mul(O::Set1(scale), O::Add(sq_even, sq_odd));
       }
       acc = O::Fma(O::Load(w + off), ProfileV<O>(kernel, arg), acc);
     }
@@ -172,8 +207,10 @@ double LeafAggregateImpl(const KernelParams& kernel, const SoaLeafBlocks& soa,
   return O::ReduceAdd(acc);
 }
 
-// Fixed-dim dispatch over the dims the registry datasets actually use
-// (home 8/16, susy 18, higgs 28, plus the small synthetic dims).
+// Fixed-dim instantiations for small synthetic dims and a few common
+// widths (8, 16, 18, 28, 32, 64). Every other dim takes the runtime-dim
+// path, including all the benchmarked ones (home 10, miniboone 50,
+// covtype 54).
 template <typename O>
 double LeafAggregateN(const KernelParams& kernel, const SoaLeafBlocks& soa,
                       uint32_t begin, uint32_t end, const double* q) {
@@ -289,6 +326,39 @@ double SqnormN(const double* a, size_t n) {
     default:
       return SqnormImpl<O, -1>(a, n);
   }
+}
+
+// NodeGeometry of one kd box (see ScalarBoxGeometry in simd.cc for the
+// branchless near/far form). The < one vector tail is a masked load whose
+// zero lanes add exactly nothing to all three sums.
+template <typename O>
+NodeGeometry BoxGeometryN(const double* lower, const double* upper,
+                          const double* a, const double* q, size_t d) {
+  using V = typename O::Vec;
+  constexpr size_t W = O::kLanes;
+  const V zero = O::Zero();
+  V min_acc = zero;
+  V max_acc = zero;
+  V dot_acc = zero;
+  const auto step = [&](V l, V u, V av, V qv) {
+    const V near = O::Max(O::Max(zero, O::Sub(l, qv)), O::Sub(qv, u));
+    const V far = O::Max(O::Sub(qv, l), O::Sub(u, qv));
+    min_acc = O::Fma(near, near, min_acc);
+    max_acc = O::Fma(far, far, max_acc);
+    dot_acc = O::Fma(qv, av, dot_acc);
+  };
+  size_t j = 0;
+  for (; j + W <= d; j += W) {
+    step(O::Load(lower + j), O::Load(upper + j), O::Load(a + j),
+         O::Load(q + j));
+  }
+  if (j < d) {
+    const size_t n = d - j;
+    step(O::LoadN(lower + j, n), O::LoadN(upper + j, n), O::LoadN(a + j, n),
+         O::LoadN(q + j, n));
+  }
+  return {O::ReduceAdd(min_acc), O::ReduceAdd(max_acc),
+          O::ReduceAdd(dot_acc)};
 }
 
 template <typename O>

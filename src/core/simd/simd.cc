@@ -1,5 +1,6 @@
 #include "core/simd/simd.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
@@ -30,8 +31,28 @@ void ScalarExpBlock(const double* in, double* out, size_t n) {
   for (size_t i = 0; i < n; ++i) out[i] = std::exp(in[i]);
 }
 
+// Branchless per-dimension corner distances, exact because lower ≤ upper:
+// near = max(0, l−q, q−u) is the branchy "l−q if q < l, q−u if q > u,
+// else 0" (its square equals the negated difference's), and
+// far = max(q−l, u−q) is max(|q−l|, |u−q|). The three sums run in
+// ascending dimension order, so scalar-tier bounds stay bit-identical.
+NodeGeometry ScalarBoxGeometry(const double* lower, const double* upper,
+                               const double* a, const double* q, size_t d) {
+  NodeGeometry g;
+  for (size_t j = 0; j < d; ++j) {
+    const double near =
+        std::max(std::max(0.0, lower[j] - q[j]), q[j] - upper[j]);
+    const double far = std::max(q[j] - lower[j], upper[j] - q[j]);
+    g.min_sq += near * near;
+    g.max_sq += far * far;
+    g.q_dot_a += q[j] * a[j];
+  }
+  return g;
+}
+
 constexpr internal::Ops kScalarOps = {ScalarDot, ScalarSqnorm,
-                                      ScalarLeafAggregate, ScalarExpBlock};
+                                      ScalarLeafAggregate, ScalarExpBlock,
+                                      ScalarBoxGeometry};
 
 const internal::Ops& OpsForTier(Tier tier) {
   switch (tier) {

@@ -1,6 +1,7 @@
 // Runtime-dispatched SIMD kernels for the evaluator hot path: the O(d)
-// linear-bound aggregation (dot products against node summaries) and the
-// exact leaf kernel sums over the blocked SoA layout (soa_block.h).
+// node geometry of each bound (kd-box distances and the dot product
+// against the node summary), and the exact leaf kernel sums over the
+// blocked SoA layout (soa_block.h).
 //
 // Three tiers — scalar / AVX2+FMA / AVX-512F — selected once per process
 // by CPUID, overridable via the KARL_SIMD environment variable
@@ -95,6 +96,14 @@ Tier ActiveTier();
 /// Takes effect for every subsequent hot-path call in the process.
 void ForceTier(Tier tier);
 
+/// The distance geometry of one kd box and its node: mindist(q, box)²,
+/// maxdist(q, box)² and q·a_P, where a_P is the node's weighted point sum.
+struct NodeGeometry {
+  double min_sq = 0.0;
+  double max_sq = 0.0;
+  double q_dot_a = 0.0;
+};
+
 namespace internal {
 
 /// Per-tier implementation table. One instance per compiled tier;
@@ -107,6 +116,8 @@ struct Ops {
                            const SoaLeafBlocks& soa, uint32_t begin,
                            uint32_t end, const double* q);
   void (*exp_block)(const double* in, double* out, size_t n);
+  NodeGeometry (*box_geometry)(const double* lower, const double* upper,
+                               const double* a, const double* q, size_t d);
 };
 
 /// Defined in kernels_avx2.cc / kernels_avx512.cc; null when that
@@ -142,6 +153,22 @@ inline double Dot(std::span<const double> a, std::span<const double> b) {
 /// ‖a‖² under the active tier; scalar tier matches util::SquaredNorm.
 inline double SquaredNorm(std::span<const double> a) {
   return internal::ActiveOps().sqnorm(a.data(), a.size());
+}
+
+/// NodeGeometry of the box [lower, upper] (lower ≤ upper per dimension)
+/// and the weighted point sum `a`, in one pass under the active tier.
+/// The scalar tier is bit-identical to the two box-distance sums in
+/// ascending dimension order plus util::Dot(q, a).
+inline NodeGeometry BoxGeometry(std::span<const double> lower,
+                                std::span<const double> upper,
+                                std::span<const double> a,
+                                std::span<const double> q) {
+  KARL_DCHECK(lower.size() == q.size() && upper.size() == q.size() &&
+              a.size() == q.size())
+      << ": BoxGeometry of mismatched lengths " << lower.size() << "/"
+      << upper.size() << "/" << a.size() << " vs " << q.size();
+  return internal::ActiveOps().box_geometry(lower.data(), upper.data(),
+                                            a.data(), q.data(), q.size());
 }
 
 /// Σ wᵢ·K(q, pᵢ) over SoA rows [begin, end) under the active tier.

@@ -105,8 +105,8 @@ util::Result<std::unique_ptr<BallTree>> BallTree::Attach(
   }
   std::unique_ptr<BallTree> tree(new BallTree());
   KARL_RETURN_NOT_OK(tree->AttachShared(view));
-  tree->centers_ = view.region_a;
-  tree->radii_ = view.region_b;
+  tree->region_a_ = view.region_a;
+  tree->region_b_ = view.region_b;
   return tree;
 }
 
@@ -122,29 +122,8 @@ void BallTree::ComputeRegions(const data::Matrix& points) {
     std::copy(ball.center().begin(), ball.center().end(), centers + id * d);
     radii[id] = ball.radius();
   }
-  centers_ = {centers, num * d};
-  radii_ = {radii, num};
-}
-
-void BallTree::DistanceBounds(NodeId id, std::span<const double> q,
-                              double* min_sq, double* max_sq) const {
-  const size_t d = points().dims();
-  BoundingBall::DistanceBoundsFlat(
-      centers_.subspan(static_cast<size_t>(id) * d, d), radii_[id], q,
-      min_sq, max_sq);
-}
-
-void BallTree::InnerProductBounds(NodeId id, std::span<const double> q,
-                                  double* ip_min, double* ip_max) const {
-  const size_t d = points().dims();
-  BoundingBall::InnerProductBoundsFlat(
-      centers_.subspan(static_cast<size_t>(id) * d, d), radii_[id], q,
-      ip_min, ip_max);
-}
-
-size_t BallTree::MemoryUsageBytes() const {
-  return TreeIndex::MemoryUsageBytes() +
-         (centers_.size() + radii_.size()) * sizeof(double);
+  region_a_ = {centers, num * d};
+  region_b_ = {radii, num};
 }
 
 }  // namespace karl::index

@@ -15,8 +15,9 @@ namespace karl::index {
 /// Ball-tree over a weighted point set.
 ///
 /// Node balls are kept as a packed centre array (num_nodes × d) plus a
-/// radius array (num_nodes) rather than per-node objects, so an attached
-/// tree can read them straight out of a memory-mapped snapshot section.
+/// radius array (num_nodes), region_data_a() / region_data_b(), rather
+/// than per-node objects, so an attached tree can read them straight out
+/// of a memory-mapped snapshot section.
 class BallTree final : public TreeIndex {
  public:
   /// Builds a ball-tree. Fails on empty input or mismatched weight count.
@@ -30,35 +31,24 @@ class BallTree final : public TreeIndex {
   static util::Result<std::unique_ptr<BallTree>> Attach(
       const TreeIndexView& view);
 
-  void DistanceBounds(NodeId id, std::span<const double> q, double* min_sq,
-                      double* max_sq) const override;
-  void InnerProductBounds(NodeId id, std::span<const double> q,
-                          double* ip_min, double* ip_max) const override;
-  IndexKind kind() const override { return IndexKind::kBallTree; }
-  size_t MemoryUsageBytes() const override;
-
-  std::span<const double> region_data_a() const override { return centers_; }
-  std::span<const double> region_data_b() const override { return radii_; }
-
   /// Per-node ball accessors (tests/diagnostics).
   std::span<const double> node_center(NodeId id) const {
     const size_t d = points().dims();
-    return centers_.subspan(static_cast<size_t>(id) * d, d);
+    return region_a_.subspan(static_cast<size_t>(id) * d, d);
   }
-  double node_radius(NodeId id) const { return radii_[id]; }
+  double node_radius(NodeId id) const { return region_b_[id]; }
 
  private:
-  BallTree() = default;
+  BallTree() : TreeIndex(IndexKind::kBallTree) {}
 
   size_t Partition(const data::Matrix& input_points,
                    std::vector<size_t>& perm, size_t begin,
                    size_t end) override;
   void ComputeRegions(const data::Matrix& points) override;
 
-  // Owned backing (build path): centres then radii.
+  // Owned backing (build path): centres (num_nodes × d) then radii
+  // (num_nodes), the region_a_ / region_b_ arrays.
   std::vector<double> owned_balls_;
-  std::span<const double> centers_;  // num_nodes x d.
-  std::span<const double> radii_;    // num_nodes.
 };
 
 }  // namespace karl::index

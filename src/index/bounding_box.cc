@@ -76,39 +76,9 @@ double BoundingBox::MaxSquaredDistance(std::span<const double> q) const {
   return s;
 }
 
-void BoundingBox::SquaredDistanceBounds(std::span<const double> q,
-                                        double* min_sq,
-                                        double* max_sq) const {
-  SquaredDistanceBoundsFlat(lower_, upper_, q, min_sq, max_sq);
-}
-
 void BoundingBox::InnerProductBounds(std::span<const double> q,
                                      double* ip_min, double* ip_max) const {
   InnerProductBoundsFlat(lower_, upper_, q, ip_min, ip_max);
-}
-
-void BoundingBox::SquaredDistanceBoundsFlat(std::span<const double> lower,
-                                            std::span<const double> upper,
-                                            std::span<const double> q,
-                                            double* min_sq, double* max_sq) {
-  KARL_DCHECK(q.size() == lower.size() && q.size() == upper.size())
-      << ": query has dimension " << q.size() << ", box has "
-      << lower.size();
-  double min_s = 0.0;
-  double max_s = 0.0;
-  for (size_t j = 0; j < q.size(); ++j) {
-    const double to_lower = q[j] - lower[j];
-    const double to_upper = upper[j] - q[j];
-    if (to_lower < 0.0) {
-      min_s += to_lower * to_lower;
-    } else if (to_upper < 0.0) {
-      min_s += to_upper * to_upper;
-    }
-    const double far_diff = std::max(std::abs(to_lower), std::abs(to_upper));
-    max_s += far_diff * far_diff;
-  }
-  *min_sq = min_s;
-  *max_sq = max_s;
 }
 
 void BoundingBox::InnerProductBoundsFlat(std::span<const double> lower,

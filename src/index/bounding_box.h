@@ -31,22 +31,15 @@ class BoundingBox {
   /// maxdist(q, R)^2 — squared distance from q to the farthest box point.
   double MaxSquaredDistance(std::span<const double> q) const;
 
-  /// Computes both squared-distance bounds in a single pass over the box.
-  void SquaredDistanceBounds(std::span<const double> q, double* min_sq,
-                             double* max_sq) const;
-
   /// [IP_min, IP_max]: range of the inner product q·p over p in the box.
   void InnerProductBounds(std::span<const double> q, double* ip_min,
                           double* ip_max) const;
 
-  /// Flat-span variants of the two bound computations, operating on raw
-  /// corner arrays — the representation the trees keep their per-node
-  /// geometry in (packed, possibly memory-mapped). The member functions
-  /// above delegate here.
-  static void SquaredDistanceBoundsFlat(std::span<const double> lower,
-                                        std::span<const double> upper,
-                                        std::span<const double> q,
-                                        double* min_sq, double* max_sq);
+  /// Flat-span variant of InnerProductBounds, operating on raw corner
+  /// arrays — the representation the trees keep their per-node geometry
+  /// in (packed, possibly memory-mapped). The member function above
+  /// delegates here. The trees' box distances go through
+  /// core::simd::BoxGeometry.
   static void InnerProductBoundsFlat(std::span<const double> lower,
                                      std::span<const double> upper,
                                      std::span<const double> q,

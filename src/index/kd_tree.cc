@@ -67,8 +67,8 @@ util::Result<std::unique_ptr<KdTree>> KdTree::Attach(
   }
   std::unique_ptr<KdTree> tree(new KdTree());
   KARL_RETURN_NOT_OK(tree->AttachShared(view));
-  tree->lower_ = view.region_a;
-  tree->upper_ = view.region_b;
+  tree->region_a_ = view.region_a;
+  tree->region_b_ = view.region_b;
   return tree;
 }
 
@@ -84,29 +84,8 @@ void KdTree::ComputeRegions(const data::Matrix& points) {
     std::copy(box.lower().begin(), box.lower().end(), lo + id * d);
     std::copy(box.upper().begin(), box.upper().end(), up + id * d);
   }
-  lower_ = {lo, num * d};
-  upper_ = {up, num * d};
-}
-
-void KdTree::DistanceBounds(NodeId id, std::span<const double> q,
-                            double* min_sq, double* max_sq) const {
-  const size_t d = points().dims();
-  BoundingBox::SquaredDistanceBoundsFlat(
-      lower_.subspan(static_cast<size_t>(id) * d, d),
-      upper_.subspan(static_cast<size_t>(id) * d, d), q, min_sq, max_sq);
-}
-
-void KdTree::InnerProductBounds(NodeId id, std::span<const double> q,
-                                double* ip_min, double* ip_max) const {
-  const size_t d = points().dims();
-  BoundingBox::InnerProductBoundsFlat(
-      lower_.subspan(static_cast<size_t>(id) * d, d),
-      upper_.subspan(static_cast<size_t>(id) * d, d), q, ip_min, ip_max);
-}
-
-size_t KdTree::MemoryUsageBytes() const {
-  return TreeIndex::MemoryUsageBytes() +
-         (lower_.size() + upper_.size()) * sizeof(double);
+  region_a_ = {lo, num * d};
+  region_b_ = {up, num * d};
 }
 
 }  // namespace karl::index

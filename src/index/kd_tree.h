@@ -15,8 +15,9 @@ namespace karl::index {
 /// kd-tree over a weighted point set.
 ///
 /// Node rectangles are kept as two packed corner arrays (lower and upper,
-/// each num_nodes × d) rather than per-node objects, so an attached tree
-/// can read them straight out of a memory-mapped snapshot section.
+/// each num_nodes × d: region_data_a() / region_data_b()) rather than
+/// per-node objects, so an attached tree can read them straight out of a
+/// memory-mapped snapshot section.
 class KdTree final : public TreeIndex {
  public:
   /// Builds a kd-tree. Fails on empty input or mismatched weight count.
@@ -30,38 +31,27 @@ class KdTree final : public TreeIndex {
   static util::Result<std::unique_ptr<KdTree>> Attach(
       const TreeIndexView& view);
 
-  void DistanceBounds(NodeId id, std::span<const double> q, double* min_sq,
-                      double* max_sq) const override;
-  void InnerProductBounds(NodeId id, std::span<const double> q,
-                          double* ip_min, double* ip_max) const override;
-  IndexKind kind() const override { return IndexKind::kKdTree; }
-  size_t MemoryUsageBytes() const override;
-
-  std::span<const double> region_data_a() const override { return lower_; }
-  std::span<const double> region_data_b() const override { return upper_; }
-
   /// Per-node corner accessors (tests/diagnostics).
   std::span<const double> node_lower(NodeId id) const {
     const size_t d = points().dims();
-    return lower_.subspan(static_cast<size_t>(id) * d, d);
+    return region_a_.subspan(static_cast<size_t>(id) * d, d);
   }
   std::span<const double> node_upper(NodeId id) const {
     const size_t d = points().dims();
-    return upper_.subspan(static_cast<size_t>(id) * d, d);
+    return region_b_.subspan(static_cast<size_t>(id) * d, d);
   }
 
  private:
-  KdTree() = default;
+  KdTree() : TreeIndex(IndexKind::kKdTree) {}
 
   size_t Partition(const data::Matrix& input_points,
                    std::vector<size_t>& perm, size_t begin,
                    size_t end) override;
   void ComputeRegions(const data::Matrix& points) override;
 
-  // Owned backing (build path): lower corners then upper corners.
+  // Owned backing (build path): lower corners then upper corners, the
+  // region_a_ / region_b_ arrays (each num_nodes × d).
   std::vector<double> owned_corners_;
-  std::span<const double> lower_;  // num_nodes x d.
-  std::span<const double> upper_;  // num_nodes x d.
 };
 
 }  // namespace karl::index

@@ -7,6 +7,9 @@
 #include <utility>
 #include <vector>
 
+#include "core/simd/simd.h"
+#include "index/bounding_ball.h"
+#include "index/bounding_box.h"
 #include "util/check.h"
 #include "util/math_util.h"
 
@@ -296,9 +299,41 @@ void TreeIndex::ComputeSummaries(const data::Matrix& points,
   }
 }
 
+void TreeIndex::DistanceBounds(NodeId id, std::span<const double> q,
+                               double* min_sq, double* max_sq) const {
+  const size_t d = soa_.dims();
+  const size_t off = static_cast<size_t>(id) * d;
+  if (kind_ == IndexKind::kKdTree) {
+    // The one box-distance pass; its q·a_P is not needed here.
+    const core::simd::NodeGeometry g = core::simd::BoxGeometry(
+        region_a_.subspan(off, d), region_b_.subspan(off, d),
+        weighted_point_sum(id), q);
+    *min_sq = g.min_sq;
+    *max_sq = g.max_sq;
+  } else {
+    BoundingBall::DistanceBoundsFlat(region_a_.subspan(off, d),
+                                     region_b_[id], q, min_sq, max_sq);
+  }
+}
+
+void TreeIndex::InnerProductBounds(NodeId id, std::span<const double> q,
+                                   double* ip_min, double* ip_max) const {
+  const size_t d = soa_.dims();
+  const size_t off = static_cast<size_t>(id) * d;
+  if (kind_ == IndexKind::kKdTree) {
+    BoundingBox::InnerProductBoundsFlat(region_a_.subspan(off, d),
+                                        region_b_.subspan(off, d), q, ip_min,
+                                        ip_max);
+  } else {
+    BoundingBall::InnerProductBoundsFlat(region_a_.subspan(off, d),
+                                         region_b_[id], q, ip_min, ip_max);
+  }
+}
+
 size_t TreeIndex::MemoryUsageBytes() const {
   return nodes_.size() * sizeof(Node) +
-         (weight_sums_.size() + sqnorm_sums_.size() + point_sums_.size()) *
+         (weight_sums_.size() + sqnorm_sums_.size() + point_sums_.size() +
+          region_a_.size() + region_b_.size()) *
              sizeof(double) +
          perm_.size() * sizeof(size_t) + soa_.MemoryUsageBytes();
 }

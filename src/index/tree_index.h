@@ -11,8 +11,9 @@
 //   weighted_point_sum    a_P  = Σ w_i · p_i        (length-d vector)
 //   weighted_sqnorm_sum   b_P  = Σ w_i · ||p_i||²
 //
-// Concrete trees supply the node geometry (distance and inner-product
-// bounds); everything else is shared.
+// Concrete trees supply the split rule and fit each node's region
+// (a box or a ball); the region arrays, and the distance and
+// inner-product bounds over them, are shared.
 //
 // Storage duality: a tree is either *built* (BuildShared — it owns every
 // array) or *attached* (AttachShared — node, point block, permutation,
@@ -127,32 +128,32 @@ class TreeIndex {
   std::span<const double> node_sqnorm_sums() const { return sqnorm_sums_; }
   std::span<const double> node_point_sums() const { return point_sums_; }
 
-  /// Flat per-node region geometry, for snapshot serialization. The
-  /// meaning is kind-specific: kd-tree → (box lower corners num_nodes×d,
-  /// box upper corners num_nodes×d); ball-tree → (ball centres
-  /// num_nodes×d, ball radii num_nodes).
-  virtual std::span<const double> region_data_a() const = 0;
-  virtual std::span<const double> region_data_b() const = 0;
+  /// Flat per-node region geometry, read by the bound functions and the
+  /// snapshot writer. The meaning is kind-specific: kd-tree → (box lower
+  /// corners num_nodes×d, box upper corners num_nodes×d); ball-tree →
+  /// (ball centres num_nodes×d, ball radii num_nodes).
+  std::span<const double> region_data_a() const { return region_a_; }
+  std::span<const double> region_data_b() const { return region_b_; }
 
   /// Squared-distance bounds of the node region from `q`:
   /// mindist(q,R)² and maxdist(q,R)².
-  virtual void DistanceBounds(NodeId id, std::span<const double> q,
-                              double* min_sq, double* max_sq) const = 0;
+  void DistanceBounds(NodeId id, std::span<const double> q, double* min_sq,
+                      double* max_sq) const;
 
   /// Inner-product bounds of the node region: [min q·p, max q·p].
-  virtual void InnerProductBounds(NodeId id, std::span<const double> q,
-                                  double* ip_min, double* ip_max) const = 0;
+  void InnerProductBounds(NodeId id, std::span<const double> q,
+                          double* ip_min, double* ip_max) const;
 
   /// The concrete index kind.
-  virtual IndexKind kind() const = 0;
+  IndexKind kind() const { return kind_; }
 
   /// Total bytes of index data reachable from this tree (diagnostics).
   /// For an attached tree this counts the mapped sections it references,
   /// not heap — mapped pages are resident memory all the same.
-  virtual size_t MemoryUsageBytes() const;
+  size_t MemoryUsageBytes() const;
 
  protected:
-  TreeIndex() = default;
+  explicit TreeIndex(IndexKind kind) : kind_(kind) {}
 
   /// Shared build driver: recursively partitions the permutation using the
   /// subclass's Partition hook, then materialises the permuted points as
@@ -185,6 +186,11 @@ class TreeIndex {
   /// contiguous range of `points` (the permuted row-major temporary).
   virtual void ComputeRegions(const data::Matrix& points) = 0;
 
+  // Region geometry (see region_data_a()), pointed at owned or attached
+  // storage by the subclass's ComputeRegions / Attach.
+  std::span<const double> region_a_;
+  std::span<const double> region_b_;
+
  private:
   void ComputeSummaries(const data::Matrix& points,
                         std::span<const double> weights);
@@ -205,6 +211,7 @@ class TreeIndex {
   std::span<const double> point_sums_;
 
   core::simd::SoaLeafBlocks soa_;  // Points and weights, built or attached.
+  IndexKind kind_;
   size_t leaf_capacity_ = 0;
   size_t max_depth_ = 0;
 };

@@ -51,10 +51,4 @@ double StdDev(std::span<const double> values) {
   return std::sqrt(acc.Total() / static_cast<double>(values.size()));
 }
 
-double Clamp(double x, double lo, double hi) {
-  if (x < lo) return lo;
-  if (x > hi) return hi;
-  return x;
-}
-
 }  // namespace karl::util

@@ -48,7 +48,11 @@ double Mean(std::span<const double> values);
 double StdDev(std::span<const double> values);
 
 /// Clamps x to [lo, hi].
-double Clamp(double x, double lo, double hi);
+inline double Clamp(double x, double lo, double hi) {
+  if (x < lo) return lo;
+  if (x > hi) return hi;
+  return x;
+}
 
 }  // namespace karl::util
 

@@ -15,6 +15,8 @@
 //  P7. The blocked SoA storage is a bit-exact re-layout of the permuted
 //      input (built or attached from a snapshot), and vectorized queries
 //      match brute force.
+//  P8. The evaluator's direct bound calls give bit-identical answers
+//      and work counts to the same bound function called virtually.
 
 #include <gtest/gtest.h>
 
@@ -588,6 +590,105 @@ TEST(SimdQueryProperty, VectorizedQueriesMatchBruteForce) {
             << simd::TierName(tier) << " trial=" << trial << " q=" << query;
       }
       simd::ForceTier(saved);
+    }
+  }
+}
+
+// P8: Evaluator::Create calls the concrete bound class directly;
+// CreateWithBounds with the same MakeBoundFunction object goes through
+// the vtable. Exact, TKAQ and eKAQ answers and EvalStats must be
+// bit-identical between the two, in every tier, for every kernel family,
+// index kind, bound kind and weighting type.
+TEST(BoundDispatchProperty, DirectCallsMatchInjectedBoundFunction) {
+  namespace simd = core::simd;
+  std::vector<simd::Tier> tiers = {simd::Tier::kScalar};
+  if (simd::TierSupported(simd::Tier::kAvx2)) {
+    tiers.push_back(simd::Tier::kAvx2);
+  }
+  if (simd::TierSupported(simd::Tier::kAvx512)) {
+    tiers.push_back(simd::Tier::kAvx512);
+  }
+  const simd::Tier saved = simd::ActiveTier();
+  const auto bits = [](double v) { return std::bit_cast<uint64_t>(v); };
+  const std::vector<KernelParams> kernels = {
+      KernelParams::Gaussian(6.0),
+      KernelParams::Laplacian(3.0),
+      KernelParams::Cauchy(5.0),
+      KernelParams::Polynomial(0.3, 0.1, 3),
+      KernelParams::Sigmoid(0.3, 0.05),
+  };
+
+  util::Rng rng(2718);
+  const size_t n = 400, d = 5;
+  const data::Matrix pts = data::SampleClustered(n, d, 3, 0.1, rng);
+  for (const int weighting : {1, 2, 3}) {
+    PropertyCase pc{};
+    pc.weighting = weighting;
+    const std::vector<double> signed_w = WeightsForCase(pc, n, rng);
+    // Type III splits into a plus tree and a minus tree of |w|.
+    std::vector<size_t> pos, neg;
+    for (size_t i = 0; i < n; ++i) {
+      (signed_w[i] >= 0.0 ? pos : neg).push_back(i);
+    }
+    std::vector<double> pw, nw;
+    for (const size_t i : pos) pw.push_back(signed_w[i]);
+    for (const size_t i : neg) nw.push_back(-signed_w[i]);
+    const data::Matrix pp = pts.SelectRows(pos);
+    const data::Matrix np = pts.SelectRows(neg);
+
+    for (const auto kind :
+         {index::IndexKind::kKdTree, index::IndexKind::kBallTree}) {
+      pc.index_kind = kind;
+      pc.leaf_capacity = 16;
+      const auto plus = TreeForCase(pc, pp, pw);
+      const auto minus = neg.empty() ? nullptr : TreeForCase(pc, np, nw);
+
+      for (const KernelParams& kernel : kernels) {
+        for (const BoundKind bounds : {BoundKind::kSota, BoundKind::kKarl}) {
+          core::Evaluator::Options options;
+          options.bounds = bounds;
+          const auto direct =
+              core::Evaluator::Create(plus.get(), minus.get(), kernel,
+                                      options)
+                  .ValueOrDie();
+          const auto injected =
+              core::Evaluator::CreateWithBounds(
+                  plus.get(), minus.get(), kernel, options,
+                  core::MakeBoundFunction(kernel, bounds).ValueOrDie())
+                  .ValueOrDie();
+          const std::string label =
+              std::string(core::KernelTypeToString(kernel.type)) + " " +
+              std::string(index::IndexKindToString(kind)) + " " +
+              std::string(core::BoundKindToString(bounds)) + " type " +
+              std::to_string(weighting);
+
+          for (const simd::Tier tier : tiers) {
+            simd::ForceTier(tier);
+            for (int query = 0; query < 3; ++query) {
+              std::vector<double> q(d);
+              for (auto& v : q) v = rng.Uniform(-0.1, 1.1);
+              const std::string where = label + " " +
+                                        std::string(simd::TierName(tier)) +
+                                        " q" + std::to_string(query);
+              core::EvalStats sd, si;
+              const double exact = direct.QueryExact(q, &sd);
+              EXPECT_EQ(bits(exact), bits(injected.QueryExact(q, &si)))
+                  << where;
+              const double tau = exact * 0.9;
+              EXPECT_EQ(direct.QueryThreshold(q, tau, &sd),
+                        injected.QueryThreshold(q, tau, &si))
+                  << where;
+              EXPECT_EQ(bits(direct.QueryApproximate(q, 0.05, &sd)),
+                        bits(injected.QueryApproximate(q, 0.05, &si)))
+                  << where;
+              EXPECT_EQ(sd.iterations, si.iterations) << where;
+              EXPECT_EQ(sd.nodes_expanded, si.nodes_expanded) << where;
+              EXPECT_EQ(sd.kernel_evals, si.kernel_evals) << where;
+            }
+          }
+          simd::ForceTier(saved);
+        }
+      }
     }
   }
 }

@@ -6,7 +6,9 @@
 //  * scalar tier == legacy loops, bit-for-bit (EXPECT_EQ on doubles);
 //  * vector leaf aggregates within kLeafSumRelTolerance of scalar,
 //    relative to the sum of absolute contributions;
-//  * vector Dot/SquaredNorm within kDotRelTolerance;
+//  * vector Dot/SquaredNorm and the kd-box geometry pass within
+//    kDotRelTolerance, and the scalar geometry pass bit-equal to the box
+//    loop it replaced;
 //  * the vector exp within kVectorExpUlpBound ULPs of std::exp;
 //  * dispatch: tier parsing/forcing, loud failure on invalid values,
 //    and the karl_simd_tier gauge.
@@ -19,6 +21,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -233,6 +236,110 @@ TEST(SimdDifferentialTest, DotAndSquaredNormMatchScalarOracle) {
 }
 
 // ---------------------------------------------------------------------
+// Node geometry: the fused kd-box pass (BoxGeometry) against the branchy
+// box loop and util::Dot it replaced.
+// ---------------------------------------------------------------------
+
+// The box-distance loop the bound functions ran before BoxGeometry,
+// verbatim. The scalar tier must reproduce it, plus util::Dot(q, a),
+// bit-for-bit.
+simd::NodeGeometry LegacyBoxGeometry(std::span<const double> lower,
+                                     std::span<const double> upper,
+                                     std::span<const double> a,
+                                     std::span<const double> q) {
+  simd::NodeGeometry g;
+  for (size_t j = 0; j < q.size(); ++j) {
+    const double to_lower = q[j] - lower[j];
+    const double to_upper = upper[j] - q[j];
+    if (to_lower < 0.0) {
+      g.min_sq += to_lower * to_lower;
+    } else if (to_upper < 0.0) {
+      g.min_sq += to_upper * to_upper;
+    }
+    const double far_diff = std::max(std::abs(to_lower), std::abs(to_upper));
+    g.max_sq += far_diff * far_diff;
+  }
+  g.q_dot_a = util::Dot(q, a);
+  return g;
+}
+
+TEST(SimdGeometryTest, BoxGeometryMatchesLegacyBoxLoopAndDot) {
+  util::Rng rng(515);
+  for (const size_t d : {size_t{1}, size_t{3}, size_t{7}, size_t{8},
+                         size_t{10}, size_t{16}, size_t{33}, size_t{50},
+                         size_t{54}, size_t{100}}) {
+    for (int trial = 0; trial < 40; ++trial) {
+      std::vector<double> lower(d), upper(d), a(d), q(d);
+      for (size_t j = 0; j < d; ++j) {
+        const double x = rng.Uniform(-2.0, 2.0);
+        const double y = rng.Uniform(-2.0, 2.0);
+        lower[j] = std::min(x, y);
+        // Every fourth trial has a degenerate box (l == u) throughout;
+        // otherwise one dimension in five is degenerate.
+        upper[j] = trial % 4 == 3 || rng.Uniform(0.0, 1.0) < 0.2
+                       ? lower[j]
+                       : std::max(x, y);
+        a[j] = rng.Uniform(-50.0, 50.0);
+        // Per dimension: inside the box, beyond the lower face, beyond
+        // the upper face, or exactly on one of the faces.
+        switch (static_cast<int>(rng.Uniform(0.0, 5.0))) {
+          case 0:
+            q[j] = rng.Uniform(lower[j], upper[j]);
+            break;
+          case 1:
+            q[j] = lower[j] - rng.Uniform(0.0, 3.0);
+            break;
+          case 2:
+            q[j] = upper[j] + rng.Uniform(0.0, 3.0);
+            break;
+          case 3:
+            q[j] = lower[j];
+            break;
+          default:
+            q[j] = upper[j];
+            break;
+        }
+      }
+      // Whole-query placements: trial 0 inside, trials 1/2 beyond every
+      // lower/upper face.
+      if (trial == 0) q = lower;
+      if (trial == 1) {
+        for (size_t j = 0; j < d; ++j) q[j] = lower[j] - 1.0;
+      }
+      if (trial == 2) {
+        for (size_t j = 0; j < d; ++j) q[j] = upper[j] + 1.0;
+      }
+
+      const simd::NodeGeometry want = LegacyBoxGeometry(lower, upper, a, q);
+      double dot_mass = 0.0;
+      for (size_t j = 0; j < d; ++j) dot_mass += std::abs(q[j] * a[j]);
+
+      TierGuard guard;
+      simd::ForceTier(Tier::kScalar);
+      const simd::NodeGeometry scalar = simd::BoxGeometry(lower, upper, a, q);
+      EXPECT_EQ(scalar.min_sq, want.min_sq) << "d=" << d << " t" << trial;
+      EXPECT_EQ(scalar.max_sq, want.max_sq) << "d=" << d << " t" << trial;
+      EXPECT_EQ(scalar.q_dot_a, want.q_dot_a) << "d=" << d << " t" << trial;
+
+      for (const Tier tier : SupportedTiers()) {
+        simd::ForceTier(tier);
+        const simd::NodeGeometry vec = simd::BoxGeometry(lower, upper, a, q);
+        // The distance terms are all ≥ 0, so each sum is its own mass.
+        EXPECT_LE(std::abs(vec.min_sq - want.min_sq),
+                  simd::kDotRelTolerance * want.min_sq)
+            << simd::TierName(tier) << " d=" << d << " t" << trial;
+        EXPECT_LE(std::abs(vec.max_sq - want.max_sq),
+                  simd::kDotRelTolerance * want.max_sq)
+            << simd::TierName(tier) << " d=" << d << " t" << trial;
+        EXPECT_LE(std::abs(vec.q_dot_a - want.q_dot_a),
+                  simd::kDotRelTolerance * dot_mass)
+            << simd::TierName(tier) << " d=" << d << " t" << trial;
+      }
+    }
+  }
+}
+
+// ---------------------------------------------------------------------
 // Vector exp: ULP bound across the normal range, absolute bound in the
 // clamped underflow region.
 // ---------------------------------------------------------------------
@@ -243,7 +350,16 @@ TEST(SimdExpTest, WithinUlpBoundOfStdExpAcrossNormalRange) {
   // Dense random coverage of the full normal-result range plus the
   // evaluator's actual operating region (small negative arguments).
   for (int i = 0; i < 4000; ++i) args.push_back(rng.Uniform(-708.0, 709.0));
-  for (int i = 0; i < 4000; ++i) args.push_back(rng.Uniform(-40.0, 0.0));
+  for (int i = 0; i < 100000; ++i) args.push_back(rng.Uniform(-40.0, 0.0));
+  // Dense sweeps of the whole reduced interval r ∈ [−ln2/2, ln2/2] around
+  // several k, where the polynomial alone sets the error.
+  const double half_ln2 = 0.5 * std::log(2.0);
+  for (const int k : {-1000, -60, -20, -3, -1, 0, 1, 5, 700}) {
+    const double center = k * std::log(2.0);
+    for (int i = 0; i <= 4000; ++i) {
+      args.push_back(center + half_ln2 * (i / 2000.0 - 1.0));
+    }
+  }
   // Edges: zero, ±tiny, the clamp boundaries, exact powers of two.
   for (const double v : {0.0, 1e-300, -1e-300, -708.0, 709.0, 1.0, -1.0,
                          64.0, -64.0, 0.5, -0.5}) {
