@@ -9,13 +9,7 @@
 
 namespace karl::core {
 
-namespace {
-
-// Below this interval width the profile is numerically constant on the
-// interval and linear constructions would divide by ~0.
-constexpr double kDegenerateInterval = 1e-12;
-
-}  // namespace
+using simd::kDegenerateInterval;
 
 std::string_view BoundKindToString(BoundKind kind) {
   switch (kind) {
@@ -197,6 +191,15 @@ simd::NodeGeometry DistanceGeometry(const index::TreeIndex& tree,
   return g;
 }
 
+// The summary of kd node `id` as simd::KarlGaussianBoxBounds reads it.
+simd::KdBoxSummary KdBox(const index::TreeIndex& tree, index::NodeId id) {
+  const size_t off = static_cast<size_t>(id) * tree.points().dims();
+  return {tree.region_data_a().data() + off,
+          tree.region_data_b().data() + off,
+          tree.weighted_point_sum(id).data(), tree.weight_sum(id),
+          tree.weighted_sqnorm_sum(id)};
+}
+
 // Computes the node's profile-argument interval and aggregate
 // X = Σ w_i·x_i = γ·(q·a_P) + β·w_P.
 struct IpNodeState {
@@ -248,15 +251,43 @@ KarlDistanceBounds::KarlDistanceBounds(const KernelParams& params,
     : params_(params),
       scale_(DistanceArgScale(params)),
       use_chord_upper_(use_chord_upper),
-      use_tangent_lower_(use_tangent_lower) {}
+      use_tangent_lower_(use_tangent_lower),
+      full_gaussian_(params.type == KernelType::kGaussian && use_chord_upper &&
+                     use_tangent_lower) {}
+
+void KarlDistanceBounds::SiblingBounds(const index::TreeIndex& tree,
+                                       index::NodeId left, index::NodeId right,
+                                       const QueryContext& ctx,
+                                       simd::NodeInterval out[2]) const {
+  KARL_DCHECK(FusesBoxes(tree)) << ": SiblingBounds without the fused op";
+  const simd::KdBoxSummary boxes[2] = {KdBox(tree, left), KdBox(tree, right)};
+  simd::KarlGaussianBoxBounds(ctx.q, ctx.q_sqnorm, scale_, boxes, out);
+}
 
 void KarlDistanceBounds::NodeBounds(const index::TreeIndex& tree,
                                     index::NodeId id, const QueryContext& ctx,
                                     double* lb, double* ub) const {
+  simd::NodeInterval out;
+  if (FusesBoxes(tree)) {
+    const simd::KdBoxSummary box = KdBox(tree, id);
+    simd::KarlGaussianBoxBounds(ctx.q, ctx.q_sqnorm, scale_, {&box, 1}, &out);
+    *lb = out.lb;
+    *ub = out.ub;
+    return;
+  }
   const simd::NodeGeometry g = DistanceGeometry(tree, id, ctx);
+  const double w = tree.weight_sum(id);
+  if (full_gaussian_) {
+    // A ball-tree node: the same Gaussian arithmetic on its geometry.
+    out = simd::ScalarKarlGaussianBounds(g, w, tree.weighted_sqnorm_sum(id),
+                                         ctx.q_sqnorm, scale_);
+    *lb = out.lb;
+    *ub = out.ub;
+    return;
+  }
+  // Laplacian and Cauchy profiles, and the one-sided ablation bounds.
   const double x_lo = scale_ * g.min_sq;
   const double x_hi = scale_ * g.max_sq;
-  const double w = tree.weight_sum(id);
   const bool gaussian = params_.type == KernelType::kGaussian;
 
   if (x_hi - x_lo < kDegenerateInterval) {

@@ -26,6 +26,7 @@
 #include <span>
 
 #include "core/kernel.h"
+#include "core/simd/simd.h"
 #include "index/tree_index.h"
 
 namespace karl::core {
@@ -102,6 +103,10 @@ class SotaDistanceBounds final : public BoundFunction {
 /// 1/2's proof uses only H'(t) = f''(t)·(X − t·w_P)). The constructor
 /// flags disable one side (replacing it with the SOTA constant) for
 /// ablation studies.
+///
+/// The full Gaussian bound on a kd tree is simd::KarlGaussianBoxBounds:
+/// NodeBounds is its 1-box call, and SiblingBounds bounds two nodes in
+/// one fused pass.
 class KarlDistanceBounds final : public BoundFunction {
  public:
   KarlDistanceBounds(const KernelParams& params, bool use_chord_upper,
@@ -110,11 +115,25 @@ class KarlDistanceBounds final : public BoundFunction {
                   const QueryContext& ctx, double* lb,
                   double* ub) const override;
 
+  /// True iff `tree`'s nodes take the fused box op: a Gaussian kernel,
+  /// both linear sides on, and a kd tree.
+  bool FusesBoxes(const index::TreeIndex& tree) const {
+    return full_gaussian_ && tree.kind() == index::IndexKind::kKdTree;
+  }
+
+  /// The bounds of nodes `left` and `right` of `tree` in one pass; needs
+  /// FusesBoxes(tree). out[0] and out[1] are bit for bit what NodeBounds
+  /// returns for each node alone.
+  void SiblingBounds(const index::TreeIndex& tree, index::NodeId left,
+                     index::NodeId right, const QueryContext& ctx,
+                     simd::NodeInterval out[2]) const;
+
  private:
   KernelParams params_;
   double scale_;
   bool use_chord_upper_;
   bool use_tangent_lower_;
+  bool full_gaussian_;  // Gaussian kernel with both linear sides on.
 };
 
 /// Inner-product kernels (polynomial, sigmoid), SOTA-style constants:

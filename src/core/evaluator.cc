@@ -5,6 +5,7 @@
 #include <limits>
 #include <optional>
 #include <queue>
+#include <type_traits>
 #include <vector>
 
 #include "core/simd/simd.h"
@@ -234,8 +235,44 @@ void Evaluator::RefineWith(const Bound& bound, std::span<const double> q,
            nd.depth >= static_cast<uint16_t>(options_.max_level);
   };
 
-  // Bounds one node (signed) and either folds the exact leaf value into
-  // [lb, ub] or pushes a frontier entry.
+  // Folds node `id`'s bounds [node.lb, node.ub] (signed by `side`) into
+  // [lb, ub] and pushes its frontier entry.
+  const auto push = [&](const index::TreeIndex& tree, int8_t side,
+                        index::NodeId id, const simd::NodeInterval& node) {
+    if (profile != nullptr) {
+      ++ProfileLevel(profile, tree.node(id).depth).visited;
+    }
+    Entry e;
+    e.node = id;
+    e.side = side;
+    if (side > 0) {
+      e.lb = node.lb;
+      e.ub = node.ub;
+    } else {
+      // P⁻ node: Σ w_i K ∈ [node.lb, node.ub] contributes its negation.
+      e.lb = -node.ub;
+      e.ub = -node.lb;
+    }
+    e.gap = e.ub - e.lb;
+    if (audit) {
+      // Signed-space node check: catches a Type III split whose negated
+      // P⁻ interval crosses its positive-space (Type II) parts, on top of
+      // the positive-space check the auditing bound wrapper already ran.
+      const double exact_node = static_cast<double>(side) *
+                                ExactNodeAggregate(kernel_, tree, id, q);
+      const double tol = 1e-7 * (1.0 + std::abs(exact_node));
+      KARL_CHECK(e.lb <= exact_node + tol && e.ub >= exact_node - tol)
+          << ": signed node bounds exclude the exact contribution; side="
+          << static_cast<int>(side) << " node=" << id << " lb=" << e.lb
+          << " exact=" << exact_node << " ub=" << e.ub;
+    }
+    lb += e.lb;
+    ub += e.ub;
+    frontier.push(e);
+  };
+
+  // Either folds the exact leaf value of node `id` into [lb, ub], or
+  // bounds the node and pushes it.
   const auto admit = [&](const index::TreeIndex& tree, int8_t side,
                          index::NodeId id) {
     if (is_effective_leaf(tree, id)) {
@@ -254,38 +291,28 @@ void Evaluator::RefineWith(const Bound& bound, std::span<const double> q,
       ub += exact;
       return;
     }
-    if (profile != nullptr) {
-      ++ProfileLevel(profile, tree.node(id).depth).visited;
+    simd::NodeInterval node;
+    bound.NodeBounds(tree, id, ctx, &node.lb, &node.ub);
+    push(tree, side, id, node);
+  };
+
+  // Admits both children of an expanded node, left then right. Two
+  // bounded kd children of the full Gaussian KARL bound take one fused
+  // pass; its intervals equal NodeBounds', so the frontier is the same.
+  const auto expand = [&](const index::TreeIndex& tree, int8_t side,
+                          const index::TreeIndex::Node& nd) {
+    if constexpr (std::is_same_v<Bound, KarlDistanceBounds>) {
+      if (bound.FusesBoxes(tree) && !is_effective_leaf(tree, nd.left) &&
+          !is_effective_leaf(tree, nd.right)) {
+        simd::NodeInterval both[2];
+        bound.SiblingBounds(tree, nd.left, nd.right, ctx, both);
+        push(tree, side, nd.left, both[0]);
+        push(tree, side, nd.right, both[1]);
+        return;
+      }
     }
-    double node_lb = 0.0, node_ub = 0.0;
-    bound.NodeBounds(tree, id, ctx, &node_lb, &node_ub);
-    Entry e;
-    e.node = id;
-    e.side = side;
-    if (side > 0) {
-      e.lb = node_lb;
-      e.ub = node_ub;
-    } else {
-      // P⁻ node: Σ w_i K ∈ [node_lb, node_ub] contributes its negation.
-      e.lb = -node_ub;
-      e.ub = -node_lb;
-    }
-    e.gap = e.ub - e.lb;
-    if (audit) {
-      // Signed-space node check: catches a Type III split whose negated
-      // P⁻ interval crosses its positive-space (Type II) parts, on top of
-      // the positive-space check the auditing bound wrapper already ran.
-      const double exact_node = static_cast<double>(side) *
-                                ExactNodeAggregate(kernel_, tree, id, q);
-      const double tol = 1e-7 * (1.0 + std::abs(exact_node));
-      KARL_CHECK(e.lb <= exact_node + tol && e.ub >= exact_node - tol)
-          << ": signed node bounds exclude the exact contribution; side="
-          << static_cast<int>(side) << " node=" << id << " lb=" << e.lb
-          << " exact=" << exact_node << " ub=" << e.ub;
-    }
-    lb += e.lb;
-    ub += e.ub;
-    frontier.push(e);
+    admit(tree, side, nd.left);
+    admit(tree, side, nd.right);
   };
 
   // Global-invariant audit, run after the initial admissions and after
@@ -358,8 +385,7 @@ void Evaluator::RefineWith(const Bound& bound, std::span<const double> q,
     if (profile != nullptr) {
       ++ProfileLevel(profile, nd.depth).expanded;
     }
-    admit(tree, top.side, nd.left);
-    admit(tree, top.side, nd.right);
+    expand(tree, top.side, nd);
 
     if (audit) audit_globals();
     if (trace != nullptr && *trace) (*trace)(iterations, lb, ub);

@@ -20,13 +20,19 @@ struct Avx2Ops {
   static constexpr size_t kLanes = 4;
 
   static Vec Load(const double* p) { return _mm256_loadu_pd(p); }
-  static Vec LoadN(const double* p, size_t n) {
-    const __m256i mask = _mm256_cmpgt_epi64(
-        _mm256_set1_epi64x(static_cast<long long>(n)),
-        _mm256_setr_epi64x(0, 1, 2, 3));
+  static Vec LoadLanes(const double* p, size_t lo, size_t hi) {
+    const __m256i lane = _mm256_setr_epi64x(0, 1, 2, 3);
+    const __m256i mask = _mm256_andnot_si256(
+        _mm256_cmpgt_epi64(_mm256_set1_epi64x(static_cast<long long>(lo)),
+                           lane),
+        _mm256_cmpgt_epi64(_mm256_set1_epi64x(static_cast<long long>(hi)),
+                           lane));
     return _mm256_maskload_pd(p, mask);
   }
   static void Store(double* p, Vec v) { _mm256_storeu_pd(p, v); }
+  static Vec FromLanes(const double* p) {
+    return _mm256_setr_pd(p[0], p[1], p[2], p[3]);
+  }
   static Vec Set1(double x) { return _mm256_set1_pd(x); }
   static Vec Zero() { return _mm256_setzero_pd(); }
   static Vec Add(Vec a, Vec b) { return _mm256_add_pd(a, b); }
@@ -38,16 +44,14 @@ struct Avx2Ops {
   static Vec Min(Vec a, Vec b) { return _mm256_min_pd(a, b); }
   static Vec Max(Vec a, Vec b) { return _mm256_max_pd(a, b); }
   static Vec Sqrt(Vec a) { return _mm256_sqrt_pd(a); }
-  static Vec Round(Vec a) {
-    return _mm256_round_pd(a, _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC);
-  }
   static Vec Ldexpk(Vec p, Vec k) {
-    // k is integral in [-1022, 1023]: build 2^k directly in the
-    // exponent field via the 32-bit conversion path.
-    const __m128i k32 = _mm256_cvtpd_epi32(k);
-    const __m256i k64 = _mm256_cvtepi32_epi64(k32);
+    // k is integral in [-1022, 1023], so k + kRoundShifter holds k in its
+    // low mantissa bits: adding the exponent bias and shifting builds 2^k
+    // directly in the exponent field.
+    const __m256i t =
+        _mm256_castpd_si256(_mm256_add_pd(k, _mm256_set1_pd(kRoundShifter)));
     const __m256i bits =
-        _mm256_slli_epi64(_mm256_add_epi64(k64, _mm256_set1_epi64x(1023)), 52);
+        _mm256_slli_epi64(_mm256_add_epi64(t, _mm256_set1_epi64x(1023)), 52);
     return _mm256_mul_pd(p, _mm256_castsi256_pd(bits));
   }
   static double ReduceAdd(Vec v) {
@@ -65,6 +69,7 @@ constexpr Ops kAvx2OpsTable = {
     LeafAggregateN<Avx2Ops>,
     ExpBlockN<Avx2Ops>,
     BoxGeometryN<Avx2Ops>,
+    KarlGaussianBoxBoundsN<Avx2Ops>,
 };
 
 }  // namespace

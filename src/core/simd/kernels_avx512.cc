@@ -1,8 +1,7 @@
 // AVX-512F tier: one full 8-point SoA block per vector. Built with
 // -mavx512f when the toolchain supports it (KARL_SIMD_TU_AVX512);
 // otherwise a stub, exactly like kernels_avx2.cc. Only the F subset is
-// used (the Ldexpk exponent build goes through the 32-bit conversion
-// path), so any AVX-512 machine qualifies.
+// used, so any AVX-512 machine qualifies.
 
 #include "core/simd/simd.h"
 
@@ -21,10 +20,14 @@ struct Avx512Ops {
   static constexpr size_t kLanes = 8;
 
   static Vec Load(const double* p) { return _mm512_loadu_pd(p); }
-  static Vec LoadN(const double* p, size_t n) {
-    return _mm512_maskz_loadu_pd(static_cast<__mmask8>((1u << n) - 1), p);
+  static Vec LoadLanes(const double* p, size_t lo, size_t hi) {
+    return _mm512_maskz_loadu_pd(
+        static_cast<__mmask8>((1u << hi) - (1u << lo)), p);
   }
   static void Store(double* p, Vec v) { _mm512_storeu_pd(p, v); }
+  static Vec FromLanes(const double* p) {
+    return _mm512_setr_pd(p[0], p[1], p[2], p[3], p[4], p[5], p[6], p[7]);
+  }
   static Vec Set1(double x) { return _mm512_set1_pd(x); }
   static Vec Zero() { return _mm512_setzero_pd(); }
   static Vec Add(Vec a, Vec b) { return _mm512_add_pd(a, b); }
@@ -33,21 +36,18 @@ struct Avx512Ops {
   static Vec Div(Vec a, Vec b) { return _mm512_div_pd(a, b); }
   static Vec Fma(Vec a, Vec b, Vec c) { return _mm512_fmadd_pd(a, b, c); }
   static Vec Fnma(Vec a, Vec b, Vec c) { return _mm512_fnmadd_pd(a, b, c); }
-  static Vec Min(Vec a, Vec b) { return _mm512_min_pd(a, b); }
-  static Vec Max(Vec a, Vec b) { return _mm512_max_pd(a, b); }
+  // The all-lanes maskz forms of min and max compile to the plain
+  // instructions; the unmasked intrinsics route through an
+  // undefined-source builtin that trips -Wuninitialized once VExp is
+  // inlined into a caller that packs its lanes in memory (the fused box
+  // bounds).
+  static Vec Min(Vec a, Vec b) { return _mm512_maskz_min_pd(0xFF, a, b); }
+  static Vec Max(Vec a, Vec b) { return _mm512_maskz_max_pd(0xFF, a, b); }
   static Vec Sqrt(Vec a) { return _mm512_sqrt_pd(a); }
-  static Vec Round(Vec a) {
-    return _mm512_roundscale_pd(a,
-                                _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC);
-  }
+  // scalef is p·2^⌊k⌋ in one instruction, rounded once like the multiply
+  // by a built 2^k it replaces, so the result is the same.
   static Vec Ldexpk(Vec p, Vec k) {
-    // maskz form: the plain _mm512_cvtpd_epi32 routes through an
-    // undefined-source builtin that trips -Wmaybe-uninitialized.
-    const __m256i k32 = _mm512_maskz_cvtpd_epi32(0xFF, k);
-    const __m512i k64 = _mm512_cvtepi32_epi64(k32);
-    const __m512i bits =
-        _mm512_slli_epi64(_mm512_add_epi64(k64, _mm512_set1_epi64(1023)), 52);
-    return _mm512_mul_pd(p, _mm512_castsi512_pd(bits));
+    return _mm512_maskz_scalef_pd(0xFF, p, k);
   }
   static double ReduceAdd(Vec v) {
     // Hand-rolled instead of _mm512_reduce_add_pd: the builtin reduce,
@@ -69,6 +69,7 @@ constexpr Ops kAvx512OpsTable = {
     LeafAggregateN<Avx512Ops>,
     ExpBlockN<Avx512Ops>,
     BoxGeometryN<Avx512Ops>,
+    KarlGaussianBoxBoundsN<Avx512Ops>,
 };
 
 }  // namespace

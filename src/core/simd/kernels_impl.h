@@ -5,15 +5,18 @@
 //   using Vec;                          // __m256d / __m512d
 //   static constexpr size_t kLanes;     // 4 / 8
 //   Vec  Load(const double*);           // unaligned
-//   Vec  LoadN(const double*, size_t n);  // first n < kLanes lanes, rest 0;
-//                                         // never touches memory past n
+//   Vec  LoadLanes(const double* p, size_t lo, size_t hi);
+//        // lanes [lo, hi) of p, the rest 0 (lo ≤ hi ≤ kLanes); never
+//        // touches memory outside those lanes
+//   Vec  FromLanes(const double* p);    // p[0 .. kLanes), assembled in
+//                                       // registers: no store-forwarding
+//                                       // stall on just-written values
 //   void Store(double*, Vec);
 //   Vec  Set1(double);  Vec Zero();
 //   Vec  Add/Sub/Mul/Div(Vec, Vec);
 //   Vec  Fma(a, b, c)  = a*b + c;       // fused
 //   Vec  Fnma(a, b, c) = c - a*b;       // fused
 //   Vec  Min/Max(Vec, Vec);  Vec Sqrt(Vec);
-//   Vec  Round(Vec);                    // to nearest integer
 //   Vec  Ldexpk(Vec p, Vec k);          // p·2^k, k integral ∈ [-1022,1023]
 //   double ReduceAdd(Vec);
 //
@@ -23,12 +26,16 @@
 #ifndef KARL_CORE_SIMD_KERNELS_IMPL_H_
 #define KARL_CORE_SIMD_KERNELS_IMPL_H_
 
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <utility>
 
 #include "core/kernel.h"
+#include "core/simd/simd.h"
 #include "core/simd/soa_block.h"
+#include "util/math_util.h"
 
 namespace karl::core::simd::internal {
 
@@ -38,6 +45,12 @@ namespace karl::core::simd::internal {
 inline constexpr double kInvLn2 = 1.4426950408889634;
 inline constexpr double kLn2Hi = 6.93145751953125e-1;
 inline constexpr double kLn2Lo = 1.42860682030941723212e-6;
+
+// 1.5·2⁵²: adding it to a double of magnitude below 2⁵¹ rounds that
+// double to the nearest integer (ties to even), and leaves the integer
+// in the sum's low mantissa bits. So fma(x, 1/ln2, shifter) − shifter is
+// round(x/ln2) with a single rounding and no rounding instruction.
+inline constexpr double kRoundShifter = 6755399441055744.0;
 
 // Reciprocal factorials for the degree-13 Taylor expansion of exp on
 // |r| ≤ ln2/2; truncation there is ≈ r¹⁴/14! < 5e-18 relative.
@@ -76,7 +89,8 @@ inline typename O::Vec VExp(typename O::Vec x) {
   using V = typename O::Vec;
   const auto c = [](int i) { return O::Set1(kExpTaylor[i]); };
   const V xc = O::Min(O::Max(x, O::Set1(-708.0)), O::Set1(709.0));
-  const V k = O::Round(O::Mul(xc, O::Set1(kInvLn2)));
+  const V shifter = O::Set1(kRoundShifter);
+  const V k = O::Sub(O::Fma(xc, O::Set1(kInvLn2), shifter), shifter);
   V r = O::Fnma(k, O::Set1(kLn2Hi), xc);
   r = O::Fnma(k, O::Set1(kLn2Lo), r);
   const V r2 = O::Mul(r, r);
@@ -111,70 +125,66 @@ inline typename O::Vec IntPowV(typename O::Vec x, int e) {
   return result;
 }
 
-// Kernel profile per lane. `arg` is scale·dist² for distance kernels
+// Kernel profile K per lane. `arg` is scale·dist² for distance kernels
 // (scale = DistanceArgScale) and γ·(q·p)+β for inner-product kernels.
 // Sigmoid falls back to per-lane std::tanh: the vectorized win there is
 // the dot product, and a branch-free vector tanh accurate near 0 is not
 // worth the extra contract surface.
-template <typename O>
+template <typename O, KernelType K>
 inline typename O::Vec ProfileV(const KernelParams& kernel,
                                 typename O::Vec arg) {
   using V = typename O::Vec;
-  const V zero = O::Zero();
-  const V one = O::Set1(1.0);
-  switch (kernel.type) {
-    case KernelType::kGaussian:
-      return VExp<O>(O::Sub(zero, arg));
-    case KernelType::kLaplacian:
-      return VExp<O>(O::Sub(zero, O::Sqrt(O::Max(arg, zero))));
-    case KernelType::kCauchy:
-      return O::Div(one, O::Add(one, arg));
-    case KernelType::kPolynomial:
-      return IntPowV<O>(arg, kernel.degree);
-    case KernelType::kSigmoid: {
-      alignas(64) double lanes[O::kLanes];
-      O::Store(lanes, arg);
-      for (size_t l = 0; l < O::kLanes; ++l) lanes[l] = std::tanh(lanes[l]);
-      return O::Load(lanes);
-    }
+  if constexpr (K == KernelType::kGaussian) {
+    return VExp<O>(O::Sub(O::Zero(), arg));
+  } else if constexpr (K == KernelType::kLaplacian) {
+    return VExp<O>(O::Sub(O::Zero(), O::Sqrt(O::Max(arg, O::Zero()))));
+  } else if constexpr (K == KernelType::kCauchy) {
+    const V one = O::Set1(1.0);
+    return O::Div(one, O::Add(one, arg));
+  } else if constexpr (K == KernelType::kPolynomial) {
+    return IntPowV<O>(arg, kernel.degree);
+  } else {
+    alignas(64) double lanes[O::kLanes];
+    O::Store(lanes, arg);
+    for (size_t l = 0; l < O::kLanes; ++l) lanes[l] = std::tanh(lanes[l]);
+    return O::Load(lanes);
   }
-  return zero;
 }
 
-// Σ wᵢ·K(q,pᵢ) over SoA rows [begin, end). D fixes the dimensionality at
-// compile time for the common dims (full unroll of the j-loops); D = -1
-// is the runtime-dim fallback.
-template <typename O, int D>
+// Σ wᵢ·K(q,pᵢ) over SoA rows [begin, end) for kernel family K. D fixes
+// the dimensionality at compile time for the common dims (full unroll of
+// the j-loops); D = -1 is the runtime-dim fallback.
+template <typename O, KernelType K, int D>
 double LeafAggregateImpl(const KernelParams& kernel, const SoaLeafBlocks& soa,
                          uint32_t begin, uint32_t end, const double* q) {
   using V = typename O::Vec;
+  constexpr size_t W = O::kLanes;
   constexpr size_t kB = SoaLeafBlocks::kBlockPoints;
-  constexpr size_t kVecs = kB / O::kLanes;
+  constexpr size_t kVecs = kB / W;
+  constexpr bool kInnerProduct =
+      K == KernelType::kPolynomial || K == KernelType::kSigmoid;
   const size_t d = D >= 0 ? static_cast<size_t>(D) : soa.dims();
-  const bool inner_product = IsInnerProductKernel(kernel.type);
-  const double scale =
-      inner_product ? kernel.gamma : DistanceArgScale(kernel);
+  const double scale = kInnerProduct ? kernel.gamma : DistanceArgScale(kernel);
 
+  // Two accumulators, swapped after every vector, so consecutive
+  // vectors' FMAs into the sum do not wait on each other.
   V acc = O::Zero();
+  V acc_other = O::Zero();
   const size_t first_block = begin / kB;
   const size_t last_block = (end - 1) / kB;
-  alignas(64) double masked_weights[kB];
   for (size_t b = first_block; b <= last_block; ++b) {
     const size_t row0 = b * kB;
     const double* w = soa.BlockWeights(b);
-    if (row0 < begin || row0 + kB > end) {
-      // Partial head/tail block: zero the out-of-range lanes' weights —
-      // a zero weight kills the lane's contribution exactly.
-      for (size_t l = 0; l < kB; ++l) {
-        const size_t row = row0 + l;
-        masked_weights[l] = (row >= begin && row < end) ? w[l] : 0.0;
-      }
-      w = masked_weights;
-    }
+    // In-range rows of the block, [head, tail) relative to row0; a
+    // partial head/tail block loads the out-of-range lanes' weights as
+    // zero, which kills their contributions exactly.
+    const size_t head = begin > row0 ? begin - row0 : 0;
+    const size_t tail = std::min<size_t>(end - row0, kB);
+    const bool partial = head > 0 || tail < kB;
     for (size_t v = 0; v < kVecs; ++v) {
-      const size_t off = v * O::kLanes;
+      const size_t off = v * W;
       V arg;
-      if (inner_product) {
+      if constexpr (kInnerProduct) {
         V dot = O::Zero();
         for (size_t j = 0; j < d; ++j) {
           dot = O::Fma(O::Set1(q[j]), O::Load(soa.BlockDim(b, j) + off), dot);
@@ -201,41 +211,71 @@ double LeafAggregateImpl(const KernelParams& kernel, const SoaLeafBlocks& soa,
         }
         arg = O::Mul(O::Set1(scale), O::Add(sq_even, sq_odd));
       }
-      acc = O::Fma(O::Load(w + off), ProfileV<O>(kernel, arg), acc);
+      const V weights =
+          partial ? O::LoadLanes(w + off, std::clamp(head, off, off + W) - off,
+                                 std::clamp(tail, off, off + W) - off)
+                  : O::Load(w + off);
+      acc = O::Fma(weights, ProfileV<O, K>(kernel, arg), acc);
+      std::swap(acc, acc_other);
     }
   }
-  return O::ReduceAdd(acc);
+  return O::ReduceAdd(O::Add(acc, acc_other));
 }
 
 // Fixed-dim instantiations for small synthetic dims and a few common
 // widths (8, 16, 18, 28, 32, 64). Every other dim takes the runtime-dim
 // path, including all the benchmarked ones (home 10, miniboone 50,
 // covtype 54).
+template <typename O, KernelType K>
+double LeafAggregateDims(const KernelParams& kernel, const SoaLeafBlocks& soa,
+                         uint32_t begin, uint32_t end, const double* q) {
+  switch (soa.dims()) {
+    case 2:
+      return LeafAggregateImpl<O, K, 2>(kernel, soa, begin, end, q);
+    case 3:
+      return LeafAggregateImpl<O, K, 3>(kernel, soa, begin, end, q);
+    case 4:
+      return LeafAggregateImpl<O, K, 4>(kernel, soa, begin, end, q);
+    case 8:
+      return LeafAggregateImpl<O, K, 8>(kernel, soa, begin, end, q);
+    case 16:
+      return LeafAggregateImpl<O, K, 16>(kernel, soa, begin, end, q);
+    case 18:
+      return LeafAggregateImpl<O, K, 18>(kernel, soa, begin, end, q);
+    case 28:
+      return LeafAggregateImpl<O, K, 28>(kernel, soa, begin, end, q);
+    case 32:
+      return LeafAggregateImpl<O, K, 32>(kernel, soa, begin, end, q);
+    case 64:
+      return LeafAggregateImpl<O, K, 64>(kernel, soa, begin, end, q);
+    default:
+      return LeafAggregateImpl<O, K, -1>(kernel, soa, begin, end, q);
+  }
+}
+
+// Resolves the kernel family once per leaf range, so the block loop runs
+// one profile with no per-vector switch.
 template <typename O>
 double LeafAggregateN(const KernelParams& kernel, const SoaLeafBlocks& soa,
                       uint32_t begin, uint32_t end, const double* q) {
-  switch (soa.dims()) {
-    case 2:
-      return LeafAggregateImpl<O, 2>(kernel, soa, begin, end, q);
-    case 3:
-      return LeafAggregateImpl<O, 3>(kernel, soa, begin, end, q);
-    case 4:
-      return LeafAggregateImpl<O, 4>(kernel, soa, begin, end, q);
-    case 8:
-      return LeafAggregateImpl<O, 8>(kernel, soa, begin, end, q);
-    case 16:
-      return LeafAggregateImpl<O, 16>(kernel, soa, begin, end, q);
-    case 18:
-      return LeafAggregateImpl<O, 18>(kernel, soa, begin, end, q);
-    case 28:
-      return LeafAggregateImpl<O, 28>(kernel, soa, begin, end, q);
-    case 32:
-      return LeafAggregateImpl<O, 32>(kernel, soa, begin, end, q);
-    case 64:
-      return LeafAggregateImpl<O, 64>(kernel, soa, begin, end, q);
-    default:
-      return LeafAggregateImpl<O, -1>(kernel, soa, begin, end, q);
+  switch (kernel.type) {
+    case KernelType::kGaussian:
+      return LeafAggregateDims<O, KernelType::kGaussian>(kernel, soa, begin,
+                                                         end, q);
+    case KernelType::kLaplacian:
+      return LeafAggregateDims<O, KernelType::kLaplacian>(kernel, soa, begin,
+                                                          end, q);
+    case KernelType::kCauchy:
+      return LeafAggregateDims<O, KernelType::kCauchy>(kernel, soa, begin,
+                                                       end, q);
+    case KernelType::kPolynomial:
+      return LeafAggregateDims<O, KernelType::kPolynomial>(kernel, soa, begin,
+                                                           end, q);
+    case KernelType::kSigmoid:
+      return LeafAggregateDims<O, KernelType::kSigmoid>(kernel, soa, begin,
+                                                        end, q);
   }
+  return 0.0;
 }
 
 // Dot product: two independent accumulators hide FMA latency; the < one
@@ -354,11 +394,113 @@ NodeGeometry BoxGeometryN(const double* lower, const double* upper,
   }
   if (j < d) {
     const size_t n = d - j;
-    step(O::LoadN(lower + j, n), O::LoadN(upper + j, n), O::LoadN(a + j, n),
-         O::LoadN(q + j, n));
+    step(O::LoadLanes(lower + j, 0, n), O::LoadLanes(upper + j, 0, n),
+         O::LoadLanes(a + j, 0, n), O::LoadLanes(q + j, 0, n));
   }
   return {O::ReduceAdd(min_acc), O::ReduceAdd(max_acc),
           O::ReduceAdd(dot_acc)};
+}
+
+// Gaussian KARL bounds of N ∈ {1, 2} kd boxes (see KarlGaussianBoxBounds
+// in simd.h). Box i only ever meets box i's accumulators and lanes, so
+// each box's interval is the same whether it is bounded alone or with a
+// sibling: the geometry is BoxGeometryN's pass per box, sharing only the
+// loads of q, and the exp arguments are packed four lanes per box,
+// [−x_lo, −x_hi, −t_opt, 0], so the six exps of a pair take one AVX-512
+// vector exp or two AVX2 ones.
+//
+// Around the exps, the bounds are ScalarKarlGaussianBounds' chord and
+// tangent (simd.cc), rearranged so that every division runs before the
+// exp and only a multiply-add follows it:
+//   chord    m·X + c·w = w·f(x_lo) + (f(x_hi) − f(x_lo))·β,
+//            β = (X − w·x_lo) / (x_hi − x_lo) ∈ [0, w];
+//   tangent  −e·X + (1 + t)·e·w = e·γ,  e = f(t),  γ = w·(1 + t) − X.
+// The chord form is also the better conditioned one: for a narrow
+// interval, β's rounding is scaled by f(x_hi) − f(x_lo) ≈ 0.
+template <typename O, size_t N>
+void KarlGaussianBoxBoundsImpl(const double* q, size_t d, double q_sqnorm,
+                               double scale, const KdBoxSummary* boxes,
+                               NodeInterval* out) {
+  using V = typename O::Vec;
+  constexpr size_t W = O::kLanes;
+  const V zero = O::Zero();
+  V min_acc[N] = {}, max_acc[N] = {}, dot_acc[N] = {};
+  const auto step = [&](size_t i, V l, V u, V av, V qv) {
+    const V near = O::Max(O::Max(zero, O::Sub(l, qv)), O::Sub(qv, u));
+    const V far = O::Max(O::Sub(qv, l), O::Sub(u, qv));
+    min_acc[i] = O::Fma(near, near, min_acc[i]);
+    max_acc[i] = O::Fma(far, far, max_acc[i]);
+    dot_acc[i] = O::Fma(qv, av, dot_acc[i]);
+  };
+  size_t j = 0;
+  for (; j + W <= d; j += W) {
+    const V qv = O::Load(q + j);
+#pragma GCC unroll 2
+    for (size_t i = 0; i < N; ++i) {
+      step(i, O::Load(boxes[i].lower + j), O::Load(boxes[i].upper + j),
+           O::Load(boxes[i].a + j), qv);
+    }
+  }
+  if (j < d) {
+    const size_t n = d - j;
+    const V qv = O::LoadLanes(q + j, 0, n);
+#pragma GCC unroll 2
+    for (size_t i = 0; i < N; ++i) {
+      step(i, O::LoadLanes(boxes[i].lower + j, 0, n),
+           O::LoadLanes(boxes[i].upper + j, 0, n),
+           O::LoadLanes(boxes[i].a + j, 0, n), qv);
+    }
+  }
+
+  // The exp arguments, four lanes per box, overwritten by their exps.
+  constexpr size_t kVecs = (4 * N + W - 1) / W;
+  alignas(64) double lanes[kVecs * W] = {};
+  bool degenerate[N] = {};
+  double beta[N] = {}, gamma[N] = {};
+#pragma GCC unroll 2
+  for (size_t i = 0; i < N; ++i) {
+    const double w = boxes[i].w;
+    const double x_lo = scale * O::ReduceAdd(min_acc[i]);
+    const double x_hi = scale * O::ReduceAdd(max_acc[i]);
+    const double sum_x = util::Clamp(
+        scale * (w * q_sqnorm - 2.0 * O::ReduceAdd(dot_acc[i]) + boxes[i].b),
+        w * x_lo, w * x_hi);
+    const double t_opt = util::Clamp(sum_x / w, x_lo, x_hi);
+    degenerate[i] = x_hi - x_lo < kDegenerateInterval;
+    beta[i] = degenerate[i] ? 0.0 : (sum_x - w * x_lo) / (x_hi - x_lo);
+    gamma[i] = w * (1.0 + t_opt) - sum_x;
+    lanes[4 * i] = -x_lo;
+    lanes[4 * i + 1] = -x_hi;
+    lanes[4 * i + 2] = -t_opt;
+  }
+#pragma GCC unroll 2
+  for (size_t v = 0; v < kVecs; ++v) {
+    O::Store(lanes + v * W, VExp<O>(O::FromLanes(lanes + v * W)));
+  }
+#pragma GCC unroll 2
+  for (size_t i = 0; i < N; ++i) {
+    const double w = boxes[i].w;
+    const double flo = lanes[4 * i];
+    const double fhi = lanes[4 * i + 1];
+    if (degenerate[i]) {
+      // Numerically constant profile over the node.
+      out[i] = {w * fhi, w * flo};
+    } else {
+      const double ub = w * flo + (fhi - flo) * beta[i];
+      out[i] = {std::min(std::max(0.0, lanes[4 * i + 2] * gamma[i]), ub), ub};
+    }
+  }
+}
+
+template <typename O>
+void KarlGaussianBoxBoundsN(const double* q, size_t d, double q_sqnorm,
+                            double scale, const KdBoxSummary* boxes,
+                            size_t count, NodeInterval* out) {
+  if (count == 2) {
+    KarlGaussianBoxBoundsImpl<O, 2>(q, d, q_sqnorm, scale, boxes, out);
+  } else {
+    KarlGaussianBoxBoundsImpl<O, 1>(q, d, q_sqnorm, scale, boxes, out);
+  }
 }
 
 template <typename O>

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdlib>
 
+#include "core/bounds.h"
 #include "util/check.h"
 #include "util/math_util.h"
 
@@ -50,9 +51,20 @@ NodeGeometry ScalarBoxGeometry(const double* lower, const double* upper,
   return g;
 }
 
-constexpr internal::Ops kScalarOps = {ScalarDot, ScalarSqnorm,
-                                      ScalarLeafAggregate, ScalarExpBlock,
-                                      ScalarBoxGeometry};
+void ScalarKarlGaussianBoxBounds(const double* q, size_t d, double q_sqnorm,
+                                 double scale, const KdBoxSummary* boxes,
+                                 size_t count, NodeInterval* out) {
+  for (size_t i = 0; i < count; ++i) {
+    const KdBoxSummary& box = boxes[i];
+    out[i] = ScalarKarlGaussianBounds(
+        ScalarBoxGeometry(box.lower, box.upper, box.a, q, d), box.w, box.b,
+        q_sqnorm, scale);
+  }
+}
+
+constexpr internal::Ops kScalarOps = {
+    ScalarDot,         ScalarSqnorm,      ScalarLeafAggregate,
+    ScalarExpBlock,    ScalarBoxGeometry, ScalarKarlGaussianBoxBounds};
 
 const internal::Ops& OpsForTier(Tier tier) {
   switch (tier) {
@@ -118,6 +130,30 @@ double ScalarLeafAggregate(const KernelParams& kernel,
     acc.Add(soa.WeightAt(i) * value);
   }
   return acc.Total();
+}
+
+NodeInterval ScalarKarlGaussianBounds(const NodeGeometry& g, double w,
+                                      double b, double q_sqnorm,
+                                      double scale) {
+  const double x_lo = scale * g.min_sq;
+  const double x_hi = scale * g.max_sq;
+  NodeInterval out;
+  if (x_hi - x_lo < kDegenerateInterval) {
+    // Numerically constant profile over the node.
+    out.lb = w * std::exp(-x_hi);
+    out.ub = w * std::exp(-x_lo);
+    return out;
+  }
+  // X = Σ w_i·x_i = s·(w_P‖q‖² − 2 q·a_P + b_P)  (Lemma 2/5), clamped
+  // into its mathematically feasible range for numerical robustness.
+  const double sum_x = util::Clamp(scale * (w * q_sqnorm - 2.0 * g.q_dot_a + b),
+                                   w * x_lo, w * x_hi);
+  const LinearFn chord = ExpChord(x_lo, x_hi);
+  out.ub = chord.m * sum_x + chord.c * w;
+  // Optimal tangent point (Theorem 1): the weighted mean of the x_i.
+  const LinearFn tangent = ExpTangent(util::Clamp(sum_x / w, x_lo, x_hi));
+  out.lb = std::min(std::max(0.0, tangent.m * sum_x + tangent.c * w), out.ub);
+  return out;
 }
 
 namespace internal {

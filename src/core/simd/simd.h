@@ -1,7 +1,8 @@
 // Runtime-dispatched SIMD kernels for the evaluator hot path: the O(d)
 // node geometry of each bound (kd-box distances and the dot product
-// against the node summary), and the exact leaf kernel sums over the
-// blocked SoA layout (soa_block.h).
+// against the node summary), the whole Gaussian KARL bound of one or two
+// kd boxes, and the exact leaf kernel sums over the blocked SoA layout
+// (soa_block.h).
 //
 // Three tiers — scalar / AVX2+FMA / AVX-512F — selected once per process
 // by CPUID, overridable via the KARL_SIMD environment variable
@@ -66,6 +67,11 @@ inline constexpr double kDotRelTolerance = 1e-12;
 inline constexpr int kVectorExpUlpBound = 4;
 inline constexpr double kVectorExpUnderflowAbs = 1e-307;
 
+/// Below this profile-argument interval width a node's profile is
+/// numerically constant, and the linear bound constructions would divide
+/// by ~0: the bounds fall back to the profile at the interval's ends.
+inline constexpr double kDegenerateInterval = 1e-12;
+
 /// Human-readable tier name ("scalar" / "avx2" / "avx512").
 std::string_view TierName(Tier tier);
 
@@ -104,6 +110,23 @@ struct NodeGeometry {
   double q_dot_a = 0.0;
 };
 
+/// One kd node as the Gaussian KARL bound reads it: its box corners, and
+/// its summary a_P = Σ wᵢ·pᵢ (d values each), w_P = Σ wᵢ and
+/// b_P = Σ wᵢ·‖pᵢ‖².
+struct KdBoxSummary {
+  const double* lower = nullptr;
+  const double* upper = nullptr;
+  const double* a = nullptr;
+  double w = 0.0;
+  double b = 0.0;
+};
+
+/// Bounds [lb, ub] of one node's kernel aggregate.
+struct NodeInterval {
+  double lb = 0.0;
+  double ub = 0.0;
+};
+
 namespace internal {
 
 /// Per-tier implementation table. One instance per compiled tier;
@@ -118,6 +141,10 @@ struct Ops {
   void (*exp_block)(const double* in, double* out, size_t n);
   NodeGeometry (*box_geometry)(const double* lower, const double* upper,
                                const double* a, const double* q, size_t d);
+  void (*karl_gaussian_box_bounds)(const double* q, size_t d,
+                                   double q_sqnorm, double scale,
+                                   const KdBoxSummary* boxes, size_t count,
+                                   NodeInterval* out);
 };
 
 /// Defined in kernels_avx2.cc / kernels_avx512.cc; null when that
@@ -170,6 +197,35 @@ inline NodeGeometry BoxGeometry(std::span<const double> lower,
   return internal::ActiveOps().box_geometry(lower.data(), upper.data(),
                                             a.data(), q.data(), q.size());
 }
+
+/// The Gaussian KARL bounds of `boxes.size()` ∈ {1, 2} kd nodes of one
+/// tree under the active tier, into out[0 .. boxes.size()): the chord of
+/// exp(−x) above and its tangent at the optimal point t_opt = X / w_P
+/// below, each aggregated through the node summary (paper Lemma 2/5,
+/// Theorem 1), with x = scale·dist² and q_sqnorm = ‖q‖².
+///
+/// A box's interval never depends on the other box: in every tier a
+/// 2-box call returns bit for bit what two 1-box calls return. The scalar
+/// tier runs BoxGeometry and ScalarKarlGaussianBounds per box. The vector
+/// tiers run both boxes' geometry in one pass and their six exps (both
+/// chord ends and the tangent point, per box) through one vector exp.
+inline void KarlGaussianBoxBounds(std::span<const double> q, double q_sqnorm,
+                                  double scale,
+                                  std::span<const KdBoxSummary> boxes,
+                                  NodeInterval* out) {
+  KARL_DCHECK(boxes.size() == 1 || boxes.size() == 2)
+      << ": KarlGaussianBoxBounds of " << boxes.size() << " boxes";
+  internal::ActiveOps().karl_gaussian_box_bounds(
+      q.data(), q.size(), q_sqnorm, scale, boxes.data(), boxes.size(), out);
+}
+
+/// The scalar Gaussian KARL bound arithmetic of one node from its
+/// geometry `g` and summary (w_P, b_P), whatever the active tier: the
+/// scalar tier of KarlGaussianBoxBounds, and the ball-tree path of the
+/// Gaussian KARL bound. Uses std::exp (through ExpChord / ExpTangent).
+NodeInterval ScalarKarlGaussianBounds(const NodeGeometry& g, double w,
+                                      double b, double q_sqnorm,
+                                      double scale);
 
 /// Σ wᵢ·K(q, pᵢ) over SoA rows [begin, end) under the active tier.
 /// Scalar tier is ScalarLeafAggregate.

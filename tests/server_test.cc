@@ -989,6 +989,12 @@ TEST_F(ServerTest, AccessLogAttributesShedAndAdmittedDispositions) {
   access_options.ndjson = true;
   auto access_log = util::Logger::Open(access_path, access_options);
   ASSERT_TRUE(access_log.ok()) << access_log.status().ToString();
+  // The server writes to `access_log` until it stops, so it must go
+  // first on every way out of this test, an ASSERT's early return too.
+  struct StopServerFirst {
+    std::unique_ptr<Server>& server;
+    ~StopServerFirst() { server.reset(); }
+  } stop_server_first{server_};
 
   ServerOptions options;
   options.access_log = access_log.value().get();
@@ -1014,10 +1020,13 @@ TEST_F(ServerTest, AccessLogAttributesShedAndAdmittedDispositions) {
   ASSERT_TRUE(client.SendLine(burst).ok());
   size_t shed = 0;
   for (size_t i = 0; i < total; ++i) {
-    if (i == 0) server_->ResumeCoalescerForTest();
     auto line = client.ReceiveLine();
     ASSERT_TRUE(line.ok()) << line.status().ToString();
     if (line.value().find("overloaded") != std::string::npos) ++shed;
+    // The first reply arrives while the coalescer is still paused, so it
+    // is a shed error: no admitted request can be answered before this
+    // resume, and none can drain to make room for a later line.
+    if (i == 0) server_->ResumeCoalescerForTest();
   }
   ASSERT_GT(shed, 0u);
   server_->Shutdown();

@@ -9,6 +9,10 @@
 //  * vector Dot/SquaredNorm and the kd-box geometry pass within
 //    kDotRelTolerance, and the scalar geometry pass bit-equal to the box
 //    loop it replaced;
+//  * the fused Gaussian KARL box bounds: a 2-box call bit-equal to two
+//    1-box calls in every tier, the scalar tier bit-equal to the
+//    NodeBounds arithmetic it replaced, the vector tiers near scalar, and
+//    every tier enclosing the exact node aggregate;
 //  * the vector exp within kVectorExpUlpBound ULPs of std::exp;
 //  * dispatch: tier parsing/forcing, loud failure on invalid values,
 //    and the karl_simd_tier gauge.
@@ -25,14 +29,18 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
+#include <memory>
 #include <string>
 #include <vector>
 
+#include "core/bounds.h"
 #include "core/karl.h"
 #include "core/kernel.h"
 #include "core/simd/soa_block.h"
 #include "data/matrix.h"
 #include "data/synthetic.h"
+#include "index/kd_tree.h"
 #include "telemetry/metrics.h"
 #include "util/math_util.h"
 #include "util/rng.h"
@@ -336,6 +344,242 @@ TEST(SimdGeometryTest, BoxGeometryMatchesLegacyBoxLoopAndDot) {
             << simd::TierName(tier) << " d=" << d << " t" << trial;
       }
     }
+  }
+}
+
+// Every leaf range of a 5-block point set: each (begin mod 8, end mod 8)
+// pair, ranges inside one block and single points, so the head and tail
+// lane masks of the vector loops meet every lane split.
+TEST(SimdDifferentialTest, LeafMasksCoverEveryRangeAlignment) {
+  constexpr uint32_t kRows = 40;
+  for (const size_t d : {size_t{3}, size_t{10}, size_t{16}}) {
+    util::Rng rng(777 + static_cast<uint64_t>(d));
+    const data::Matrix pts = RandomMatrix(kRows, d, rng);
+    for (const int weighting : {2, 3}) {
+      const auto weights = WeightsForType(weighting, kRows, rng);
+      SoaLeafBlocks soa;
+      soa.Build(pts, weights);
+      std::vector<double> q(d);
+      for (auto& v : q) v = rng.Uniform(-1.0, 1.0);
+      for (const KernelParams& kernel : KernelsForDim(d)) {
+        for (uint32_t begin = 0; begin < kRows; ++begin) {
+          for (uint32_t end = begin + 1; end <= kRows; ++end) {
+            const double scalar =
+                simd::ScalarLeafAggregate(kernel, soa, begin, end, q.data());
+            const double mass = AbsMass(kernel, pts, weights, begin, end, q);
+            for (const Tier tier : SupportedTiers()) {
+              TierGuard guard;
+              simd::ForceTier(tier);
+              const double vec =
+                  simd::LeafAggregate(kernel, soa, begin, end, q);
+              ASSERT_LE(std::abs(vec - scalar),
+                        simd::kLeafSumRelTolerance * mass)
+                  << simd::TierName(tier) << " "
+                  << core::KernelTypeToString(kernel.type) << " w"
+                  << weighting << " d=" << d << " [" << begin << "," << end
+                  << ") scalar=" << scalar << " vec=" << vec;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+// ---------------------------------------------------------------------
+// Fused Gaussian KARL box bounds (KarlGaussianBoxBounds) against the
+// NodeBounds arithmetic they replaced and the exact node aggregates.
+// ---------------------------------------------------------------------
+
+// The Gaussian branch of KarlDistanceBounds::NodeBounds before the fused
+// op, verbatim from the node geometry on. The scalar tier must reproduce
+// it bit for bit.
+simd::NodeInterval LegacyGaussianNodeBounds(const KernelParams& params,
+                                            const simd::NodeGeometry& g,
+                                            double w, double b,
+                                            double q_sqnorm, double scale) {
+  simd::NodeInterval out;
+  const double x_lo = scale * g.min_sq;
+  const double x_hi = scale * g.max_sq;
+  if (x_hi - x_lo < 1e-12) {
+    out.lb = w * core::KernelProfile(params, x_hi);
+    out.ub = w * core::KernelProfile(params, x_lo);
+    return out;
+  }
+  const double sum_x =
+      util::Clamp(scale * (w * q_sqnorm - 2.0 * g.q_dot_a + b), w * x_lo,
+                  w * x_hi);
+  const core::LinearFn chord = core::ExpChord(x_lo, x_hi);
+  out.ub = chord.m * sum_x + chord.c * w;
+  double t_opt = util::Clamp(sum_x / w, x_lo, x_hi);
+  const core::LinearFn tangent = core::ExpTangent(t_opt);
+  out.lb = std::max(0.0, tangent.m * sum_x + tangent.c * w);
+  out.lb = std::min(out.lb, out.ub);
+  return out;
+}
+
+// |vector − scalar| allowance for one box's bounds, from what perturbs
+// them: the vector exp (kVectorExpUlpBound) and the reordered geometry
+// sums (kDotRelTolerance of each sum's absolute mass) move every exp by
+// a relative `rel`; the chord and tangent terms reach w·f(x_lo)·(1 + x_hi),
+// and the scalar chord's intercept divides its rounding by the interval
+// width (near-degenerate boxes are ill-conditioned in the oracle itself).
+double BoxBoundTolerance(const simd::NodeGeometry& g, double dot_mass,
+                         double w, double b, double q_sqnorm, double scale) {
+  const double x_lo = scale * g.min_sq;
+  const double x_hi = scale * g.max_sq;
+  const double width = std::max(x_hi - x_lo, simd::kDegenerateInterval);
+  const double rel =
+      simd::kVectorExpUlpBound * std::numeric_limits<double>::epsilon() +
+      simd::kDotRelTolerance * scale *
+          (g.min_sq + g.max_sq + (w * q_sqnorm + 2.0 * dot_mass + b) / w);
+  return 8.0 * rel * w * std::exp(-x_lo) * (1.0 + x_hi) *
+         (1.0 + x_hi / width);
+}
+
+uint64_t Bits(double v) { return std::bit_cast<uint64_t>(v); }
+
+// Point sets whose kd boxes take every shape the op must handle: spread
+// boxes, boxes flat in some dimensions or in all (lattice points and
+// duplicates), and boxes so small that x_hi − x_lo < kDegenerateInterval.
+std::vector<data::Matrix> BoxTestPointSets(size_t d, util::Rng& rng) {
+  constexpr size_t kN = 64;
+  data::Matrix spread = RandomMatrix(kN, d, rng);
+  data::Matrix lattice(kN, d);
+  data::Matrix tiny(kN, d);
+  for (size_t i = 0; i < kN; ++i) {
+    for (size_t j = 0; j < d; ++j) {
+      lattice.MutableRow(i)[j] =
+          0.5 * static_cast<double>(static_cast<int>(rng.Uniform(0.0, 3.0)));
+      tiny.MutableRow(i)[j] = 0.25 + rng.Uniform(0.0, 1e-15);
+    }
+  }
+  return {std::move(spread), std::move(lattice), std::move(tiny)};
+}
+
+// Queries inside the root box, on its faces, beyond them, and a mix per
+// dimension.
+std::vector<std::vector<double>> BoxTestQueries(const index::TreeIndex& tree,
+                                                const data::Matrix& pts,
+                                                util::Rng& rng) {
+  const size_t d = pts.cols();
+  const auto lower = tree.region_data_a().subspan(0, d);
+  const auto upper = tree.region_data_b().subspan(0, d);
+  const auto row = pts.Row(pts.rows() / 2);
+  std::vector<std::vector<double>> qs = {
+      {row.begin(), row.end()},
+      {lower.begin(), lower.end()},
+      {upper.begin(), upper.end()},
+  };
+  std::vector<double> beyond(d), mixed(d);
+  for (size_t j = 0; j < d; ++j) {
+    beyond[j] = upper[j] + 1.5;
+    switch (static_cast<int>(rng.Uniform(0.0, 4.0))) {
+      case 0:
+        mixed[j] = lower[j] - rng.Uniform(0.0, 2.0);
+        break;
+      case 1:
+        mixed[j] = upper[j] + rng.Uniform(0.0, 2.0);
+        break;
+      case 2:
+        mixed[j] = lower[j];
+        break;
+      default:
+        mixed[j] = rng.Uniform(lower[j], upper[j]);
+        break;
+    }
+  }
+  qs.push_back(beyond);
+  qs.push_back(mixed);
+  return qs;
+}
+
+TEST(SimdBoxBoundsTest, PairsMatchSinglesScalarMatchesLegacyAndBoundsHold) {
+  const std::vector<Tier> tiers = SupportedTiers();
+  util::Rng rng(909);
+  for (const size_t d : {size_t{1}, size_t{2}, size_t{3}, size_t{7},
+                         size_t{8}, size_t{9}, size_t{10}, size_t{16},
+                         size_t{33}, size_t{50}, size_t{54}, size_t{100}}) {
+    const KernelParams kernel = KernelsForDim(d)[0];
+    ASSERT_EQ(kernel.type, KernelType::kGaussian);
+    const double scale = core::DistanceArgScale(kernel);
+    size_t degenerate_boxes = 0;
+    for (const data::Matrix& pts : BoxTestPointSets(d, rng)) {
+      const auto weights = WeightsForType(2, pts.rows(), rng);
+      const auto tree = index::KdTree::Build(pts, weights, 2).ValueOrDie();
+      const auto box = [&](index::NodeId id) {
+        const size_t off = static_cast<size_t>(id) * d;
+        return simd::KdBoxSummary{tree->region_data_a().data() + off,
+                                  tree->region_data_b().data() + off,
+                                  tree->weighted_point_sum(id).data(),
+                                  tree->weight_sum(id),
+                                  tree->weighted_sqnorm_sum(id)};
+      };
+      for (const auto& q : BoxTestQueries(*tree, pts, rng)) {
+        const double qq = util::SquaredNorm(q);
+        for (size_t id = 0; id < tree->num_nodes(); ++id) {
+          const auto& nd = tree->node(id);
+          if (nd.is_leaf()) continue;
+          const simd::KdBoxSummary pair[2] = {box(nd.left), box(nd.right)};
+          simd::NodeInterval scalar[2];
+          simd::NodeGeometry geometry[2];
+          double dot_mass[2] = {0.0, 0.0};
+          {
+            TierGuard guard;
+            simd::ForceTier(Tier::kScalar);
+            simd::KarlGaussianBoxBounds(q, qq, scale, pair, scalar);
+            for (int i = 0; i < 2; ++i) {
+              geometry[i] = simd::BoxGeometry({pair[i].lower, d},
+                                              {pair[i].upper, d},
+                                              {pair[i].a, d}, q);
+              for (size_t j = 0; j < d; ++j) {
+                dot_mass[i] += std::abs(q[j] * pair[i].a[j]);
+              }
+              const simd::NodeInterval legacy = LegacyGaussianNodeBounds(
+                  kernel, geometry[i], pair[i].w, pair[i].b, qq, scale);
+              EXPECT_EQ(Bits(scalar[i].lb), Bits(legacy.lb))
+                  << "d=" << d << " node=" << id << " child " << i;
+              EXPECT_EQ(Bits(scalar[i].ub), Bits(legacy.ub))
+                  << "d=" << d << " node=" << id << " child " << i;
+              if (scale * (geometry[i].max_sq - geometry[i].min_sq) <
+                  simd::kDegenerateInterval) {
+                ++degenerate_boxes;
+              }
+            }
+          }
+          for (const Tier tier : tiers) {
+            TierGuard guard;
+            simd::ForceTier(tier);
+            simd::NodeInterval both[2], alone[2];
+            simd::KarlGaussianBoxBounds(q, qq, scale, pair, both);
+            simd::KarlGaussianBoxBounds(q, qq, scale, {&pair[0], 1},
+                                        &alone[0]);
+            simd::KarlGaussianBoxBounds(q, qq, scale, {&pair[1], 1},
+                                        &alone[1]);
+            for (int i = 0; i < 2; ++i) {
+              const index::NodeId child = i == 0 ? nd.left : nd.right;
+              const std::string where =
+                  std::string(simd::TierName(tier)) + " d=" +
+                  std::to_string(d) + " node=" + std::to_string(child);
+              EXPECT_EQ(Bits(both[i].lb), Bits(alone[i].lb)) << where;
+              EXPECT_EQ(Bits(both[i].ub), Bits(alone[i].ub)) << where;
+              const double tol = BoxBoundTolerance(
+                  geometry[i], dot_mass[i], pair[i].w, pair[i].b, qq, scale);
+              EXPECT_LE(std::abs(both[i].lb - scalar[i].lb), tol) << where;
+              EXPECT_LE(std::abs(both[i].ub - scalar[i].ub), tol) << where;
+              const double exact =
+                  core::ExactNodeAggregate(kernel, *tree, child, q);
+              const double slack = 1e-7 * (1.0 + std::abs(exact));
+              EXPECT_LE(both[i].lb, exact + slack) << where;
+              EXPECT_GE(both[i].ub, exact - slack) << where;
+              EXPECT_LE(both[i].lb, both[i].ub) << where;
+            }
+          }
+        }
+      }
+    }
+    // The lattice and tiny point sets must reach the degenerate branch.
+    EXPECT_GT(degenerate_boxes, 0u) << "d=" << d;
   }
 }
 
