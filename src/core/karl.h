@@ -66,7 +66,7 @@ struct EngineOptions {
 #endif
   /// Telemetry sinks, forwarded to the evaluator and also fed by
   /// Engine::Build itself (build time, index memory, weighting-type
-  /// counts). Non-owning, runtime-only — engine_io does not serialize
+  /// counts). Non-owning, runtime-only — snapshots do not serialize
   /// them — and null disables instrumentation entirely.
   telemetry::Registry* metrics = nullptr;
   telemetry::TraceRecorder* tracer = nullptr;

@@ -2,11 +2,9 @@
 
 #include <algorithm>
 #include <filesystem>
-#include <fstream>
 #include <system_error>
 #include <utility>
 
-#include "core/engine_io.h"
 #include "telemetry/metrics.h"
 #include "util/stopwatch.h"
 
@@ -15,20 +13,6 @@ namespace karl::registry {
 namespace {
 
 namespace fs = std::filesystem;
-
-// Artifact kinds a registry entry can point at, decided by file magic
-// (not extension) so --model works with any filename.
-enum class ArtifactKind { kSnapshot, kLegacy, kUnknown };
-
-ArtifactKind SniffKind(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  char magic[4] = {};
-  in.read(magic, sizeof(magic));
-  if (!in.good()) return ArtifactKind::kUnknown;
-  if (std::string_view(magic, 4) == "KSNP") return ArtifactKind::kSnapshot;
-  if (std::string_view(magic, 4) == "KARL") return ArtifactKind::kLegacy;
-  return ArtifactKind::kUnknown;
-}
 
 // Model name of a scanned file: the stem ("home.snap" → "home").
 std::string StemName(const fs::path& path) { return path.stem().string(); }
@@ -68,8 +52,7 @@ util::Status ModelRegistry::ScanDir(
   for (const auto& dirent : it) {
     if (!dirent.is_regular_file(ec)) continue;
     const fs::path& p = dirent.path();
-    const std::string ext = p.extension().string();
-    if (ext != ".snap" && ext != ".bin") continue;
+    if (p.extension() != ".snap") continue;
     const std::string name = StemName(p);
     if (name.empty()) continue;
     Entry entry;
@@ -77,13 +60,6 @@ util::Status ModelRegistry::ScanDir(
     entry.from_scan = true;
     entry.file_bytes = static_cast<uint64_t>(fs::file_size(p, ec));
     entry.mtime_ns = MtimeNanos(p, ec);
-    // Same stem in both formats: the snapshot wins (it is the compiled
-    // artifact of the .bin next to it).
-    auto existing = found->find(name);
-    if (existing != found->end() &&
-        fs::path(existing->second.path).extension() == ".snap") {
-      continue;
-    }
     (*found)[name] = std::move(entry);
   }
   return util::Status::OK();
@@ -167,33 +143,12 @@ util::Result<ModelHandle> ModelRegistry::LoadEntry(const std::string& name,
   util::Stopwatch timer;
   std::shared_ptr<LoadedModel> loaded(new LoadedModel());
   LoadedModel* model = loaded.get();
-  const ArtifactKind kind = SniffKind(entry->path);
-  if (kind == ArtifactKind::kSnapshot) {
-    auto snapshot = MappedSnapshot::Map(entry->path);
-    if (!snapshot.ok()) return snapshot.status();
-    model->snapshot_.emplace(std::move(snapshot).ValueOrDie());
-    auto engine = AttachEngine(*model->snapshot_, options_.metrics, nullptr);
-    if (!engine.ok()) return engine.status();
-    model->engine_ =
-        std::make_unique<Engine>(std::move(engine).ValueOrDie());
-  } else if (kind == ArtifactKind::kLegacy) {
-    auto legacy = core::LoadEngineModel(entry->path);
-    if (!legacy.ok()) return legacy.status();
-    EngineOptions options = legacy.value().options;
-    options.metrics = options_.metrics;
-    auto engine = Engine::Build(legacy.value().points,
-                                legacy.value().weights, options);
-    if (!engine.ok()) {
-      return util::Status(engine.status().code(),
-                          entry->path + ": " + engine.status().message());
-    }
-    model->engine_ =
-        std::make_unique<Engine>(std::move(engine).ValueOrDie());
-  } else {
-    return util::Status::InvalidArgument(
-        "model file " + entry->path +
-        " is neither a KARL snapshot nor a legacy engine model");
-  }
+  auto snapshot = MappedSnapshot::Map(entry->path);
+  if (!snapshot.ok()) return snapshot.status();
+  model->snapshot_.emplace(std::move(snapshot).ValueOrDie());
+  auto engine = AttachEngine(*model->snapshot_, options_.metrics, nullptr);
+  if (!engine.ok()) return engine.status();
+  model->engine_ = std::make_unique<Engine>(std::move(engine).ValueOrDie());
   model->resident_bytes_ = model->engine_->MemoryUsageBytes();
   model->coldstart_us_ =
       static_cast<uint64_t>(timer.ElapsedSeconds() * 1e6);
@@ -214,7 +169,6 @@ util::Result<ModelHandle> ModelRegistry::LoadEntry(const std::string& name,
   util::Log(options_.logger, util::LogLevel::kInfo, "model_load",
             {{"model", name},
              {"path", entry->path},
-             {"mmap", kind == ArtifactKind::kSnapshot},
              {"coldstart_us", model->coldstart_us_},
              {"resident_bytes",
               static_cast<uint64_t>(model->resident_bytes_)}});

@@ -1,11 +1,11 @@
 // Multi-model serving registry: named models, lazy mmap, LRU eviction.
 //
-// A ModelRegistry maps model names to on-disk artifacts (mmap snapshots,
-// registry/snapshot.h, or legacy engine-model files, core/engine_io.h)
-// and serves refcounted engine handles to the query path:
+// A ModelRegistry maps model names to mmap snapshot files
+// (registry/snapshot.h, the only persisted engine format) and serves
+// refcounted engine handles to the query path:
 //
-//   * Lazy residency — a model is mapped/built on first Acquire, not at
-//     scan time. Cold-start latency is recorded per model.
+//   * Lazy residency — a model is mapped and attached on first Acquire,
+//     not at scan time. Cold-start latency is recorded per model.
 //   * Pinning — Acquire returns a shared_ptr handle; a model's mapping
 //     is released only when the registry entry drops it AND every
 //     in-flight query handle is gone, so eviction never unmaps memory a
@@ -65,9 +65,9 @@ class LoadedModel {
   }
   /// Bytes this model keeps resident (mapped sections + derived heap).
   size_t resident_bytes() const { return resident_bytes_; }
-  /// Load latency (mmap+attach or parse+build), microseconds.
+  /// Load latency (mmap + attach), microseconds.
   uint64_t coldstart_us() const { return coldstart_us_; }
-  /// True when backed by an mmap snapshot (false: legacy build/adopted).
+  /// True when backed by an mmap snapshot (false: adopted).
   bool mmap_backed() const { return snapshot_.has_value(); }
 
  private:
@@ -108,14 +108,15 @@ struct ModelInfo {
 /// See file comment.
 class ModelRegistry {
  public:
-  /// Opens a registry over `model_dir` (scanned for *.snap and *.bin;
-  /// empty string = no directory, models come from AddModelFile/
-  /// AdoptEngine). Fails if a named directory cannot be scanned.
+  /// Opens a registry over `model_dir` (scanned for *.snap; empty
+  /// string = no directory, models come from AddModelFile/AdoptEngine).
+  /// Fails if a named directory cannot be scanned.
   static util::Result<std::unique_ptr<ModelRegistry>> Open(
       const std::string& model_dir, const RegistryOptions& options);
 
-  /// Registers one explicit model file (legacy .bin or .snap) under
-  /// `name`. The file is stat-ed now, loaded on first Acquire.
+  /// Registers one explicit snapshot file (any extension) under `name`.
+  /// The file is stat-ed now, mapped on first Acquire; a file that is
+  /// not a snapshot fails that Acquire with an error naming its path.
   util::Status AddModelFile(const std::string& name,
                             const std::string& path) KARL_EXCLUDES(mu_);
 
@@ -176,7 +177,7 @@ class ModelRegistry {
   /// Scans model_dir_ into (name → path/stat); no table mutation.
   util::Status ScanDir(std::map<std::string, Entry>* found) const;
 
-  /// Loads entry's file into a fresh LoadedModel (snapshot or legacy).
+  /// Maps and attaches entry's snapshot into a fresh LoadedModel.
   util::Result<ModelHandle> LoadEntry(const std::string& name, Entry* entry)
       KARL_REQUIRES(mu_);
 

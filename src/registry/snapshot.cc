@@ -386,7 +386,18 @@ util::Result<MappedSnapshot> MappedSnapshot::Map(const std::string& path) {
   }
   const size_t bytes = static_cast<size_t>(st.st_size);
   if (bytes < kSnapshotHeaderBytes) {
+    // Too short for a header: a foreign file still fails as "not a
+    // snapshot", like every other file without the magic.
+    unsigned char magic[4] = {};
+    const bool has_magic =
+        ::pread(fd, magic, sizeof(magic), 0) ==
+            static_cast<ssize_t>(sizeof(magic)) &&
+        GetU32(magic, 0) == kSnapshotMagic;
     ::close(fd);
+    if (!has_magic) {
+      return util::Status::InvalidArgument(
+          "snapshot " + path + ": bad magic (not a KARL snapshot)");
+    }
     return util::Status::InvalidArgument(
         "truncated snapshot " + path + ": " + std::to_string(bytes) +
         " bytes is smaller than the header");

@@ -31,7 +31,7 @@
 // file size.
 //
 // Determinism and portability: index construction is deterministic, so
-// compile-snapshot produces identical bytes for identical inputs. The
+// `karl build` writes identical bytes for identical inputs. The
 // blocked layout is the same for every SIMD tier, so a snapshot written
 // on one tier loads on any other; answers are then subject to the
 // core/simd tolerance contract rather than bit-equality.
@@ -89,7 +89,9 @@ util::Status WriteSnapshot(const std::string& path, const Engine& engine);
 /// A validated, read-only mmap(2) of a snapshot file.
 ///
 /// Map() maps the file, verifies magic/version/size/checksum, and
-/// resolves the per-tree section views; every failure names the path.
+/// resolves the per-tree section views; every failure names the path,
+/// and any file that does not start with the magic — however short — is
+/// rejected as "not a KARL snapshot".
 /// The mapping (and therefore every engine attached over it) stays valid
 /// until destruction — including after the file is unlinked, per POSIX
 /// mmap semantics. Truncating a live snapshot file in place is NOT safe

@@ -271,26 +271,4 @@ util::Result<std::string> Client::Health() {
   return status.value()->string_value();
 }
 
-util::Result<std::string> Client::Metrics() {
-  auto response = Call(Json::Object().Set("op", Json::Str("metrics")));
-  if (!response.ok()) return response.status();
-  auto metrics = Field(response.value(), "metrics");
-  if (!metrics.ok()) return metrics.status();
-  if (!metrics.value()->is_string()) {
-    return util::Status::IOError("malformed \"metrics\" in server response");
-  }
-  return metrics.value()->string_value();
-}
-
-util::Result<std::string> Client::Statusz() {
-  auto response = Call(Json::Object().Set("op", Json::Str("statusz")));
-  if (!response.ok()) return response.status();
-  auto statusz = Field(response.value(), "statusz");
-  if (!statusz.ok()) return statusz.status();
-  if (!statusz.value()->is_object()) {
-    return util::Status::IOError("malformed \"statusz\" in server response");
-  }
-  return statusz.value()->Dump();
-}
-
 }  // namespace karl::server

@@ -54,13 +54,6 @@ class Client {
   /// Server status string ("serving" or "draining").
   util::Result<std::string> Health();
 
-  /// Prometheus text scraped from the server's registry.
-  util::Result<std::string> Metrics();
-
-  /// The server's statusz document (uptime, stage latency quantiles,
-  /// flight recorder) as serialized JSON.
-  util::Result<std::string> Statusz();
-
   /// Sends one raw line (a trailing '\n' is added when missing) without
   /// reading a response — the pipelining/testing escape hatch.
   util::Status SendLine(const std::string& line);

@@ -87,20 +87,11 @@ util::Result<Request> ParseRequest(std::string_view line) {
   const Json* op = root.Find("op");
   if (op == nullptr || !op->is_string()) {
     return BadRequest(
-        "missing \"op\" "
-        "(query|batch|explain|health|metrics|statusz|reload)");
+        "missing \"op\" (query|batch|explain|health|reload)");
   }
   const std::string& name = op->string_value();
   if (name == "health") {
     request.op = Request::Op::kHealth;
-    return request;
-  }
-  if (name == "metrics") {
-    request.op = Request::Op::kMetrics;
-    return request;
-  }
-  if (name == "statusz") {
-    request.op = Request::Op::kStatusz;
     return request;
   }
   if (name == "reload") {
@@ -150,7 +141,7 @@ util::Result<Request> ParseRequest(std::string_view line) {
     return request;
   }
   return BadRequest("unknown op '" + name +
-                    "' (query|batch|explain|health|metrics|statusz|reload)");
+                    "' (query|batch|explain|health|reload)");
 }
 
 std::string OkBoolResponse(const std::string& id, bool above) {
@@ -192,22 +183,6 @@ std::string OkStatusResponse(std::string_view status) {
                     .Set("ok", Json::Bool(true))
                     .Set("status", Json::Str(std::string(status))),
                 "");
-}
-
-std::string OkMetricsResponse(std::string_view prometheus_text) {
-  return Finish(Json::Object()
-                    .Set("ok", Json::Bool(true))
-                    .Set("metrics", Json::Str(std::string(prometheus_text))),
-                "");
-}
-
-std::string OkStatuszResponse(std::string_view statusz_object) {
-  // The status object is pre-rendered JSON (built by the server layer,
-  // which owns the flight recorder), so it is embedded, not escaped.
-  std::string out = "{\"ok\": true, \"statusz\": ";
-  out += statusz_object;
-  out += "}\n";
-  return out;
 }
 
 Json TraversalProfileJson(const core::TraversalProfile& profile) {

@@ -8,14 +8,13 @@
 //   {"op":"batch","kind":"ekaq","queries":[[...],[...]],"eps":E}
 //   {"op":"explain","kind":"tkaq","q":[...],"tau":T}
 //   {"op":"health"}
-//   {"op":"metrics"}
-//   {"op":"statusz"}
 //   {"op":"reload"}
 // Evaluation requests (query/batch/explain) accept an optional
 // "model":"<name>" field naming which registry model answers; omitted,
 // the server's default model serves the request. "reload" rescans the
 // model directory (registry/registry.h) — the request-path twin of
-// SIGHUP.
+// SIGHUP. Status beyond health (metrics, statusz, flight recorder)
+// is served by the HTTP admin plane (server/http_admin.h), not in-band.
 //
 // Responses always carry "ok". On success:
 //   tkaq:   {"ok":true,"above":true}            (batch: "above":[...])
@@ -27,10 +26,6 @@
 //           bound-convergence timeline; see TraversalProfileJson).
 //           kind=exact is rejected: a full scan has no traversal.
 //   health: {"ok":true,"status":"serving"}      (or "draining")
-//   metrics:{"ok":true,"metrics":"<Prometheus text, JSON-escaped>"}
-//   statusz:{"ok":true,"statusz":{...}}         (uptime, stage latency
-//           histograms, gauges, and the flight recorder's last-N
-//           completed requests; see Server::StatuszJson)
 //   reload: {"ok":true,"status":"reloaded"}
 // On failure: {"ok":false,"error":"<code>","detail":"..."} with codes
 // "bad_request", "not_found" (unknown model name), "overloaded",
@@ -66,15 +61,7 @@ std::string_view QueryKindToString(QueryKind kind);
 
 /// One parsed request line.
 struct Request {
-  enum class Op {
-    kQuery,
-    kBatch,
-    kExplain,
-    kHealth,
-    kMetrics,
-    kStatusz,
-    kReload
-  };
+  enum class Op { kQuery, kBatch, kExplain, kHealth, kReload };
 
   Op op = Op::kHealth;
   QueryKind kind = QueryKind::kTkaq;
@@ -103,10 +90,6 @@ std::string OkBoolsResponse(const std::string& id,
 std::string OkValuesResponse(const std::string& id,
                              const std::vector<double>& values);
 std::string OkStatusResponse(std::string_view status);
-std::string OkMetricsResponse(std::string_view prometheus_text);
-/// `statusz_object` must be a serialized JSON object (it is embedded
-/// verbatim, not escaped).
-std::string OkStatuszResponse(std::string_view statusz_object);
 std::string ErrorResponse(const std::string& id, std::string_view code,
                           std::string_view detail);
 

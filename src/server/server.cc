@@ -45,7 +45,7 @@ void SignalEventFd(int fd) {
   [[maybe_unused]] const ssize_t n = ::write(fd, &one, sizeof(one));
 }
 
-// One completed request as a JSON object — shared by the statusz
+// One completed request as a JSON object — shared by the /statusz
 // flight-recorder section and the /flightz NDJSON page.
 Json RequestRecordJson(const telemetry::RequestRecord& r) {
   Json entry = Json::Object();
@@ -86,13 +86,8 @@ Json RequestRecordJson(const telemetry::RequestRecord& r) {
 
 Router::Router(registry::ModelRegistry* models, Coalescer* coalescer,
                telemetry::Registry* metrics,
-               telemetry::RequestTracer tracer,
-               std::function<std::string()> statusz_source)
-    : models_(models),
-      coalescer_(coalescer),
-      metrics_(metrics),
-      tracer_(tracer),
-      statusz_source_(std::move(statusz_source)) {
+               telemetry::RequestTracer tracer)
+    : models_(models), coalescer_(coalescer), tracer_(tracer) {
   requests_total_ = metrics->GetCounter("karl_server_requests_total");
   bad_request_total_ = metrics->GetCounter("karl_server_bad_request_total");
   overload_total_ = metrics->GetCounter("karl_server_overload_total");
@@ -117,13 +112,6 @@ Router::Outcome Router::Handle(uint64_t conn_id, std::string_view line,
     case Request::Op::kHealth:
       outcome.immediate_response =
           OkStatusResponse(draining ? "draining" : "serving");
-      return outcome;
-    case Request::Op::kMetrics:
-      outcome.immediate_response = OkMetricsResponse(DumpText(*metrics_));
-      return outcome;
-    case Request::Op::kStatusz:
-      outcome.immediate_response =
-          OkStatuszResponse(statusz_source_ ? statusz_source_() : "{}");
       return outcome;
     case Request::Op::kReload: {
       // The request-path twin of SIGHUP: rescan the model directory.
@@ -300,8 +288,7 @@ util::Result<std::unique_ptr<Server>> Server::StartWithRegistry(
       },
       server->registry_, server->tracer_);
   server->router_ = std::make_unique<Router>(
-      models, server->coalescer_.get(), server->registry_, server->tracer_,
-      [raw] { return raw->StatuszJson(); });
+      models, server->coalescer_.get(), server->registry_, server->tracer_);
 
   server->connections_total_ =
       server->registry_->GetCounter("karl_server_connections_total");

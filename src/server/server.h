@@ -34,7 +34,8 @@
 //
 // Admin plane: with admin_port >= 0 a fourth thread runs the HTTP
 // scrape listener (server/http_admin.h) serving /metrics, /healthz,
-// /statusz, /varz, /flightz, /modelz, /explainz and /sloz. Its
+// /statusz, /varz, /flightz, /modelz, /explainz and /sloz — the only
+// status surface; in-band, the protocol answers just health. Its
 // handlers only snapshot thread-safe state (registry, model registry,
 // flight recorder, explain ring, SLO engine, an atomic draining flag),
 // so a stuck scraper never touches the query path.
@@ -89,7 +90,7 @@ struct ServerOptions {
   /// Hard cap on the graceful-shutdown drain.
   int drain_timeout_ms = 10000;
   /// Metrics registry; null falls back to telemetry::GlobalRegistry()
-  /// (the /metrics op always has something to expose).
+  /// (the /metrics page always has something to expose).
   telemetry::Registry* metrics = nullptr;
   /// Trace recorder for per-request spans and cross-thread flow events
   /// (see telemetry/context.h); null disables request tracing.
@@ -103,8 +104,8 @@ struct ServerOptions {
   /// microseconds get a WARN line on `logger` with the full stage
   /// breakdown and engine stats; 0 disables.
   uint64_t slow_query_us = 0;
-  /// Flight-recorder depth: how many completed requests `statusz`
-  /// remembers.
+  /// Flight-recorder depth: how many completed requests /statusz and
+  /// /flightz remember.
   size_t flight_recorder_capacity = 256;
   /// HTTP admin/scrape listener port (server/http_admin.h): GET
   /// /metrics, /healthz, /statusz, /varz, /flightz, /modelz,
@@ -123,20 +124,17 @@ struct ServerOptions {
   telemetry::SloConfig slo;
 };
 
-/// Maps one parsed request to its action: answer health/metrics/reload
-/// inline, resolve the request's model through the registry, validate
+/// Maps one parsed request to its action: answer health/reload inline, resolve the request's model through the registry, validate
 /// query/batch requests against that engine (dimensionality, weighting
 /// type) and admit them to the coalescer with the model pinned. Owns no
 /// sockets — the Connection layer handles transport.
 class Router {
  public:
   /// `tracer` emits the event-loop-side request spans (req/read,
-  /// req/parse) and the flow start; `statusz_source` renders the
-  /// `statusz` op body (empty object when unset).
+  /// req/parse) and the flow start.
   Router(registry::ModelRegistry* models, Coalescer* coalescer,
          telemetry::Registry* metrics,
-         telemetry::RequestTracer tracer = {},
-         std::function<std::string()> statusz_source = {});
+         telemetry::RequestTracer tracer = {});
 
   /// Outcome of routing one request line.
   struct Outcome {
@@ -163,9 +161,7 @@ class Router {
  private:
   registry::ModelRegistry* models_;
   Coalescer* coalescer_;
-  telemetry::Registry* metrics_;
   telemetry::RequestTracer tracer_;
-  std::function<std::string()> statusz_source_;
   telemetry::Counter* requests_total_ = nullptr;
   telemetry::Counter* bad_request_total_ = nullptr;
   telemetry::Counter* overload_total_ = nullptr;
@@ -210,8 +206,7 @@ class Server {
 
   /// Point-in-time status document as a JSON object: uptime, counters,
   /// gauges, per-stage latency quantiles, and the flight recorder's
-  /// last-N completed requests. Thread-safe; this is what the `statusz`
-  /// op returns and what the SIGUSR1 dump writes.
+  /// last-N completed requests (the /statusz admin page). Thread-safe.
   std::string StatuszJson() const;
 
   /// Build identity, effective options, and model summary as a JSON

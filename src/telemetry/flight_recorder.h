@@ -6,7 +6,7 @@
 // ring slot; no allocation beyond the record's small strings) and
 // always on: every admitted request lands here exactly once when its
 // response is written (or its connection is found gone). Snapshots are
-// taken off the hot path by the `statusz` op and the SIGUSR1 dump.
+// taken off the hot path by the admin plane's /statusz and /flightz.
 
 #ifndef KARL_TELEMETRY_FLIGHT_RECORDER_H_
 #define KARL_TELEMETRY_FLIGHT_RECORDER_H_

@@ -72,9 +72,10 @@ void TraceRecorder::Add(Event event) {
 
 void TraceRecorder::AttachMetrics(Registry* registry) {
   const util::MutexLock lock(&mu_);
-  dropped_counter_ = registry != nullptr
-                         ? registry->GetCounter("karl_trace_dropped_events")
-                         : nullptr;
+  dropped_counter_ =
+      registry != nullptr
+          ? registry->GetCounter("karl_trace_dropped_events_total")
+          : nullptr;
 }
 
 int TraceRecorder::TidLocked() {

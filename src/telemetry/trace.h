@@ -77,9 +77,10 @@ class TraceRecorder {
   /// start/step/end events with one id render as arrows in Perfetto.
   void FlowEvent(FlowPhase phase, uint64_t flow_id, uint64_t ts_us);
 
-  /// Exports the dropped-event count as the `karl_trace_dropped_events`
-  /// counter in `registry` (incremented as drops happen, so truncated
-  /// traces are visible in metrics too, not only in the trace file).
+  /// Exports the dropped-event count as the
+  /// `karl_trace_dropped_events_total` counter in `registry` (incremented
+  /// as drops happen, so truncated traces are visible in metrics too, not
+  /// only in the trace file).
   /// Call before recording begins; null detaches.
   void AttachMetrics(Registry* registry);
 

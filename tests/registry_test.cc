@@ -16,7 +16,6 @@
 #include <utility>
 #include <vector>
 
-#include "core/engine_io.h"
 #include "util/check.h"
 #include "core/karl.h"
 #include "data/synthetic.h"
@@ -707,46 +706,37 @@ TEST(RegistryTest, UnknownModelIsNotFoundAndListsKnownNames) {
   EXPECT_NE(handle.status().message().find("alpha"), std::string::npos);
 }
 
-TEST(RegistryTest, LoadsLegacyModelFiles) {
+// Snapshots are the only model format: a file in the retired engine-model
+// format (magic "KARL"), or any other foreign file however short, fails
+// to load with an error naming its path, and a directory scan lists only
+// *.snap files.
+TEST(RegistryTest, RejectsLegacyModelFilesAndScansOnlySnapshots) {
   TempDir dir("karl_reg_legacy");
-  const data::Matrix points = MakePoints(27, 200);
-  const std::vector<double> weights = MixedWeights(27, points.rows());
-  core::EngineModel model;
-  model.points = points;
-  model.weights = weights;
-  model.options.kernel = core::KernelParams::Gaussian(2.0);
-  model.options.leaf_capacity = 24;
-  ASSERT_TRUE(core::SaveEngineModel(dir.File("old.bin"), model).ok());
-  const Engine original = BuildEngine(points, weights, model.options.kernel);
-
-  auto registry = ModelRegistry::Open(dir.File(""), RegistryOptions{});
+  const std::string legacy = dir.File("old.karl");
+  const std::string short_csv = dir.File("points.csv");
+  WriteFileBytes(legacy, "KARL" + std::string(1024, '\x01'));
+  WriteFileBytes(short_csv, "0.5,0.5\n");
+  auto registry = ModelRegistry::Open("", RegistryOptions{});
   ASSERT_TRUE(registry.ok());
-  auto handle = registry.value()->Acquire("old");
-  ASSERT_TRUE(handle.ok()) << handle.status().ToString();
-  EXPECT_FALSE(handle.value()->mmap_backed());
-  ExpectSameAnswers(original, handle.value()->engine(), 33,
-                    /*check_ekaq=*/false);
-}
+  for (const std::string& path : {legacy, short_csv}) {
+    ASSERT_TRUE(registry.value()->AddModelFile("m", path).ok());
+    auto handle = registry.value()->Acquire("m");
+    ASSERT_FALSE(handle.ok()) << path;
+    EXPECT_EQ(handle.status().code(), util::StatusCode::kInvalidArgument);
+    EXPECT_NE(handle.status().message().find(path), std::string::npos)
+        << handle.status().ToString();
+    EXPECT_NE(handle.status().message().find("not a KARL snapshot"),
+              std::string::npos)
+        << handle.status().ToString();
+  }
 
-TEST(RegistryTest, SnapshotShadowsLegacyWithSameStem) {
-  TempDir dir("karl_reg_shadow");
-  const data::Matrix points = MakePoints(28, 200);
-  const std::vector<double> weights = MixedWeights(28, points.rows());
-  core::EngineModel model;
-  model.points = points;
-  model.weights = weights;
-  model.options.kernel = core::KernelParams::Gaussian(2.0);
-  model.options.leaf_capacity = 24;
-  ASSERT_TRUE(core::SaveEngineModel(dir.File("m.bin"), model).ok());
   WriteModel(dir.File("m.snap"), 28, 200);
-
-  auto registry = ModelRegistry::Open(dir.File(""), RegistryOptions{});
-  ASSERT_TRUE(registry.ok());
-  const auto listed = registry.value()->List();
+  WriteFileBytes(dir.File("b.bin"), "KARL" + std::string(1024, '\x01'));
+  auto scanned = ModelRegistry::Open(dir.File(""), RegistryOptions{});
+  ASSERT_TRUE(scanned.ok());
+  const auto listed = scanned.value()->List();
   ASSERT_EQ(listed.size(), 1u);
-  auto handle = registry.value()->Acquire("m");
-  ASSERT_TRUE(handle.ok());
-  EXPECT_TRUE(handle.value()->mmap_backed());  // The .snap won.
+  EXPECT_EQ(listed[0].name, "m");
 }
 
 TEST(RegistryTest, CorruptFileErrorNamesPath) {
@@ -1010,7 +1000,7 @@ TEST(RegistryTest, ExplicitModelFilesRegisterAndReload) {
 
   auto h1 = reg.Acquire("solo");
   ASSERT_TRUE(h1.ok()) << h1.status().ToString();
-  EXPECT_TRUE(h1.value()->mmap_backed());  // Sniffed by magic, not name.
+  EXPECT_TRUE(h1.value()->mmap_backed());  // Any name maps as a snapshot.
   util::Rng rng(82);
   const std::vector<double> q = RandomQuery(rng);
   EXPECT_DOUBLE_EQ(h1.value()->engine().Exact(q), v1.Exact(q));

@@ -385,6 +385,9 @@ TEST_F(ServerTest, QueriesDuringDrainAreRefusedAsShuttingDown) {
   server_->Wait();
 }
 
+// In-band status is health only: metrics and statusz live on the HTTP
+// admin plane, so those ops are refused like any unknown op and the
+// connection keeps serving.
 TEST_F(ServerTest, HealthAndMetricsRoundTrip) {
   StartServer();
   Client client = Dial();
@@ -393,16 +396,16 @@ TEST_F(ServerTest, HealthAndMetricsRoundTrip) {
   EXPECT_EQ(health.value(), "serving");
 
   ASSERT_TRUE(client.Exact(queries_.Row(0)).ok());
-  auto metrics = client.Metrics();
-  ASSERT_TRUE(metrics.ok()) << metrics.status().ToString();
-  EXPECT_NE(metrics.value().find("karl_server_requests_total"),
-            std::string::npos);
-  EXPECT_NE(metrics.value().find("karl_server_batches_total"),
-            std::string::npos);
-  // Satellite: the pool exports saturation gauges once attached.
-  EXPECT_NE(metrics.value().find("karl_pool_queue_depth"), std::string::npos);
-  EXPECT_NE(metrics.value().find("karl_pool_active_workers"),
-            std::string::npos);
+  for (const char* op : {"metrics", "statusz"}) {
+    auto response = client.RoundTrip(Json::Object().Set("op", Json::Str(op)));
+    ASSERT_TRUE(response.ok()) << response.status().ToString();
+    const Json* error = response.value().Find("error");
+    ASSERT_NE(error, nullptr) << response.value().Dump();
+    EXPECT_EQ(error->string_value(), "bad_request") << op;
+  }
+  health = client.Health();
+  ASSERT_TRUE(health.ok()) << health.status().ToString();
+  EXPECT_EQ(health.value(), "serving");
 }
 
 TEST_F(ServerTest, EkaqOnTypeThreeWeightsIsRejectedUpFront) {
@@ -479,14 +482,14 @@ TEST_F(ServerTest, FlightRecorderSeesEveryAdmittedRequestExactlyOnce) {
   ASSERT_TRUE(client.ReceiveLine().ok());
 
   // All six completions were finished on the event-loop thread before
-  // it could even frame this statusz request, so the snapshot is
-  // complete by construction — no sleep needed.
-  auto statusz = client.Statusz();
-  ASSERT_TRUE(statusz.ok()) << statusz.status().ToString();
-  auto parsed = Json::Parse(statusz.value());
-  ASSERT_TRUE(parsed.ok()) << statusz.value();
+  // it could even frame this health request, so once its answer is back
+  // the snapshot is complete by construction — no sleep needed.
+  ASSERT_TRUE(client.Health().ok());
+  const std::string statusz = server_->StatuszJson();
+  auto parsed = Json::Parse(statusz);
+  ASSERT_TRUE(parsed.ok()) << statusz;
   const Json* recorder = parsed.value().Find("flight_recorder");
-  ASSERT_NE(recorder, nullptr) << statusz.value();
+  ASSERT_NE(recorder, nullptr) << statusz;
   EXPECT_EQ(recorder->Find("total_recorded")->number_value(),
             static_cast<double>(singles + 1));
   const Json* requests = recorder->Find("requests");
@@ -565,10 +568,12 @@ TEST_F(ServerTest, StatuszReportsStageHistogramsAndUptime) {
   for (size_t i = 0; i < n; ++i) {
     ASSERT_TRUE(client.Exact(queries_.Row(i)).ok());
   }
-  auto statusz = client.Statusz();
-  ASSERT_TRUE(statusz.ok()) << statusz.status().ToString();
-  auto parsed = Json::Parse(statusz.value());
-  ASSERT_TRUE(parsed.ok()) << statusz.value();
+  // The health round trip is an event-loop barrier: every query's
+  // completion (and its stage records) finished before it was framed.
+  ASSERT_TRUE(client.Health().ok());
+  const std::string statusz = server_->StatuszJson();
+  auto parsed = Json::Parse(statusz);
+  ASSERT_TRUE(parsed.ok()) << statusz;
   const Json& root = parsed.value();
   ASSERT_NE(root.Find("uptime_s"), nullptr);
   EXPECT_GE(root.Find("uptime_s")->number_value(), 0.0);
@@ -586,8 +591,8 @@ TEST_F(ServerTest, StatuszReportsStageHistogramsAndUptime) {
                             "eval", "serialize", "write", "total"}) {
     const Json* entry = stages->Find(stage);
     ASSERT_NE(entry, nullptr) << stage;
-    // Exactly the admitted queries: health/metrics/statusz ops never
-    // touch the stage histograms.
+    // Exactly the admitted queries: the health op never touches the
+    // stage histograms.
     EXPECT_EQ(entry->Find("count")->number_value(), static_cast<double>(n))
         << stage;
     EXPECT_GE(entry->Find("p95_us")->number_value(),
@@ -751,6 +756,21 @@ TEST(ServerProtocolTest, ParseRequestValidates) {
   EXPECT_EQ(request.value().queries.rows(), 2u);
   EXPECT_EQ(request.value().queries.cols(), 2u);
   EXPECT_EQ(request.value().id, "z");
+
+  // Status beyond health is the admin plane's: metrics and statusz are
+  // unknown ops, and the error lists the ops that remain.
+  for (const char* op : {"metrics", "statusz"}) {
+    auto refused =
+        ParseRequest(std::string("{\"op\":\"") + op + "\"}");
+    ASSERT_FALSE(refused.ok()) << op;
+    EXPECT_NE(refused.status().message().find("unknown op"),
+              std::string::npos)
+        << refused.status().ToString();
+    EXPECT_NE(refused.status().message().find(
+                  "(query|batch|explain|health|reload)"),
+              std::string::npos)
+        << refused.status().ToString();
+  }
 }
 
 
@@ -818,6 +838,10 @@ TEST_F(ServerTest, AdminEndpointsServeUnderConcurrentTraffic) {
   EXPECT_NE(metrics.find("HTTP/1.1 200"), std::string::npos);
   EXPECT_NE(metrics.find("text/plain; version=0.0.4"), std::string::npos);
   EXPECT_NE(metrics.find("karl_server_requests_total"), std::string::npos);
+  EXPECT_NE(metrics.find("karl_server_batches_total"), std::string::npos);
+  // The pool exports saturation gauges once attached (at Start).
+  EXPECT_NE(metrics.find("karl_pool_queue_depth"), std::string::npos);
+  EXPECT_NE(metrics.find("karl_pool_active_workers"), std::string::npos);
   // Rolling stage histograms export cumulative + windowed twins...
   EXPECT_NE(metrics.find("karl_server_total_us{quantile=\"0.95\"}"),
             std::string::npos);

@@ -484,7 +484,8 @@ TEST(TraceRecorderTest, DroppedEventsSurfaceAsAMetricCounter) {
     recorder.InstantEvent("e", static_cast<uint64_t>(i), {});
   }
   EXPECT_EQ(recorder.dropped(), 3u);
-  EXPECT_EQ(registry.GetCounter("karl_trace_dropped_events")->value(), 3u);
+  EXPECT_EQ(
+      registry.GetCounter("karl_trace_dropped_events_total")->value(), 3u);
 }
 
 TEST(RequestContextTest, StageDurationsSaturateAndChain) {

@@ -3,13 +3,17 @@
 // Subcommands:
 //   generate  --dataset <name> --out <file.csv> [--n N]
 //       Writes a benchmark-dataset simulacrum as CSV.
-//   build     --data <file.csv|file.libsvm> --out <model.bin>
+//   build     --data <file.csv|file.libsvm> --out <model.snap>
 //             [--kernel gaussian|laplacian|cauchy|polynomial|sigmoid]
 //             [--gamma G] [--beta B] [--degree D] [--weight W]
 //             [--index kd|ball] [--leaf-capacity C] [--bounds karl|sota]
-//       Builds an engine model from data (libsvm labels become weights)
-//       and saves it.
-//   query     --model <model.bin> --queries <file.csv>
+//       Builds an engine from data (libsvm labels become weights) and
+//       writes it as an mmap snapshot (src/registry/snapshot.h), the one
+//       persisted engine format: `query` and karl_server attach it in
+//       microseconds instead of rebuilding the index. The written file is
+//       then mapped back, attached, and checked: exact aggregates on 64
+//       sampled queries must be bit-identical to the built engine's.
+//   query     --model <model.snap> --queries <file.csv>
 //             (--tau T | --eps E) [--limit N] [--threads N] [--explain]
 //             [--metrics-out <file[.json]>] [--trace-out <file.json>]
 //       Runs TKAQ or eKAQ over every query row; prints results,
@@ -25,26 +29,19 @@
 //       telemetry registry (JSON when the path ends in .json,
 //       Prometheus text otherwise); --trace-out writes a Chrome
 //       trace-event JSON loadable in Perfetto.
-//   compile-snapshot  <model.bin> <model.snap> [--verify]
-//       Compiles a legacy engine-model file into the mmap snapshot
-//       format (src/registry/snapshot.h): the engine is built once,
-//       serialized flat, and thereafter servers attach it with mmap in
-//       microseconds instead of rebuilding the index. --verify maps the
-//       written snapshot back, attaches an engine over it, and checks
-//       that exact aggregates on sampled queries are bit-identical to
-//       the built engine's.
-//   tune      --model <model.bin> --queries <file.csv> (--tau T | --eps E)
-//       Offline-tunes the index configuration and reports the grid.
+//   tune      --data <file.csv|file.libsvm> --queries <file.csv>
+//             (--tau T | --eps E) [build's kernel and weight flags]
+//       Offline-tunes the index configuration (paper §III-C): builds
+//       every index kind × leaf capacity over the data and reports the
+//       grid. The candidates replace --index and --leaf-capacity.
 //   remote-query  --port P [--host 127.0.0.1] --queries <file.csv>
 //                 (--tau T | --eps E | --exact) [--limit N] [--batch]
-//                 [--metrics-out <file>] | --statusz
 //       Issues the query rows against a running karl_server (see
 //       tools/karl_server.cc) over the newline-delimited JSON
 //       protocol; output format matches the local `query` subcommand.
-//       --batch sends one batch request instead of per-row queries;
-//       --metrics-out scrapes the server's /metrics afterwards.
-//       --statusz skips querying and prints the server's statusz
-//       document (uptime, stage latency quantiles, flight recorder).
+//       --batch sends one batch request instead of per-row queries.
+//       Server status lives on karl_server's HTTP admin plane
+//       (/metrics, /statusz, ...), not here.
 //
 // Exit status: 0 on success, 1 on usage or runtime errors.
 
@@ -52,7 +49,6 @@
 #include <string>
 
 #include "core/batch.h"
-#include "core/engine_io.h"
 #include "core/tuning.h"
 #include "data/csv_io.h"
 #include "data/libsvm_io.h"
@@ -72,7 +68,6 @@
 
 namespace {
 
-using karl::core::EngineModel;
 using karl::util::ParsedArgs;
 
 int Fail(const std::string& message) {
@@ -83,7 +78,7 @@ int Fail(const std::string& message) {
 int Usage() {
   std::fprintf(stderr,
                "usage: karl "
-               "<generate|build|query|tune|compile-snapshot|remote-query> "
+               "<generate|build|query|tune|remote-query> "
                "[--flags]\n"
                "run with a subcommand to see its required flags\n");
   return 1;
@@ -123,79 +118,122 @@ int RunGenerate(const ParsedArgs& args) {
   return 0;
 }
 
-int RunBuild(const ParsedArgs& args) {
-  const std::string data_path = args.GetString("data");
-  const std::string out = args.GetString("out");
-  if (data_path.empty() || out.empty()) {
-    return Fail("build requires --data <file> --out <model.bin>");
-  }
+// What `build` and `tune` build an engine from: the points and weights
+// of --data plus the kernel, weight, index and bound flags.
+struct BuildInputs {
+  karl::data::Matrix points;
+  std::vector<double> weights;
+  karl::EngineOptions options;
+};
 
+karl::util::Result<BuildInputs> ParseBuildInputs(const ParsedArgs& args) {
+  using karl::util::Status;
   std::vector<double> labels;
-  auto points = ReadPoints(data_path, &labels);
-  if (!points.ok()) return Fail(points.status().ToString());
+  auto points = ReadPoints(args.GetString("data"), &labels);
+  if (!points.ok()) return points.status();
 
-  EngineModel model;
-  model.points = std::move(points).ValueOrDie();
+  BuildInputs in;
+  in.points = std::move(points).ValueOrDie();
 
   const auto weight_flag = args.GetDouble("weight", 1.0);
-  if (!weight_flag.ok()) return Fail(weight_flag.status().ToString());
+  if (!weight_flag.ok()) return weight_flag.status();
   if (!labels.empty() && !args.Has("weight")) {
-    model.weights = std::move(labels);  // LIBSVM labels as weights.
+    in.weights = std::move(labels);  // LIBSVM labels as weights.
   } else {
-    model.weights.assign(model.points.rows(), weight_flag.value());
+    in.weights.assign(in.points.rows(), weight_flag.value());
   }
 
   // Kernel selection; γ defaults to Scott's rule for distance kernels.
   const std::string kernel_name = args.GetString("kernel", "gaussian");
   const auto gamma_flag = args.GetDouble(
-      "gamma", karl::ml::BandwidthToGamma(
-                   karl::ml::ScottBandwidth(model.points)));
+      "gamma",
+      karl::ml::BandwidthToGamma(karl::ml::ScottBandwidth(in.points)));
   const auto beta_flag = args.GetDouble("beta", 0.0);
   const auto degree_flag = args.GetInt("degree", 3);
-  if (!gamma_flag.ok()) return Fail(gamma_flag.status().ToString());
-  if (!beta_flag.ok()) return Fail(beta_flag.status().ToString());
-  if (!degree_flag.ok()) return Fail(degree_flag.status().ToString());
+  if (!gamma_flag.ok()) return gamma_flag.status();
+  if (!beta_flag.ok()) return beta_flag.status();
+  if (!degree_flag.ok()) return degree_flag.status();
   const double gamma = gamma_flag.value();
   if (kernel_name == "gaussian") {
-    model.options.kernel = karl::core::KernelParams::Gaussian(gamma);
+    in.options.kernel = karl::core::KernelParams::Gaussian(gamma);
   } else if (kernel_name == "laplacian") {
-    model.options.kernel = karl::core::KernelParams::Laplacian(gamma);
+    in.options.kernel = karl::core::KernelParams::Laplacian(gamma);
   } else if (kernel_name == "cauchy") {
-    model.options.kernel = karl::core::KernelParams::Cauchy(gamma);
+    in.options.kernel = karl::core::KernelParams::Cauchy(gamma);
   } else if (kernel_name == "polynomial") {
-    model.options.kernel = karl::core::KernelParams::Polynomial(
+    in.options.kernel = karl::core::KernelParams::Polynomial(
         gamma, beta_flag.value(), static_cast<int>(degree_flag.value()));
   } else if (kernel_name == "sigmoid") {
-    model.options.kernel =
+    in.options.kernel =
         karl::core::KernelParams::Sigmoid(gamma, beta_flag.value());
   } else {
-    return Fail("unknown kernel '" + kernel_name + "'");
+    return Status::InvalidArgument("unknown kernel '" + kernel_name + "'");
   }
 
   const std::string index_name = args.GetString("index", "kd");
   if (index_name == "kd") {
-    model.options.index_kind = karl::index::IndexKind::kKdTree;
+    in.options.index_kind = karl::index::IndexKind::kKdTree;
   } else if (index_name == "ball") {
-    model.options.index_kind = karl::index::IndexKind::kBallTree;
+    in.options.index_kind = karl::index::IndexKind::kBallTree;
   } else {
-    return Fail("unknown index '" + index_name + "' (kd|ball)");
+    return Status::InvalidArgument("unknown index '" + index_name +
+                                   "' (kd|ball)");
   }
   const auto capacity = args.GetInt("leaf-capacity", 80);
-  if (!capacity.ok()) return Fail(capacity.status().ToString());
-  model.options.leaf_capacity = static_cast<size_t>(capacity.value());
+  if (!capacity.ok()) return capacity.status();
+  in.options.leaf_capacity = static_cast<size_t>(capacity.value());
   const std::string bounds = args.GetString("bounds", "karl");
-  model.options.bounds = bounds == "sota" ? karl::core::BoundKind::kSota
-                                          : karl::core::BoundKind::kKarl;
+  in.options.bounds = bounds == "sota" ? karl::core::BoundKind::kSota
+                                       : karl::core::BoundKind::kKarl;
+  return in;
+}
 
-  // Validate the model by building it once before persisting.
+int RunBuild(const ParsedArgs& args) {
+  const std::string out = args.GetString("out");
+  if (args.GetString("data").empty() || out.empty()) {
+    return Fail("build requires --data <file> --out <model.snap>");
+  }
+  auto in = ParseBuildInputs(args);
+  if (!in.ok()) return Fail(in.status().ToString());
+  const BuildInputs& model = in.value();
+
   auto engine =
       karl::Engine::Build(model.points, model.weights, model.options);
   if (!engine.ok()) return Fail(engine.status().ToString());
-  if (auto st = karl::core::SaveEngineModel(out, model); !st.ok()) {
+  if (auto st = karl::registry::WriteSnapshot(out, engine.value());
+      !st.ok()) {
     return Fail(st.ToString());
   }
-  std::printf("model saved: %zu points, %zu dims, %s kernel (gamma=%.6g), "
-              "%s index, %s bounds -> %s\n",
+
+  // Round trip: attach an engine over the written file and require
+  // exact aggregates on sampled queries to be bit-identical to the
+  // built engine's — the snapshot stores the same doubles the builder
+  // computed, so any difference is corruption, not rounding.
+  auto mapped = karl::registry::MappedSnapshot::Map(out);
+  if (!mapped.ok()) return Fail(mapped.status().ToString());
+  auto attached =
+      karl::registry::AttachEngine(mapped.value(), nullptr, nullptr);
+  if (!attached.ok()) return Fail(attached.status().ToString());
+  const size_t dims = model.points.cols();
+  const size_t samples = std::min<size_t>(64, model.points.rows());
+  karl::util::Rng rng(0x6b61726cu);
+  std::vector<double> q(dims);
+  for (size_t i = 0; i < samples; ++i) {
+    const auto base = model.points.Row((i * 7919) % model.points.rows());
+    for (size_t d = 0; d < dims; ++d) {
+      q[d] = base[d] + rng.Uniform(-0.05, 0.05);
+    }
+    const double expected = engine.value().Exact(q);
+    const double actual = attached.value().Exact(q);
+    if (expected != actual) {
+      return Fail("round trip FAILED: exact aggregate mismatch on sample " +
+                  std::to_string(i) + " (built " + std::to_string(expected) +
+                  ", snapshot " + std::to_string(actual) + ")");
+    }
+  }
+
+  std::printf("snapshot saved: %zu points, %zu dims, %s kernel "
+              "(gamma=%.6g), %s index, %s bounds, %zu bytes -> %s\n",
               model.points.rows(), model.points.cols(),
               std::string(KernelTypeToString(model.options.kernel.type))
                   .c_str(),
@@ -203,7 +241,8 @@ int RunBuild(const ParsedArgs& args) {
               std::string(IndexKindToString(model.options.index_kind))
                   .c_str(),
               std::string(BoundKindToString(model.options.bounds)).c_str(),
-              out.c_str());
+              mapped.value().file_bytes(), out.c_str());
+  std::printf("round trip: %zu exact aggregates bit-identical\n", samples);
   return 0;
 }
 
@@ -211,7 +250,7 @@ int RunQuery(const ParsedArgs& args) {
   const std::string model_path = args.GetString("model");
   const std::string query_path = args.GetString("queries");
   if (model_path.empty() || query_path.empty()) {
-    return Fail("query requires --model <model.bin> --queries <file.csv>");
+    return Fail("query requires --model <model.snap> --queries <file.csv>");
   }
   const bool threshold_mode = args.Has("tau");
   const bool approx_mode = args.Has("eps");
@@ -225,20 +264,15 @@ int RunQuery(const ParsedArgs& args) {
   const std::string metrics_out = args.GetString("metrics-out");
   const std::string trace_out = args.GetString("trace-out");
 
-  // Load the model and build the engine here (instead of LoadEngine) so
-  // the telemetry sinks can be attached to the build options.
-  auto model = karl::core::LoadEngineModel(model_path);
-  if (!model.ok()) return Fail(model.status().ToString());
+  // The mapping is declared before the engine attached over it, so it
+  // outlives the engine.
+  auto mapped = karl::registry::MappedSnapshot::Map(model_path);
+  if (!mapped.ok()) return Fail(mapped.status().ToString());
   karl::telemetry::TraceRecorder tracer;
-  if (!metrics_out.empty()) {
-    model.value().options.metrics = &karl::telemetry::GlobalRegistry();
-  }
-  if (!trace_out.empty()) {
-    model.value().options.tracer = &tracer;
-  }
-  auto engine = karl::Engine::Build(model.value().points,
-                                    model.value().weights,
-                                    model.value().options);
+  auto engine = karl::registry::AttachEngine(
+      mapped.value(),
+      metrics_out.empty() ? nullptr : &karl::telemetry::GlobalRegistry(),
+      trace_out.empty() ? nullptr : &tracer);
   if (!engine.ok()) return Fail(engine.status().ToString());
   auto queries = karl::data::ReadCsvFile(query_path);
   if (!queries.ok()) return Fail(queries.status().ToString());
@@ -356,22 +390,10 @@ int RunRemoteQuery(const ParsedArgs& args) {
   const auto port = args.GetInt("port", 0);
   const std::string query_path = args.GetString("queries");
   if (!port.ok()) return Fail(port.status().ToString());
-  if (args.Has("statusz")) {
-    // Status scrape only: print the server's statusz JSON and exit —
-    // no query file needed.
-    if (port.value() <= 0) return Fail("remote-query requires --port");
-    auto client = karl::server::Client::Connect(
-        host, static_cast<int>(port.value()));
-    if (!client.ok()) return Fail(client.status().ToString());
-    auto statusz = client.value().Statusz();
-    if (!statusz.ok()) return Fail(statusz.status().ToString());
-    std::printf("%s\n", statusz.value().c_str());
-    return 0;
-  }
   if (port.value() <= 0 || query_path.empty()) {
     return Fail(
         "remote-query requires --port <port> --queries <file.csv> and one "
-        "of --tau/--eps/--exact (or --statusz to scrape server status)");
+        "of --tau/--eps/--exact");
   }
   const bool threshold_mode = args.Has("tau");
   const bool approx_mode = args.Has("eps");
@@ -386,7 +408,6 @@ int RunRemoteQuery(const ParsedArgs& args) {
   if (!tau.ok()) return Fail(tau.status().ToString());
   if (!eps.ok()) return Fail(eps.status().ToString());
   const bool batch = args.Has("batch");
-  const std::string metrics_out = args.GetString("metrics-out");
 
   auto queries = karl::data::ReadCsvFile(query_path);
   if (!queries.ok()) return Fail(queries.status().ToString());
@@ -442,95 +463,20 @@ int RunRemoteQuery(const ParsedArgs& args) {
   std::fprintf(stderr, "%zu remote queries in %.3fs (%.0f q/s, %s)\n", count,
                elapsed, count / std::max(elapsed, 1e-9),
                batch ? "one batch request" : "per-row requests");
-
-  if (!metrics_out.empty()) {
-    auto metrics = client.value().Metrics();
-    if (!metrics.ok()) return Fail(metrics.status().ToString());
-    std::FILE* f = std::fopen(metrics_out.c_str(), "wb");
-    if (f == nullptr) {
-      return Fail("cannot open '" + metrics_out + "' for writing");
-    }
-    std::fwrite(metrics.value().data(), 1, metrics.value().size(), f);
-    std::fclose(f);
-    std::fprintf(stderr, "server metrics written to %s\n",
-                 metrics_out.c_str());
-  }
-  return 0;
-}
-
-int RunCompileSnapshot(const ParsedArgs& args) {
-  if (args.positional().size() != 2) {
-    return Fail(
-        "compile-snapshot requires <model.bin> <model.snap> [--verify]");
-  }
-  const std::string& in_path = args.positional()[0];
-  const std::string& out_path = args.positional()[1];
-
-  auto model = karl::core::LoadEngineModel(in_path);
-  if (!model.ok()) return Fail(model.status().ToString());
-  auto engine = karl::Engine::Build(model.value().points,
-                                    model.value().weights,
-                                    model.value().options);
-  if (!engine.ok()) return Fail(engine.status().ToString());
-  if (auto st = karl::registry::WriteSnapshot(out_path, engine.value());
-      !st.ok()) {
-    return Fail(st.ToString());
-  }
-
-  auto mapped = karl::registry::MappedSnapshot::Map(out_path);
-  if (!mapped.ok()) return Fail(mapped.status().ToString());
-  std::printf(
-      "snapshot compiled: %zu points, %zu dims, %s weighting, "
-      "%zu bytes -> %s\n",
-      model.value().points.rows(), model.value().points.cols(),
-      std::string(WeightingTypeToString(engine.value().weighting_type()))
-          .c_str(),
-      mapped.value().file_bytes(), out_path.c_str());
-
-  if (!args.Has("verify")) return 0;
-
-  // Attach an engine over the freshly written snapshot and require
-  // exact aggregates on sampled queries to be bit-identical to the
-  // built engine's — the snapshot stores the same doubles the builder
-  // computed, so any difference is corruption, not rounding.
-  auto attached = karl::registry::AttachEngine(mapped.value(),
-                                               nullptr, nullptr);
-  if (!attached.ok()) return Fail(attached.status().ToString());
-  const karl::data::Matrix& points = model.value().points;
-  const size_t dims = points.cols();
-  const size_t samples = std::min<size_t>(64, points.rows());
-  karl::util::Rng rng(0x6b61726cu);
-  std::vector<double> q(dims);
-  for (size_t i = 0; i < samples; ++i) {
-    const auto base = points.Row((i * 7919) % points.rows());
-    for (size_t d = 0; d < dims; ++d) {
-      q[d] = base[d] + rng.Uniform(-0.05, 0.05);
-    }
-    const double expected = engine.value().Exact(q);
-    const double actual = attached.value().Exact(q);
-    if (expected != actual) {
-      return Fail("verify FAILED: exact aggregate mismatch on sample " +
-                  std::to_string(i) + " (built " +
-                  std::to_string(expected) + ", snapshot " +
-                  std::to_string(actual) + ")");
-    }
-  }
-  std::printf("verify: %zu exact aggregates bit-identical\n", samples);
   return 0;
 }
 
 int RunTune(const ParsedArgs& args) {
-  const std::string model_path = args.GetString("model");
   const std::string query_path = args.GetString("queries");
-  if (model_path.empty() || query_path.empty()) {
-    return Fail("tune requires --model <model.bin> --queries <file.csv>");
+  if (args.GetString("data").empty() || query_path.empty()) {
+    return Fail("tune requires --data <file> --queries <file.csv>");
   }
   const auto tau = args.GetDouble("tau", 0.0);
   const auto eps = args.GetDouble("eps", 0.2);
   if (!tau.ok()) return Fail(tau.status().ToString());
   if (!eps.ok()) return Fail(eps.status().ToString());
 
-  auto model = karl::core::LoadEngineModel(model_path);
+  auto model = ParseBuildInputs(args);
   if (!model.ok()) return Fail(model.status().ToString());
   auto queries = karl::data::ReadCsvFile(query_path);
   if (!queries.ok()) return Fail(queries.status().ToString());
@@ -578,8 +524,6 @@ int main(int argc, char** argv) {
     rc = RunQuery(args);
   } else if (args.command() == "tune") {
     rc = RunTune(args);
-  } else if (args.command() == "compile-snapshot") {
-    rc = RunCompileSnapshot(args);
   } else if (args.command() == "remote-query") {
     rc = RunRemoteQuery(args);
   } else {

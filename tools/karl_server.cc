@@ -1,34 +1,39 @@
-// karl_server — network front end for saved KARL models.
+// karl_server — network front end for KARL model snapshots.
 //
-//   karl_server --model <model.bin|model.snap>
+//   karl_server --model <model.snap>
 //               | --model-dir <dir> [--default-model <name>]
 //               [--model-memory-budget <bytes>]
 //               [--host 127.0.0.1] [--port 7070]
-//               [--threads N] [--max-pending R] [--metrics-out <file>]
+//               [--threads N] [--max-pending R]
 //               [--log-level debug|info|warn|error] [--access-log <file>]
-//               [--slow-query-us N] [--trace-out <file>]
-//               [--statusz-out <file>] [--admin-port P]
+//               [--slow-query-us N] [--trace-out <file>] [--admin-port P]
 //               [--admin-host 127.0.0.1] [--slo-config <file>]
 //
-// Models are served through a registry (src/registry/registry.h):
-// `--model` registers one file (legacy .bin or mmap .snap, sniffed by
-// magic) as the default model; `--model-dir` scans a directory of
-// *.snap / *.bin files, each served under its file stem, picked per
-// request with the protocol's "model" field. `--default-model` names
-// which of them answers unnamed requests (a single-model directory is
-// its own default). `--model-memory-budget` bounds resident model
-// bytes with LRU eviction (0 = unlimited; in-use models are never
-// evicted). Models load lazily on first use; SIGHUP (or the protocol's
-// op=reload) rescans the directory and atomically swaps changed files.
+// Models are mmap snapshots written by `karl build`, served through a
+// registry (src/registry/registry.h): `--model` registers one file as
+// the default model; `--model-dir` scans a directory of *.snap files,
+// each served under its file stem, picked per request with the
+// protocol's "model" field. `--default-model` names which of them
+// answers unnamed requests (a single-model directory is its own
+// default). `--model-memory-budget` bounds resident model bytes with LRU
+// eviction (0 = unlimited; in-use models are never evicted). Models load
+// lazily on first use; SIGHUP (or the protocol's op=reload) rescans the
+// directory and atomically swaps changed files.
 //
 // The server answers the newline-delimited JSON protocol
 // (src/server/protocol.h) until SIGINT/SIGTERM, then drains in-flight
-// work, optionally dumps the metrics registry to --metrics-out (and the
-// request trace to --trace-out), and exits 0. `--port 0` binds an
-// ephemeral port; the chosen port is part of the "listening on" line
-// printed (and flushed) at startup, so wrapper scripts can scrape it.
+// work, optionally writes the request trace to --trace-out, and exits 0.
+// `--port 0` binds an ephemeral port; the chosen port is part of the
+// "listening on" line printed (and flushed) at startup, so wrapper
+// scripts can scrape it.
 //
 // Observability:
+//   --admin-port     HTTP admin plane (GET /metrics /healthz /statusz
+//                    /varz /flightz /modelz /explainz /sloz) on its
+//                    own thread — the server's one status surface; -1
+//                    (default) disables, 0 binds an ephemeral port. The
+//                    chosen port is part of the "admin on" line printed
+//                    at startup.
 //   --log-level      minimum severity of the stderr diagnostics log.
 //   --access-log     one NDJSON line per completed request (stage
 //                    breakdown + engine stats) appended to <file>.
@@ -36,13 +41,6 @@
 //                    get a WARN line with the full stage breakdown.
 //   --trace-out      Chrome trace (Perfetto-loadable) with per-request
 //                    spans flow-linked across threads, written at exit.
-//   --statusz-out    where SIGUSR1 dumps the statusz JSON document
-//                    (stderr when unset). SIGUSR1 never stops serving.
-//   --admin-port     HTTP scrape plane (GET /metrics /healthz /statusz
-//                    /varz /flightz /modelz /explainz /sloz) on its
-//                    own thread; -1 (default) disables, 0 binds an
-//                    ephemeral port. The chosen port is part of the
-//                    "admin on" line printed at startup.
 //   --slo-config     JSON file of per-model SLO objectives (see
 //                    src/server/slo_config.h for the schema). Unset
 //                    serves the built-in defaults: p99-style 100ms
@@ -69,26 +67,6 @@ int Fail(const std::string& message) {
   return 1;
 }
 
-// Writes the statusz document to `path` ("" = stderr). Runs on the main
-// thread out of sigwait — ordinary (non-async-signal) context.
-void DumpStatusz(const karl::server::Server& server,
-                 const std::string& path) {
-  const std::string body = server.StatuszJson() + "\n";
-  if (path.empty()) {
-    std::fwrite(body.data(), 1, body.size(), stderr);
-    std::fflush(stderr);
-    return;
-  }
-  std::FILE* out = std::fopen(path.c_str(), "we");
-  if (out == nullptr) {
-    std::fprintf(stderr, "karl_server: cannot open statusz file '%s'\n",
-                 path.c_str());
-    return;
-  }
-  std::fwrite(body.data(), 1, body.size(), out);
-  std::fclose(out);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -102,23 +80,21 @@ int main(int argc, char** argv) {
   const auto model_memory_budget = args.GetInt("model-memory-budget", 0);
   if (model_path.empty() && model_dir.empty()) {
     return Fail(
-        "usage: karl_server --model <model.bin|model.snap> | "
+        "usage: karl_server --model <model.snap> | "
         "--model-dir <dir> [--default-model <name>] "
         "[--model-memory-budget <bytes>] [--host H] [--port P] "
-        "[--threads N] [--max-pending R] [--metrics-out <file>] "
-        "[--log-level L] [--access-log <file>] [--slow-query-us N] "
-        "[--trace-out <file>] [--statusz-out <file>]");
+        "[--threads N] [--max-pending R] [--log-level L] "
+        "[--access-log <file>] [--slow-query-us N] [--trace-out <file>] "
+        "[--admin-port P] [--admin-host H] [--slo-config <file>]");
   }
   const std::string host = args.GetString("host", "127.0.0.1");
   const auto port = args.GetInt("port", 7070);
   const auto threads = args.GetInt("threads", 0);
   const auto max_pending = args.GetInt("max-pending", 1024);
-  const std::string metrics_out = args.GetString("metrics-out");
   const std::string log_level_name = args.GetString("log-level", "info");
   const std::string access_log_path = args.GetString("access-log");
   const auto slow_query_us = args.GetInt("slow-query-us", 0);
   const std::string trace_out = args.GetString("trace-out");
-  const std::string statusz_out = args.GetString("statusz-out");
   const auto admin_port = args.GetInt("admin-port", -1);
   const std::string admin_host = args.GetString("admin-host", "127.0.0.1");
   const std::string slo_config_path = args.GetString("slo-config");
@@ -191,7 +167,7 @@ int main(int argc, char** argv) {
   }
   if (models->List().empty()) {
     return Fail("no models: '" + model_dir +
-                "' holds no *.snap or *.bin files");
+                "' holds no *.snap files");
   }
 
   // Load the default model now (when one resolves) so a missing or
@@ -217,12 +193,11 @@ int main(int argc, char** argv) {
   // Block the lifecycle signals before Start() so every thread the
   // server spawns inherits the mask; the main thread then collects them
   // synchronously with sigwait — no async-signal-context restrictions
-  // on what the SIGUSR1 dump may do.
+  // on what the SIGHUP reload may do.
   sigset_t sigs;
   sigemptyset(&sigs);
   sigaddset(&sigs, SIGINT);
   sigaddset(&sigs, SIGTERM);
-  sigaddset(&sigs, SIGUSR1);
   sigaddset(&sigs, SIGHUP);
   pthread_sigmask(SIG_BLOCK, &sigs, nullptr);
 
@@ -291,12 +266,6 @@ int main(int argc, char** argv) {
   while (true) {
     int signum = 0;
     if (sigwait(&sigs, &signum) != 0) break;
-    if (signum == SIGUSR1) {
-      logger.Log(karl::util::LogLevel::kInfo, "statusz.dump",
-                 {{"path", statusz_out.empty() ? "<stderr>" : statusz_out}});
-      DumpStatusz(*server.value(), statusz_out);
-      continue;
-    }
     if (signum == SIGHUP) {
       // Hot reload: rescan the model directory and refresh explicit
       // files; in-flight queries finish on the old mappings. Serving
@@ -317,15 +286,6 @@ int main(int argc, char** argv) {
   }
   server.value()->Wait();
 
-  if (!metrics_out.empty()) {
-    if (auto st = karl::telemetry::WriteMetricsFile(
-            karl::telemetry::GlobalRegistry(), metrics_out);
-        !st.ok()) {
-      return Fail(st.ToString());
-    }
-    std::fprintf(stderr, "karl_server: metrics written to %s\n",
-                 metrics_out.c_str());
-  }
   if (tracer != nullptr) {
     if (auto st = tracer->WriteJson(trace_out); !st.ok()) {
       return Fail(st.ToString());
