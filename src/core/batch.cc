@@ -34,12 +34,6 @@ BatchEvaluator::BatchEvaluator(const Engine& engine,
   ResolveInstruments(engine.options().metrics);
 }
 
-BatchEvaluator::BatchEvaluator(const DynamicEngine& engine,
-                               const BatchOptions& options)
-    : dynamic_(&engine), options_(options) {
-  ResolveInstruments(engine.options().engine.metrics);
-}
-
 template <typename T, typename PerQuery>
 std::vector<T> BatchEvaluator::Run(const data::Matrix& queries,
                                    EvalStats* stats,
@@ -124,9 +118,7 @@ std::vector<uint8_t> BatchEvaluator::Tkaq(const data::Matrix& queries,
                                           EvalStats* stats) const {
   const auto per_query = [this, tau](std::span<const double> q,
                                      EvalStats* work) -> uint8_t {
-    const bool above = engine_ != nullptr ? engine_->Tkaq(q, tau, work)
-                                          : dynamic_->Tkaq(q, tau, work);
-    return above ? 1 : 0;
+    return engine_->Tkaq(q, tau, work) ? 1 : 0;
   };
   return Run<uint8_t>(queries, stats, per_query);
 }
@@ -136,8 +128,7 @@ std::vector<double> BatchEvaluator::Ekaq(const data::Matrix& queries,
                                          EvalStats* stats) const {
   const auto per_query = [this, eps](std::span<const double> q,
                                      EvalStats* work) {
-    return engine_ != nullptr ? engine_->Ekaq(q, eps, work)
-                              : dynamic_->Ekaq(q, eps, work);
+    return engine_->Ekaq(q, eps, work);
   };
   return Run<double>(queries, stats, per_query);
 }
@@ -145,36 +136,9 @@ std::vector<double> BatchEvaluator::Ekaq(const data::Matrix& queries,
 std::vector<double> BatchEvaluator::Exact(const data::Matrix& queries,
                                           EvalStats* stats) const {
   const auto per_query = [this](std::span<const double> q, EvalStats* work) {
-    return engine_ != nullptr ? engine_->Exact(q, work)
-                              : dynamic_->Exact(q, work);
+    return engine_->Exact(q, work);
   };
   return Run<double>(queries, stats, per_query);
-}
-
-std::vector<uint8_t> DynamicEngine::TkaqBatch(const data::Matrix& queries,
-                                              double tau,
-                                              util::ThreadPool* pool,
-                                              EvalStats* stats) const {
-  BatchOptions options;
-  options.pool = pool;
-  return BatchEvaluator(*this, options).Tkaq(queries, tau, stats);
-}
-
-std::vector<double> DynamicEngine::EkaqBatch(const data::Matrix& queries,
-                                             double eps,
-                                             util::ThreadPool* pool,
-                                             EvalStats* stats) const {
-  BatchOptions options;
-  options.pool = pool;
-  return BatchEvaluator(*this, options).Ekaq(queries, eps, stats);
-}
-
-std::vector<double> DynamicEngine::ExactBatch(const data::Matrix& queries,
-                                              util::ThreadPool* pool,
-                                              EvalStats* stats) const {
-  BatchOptions options;
-  options.pool = pool;
-  return BatchEvaluator(*this, options).Exact(queries, stats);
 }
 
 }  // namespace karl::core

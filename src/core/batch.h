@@ -1,9 +1,9 @@
 // Parallel batch-query execution over a shared engine.
 //
 // KARL's per-query refinement (paper §V) is embarrassingly parallel
-// across query points: a built Engine (and the const query surface of
-// DynamicEngine) is immutable, so a batch of queries fans out across a
-// work-stealing thread pool with zero coordination on the hot path.
+// across query points: a built Engine is immutable, so a batch of
+// queries fans out across a work-stealing thread pool with zero
+// coordination on the hot path.
 //
 // Determinism contract: each query runs the identical single-threaded
 // refinement it would run in a serial loop, and results are stored by
@@ -28,9 +28,9 @@
 
 #include <cstdint>
 #include <functional>
+#include <string>
 #include <vector>
 
-#include "core/dynamic_engine.h"
 #include "core/karl.h"
 
 namespace karl::util {
@@ -74,8 +74,6 @@ class BatchEvaluator {
  public:
   explicit BatchEvaluator(const Engine& engine,
                           const BatchOptions& options = {});
-  explicit BatchEvaluator(const DynamicEngine& engine,
-                          const BatchOptions& options = {});
 
   /// TKAQ per row of `queries`: out[i] = (F(q_i) > tau). uint8_t instead
   /// of bool so rows can be written concurrently (std::vector<bool> bits
@@ -113,8 +111,7 @@ class BatchEvaluator {
 
   void ResolveInstruments(telemetry::Registry* registry);
 
-  const Engine* engine_ = nullptr;          // Exactly one of these two
-  const DynamicEngine* dynamic_ = nullptr;  // is non-null.
+  const Engine* engine_ = nullptr;
   BatchOptions options_;
   Instruments instruments_;
 };

@@ -2,14 +2,14 @@
 // event format"), loadable in Perfetto (ui.perfetto.dev) or
 // chrome://tracing.
 //
-// The engines emit three event shapes:
-//   - complete events ("ph":"X"): one span per query or rebuild, with
+// The engines emit two event shapes:
+//   - complete events ("ph":"X"): one span per query or build, with
 //     duration and summary args (iterations, kernel evals, result);
 //   - counter events ("ph":"C"): per-refinement-iteration tracks of
 //     lb / ub / gap and cumulative node expansions / kernel evals,
-//     rendered by Perfetto as stacked counter tracks;
-//   - instant events ("ph":"i"): singular moments such as an index
-//     rebuild trigger.
+//     rendered by Perfetto as stacked counter tracks.
+// The recorder also takes instant events ("ph":"i"): singular moments
+// with no duration.
 // The serving stack adds flow events ("ph":"s"/"t"/"f" under category
 // "req", keyed by the request id): emitted inside the per-stage spans
 // of one request on each thread it crosses, they make Perfetto draw a

@@ -21,11 +21,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
-#include <memory>
 #include <thread>
 #include <vector>
 
-#include "core/dynamic_engine.h"
 #include "core/karl.h"
 #include "core/simd/simd.h"
 #include "data/synthetic.h"
@@ -388,61 +386,6 @@ TEST(BatchEvaluatorTest, CrossTierBatchResultsAgreeWithinContract) {
     }
   }
   simd::ForceTier(saved);
-}
-
-TEST(DynamicBatchTest, BatchMatchesSerialAcrossMutations) {
-  // DynamicEngine batch vs serial, bit-exact, before and after churn
-  // that crosses a rebuild (delta buffer + tombstones in play).
-  util::Rng rng(99);
-  const size_t d = 4;
-  core::DynamicEngine::Options options;
-  options.engine.kernel = KernelParams::Gaussian(5.0);
-  options.min_index_size = 64;
-  auto engine = core::DynamicEngine::Create(d, options);
-  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
-
-  std::vector<core::PointId> ids;
-  for (int i = 0; i < 300; ++i) {
-    std::vector<double> p(d);
-    for (auto& v : p) v = rng.Uniform(0.0, 1.0);
-    auto id = engine.value()->Insert(p, rng.Uniform(0.1, 1.0));
-    ASSERT_TRUE(id.ok());
-    ids.push_back(id.value());
-  }
-
-  const data::Matrix queries = MakeQueries(30, d, rng);
-  util::ThreadPool pool(TestThreads());
-
-  const auto check = [&](const char* phase) {
-    const size_t n = queries.rows();
-    std::vector<uint8_t> serial_tkaq(n);
-    std::vector<double> serial_ekaq(n), serial_exact(n);
-    for (size_t i = 0; i < n; ++i) {
-      serial_tkaq[i] = engine.value()->Tkaq(queries.Row(i), 1.0) ? 1 : 0;
-      serial_ekaq[i] = engine.value()->Ekaq(queries.Row(i), 0.2);
-      serial_exact[i] = engine.value()->Exact(queries.Row(i));
-    }
-    EXPECT_EQ(engine.value()->TkaqBatch(queries, 1.0, &pool), serial_tkaq)
-        << phase;
-    EXPECT_EQ(engine.value()->EkaqBatch(queries, 0.2, &pool), serial_ekaq)
-        << phase;
-    EXPECT_EQ(engine.value()->ExactBatch(queries, &pool), serial_exact)
-        << phase;
-  };
-  check("after inserts");
-
-  // Churn: remove a third, insert replacements — enough delta to force
-  // at least one rebuild at the default rebuild fraction.
-  for (size_t i = 0; i < ids.size(); i += 3) {
-    ASSERT_TRUE(engine.value()->Remove(ids[i]).ok());
-  }
-  for (int i = 0; i < 80; ++i) {
-    std::vector<double> p(d);
-    for (auto& v : p) v = rng.Uniform(0.0, 1.0);
-    ASSERT_TRUE(engine.value()->Insert(p, rng.Uniform(0.1, 1.0)).ok());
-  }
-  check("after churn");
-  EXPECT_GE(engine.value()->rebuild_count(), 1u);
 }
 
 }  // namespace

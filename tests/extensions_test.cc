@@ -1,6 +1,6 @@
-// Tests for the extension modules beyond the paper's core: sparse (CSR)
-// storage, multi-class SVM, kernel regression, and the ablation bound
-// variants.
+// Tests for the modules beyond the paper's core that the benchmarks run:
+// sparse (CSR) storage with its exact scan (Table VII's LIBSVM column)
+// and the ablation bound variants (bench_ablation_bounds).
 
 #include <gtest/gtest.h>
 
@@ -9,11 +9,10 @@
 
 #include "core/bounds.h"
 #include "core/evaluator.h"
+#include "core/karl.h"
 #include "data/sparse_matrix.h"
 #include "data/synthetic.h"
 #include "index/kd_tree.h"
-#include "ml/multiclass.h"
-#include "ml/regression.h"
 #include "util/rng.h"
 
 namespace karl {
@@ -85,144 +84,6 @@ TEST(SparseMatrixTest, SparseAggregateMatchesDenseAllKernels) {
           core::ExactAggregateSparse(sparse, weights, kernel, q);
       EXPECT_NEAR(sparse_f, dense_f, 1e-9 * (1.0 + std::abs(dense_f)));
     }
-  }
-}
-
-// ----------------------------- Multiclass SVM ----------------------------
-
-data::LabeledDataset MakeThreeClassDataset(size_t per_class, size_t d,
-                                           util::Rng& rng) {
-  // Three well-separated blobs with labels 0, 1, 2.
-  data::LabeledDataset ds;
-  ds.points = data::Matrix(0, d);
-  const double centers[3] = {0.15, 0.5, 0.85};
-  for (int c = 0; c < 3; ++c) {
-    for (size_t i = 0; i < per_class; ++i) {
-      std::vector<double> p(d);
-      for (auto& v : p) v = rng.Gaussian(centers[c], 0.05);
-      ds.points.AppendRow(p);
-      ds.labels.push_back(static_cast<double>(c));
-    }
-  }
-  return ds;
-}
-
-TEST(MulticlassSvmTest, RejectsDegenerateInputs) {
-  const auto kernel = KernelParams::Gaussian(1.0);
-  ml::TwoClassSvmParams params;
-  data::LabeledDataset empty;
-  EXPECT_FALSE(ml::MulticlassSvm::Train(empty, kernel, params).ok());
-
-  data::LabeledDataset one_class;
-  one_class.points = data::Matrix(3, 2);
-  one_class.labels = {1.0, 1.0, 1.0};
-  EXPECT_FALSE(ml::MulticlassSvm::Train(one_class, kernel, params).ok());
-}
-
-TEST(MulticlassSvmTest, TrainsPairwiseModels) {
-  util::Rng rng(2);
-  const auto ds = MakeThreeClassDataset(60, 3, rng);
-  auto svm = ml::MulticlassSvm::Train(ds, KernelParams::Gaussian(3.0),
-                                      ml::TwoClassSvmParams{});
-  ASSERT_TRUE(svm.ok()) << svm.status().ToString();
-  EXPECT_EQ(svm.value().classes().size(), 3u);
-  EXPECT_EQ(svm.value().models().size(), 3u);  // C(3,2).
-}
-
-TEST(MulticlassSvmTest, SeparableDataHighAccuracy) {
-  util::Rng rng(3);
-  const auto ds = MakeThreeClassDataset(80, 3, rng);
-  auto svm = ml::MulticlassSvm::Train(ds, KernelParams::Gaussian(3.0),
-                                      ml::TwoClassSvmParams{});
-  ASSERT_TRUE(svm.ok());
-  EXPECT_GT(svm.value().Accuracy(ds.points, ds.labels), 0.95);
-}
-
-TEST(MulticlassSvmTest, FastPredictionMatchesScan) {
-  util::Rng rng(4);
-  const auto ds = MakeThreeClassDataset(60, 3, rng);
-  auto trained = ml::MulticlassSvm::Train(ds, KernelParams::Gaussian(3.0),
-                                          ml::TwoClassSvmParams{});
-  ASSERT_TRUE(trained.ok());
-  ml::MulticlassSvm svm = std::move(trained).ValueOrDie();
-
-  EngineOptions options;
-  options.leaf_capacity = 8;
-  ASSERT_TRUE(svm.BuildEngines(options).ok());
-
-  for (int trial = 0; trial < 40; ++trial) {
-    std::vector<double> q(3);
-    for (auto& v : q) v = rng.Uniform(0.0, 1.0);
-    EXPECT_DOUBLE_EQ(svm.PredictFast(q), svm.PredictScan(q));
-  }
-}
-
-// ---------------------------- Kernel regression --------------------------
-
-TEST(KernelRegressionTest, RejectsBadInputs) {
-  EngineOptions options;
-  EXPECT_FALSE(
-      ml::KernelRegression::Fit(data::Matrix(), {}, options).ok());
-  data::Matrix pts(3, 1, {0.0, 0.5, 1.0});
-  std::vector<double> targets(2, 1.0);
-  EXPECT_FALSE(ml::KernelRegression::Fit(pts, targets, options).ok());
-}
-
-TEST(KernelRegressionTest, ConstantTargetsPredictConstant) {
-  util::Rng rng(5);
-  const data::Matrix pts = data::SampleUniform(100, 2, 0.0, 1.0, rng);
-  const std::vector<double> targets(100, 7.5);
-  EngineOptions options;
-  auto model = ml::KernelRegression::Fit(pts, targets, options);
-  ASSERT_TRUE(model.ok());
-  const std::vector<double> q(2, 0.5);
-  EXPECT_DOUBLE_EQ(model.value().Predict(q), 7.5);
-  EXPECT_DOUBLE_EQ(model.value().PredictExact(q), 7.5);
-}
-
-TEST(KernelRegressionTest, RecoversSmoothFunction) {
-  // y = sin(2πx0) + x1 on [0,1]^2; NW regression with enough data should
-  // track it closely at interior points.
-  util::Rng rng(6);
-  const size_t n = 4000;
-  data::Matrix pts = data::SampleUniform(n, 2, 0.0, 1.0, rng);
-  std::vector<double> targets(n);
-  for (size_t i = 0; i < n; ++i) {
-    targets[i] = std::sin(2.0 * M_PI * pts(i, 0)) + pts(i, 1);
-  }
-  EngineOptions options;
-  auto model = ml::KernelRegression::Fit(pts, targets, options,
-                                         /*gamma=*/200.0);
-  ASSERT_TRUE(model.ok());
-
-  double max_err = 0.0;
-  for (int trial = 0; trial < 20; ++trial) {
-    const std::vector<double> q{rng.Uniform(0.1, 0.9), rng.Uniform(0.1, 0.9)};
-    const double truth = std::sin(2.0 * M_PI * q[0]) + q[1];
-    max_err = std::max(max_err,
-                       std::abs(model.value().PredictExact(q) - truth));
-  }
-  EXPECT_LT(max_err, 0.25);
-}
-
-TEST(KernelRegressionTest, ApproximateTracksExact) {
-  util::Rng rng(7);
-  const size_t n = 2000;
-  data::Matrix pts = data::SampleClustered(n, 3, 2, 0.08, rng);
-  std::vector<double> targets(n);
-  for (size_t i = 0; i < n; ++i) targets[i] = pts(i, 0) * 3.0 - 1.0;
-  EngineOptions options;
-  auto model = ml::KernelRegression::Fit(pts, targets, options);
-  ASSERT_TRUE(model.ok());
-
-  for (int trial = 0; trial < 10; ++trial) {
-    const auto qspan = pts.Row(rng.UniformInt(n));
-    const std::vector<double> q(qspan.begin(), qspan.end());
-    const double exact = model.value().PredictExact(q);
-    const double approx = model.value().Predict(q, 0.1);
-    // Guarantee is relative to the shifted value (ŷ − y_min).
-    const double shifted = exact - model.value().target_shift();
-    EXPECT_NEAR(approx, exact, 0.1 * std::abs(shifted) + 1e-9);
   }
 }
 

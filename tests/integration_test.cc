@@ -6,7 +6,6 @@
 
 #include <cmath>
 
-#include "core/dynamic_engine.h"
 #include "core/evaluator.h"
 #include "core/karl.h"
 #include "core/tuning.h"
@@ -233,49 +232,6 @@ TEST(IntegrationTest, InsituDecisionsMatchOffline) {
           << "level " << level;
     }
   }
-}
-
-// Online kernel learning end to end: a stream interleaves model updates
-// (inserts of fresh observations, expiry of stale ones) with TKAQ
-// queries; the dynamic engine must track brute force throughout.
-TEST(IntegrationTest, OnlineLearningStream) {
-  core::DynamicEngine::Options options;
-  options.engine.kernel = KernelParams::Gaussian(5.0);
-  options.engine.leaf_capacity = 16;
-  options.min_index_size = 128;
-  auto engine = core::DynamicEngine::Create(3, options).ValueOrDie();
-
-  util::Rng rng(11);
-  std::vector<std::pair<core::PointId, std::vector<double>>> window;
-
-  for (int step = 0; step < 800; ++step) {
-    // Arrival: a new observation near a drifting centre.
-    const double drift = 0.3 + 0.4 * (step / 800.0);
-    std::vector<double> p{rng.Gaussian(drift, 0.08),
-                          rng.Gaussian(0.5, 0.08),
-                          rng.Gaussian(1.0 - drift, 0.08)};
-    window.emplace_back(engine->Insert(p, 1.0).ValueOrDie(), p);
-
-    // Sliding window of 300: expire the oldest.
-    if (window.size() > 300) {
-      ASSERT_TRUE(engine->Remove(window.front().first).ok());
-      window.erase(window.begin());
-    }
-
-    if (step % 97 == 96) {
-      // Query the live window and cross-check against brute force.
-      std::vector<double> q{drift, 0.5, 1.0 - drift};
-      double truth = 0.0;
-      for (const auto& [id, point] : window) {
-        truth += core::KernelValue(options.engine.kernel, q, point);
-      }
-      ASSERT_NEAR(engine->Exact(q), truth, 1e-9 * (1.0 + truth));
-      ASSERT_EQ(engine->Tkaq(q, truth * 0.9), true) << "step " << step;
-      ASSERT_EQ(engine->Tkaq(q, truth * 1.1), false) << "step " << step;
-    }
-  }
-  EXPECT_GE(engine->rebuild_count(), 1u);
-  EXPECT_EQ(engine->size(), window.size());
 }
 
 // Dataset registry → engines across every benchmark dataset at small n.
