@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "bench_common.h"
+#include "registry/registry.h"
 #include "server/client.h"
 #include "server/server.h"
 #include "telemetry/metrics.h"
@@ -164,11 +165,21 @@ int main(int argc, char** argv) {
       return 1;
     }
     karl::telemetry::Registry registry;
+    karl::registry::RegistryOptions registry_options;
+    registry_options.default_model = "default";
+    registry_options.metrics = &registry;
+    auto models = karl::registry::ModelRegistry::Open("", registry_options);
+    if (!models.ok()) {
+      std::fprintf(stderr, "%s\n", models.status().ToString().c_str());
+      return 1;
+    }
+    models.value()->AdoptEngine("default", &engine.value());
     karl::server::ServerOptions server_options;
     server_options.port = 0;
     server_options.threads = std::max<size_t>(batch_threads, 2);
     server_options.metrics = &registry;
-    auto server = karl::server::Server::Start(engine.value(), server_options);
+    auto server = karl::server::Server::StartWithRegistry(
+        models.value().get(), server_options);
     if (!server.ok()) {
       std::fprintf(stderr, "%s\n", server.status().ToString().c_str());
       return 1;

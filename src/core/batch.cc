@@ -90,11 +90,7 @@ std::vector<T> BatchEvaluator::Run(const data::Matrix& queries,
           }
         });
     if (stats != nullptr) {
-      for (const EvalStats& s : slot_stats) {
-        stats->iterations += s.iterations;
-        stats->nodes_expanded += s.nodes_expanded;
-        stats->kernel_evals += s.kernel_evals;
-      }
+      for (const EvalStats& s : slot_stats) *stats += s;
     }
   }
 

@@ -423,59 +423,12 @@ void KarlInnerProductBounds::NodeBounds(const index::TreeIndex& tree,
   *lb = std::min(*lb, *ub);
 }
 
-namespace {
-
-// Auditing decorator: forwards to the wrapped BoundFunction, then
-// verifies the produced interval against the exact leaf-level aggregate
-// (see MakeAuditingBoundFunction in bounds.h).
-class AuditingBoundFunction final : public BoundFunction {
- public:
-  AuditingBoundFunction(std::unique_ptr<BoundFunction> inner,
-                        const KernelParams& params, double rel_tolerance)
-      : inner_(std::move(inner)),
-        params_(params),
-        rel_tolerance_(rel_tolerance) {}
-
-  void NodeBounds(const index::TreeIndex& tree, index::NodeId id,
-                  const QueryContext& ctx, double* lb,
-                  double* ub) const override {
-    inner_->NodeBounds(tree, id, ctx, lb, ub);
-    const double exact = ExactNodeAggregate(params_, tree, id, ctx.q);
-    const double tol = rel_tolerance_ * (1.0 + std::abs(exact));
-    const auto& nd = tree.node(id);
-    KARL_CHECK(*lb <= *ub + tol)
-        << ": inverted node bounds; kernel=" << KernelTypeToString(params_.type)
-        << " node=" << id << " range=[" << nd.begin << "," << nd.end
-        << ") lb=" << *lb << " ub=" << *ub;
-    KARL_CHECK(*lb <= exact + tol && *ub >= exact - tol)
-        << ": node bounds exclude the exact aggregate; kernel="
-        << KernelTypeToString(params_.type) << " gamma=" << params_.gamma
-        << " node=" << id << " range=[" << nd.begin << "," << nd.end
-        << ") lb=" << *lb << " exact=" << exact << " ub=" << *ub;
-  }
-
- private:
-  std::unique_ptr<BoundFunction> inner_;
-  KernelParams params_;
-  double rel_tolerance_;
-};
-
-}  // namespace
-
 double ExactNodeAggregate(const KernelParams& params,
                           const index::TreeIndex& tree, index::NodeId id,
                           std::span<const double> q) {
   const auto& nd = tree.node(id);
   return simd::ScalarLeafAggregate(params, tree.points(), nd.begin, nd.end,
                                    q.data());
-}
-
-std::unique_ptr<BoundFunction> MakeAuditingBoundFunction(
-    std::unique_ptr<BoundFunction> inner, const KernelParams& params,
-    double rel_tolerance) {
-  KARL_CHECK(inner != nullptr) << ": auditor needs a bound function to wrap";
-  return std::make_unique<AuditingBoundFunction>(std::move(inner), params,
-                                                 rel_tolerance);
 }
 
 util::Result<std::unique_ptr<BoundFunction>> MakeBoundFunction(

@@ -174,21 +174,12 @@ util::Result<std::unique_ptr<BoundFunction>> MakeBoundFunction(
 // ---------------------------------------------------------------------
 
 /// Exact Σ_{i∈node} w_i·K(q, p_i) over the node's permuted point range —
-/// the ground truth the auditor compares node bounds against. O(count·d),
-/// so audit paths only.
+/// the ground truth the evaluator's auditor (Evaluator::Options::
+/// audit_bounds) compares every admitted node's bounds against.
+/// O(count·d), so audit paths only.
 double ExactNodeAggregate(const KernelParams& params,
                           const index::TreeIndex& tree, index::NodeId id,
                           std::span<const double> q);
-
-/// Wraps `inner` with the bound-invariant auditor: every NodeBounds call
-/// additionally recomputes the exact node aggregate and aborts via
-/// KARL_CHECK — with the node id, point range, kernel, bounds and exact
-/// value in the message — if `lb ≤ exact ≤ ub` or `lb ≤ ub` is violated
-/// beyond `rel_tolerance·(1 + |exact|)`. Each call costs O(count·d);
-/// intended for the KARL_AUDIT_BOUNDS mode, fuzz drivers, and tests.
-std::unique_ptr<BoundFunction> MakeAuditingBoundFunction(
-    std::unique_ptr<BoundFunction> inner, const KernelParams& params,
-    double rel_tolerance = 1e-7);
 
 // ---------------------------------------------------------------------
 // Pure bound-construction math, exposed for unit and property testing.

@@ -38,17 +38,177 @@ struct EntryLess {
 
 using Frontier = std::priority_queue<Entry, std::vector<Entry>, EntryLess>;
 
-// Grows the per-level vector on demand; depths arrive in traversal
-// order, so this amortizes to nothing.
-TraversalProfile::Level& ProfileLevel(TraversalProfile* profile,
-                                      uint16_t depth) {
-  if (profile->levels.size() <= depth) {
-    profile->levels.resize(static_cast<size_t>(depth) + 1);
-  }
-  return profile->levels[depth];
-}
+// The refinement loop's observer hooks, called in loop order: OnPush for
+// every bounded node entering the frontier, OnLeaf for every effective
+// leaf folded exactly, OnExpand for every popped node, OnStep after the
+// root admission(s) and after every iteration, OnFinish once with what
+// is left of the frontier. The empty bodies compile away, so a query
+// with nothing attached runs the bare loop.
+struct NullObserver {
+  void OnPush(const index::TreeIndex&, const Entry&) {}
+  void OnLeaf(const index::TreeIndex::Node&) {}
+  void OnExpand(const index::TreeIndex::Node&) {}
+  void OnStep(double, double, const EvalStats&) {}
+  void OnFinish(Frontier&, const EvalStats&) {}
+};
 
 }  // namespace
+
+// The one concrete observer: fills the EXPLAIN profile, calls the Fig. 6
+// TraceFn, streams the karl.bounds / karl.work counter tracks to the
+// tracer and runs the bound-invariant audit (Options::audit_bounds).
+class Evaluator::RefineObserver {
+ public:
+  RefineObserver(const Evaluator& ev, std::span<const double> q,
+                 const TraceFn* trace, TraversalProfile* profile)
+      : ev_(ev),
+        q_(q),
+        trace_(trace != nullptr && *trace ? trace : nullptr),
+        profile_(profile),
+        tracer_(ev.options_.tracer),
+        audit_(ev.options_.audit_bounds) {
+    if (profile_ != nullptr) {
+      profile_->Clear();
+      profile_->bounds = ev.options_.bounds;
+    }
+    if (audit_) {
+      // The exact answer is the ground truth every global [lb, ub] must
+      // enclose. It comes from an unrecorded scan: the audit is not a
+      // user query. Monotone refinement is only a theorem for nested
+      // kd-tree boxes with the pointwise interval-monotone constructions
+      // on convex distance profiles (ball-tree child balls are not nested
+      // in the parent, and the mixed-interval pivot line is not
+      // interval-monotone).
+      exact_ = ev.ScanExact(q);
+      tol_ = 1e-6 * (1.0 + std::abs(exact_));
+      monotone_ = !IsInnerProductKernel(ev.kernel_.type) &&
+                  ev.plus_tree_->kind() == index::IndexKind::kKdTree &&
+                  (ev.minus_tree_ == nullptr ||
+                   ev.minus_tree_->kind() == index::IndexKind::kKdTree);
+    }
+  }
+
+  void OnPush(const index::TreeIndex& tree, const Entry& e) {
+    if (profile_ != nullptr) ++Level(tree.node(e.node).depth).visited;
+    if (audit_) AuditNode(tree, e);
+  }
+
+  void OnLeaf(const index::TreeIndex::Node& nd) {
+    if (profile_ == nullptr) return;
+    TraversalProfile::Level& level = Level(nd.depth);
+    ++level.visited;
+    ++level.exact_leaves;
+    level.kernel_evals += nd.count();
+  }
+
+  void OnExpand(const index::TreeIndex::Node& nd) {
+    if (profile_ != nullptr) ++Level(nd.depth).expanded;
+  }
+
+  void OnStep(double lb, double ub, const EvalStats& work) {
+    if (audit_) AuditGlobals(lb, ub, work.iterations);
+    if (trace_ != nullptr) (*trace_)(work.iterations, lb, ub);
+    if (profile_ != nullptr) {
+      if (profile_->timeline.size() < TraversalProfile::kMaxTimeline) {
+        profile_->timeline.push_back({lb, ub, work.kernel_evals});
+      } else {
+        profile_->timeline_truncated = true;
+      }
+    }
+    if (tracer_ != nullptr) {
+      const uint64_t now = tracer_->NowMicros();
+      tracer_->CounterEvent("karl.bounds", now,
+                            {{"lb", lb}, {"ub", ub}, {"gap", ub - lb}});
+      tracer_->CounterEvent(
+          "karl.work", now,
+          {{"iteration", static_cast<double>(work.iterations)},
+           {"nodes_expanded", static_cast<double>(work.nodes_expanded)},
+           {"kernel_evals", static_cast<double>(work.kernel_evals)}});
+    }
+  }
+
+  void OnFinish(Frontier& frontier, const EvalStats& work) {
+    if (profile_ == nullptr) return;
+    // Whatever is left on the frontier was never expanded: the bound was
+    // tight enough to decide the query without opening these subtrees.
+    while (!frontier.empty()) {
+      const Entry rest = frontier.top();
+      frontier.pop();
+      const index::TreeIndex& tree =
+          rest.side > 0 ? *ev_.plus_tree_ : *ev_.minus_tree_;
+      ++Level(tree.node(rest.node).depth).pruned;
+    }
+    profile_->iterations = work.iterations;
+    profile_->nodes_expanded = work.nodes_expanded;
+    profile_->kernel_evals = work.kernel_evals;
+  }
+
+ private:
+  // Grows the per-level vector on demand; depths arrive in traversal
+  // order, so this amortizes to nothing.
+  TraversalProfile::Level& Level(uint16_t depth) {
+    if (profile_->levels.size() <= depth) {
+      profile_->levels.resize(static_cast<size_t>(depth) + 1);
+    }
+    return profile_->levels[depth];
+  }
+
+  // Checks one node's bounds, as the serving bound path produced them,
+  // against its exact aggregate. The checks run on the bound function's
+  // positive-space interval; a P⁻ entry holds its exact negation, so
+  // they are the signed-space checks too.
+  void AuditNode(const index::TreeIndex& tree, const Entry& e) const {
+    const double lb = e.side > 0 ? e.lb : -e.ub;
+    const double ub = e.side > 0 ? e.ub : -e.lb;
+    const KernelParams& kernel = ev_.kernel_;
+    const double exact = ExactNodeAggregate(kernel, tree, e.node, q_);
+    const double tol = 1e-7 * (1.0 + std::abs(exact));
+    const auto& nd = tree.node(e.node);
+    KARL_CHECK(lb <= ub + tol)
+        << ": inverted node bounds; kernel=" << KernelTypeToString(kernel.type)
+        << " side=" << static_cast<int>(e.side) << " node=" << e.node
+        << " range=[" << nd.begin << "," << nd.end << ") lb=" << lb
+        << " ub=" << ub;
+    KARL_CHECK(lb <= exact + tol && ub >= exact - tol)
+        << ": node bounds exclude the exact aggregate; kernel="
+        << KernelTypeToString(kernel.type) << " gamma=" << kernel.gamma
+        << " side=" << static_cast<int>(e.side) << " node=" << e.node
+        << " range=[" << nd.begin << "," << nd.end << ") lb=" << lb
+        << " exact=" << exact << " ub=" << ub;
+  }
+
+  // Global invariants, checked at every step (bounds move transiently
+  // inside one iteration).
+  void AuditGlobals(double lb, double ub, size_t iteration) {
+    KARL_CHECK(lb <= ub + tol_)
+        << ": global bounds inverted at iteration " << iteration
+        << "; lb=" << lb << " ub=" << ub;
+    KARL_CHECK(lb <= exact_ + tol_ && ub >= exact_ - tol_)
+        << ": global bounds exclude the exact answer at iteration "
+        << iteration << "; lb=" << lb << " exact=" << exact_ << " ub=" << ub;
+    if (monotone_) {
+      const double slack = 1e-7 * (1.0 + std::abs(lb) + std::abs(ub));
+      KARL_CHECK(lb >= prev_lb_ - slack && ub <= prev_ub_ + slack)
+          << ": refinement not monotone at iteration " << iteration
+          << "; lb " << prev_lb_ << " -> " << lb << ", ub " << prev_ub_
+          << " -> " << ub;
+    }
+    prev_lb_ = lb;
+    prev_ub_ = ub;
+  }
+
+  const Evaluator& ev_;
+  std::span<const double> q_;
+  const TraceFn* trace_;  // Null unless callable.
+  TraversalProfile* profile_;
+  telemetry::TraceRecorder* tracer_;
+  bool audit_;
+  double exact_ = 0.0;
+  double tol_ = 0.0;
+  bool monotone_ = false;
+  double prev_lb_ = -std::numeric_limits<double>::infinity();
+  double prev_ub_ = std::numeric_limits<double>::infinity();
+};
 
 const char* BoundFamilyName(BoundKind kind) {
   switch (kind) {
@@ -74,8 +234,6 @@ util::Result<Evaluator> Evaluator::Create(const index::TreeIndex* plus_tree,
       CreateWithBounds(plus_tree, minus_tree, kernel, options,
                        std::move(bound_fn).ValueOrDie());
   if (!ev.ok()) return ev;
-  // The auditor wraps the bound function, so an audited evaluator keeps
-  // the virtual path (none of the casts below match the wrapper).
   Evaluator& e = ev.value();
   const BoundFunction* fn = e.bound_fn_.get();
   if (dynamic_cast<const KarlDistanceBounds*>(fn) != nullptr) {
@@ -107,9 +265,7 @@ util::Result<Evaluator> Evaluator::CreateWithBounds(
   ev.minus_tree_ = minus_tree;
   ev.kernel_ = kernel;
   ev.options_ = options;
-  ev.bound_fn_ = options.audit_bounds
-                     ? MakeAuditingBoundFunction(std::move(bound_fn), kernel)
-                     : std::move(bound_fn);
+  ev.bound_fn_ = std::move(bound_fn);
   if (options.metrics != nullptr) {
     telemetry::Registry& reg = *options.metrics;
     ev.instruments_.latency_usec =
@@ -161,69 +317,48 @@ void Evaluator::RecordQueryMetrics(telemetry::Counter* query_counter,
   }
 }
 
-void Evaluator::Refine(std::span<const double> q, const StopFn& stop,
-                       double* lb, double* ub, EvalStats* stats,
-                       const TraceFn* trace,
-                       TraversalProfile* profile) const {
-  const BoundFunction& fn = *bound_fn_;
-  switch (bound_call_) {
-    case BoundCall::kSotaDistance:
-      return RefineWith(static_cast<const SotaDistanceBounds&>(fn), q, stop,
-                        lb, ub, stats, trace, profile);
-    case BoundCall::kKarlDistance:
-      return RefineWith(static_cast<const KarlDistanceBounds&>(fn), q, stop,
-                        lb, ub, stats, trace, profile);
-    case BoundCall::kSotaInnerProduct:
-      return RefineWith(static_cast<const SotaInnerProductBounds&>(fn), q,
-                        stop, lb, ub, stats, trace, profile);
-    case BoundCall::kKarlInnerProduct:
-      return RefineWith(static_cast<const KarlInnerProductBounds&>(fn), q,
-                        stop, lb, ub, stats, trace, profile);
-    case BoundCall::kVirtual:
-      break;
+template <typename Stop>
+EvalStats Evaluator::Refine(std::span<const double> q, Stop stop,
+                            const TraceFn* trace, TraversalProfile* profile,
+                            double* lb, double* ub) const {
+  const auto run = [&](auto& observer) {
+    const BoundFunction& fn = *bound_fn_;
+    switch (bound_call_) {
+      case BoundCall::kSotaDistance:
+        return RefineWith(static_cast<const SotaDistanceBounds&>(fn), q, stop,
+                          observer, lb, ub);
+      case BoundCall::kKarlDistance:
+        return RefineWith(static_cast<const KarlDistanceBounds&>(fn), q, stop,
+                          observer, lb, ub);
+      case BoundCall::kSotaInnerProduct:
+        return RefineWith(static_cast<const SotaInnerProductBounds&>(fn), q,
+                          stop, observer, lb, ub);
+      case BoundCall::kKarlInnerProduct:
+        return RefineWith(static_cast<const KarlInnerProductBounds&>(fn), q,
+                          stop, observer, lb, ub);
+      case BoundCall::kVirtual:
+        break;
+    }
+    return RefineWith(fn, q, stop, observer, lb, ub);
+  };
+  if (profile == nullptr && (trace == nullptr || !*trace) &&
+      options_.tracer == nullptr && !options_.audit_bounds) {
+    NullObserver observer;
+    return run(observer);
   }
-  RefineWith(fn, q, stop, lb, ub, stats, trace, profile);
+  RefineObserver observer(*this, q, trace, profile);
+  return run(observer);
 }
 
-template <typename Bound>
-void Evaluator::RefineWith(const Bound& bound, std::span<const double> q,
-                           const StopFn& stop, double* out_lb,
-                           double* out_ub, EvalStats* stats,
-                           const TraceFn* trace,
-                           TraversalProfile* profile) const {
+template <typename Bound, typename Stop, typename Observer>
+EvalStats Evaluator::RefineWith(const Bound& bound, std::span<const double> q,
+                                Stop stop, Observer& observer, double* out_lb,
+                                double* out_ub) const {
   const QueryContext ctx = QueryContext::Make(q);
-  if (profile != nullptr) {
-    profile->Clear();
-    profile->bounds = options_.bounds;
-  }
   Frontier frontier;
   double lb = 0.0;
   double ub = 0.0;
-  size_t iterations = 0;
-  size_t nodes_expanded = 0;
-  size_t kernel_evals = 0;
-  telemetry::TraceRecorder* const tracer = options_.tracer;
-
-  // Bound-invariant auditor state (Options::audit_bounds). The exact
-  // answer is the ground truth every global [lb, ub] must enclose; the
-  // per-iteration monotonicity check only applies where monotone
-  // refinement is a theorem: nested kd-tree boxes with the pointwise
-  // interval-monotone constructions on convex distance profiles
-  // (ball-tree child balls are not nested in the parent, and the
-  // mixed-interval pivot line is not interval-monotone).
-  const bool audit = options_.audit_bounds;
-  double audit_exact = 0.0;
-  double audit_tol = 0.0;
-  bool audit_monotone = false;
-  if (audit) {
-    audit_exact = QueryExact(q);
-    audit_tol = 1e-6 * (1.0 + std::abs(audit_exact));
-    audit_monotone =
-        !IsInnerProductKernel(kernel_.type) &&
-        plus_tree_->kind() == index::IndexKind::kKdTree &&
-        (minus_tree_ == nullptr ||
-         minus_tree_->kind() == index::IndexKind::kKdTree);
-  }
+  EvalStats work;
 
   // Treats a node as a leaf when it has no children or sits at the level
   // cap (the in-situ tuner's T_i simulation).
@@ -239,9 +374,6 @@ void Evaluator::RefineWith(const Bound& bound, std::span<const double> q,
   // [lb, ub] and pushes its frontier entry.
   const auto push = [&](const index::TreeIndex& tree, int8_t side,
                         index::NodeId id, const simd::NodeInterval& node) {
-    if (profile != nullptr) {
-      ++ProfileLevel(profile, tree.node(id).depth).visited;
-    }
     Entry e;
     e.node = id;
     e.side = side;
@@ -254,18 +386,7 @@ void Evaluator::RefineWith(const Bound& bound, std::span<const double> q,
       e.ub = -node.lb;
     }
     e.gap = e.ub - e.lb;
-    if (audit) {
-      // Signed-space node check: catches a Type III split whose negated
-      // P⁻ interval crosses its positive-space (Type II) parts, on top of
-      // the positive-space check the auditing bound wrapper already ran.
-      const double exact_node = static_cast<double>(side) *
-                                ExactNodeAggregate(kernel_, tree, id, q);
-      const double tol = 1e-7 * (1.0 + std::abs(exact_node));
-      KARL_CHECK(e.lb <= exact_node + tol && e.ub >= exact_node - tol)
-          << ": signed node bounds exclude the exact contribution; side="
-          << static_cast<int>(side) << " node=" << id << " lb=" << e.lb
-          << " exact=" << exact_node << " ub=" << e.ub;
-    }
+    observer.OnPush(tree, e);
     lb += e.lb;
     ub += e.ub;
     frontier.push(e);
@@ -280,13 +401,8 @@ void Evaluator::RefineWith(const Bound& bound, std::span<const double> q,
       const double exact =
           static_cast<double>(side) *
           simd::LeafAggregate(kernel_, tree.points(), nd.begin, nd.end, q);
-      kernel_evals += nd.count();
-      if (profile != nullptr) {
-        TraversalProfile::Level& level = ProfileLevel(profile, nd.depth);
-        ++level.visited;
-        ++level.exact_leaves;
-        level.kernel_evals += nd.count();
-      }
+      work.kernel_evals += nd.count();
+      observer.OnLeaf(nd);
       lb += exact;
       ub += exact;
       return;
@@ -315,64 +431,14 @@ void Evaluator::RefineWith(const Bound& bound, std::span<const double> q,
     admit(tree, side, nd.right);
   };
 
-  // Global-invariant audit, run after the initial admissions and after
-  // every refinement iteration (bounds move transiently inside one).
-  double audit_prev_lb = -std::numeric_limits<double>::infinity();
-  double audit_prev_ub = std::numeric_limits<double>::infinity();
-  const auto audit_globals = [&]() {
-    KARL_CHECK(lb <= ub + audit_tol)
-        << ": global bounds inverted at iteration " << iterations
-        << "; lb=" << lb << " ub=" << ub;
-    KARL_CHECK(lb <= audit_exact + audit_tol && ub >= audit_exact - audit_tol)
-        << ": global bounds exclude the exact answer at iteration "
-        << iterations << "; lb=" << lb << " exact=" << audit_exact
-        << " ub=" << ub;
-    if (audit_monotone) {
-      const double slack = 1e-7 * (1.0 + std::abs(lb) + std::abs(ub));
-      KARL_CHECK(lb >= audit_prev_lb - slack && ub <= audit_prev_ub + slack)
-          << ": refinement not monotone at iteration " << iterations
-          << "; lb " << audit_prev_lb << " -> " << lb << ", ub "
-          << audit_prev_ub << " -> " << ub;
-    }
-    audit_prev_lb = lb;
-    audit_prev_ub = ub;
-  };
-
-  // Streams the refinement state to an attached trace recorder as two
-  // counter tracks: the bound interval and the cumulative work.
-  const auto emit_trace_counters = [&]() {
-    if (tracer == nullptr) return;
-    const uint64_t now = tracer->NowMicros();
-    tracer->CounterEvent("karl.bounds", now,
-                         {{"lb", lb}, {"ub", ub}, {"gap", ub - lb}});
-    tracer->CounterEvent(
-        "karl.work", now,
-        {{"iteration", static_cast<double>(iterations)},
-         {"nodes_expanded", static_cast<double>(nodes_expanded)},
-         {"kernel_evals", static_cast<double>(kernel_evals)}});
-  };
-
-  // Appends one bound-convergence point (entry 0: post-admission state).
-  const auto record_timeline = [&]() {
-    if (profile == nullptr) return;
-    if (profile->timeline.size() >= TraversalProfile::kMaxTimeline) {
-      profile->timeline_truncated = true;
-      return;
-    }
-    profile->timeline.push_back({lb, ub, kernel_evals});
-  };
-
   admit(*plus_tree_, +1, plus_tree_->root());
   if (minus_tree_ != nullptr) admit(*minus_tree_, -1, minus_tree_->root());
-  if (audit) audit_globals();
-  if (trace != nullptr && *trace) (*trace)(iterations, lb, ub);
-  record_timeline();
-  emit_trace_counters();
+  observer.OnStep(lb, ub, work);
 
   while (!frontier.empty() && !stop(lb, ub)) {
     const Entry top = frontier.top();
     frontier.pop();
-    ++iterations;
+    ++work.iterations;
     lb -= top.lb;
     ub -= top.ub;
 
@@ -381,66 +447,35 @@ void Evaluator::RefineWith(const Bound& bound, std::span<const double> q,
     const auto& nd = tree.node(top.node);
     KARL_DCHECK(!nd.is_leaf())
         << ": leaf node " << top.node << " reached the frontier";
-    ++nodes_expanded;
-    if (profile != nullptr) {
-      ++ProfileLevel(profile, nd.depth).expanded;
-    }
+    ++work.nodes_expanded;
+    observer.OnExpand(nd);
     expand(tree, top.side, nd);
-
-    if (audit) audit_globals();
-    if (trace != nullptr && *trace) (*trace)(iterations, lb, ub);
-    record_timeline();
-    emit_trace_counters();
+    observer.OnStep(lb, ub, work);
   }
 
-  // Captured before the profile drain below empties the queue.
+  // Captured before OnFinish, which may drain the queue.
   const bool frontier_drained = frontier.empty();
-
-  if (profile != nullptr) {
-    // Whatever is left on the frontier was never expanded: the bound was
-    // tight enough to decide the query without opening these subtrees.
-    // Draining the queue is profile-only work, off every normal path.
-    while (!frontier.empty()) {
-      const Entry rest = frontier.top();
-      frontier.pop();
-      const index::TreeIndex& tree =
-          rest.side > 0 ? *plus_tree_ : *minus_tree_;
-      ++ProfileLevel(profile, tree.node(rest.node).depth).pruned;
-    }
-    profile->iterations = iterations;
-    profile->nodes_expanded = nodes_expanded;
-    profile->kernel_evals = kernel_evals;
-  }
-
-  if (stats != nullptr) {
-    stats->iterations += iterations;
-    stats->nodes_expanded += nodes_expanded;
-    stats->kernel_evals += kernel_evals;
-  }
+  observer.OnFinish(frontier, work);
   // Drained frontier means [lb, ub] collapsed to the exact value (modulo
   // floating-point accumulation); guard against a tiny inversion.
   if (frontier_drained && lb > ub) lb = ub = 0.5 * (lb + ub);
   *out_lb = lb;
   *out_ub = ub;
+  return work;
 }
 
 bool Evaluator::QueryThreshold(std::span<const double> q, double tau,
                                EvalStats* stats, const TraceFn* trace,
                                TraversalProfile* profile) const {
   telemetry::TraceRecorder* const tracer = options_.tracer;
-  const bool observed = instrumented_ || tracer != nullptr;
-  // The sinks need this query's work even when the caller passed no
-  // stats; when the caller did, snapshot so only the delta is recorded.
-  EvalStats local;
-  EvalStats* work = stats != nullptr ? stats : (observed ? &local : nullptr);
-  const EvalStats before = work != nullptr ? *work : EvalStats{};
   std::optional<util::Stopwatch> timer;
   if (instrumented_) timer.emplace();
   const uint64_t trace_start = tracer != nullptr ? tracer->NowMicros() : 0;
 
   double lb = 0.0, ub = 0.0;
-  const StopFn stop = [tau](double l, double u) { return l > tau || u <= tau; };
-  Refine(q, stop, &lb, &ub, work, trace, profile);
+  const auto stop = [tau](double l, double u) { return l > tau || u <= tau; };
+  const EvalStats work = Refine(q, stop, trace, profile, &lb, &ub);
+  if (stats != nullptr) *stats += work;
   bool result;
   if (lb > tau) {
     result = true;
@@ -451,25 +486,20 @@ bool Evaluator::QueryThreshold(std::span<const double> q, double tau,
     result = 0.5 * (lb + ub) > tau;
   }
 
-  if (observed) {
-    const EvalStats delta{work->iterations - before.iterations,
-                          work->nodes_expanded - before.nodes_expanded,
-                          work->kernel_evals - before.kernel_evals};
-    if (instrumented_) {
-      RecordQueryMetrics(instruments_.queries_tkaq, delta,
-                         timer->ElapsedSeconds() * 1e6);
-    }
-    if (tracer != nullptr) {
-      tracer->CompleteEvent(
-          "tkaq", trace_start, tracer->NowMicros() - trace_start,
-          {{"tau", tau},
-           {"result", result ? 1.0 : 0.0},
-           {"lb", lb},
-           {"ub", ub},
-           {"iterations", static_cast<double>(delta.iterations)},
-           {"nodes_expanded", static_cast<double>(delta.nodes_expanded)},
-           {"kernel_evals", static_cast<double>(delta.kernel_evals)}});
-    }
+  if (instrumented_) {
+    RecordQueryMetrics(instruments_.queries_tkaq, work,
+                       timer->ElapsedSeconds() * 1e6);
+  }
+  if (tracer != nullptr) {
+    tracer->CompleteEvent(
+        "tkaq", trace_start, tracer->NowMicros() - trace_start,
+        {{"tau", tau},
+         {"result", result ? 1.0 : 0.0},
+         {"lb", lb},
+         {"ub", ub},
+         {"iterations", static_cast<double>(work.iterations)},
+         {"nodes_expanded", static_cast<double>(work.nodes_expanded)},
+         {"kernel_evals", static_cast<double>(work.kernel_evals)}});
   }
   return result;
 }
@@ -479,10 +509,6 @@ double Evaluator::QueryApproximate(std::span<const double> q, double eps,
                                    TraversalProfile* profile) const {
   KARL_CHECK(eps > 0.0) << ": eKAQ needs a positive epsilon, got " << eps;
   telemetry::TraceRecorder* const tracer = options_.tracer;
-  const bool observed = instrumented_ || tracer != nullptr;
-  EvalStats local;
-  EvalStats* work = stats != nullptr ? stats : (observed ? &local : nullptr);
-  const EvalStats before = work != nullptr ? *work : EvalStats{};
   std::optional<util::Stopwatch> timer;
   if (instrumented_) timer.emplace();
   const uint64_t trace_start = tracer != nullptr ? tracer->NowMicros() : 0;
@@ -495,12 +521,13 @@ double Evaluator::QueryApproximate(std::span<const double> q, double eps,
   // short-circuits only when F is provably (numerically) zero — any
   // looser absolute cutoff would break the relative guarantee for tiny
   // densities.
-  const StopFn stop = [eps](double l, double u) {
+  const auto stop = [eps](double l, double u) {
     if (l >= 0.0 && u <= (1.0 + eps) * l) return true;
     if (u <= 0.0 && l >= (1.0 + eps) * u) return true;
     return u <= 1e-300 && l >= -1e-300;
   };
-  Refine(q, stop, &lb, &ub, work, trace, profile);
+  const EvalStats work = Refine(q, stop, trace, profile, &lb, &ub);
+  if (stats != nullptr) *stats += work;
   double result;
   if (lb >= 0.0 && ub <= (1.0 + eps) * lb) {
     result = lb;
@@ -510,25 +537,30 @@ double Evaluator::QueryApproximate(std::span<const double> q, double eps,
     result = 0.5 * (lb + ub);
   }
 
-  if (observed) {
-    const EvalStats delta{work->iterations - before.iterations,
-                          work->nodes_expanded - before.nodes_expanded,
-                          work->kernel_evals - before.kernel_evals};
-    if (instrumented_) {
-      RecordQueryMetrics(instruments_.queries_ekaq, delta,
-                         timer->ElapsedSeconds() * 1e6);
-    }
-    if (tracer != nullptr) {
-      tracer->CompleteEvent(
-          "ekaq", trace_start, tracer->NowMicros() - trace_start,
-          {{"eps", eps},
-           {"value", result},
-           {"iterations", static_cast<double>(delta.iterations)},
-           {"nodes_expanded", static_cast<double>(delta.nodes_expanded)},
-           {"kernel_evals", static_cast<double>(delta.kernel_evals)}});
-    }
+  if (instrumented_) {
+    RecordQueryMetrics(instruments_.queries_ekaq, work,
+                       timer->ElapsedSeconds() * 1e6);
+  }
+  if (tracer != nullptr) {
+    tracer->CompleteEvent(
+        "ekaq", trace_start, tracer->NowMicros() - trace_start,
+        {{"eps", eps},
+         {"value", result},
+         {"iterations", static_cast<double>(work.iterations)},
+         {"nodes_expanded", static_cast<double>(work.nodes_expanded)},
+         {"kernel_evals", static_cast<double>(work.kernel_evals)}});
   }
   return result;
+}
+
+double Evaluator::ScanExact(std::span<const double> q) const {
+  const auto full_scan = [&](const index::TreeIndex& tree) {
+    return simd::LeafAggregate(kernel_, tree.points(), 0,
+                               static_cast<uint32_t>(tree.points().rows()), q);
+  };
+  double total = full_scan(*plus_tree_);
+  if (minus_tree_ != nullptr) total -= full_scan(*minus_tree_);
+  return total;
 }
 
 double Evaluator::QueryExact(std::span<const double> q,
@@ -538,16 +570,8 @@ double Evaluator::QueryExact(std::span<const double> q,
   if (instrumented_) timer.emplace();
   const uint64_t trace_start = tracer != nullptr ? tracer->NowMicros() : 0;
 
-  const auto full_scan = [&](const index::TreeIndex& tree) {
-    return simd::LeafAggregate(kernel_, tree.points(), 0,
-                               static_cast<uint32_t>(tree.points().rows()), q);
-  };
-  double total = full_scan(*plus_tree_);
-  size_t evals = plus_tree_->points().rows();
-  if (minus_tree_ != nullptr) {
-    total -= full_scan(*minus_tree_);
-    evals += minus_tree_->points().rows();
-  }
+  const double total = ScanExact(q);
+  const size_t evals = TotalPoints();
   if (stats != nullptr) stats->kernel_evals += evals;
 
   if (instrumented_) {
@@ -567,11 +591,10 @@ double Evaluator::QueryExact(std::span<const double> q,
 void Evaluator::RefineToConvergence(std::span<const double> q,
                                     size_t max_iterations, double* lb,
                                     double* ub, const TraceFn* trace) const {
-  size_t seen = 0;
-  const StopFn stop = [&seen, max_iterations](double, double) {
+  auto cap = [seen = size_t{0}, max_iterations](double, double) mutable {
     return seen++ >= max_iterations;
   };
-  Refine(q, stop, lb, ub, nullptr, trace);
+  Refine(q, cap, trace, nullptr, lb, ub);
 }
 
 double ExactAggregate(const data::Matrix& points,

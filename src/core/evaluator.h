@@ -43,6 +43,14 @@ struct EvalStats {
   size_t iterations = 0;      ///< Priority-queue pops.
   size_t nodes_expanded = 0;  ///< Internal nodes whose children were bounded.
   size_t kernel_evals = 0;    ///< Exact kernel evaluations at leaves.
+
+  /// Adds another query's (or batch slot's) work.
+  EvalStats& operator+=(const EvalStats& other) {
+    iterations += other.iterations;
+    nodes_expanded += other.nodes_expanded;
+    kernel_evals += other.kernel_evals;
+    return *this;
+  }
 };
 
 /// Observes every refinement iteration: (iteration, lb, ub). Used by the
@@ -59,14 +67,15 @@ class Evaluator {
     /// Used by the in-situ tuner to simulate the top-i-levels tree T_i.
     int max_level = -1;
     /// Runtime bound-invariant auditor. When on, every query first
-    /// computes the exact answer by full scan, every admitted node's
-    /// bounds are verified against its exact leaf-level aggregate (in
-    /// signed Type III space too), and every refinement iteration checks
-    /// that [lb, ub] still encloses the exact answer, that lb ≤ ub, and —
-    /// where monotone refinement is a theorem (kd-tree, distance kernels)
-    /// — that lb never decreases and ub never increases. Any violation
-    /// aborts with full diagnostics via KARL_CHECK. Orders of magnitude
-    /// slower than a normal query; compile with -DKARL_AUDIT_BOUNDS (the
+    /// computes the exact answer by an unrecorded full scan, every
+    /// admitted node's bounds — as the serving bound path produced them,
+    /// fused sibling pass included — are verified against its exact
+    /// leaf-level aggregate, and every refinement iteration checks that
+    /// [lb, ub] still encloses the exact answer, that lb ≤ ub, and — where
+    /// monotone refinement is a theorem (kd-tree, distance kernels) — that
+    /// lb never decreases and ub never increases. Any violation aborts
+    /// with full diagnostics via KARL_CHECK. Orders of magnitude slower
+    /// than a normal query; compile with -DKARL_AUDIT_BOUNDS (the
     /// `debug-asan` preset does) to flip the default to true everywhere.
 #ifdef KARL_AUDIT_BOUNDS
     bool audit_bounds = true;
@@ -100,8 +109,8 @@ class Evaluator {
   /// instead of MakeBoundFunction(kernel, options.bounds), called through
   /// its vtable (Create calls the concrete class directly). The audit seam:
   /// lets tests and fuzz drivers inject deliberately broken bounds and
-  /// prove the auditor fires. `options.audit_bounds` wraps `bound_fn`
-  /// with the node-level auditor exactly as Create does.
+  /// prove the auditor fires. `options.audit_bounds` audits every node
+  /// `bound_fn` bounds, exactly as it does under Create.
   static util::Result<Evaluator> CreateWithBounds(
       const index::TreeIndex* plus_tree, const index::TreeIndex* minus_tree,
       const KernelParams& kernel, const Options& options,
@@ -148,9 +157,6 @@ class Evaluator {
  private:
   Evaluator() = default;
 
-  // Termination decision callback: examines (lb, ub), returns true to stop.
-  using StopFn = std::function<bool(double lb, double ub)>;
-
   // Metric handles resolved once at creation when Options::metrics is
   // set; all null (and instrumented_ false) otherwise, so the disabled
   // path never touches the registry.
@@ -169,7 +175,7 @@ class Evaluator {
 
   // The bound family Refine calls without a virtual dispatch, resolved
   // once by Create. kVirtual goes through BoundFunction's vtable: the
-  // path for CreateWithBounds' injected functions and the auditor.
+  // path for CreateWithBounds' injected functions.
   enum class BoundCall : uint8_t {
     kVirtual,
     kSotaDistance,
@@ -178,18 +184,26 @@ class Evaluator {
     kKarlInnerProduct,
   };
 
-  // Runs the refinement loop; outputs the final bounds. `profile`, when
-  // non-null, receives the per-level / per-iteration EXPLAIN counters.
-  // Dispatches once per query to RefineWith on the concrete bound class.
-  void Refine(std::span<const double> q, const StopFn& stop, double* lb,
-              double* ub, EvalStats* stats, const TraceFn* trace,
-              TraversalProfile* profile = nullptr) const;
+  // Observes one refinement loop: the EXPLAIN profile, the TraceFn, the
+  // tracer's counter tracks and the bound audit (defined in evaluator.cc).
+  class RefineObserver;
 
-  template <typename Bound>
-  void RefineWith(const Bound& bound, std::span<const double> q,
-                  const StopFn& stop, double* lb, double* ub,
-                  EvalStats* stats, const TraceFn* trace,
-                  TraversalProfile* profile) const;
+  // Runs the refinement loop until `stop(lb, ub)` holds or the frontier
+  // drains; outputs the final bounds and returns the loop's work. Picks
+  // the observer (RefineObserver only when the query has a profile, a
+  // trace callback, the tracer or the auditor attached) and the concrete
+  // bound class once per query, then runs RefineWith.
+  template <typename Stop>
+  EvalStats Refine(std::span<const double> q, Stop stop, const TraceFn* trace,
+                   TraversalProfile* profile, double* lb, double* ub) const;
+
+  template <typename Bound, typename Stop, typename Observer>
+  EvalStats RefineWith(const Bound& bound, std::span<const double> q,
+                       Stop stop, Observer& observer, double* lb,
+                       double* ub) const;
+
+  // Exact F_P(q) by full scan of both trees, recorded nowhere.
+  double ScanExact(std::span<const double> q) const;
 
   // Points across both trees — the work a full scan would do per query.
   size_t TotalPoints() const;

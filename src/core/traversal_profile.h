@@ -7,10 +7,10 @@
 //
 // Collection is pay-as-you-go: callers pass a TraversalProfile* to
 // QueryThreshold / QueryApproximate, and a null pointer (the default)
-// costs one predictable branch per admitted node — no allocation, no
-// atomics, nothing per refinement iteration. The struct is plain data;
-// JSON rendering lives in the serving layer (server/protocol.h) so the
-// core stays presentation-free.
+// costs one branch per query: with no other channel attached, the
+// refinement loop runs its null observer and does no profile work at
+// all. The struct is plain data; JSON rendering lives in the serving
+// layer (server/protocol.h) so the core stays presentation-free.
 //
 // Reconciliation contract (tested in evaluator_test): against the
 // EvalStats of the same query,

@@ -225,29 +225,6 @@ Router::Outcome Router::Handle(uint64_t conn_id, std::string_view line,
 
 // ---------------------------------------------------------------- Server
 
-util::Result<std::unique_ptr<Server>> Server::Start(const Engine& engine,
-                                                    ServerOptions options) {
-  // Single-engine serving is registry serving with one adopted model:
-  // wrap the engine in an owned registry whose only (and default)
-  // entry is "default". The wire protocol is identical either way.
-  registry::RegistryOptions registry_options;
-  registry_options.default_model = "default";
-  registry_options.metrics = options.metrics != nullptr
-                                 ? options.metrics
-                                 : &telemetry::GlobalRegistry();
-  registry_options.logger = options.logger;
-  auto owned = registry::ModelRegistry::Open("", registry_options);
-  if (!owned.ok()) return owned.status();
-  std::unique_ptr<registry::ModelRegistry> models =
-      std::move(owned).ValueOrDie();
-  models->AdoptEngine("default", &engine);
-  auto started = StartWithRegistry(models.get(), std::move(options));
-  if (!started.ok()) return started.status();
-  std::unique_ptr<Server> server = std::move(started).ValueOrDie();
-  server->owned_registry_ = std::move(models);
-  return server;
-}
-
 util::Result<std::unique_ptr<Server>> Server::StartWithRegistry(
     registry::ModelRegistry* models, ServerOptions options) {
   std::unique_ptr<Server> server(new Server());

@@ -1,7 +1,7 @@
 // Epoll-based TCP front end for KARL engines served out of a model
 // registry (registry/registry.h): requests pick a model by name,
-// SIGHUP / op=reload hot-reloads the registry, and a single built
-// engine is served through the same path via the Start() wrapper.
+// SIGHUP / op=reload hot-reloads the registry. A single built engine
+// is served by adopting it into a registry (ModelRegistry::AdoptEngine).
 //
 // Threading model (three kinds of threads, strict ownership):
 //   * one event-loop thread owns every socket, connection buffer, and
@@ -59,7 +59,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "core/karl.h"
 #include "registry/registry.h"
 #include "server/coalescer.h"
 #include "server/http_admin.h"
@@ -170,14 +169,6 @@ class Router {
 /// The serving process: listener + event loop + coalescer + pool.
 class Server {
  public:
-  /// Binds, spawns the event loop, and starts serving the single
-  /// `engine`, which must outlive the server. Internally this wraps the
-  /// engine in an owned single-model registry (adopted as "default"),
-  /// so the wire protocol — including `"model"` and op=reload — behaves
-  /// identically to a registry-backed server.
-  static util::Result<std::unique_ptr<Server>> Start(const Engine& engine,
-                                                     ServerOptions options);
-
   /// Binds, spawns the event loop, and serves every model in `models`
   /// (requests pick one with `"model":"<name>"`; op=reload / SIGHUP
   /// rescans). The registry must outlive the server.
@@ -287,10 +278,6 @@ class Server {
   // triggers a load); null otherwise. Used by VarzJson.
   registry::ModelHandle ResidentDefaultModel() const;
 
-  // owned_registry_ backs the single-engine Start() overload; declared
-  // before the coalescer/router so it outlives everything that holds
-  // model handles during destruction.
-  std::unique_ptr<registry::ModelRegistry> owned_registry_;
   registry::ModelRegistry* models_ = nullptr;
   ServerOptions options_;
   telemetry::Registry* registry_ = nullptr;

@@ -1,17 +1,24 @@
 // Tests for the best-first refinement evaluator: TKAQ / eKAQ correctness
-// against brute force, level caps, Type-III two-tree interleaving, and
-// the convergence trace.
+// against brute force, level caps, Type-III two-tree interleaving, the
+// convergence trace, and the observation channels (EXPLAIN profile,
+// TraceFn, tracer, metrics, bound audit) alone and together.
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "core/evaluator.h"
+#include "core/simd/simd.h"
 #include "core/traversal_profile.h"
 #include "data/synthetic.h"
 #include "index/ball_tree.h"
 #include "index/kd_tree.h"
+#include "telemetry/metrics.h"
+#include "telemetry/trace.h"
 #include "util/rng.h"
 
 namespace karl::core {
@@ -496,6 +503,165 @@ TEST(ExplainProfileTest, ProfileClearsBetweenQueries) {
   EXPECT_EQ(profile.iterations, second.iterations);
   EXPECT_EQ(profile.kernel_evals, second.kernel_evals);
 }
+
+// Occurrences of `needle` in `haystack`.
+size_t CountOf(const std::string& haystack, const std::string& needle) {
+  size_t count = 0;
+  for (size_t at = haystack.find(needle); at != std::string::npos;
+       at = haystack.find(needle, at + needle.size())) {
+    ++count;
+  }
+  return count;
+}
+
+// The audit's ground-truth scan is not a user query: an audited query
+// records only its own work in the metrics and only its own span.
+TEST(EvaluatorTest, AuditScanIsNotRecordedAsAQuery) {
+  const auto wb = MakeBench(500, 3, 41, true);
+  const auto kernel = KernelParams::Gaussian(3.0);
+  telemetry::Registry metrics;
+  telemetry::TraceRecorder tracer;
+  Evaluator::Options options;
+  options.audit_bounds = true;
+  options.metrics = &metrics;
+  options.tracer = &tracer;
+  auto ev =
+      Evaluator::Create(wb.tree.get(), nullptr, kernel, options).ValueOrDie();
+
+  const std::vector<double> q(3, 0.5);
+  const double exact = ExactAggregate(wb.points, wb.weights, kernel, q);
+  EvalStats stats;
+  EXPECT_EQ(ev.QueryThreshold(q, 0.9 * exact, &stats), true);
+  EXPECT_NEAR(ev.QueryApproximate(q, 0.05, &stats), exact, 0.05 * exact);
+
+  EXPECT_EQ(metrics.GetCounter("karl_exact_queries_total")->value(), 0u);
+  EXPECT_EQ(metrics.GetCounter("karl_tkaq_queries_total")->value(), 1u);
+  EXPECT_EQ(metrics.GetCounter("karl_ekaq_queries_total")->value(), 1u);
+  EXPECT_EQ(metrics.GetCounter("karl_kernel_evals_total")->value(),
+            stats.kernel_evals);
+  const std::string json = tracer.ToJson();
+  EXPECT_EQ(CountOf(json, "\"name\": \"exact\""), 0u);
+  EXPECT_EQ(CountOf(json, "\"name\": \"tkaq\""), 1u);
+  EXPECT_EQ(CountOf(json, "\"name\": \"ekaq\""), 1u);
+}
+
+struct ChannelCase {
+  bool signed_weights;  // Type III (two trees) instead of Type I/II.
+  bool threshold;       // TKAQ instead of eKAQ.
+};
+
+class AllChannelsTest : public ::testing::TestWithParam<ChannelCase> {};
+
+// Every observation channel attached to one query at once — profile,
+// TraceFn, tracer, metrics and the audit — leaves the answer and the
+// work bit-identical to the bare query, and the channels agree with one
+// another, in every SIMD tier the CPU supports.
+TEST_P(AllChannelsTest, ObservedQueryMatchesBareQuery) {
+  const ChannelCase c = GetParam();
+  util::Rng rng(51);
+  const size_t n = 600, d = 3;
+  const data::Matrix pts = data::SampleClustered(n, d, 3, 0.08, rng);
+  std::vector<double> w(n);
+  for (auto& v : w) {
+    v = c.signed_weights ? rng.Uniform(-1.0, 1.0) : rng.Uniform(0.1, 2.0);
+  }
+  std::vector<size_t> pos, neg;
+  for (size_t i = 0; i < n; ++i) (w[i] >= 0 ? pos : neg).push_back(i);
+  std::vector<double> pw, nw;
+  for (const size_t i : pos) pw.push_back(w[i]);
+  for (const size_t i : neg) nw.push_back(-w[i]);
+  auto ptree = index::KdTree::Build(pts.SelectRows(pos), pw, 8).ValueOrDie();
+  std::unique_ptr<index::TreeIndex> ntree;
+  if (!neg.empty()) {
+    ntree = index::KdTree::Build(pts.SelectRows(neg), nw, 8).ValueOrDie();
+  }
+  ASSERT_EQ(ntree != nullptr, c.signed_weights);
+  const auto kernel = KernelParams::Gaussian(4.0);
+  const Evaluator bare =
+      Evaluator::Create(ptree.get(), ntree.get(), kernel, {}).ValueOrDie();
+
+  std::vector<simd::Tier> tiers;
+  for (const simd::Tier tier :
+       {simd::Tier::kScalar, simd::Tier::kAvx2, simd::Tier::kAvx512}) {
+    if (simd::TierSupported(tier)) tiers.push_back(tier);
+  }
+  const simd::Tier saved = simd::ActiveTier();
+  for (const simd::Tier tier : tiers) {
+    simd::ForceTier(tier);
+    for (int trial = 0; trial < 4; ++trial) {
+      SCOPED_TRACE(std::string(simd::TierName(tier)) +
+                   " trial=" + std::to_string(trial));
+      std::vector<double> q(d);
+      for (auto& v : q) v = rng.Uniform(0.0, 1.0);
+      const double exact = ExactAggregate(pts, w, kernel, q);
+
+      telemetry::Registry metrics;
+      telemetry::TraceRecorder tracer;
+      Evaluator::Options options;
+      options.audit_bounds = true;
+      options.metrics = &metrics;
+      options.tracer = &tracer;
+      const Evaluator observed =
+          Evaluator::Create(ptree.get(), ntree.get(), kernel, options)
+              .ValueOrDie();
+      std::vector<size_t> trace_iterations;
+      std::vector<std::pair<double, double>> trace_bounds;
+      const TraceFn trace = [&](size_t iteration, double lb, double ub) {
+        trace_iterations.push_back(iteration);
+        trace_bounds.emplace_back(lb, ub);
+      };
+      TraversalProfile profile;
+      EvalStats bare_stats, stats;
+      if (c.threshold) {
+        const double tau = 0.999 * exact;
+        const bool expected = bare.QueryThreshold(q, tau, &bare_stats);
+        EXPECT_EQ(observed.QueryThreshold(q, tau, &stats, &trace, &profile),
+                  expected);
+      } else {
+        const double expected = bare.QueryApproximate(q, 0.01, &bare_stats);
+        EXPECT_EQ(std::bit_cast<uint64_t>(observed.QueryApproximate(
+                      q, 0.01, &stats, &trace, &profile)),
+                  std::bit_cast<uint64_t>(expected));
+      }
+      EXPECT_EQ(stats.iterations, bare_stats.iterations);
+      EXPECT_EQ(stats.nodes_expanded, bare_stats.nodes_expanded);
+      EXPECT_EQ(stats.kernel_evals, bare_stats.kernel_evals);
+      ExpectProfileReconciles(profile, stats);
+
+      ASSERT_EQ(trace_iterations.size(), stats.iterations + 1);
+      for (size_t i = 0; i < trace_iterations.size(); ++i) {
+        EXPECT_EQ(trace_iterations[i], i);
+      }
+      for (size_t i = 0; i < profile.timeline.size(); ++i) {
+        EXPECT_EQ(trace_bounds[i].first, profile.timeline[i].lb) << i;
+        EXPECT_EQ(trace_bounds[i].second, profile.timeline[i].ub) << i;
+      }
+
+      const std::string json = tracer.ToJson();
+      EXPECT_EQ(CountOf(json, "\"name\": \"karl.bounds\""),
+                stats.iterations + 1);
+      EXPECT_EQ(CountOf(json, "\"name\": \"karl.work\""),
+                stats.iterations + 1);
+      EXPECT_EQ(CountOf(json, "\"ph\": \"X\""), 1u);
+      EXPECT_EQ(CountOf(json, c.threshold ? "\"name\": \"tkaq\""
+                                          : "\"name\": \"ekaq\""),
+                1u);
+      EXPECT_EQ(metrics.GetCounter("karl_exact_queries_total")->value(), 0u);
+      EXPECT_EQ(metrics.GetCounter("karl_kernel_evals_total")->value(),
+                stats.kernel_evals);
+    }
+  }
+  simd::ForceTier(saved);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    WeightingAndQuery, AllChannelsTest,
+    ::testing::Values(ChannelCase{false, true}, ChannelCase{false, false},
+                      ChannelCase{true, true}, ChannelCase{true, false}),
+    [](const auto& info) {
+      return std::string(info.param.signed_weights ? "TypeIII" : "TypeI_II") +
+             (info.param.threshold ? "_Tkaq" : "_Ekaq");
+    });
 
 }  // namespace
 }  // namespace karl::core

@@ -63,12 +63,22 @@ class ServerTest : public ::testing::Test {
     StartServerWith(std::move(options));
   }
 
-  // Same, but with caller-supplied observability options.
-  void StartServerWith(ServerOptions options) {
+  // Same, but with caller-supplied options, serving `engine` (default:
+  // this test's engine) as the only model of a directory-less registry.
+  void StartServerWith(ServerOptions options,
+                       const Engine* engine = nullptr) {
+    registry::RegistryOptions registry_options;
+    registry_options.default_model = "default";
+    registry_options.metrics = &registry_;
+    registry_options.logger = options.logger;
+    auto models = registry::ModelRegistry::Open("", registry_options);
+    ASSERT_TRUE(models.ok()) << models.status().ToString();
+    models_ = std::move(models).ValueOrDie();
+    models_->AdoptEngine("default", engine != nullptr ? engine : &*engine_);
     options.port = 0;
     options.threads = 2;
     options.metrics = &registry_;
-    auto server = Server::Start(*engine_, options);
+    auto server = Server::StartWithRegistry(models_.get(), std::move(options));
     ASSERT_TRUE(server.ok()) << server.status().ToString();
     server_ = std::move(server).ValueOrDie();
   }
@@ -115,6 +125,7 @@ class ServerTest : public ::testing::Test {
   data::Matrix queries_{0, 0};
   std::optional<Engine> engine_;
   telemetry::Registry registry_;
+  std::unique_ptr<registry::ModelRegistry> models_;  // Outlives server_.
   std::unique_ptr<Server> server_;
 };
 
@@ -294,13 +305,8 @@ TEST_F(ServerTest, MalformedRequestsAreRejectedWithoutKillingConnection) {
 
 TEST_F(ServerTest, OversizedLineIsRejectedAndConnectionClosed) {
   ServerOptions options;
-  options.port = 0;
-  options.threads = 2;
   options.max_line_bytes = 256;
-  options.metrics = &registry_;
-  auto server = Server::Start(*engine_, options);
-  ASSERT_TRUE(server.ok()) << server.status().ToString();
-  server_ = std::move(server).ValueOrDie();
+  StartServerWith(std::move(options));
 
   Client client = Dial();
   std::string huge(1024, 'x');
@@ -418,13 +424,7 @@ TEST_F(ServerTest, EkaqOnTypeThreeWeightsIsRejectedUpFront) {
   ASSERT_TRUE(mixed.ok()) << mixed.status().ToString();
   ASSERT_EQ(mixed.value().weighting_type(), WeightingType::kTypeIII);
 
-  ServerOptions server_options;
-  server_options.port = 0;
-  server_options.threads = 2;
-  server_options.metrics = &registry_;
-  auto server = Server::Start(mixed.value(), server_options);
-  ASSERT_TRUE(server.ok()) << server.status().ToString();
-  server_ = std::move(server).ValueOrDie();
+  StartServerWith(ServerOptions{}, &mixed.value());
 
   Client client = Dial();
   auto approx = client.Ekaq(queries_.Row(0), kEps);
