@@ -108,30 +108,4 @@ util::Result<LabeledDataset> ReadLibsvmFile(const std::string& path,
   return ParseLibsvm(buf.str(), dimensions);
 }
 
-std::string WriteLibsvm(const LabeledDataset& dataset) {
-  std::ostringstream out;
-  out.precision(17);
-  for (size_t i = 0; i < dataset.points.rows(); ++i) {
-    out << dataset.labels[i];
-    const auto row = dataset.points.Row(i);
-    for (size_t j = 0; j < row.size(); ++j) {
-      if (row[j] != 0.0) out << ' ' << (j + 1) << ':' << row[j];
-    }
-    out << '\n';
-  }
-  return out.str();
-}
-
-util::Status WriteLibsvmFile(const std::string& path,
-                             const LabeledDataset& dataset) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) {
-    return util::Status::IOError("cannot open " + path + " for writing: " +
-                                 util::ErrnoString(errno));
-  }
-  out << WriteLibsvm(dataset);
-  if (!out) return util::Status::IOError("write failed for " + path);
-  return util::Status::OK();
-}
-
 }  // namespace karl::data

@@ -1,4 +1,4 @@
-// Reader/writer for the LIBSVM sparse text format:
+// Reader for the LIBSVM sparse text format:
 //
 //   <label> <index>:<value> <index>:<value> ...
 //
@@ -34,14 +34,6 @@ util::Result<LabeledDataset> ParseLibsvm(const std::string& text,
 /// Reads and parses a LIBSVM file from disk.
 util::Result<LabeledDataset> ReadLibsvmFile(const std::string& path,
                                             size_t dimensions = 0);
-
-/// Serializes a LabeledDataset to LIBSVM text. Zero-valued features are
-/// omitted (the format's sparse convention).
-std::string WriteLibsvm(const LabeledDataset& dataset);
-
-/// Writes a LabeledDataset to disk in LIBSVM format.
-util::Status WriteLibsvmFile(const std::string& path,
-                             const LabeledDataset& dataset);
 
 }  // namespace karl::data
 

@@ -35,13 +35,4 @@ double SparseMatrix::DotDense(size_t i, std::span<const double> dense) const {
   return s;
 }
 
-Matrix SparseMatrix::ToDense() const {
-  Matrix out(rows(), cols_);
-  for (size_t i = 0; i < rows(); ++i) {
-    auto row = out.MutableRow(i);
-    for (const Entry& e : Row(i)) row[e.column] = e.value;
-  }
-  return out;
-}
-
 }  // namespace karl::data

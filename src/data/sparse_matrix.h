@@ -34,9 +34,6 @@ class SparseMatrix {
   /// Logical column count.
   size_t cols() const { return cols_; }
 
-  /// Stored (non-zero) entry count.
-  size_t num_entries() const { return entries_.size(); }
-
   /// Entries of row i.
   std::span<const Entry> Row(size_t i) const {
     return {entries_.data() + row_offsets_[i],
@@ -49,8 +46,6 @@ class SparseMatrix {
   /// Sparse dot product of row i with a dense vector.
   double DotDense(size_t i, std::span<const double> dense) const;
 
-  /// Reconstructs the dense form (testing / interop).
-  Matrix ToDense() const;
 
  private:
   SparseMatrix() = default;

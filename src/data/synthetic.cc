@@ -158,60 +158,6 @@ Matrix MakeUciLike(const DatasetSpec& spec) {
   return m;
 }
 
-util::Result<Matrix> MakeUciLike(const std::string& name) {
-  auto spec = FindDataset(name);
-  if (!spec.ok()) return spec.status();
-  return MakeUciLike(spec.value());
-}
-
-LabeledDataset MakeTwoClassDataset(size_t n, size_t d, double separation,
-                                   util::Rng& rng) {
-  KARL_CHECK(separation >= 0.0 && separation <= 1.0)
-      << ": class separation must lie in [0, 1], got " << separation;
-  // Two mixtures of 3 clusters each; class centroids offset along a random
-  // direction by `separation`.
-  std::vector<double> direction(d);
-  double norm = 0.0;
-  for (auto& v : direction) {
-    v = rng.Gaussian();
-    norm += v * v;
-  }
-  norm = std::sqrt(std::max(norm, 1e-12));
-  for (auto& v : direction) v /= norm;
-
-  auto make_class = [&](double sign) {
-    std::vector<MixtureComponent> components(3);
-    for (auto& c : components) {
-      c.mean.resize(d);
-      for (size_t j = 0; j < d; ++j) {
-        c.mean[j] = 0.5 + sign * 0.5 * separation * direction[j] +
-                    0.15 * rng.Gaussian();
-      }
-      c.stddev = 0.08;
-      c.weight = 1.0;
-    }
-    return components;
-  };
-
-  const size_t n_pos = n / 2;
-  const size_t n_neg = n - n_pos;
-  Matrix pos = SampleGaussianMixture(make_class(+1.0), n_pos, rng);
-  Matrix neg = SampleGaussianMixture(make_class(-1.0), n_neg, rng);
-
-  LabeledDataset out;
-  out.points = Matrix(0, d);
-  for (size_t i = 0; i < n_pos; ++i) {
-    out.points.AppendRow(pos.Row(i));
-    out.labels.push_back(+1.0);
-  }
-  for (size_t i = 0; i < n_neg; ++i) {
-    out.points.AppendRow(neg.Row(i));
-    out.labels.push_back(-1.0);
-  }
-  MinMaxNormalize(&out.points, 0.0, 1.0);
-  return out;
-}
-
 LabeledDataset MakeOneClassDataset(size_t n, size_t n_outliers, size_t d,
                                    util::Rng& rng) {
   Matrix inliers = SampleClustered(n, d, 3, 0.05, rng);

@@ -65,16 +65,6 @@ util::Result<DatasetSpec> FindDataset(const std::string& name);
 /// Deterministic: the same spec always produces the same matrix.
 Matrix MakeUciLike(const DatasetSpec& spec);
 
-/// Convenience overload: generate by paper name.
-util::Result<Matrix> MakeUciLike(const std::string& name);
-
-/// Generates a binary-labelled two-class dataset (labels +1/-1) with
-/// overlapping class-conditional mixtures — the training input for the
-/// 2-class SVM substrate. `separation` in [0, 1] controls how far apart
-/// the class centroids sit (0 = indistinguishable, 1 = well separated).
-LabeledDataset MakeTwoClassDataset(size_t n, size_t d, double separation,
-                                   util::Rng& rng);
-
 /// Generates a one-class dataset: `n` inliers from a clustered mixture
 /// plus `n_outliers` uniform background points labelled -1 (inliers +1).
 /// Training input for the 1-class SVM substrate.

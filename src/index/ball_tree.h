@@ -31,13 +31,6 @@ class BallTree final : public TreeIndex {
   static util::Result<std::unique_ptr<BallTree>> Attach(
       const TreeIndexView& view);
 
-  /// Per-node ball accessors (tests/diagnostics).
-  std::span<const double> node_center(NodeId id) const {
-    const size_t d = points().dims();
-    return region_a_.subspan(static_cast<size_t>(id) * d, d);
-  }
-  double node_radius(NodeId id) const { return region_b_[id]; }
-
  private:
   BallTree() : TreeIndex(IndexKind::kBallTree) {}
 

@@ -31,23 +31,6 @@ BoundingBall BoundingBall::FitRange(const data::Matrix& points, size_t begin,
   return ball;
 }
 
-double BoundingBall::MinSquaredDistance(std::span<const double> q) const {
-  const double dist = std::sqrt(util::SquaredDistance(q, center_));
-  const double min_dist = std::max(0.0, dist - radius_);
-  return min_dist * min_dist;
-}
-
-double BoundingBall::MaxSquaredDistance(std::span<const double> q) const {
-  const double dist = std::sqrt(util::SquaredDistance(q, center_));
-  const double max_dist = dist + radius_;
-  return max_dist * max_dist;
-}
-
-void BoundingBall::InnerProductBounds(std::span<const double> q,
-                                      double* ip_min, double* ip_max) const {
-  InnerProductBoundsFlat(center_, radius_, q, ip_min, ip_max);
-}
-
 void BoundingBall::DistanceBoundsFlat(std::span<const double> center,
                                       double radius,
                                       std::span<const double> q,

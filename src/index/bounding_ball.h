@@ -1,5 +1,5 @@
 // Bounding ball (centre + radius) — the node region of the ball-tree
-// [Uhlmann'91, Moore'00], with the same bound interface as BoundingBox.
+// [Uhlmann'91, Moore'00], with the distance and inner-product bounds.
 
 #ifndef KARL_INDEX_BOUNDING_BALL_H_
 #define KARL_INDEX_BOUNDING_BALL_H_
@@ -22,20 +22,12 @@ class BoundingBall {
   static BoundingBall FitRange(const data::Matrix& points, size_t begin,
                                size_t end);
 
-  /// mindist(q, B)^2 = max(0, ||q-c|| - r)^2.
-  double MinSquaredDistance(std::span<const double> q) const;
-
-  /// maxdist(q, B)^2 = (||q-c|| + r)^2.
-  double MaxSquaredDistance(std::span<const double> q) const;
-
-  /// [IP_min, IP_max] of q·p over the ball: q·c ∓ r·||q||.
-  void InnerProductBounds(std::span<const double> q, double* ip_min,
-                          double* ip_max) const;
-
-  /// Flat variants operating on a raw (centre, radius) pair — the
+  /// Bounds over the ball given by a raw (centre, radius) pair — the
   /// representation the ball-tree keeps its per-node geometry in
-  /// (packed, possibly memory-mapped). One centre-distance evaluation
-  /// serves both squared-distance bounds.
+  /// (packed, possibly memory-mapped). DistanceBoundsFlat returns
+  /// mindist² = max(0, ||q-c|| - r)² and maxdist² = (||q-c|| + r)² from
+  /// one centre-distance evaluation; InnerProductBoundsFlat returns
+  /// [IP_min, IP_max] = q·c ∓ r·||q||.
   static void DistanceBoundsFlat(std::span<const double> center,
                                  double radius, std::span<const double> q,
                                  double* min_sq, double* max_sq);

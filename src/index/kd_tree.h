@@ -31,16 +31,6 @@ class KdTree final : public TreeIndex {
   static util::Result<std::unique_ptr<KdTree>> Attach(
       const TreeIndexView& view);
 
-  /// Per-node corner accessors (tests/diagnostics).
-  std::span<const double> node_lower(NodeId id) const {
-    const size_t d = points().dims();
-    return region_a_.subspan(static_cast<size_t>(id) * d, d);
-  }
-  std::span<const double> node_upper(NodeId id) const {
-    const size_t d = points().dims();
-    return region_b_.subspan(static_cast<size_t>(id) * d, d);
-  }
-
  private:
   KdTree() : TreeIndex(IndexKind::kKdTree) {}
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
 
 #include "util/check.h"
 
@@ -62,133 +61,6 @@ double SvmAccuracy(const SvmModel& model, const data::Matrix& points,
     if ((predicted > 0) == (labels[i] > 0)) ++correct;
   }
   return static_cast<double>(correct) / static_cast<double>(points.rows());
-}
-
-util::Result<SvmModel> TrainTwoClassSvm(const data::LabeledDataset& data,
-                                        const core::KernelParams& kernel,
-                                        const TwoClassSvmParams& params) {
-  KARL_RETURN_NOT_OK(kernel.Validate());
-  const size_t n = data.points.rows();
-  if (n == 0) {
-    return util::Status::InvalidArgument("cannot train SVM on empty data");
-  }
-  if (data.labels.size() != n) {
-    return util::Status::InvalidArgument("label count mismatch");
-  }
-  bool has_pos = false, has_neg = false;
-  for (const double y : data.labels) {
-    if (y == 1.0) {
-      has_pos = true;
-    } else if (y == -1.0) {
-      has_neg = true;
-    } else {
-      return util::Status::InvalidArgument(
-          "2-class SVM labels must be +1 or -1");
-    }
-  }
-  if (!has_pos || !has_neg) {
-    return util::Status::InvalidArgument(
-        "2-class SVM requires both classes present");
-  }
-  if (params.c <= 0.0) {
-    return util::Status::InvalidArgument("C must be positive");
-  }
-
-  const data::Matrix& x = data.points;
-  const std::vector<double>& y = data.labels;
-  const double c = params.c;
-  const double tol = params.tolerance;
-
-  // SMO with maximal-violating-pair selection [Keerthi'01, as in LIBSVM].
-  // Objective: min ½αᵀQα − eᵀα, Q_ij = y_i y_j K_ij, 0 ≤ α ≤ C, yᵀα = 0.
-  // Gradient G_i = (Qα)_i − 1; starts at −1 with α = 0.
-  std::vector<double> alpha(n, 0.0);
-  std::vector<double> grad(n, -1.0);
-
-  size_t iter = 0;
-  for (; iter < params.max_iterations; ++iter) {
-    // Working-set selection: i maximises −y_i G_i over I_up, j minimises
-    // −y_j G_j over I_low.
-    int i = -1, j = -1;
-    double max_up = -1e300, min_low = 1e300;
-    for (size_t t = 0; t < n; ++t) {
-      const bool in_up = (y[t] > 0 && alpha[t] < c) || (y[t] < 0 && alpha[t] > 0);
-      const bool in_low =
-          (y[t] > 0 && alpha[t] > 0) || (y[t] < 0 && alpha[t] < c);
-      const double v = -y[t] * grad[t];
-      if (in_up && v > max_up) {
-        max_up = v;
-        i = static_cast<int>(t);
-      }
-      if (in_low && v < min_low) {
-        min_low = v;
-        j = static_cast<int>(t);
-      }
-    }
-    if (i < 0 || j < 0 || max_up - min_low < tol) break;
-
-    const size_t si = static_cast<size_t>(i);
-    const size_t sj = static_cast<size_t>(j);
-    const double kii = TrainKernel(kernel, x, si, si);
-    const double kjj = TrainKernel(kernel, x, sj, sj);
-    const double kij = TrainKernel(kernel, x, si, sj);
-    double quad = kii + kjj - 2.0 * kij;
-    if (quad <= 0.0) quad = 1e-12;
-
-    // Two-variable analytic step along the equality constraint.
-    const double old_ai = alpha[si];
-    const double old_aj = alpha[sj];
-    double delta = (max_up - min_low) / quad;  // Step in the y_i-direction.
-
-    // Clip so both variables stay in [0, C].
-    if (y[si] > 0) {
-      delta = std::min(delta, c - old_ai);
-    } else {
-      delta = std::min(delta, old_ai);
-    }
-    if (y[sj] > 0) {
-      delta = std::min(delta, old_aj);
-    } else {
-      delta = std::min(delta, c - old_aj);
-    }
-    if (delta <= 0.0) break;
-
-    alpha[si] += y[si] * delta;
-    alpha[sj] -= y[sj] * delta;
-
-    // Gradient maintenance: G_t += Q_ti Δα_i + Q_tj Δα_j.
-    const double dai = alpha[si] - old_ai;
-    const double daj = alpha[sj] - old_aj;
-    for (size_t t = 0; t < n; ++t) {
-      const double kti = TrainKernel(kernel, x, t, si);
-      const double ktj = TrainKernel(kernel, x, t, sj);
-      grad[t] += y[t] * y[si] * kti * dai + y[t] * y[sj] * ktj * daj;
-    }
-  }
-
-  // ρ from the midpoint of the violating-pair band (LIBSVM's rule):
-  // for free SVs, y_i G_i averages to −b.
-  double rho_sum = 0.0;
-  size_t rho_count = 0;
-  double max_up = -1e300, min_low = 1e300;
-  for (size_t t = 0; t < n; ++t) {
-    const double v = y[t] * grad[t];
-    if (alpha[t] > 0.0 && alpha[t] < c) {
-      rho_sum += v;
-      ++rho_count;
-    }
-    const bool in_up = (y[t] > 0 && alpha[t] < c) || (y[t] < 0 && alpha[t] > 0);
-    const bool in_low = (y[t] > 0 && alpha[t] > 0) || (y[t] < 0 && alpha[t] < c);
-    if (in_up) max_up = std::max(max_up, -v);
-    if (in_low) min_low = std::min(min_low, -v);
-  }
-  // f(q) = Σ α_i y_i K − ρ; ρ equals the averaged y_i G_i over free SVs.
-  const double rho = rho_count > 0 ? rho_sum / static_cast<double>(rho_count)
-                                   : -0.5 * (max_up + min_low);
-
-  std::vector<double> signed_alpha(n);
-  for (size_t t = 0; t < n; ++t) signed_alpha[t] = alpha[t] * y[t];
-  return ExtractModel(kernel, x, signed_alpha, rho, iter);
 }
 
 util::Result<SvmModel> TrainOneClassSvm(const data::Matrix& points,

@@ -1,11 +1,13 @@
 // Support vector machine substrate, built from scratch.
 //
 // The paper's Type-II / Type-III workloads come out of LIBSVM training
-// (1-class and 2-class SVMs respectively); this module replaces that
-// dependency with SMO trainers producing the same artefacts: support
-// vectors, signed coefficients, and the decision threshold ρ. An SVM
-// decision f(q) = Σ coef_i·K(sv_i, q) − ρ > 0 is exactly a TKAQ with
-// τ = ρ over the support-vector set — the bridge the paper exploits.
+// (1-class and 2-class SVMs respectively). This module replaces the
+// 1-class side with an SMO trainer producing the same artefacts: support
+// vectors, coefficients, and the decision threshold ρ. Type-III models
+// (signed coefficients) are synthesized by the benchmarks instead of
+// trained. An SVM decision f(q) = Σ coef_i·K(sv_i, q) − ρ > 0 is exactly
+// a TKAQ with τ = ρ over the support-vector set — the bridge the paper
+// exploits.
 
 #ifndef KARL_ML_SVM_H_
 #define KARL_ML_SVM_H_
@@ -14,7 +16,6 @@
 
 #include "core/karl.h"
 #include "core/kernel.h"
-#include "data/libsvm_io.h"
 #include "data/matrix.h"
 #include "util/status.h"
 
@@ -41,19 +42,6 @@ int SvmPredict(const SvmModel& model, std::span<const double> q);
 /// Fraction of (points, labels) classified correctly.
 double SvmAccuracy(const SvmModel& model, const data::Matrix& points,
                    std::span<const double> labels);
-
-/// C-SVC training parameters.
-struct TwoClassSvmParams {
-  double c = 1.0;          ///< Box constraint.
-  double tolerance = 1e-3; ///< KKT violation tolerance.
-  size_t max_iterations = 200000;
-};
-
-/// Trains a 2-class C-SVC with Platt's SMO (labels must be ±1).
-/// Produces a Type-III coefficient set.
-util::Result<SvmModel> TrainTwoClassSvm(const data::LabeledDataset& data,
-                                        const core::KernelParams& kernel,
-                                        const TwoClassSvmParams& params);
 
 /// One-class SVM training parameters (Schölkopf et al. '99).
 struct OneClassSvmParams {

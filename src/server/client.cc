@@ -86,16 +86,6 @@ Client::Client(Client&& other) noexcept
   other.fd_ = -1;
 }
 
-Client& Client::operator=(Client&& other) noexcept {
-  if (this != &other) {
-    if (fd_ >= 0) ::close(fd_);
-    fd_ = other.fd_;
-    inbuf_ = std::move(other.inbuf_);
-    other.fd_ = -1;
-  }
-  return *this;
-}
-
 util::Status Client::SendLine(const std::string& line) {
   if (fd_ < 0) return util::Status::FailedPrecondition("client not connected");
   std::string framed = line;
@@ -258,17 +248,6 @@ util::Result<std::vector<double>> Client::EkaqBatch(
 util::Result<std::vector<double>> Client::ExactBatch(
     const data::Matrix& queries) {
   return NumberList(Call(BatchRequest("exact", queries)));
-}
-
-util::Result<std::string> Client::Health() {
-  auto response = Call(Json::Object().Set("op", Json::Str("health")));
-  if (!response.ok()) return response.status();
-  auto status = Field(response.value(), "status");
-  if (!status.ok()) return status.status();
-  if (!status.value()->is_string()) {
-    return util::Status::IOError("malformed \"status\" in server response");
-  }
-  return status.value()->string_value();
 }
 
 }  // namespace karl::server

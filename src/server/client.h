@@ -31,7 +31,7 @@ class Client {
 
   ~Client();
   Client(Client&& other) noexcept;
-  Client& operator=(Client&& other) noexcept;
+  Client& operator=(Client&&) = delete;
   Client(const Client&) = delete;
   Client& operator=(const Client&) = delete;
 
@@ -50,9 +50,6 @@ class Client {
   util::Result<std::vector<double>> EkaqBatch(const data::Matrix& queries,
                                               double eps);
   util::Result<std::vector<double>> ExactBatch(const data::Matrix& queries);
-
-  /// Server status string ("serving" or "draining").
-  util::Result<std::string> Health();
 
   /// Sends one raw line (a trailing '\n' is added when missing) without
   /// reading a response — the pipelining/testing escape hatch.

@@ -101,11 +101,6 @@ bool Coalescer::Idle() const {
   return queue_.empty() && !in_flight_;
 }
 
-size_t Coalescer::pending_rows() const {
-  const util::MutexLock lock(&mu_);
-  return queued_rows_;
-}
-
 void Coalescer::Pause() {
   const util::MutexLock lock(&mu_);
   paused_ = true;

@@ -130,13 +130,9 @@ class Coalescer {
   /// handed to the sink. The drain loop polls this.
   bool Idle() const;
 
-  /// Queued rows not yet dispatched (also exported as the
-  /// karl_server_pending_rows gauge).
-  size_t pending_rows() const;
-
   /// Freezes/unfreezes dispatch while admission keeps running — lets
-  /// tests (and operators) deterministically build up a coalescable
-  /// backlog. BeginDrain resumes a paused coalescer.
+  /// tests deterministically build up a coalescable backlog. BeginDrain
+  /// resumes a paused coalescer.
   void Pause();
   void Resume();
 

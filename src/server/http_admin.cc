@@ -259,7 +259,6 @@ void AdminServer::ServeConnection(int fd) {
     return;
   }
   const std::string body = it->second.handler(query);
-  requests_served_.fetch_add(1, std::memory_order_relaxed);
   WriteAll(fd, BuildResponse(200, it->second.content_type, body));
 }
 

@@ -21,7 +21,6 @@
 #ifndef KARL_SERVER_HTTP_ADMIN_H_
 #define KARL_SERVER_HTTP_ADMIN_H_
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -77,11 +76,6 @@ class AdminServer {
   /// The bound port (after Start); useful with Options::port == 0.
   int port() const { return port_; }
 
-  /// Requests answered with 200 since Start (any thread).
-  uint64_t requests_served() const {
-    return requests_served_.load(std::memory_order_relaxed);
-  }
-
  private:
   struct Endpoint {
     std::string content_type;
@@ -99,7 +93,6 @@ class AdminServer {
   int port_ = 0;
   bool started_ = false;
   std::thread thread_;
-  std::atomic<uint64_t> requests_served_{0};
 };
 
 }  // namespace karl::server

@@ -10,8 +10,8 @@
 //      set — never render a LabelSet per request.
 //   2. Cardinality is bounded twice: at most kMaxLabelsPerSet keys per
 //      set (the canonical keys are `model`, `op`, `kernel`, `simd_tier`),
-//      and at most Registry::kDefaultMaxSeriesPerMetric distinct label
-//      sets per family — overflow collapses into a per-family sink series
+//      and at most Registry::kMaxSeriesPerMetric distinct label sets
+//      per family — overflow collapses into a per-family sink series
 //      whose values are all `__other__` (see Registry::AdmitSeries).
 //   3. Exposition is exact Prometheus text format 0.0.4: label names
 //      validated at Set() time ([a-zA-Z_][a-zA-Z0-9_]*), values escaped

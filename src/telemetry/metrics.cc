@@ -187,7 +187,7 @@ std::string Registry::AdmitSeries(const std::string& name,
   if (std::find(known.begin(), known.end(), rendered) != known.end()) {
     return name + rendered;
   }
-  if (known.size() < max_series_per_metric_) {
+  if (known.size() < kMaxSeriesPerMetric) {
     known.push_back(rendered);
     return name + rendered;
   }
@@ -266,11 +266,6 @@ RollingHistogram* Registry::GetRollingHistogram(const std::string& name,
   auto& slot = rolling_[series];
   if (slot == nullptr) slot = std::make_unique<RollingHistogram>();
   return slot.get();
-}
-
-void Registry::SetMaxSeriesPerMetric(size_t cap) {
-  const util::MutexLock lock(&mu_);
-  max_series_per_metric_ = cap;
 }
 
 RegistrySnapshot Registry::Snapshot() const {

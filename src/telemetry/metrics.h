@@ -144,7 +144,7 @@ struct RegistrySnapshot {
 ///
 /// Labeled lookup: Get*(name, labels) resolves the series
 /// `name{k="v",...}`. Distinct label sets per family are capped at
-/// kDefaultMaxSeriesPerMetric; a set past the cap is redirected to the
+/// kMaxSeriesPerMetric; a set past the cap is redirected to the
 /// family's sink series (every value `__other__`) and counted in
 /// `karl_metric_series_dropped_total` — unbounded label values (client
 /// ids, paths) degrade gracefully instead of exhausting memory. Lookup
@@ -152,8 +152,8 @@ struct RegistrySnapshot {
 /// lock-free exactly as with unlabeled metrics.
 class Registry {
  public:
-  /// Default per-family cap on distinct labeled series.
-  static constexpr size_t kDefaultMaxSeriesPerMetric = 64;
+  /// Per-family cap on distinct labeled series.
+  static constexpr size_t kMaxSeriesPerMetric = 64;
 
   // Both out of line: RollingHistogram is incomplete here, and the
   // member maps' unique_ptrs need the complete type to destroy.
@@ -178,11 +178,6 @@ class Registry {
   Histogram* GetHistogram(const std::string& name, const LabelSet& labels);
   RollingHistogram* GetRollingHistogram(const std::string& name,
                                         const LabelSet& labels);
-
-  /// Lowers (or raises) the per-family series cap. Affects only series
-  /// admitted after the call; meant for tests and startup configuration,
-  /// not concurrent use with traffic.
-  void SetMaxSeriesPerMetric(size_t cap);
 
   RegistrySnapshot Snapshot() const;
 
@@ -211,8 +206,6 @@ class Registry {
   // Rendered label blocks admitted per family (sink block included).
   std::map<std::string, std::vector<std::string>> family_labels_
       KARL_GUARDED_BY(mu_);
-  size_t max_series_per_metric_ KARL_GUARDED_BY(mu_) =
-      kDefaultMaxSeriesPerMetric;
 };
 
 /// The process-wide default registry (what the CLI flags and the bench

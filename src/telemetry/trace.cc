@@ -106,16 +106,6 @@ void TraceRecorder::CounterEvent(std::string name, uint64_t ts_us,
   Add(std::move(event));
 }
 
-void TraceRecorder::InstantEvent(std::string name, uint64_t ts_us,
-                                 TraceArgs args) {
-  Event event;
-  event.name = std::move(name);
-  event.phase = 'i';
-  event.ts_us = ts_us;
-  event.args = std::move(args);
-  Add(std::move(event));
-}
-
 void TraceRecorder::FlowEvent(FlowPhase phase, uint64_t flow_id,
                               uint64_t ts_us) {
   Event event;
@@ -166,9 +156,6 @@ std::string TraceRecorder::ToJson() const {
       std::snprintf(buffer, sizeof(buffer), ", \"dur\": %llu",
                     static_cast<unsigned long long>(event.dur_us));
       out += buffer;
-    }
-    if (event.phase == 'i') {
-      out += ", \"s\": \"t\"";  // Thread-scoped instant marker.
     }
     if (event.phase == 's' || event.phase == 't' || event.phase == 'f') {
       // Flow events carry the flow id and a category (flows are matched

@@ -8,8 +8,6 @@
 //   - counter events ("ph":"C"): per-refinement-iteration tracks of
 //     lb / ub / gap and cumulative node expansions / kernel evals,
 //     rendered by Perfetto as stacked counter tracks.
-// The recorder also takes instant events ("ph":"i"): singular moments
-// with no duration.
 // The serving stack adds flow events ("ph":"s"/"t"/"f" under category
 // "req", keyed by the request id): emitted inside the per-stage spans
 // of one request on each thread it crosses, they make Perfetto draw a
@@ -65,9 +63,6 @@ class TraceRecorder {
   /// Adds a counter ("C") event; each arg becomes one counter series.
   void CounterEvent(std::string name, uint64_t ts_us, TraceArgs args);
 
-  /// Adds an instant ("i") event.
-  void InstantEvent(std::string name, uint64_t ts_us, TraceArgs args);
-
   /// Flow-event phases: start ("s"), step ("t"), end ("f").
   enum class FlowPhase { kStart, kStep, kEnd };
 
@@ -99,7 +94,7 @@ class TraceRecorder {
  private:
   struct Event {
     std::string name;
-    char phase = 'i';
+    char phase = 'X';
     uint64_t ts_us = 0;
     uint64_t dur_us = 0;   // Complete events only.
     uint64_t flow_id = 0;  // Flow events only.

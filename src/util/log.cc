@@ -134,7 +134,6 @@ Logger::Logger(std::FILE* stream, Options options, bool owns_stream)
     : stream_(stream),
       owns_stream_(owns_stream),
       options_(options),
-      min_level_(options.min_level),
       tokens_(options.rate_limit_burst),
       last_refill_(std::chrono::steady_clock::now()) {}
 
@@ -167,7 +166,6 @@ void Logger::Log(LogLevel level, std::string_view event,
       tokens_ = std::min(options_.rate_limit_burst,
                          tokens_ + elapsed * options_.rate_limit_per_sec);
       if (tokens_ < 1.0) {
-        ++suppressed_total_;
         ++suppressed_since_emit_;
         return;
       }
@@ -175,7 +173,6 @@ void Logger::Log(LogLevel level, std::string_view event,
     }
     suppressed_note = suppressed_since_emit_;
     suppressed_since_emit_ = 0;
-    ++emitted_;
   }
   if (suppressed_note > 0) {
     fields.emplace_back("suppressed", suppressed_note);
@@ -220,21 +217,6 @@ void Logger::Log(LogLevel level, std::string_view event,
   const MutexLock lock(&mu_);
   std::fwrite(line.data(), 1, line.size(), stream_);
   std::fflush(stream_);
-}
-
-uint64_t Logger::suppressed() const {
-  const MutexLock lock(&mu_);
-  return suppressed_total_;
-}
-
-uint64_t Logger::emitted() const {
-  const MutexLock lock(&mu_);
-  return emitted_;
-}
-
-Logger& DefaultLogger() {
-  static Logger logger(stderr, Logger::Options{});
-  return logger;
 }
 
 void Log(Logger* logger, LogLevel level, std::string_view event,

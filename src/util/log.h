@@ -23,7 +23,6 @@
 #ifndef KARL_UTIL_LOG_H_
 #define KARL_UTIL_LOG_H_
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -109,24 +108,7 @@ class Logger {
 
   /// True when `level` would be emitted (cheap pre-check for call
   /// sites that build expensive field lists).
-  bool enabled(LogLevel level) const {
-    return level >= min_level_.load(std::memory_order_relaxed);
-  }
-
-  /// Thread-safe: the level may be raised or lowered while other
-  /// threads are logging (an in-flight line keeps the level it saw).
-  void set_min_level(LogLevel level) {
-    min_level_.store(level, std::memory_order_relaxed);
-  }
-  LogLevel min_level() const {
-    return min_level_.load(std::memory_order_relaxed);
-  }
-
-  /// Lines dropped by the rate limiter so far.
-  uint64_t suppressed() const;
-
-  /// Lines emitted so far.
-  uint64_t emitted() const;
+  bool enabled(LogLevel level) const { return level >= options_.min_level; }
 
  private:
   Logger(std::FILE* stream, Options options, bool owns_stream);
@@ -134,21 +116,13 @@ class Logger {
   std::FILE* stream_;  // Written only under mu_ after construction.
   const bool owns_stream_;
   const Options options_;
-  // Relaxed atomic: set_min_level may race with enabled()/Log checks by
-  // design (a stale read just delays the new level by one line).
-  std::atomic<LogLevel> min_level_;
 
-  mutable Mutex mu_;
+  Mutex mu_;
   // Token bucket state.
   double tokens_ KARL_GUARDED_BY(mu_);
   std::chrono::steady_clock::time_point last_refill_ KARL_GUARDED_BY(mu_);
-  uint64_t suppressed_total_ KARL_GUARDED_BY(mu_) = 0;
   uint64_t suppressed_since_emit_ KARL_GUARDED_BY(mu_) = 0;
-  uint64_t emitted_ KARL_GUARDED_BY(mu_) = 0;
 };
-
-/// The process-wide default logger (stderr, text, INFO).
-Logger& DefaultLogger();
 
 /// Null-safe convenience: `Log(logger, ...)` is a no-op when `logger`
 /// is null — call sites need no "is logging configured" branch.

@@ -12,17 +12,14 @@
 //
 // Vocabulary (see DESIGN.md §12 "Lock discipline"):
 //   Mutex           exclusive lock; KARL_CAPABILITY("mutex")
-//   SharedMutex     reader/writer lock; shared vs exclusive capability
 //   MutexLock       scoped exclusive lock of a Mutex
-//   ReaderMutexLock / WriterMutexLock
-//                   scoped shared / exclusive lock of a SharedMutex
 //   CondVar         condition variable waiting on a held Mutex
 //
-// Debug builds additionally track the exclusive owner thread, so
-// Mutex::AssertHeld() / SharedMutex::AssertHeld() abort (KARL_CHECK)
-// when called off the owning thread; release builds keep only the
-// static annotation. KARL_NO_THREAD_SAFETY_ANALYSIS requires a reason
-// string; karl_lint rejects a bare or empty-reason suppression.
+// Debug builds additionally track the owner thread, so
+// Mutex::AssertHeld() aborts (KARL_CHECK) when called off the owning
+// thread; release builds keep only the static annotation.
+// KARL_NO_THREAD_SAFETY_ANALYSIS requires a reason string; karl_lint
+// rejects a bare or empty-reason suppression.
 
 #ifndef KARL_UTIL_MUTEX_H_
 #define KARL_UTIL_MUTEX_H_
@@ -31,7 +28,6 @@
 #include <chrono>
 #include <condition_variable>
 #include <mutex>
-#include <shared_mutex>
 #include <thread>
 
 #include "util/check.h"
@@ -52,22 +48,14 @@
 #define KARL_SCOPED_CAPABILITY KARL_THREAD_ANNOTATION_(scoped_lockable)
 /// Field is protected by the given mutex.
 #define KARL_GUARDED_BY(x) KARL_THREAD_ANNOTATION_(guarded_by(x))
-/// Pointee of the annotated pointer field is protected by the mutex.
-#define KARL_PT_GUARDED_BY(x) KARL_THREAD_ANNOTATION_(pt_guarded_by(x))
 /// Function acquires the capability (exclusive) and does not release it.
 #define KARL_ACQUIRE(...) \
   KARL_THREAD_ANNOTATION_(acquire_capability(__VA_ARGS__))
-/// Function acquires the capability in shared (reader) mode.
-#define KARL_ACQUIRE_SHARED(...) \
-  KARL_THREAD_ANNOTATION_(acquire_shared_capability(__VA_ARGS__))
 /// Function releases an exclusively held capability.
 #define KARL_RELEASE(...) \
   KARL_THREAD_ANNOTATION_(release_capability(__VA_ARGS__))
-/// Function releases a shared-held capability.
-#define KARL_RELEASE_SHARED(...) \
-  KARL_THREAD_ANNOTATION_(release_shared_capability(__VA_ARGS__))
-/// Function releases a capability held in either mode (scoped-lock
-/// destructors, which cannot name the mode statically).
+/// Scoped-lock destructor: releases the capability its constructor
+/// acquired.
 #define KARL_RELEASE_GENERIC(...) \
   KARL_THREAD_ANNOTATION_(release_generic_capability(__VA_ARGS__))
 /// Function attempts the acquisition; first argument is the success
@@ -77,19 +65,12 @@
 /// Caller must hold the capability exclusively.
 #define KARL_REQUIRES(...) \
   KARL_THREAD_ANNOTATION_(requires_capability(__VA_ARGS__))
-/// Caller must hold the capability at least shared.
-#define KARL_REQUIRES_SHARED(...) \
-  KARL_THREAD_ANNOTATION_(requires_shared_capability(__VA_ARGS__))
 /// Caller must NOT hold the capability (deadlock prevention).
 #define KARL_EXCLUDES(...) KARL_THREAD_ANNOTATION_(locks_excluded(__VA_ARGS__))
 /// Function checks at runtime that the capability is held, and tells
 /// the analysis to assume so afterwards.
 #define KARL_ASSERT_CAPABILITY(x) \
   KARL_THREAD_ANNOTATION_(assert_capability(x))
-#define KARL_ASSERT_SHARED_CAPABILITY(x) \
-  KARL_THREAD_ANNOTATION_(assert_shared_capability(x))
-/// Function returns a reference to the given capability.
-#define KARL_RETURN_CAPABILITY(x) KARL_THREAD_ANNOTATION_(lock_returned(x))
 /// Opts a function out of the analysis. The reason string is mandatory
 /// (karl_lint enforces non-empty) and should say why the contract
 /// cannot be expressed, e.g. lock-free by construction, or an
@@ -163,81 +144,6 @@ class KARL_CAPABILITY("mutex") Mutex {
   std::atomic<std::thread::id> owner_{};
 };
 
-/// Reader/writer mutex (wraps std::shared_mutex): any number of
-/// concurrent shared holders, or one exclusive holder.
-class KARL_CAPABILITY("shared_mutex") SharedMutex {
- public:
-  SharedMutex() = default;
-  SharedMutex(const SharedMutex&) = delete;
-  SharedMutex& operator=(const SharedMutex&) = delete;
-
-  void Lock() KARL_ACQUIRE() {
-    mu_.lock();
-    DebugSetOwner();
-  }
-
-  void Unlock() KARL_RELEASE() {
-    DebugClearOwner();
-    mu_.unlock();
-  }
-
-  void LockShared() KARL_ACQUIRE_SHARED() {
-    mu_.lock_shared();
-#ifndef NDEBUG
-    readers_.fetch_add(1, std::memory_order_relaxed);
-#endif
-  }
-
-  void UnlockShared() KARL_RELEASE_SHARED() {
-#ifndef NDEBUG
-    readers_.fetch_sub(1, std::memory_order_relaxed);
-#endif
-    mu_.unlock_shared();
-  }
-
-  /// Aborts in debug builds when the calling thread is not the
-  /// exclusive holder.
-  void AssertHeld() const KARL_ASSERT_CAPABILITY(this) {
-#ifndef NDEBUG
-    KARL_CHECK(owner_.load(std::memory_order_relaxed) ==
-               std::this_thread::get_id())
-        << ": SharedMutex::AssertHeld() failed — calling thread does not "
-           "hold the lock exclusively";
-#endif
-  }
-
-  /// Aborts in debug builds when no holder (shared or exclusive)
-  /// exists. Cannot attribute a shared hold to a specific thread, so
-  /// this is a weaker existence check than AssertHeld.
-  void AssertReaderHeld() const KARL_ASSERT_SHARED_CAPABILITY(this) {
-#ifndef NDEBUG
-    KARL_CHECK(readers_.load(std::memory_order_relaxed) > 0 ||
-               owner_.load(std::memory_order_relaxed) ==
-                   std::this_thread::get_id())
-        << ": SharedMutex::AssertReaderHeld() failed — no reader or "
-           "exclusive holder";
-#endif
-  }
-
- private:
-  void DebugSetOwner() {
-#ifndef NDEBUG
-    owner_.store(std::this_thread::get_id(), std::memory_order_relaxed);
-#endif
-  }
-  void DebugClearOwner() {
-#ifndef NDEBUG
-    owner_.store(std::thread::id(), std::memory_order_relaxed);
-#endif
-  }
-
-  std::shared_mutex mu_;
-  // Unconditional for layout stability across NDEBUG settings (see
-  // Mutex); the stores/checks themselves are debug-gated.
-  std::atomic<std::thread::id> owner_{};
-  std::atomic<int> readers_{0};
-};
-
 /// Scoped exclusive lock of a Mutex.
 class KARL_SCOPED_CAPABILITY MutexLock {
  public:
@@ -249,37 +155,6 @@ class KARL_SCOPED_CAPABILITY MutexLock {
 
  private:
   Mutex* const mu_;
-};
-
-/// Scoped shared (reader) lock of a SharedMutex.
-class KARL_SCOPED_CAPABILITY ReaderMutexLock {
- public:
-  explicit ReaderMutexLock(SharedMutex* mu) KARL_ACQUIRE_SHARED(mu)
-      : mu_(mu) {
-    mu_->LockShared();
-  }
-  ~ReaderMutexLock() KARL_RELEASE_GENERIC() { mu_->UnlockShared(); }
-
-  ReaderMutexLock(const ReaderMutexLock&) = delete;
-  ReaderMutexLock& operator=(const ReaderMutexLock&) = delete;
-
- private:
-  SharedMutex* const mu_;
-};
-
-/// Scoped exclusive (writer) lock of a SharedMutex.
-class KARL_SCOPED_CAPABILITY WriterMutexLock {
- public:
-  explicit WriterMutexLock(SharedMutex* mu) KARL_ACQUIRE(mu) : mu_(mu) {
-    mu_->Lock();
-  }
-  ~WriterMutexLock() KARL_RELEASE_GENERIC() { mu_->Unlock(); }
-
-  WriterMutexLock(const WriterMutexLock&) = delete;
-  WriterMutexLock& operator=(const WriterMutexLock&) = delete;
-
- private:
-  SharedMutex* const mu_;
 };
 
 /// Condition variable for use with Mutex. Wait takes the held Mutex

@@ -36,18 +36,8 @@ TEST(SparseMatrixTest, FromDenseDropsZeros) {
   const auto sparse = data::SparseMatrix::FromDense(SparseTestMatrix());
   EXPECT_EQ(sparse.rows(), 3u);
   EXPECT_EQ(sparse.cols(), 4u);
-  EXPECT_EQ(sparse.num_entries(), 3u);
+  EXPECT_EQ(sparse.Row(0).size() + sparse.Row(1).size(), 3u);
   EXPECT_EQ(sparse.Row(2).size(), 0u);
-}
-
-TEST(SparseMatrixTest, DenseRoundTrip) {
-  const auto dense = SparseTestMatrix();
-  const auto back = data::SparseMatrix::FromDense(dense).ToDense();
-  for (size_t i = 0; i < dense.rows(); ++i) {
-    for (size_t j = 0; j < dense.cols(); ++j) {
-      EXPECT_DOUBLE_EQ(back(i, j), dense(i, j));
-    }
-  }
 }
 
 TEST(SparseMatrixTest, RowNormsAndDots) {

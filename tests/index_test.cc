@@ -30,6 +30,40 @@ data::Matrix TestPoints() {
   return data::Matrix(6, 2, {0, 0, 1, 0, 0, 1, 2, 2, 3, 1, 1, 3});
 }
 
+// Single-node kd-tree over `pts`: its root region is FitRange's box, and
+// its DistanceBounds runs the serving geometry (simd::BoxGeometry).
+std::unique_ptr<KdTree> OneBoxTree(const data::Matrix& pts) {
+  const std::vector<double> weights(pts.rows(), 1.0);
+  return KdTree::Build(pts, weights, pts.rows()).ValueOrDie();
+}
+
+// TreeIndex::DistanceBounds or TreeIndex::InnerProductBounds, and the
+// exact quantity it bounds (util::SquaredDistance or util::Dot).
+using NodeBounds = void (TreeIndex::*)(NodeId, std::span<const double>,
+                                       double*, double*) const;
+using PointValue = double (*)(std::span<const double>,
+                              std::span<const double>);
+
+// For every query of `queries` and every node of `tree`, `bounds` must
+// enclose `truth(q, p)` at each point p in the node's range.
+void ExpectEveryNodeSandwiches(const TreeIndex& tree,
+                               const data::Matrix& queries, double slack,
+                               NodeBounds bounds, PointValue truth) {
+  for (size_t t = 0; t < queries.rows(); ++t) {
+    const auto q = queries.Row(t);
+    for (size_t id = 0; id < tree.num_nodes(); ++id) {
+      double lo = 0.0, hi = 0.0;
+      (tree.*bounds)(static_cast<NodeId>(id), q, &lo, &hi);
+      const auto& nd = tree.node(static_cast<NodeId>(id));
+      for (uint32_t i = nd.begin; i < nd.end; ++i) {
+        const double value = truth(q, PermutedRow(tree, i));
+        EXPECT_LE(lo, value + slack) << "node " << id << " point " << i;
+        EXPECT_GE(hi, value - slack) << "node " << id << " point " << i;
+      }
+    }
+  }
+}
+
 // ------------------------------ BoundingBox ------------------------------
 
 TEST(BoundingBoxTest, FitRangeCoversAllPoints) {
@@ -39,65 +73,50 @@ TEST(BoundingBoxTest, FitRangeCoversAllPoints) {
   EXPECT_DOUBLE_EQ(box.upper()[0], 3.0);
   EXPECT_DOUBLE_EQ(box.lower()[1], 0.0);
   EXPECT_DOUBLE_EQ(box.upper()[1], 3.0);
-  for (size_t i = 0; i < pts.rows(); ++i) EXPECT_TRUE(box.Contains(pts.Row(i)));
-}
-
-TEST(BoundingBoxTest, FitSubsetOfRows) {
-  const auto pts = TestPoints();
-  const std::vector<size_t> rows{0, 1};
-  const BoundingBox box = BoundingBox::Fit(pts, rows);
-  EXPECT_DOUBLE_EQ(box.upper()[0], 1.0);
-  EXPECT_DOUBLE_EQ(box.upper()[1], 0.0);
+  for (size_t i = 0; i < pts.rows(); ++i) {
+    for (size_t j = 0; j < pts.cols(); ++j) {
+      EXPECT_LE(box.lower()[j], pts(i, j));
+      EXPECT_GE(box.upper()[j], pts(i, j));
+    }
+  }
 }
 
 TEST(BoundingBoxTest, MinDistZeroInsideBox) {
-  const auto pts = TestPoints();
-  const BoundingBox box = BoundingBox::FitRange(pts, 0, pts.rows());
+  const auto tree = OneBoxTree(TestPoints());
   const std::vector<double> q{1.5, 1.5};
-  EXPECT_DOUBLE_EQ(box.MinSquaredDistance(q), 0.0);
-  EXPECT_GT(box.MaxSquaredDistance(q), 0.0);
+  double min_sq = 0.0, max_sq = 0.0;
+  tree->DistanceBounds(tree->root(), q, &min_sq, &max_sq);
+  EXPECT_DOUBLE_EQ(min_sq, 0.0);
+  EXPECT_GT(max_sq, 0.0);
 }
 
 TEST(BoundingBoxTest, MinMaxDistOutsideBox) {
-  data::Matrix pts(2, 2, {0, 0, 1, 1});
-  const BoundingBox box = BoundingBox::FitRange(pts, 0, 2);
+  const auto tree = OneBoxTree(data::Matrix(2, 2, {0, 0, 1, 1}));
   const std::vector<double> q{3.0, 0.0};
-  EXPECT_DOUBLE_EQ(box.MinSquaredDistance(q), 4.0);   // To (1,0).
-  EXPECT_DOUBLE_EQ(box.MaxSquaredDistance(q), 10.0);  // To (0,1).
+  double min_sq = 0.0, max_sq = 0.0;
+  tree->DistanceBounds(tree->root(), q, &min_sq, &max_sq);
+  EXPECT_DOUBLE_EQ(min_sq, 4.0);   // To (1,0).
+  EXPECT_DOUBLE_EQ(max_sq, 10.0);  // To (0,1).
 }
 
 TEST(BoundingBoxTest, DistBoundsSandwichTruePoints) {
   util::Rng rng(1);
   const data::Matrix pts = data::SampleUniform(100, 4, -2.0, 2.0, rng);
-  const BoundingBox box = BoundingBox::FitRange(pts, 0, pts.rows());
-  for (int trial = 0; trial < 20; ++trial) {
-    std::vector<double> q(4);
-    for (auto& v : q) v = rng.Uniform(-4.0, 4.0);
-    const double min_sq = box.MinSquaredDistance(q);
-    const double max_sq = box.MaxSquaredDistance(q);
-    for (size_t i = 0; i < pts.rows(); ++i) {
-      const double sq = util::SquaredDistance(q, pts.Row(i));
-      EXPECT_LE(min_sq, sq + 1e-12);
-      EXPECT_GE(max_sq, sq - 1e-12);
-    }
-  }
+  const std::vector<double> weights(pts.rows(), 1.0);
+  const auto tree = KdTree::Build(pts, weights, 8).ValueOrDie();
+  const data::Matrix queries = data::SampleUniform(20, 4, -4.0, 4.0, rng);
+  ExpectEveryNodeSandwiches(*tree, queries, 1e-12,
+                            &TreeIndex::DistanceBounds, util::SquaredDistance);
 }
 
 TEST(BoundingBoxTest, InnerProductBoundsSandwichTruePoints) {
   util::Rng rng(2);
   const data::Matrix pts = data::SampleUniform(100, 3, -1.0, 1.0, rng);
-  const BoundingBox box = BoundingBox::FitRange(pts, 0, pts.rows());
-  for (int trial = 0; trial < 20; ++trial) {
-    std::vector<double> q(3);
-    for (auto& v : q) v = rng.Uniform(-2.0, 2.0);
-    double lo = 0.0, hi = 0.0;
-    box.InnerProductBounds(q, &lo, &hi);
-    for (size_t i = 0; i < pts.rows(); ++i) {
-      const double ip = util::Dot(q, pts.Row(i));
-      EXPECT_LE(lo, ip + 1e-12);
-      EXPECT_GE(hi, ip - 1e-12);
-    }
-  }
+  const std::vector<double> weights(pts.rows(), 1.0);
+  const auto tree = KdTree::Build(pts, weights, 4).ValueOrDie();
+  const data::Matrix queries = data::SampleUniform(20, 3, -2.0, 2.0, rng);
+  ExpectEveryNodeSandwiches(*tree, queries, 1e-12,
+                            &TreeIndex::InnerProductBounds, util::Dot);
 }
 
 TEST(BoundingBoxTest, InnerProductBoundsNegativeQuery) {
@@ -105,15 +124,26 @@ TEST(BoundingBoxTest, InnerProductBoundsNegativeQuery) {
   const BoundingBox box = BoundingBox::FitRange(pts, 0, 2);
   const std::vector<double> q{-2.0};
   double lo = 0.0, hi = 0.0;
-  box.InnerProductBounds(q, &lo, &hi);
+  BoundingBox::InnerProductBoundsFlat(box.lower(), box.upper(), q, &lo, &hi);
   EXPECT_DOUBLE_EQ(lo, -6.0);
   EXPECT_DOUBLE_EQ(hi, -2.0);
 }
 
+// The kd-tree splits a node's box along its widest dimension: y spans 10
+// here and x only 3, so the root's children separate on y.
 TEST(BoundingBoxTest, WidestDimension) {
-  data::Matrix pts(2, 3, {0, 0, 0, 1, 5, 2});
-  const BoundingBox box = BoundingBox::FitRange(pts, 0, 2);
-  EXPECT_EQ(box.WidestDimension(), 1u);
+  const data::Matrix pts(4, 2, {0, 0, 1, 10, 2, 5, 3, 1});
+  const std::vector<double> weights(pts.rows(), 1.0);
+  const auto tree = KdTree::Build(pts, weights, 2).ValueOrDie();
+  const auto& root = tree->node(tree->root());
+  ASSERT_FALSE(root.is_leaf());
+  const auto& left = tree->node(root.left);
+  const auto& right = tree->node(root.right);
+  for (uint32_t i = left.begin; i < left.end; ++i) {
+    for (uint32_t k = right.begin; k < right.end; ++k) {
+      EXPECT_LE(tree->points().At(i, 1), tree->points().At(k, 1));
+    }
+  }
 }
 
 // ------------------------------ BoundingBall -----------------------------
@@ -133,49 +163,41 @@ TEST(BoundingBallTest, SinglePointHasZeroRadius) {
   const BoundingBall ball = BoundingBall::FitRange(pts, 0, 1);
   EXPECT_DOUBLE_EQ(ball.radius(), 0.0);
   const std::vector<double> q{0.0, 0.0};
-  EXPECT_DOUBLE_EQ(ball.MinSquaredDistance(q), 25.0);
-  EXPECT_DOUBLE_EQ(ball.MaxSquaredDistance(q), 25.0);
+  double min_sq = 0.0, max_sq = 0.0;
+  BoundingBall::DistanceBoundsFlat(ball.center(), ball.radius(), q, &min_sq,
+                                   &max_sq);
+  EXPECT_DOUBLE_EQ(min_sq, 25.0);
+  EXPECT_DOUBLE_EQ(max_sq, 25.0);
 }
 
 TEST(BoundingBallTest, DistBoundsSandwichTruePoints) {
   util::Rng rng(3);
   const data::Matrix pts = data::SampleUniform(100, 5, 0.0, 1.0, rng);
-  const BoundingBall ball = BoundingBall::FitRange(pts, 0, pts.rows());
-  for (int trial = 0; trial < 20; ++trial) {
-    std::vector<double> q(5);
-    for (auto& v : q) v = rng.Uniform(-1.0, 2.0);
-    const double min_sq = ball.MinSquaredDistance(q);
-    const double max_sq = ball.MaxSquaredDistance(q);
-    for (size_t i = 0; i < pts.rows(); ++i) {
-      const double sq = util::SquaredDistance(q, pts.Row(i));
-      EXPECT_LE(min_sq, sq + 1e-9);
-      EXPECT_GE(max_sq, sq - 1e-9);
-    }
-  }
+  const std::vector<double> weights(pts.rows(), 1.0);
+  const auto tree = BallTree::Build(pts, weights, 8).ValueOrDie();
+  const data::Matrix queries = data::SampleUniform(20, 5, -1.0, 2.0, rng);
+  ExpectEveryNodeSandwiches(*tree, queries, 1e-9,
+                            &TreeIndex::DistanceBounds, util::SquaredDistance);
 }
 
 TEST(BoundingBallTest, InnerProductBoundsSandwichTruePoints) {
   util::Rng rng(4);
   const data::Matrix pts = data::SampleUniform(100, 3, -1.0, 1.0, rng);
-  const BoundingBall ball = BoundingBall::FitRange(pts, 0, pts.rows());
-  for (int trial = 0; trial < 20; ++trial) {
-    std::vector<double> q(3);
-    for (auto& v : q) v = rng.Uniform(-2.0, 2.0);
-    double lo = 0.0, hi = 0.0;
-    ball.InnerProductBounds(q, &lo, &hi);
-    for (size_t i = 0; i < pts.rows(); ++i) {
-      const double ip = util::Dot(q, pts.Row(i));
-      EXPECT_LE(lo, ip + 1e-9);
-      EXPECT_GE(hi, ip - 1e-9);
-    }
-  }
+  const std::vector<double> weights(pts.rows(), 1.0);
+  const auto tree = BallTree::Build(pts, weights, 4).ValueOrDie();
+  const data::Matrix queries = data::SampleUniform(20, 3, -2.0, 2.0, rng);
+  ExpectEveryNodeSandwiches(*tree, queries, 1e-9,
+                            &TreeIndex::InnerProductBounds, util::Dot);
 }
 
 TEST(BoundingBallTest, MinDistInsideBallIsZero) {
   util::Rng rng(5);
   const data::Matrix pts = data::SampleUniform(50, 2, 0.0, 1.0, rng);
   const BoundingBall ball = BoundingBall::FitRange(pts, 0, pts.rows());
-  EXPECT_DOUBLE_EQ(ball.MinSquaredDistance(ball.center()), 0.0);
+  double min_sq = 0.0, max_sq = 0.0;
+  BoundingBall::DistanceBoundsFlat(ball.center(), ball.radius(),
+                                   ball.center(), &min_sq, &max_sq);
+  EXPECT_DOUBLE_EQ(min_sq, 0.0);
 }
 
 // ----------------------- Tree structure invariants -----------------------

@@ -60,7 +60,6 @@ TEST(LoggerTest, LevelFilteringDropsBelowMinimum) {
     log.Log(LogLevel::kInfo, "dropped");
     log.Log(LogLevel::kWarn, "kept");
     log.Log(LogLevel::kError, "kept");
-    EXPECT_EQ(log.emitted(), 2u);
   }
   const auto lines = ReadLines(path);
   ASSERT_EQ(lines.size(), 2u);
@@ -122,16 +121,22 @@ TEST(LoggerTest, TextFormatIsSingleLineKeyValue) {
 TEST(LoggerTest, RateLimiterDropsAndCounts) {
   const std::string path = TempPath("log_rate.log");
   Logger::Options options;
-  options.rate_limit_per_sec = 1e-9;  // Effectively never refills.
+  options.rate_limit_per_sec = 5.0;  // One token per 200ms.
   options.rate_limit_burst = 3.0;
   auto logger = Logger::Open(path, options);
   ASSERT_TRUE(logger.ok()) << logger.status().ToString();
+  // The burst spends the bucket long before a token refills.
   for (int i = 0; i < 8; ++i) {
     logger.value()->Log(LogLevel::kInfo, "burst");
   }
-  EXPECT_EQ(logger.value()->emitted(), 3u);
-  EXPECT_EQ(logger.value()->suppressed(), 5u);
   EXPECT_EQ(ReadLines(path).size(), 3u);
+  // After a refill, the next line reports the five drops.
+  std::this_thread::sleep_for(std::chrono::milliseconds(250));
+  logger.value()->Log(LogLevel::kInfo, "after");
+  const auto lines = ReadLines(path);
+  ASSERT_EQ(lines.size(), 4u);
+  EXPECT_NE(lines.back().find("after suppressed=5"), std::string::npos)
+      << lines.back();
 }
 
 TEST(LoggerTest, SuppressedCountSurfacesOnNextEmittedLine) {
@@ -143,9 +148,11 @@ TEST(LoggerTest, SuppressedCountSurfacesOnNextEmittedLine) {
   ASSERT_TRUE(logger.ok()) << logger.status().ToString();
   logger.value()->Log(LogLevel::kInfo, "first");
   // Consecutive calls land within the 1ms-per-token refill, so this
-  // terminates as soon as one line is dropped.
-  while (logger.value()->suppressed() == 0) {
+  // terminates as soon as one line is dropped (the file falls behind
+  // the call count).
+  for (size_t calls = 2;; ++calls) {
     logger.value()->Log(LogLevel::kInfo, "flood");
+    if (ReadLines(path).size() < calls) break;
   }
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   logger.value()->Log(LogLevel::kInfo, "after");
@@ -177,8 +184,6 @@ TEST(LoggerTest, ConcurrentWritersNeverInterleaveLines) {
       });
     }
     for (std::thread& w : writers) w.join();
-    EXPECT_EQ(log->emitted(),
-              static_cast<uint64_t>(kThreads) * kLines);
   }
   const auto lines = ReadLines(path);
   ASSERT_EQ(lines.size(), static_cast<size_t>(kThreads) * kLines);
@@ -190,8 +195,6 @@ TEST(LoggerTest, ConcurrentWritersNeverInterleaveLines) {
 
 TEST(LoggerTest, NullSafeFreeFunctionIsANoOp) {
   Log(nullptr, LogLevel::kError, "nobody listening", {{"x", 1.0}});
-  // DefaultLogger targets stderr; just exercise the path.
-  EXPECT_TRUE(DefaultLogger().enabled(LogLevel::kError));
 }
 
 }  // namespace

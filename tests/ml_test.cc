@@ -1,5 +1,5 @@
-// Tests for the ML substrate: KDE (Scott's rule), SMO SVM trainers, and
-// model I/O.
+// Tests for the ML substrate: KDE (Scott's rule), the 1-class SMO SVM
+// trainer, the SVM-to-engine bridge, and model I/O.
 
 #include <gtest/gtest.h>
 
@@ -7,11 +7,11 @@
 #include <filesystem>
 
 #include "core/evaluator.h"
-#include "data/normalize.h"
 #include "data/synthetic.h"
 #include "ml/kde.h"
 #include "ml/model_io.h"
 #include "ml/svm.h"
+#include "svm_test_model.h"
 #include "util/rng.h"
 
 namespace karl::ml {
@@ -102,90 +102,6 @@ TEST(KdeModelTest, DensityAboveMatchesExactComparison) {
   }
 }
 
-// ------------------------------ 2-class SVM ------------------------------
-
-TEST(TwoClassSvmTest, RejectsBadInputs) {
-  data::LabeledDataset ds;
-  const auto kernel = core::KernelParams::Gaussian(1.0);
-  TwoClassSvmParams params;
-  EXPECT_FALSE(TrainTwoClassSvm(ds, kernel, params).ok());  // Empty.
-
-  util::Rng rng(7);
-  ds = data::MakeTwoClassDataset(20, 2, 0.9, rng);
-  ds.labels[0] = 0.5;  // Invalid label.
-  EXPECT_FALSE(TrainTwoClassSvm(ds, kernel, params).ok());
-
-  ds = data::MakeTwoClassDataset(20, 2, 0.9, rng);
-  for (auto& y : ds.labels) y = 1.0;  // One class only.
-  EXPECT_FALSE(TrainTwoClassSvm(ds, kernel, params).ok());
-
-  ds = data::MakeTwoClassDataset(20, 2, 0.9, rng);
-  params.c = -1.0;
-  EXPECT_FALSE(TrainTwoClassSvm(ds, kernel, params).ok());
-}
-
-TEST(TwoClassSvmTest, LearnsSeparableData) {
-  util::Rng rng(8);
-  const auto train = data::MakeTwoClassDataset(300, 4, 0.9, rng);
-  const auto kernel = core::KernelParams::Gaussian(2.0);
-  TwoClassSvmParams params;
-  params.c = 10.0;
-  auto model = TrainTwoClassSvm(train, kernel, params);
-  ASSERT_TRUE(model.ok()) << model.status().ToString();
-  EXPECT_GT(model.value().support_vectors.rows(), 0u);
-  EXPECT_GT(SvmAccuracy(model.value(), train.points, train.labels), 0.95);
-
-  // Generalises to a fresh sample of the same distribution.
-  util::Rng rng2(8);  // Same seed → same class geometry.
-  const auto test = data::MakeTwoClassDataset(300, 4, 0.9, rng2);
-  EXPECT_GT(SvmAccuracy(model.value(), test.points, test.labels), 0.9);
-}
-
-TEST(TwoClassSvmTest, DualConstraintsHold) {
-  util::Rng rng(9);
-  const auto train = data::MakeTwoClassDataset(150, 3, 0.7, rng);
-  const auto kernel = core::KernelParams::Gaussian(2.0);
-  TwoClassSvmParams params;
-  params.c = 1.0;
-  auto model = TrainTwoClassSvm(train, kernel, params).ValueOrDie();
-
-  // Coefficients are α_i y_i: |coef| ≤ C, Σ coef = Σ α_i y_i = 0.
-  double sum = 0.0;
-  for (const double coef : model.coefficients) {
-    EXPECT_LE(std::abs(coef), params.c + 1e-9);
-    sum += coef;
-  }
-  EXPECT_NEAR(sum, 0.0, 1e-6);
-}
-
-TEST(TwoClassSvmTest, CoefficientsAreTypeThree) {
-  util::Rng rng(10);
-  const auto train = data::MakeTwoClassDataset(150, 3, 0.7, rng);
-  auto model = TrainTwoClassSvm(train, core::KernelParams::Gaussian(2.0),
-                                TwoClassSvmParams{})
-                   .ValueOrDie();
-  bool has_pos = false, has_neg = false;
-  for (const double coef : model.coefficients) {
-    has_pos |= coef > 0;
-    has_neg |= coef < 0;
-  }
-  EXPECT_TRUE(has_pos);
-  EXPECT_TRUE(has_neg);
-}
-
-TEST(TwoClassSvmTest, PolynomialKernelTrains) {
-  util::Rng rng(11);
-  auto train = data::MakeTwoClassDataset(200, 3, 0.9, rng);
-  // Paper normalises polynomial-kernel data to [-1,1]^d.
-  data::MinMaxNormalize(&train.points, -1.0, 1.0);
-  const auto kernel = core::KernelParams::Polynomial(1.0, 1.0, 3);
-  TwoClassSvmParams params;
-  params.c = 5.0;
-  auto model = TrainTwoClassSvm(train, kernel, params);
-  ASSERT_TRUE(model.ok());
-  EXPECT_GT(SvmAccuracy(model.value(), train.points, train.labels), 0.85);
-}
-
 // ------------------------------ 1-class SVM ------------------------------
 
 TEST(OneClassSvmTest, RejectsBadInputs) {
@@ -243,11 +159,9 @@ TEST(OneClassSvmTest, FlagsOutliersAsNegative) {
 // -------------------- SVM ↔ KAQ bridge & model I/O ----------------------
 
 TEST(SvmEngineBridgeTest, EngineReproducesDecisions) {
+  const SvmModel model = test::MixedSignSvmModel(
+      core::KernelParams::Gaussian(2.0), 120, 4, 0.0, 1.0, 15);
   util::Rng rng(15);
-  const auto train = data::MakeTwoClassDataset(250, 4, 0.8, rng);
-  auto model = TrainTwoClassSvm(train, core::KernelParams::Gaussian(2.0),
-                                TwoClassSvmParams{})
-                   .ValueOrDie();
 
   EngineOptions options;
   options.leaf_capacity = 8;
@@ -257,12 +171,17 @@ TEST(SvmEngineBridgeTest, EngineReproducesDecisions) {
   EXPECT_DOUBLE_EQ(tau, model.rho);
   EXPECT_EQ(engine.value().weighting_type(), WeightingType::kTypeIII);
 
+  int positive = 0;
   for (int trial = 0; trial < 40; ++trial) {
     std::vector<double> q(4);
     for (auto& v : q) v = rng.Uniform(0.0, 1.0);
     const bool scan_decision = SvmDecision(model, q) > 0.0;
+    positive += scan_decision;
     EXPECT_EQ(engine.value().Tkaq(q, tau), scan_decision) << "trial " << trial;
   }
+  // Both classes occur, so the comparison is not vacuous.
+  EXPECT_GT(positive, 0);
+  EXPECT_LT(positive, 40);
 }
 
 TEST(SvmEngineBridgeTest, OneClassEngineIsTypeTwo) {
@@ -280,11 +199,8 @@ TEST(SvmEngineBridgeTest, OneClassEngineIsTypeTwo) {
 }
 
 TEST(ModelIoTest, RoundTripsExactly) {
-  util::Rng rng(17);
-  const auto train = data::MakeTwoClassDataset(100, 3, 0.8, rng);
-  auto model = TrainTwoClassSvm(train, core::KernelParams::Gaussian(1.5),
-                                TwoClassSvmParams{})
-                   .ValueOrDie();
+  const SvmModel model = test::MixedSignSvmModel(
+      core::KernelParams::Gaussian(1.5), 60, 3, 0.0, 1.0, 17);
   auto back = ParseSvmModel(WriteSvmModel(model));
   ASSERT_TRUE(back.ok()) << back.status().ToString();
   const auto& m = back.value();

@@ -1,8 +1,7 @@
 // Tests for the annotated locking layer (util/mutex.h): scoped-lock
 // behaviour, CondVar wait/notify (a TSan-exercised regression for the
-// wrapper's adopt/release dance around std::condition_variable),
-// SharedMutex reader/writer interleavings, and — in debug builds —
-// death tests pinning the runtime AssertHeld() checks.
+// wrapper's adopt/release dance around std::condition_variable), and —
+// in debug builds — death tests pinning the runtime AssertHeld() checks.
 
 #include "util/mutex.h"
 
@@ -140,60 +139,6 @@ TEST(CondVarTest, ProducerConsumerHandoff) {
   EXPECT_EQ(sum, 5050);
 }
 
-TEST(SharedMutexTest, ManyConcurrentReaders) {
-  SharedMutex mu;
-  int shared_value = 7;
-  std::atomic<int> readers_in{0};
-  std::atomic<int> max_overlap{0};
-  std::vector<std::thread> readers;
-  readers.reserve(4);
-  for (int t = 0; t < 4; ++t) {
-    readers.emplace_back([&] {
-      const ReaderMutexLock lock(&mu);
-      mu.AssertReaderHeld();
-      const int now = readers_in.fetch_add(1) + 1;
-      int seen = max_overlap.load();
-      while (now > seen && !max_overlap.compare_exchange_weak(seen, now)) {
-      }
-      EXPECT_EQ(shared_value, 7);
-      std::this_thread::sleep_for(std::chrono::milliseconds(5));
-      readers_in.fetch_sub(1);
-    });
-  }
-  for (auto& th : readers) th.join();
-  // With 4 readers sleeping inside the lock, at least two must have
-  // overlapped — i.e. the shared mode really is shared.
-  EXPECT_GE(max_overlap.load(), 2);
-}
-
-TEST(SharedMutexTest, WriterExcludesReadersAndWriters) {
-  SharedMutex mu;
-  int value = 0;
-  std::vector<std::thread> writers;
-  writers.reserve(4);
-  for (int t = 0; t < 4; ++t) {
-    writers.emplace_back([&] {
-      for (int i = 0; i < 500; ++i) {
-        const WriterMutexLock lock(&mu);
-        ++value;
-      }
-    });
-  }
-  std::atomic<bool> stop{false};
-  std::thread reader([&] {
-    while (!stop.load()) {
-      const ReaderMutexLock lock(&mu);
-      const int snapshot = value;
-      EXPECT_GE(snapshot, 0);
-      EXPECT_LE(snapshot, 2000);
-    }
-  });
-  for (auto& th : writers) th.join();
-  stop = true;
-  reader.join();
-  EXPECT_EQ(value, 2000);
-}
-
 #ifndef NDEBUG
 // The runtime owner bookkeeping only exists in debug builds; release
 // builds compile AssertHeld down to the static annotation alone.
@@ -211,23 +156,6 @@ TEST(MutexDeathTest, AssertHeldAbortsForNonOwningThread) {
   });
   other.join();
   mu.Unlock();
-}
-
-TEST(SharedMutexDeathTest, AssertHeldAbortsWithoutExclusiveHold) {
-  SharedMutex mu;
-  EXPECT_DEATH(mu.AssertHeld(), "AssertHeld");
-}
-
-TEST(SharedMutexDeathTest, AssertHeldAbortsUnderSharedHold) {
-  SharedMutex mu;
-  const ReaderMutexLock lock(&mu);
-  // A shared hold is not an exclusive hold.
-  EXPECT_DEATH(mu.AssertHeld(), "AssertHeld");
-}
-
-TEST(SharedMutexDeathTest, AssertReaderHeldAbortsWhenNotHeld) {
-  SharedMutex mu;
-  EXPECT_DEATH(mu.AssertReaderHeld(), "AssertReaderHeld");
 }
 #endif  // !NDEBUG
 

@@ -76,7 +76,8 @@ std::vector<Tier> SupportedTiers() {
 
 // Kernel parameter scales chosen so contributions stay well inside the
 // normal range for every tested dimensionality (no denormal kernel
-// values — those are covered by the dedicated ExpBlock underflow test).
+// values; the vector exp's underflow clamp is pinned on its own by
+// SimdExpTest.ClampedUnderflowWithinAbsoluteBound through simd::ExpBlock).
 std::vector<KernelParams> KernelsForDim(size_t d) {
   const double dd = static_cast<double>(d);
   return {
