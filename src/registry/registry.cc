@@ -1,14 +1,75 @@
 #include "registry/registry.h"
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <filesystem>
 #include <system_error>
+#include <thread>
 #include <utility>
 
 #include "telemetry/metrics.h"
 #include "util/stopwatch.h"
 
 namespace karl::registry {
+
+// Closes file descriptors on a thread of its own. Closing the last
+// descriptor of a snapshot that a rename replaced is when the kernel
+// frees that file's page cache, ~8 ms for 11 MB; this keeps it off the
+// thread that dropped the model. Owned by the registry and by every
+// LoadedModel it made, so the last owner out closes whatever is still
+// queued and joins.
+class FdReclaimer {
+ public:
+  FdReclaimer() = default;
+  ~FdReclaimer() {
+    {
+      util::MutexLock lock(&mu_);
+      stopping_ = true;
+    }
+    wake_.Signal();
+    thread_.join();
+  }
+  FdReclaimer(const FdReclaimer&) = delete;
+  FdReclaimer& operator=(const FdReclaimer&) = delete;
+
+  void Close(int fd) {
+    if (fd < 0) return;
+    {
+      util::MutexLock lock(&mu_);
+      queue_.push_back(fd);
+    }
+    wake_.Signal();
+  }
+
+ private:
+  void Run() {
+    std::vector<int> closing;
+    mu_.Lock();
+    while (true) {
+      while (queue_.empty() && !stopping_) wake_.Wait(&mu_);
+      if (queue_.empty()) break;  // Stopping, and nothing left to close.
+      closing.swap(queue_);
+      mu_.Unlock();
+      for (const int fd : closing) ::close(fd);
+      closing.clear();
+      mu_.Lock();
+    }
+    mu_.Unlock();
+  }
+
+  util::Mutex mu_;
+  util::CondVar wake_;
+  std::vector<int> queue_ KARL_GUARDED_BY(mu_);
+  bool stopping_ KARL_GUARDED_BY(mu_) = false;
+  std::thread thread_{[this] { Run(); }};  // Last: uses the members above.
+};
+
+LoadedModel::~LoadedModel() {
+  if (!snapshot_.has_value()) return;
+  engine_.reset();  // Views the mapping.
+  reclaimer_->Close(snapshot_->Unmap());
+}
 
 namespace {
 
@@ -27,6 +88,11 @@ int64_t MtimeNanos(const fs::path& path, std::error_code& ec) {
 }
 
 }  // namespace
+
+ModelRegistry::ModelRegistry(std::string model_dir, RegistryOptions options)
+    : model_dir_(std::move(model_dir)),
+      options_(std::move(options)),
+      reclaimer_(std::make_shared<FdReclaimer>()) {}
 
 util::Result<std::unique_ptr<ModelRegistry>> ModelRegistry::Open(
     const std::string& model_dir, const RegistryOptions& options) {
@@ -143,6 +209,7 @@ util::Result<ModelHandle> ModelRegistry::LoadEntry(const std::string& name,
   util::Stopwatch timer;
   std::shared_ptr<LoadedModel> loaded(new LoadedModel());
   LoadedModel* model = loaded.get();
+  model->reclaimer_ = reclaimer_;
   auto snapshot = MappedSnapshot::Map(entry->path);
   if (!snapshot.ok()) return snapshot.status();
   model->snapshot_.emplace(std::move(snapshot).ValueOrDie());
@@ -212,8 +279,24 @@ void ModelRegistry::EnforceBudget() {
 }
 
 util::Status ModelRegistry::Reload() {
+  util::Stopwatch timer;
+  util::Status status;
+  {
+    // Declared before the lock, so the generations this reload replaces
+    // or drops unmap after mu_ is released.
+    std::vector<ModelHandle> released;
+    util::MutexLock lock(&mu_);
+    status = ReloadLocked(&released);
+  }
+  if (options_.metrics != nullptr) {
+    options_.metrics->GetHistogram("karl_model_reload_us")
+        ->Record(timer.ElapsedSeconds() * 1e6);
+  }
+  return status;
+}
+
+util::Status ModelRegistry::ReloadLocked(std::vector<ModelHandle>* released) {
   util::Status first_error = util::Status::OK();
-  util::MutexLock lock(&mu_);
   ++reloads_total_;
 
   std::map<std::string, Entry> found;
@@ -228,6 +311,7 @@ util::Status ModelRegistry::Reload() {
     if (it->second.from_scan && found.find(it->first) == found.end()) {
       util::Log(options_.logger, util::LogLevel::kInfo, "model_gone",
                 {{"model", it->first}});
+      released->push_back(std::move(it->second.loaded));
       it = models_.erase(it);
     } else {
       ++it;
@@ -265,7 +349,8 @@ util::Status ModelRegistry::Reload() {
       if (first_error.ok()) first_error = handle.status();
       continue;  // Keep serving the old version.
     }
-    entry.loaded = std::move(handle).ValueOrDie();
+    released->push_back(
+        std::exchange(entry.loaded, std::move(handle).ValueOrDie()));
     util::Log(options_.logger, util::LogLevel::kInfo, "model_reload",
               {{"model", name}, {"path", entry.path}});
   }
@@ -288,7 +373,8 @@ util::Status ModelRegistry::Reload() {
       if (first_error.ok()) first_error = handle.status();
       continue;
     }
-    entry.loaded = std::move(handle).ValueOrDie();
+    released->push_back(
+        std::exchange(entry.loaded, std::move(handle).ValueOrDie()));
     util::Log(options_.logger, util::LogLevel::kInfo, "model_reload",
               {{"model", name}, {"path", entry.path}});
   }

@@ -350,7 +350,8 @@ util::Status WriteSnapshot(const std::string& path, const Engine& engine) {
 }
 
 MappedSnapshot::~MappedSnapshot() {
-  if (data_ != nullptr) ::munmap(data_, bytes_);
+  const int fd = Unmap();
+  if (fd >= 0) ::close(fd);
 }
 
 MappedSnapshot::MappedSnapshot(MappedSnapshot&& other) noexcept {
@@ -359,9 +360,11 @@ MappedSnapshot::MappedSnapshot(MappedSnapshot&& other) noexcept {
 
 MappedSnapshot& MappedSnapshot::operator=(MappedSnapshot&& other) noexcept {
   if (this == &other) return *this;
-  if (data_ != nullptr) ::munmap(data_, bytes_);
+  const int fd = Unmap();
+  if (fd >= 0) ::close(fd);
   data_ = std::exchange(other.data_, nullptr);
   bytes_ = std::exchange(other.bytes_, 0);
+  fd_ = std::exchange(other.fd_, -1);
   path_ = std::move(other.path_);
   options_ = other.options_;
   weighting_ = other.weighting_;
@@ -369,6 +372,14 @@ MappedSnapshot& MappedSnapshot::operator=(MappedSnapshot&& other) noexcept {
   views_[0] = other.views_[0];
   views_[1] = other.views_[1];
   return *this;
+}
+
+int MappedSnapshot::Unmap() {
+  if (data_ != nullptr) ::munmap(data_, bytes_);
+  data_ = nullptr;
+  bytes_ = 0;
+  num_trees_ = 0;
+  return std::exchange(fd_, -1);
 }
 
 util::Result<MappedSnapshot> MappedSnapshot::Map(const std::string& path) {
@@ -403,18 +414,20 @@ util::Result<MappedSnapshot> MappedSnapshot::Map(const std::string& path) {
         " bytes is smaller than the header");
   }
   void* map = ::mmap(nullptr, bytes, PROT_READ, MAP_PRIVATE, fd, 0);
-  const int map_err = errno;
-  ::close(fd);
   if (map == MAP_FAILED) {
+    const int err = errno;
+    ::close(fd);
     return util::Status::IOError("cannot mmap snapshot " + path + ": " +
-                                 util::ErrnoString(map_err));
+                                 util::ErrnoString(err));
   }
 
+  // The descriptor stays open for the life of the mapping; see Unmap().
   MappedSnapshot snap;
   snap.data_ = map;
   snap.bytes_ = bytes;
+  snap.fd_ = fd;
   snap.path_ = path;
-  KARL_RETURN_NOT_OK(snap.Parse());  // Destructor unmaps on failure.
+  KARL_RETURN_NOT_OK(snap.Parse());  // Destructor unmaps and closes.
   return std::move(snap);
 }
 

@@ -2,14 +2,21 @@
 // mmap, corruption rejection, lazy loading, LRU eviction with pinning,
 // and RCU-style hot reload.
 
+#include <fcntl.h>
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstddef>
+#include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <map>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -22,6 +29,7 @@
 #include "registry/registry.h"
 #include "registry/snapshot.h"
 #include "telemetry/metrics.h"
+#include "util/log.h"
 #include "util/rng.h"
 
 namespace karl::registry {
@@ -126,6 +134,36 @@ void Reseal(std::string& bytes) {
   std::memset(bytes.data() + kSnapshotChecksumOffset, 0, sizeof(uint64_t));
   const uint64_t sum = SnapshotChecksum(AsBytes(bytes));
   std::memcpy(bytes.data() + kSnapshotChecksumOffset, &sum, sizeof(sum));
+}
+
+// What this process's open file descriptors point at (readlink of
+// /proc/self/fd/*). A file that a rename replaced reads "<path> (deleted)".
+std::vector<std::string> OpenFdTargets() {
+  std::vector<std::string> targets;
+  for (const auto& fd : fs::directory_iterator("/proc/self/fd")) {
+    std::error_code ec;
+    targets.push_back(fs::read_symlink(fd.path(), ec).string());
+  }
+  return targets;
+}
+
+size_t OpenFdCount() { return OpenFdTargets().size(); }
+
+size_t OpenFdsOn(const std::string& target) {
+  size_t n = 0;
+  for (const std::string& t : OpenFdTargets()) n += t == target ? 1 : 0;
+  return n;
+}
+
+// Polls `done` for up to 10 s; true once it holds.
+bool WaitUntil(const std::function<bool()>& done) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!done()) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return true;
 }
 
 constexpr size_t kLanes = core::simd::SoaLeafBlocks::kBlockPoints;
@@ -615,6 +653,47 @@ TEST(SnapshotTest, UnlinkedFileKeepsAnswering) {
   ExpectSameAnswers(original, attached.value(), 11, /*check_ekaq=*/false);
 }
 
+// A mapping holds its file descriptor until it is destroyed or moved
+// over, and no failed Map keeps one.
+TEST(SnapshotTest, DescriptorLivesExactlyAsLongAsTheMapping) {
+  TempDir dir("karl_snap_fds");
+  const std::string path = dir.File("m.snap");
+  ASSERT_TRUE(WriteSnapshot(path, BuildEngine(MakePoints(8, 200),
+                                              MixedWeights(8, 200),
+                                              core::KernelParams::Gaussian(
+                                                  1.0)))
+                  .ok());
+  const std::string bytes = ReadFileBytes(path);
+  std::string corrupt = bytes;
+  corrupt[bytes.size() / 2] = static_cast<char>(corrupt[bytes.size() / 2] ^ 1);
+  const std::string short_path = dir.File("short.snap");
+  const std::string cut_path = dir.File("cut.snap");
+  const std::string corrupt_path = dir.File("corrupt.snap");
+  WriteFileBytes(short_path, bytes.substr(0, 100));
+  WriteFileBytes(cut_path, bytes.substr(0, bytes.size() / 2));
+  WriteFileBytes(corrupt_path, corrupt);
+
+  const size_t baseline = OpenFdCount();
+  const std::string failing[3] = {short_path, cut_path, corrupt_path};
+  for (int i = 0; i < 1000; ++i) {
+    ASSERT_FALSE(MappedSnapshot::Map(failing[i % 3]).ok()) << i;
+  }
+  EXPECT_EQ(OpenFdCount(), baseline);
+
+  {
+    auto first = MappedSnapshot::Map(path);
+    auto second = MappedSnapshot::Map(path);
+    ASSERT_TRUE(first.ok() && second.ok());
+    EXPECT_EQ(OpenFdCount(), baseline + 2);
+    MappedSnapshot moved = std::move(first).ValueOrDie();
+    EXPECT_EQ(OpenFdCount(), baseline + 2);
+    moved = std::move(second).ValueOrDie();  // Closes moved's own file.
+    EXPECT_EQ(OpenFdCount(), baseline + 1);
+    ASSERT_TRUE(AttachEngine(moved, nullptr, nullptr).ok());
+  }
+  EXPECT_EQ(OpenFdCount(), baseline);
+}
+
 TEST(SnapshotTest, MissingFileErrorNamesPath) {
   const std::string path = "/nonexistent/karl/model.snap";
   auto mapped = MappedSnapshot::Map(path);
@@ -871,6 +950,12 @@ TEST(RegistryTest, HotReloadSwapsAtomicallyWhileOldHandlesKeepServing) {
   const std::vector<double> q = RandomQuery(rng);
   const double v1_answer = h1.value()->engine().Exact(q);
   EXPECT_DOUBLE_EQ(v1_answer, v1.Exact(q));
+  std::vector<std::vector<double>> probes;
+  std::vector<double> pinned_answers;
+  for (int i = 0; i < 20; ++i) {
+    probes.push_back(RandomQuery(rng));
+    pinned_answers.push_back(h1.value()->engine().Exact(probes.back()));
+  }
 
   // Replace-by-rename with a different model (different row count so
   // the size alone flags the change), then reload.
@@ -887,6 +972,112 @@ TEST(RegistryTest, HotReloadSwapsAtomicallyWhileOldHandlesKeepServing) {
   EXPECT_DOUBLE_EQ(v2_answer, v2.Exact(q));
   EXPECT_NE(v1_answer, v2_answer);
   EXPECT_DOUBLE_EQ(h1.value()->engine().Exact(q), v1_answer);
+
+  // The pinned generation answers bit-identically to before the swap,
+  // and holds the replaced file open...
+  for (size_t i = 0; i < probes.size(); ++i) {
+    EXPECT_EQ(h1.value()->engine().Exact(probes[i]), pinned_answers[i]);
+  }
+  const std::string replaced = dir.File("m.snap") + " (deleted)";
+  EXPECT_EQ(OpenFdsOn(replaced), 1u);
+  // ...until the pin drops; then the registry's reclaimer closes it.
+  h1 = util::Result<ModelHandle>(ModelHandle());
+  EXPECT_TRUE(WaitUntil([&] { return OpenFdsOn(replaced) == 0; }));
+  EXPECT_EQ(OpenFdsOn(dir.File("m.snap")), 1u);  // v2, still resident.
+}
+
+// Rename-swap reloads with some generations pinned past their
+// replacement: once the handles and the registry are gone, every file
+// the registry opened is closed.
+TEST(RegistryTest, RenameSwapReloadsCloseEveryReplacedFile) {
+  TempDir dir("karl_reg_fds");
+  WriteModel(dir.File("m.snap"), 55, 200);
+  const size_t baseline = OpenFdCount();
+  {
+    auto registry = ModelRegistry::Open(dir.File(""), RegistryOptions{});
+    ASSERT_TRUE(registry.ok());
+    ModelRegistry& reg = *registry.value();
+    std::vector<ModelHandle> pinned;
+    constexpr int kSwaps = 20;
+    for (int i = 0; i < kSwaps; ++i) {
+      auto handle = reg.Acquire("m");
+      ASSERT_TRUE(handle.ok()) << handle.status().ToString();
+      if (i % 2 == 0) pinned.push_back(handle.value());
+      // Alternate row counts, so every rewrite changes the file size.
+      WriteModel(dir.File("m.snap.tmp"), 56 + i, 200 + 50 * (i % 2 == 0));
+      fs::rename(dir.File("m.snap.tmp"), dir.File("m.snap"));
+      ASSERT_TRUE(reg.Reload().ok());
+    }
+    EXPECT_EQ(reg.List()[0].loads, static_cast<uint64_t>(kSwaps) + 1);
+    EXPECT_GE(OpenFdsOn(dir.File("m.snap") + " (deleted)"), pinned.size());
+  }
+  EXPECT_EQ(OpenFdCount(), baseline);
+}
+
+// Every resident model holds a descriptor. When the process has none
+// left, loading one more model fails with an IOError, the resident
+// models keep serving, and the load succeeds once descriptors free up.
+TEST(RegistryTest, DescriptorExhaustionFailsOnlyTheLoadThatNeedsOne) {
+  TempDir dir("karl_reg_emfile");
+  constexpr size_t kModels = 4;
+  std::vector<Engine> engines;
+  for (size_t i = 0; i < kModels; ++i) {
+    engines.push_back(WriteModel(dir.File("m" + std::to_string(i) + ".snap"),
+                                 60 + i, 200));
+  }
+  auto registry = ModelRegistry::Open(dir.File(""), RegistryOptions{});
+  ASSERT_TRUE(registry.ok());
+  ModelRegistry& reg = *registry.value();
+
+  // Lower the soft limit so that exactly kFree more descriptors fit.
+  std::vector<int> open_fds;
+  for (const auto& fd : fs::directory_iterator("/proc/self/fd")) {
+    open_fds.push_back(std::stoi(fd.path().filename().string()));
+  }
+  // The listing's own descriptor is closed by now.
+  std::erase_if(open_fds, [](int fd) { return ::fcntl(fd, F_GETFD) == -1; });
+  constexpr rlim_t kFree = 2;
+  const auto free_below = [&](rlim_t limit) {
+    return limit - static_cast<rlim_t>(std::count_if(
+                       open_fds.begin(), open_fds.end(), [&](int fd) {
+                         return static_cast<rlim_t>(fd) < limit;
+                       }));
+  };
+  rlimit saved{};
+  ASSERT_EQ(::getrlimit(RLIMIT_NOFILE, &saved), 0);
+  rlimit lowered = saved;
+  lowered.rlim_cur = kFree;
+  while (free_below(lowered.rlim_cur) < kFree) ++lowered.rlim_cur;
+  ASSERT_LE(lowered.rlim_cur, saved.rlim_cur);
+
+  std::vector<ModelHandle> handles;
+  util::Status exhausted;
+  ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &lowered), 0);
+  for (size_t i = 0; i < kModels; ++i) {
+    auto handle = reg.Acquire("m" + std::to_string(i));
+    if (!handle.ok()) {
+      exhausted = handle.status();
+      break;
+    }
+    handles.push_back(handle.value());
+  }
+  ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &saved), 0);
+
+  ASSERT_EQ(handles.size(), kFree);
+  EXPECT_EQ(exhausted.code(), util::StatusCode::kIOError);
+  EXPECT_NE(exhausted.message().find("Too many open files"),
+            std::string::npos)
+      << exhausted.ToString();
+  for (size_t i = kFree; i < kModels; ++i) {
+    auto handle = reg.Acquire("m" + std::to_string(i));
+    ASSERT_TRUE(handle.ok()) << handle.status().ToString();
+    handles.push_back(handle.value());
+  }
+  util::Rng rng(61);
+  for (size_t i = 0; i < kModels; ++i) {
+    const std::vector<double> q = RandomQuery(rng);
+    EXPECT_EQ(handles[i]->engine().Exact(q), engines[i].Exact(q)) << i;
+  }
 }
 
 TEST(RegistryTest, GenerationTracksTheReloadThatLoadedEachModel) {
@@ -933,6 +1124,11 @@ TEST(RegistryTest, GenerationTracksTheReloadThatLoadedEachModel) {
                 ->value(),
             1u);
   EXPECT_EQ(metrics.GetCounter("karl_model_loads_total")->value(), 3u);
+  // One reload-duration sample per Reload() call.
+  const telemetry::HistogramSnapshot reload_us =
+      metrics.GetHistogram("karl_model_reload_us")->Snapshot();
+  EXPECT_EQ(reload_us.count, 1u);
+  EXPECT_GT(reload_us.sum, 0.0);
   EXPECT_GT(metrics
                 .GetGauge("karl_model_resident_bytes",
                           telemetry::LabelSet{{"model", "m"}})
@@ -1014,13 +1210,21 @@ TEST(RegistryTest, ExplicitModelFilesRegisterAndReload) {
   EXPECT_DOUBLE_EQ(h2.value()->engine().Exact(q), v2.Exact(q));
 }
 
+// Four query threads, two threads reloading back to back, and a writer
+// that rewrites b by rename, under a budget of about one model. Every
+// answer bit-matches one generation of its model, every observed
+// change swaps b exactly once, and generations never run ahead of the
+// reload count or backwards.
 TEST(RegistryTest, ConcurrentAcquireQueryReloadEvictStress) {
   TempDir dir("karl_reg_stress");
-  WriteModel(dir.File("a.snap"), 91, 200);
-  WriteModel(dir.File("b.snap"), 92, 200);
-  WriteModel(dir.File("c.snap"), 93, 200);
-  // Alternate version of b, swapped in mid-stress by the reload thread.
-  WriteModel(dir.File("b_alt"), 94, 150);
+  const Engine a = WriteModel(dir.File("a.snap"), 91, 200);
+  const Engine b = WriteModel(dir.File("b.snap"), 92, 200);
+  const Engine c = WriteModel(dir.File("c.snap"), 93, 200);
+  // Alternate version of b (not *.snap, so never scanned itself).
+  const Engine b_alt = WriteModel(dir.File("b_alt"), 94, 150);
+  const std::string b_bytes[2] = {ReadFileBytes(dir.File("b.snap")),
+                                  ReadFileBytes(dir.File("b_alt"))};
+  const Engine* b_versions[2] = {&b, &b_alt};
 
   // Budget fits roughly one model: constant eviction churn.
   uint64_t one_model_bytes = 0;
@@ -1030,44 +1234,114 @@ TEST(RegistryTest, ConcurrentAcquireQueryReloadEvictStress) {
     ASSERT_TRUE(probe.value()->Acquire("a").ok());
     one_model_bytes = probe.value()->resident_bytes();
   }
+  // Swaps are counted from the log: one "model_reload" line each.
+  std::FILE* log_file = std::tmpfile();
+  ASSERT_NE(log_file, nullptr);
+  util::Logger::Options log_options;
+  log_options.ndjson = true;
+  util::Logger logger(log_file, log_options);
   RegistryOptions options;
   options.memory_budget_bytes = one_model_bytes + one_model_bytes / 4;
+  options.logger = &logger;
   auto registry = ModelRegistry::Open(dir.File(""), options);
   ASSERT_TRUE(registry.ok());
   ModelRegistry& reg = *registry.value();
 
   std::atomic<int> failures{0};
+  std::atomic<bool> rewriting{true};
   const char* names[3] = {"a", "b", "c"};
+  const Engine* engines[3] = {&a, &b, &c};
   std::vector<std::thread> workers;
   for (int t = 0; t < 4; ++t) {
     workers.emplace_back([&, t] {
       util::Rng rng(100 + static_cast<uint64_t>(t));
       for (int iter = 0; iter < 40; ++iter) {
-        auto handle = reg.Acquire(names[(t + iter) % 3]);
+        const int m = (t + iter) % 3;
+        auto handle = reg.Acquire(names[m]);
         if (!handle.ok()) {
           ++failures;
           continue;
         }
         const std::vector<double> q = RandomQuery(rng);
         const double exact = handle.value()->engine().Exact(q);
-        if (!std::isfinite(exact)) ++failures;
+        const bool known =
+            m == 1 ? exact == b.Exact(q) || exact == b_alt.Exact(q)
+                   : exact == engines[m]->Exact(q);
+        if (!known) ++failures;
         handle.value()->engine().Tkaq(q, exact + 0.01);
       }
     });
   }
-  std::thread reloader([&] {
-    for (int iter = 0; iter < 10; ++iter) {
-      if (iter == 5) {
-        std::error_code ec;
-        fs::rename(dir.File("b_alt"), dir.File("b.snap"), ec);
+  for (int t = 0; t < 2; ++t) {
+    workers.emplace_back([&] {
+      uint64_t last_b_generation = 0;
+      while (rewriting.load()) {
+        if (!reg.Reload().ok()) ++failures;
+        const auto listed = reg.List();
+        const uint64_t reloads = reg.reloads();
+        for (const auto& info : listed) {
+          if (info.generation > reloads) ++failures;
+          if (info.name == "b") {
+            if (info.generation < last_b_generation) ++failures;
+            last_b_generation = info.generation;
+          }
+        }
       }
-      if (!reg.Reload().ok()) ++failures;
+    });
+  }
+  constexpr int kRewrites = 6;
+  workers.emplace_back([&] {
+    util::Rng rng(110);
+    for (int i = 1; i <= kRewrites; ++i) {
+      // Pin b's current generation, so b is resident when a reload
+      // observes the rewrite: the change must swap, exactly once.
+      auto pinned = reg.Acquire("b");
+      if (!pinned.ok()) {
+        ++failures;
+        continue;
+      }
+      WriteFileBytes(dir.File("b.tmp"), b_bytes[i % 2]);
+      std::error_code ec;
+      fs::rename(dir.File("b.tmp"), dir.File("b.snap"), ec);
+      if (ec) ++failures;
+      // Reload r + 1 began after the rename; it has committed once
+      // reload r + 2 begins.
+      const uint64_t r = reg.reloads();
+      while (reg.reloads() < r + 2) std::this_thread::yield();
+      const std::vector<double> q = RandomQuery(rng);
+      auto fresh = reg.Acquire("b");
+      if (!fresh.ok() ||
+          fresh.value()->engine().Exact(q) != b_versions[i % 2]->Exact(q) ||
+          pinned.value()->engine().Exact(q) !=
+              b_versions[(i + 1) % 2]->Exact(q)) {
+        ++failures;
+      }
     }
+    rewriting = false;
   });
   for (auto& w : workers) w.join();
-  reloader.join();
   EXPECT_EQ(failures.load(), 0);
   EXPECT_GT(reg.evictions(), 0u);
+
+  std::rewind(log_file);
+  std::map<std::string, int> swaps;
+  char line[4096];
+  while (std::fgets(line, sizeof(line), log_file) != nullptr) {
+    const std::string_view text(line);
+    if (text.find("\"event\":\"model_reload\"") == std::string_view::npos) {
+      continue;
+    }
+    for (const char* name : names) {
+      if (text.find("\"model\":\"" + std::string(name) + "\"") !=
+          std::string_view::npos) {
+        ++swaps[name];
+      }
+    }
+  }
+  std::fclose(log_file);
+  EXPECT_EQ(swaps["a"], 0);
+  EXPECT_EQ(swaps["b"], kRewrites);
+  EXPECT_EQ(swaps["c"], 0);
 }
 
 }  // namespace

@@ -47,6 +47,8 @@
 //                    latency / 99.9% availability budgets per model
 //                    with SRE-workbook burn-rate alert thresholds.
 
+#include <sys/resource.h>
+
 #include <csignal>
 #include <cstdio>
 #include <filesystem>
@@ -137,6 +139,18 @@ int main(int argc, char** argv) {
     auto opened = karl::util::Logger::Open(access_log_path, access_options);
     if (!opened.ok()) return Fail(opened.status().ToString());
     access_log = std::move(opened).ValueOrDie();
+  }
+
+  // Every resident model holds its snapshot's file descriptor open
+  // (src/registry/registry.h), so a large --model-dir needs more than
+  // the usual soft limit of 1024 descriptors: take the hard limit.
+  if (rlimit fds{}; ::getrlimit(RLIMIT_NOFILE, &fds) == 0 &&
+                    fds.rlim_cur < fds.rlim_max) {
+    fds.rlim_cur = fds.rlim_max;
+    if (::setrlimit(RLIMIT_NOFILE, &fds) != 0) {
+      logger.Log(karl::util::LogLevel::kWarn, "server.fd_limit",
+                 {{"error", "cannot raise RLIMIT_NOFILE"}});
+    }
   }
 
   // Default-model resolution: --default-model wins; else --model's file
@@ -268,8 +282,11 @@ int main(int argc, char** argv) {
     if (sigwait(&sigs, &signum) != 0) break;
     if (signum == SIGHUP) {
       // Hot reload: rescan the model directory and refresh explicit
-      // files; in-flight queries finish on the old mappings. Serving
-      // never pauses.
+      // files; in-flight queries finish on the old mappings. Requests
+      // arriving meanwhile wait for the map and attach of each changed
+      // file (2-4 ms at 11-18 MB), as they do for any cold load, but
+      // not for the close of the replaced files: the registry's
+      // reclaimer thread does that.
       const auto st = models->Reload();
       logger.Log(st.ok() ? karl::util::LogLevel::kInfo
                          : karl::util::LogLevel::kWarn,
