@@ -17,15 +17,6 @@ void BatchEvaluator::ResolveInstruments(telemetry::Registry* registry) {
   instruments_.queries = registry->GetCounter("karl_batch_queries_total");
   instruments_.batch_usec = registry->GetHistogram("karl_batch_usec");
   instruments_.executors = registry->GetGauge("karl_batch_executors");
-  if (!options_.metric_model.empty()) {
-    const telemetry::LabelSet labels{{"model", options_.metric_model}};
-    instruments_.model_batches =
-        registry->GetCounter("karl_batch_batches_total", labels);
-    instruments_.model_queries =
-        registry->GetCounter("karl_batch_queries_total", labels);
-    instruments_.model_batch_usec =
-        registry->GetHistogram("karl_batch_usec", labels);
-  }
 }
 
 BatchEvaluator::BatchEvaluator(const Engine& engine,
@@ -95,16 +86,10 @@ std::vector<T> BatchEvaluator::Run(const data::Matrix& queries,
   }
 
   if (instruments_.batches != nullptr) {
-    const double usec = timer->ElapsedSeconds() * 1e6;
     instruments_.batches->Increment();
     instruments_.queries->Add(n);
-    instruments_.batch_usec->Record(usec);
+    instruments_.batch_usec->Record(timer->ElapsedSeconds() * 1e6);
     instruments_.executors->Set(static_cast<double>(executors));
-    if (instruments_.model_batches != nullptr) {
-      instruments_.model_batches->Increment();
-      instruments_.model_queries->Add(n);
-      instruments_.model_batch_usec->Record(usec);
-    }
   }
   return out;
 }

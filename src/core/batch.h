@@ -28,7 +28,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <string>
 #include <vector>
 
 #include "core/karl.h"
@@ -59,11 +58,6 @@ struct BatchOptions {
   std::function<void(size_t row, uint64_t begin_us, uint64_t end_us,
                      const EvalStats& stats)>
       row_observer;
-  /// When non-empty, the batch metrics additionally record into their
-  /// `{model="<metric_model>"}` labeled series, so a multi-model server
-  /// can attribute evaluator work per model. The unlabeled totals keep
-  /// recording either way.
-  std::string metric_model;
 };
 
 /// Batch-query front end over one engine. Cheap to construct (resolves
@@ -98,15 +92,11 @@ class BatchEvaluator {
                      const PerQuery& per_query) const;
 
   // Batch-level metric handles; null when the engine has no registry.
-  // The labeled twins are null unless BatchOptions::metric_model is set.
   struct Instruments {
     telemetry::Counter* batches = nullptr;
     telemetry::Counter* queries = nullptr;
     telemetry::Histogram* batch_usec = nullptr;
     telemetry::Gauge* executors = nullptr;
-    telemetry::Counter* model_batches = nullptr;
-    telemetry::Counter* model_queries = nullptr;
-    telemetry::Histogram* model_batch_usec = nullptr;
   };
 
   void ResolveInstruments(telemetry::Registry* registry);

@@ -404,6 +404,16 @@ std::vector<ModelInfo> ModelRegistry::List() const {
     info.loads = entry.loads;
     info.evictions = entry.evictions;
     info.generation = entry.generation;
+    if (entry.loaded != nullptr) {
+      const Engine& engine = entry.loaded->engine();
+      info.dims = engine.plus_tree().points().dims();
+      info.points = engine.plus_tree().points().rows();
+      if (engine.minus_tree() != nullptr) {
+        info.points += engine.minus_tree()->points().rows();
+      }
+      info.weighting_type = WeightingTypeToString(engine.weighting_type());
+      info.bounds = core::BoundKindToString(engine.options().bounds);
+    }
     out.push_back(std::move(info));
   }
   return out;

@@ -130,6 +130,11 @@ struct ModelInfo {
   /// reloads() count when the resident artifact was (re)loaded: 0 for a
   /// model loaded before any reload, bumped when a hot reload swaps it.
   uint64_t generation = 0;
+  /// Shape of the resident engine; 0 / empty when not resident.
+  uint64_t dims = 0;
+  uint64_t points = 0;          ///< Positive plus negative tree points.
+  std::string weighting_type;   ///< WeightingTypeToString.
+  std::string bounds;           ///< core::BoundKindToString.
 };
 
 /// See file comment.

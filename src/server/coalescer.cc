@@ -322,12 +322,9 @@ void Coalescer::RunGroup(std::vector<WorkItem> group) {
   // Per-group evaluator over the group's pinned engine — cheap to
   // construct (it only resolves telemetry handles), and the handle
   // keeps the engine's backing memory alive for the whole call even if
-  // the registry evicts or swaps the model meanwhile. The model name
-  // labels the evaluator's karl_batch_* metrics.
-  core::BatchOptions batch_options = ObservedOptions(pool_, this);
-  batch_options.metric_model = group.front().model;
+  // the registry evicts or swaps the model meanwhile.
   const core::BatchEvaluator evaluator(group.front().handle->engine(),
-                                       batch_options);
+                                       ObservedOptions(pool_, this));
   util::Stopwatch timer;
   std::vector<uint8_t> bools;
   std::vector<double> values;

@@ -182,8 +182,8 @@ void AdminServer::Loop() {
     const int conn = ::accept4(listen_fd_, nullptr, nullptr, SOCK_CLOEXEC);
     if (conn < 0) continue;
     timeval tv{};
-    tv.tv_sec = options_.io_timeout_ms / 1000;
-    tv.tv_usec = (options_.io_timeout_ms % 1000) * 1000;
+    tv.tv_sec = kIoTimeoutMs / 1000;
+    tv.tv_usec = (kIoTimeoutMs % 1000) * 1000;
     ::setsockopt(conn, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
     ::setsockopt(conn, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv));
     ServeConnection(conn);
@@ -197,10 +197,9 @@ void AdminServer::ServeConnection(int fd) {
   std::string head;
   char buffer[1024];
   while (head.find("\r\n\r\n") == std::string::npos) {
-    if (head.size() > options_.max_request_bytes) {
+    if (head.size() > kMaxRequestBytes) {
       WriteAll(fd, PlainStatus(431, "request head exceeds " +
-                                        std::to_string(
-                                            options_.max_request_bytes) +
+                                        std::to_string(kMaxRequestBytes) +
                                         " bytes"));
       return;
     }
@@ -214,13 +213,12 @@ void AdminServer::ServeConnection(int fd) {
       return;
     }
     head.append(buffer, static_cast<size_t>(n));
-    if (head.size() > options_.max_request_bytes &&
+    if (head.size() > kMaxRequestBytes &&
         head.find("\r\n") == std::string::npos) {
       // Oversized before even one complete line: reject immediately
       // instead of buffering an unbounded request line.
       WriteAll(fd, PlainStatus(431, "request line exceeds " +
-                                        std::to_string(
-                                            options_.max_request_bytes) +
+                                        std::to_string(kMaxRequestBytes) +
                                         " bytes"));
       return;
     }

@@ -1,6 +1,6 @@
 // Dependency-free HTTP/1.1 admin listener — the scrape plane of
 // karl_server. Serves GET requests for registered paths (/metrics,
-// /healthz, /statusz, /varz, /flightz, /explainz) from its own thread,
+// /healthz, /flightz, /modelz, /explainz, /sloz) from its own thread,
 // completely off the query event loop, so a stuck or slow scraper can
 // never stall query traffic and a busy server always answers probes.
 //
@@ -8,9 +8,10 @@
 // (admin traffic is a scraper every few seconds, not a fleet), each
 // response carries Content-Length and Connection: close, and anything
 // malformed gets a plain-status reply — 405 for non-GET methods, 404
-// for unregistered paths, 431 when the request head exceeds the size
-// cap, 408 when the peer stalls mid-request. This is not a general web
-// server and must never be exposed beyond the operations network.
+// for unregistered paths, 431 when the request head exceeds
+// kMaxRequestBytes, 408 when the peer stalls for kIoTimeoutMs. This is
+// not a general web server and must never be exposed beyond the
+// operations network.
 //
 // Concurrency: endpoints are registered before Start and immutable
 // afterwards, so the serving thread reads the table without locks.
@@ -36,16 +37,17 @@ namespace karl::server {
 /// See file comment.
 class AdminServer {
  public:
+  /// Cap on the request head (request line + headers); beyond it the
+  /// connection gets 431 and is closed.
+  static constexpr size_t kMaxRequestBytes = 8192;
+  /// Per-connection read/write timeout.
+  static constexpr int kIoTimeoutMs = 2000;
+
   struct Options {
     /// Numeric IPv4 listen address.
     std::string host = "127.0.0.1";
     /// TCP port; 0 picks an ephemeral port (read it back via port()).
     int port = 0;
-    /// Cap on the request head (request line + headers); beyond it the
-    /// connection gets 431 and is closed.
-    size_t max_request_bytes = 8192;
-    /// Per-connection read/write timeout.
-    int io_timeout_ms = 2000;
     /// Diagnostics; may be null.
     util::Logger* logger = nullptr;
   };

@@ -13,8 +13,8 @@
 // "model":"<name>" field naming which registry model answers; omitted,
 // the server's default model serves the request. "reload" rescans the
 // model directory (registry/registry.h) — the request-path twin of
-// SIGHUP. Status beyond health (metrics, statusz, flight recorder)
-// is served by the HTTP admin plane (server/http_admin.h), not in-band.
+// SIGHUP. Status beyond health (metrics, flight recorder, models) is
+// served by the HTTP admin plane (server/http_admin.h), not in-band.
 //
 // Responses always carry "ok". On success:
 //   tkaq:   {"ok":true,"above":true}            (batch: "above":[...])

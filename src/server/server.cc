@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <charconv>
+#include <chrono>
 #include <cstring>
 #include <utility>
 
@@ -45,39 +46,49 @@ void SignalEventFd(int fd) {
   [[maybe_unused]] const ssize_t n = ::write(fd, &one, sizeof(one));
 }
 
-// One completed request as a JSON object — shared by the /statusz
-// flight-recorder section and the /flightz NDJSON page.
-Json RequestRecordJson(const telemetry::RequestRecord& r) {
-  Json entry = Json::Object();
-  entry.Set("req", Json::Number(static_cast<double>(r.ctx.id)));
-  if (!r.client_id.empty()) entry.Set("id", Json::Str(r.client_id));
-  entry.Set("kind", Json::Str(r.kind));
-  entry.Set("batch", Json::Bool(r.batch));
-  entry.Set("rows", Json::Number(static_cast<double>(r.rows)));
-  if (!r.model.empty()) entry.Set("model", Json::Str(r.model));
-  if (!r.peer.empty()) entry.Set("peer", Json::Str(r.peer));
-  entry.Set("ok", Json::Bool(r.ok));
-  entry.Set("read_us", Json::Number(static_cast<double>(r.ctx.read_us())));
-  entry.Set("parse_us",
-            Json::Number(static_cast<double>(r.ctx.parse_us())));
-  entry.Set("queue_wait_us",
-            Json::Number(static_cast<double>(r.ctx.queue_wait_us())));
-  entry.Set("coalesce_wait_us",
-            Json::Number(static_cast<double>(r.ctx.coalesce_wait_us())));
-  entry.Set("eval_us", Json::Number(static_cast<double>(r.ctx.eval_us())));
-  entry.Set("serialize_us",
-            Json::Number(static_cast<double>(r.ctx.serialize_us())));
-  entry.Set("write_us",
-            Json::Number(static_cast<double>(r.ctx.write_us())));
-  entry.Set("total_us",
-            Json::Number(static_cast<double>(r.ctx.total_us())));
-  entry.Set("kernel_evals",
-            Json::Number(static_cast<double>(r.ctx.stats.kernel_evals)));
-  entry.Set("nodes_expanded",
-            Json::Number(static_cast<double>(r.ctx.stats.nodes_expanded)));
-  entry.Set("iterations",
-            Json::Number(static_cast<double>(r.ctx.stats.iterations)));
-  return entry;
+// One completed request as typed fields, the single list behind the
+// /flightz page, the access log and the slow-query WARN.
+std::vector<util::LogField> RequestFields(const telemetry::RequestRecord& r) {
+  const telemetry::RequestContext& ctx = r.ctx;
+  std::vector<util::LogField> fields;
+  fields.reserve(20);
+  fields.emplace_back("req", ctx.id);
+  if (!r.client_id.empty()) fields.emplace_back("id", r.client_id);
+  if (!r.peer.empty()) fields.emplace_back("peer", r.peer);
+  fields.emplace_back("disposition", "admitted");
+  fields.emplace_back("kind", r.kind);
+  if (!r.model.empty()) fields.emplace_back("model", r.model);
+  fields.emplace_back("batch", r.batch);
+  fields.emplace_back("rows", r.rows);
+  fields.emplace_back("ok", r.ok);
+  fields.emplace_back("read_us", ctx.read_us());
+  fields.emplace_back("parse_us", ctx.parse_us());
+  fields.emplace_back("queue_wait_us", ctx.queue_wait_us());
+  fields.emplace_back("coalesce_wait_us", ctx.coalesce_wait_us());
+  fields.emplace_back("eval_us", ctx.eval_us());
+  fields.emplace_back("serialize_us", ctx.serialize_us());
+  fields.emplace_back("write_us", ctx.write_us());
+  fields.emplace_back("total_us", ctx.total_us());
+  fields.emplace_back("iterations", ctx.stats.iterations);
+  fields.emplace_back("nodes_expanded", ctx.stats.nodes_expanded);
+  fields.emplace_back("kernel_evals", ctx.stats.kernel_evals);
+  return fields;
+}
+
+Json FieldJson(const util::LogField& field) {
+  switch (field.kind) {
+    case util::LogField::Kind::kString:
+      return Json::Str(field.str);
+    case util::LogField::Kind::kNumber:
+      return Json::Number(field.num);
+    case util::LogField::Kind::kUint:
+      return Json::Number(static_cast<double>(field.uint));
+    case util::LogField::Kind::kInt:
+      return Json::Number(static_cast<double>(field.int_));
+    case util::LogField::Kind::kBool:
+      return Json::Bool(field.flag);
+  }
+  return Json();
 }
 
 }  // namespace
@@ -246,8 +257,8 @@ util::Result<std::unique_ptr<Server>> Server::StartWithRegistry(
     server->options_.tracer->AttachMetrics(server->registry_);
   }
   server->tracer_ = telemetry::RequestTracer(server->options_.tracer);
-  server->flight_recorder_ = std::make_unique<telemetry::FlightRecorder>(
-      server->options_.flight_recorder_capacity);
+  server->flight_recorder_ =
+      std::make_unique<telemetry::FlightRecorder>(kFlightRecorderCapacity);
   server->slo_ = std::make_unique<telemetry::SloEngine>(
       server->options_.slo, server->registry_, server->options_.logger);
 
@@ -291,8 +302,17 @@ util::Result<std::unique_ptr<Server>> Server::StartWithRegistry(
       reg->GetRollingHistogram("karl_server_total_us");
 
   // Build identity as a constant gauge, so every scrape carries the
-  // version/sha/build-type labels next to the numbers they explain.
+  // version/sha/build-type labels next to the numbers they explain; the
+  // start time (Unix seconds, the process_start_time_seconds idiom)
+  // gives uptime, and the SIMD tier is exported before any engine
+  // attaches.
   reg->GetGauge(util::BuildInfoMetricName())->Set(1.0);
+  reg->GetGauge("karl_server_start_time_seconds")
+      ->Set(std::chrono::duration<double>(
+                std::chrono::system_clock::now().time_since_epoch())
+                .count());
+  reg->GetGauge("karl_simd_tier")
+      ->Set(static_cast<double>(core::simd::ActiveTier()));
 
   if (server->options_.admin_port >= 0) {
     AdminServer::Options admin_options;
@@ -315,12 +335,6 @@ util::Result<std::unique_ptr<Server>> Server::StartWithRegistry(
           raw->slo_->RefreshGauges();
           return telemetry::DumpText(*reg);
         });
-    server->admin_->Register(
-        "/statusz", "application/json",
-        [raw](std::string_view) { return raw->StatuszJson(); });
-    server->admin_->Register(
-        "/varz", "application/json",
-        [raw](std::string_view) { return raw->VarzJson(); });
     server->admin_->Register(
         "/flightz", "application/x-ndjson",
         [raw](std::string_view) { return raw->FlightzNdjson(); });
@@ -477,7 +491,7 @@ void Server::Loop() {
       break;  // Fully drained.
     }
     if (drain_watch_.ElapsedSeconds() * 1000.0 >
-        static_cast<double>(options_.drain_timeout_ms)) {
+        static_cast<double>(kDrainTimeoutMs)) {
       for (const uint64_t id : ids) CloseConnection(id);
       break;  // Deadline: give up on stuck peers.
     }
@@ -547,7 +561,7 @@ void Server::OnReadable(Connection* conn) {
       conn->in.append(buf, static_cast<size_t>(n));
       // Stop slurping once an oversized unterminated line is apparent;
       // the check below answers and closes.
-      if (conn->in.size() > options_.max_line_bytes &&
+      if (conn->in.size() > kMaxLineBytes &&
           conn->in.find('\n') == std::string::npos) {
         break;
       }
@@ -563,11 +577,10 @@ void Server::OnReadable(Connection* conn) {
     return;
   }
   ProcessLines(conn);
-  if (!conn->saw_eof && conn->in.size() > options_.max_line_bytes) {
+  if (!conn->saw_eof && conn->in.size() > kMaxLineBytes) {
     conn->out += ErrorResponse(
         "", "bad_request",
-        "request line exceeds " + std::to_string(options_.max_line_bytes) +
-            " bytes");
+        "request line exceeds " + std::to_string(kMaxLineBytes) + " bytes");
     conn->saw_eof = true;  // Read side is done; flush, then close.
     conn->in.clear();
   }
@@ -587,11 +600,10 @@ void Server::ProcessLines(Connection* conn) {
   while ((pos = conn->in.find('\n')) != std::string::npos) {
     // A complete-but-oversized line gets the same treatment as an
     // unterminated one: answer bad_request, stop reading, close.
-    if (pos > options_.max_line_bytes) {
+    if (pos > kMaxLineBytes) {
       conn->out += ErrorResponse(
           "", "bad_request",
-          "request line exceeds " + std::to_string(options_.max_line_bytes) +
-              " bytes");
+          "request line exceeds " + std::to_string(kMaxLineBytes) + " bytes");
       conn->saw_eof = true;
       conn->in.clear();
       return;
@@ -683,7 +695,9 @@ void Server::DrainCompletions() {
     auto it = connections_.find(c.conn_id);
     if (it == connections_.end()) {
       // Peer left; drop the answer but still file the record — every
-      // admitted request appears in the flight recorder exactly once.
+      // admitted request appears in the flight recorder exactly once,
+      // its total ending when the record is filed.
+      c.ctx.write_end_us = telemetry::MonotonicMicros();
       FinishRequest(c, /*ok=*/false, "");
       continue;
     }
@@ -692,7 +706,7 @@ void Server::DrainCompletions() {
     if (conn->in_flight > 0) --conn->in_flight;
     conn->out += c.response;
     bool ok = true;
-    if (conn->out.size() > options_.max_write_buffer_bytes) {
+    if (conn->out.size() > kMaxWriteBufferBytes) {
       dropped_slow_total_->Increment();
       CloseConnection(conn->id);
       ok = false;
@@ -751,56 +765,28 @@ void Server::FinishRequest(const Completion& c, bool ok,
   record.peer = peer;
   record.client_id = c.request_id;
   record.ok = ok;
-  flight_recorder_->Record(std::move(record));
 
   if (!c.explain_json.empty()) {
     const util::MutexLock lock(&explain_mu_);
-    explain_ring_.push_back(ExplainRecord{
-        ctx.id, c.request_id, std::string(QueryKindToString(c.kind)),
-        c.explain_json});
-    while (explain_ring_.size() > options_.explain_ring_capacity) {
+    explain_ring_.push_back(
+        ExplainRecord{ctx.id, c.request_id, record.kind, c.explain_json});
+    while (explain_ring_.size() > kExplainRingCapacity) {
       explain_ring_.pop_front();
     }
   }
 
-  const auto stage_fields = [&ctx, &c, ok,
-                             &peer](std::vector<util::LogField>* fields) {
-    fields->emplace_back("req", ctx.id);
-    if (!c.request_id.empty()) fields->emplace_back("id", c.request_id);
-    if (!peer.empty()) fields->emplace_back("peer", peer);
-    fields->emplace_back("disposition", "admitted");
-    fields->emplace_back("kind", QueryKindToString(c.kind));
-    if (!c.model.empty()) fields->emplace_back("model", c.model);
-    fields->emplace_back("batch", c.is_batch);
-    fields->emplace_back("rows", c.rows);
-    fields->emplace_back("ok", ok);
-    fields->emplace_back("read_us", ctx.read_us());
-    fields->emplace_back("parse_us", ctx.parse_us());
-    fields->emplace_back("queue_wait_us", ctx.queue_wait_us());
-    fields->emplace_back("coalesce_wait_us", ctx.coalesce_wait_us());
-    fields->emplace_back("eval_us", ctx.eval_us());
-    fields->emplace_back("serialize_us", ctx.serialize_us());
-    fields->emplace_back("write_us", ctx.write_us());
-    fields->emplace_back("total_us", ctx.total_us());
-    fields->emplace_back("iterations", ctx.stats.iterations);
-    fields->emplace_back("nodes_expanded", ctx.stats.nodes_expanded);
-    fields->emplace_back("kernel_evals", ctx.stats.kernel_evals);
-  };
-
   if (options_.access_log != nullptr) {
-    std::vector<util::LogField> fields;
-    stage_fields(&fields);
     options_.access_log->Log(util::LogLevel::kInfo, "request",
-                             std::move(fields));
+                             RequestFields(record));
   }
   if (options_.slow_query_us != 0 && options_.logger != nullptr &&
       ctx.total_us() >= options_.slow_query_us) {
-    std::vector<util::LogField> fields;
-    stage_fields(&fields);
+    std::vector<util::LogField> fields = RequestFields(record);
     fields.emplace_back("threshold_us", options_.slow_query_us);
     options_.logger->Log(util::LogLevel::kWarn, "slow_query",
                          std::move(fields));
   }
+  flight_recorder_->Record(std::move(record));
 }
 
 const Server::ModelServingMetrics& Server::ServingMetricsForModel(
@@ -823,189 +809,6 @@ const Server::ModelServingMetrics& Server::ServingMetricsForModel(
 
 std::string Server::SlozJson() { return slo_->SlozJson(); }
 
-std::string Server::StatuszJson() const {
-  Json root = Json::Object();
-  root.Set("uptime_s", Json::Number(uptime_.ElapsedSeconds()));
-  root.Set("port", Json::Number(static_cast<double>(port_)));
-
-  const telemetry::RegistrySnapshot snapshot = registry_->Snapshot();
-  Json counters = Json::Object();
-  for (const auto& [name, value] : snapshot.counters) {
-    counters.Set(name, Json::Number(static_cast<double>(value)));
-  }
-  root.Set("counters", std::move(counters));
-  Json gauges = Json::Object();
-  for (const auto& [name, value] : snapshot.gauges) {
-    gauges.Set(name, Json::Number(value));
-  }
-  root.Set("gauges", std::move(gauges));
-
-  const std::pair<const char*, telemetry::RollingHistogram*> stages[] = {
-      {"read", stage_read_us_},
-      {"parse", stage_parse_us_},
-      {"queue_wait", stage_queue_wait_us_},
-      {"coalesce_wait", stage_coalesce_wait_us_},
-      {"eval", stage_eval_us_},
-      {"serialize", stage_serialize_us_},
-      {"write", stage_write_us_},
-      {"total", stage_total_us_},
-  };
-  Json stage_obj = Json::Object();
-  for (const auto& [name, histogram] : stages) {
-    const telemetry::HistogramSnapshot h = histogram->CumulativeSnapshot();
-    Json entry = Json::Object();
-    entry.Set("count", Json::Number(static_cast<double>(h.count)));
-    entry.Set("sum_us", Json::Number(h.sum));
-    entry.Set("p50_us", Json::Number(h.Quantile(0.5)));
-    entry.Set("p95_us", Json::Number(h.Quantile(0.95)));
-    entry.Set("p99_us", Json::Number(h.Quantile(0.99)));
-    entry.Set("max_us", Json::Number(h.max));
-    const telemetry::HistogramSnapshot w = histogram->WindowSnapshot();
-    Json window = Json::Object();
-    window.Set("count", Json::Number(static_cast<double>(w.count)));
-    window.Set("p50_us", Json::Number(w.Quantile(0.5)));
-    window.Set("p95_us", Json::Number(w.Quantile(0.95)));
-    window.Set("p99_us", Json::Number(w.Quantile(0.99)));
-    window.Set("max_us", Json::Number(w.max));
-    entry.Set("window60s", std::move(window));
-    stage_obj.Set(name, std::move(entry));
-  }
-  root.Set("stages", std::move(stage_obj));
-
-  // Per-model registry state, so one statusz snapshot answers "which
-  // model is resident at what size, and which reload produced it".
-  Json model_entries = Json::Array();
-  for (const registry::ModelInfo& info : models_->List()) {
-    model_entries.Append(
-        Json::Object()
-            .Set("name", Json::Str(info.name))
-            .Set("resident", Json::Bool(info.resident))
-            .Set("resident_bytes",
-                 Json::Number(static_cast<double>(info.resident_bytes)))
-            .Set("generation",
-                 Json::Number(static_cast<double>(info.generation)))
-            .Set("queries",
-                 Json::Number(static_cast<double>(info.queries))));
-  }
-  root.Set("models", std::move(model_entries));
-
-  if (options_.tracer != nullptr) {
-    root.Set("trace_dropped_events",
-             Json::Number(static_cast<double>(options_.tracer->dropped())));
-  }
-
-  Json recorder = Json::Object();
-  recorder.Set("capacity", Json::Number(static_cast<double>(
-                               flight_recorder_->capacity())));
-  recorder.Set("total_recorded",
-               Json::Number(static_cast<double>(
-                   flight_recorder_->total_recorded())));
-  Json requests = Json::Array();
-  for (const telemetry::RequestRecord& r : flight_recorder_->Snapshot()) {
-    requests.Append(RequestRecordJson(r));
-  }
-  recorder.Set("requests", std::move(requests));
-  root.Set("flight_recorder", std::move(recorder));
-  return root.Dump();
-}
-
-std::string Server::VarzJson() const {
-  Json root = Json::Object();
-  root.Set("version", Json::Str(util::BuildVersion()));
-  root.Set("git_sha", Json::Str(util::BuildGitSha()));
-  root.Set("build_type", Json::Str(util::BuildType()));
-  root.Set("simd_tier",
-           Json::Str(std::string(core::simd::TierName(
-               core::simd::ActiveTier()))));
-  root.Set("uptime_s", Json::Number(uptime_.ElapsedSeconds()));
-  root.Set("pid", Json::Number(static_cast<double>(::getpid())));
-  root.Set("port", Json::Number(static_cast<double>(port_)));
-  root.Set("admin_port", Json::Number(static_cast<double>(admin_port())));
-  root.Set("draining",
-           Json::Bool(draining_flag_.load(std::memory_order_relaxed)));
-
-  Json flags = Json::Object();
-  flags.Set("host", Json::Str(options_.host));
-  flags.Set("threads",
-            Json::Number(static_cast<double>(options_.threads)));
-  flags.Set("max_pending",
-            Json::Number(static_cast<double>(options_.max_pending)));
-  flags.Set("max_line_bytes",
-            Json::Number(static_cast<double>(options_.max_line_bytes)));
-  flags.Set("max_write_buffer_bytes",
-            Json::Number(
-                static_cast<double>(options_.max_write_buffer_bytes)));
-  flags.Set("drain_timeout_ms",
-            Json::Number(static_cast<double>(options_.drain_timeout_ms)));
-  flags.Set("slow_query_us",
-            Json::Number(static_cast<double>(options_.slow_query_us)));
-  root.Set("options", std::move(flags));
-
-  // Registry summary; per-model detail lives on /modelz. When the
-  // default model happens to be resident its shape is included — varz
-  // never forces a load just to describe it.
-  const std::vector<registry::ModelInfo> infos = models_->List();
-  Json model = Json::Object();
-  const std::string default_name = models_->default_model();
-  model.Set("default", Json::Str(default_name));
-  model.Set("count", Json::Number(static_cast<double>(infos.size())));
-  model.Set("resident_bytes",
-            Json::Number(static_cast<double>(models_->resident_bytes())));
-  model.Set("memory_budget_bytes",
-            Json::Number(static_cast<double>(
-                models_->options().memory_budget_bytes)));
-  model.Set("evictions",
-            Json::Number(static_cast<double>(models_->evictions())));
-  model.Set("reloads",
-            Json::Number(static_cast<double>(models_->reloads())));
-  Json per_model = Json::Array();
-  for (const registry::ModelInfo& info : infos) {
-    per_model.Append(
-        Json::Object()
-            .Set("name", Json::Str(info.name))
-            .Set("resident_bytes",
-                 Json::Number(static_cast<double>(info.resident_bytes)))
-            .Set("generation",
-                 Json::Number(static_cast<double>(info.generation))));
-  }
-  model.Set("per_model", std::move(per_model));
-  if (auto handle = ResidentDefaultModel(); handle != nullptr) {
-    const Engine& engine = handle->engine();
-    model.Set("weighting_type",
-              Json::Str(std::string(
-                  WeightingTypeToString(engine.weighting_type()))));
-    model.Set("bounds",
-              Json::Str(std::string(
-                  core::BoundKindToString(engine.options().bounds))));
-    model.Set("dims", Json::Number(static_cast<double>(
-                          engine.plus_tree().points().dims())));
-    size_t points = engine.plus_tree().points().rows();
-    if (engine.minus_tree() != nullptr) {
-      points += engine.minus_tree()->points().rows();
-    }
-    model.Set("points", Json::Number(static_cast<double>(points)));
-    model.Set("index_memory_bytes",
-              Json::Number(static_cast<double>(engine.MemoryUsageBytes())));
-  }
-  root.Set("model", std::move(model));
-  return root.Dump();
-}
-
-registry::ModelHandle Server::ResidentDefaultModel() const {
-  const std::string name = models_->default_model();
-  if (name.empty()) return nullptr;
-  for (const registry::ModelInfo& info : models_->List()) {
-    if (info.name == name && info.resident) {
-      // Already resident, so Acquire is a cheap pin (no load, no
-      // eviction sweep).
-      auto handle = models_->Acquire(name);
-      if (handle.ok()) return std::move(handle).ValueOrDie();
-      return nullptr;
-    }
-  }
-  return nullptr;
-}
-
 std::string Server::ModelzJson() const {
   Json root = Json::Object();
   root.Set("default", Json::Str(models_->default_model()));
@@ -1021,7 +824,7 @@ std::string Server::ModelzJson() const {
            Json::Number(static_cast<double>(models_->reloads())));
   Json entries = Json::Array();
   for (const registry::ModelInfo& info : models_->List()) {
-    entries.Append(
+    Json entry =
         Json::Object()
             .Set("name", Json::Str(info.name))
             .Set("path", Json::Str(info.path))
@@ -1039,7 +842,14 @@ std::string Server::ModelzJson() const {
             .Set("evictions",
                  Json::Number(static_cast<double>(info.evictions)))
             .Set("generation",
-                 Json::Number(static_cast<double>(info.generation))));
+                 Json::Number(static_cast<double>(info.generation)));
+    if (info.resident) {
+      entry.Set("dims", Json::Number(static_cast<double>(info.dims)))
+          .Set("points", Json::Number(static_cast<double>(info.points)))
+          .Set("weighting_type", Json::Str(info.weighting_type))
+          .Set("bounds", Json::Str(info.bounds));
+    }
+    entries.Append(std::move(entry));
   }
   root.Set("models", std::move(entries));
   return root.Dump();
@@ -1048,14 +858,18 @@ std::string Server::ModelzJson() const {
 std::string Server::FlightzNdjson() const {
   std::string out;
   for (const telemetry::RequestRecord& r : flight_recorder_->Snapshot()) {
-    out += RequestRecordJson(r).Dump();
+    Json entry = Json::Object();
+    for (const util::LogField& field : RequestFields(r)) {
+      entry.Set(field.key, FieldJson(field));
+    }
+    out += entry.Dump();
     out += "\n";
   }
   return out;
 }
 
 std::string Server::ExplainzJson(std::string_view query) const {
-  size_t last = options_.explain_ring_capacity;
+  size_t last = kExplainRingCapacity;
   while (!query.empty()) {
     const size_t amp = query.find('&');
     const std::string_view kv = query.substr(0, amp);

@@ -19,23 +19,23 @@
 // with "id".
 //
 // Backpressure, in order of the request path:
-//   * read side: a line longer than max_line_bytes is answered with
+//   * read side: a line longer than kMaxLineBytes is answered with
 //     `bad_request` and the connection is closed;
 //   * admission: when max_pending queued rows are waiting, new queries
 //     are answered immediately with `overloaded` — bounded memory, no
 //     silent buffering;
-//   * write side: a connection with more than max_write_buffer_bytes
-//     of unread responses is dropped (slow or dead consumer).
+//   * write side: a connection with more than kMaxWriteBufferBytes of
+//     unread responses is dropped (slow or dead consumer).
 //
 // Shutdown: Shutdown() (async-signal-safe: one eventfd write) stops
 // the listener, refuses new queries with `shutting_down`, lets every
 // admitted query finish, flushes every response, then closes. Wait()
-// returns once the drain (bounded by drain_timeout_ms) completed.
+// returns once the drain (bounded by kDrainTimeoutMs) completed.
 //
 // Admin plane: with admin_port >= 0 a fourth thread runs the HTTP
 // scrape listener (server/http_admin.h) serving /metrics, /healthz,
-// /statusz, /varz, /flightz, /modelz, /explainz and /sloz — the only
-// status surface; in-band, the protocol answers just health. Its
+// /flightz, /modelz, /explainz and /sloz — the only status surface, one
+// page per fact; in-band, the protocol answers just health. Its
 // handlers only snapshot thread-safe state (registry, model registry,
 // flight recorder, explain ring, SLO engine, an atomic draining flag),
 // so a stuck scraper never touches the query path.
@@ -72,6 +72,18 @@
 
 namespace karl::server {
 
+/// Longest accepted request line, in bytes; a longer one is answered
+/// with `bad_request` and its connection is closed.
+inline constexpr size_t kMaxLineBytes = 4u << 20;
+/// Unread-response bytes before a slow consumer is dropped.
+inline constexpr size_t kMaxWriteBufferBytes = 64u << 20;
+/// Hard cap on the graceful-shutdown drain.
+inline constexpr int kDrainTimeoutMs = 10000;
+/// How many completed requests the flight recorder (/flightz) keeps.
+inline constexpr size_t kFlightRecorderCapacity = 256;
+/// How many recent explain profiles /explainz keeps.
+inline constexpr size_t kExplainRingCapacity = 32;
+
 /// Server construction parameters.
 struct ServerOptions {
   /// Listen address; must be a numeric IPv4 address.
@@ -82,12 +94,6 @@ struct ServerOptions {
   size_t threads = 0;
   /// Admission-queue bound in query rows (see server/coalescer.h).
   size_t max_pending = 1024;
-  /// Longest accepted request line.
-  size_t max_line_bytes = 4u << 20;
-  /// Unread-response bytes before a slow consumer is dropped.
-  size_t max_write_buffer_bytes = 64u << 20;
-  /// Hard cap on the graceful-shutdown drain.
-  int drain_timeout_ms = 10000;
   /// Metrics registry; null falls back to telemetry::GlobalRegistry()
   /// (the /metrics page always has something to expose).
   telemetry::Registry* metrics = nullptr;
@@ -103,19 +109,13 @@ struct ServerOptions {
   /// microseconds get a WARN line on `logger` with the full stage
   /// breakdown and engine stats; 0 disables.
   uint64_t slow_query_us = 0;
-  /// Flight-recorder depth: how many completed requests /statusz and
-  /// /flightz remember.
-  size_t flight_recorder_capacity = 256;
   /// HTTP admin/scrape listener port (server/http_admin.h): GET
-  /// /metrics, /healthz, /statusz, /varz, /flightz, /modelz,
-  /// /explainz. -1
+  /// /metrics, /healthz, /flightz, /modelz, /explainz, /sloz. -1
   /// disables the admin plane entirely; 0 binds an ephemeral port
   /// (read it back via admin_port()).
   int admin_port = -1;
   /// Admin listen address; must be a numeric IPv4 address.
   std::string admin_host = "127.0.0.1";
-  /// How many recent explain profiles /explainz retains.
-  size_t explain_ring_capacity = 32;
   /// Per-model SLO objectives (latency + availability error budgets
   /// with burn-rate alerting; see telemetry/slo.h). Always on: the
   /// default objective applies to every served model unless overridden
@@ -195,22 +195,15 @@ class Server {
   /// Blocks until the event loop exited (drain finished).
   void Wait();
 
-  /// Point-in-time status document as a JSON object: uptime, counters,
-  /// gauges, per-stage latency quantiles, and the flight recorder's
-  /// last-N completed requests (the /statusz admin page). Thread-safe.
-  std::string StatuszJson() const;
-
-  /// Build identity, effective options, and model summary as a JSON
-  /// object (the /varz admin page). Thread-safe.
-  std::string VarzJson() const;
-
   /// The flight recorder's ring as NDJSON, one completed request per
   /// line, oldest first (the /flightz admin page). Thread-safe.
   std::string FlightzNdjson() const;
 
   /// Per-model registry state as a JSON object (the /modelz admin
   /// page): default model, budget, resident bytes, and one entry per
-  /// model with residency/usage/eviction counters. Thread-safe.
+  /// model with residency/usage/eviction counters, plus the engine's
+  /// shape (dims, points, weighting type, bounds) while resident.
+  /// Thread-safe.
   std::string ModelzJson() const;
 
   /// The most recent explain profiles as a JSON object (the /explainz
@@ -222,11 +215,6 @@ class Server {
   /// (the /sloz admin page). Refreshes the burn-rate gauges as a side
   /// effect. Thread-safe.
   std::string SlozJson();
-
-  /// The always-on ring of recently completed requests.
-  const telemetry::FlightRecorder& flight_recorder() const {
-    return *flight_recorder_;
-  }
 
   /// Test hooks: freeze/unfreeze the coalescer dispatcher so tests can
   /// deterministically pile up a coalescable backlog or fill the
@@ -274,9 +262,6 @@ class Server {
   // per admitted request, on the event-loop thread.
   void FinishRequest(const Completion& completion, bool ok,
                      const std::string& peer);
-  // A pin on the default model iff it is already resident (never
-  // triggers a load); null otherwise. Used by VarzJson.
-  registry::ModelHandle ResidentDefaultModel() const;
 
   registry::ModelRegistry* models_ = nullptr;
   ServerOptions options_;
@@ -323,7 +308,6 @@ class Server {
   // shared with the router and coalescer.
   telemetry::RequestTracer tracer_;
   std::unique_ptr<telemetry::FlightRecorder> flight_recorder_;
-  util::Stopwatch uptime_;
   telemetry::RollingHistogram* stage_read_us_ = nullptr;
   telemetry::RollingHistogram* stage_parse_us_ = nullptr;
   telemetry::RollingHistogram* stage_queue_wait_us_ = nullptr;

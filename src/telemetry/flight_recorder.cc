@@ -18,7 +18,6 @@ void FlightRecorder::Record(RequestRecord record) {
     ring_[next_] = std::move(record);
   }
   next_ = (next_ + 1) % capacity_;
-  ++total_;
 }
 
 std::vector<RequestRecord> FlightRecorder::Snapshot() const {
@@ -32,11 +31,6 @@ std::vector<RequestRecord> FlightRecorder::Snapshot() const {
     out.push_back(ring_[(start + i) % ring_.size()]);
   }
   return out;
-}
-
-uint64_t FlightRecorder::total_recorded() const {
-  const util::MutexLock lock(&mu_);
-  return total_;
 }
 
 }  // namespace karl::telemetry

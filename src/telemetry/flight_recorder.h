@@ -6,7 +6,7 @@
 // ring slot; no allocation beyond the record's small strings) and
 // always on: every admitted request lands here exactly once when its
 // response is written (or its connection is found gone). Snapshots are
-// taken off the hot path by the admin plane's /statusz and /flightz.
+// taken off the hot path by the admin plane's /flightz page.
 
 #ifndef KARL_TELEMETRY_FLIGHT_RECORDER_H_
 #define KARL_TELEMETRY_FLIGHT_RECORDER_H_
@@ -47,9 +47,6 @@ class FlightRecorder {
   /// The retained records, oldest first.
   std::vector<RequestRecord> Snapshot() const;
 
-  /// Requests recorded over the recorder's lifetime (>= retained).
-  uint64_t total_recorded() const;
-
   size_t capacity() const { return capacity_; }
 
  private:
@@ -58,7 +55,6 @@ class FlightRecorder {
   std::vector<RequestRecord> ring_ KARL_GUARDED_BY(mu_);
   // Ring write cursor.
   size_t next_ KARL_GUARDED_BY(mu_) = 0;
-  uint64_t total_ KARL_GUARDED_BY(mu_) = 0;
 };
 
 }  // namespace karl::telemetry

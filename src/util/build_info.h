@@ -6,8 +6,7 @@
 // The canonical consumer is the `karl_build_info` gauge (value 1, labels
 // carrying the identity — the standard Prometheus idiom for exposing
 // build metadata through a numeric metric), registered by every
-// long-running binary at startup and therefore visible in /metrics,
-// /varz, and statusz.
+// long-running binary at startup and therefore visible in /metrics.
 
 #ifndef KARL_UTIL_BUILD_INFO_H_
 #define KARL_UTIL_BUILD_INFO_H_

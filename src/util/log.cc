@@ -1,7 +1,7 @@
 #include "util/log.h"
 
-#include <algorithm>
 #include <cctype>
+#include <chrono>
 #include <cmath>
 #include <ctime>
 
@@ -133,9 +133,7 @@ Logger::Logger(std::FILE* stream, Options options)
 Logger::Logger(std::FILE* stream, Options options, bool owns_stream)
     : stream_(stream),
       owns_stream_(owns_stream),
-      options_(options),
-      tokens_(options.rate_limit_burst),
-      last_refill_(std::chrono::steady_clock::now()) {}
+      options_(options) {}
 
 util::Result<std::unique_ptr<Logger>> Logger::Open(const std::string& path,
                                                    Options options) {
@@ -154,29 +152,6 @@ Logger::~Logger() {
 void Logger::Log(LogLevel level, std::string_view event,
                  std::vector<LogField> fields) {
   if (!enabled(level)) return;
-
-  uint64_t suppressed_note = 0;
-  {
-    const MutexLock lock(&mu_);
-    if (options_.rate_limit_per_sec > 0.0) {
-      const auto now = std::chrono::steady_clock::now();
-      const double elapsed =
-          std::chrono::duration<double>(now - last_refill_).count();
-      last_refill_ = now;
-      tokens_ = std::min(options_.rate_limit_burst,
-                         tokens_ + elapsed * options_.rate_limit_per_sec);
-      if (tokens_ < 1.0) {
-        ++suppressed_since_emit_;
-        return;
-      }
-      tokens_ -= 1.0;
-    }
-    suppressed_note = suppressed_since_emit_;
-    suppressed_since_emit_ = 0;
-  }
-  if (suppressed_note > 0) {
-    fields.emplace_back("suppressed", suppressed_note);
-  }
 
   // Format outside the lock; the final write is a single buffered
   // fwrite, so concurrent lines never interleave mid-line.

@@ -1,6 +1,5 @@
-// Structured, leveled, thread-safe logging with token-bucket rate
-// limiting — the diagnostics channel of the serving stack (and anything
-// else that outgrows fprintf).
+// Structured, leveled, thread-safe logging — the diagnostics channel of
+// the serving stack (and anything else that outgrows fprintf).
 //
 // A log line is an event name plus typed key/value fields, rendered
 // either as human-readable text
@@ -11,19 +10,12 @@
 // newline — safe to tail, grep, and parse line-by-line.
 //
 // Concurrency: any number of threads may log to one Logger; the write
-// (and the rate-limit bucket) is guarded by a mutex held only for the
-// final buffered write, and each line is flushed so crashes and tests
-// never lose the tail.
-//
-// Rate limiting: an optional token bucket (burst + sustained per-second
-// rate) drops excess lines instead of blocking the caller; drops are
-// counted and reported on the next permitted line as a "suppressed"
-// field, so throttled logs are self-describing.
+// is guarded by a mutex held only for the final buffered write, and
+// each line is flushed so crashes and tests never lose the tail.
 
 #ifndef KARL_UTIL_LOG_H_
 #define KARL_UTIL_LOG_H_
 
-#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <memory>
@@ -84,10 +76,6 @@ class Logger {
     LogLevel min_level = LogLevel::kInfo;
     /// NDJSON rendering instead of text.
     bool ndjson = false;
-    /// Token bucket: sustained lines/second; <= 0 disables limiting.
-    double rate_limit_per_sec = 0.0;
-    /// Token bucket burst capacity (>= 1 when limiting is on).
-    double rate_limit_burst = 10.0;
   };
 
   /// Logs to `stream` (non-owning; e.g. stderr).
@@ -101,8 +89,7 @@ class Logger {
   Logger(const Logger&) = delete;
   Logger& operator=(const Logger&) = delete;
 
-  /// Emits one structured line; drops it when below the minimum level
-  /// or when the rate limiter is out of tokens.
+  /// Emits one structured line; drops it when below the minimum level.
   void Log(LogLevel level, std::string_view event,
            std::vector<LogField> fields = {});
 
@@ -118,10 +105,6 @@ class Logger {
   const Options options_;
 
   Mutex mu_;
-  // Token bucket state.
-  double tokens_ KARL_GUARDED_BY(mu_);
-  std::chrono::steady_clock::time_point last_refill_ KARL_GUARDED_BY(mu_);
-  uint64_t suppressed_since_emit_ KARL_GUARDED_BY(mu_) = 0;
 };
 
 /// Null-safe convenience: `Log(logger, ...)` is a no-op when `logger`

@@ -1,12 +1,11 @@
 // Tests for util/log.h: level filtering, structured rendering (text and
-// NDJSON), token-bucket rate limiting, and concurrent writers (the
-// latter doubles as the TSan pin for the logger's locking).
+// NDJSON), and concurrent writers (the latter doubles as the TSan pin
+// for the logger's locking).
 
 #include "util/log.h"
 
 #include <gtest/gtest.h>
 
-#include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <string>
@@ -116,50 +115,6 @@ TEST(LoggerTest, TextFormatIsSingleLineKeyValue) {
   EXPECT_NE(lines[0].find("port=7070"), std::string::npos);
   EXPECT_NE(lines[0].find("model=\"a b\""), std::string::npos);
   EXPECT_NE(lines[0].find("\\n"), std::string::npos);
-}
-
-TEST(LoggerTest, RateLimiterDropsAndCounts) {
-  const std::string path = TempPath("log_rate.log");
-  Logger::Options options;
-  options.rate_limit_per_sec = 5.0;  // One token per 200ms.
-  options.rate_limit_burst = 3.0;
-  auto logger = Logger::Open(path, options);
-  ASSERT_TRUE(logger.ok()) << logger.status().ToString();
-  // The burst spends the bucket long before a token refills.
-  for (int i = 0; i < 8; ++i) {
-    logger.value()->Log(LogLevel::kInfo, "burst");
-  }
-  EXPECT_EQ(ReadLines(path).size(), 3u);
-  // After a refill, the next line reports the five drops.
-  std::this_thread::sleep_for(std::chrono::milliseconds(250));
-  logger.value()->Log(LogLevel::kInfo, "after");
-  const auto lines = ReadLines(path);
-  ASSERT_EQ(lines.size(), 4u);
-  EXPECT_NE(lines.back().find("after suppressed=5"), std::string::npos)
-      << lines.back();
-}
-
-TEST(LoggerTest, SuppressedCountSurfacesOnNextEmittedLine) {
-  const std::string path = TempPath("log_suppressed.log");
-  Logger::Options options;
-  options.rate_limit_per_sec = 1000.0;
-  options.rate_limit_burst = 1.0;
-  auto logger = Logger::Open(path, options);
-  ASSERT_TRUE(logger.ok()) << logger.status().ToString();
-  logger.value()->Log(LogLevel::kInfo, "first");
-  // Consecutive calls land within the 1ms-per-token refill, so this
-  // terminates as soon as one line is dropped (the file falls behind
-  // the call count).
-  for (size_t calls = 2;; ++calls) {
-    logger.value()->Log(LogLevel::kInfo, "flood");
-    if (ReadLines(path).size() < calls) break;
-  }
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  logger.value()->Log(LogLevel::kInfo, "after");
-  const auto lines = ReadLines(path);
-  ASSERT_FALSE(lines.empty());
-  EXPECT_NE(lines.back().find("after"), std::string::npos);
-  EXPECT_NE(lines.back().find("suppressed="), std::string::npos);
 }
 
 TEST(LoggerTest, ConcurrentWritersNeverInterleaveLines) {

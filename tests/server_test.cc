@@ -11,6 +11,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -32,6 +33,7 @@
 #include "server/protocol.h"
 #include "server/server.h"
 #include "telemetry/metrics.h"
+#include "telemetry/rolling.h"
 #include "telemetry/trace.h"
 #include "util/log.h"
 #include "util/rng.h"
@@ -319,12 +321,11 @@ TEST_F(ServerTest, MalformedRequestsAreRejectedWithoutKillingConnection) {
 }
 
 TEST_F(ServerTest, OversizedLineIsRejectedAndConnectionClosed) {
-  ServerOptions options;
-  options.max_line_bytes = 256;
-  StartServerWith(std::move(options));
+  StartServer();
 
   Client client = Dial();
-  std::string huge(1024, 'x');
+  // One byte over the cap: the longest accepted line is kMaxLineBytes.
+  std::string huge(kMaxLineBytes + 1, 'x');
   ASSERT_TRUE(client.SendLine(huge).ok());
   auto response = client.ReceiveLine();
   ASSERT_TRUE(response.ok()) << response.status().ToString();
@@ -406,9 +407,9 @@ TEST_F(ServerTest, QueriesDuringDrainAreRefusedAsShuttingDown) {
   server_->Wait();
 }
 
-// In-band status is health only: metrics and statusz live on the HTTP
-// admin plane, so those ops are refused like any unknown op and the
-// connection keeps serving.
+// In-band status is health only: status lives on the HTTP admin plane,
+// so "metrics" and "statusz" ops are refused like any unknown op and
+// the connection keeps serving.
 TEST_F(ServerTest, HealthAndMetricsRoundTrip) {
   StartServer();
   Client client = Dial();
@@ -500,22 +501,23 @@ TEST_F(ServerTest, FlightRecorderSeesEveryAdmittedRequestExactlyOnce) {
   // it could even frame this health request, so once its answer is back
   // the snapshot is complete by construction — no sleep needed.
   ASSERT_TRUE(Health(client).ok());
-  const std::string statusz = server_->StatuszJson();
-  auto parsed = Json::Parse(statusz);
-  ASSERT_TRUE(parsed.ok()) << statusz;
-  const Json* recorder = parsed.value().Find("flight_recorder");
-  ASSERT_NE(recorder, nullptr) << statusz;
-  EXPECT_EQ(recorder->Find("total_recorded")->number_value(),
-            static_cast<double>(singles + 1));
-  const Json* requests = recorder->Find("requests");
-  ASSERT_NE(requests, nullptr);
-  ASSERT_EQ(requests->items().size(), singles + 1);
+  const std::string flightz = server_->FlightzNdjson();
+  std::vector<Json> requests;
+  for (size_t begin = 0; begin < flightz.size();) {
+    const size_t end = flightz.find('\n', begin);
+    ASSERT_NE(end, std::string::npos) << flightz;
+    auto parsed = Json::Parse(flightz.substr(begin, end - begin));
+    ASSERT_TRUE(parsed.ok()) << flightz;
+    requests.push_back(std::move(parsed).ValueOrDie());
+    begin = end + 1;
+  }
+  ASSERT_EQ(requests.size(), singles + 1);
 
   static const char* kStages[] = {
       "read_us",          "parse_us", "queue_wait_us", "coalesce_wait_us",
       "eval_us",          "serialize_us", "write_us"};
   std::map<std::string, double> total_by_id;
-  for (const Json& entry : requests->items()) {
+  for (const Json& entry : requests) {
     const Json* id = entry.Find("id");
     ASSERT_NE(id, nullptr);
     ASSERT_EQ(total_by_id.count(id->string_value()), 0u)
@@ -544,7 +546,7 @@ TEST_F(ServerTest, FlightRecorderSeesEveryAdmittedRequestExactlyOnce) {
   }
   ASSERT_EQ(total_by_id.count("b0"), 1u);
   const Json* b0 = nullptr;
-  for (const Json& entry : requests->items()) {
+  for (const Json& entry : requests) {
     if (entry.Find("id")->string_value() == "b0") b0 = &entry;
   }
   ASSERT_NE(b0, nullptr);
@@ -552,7 +554,11 @@ TEST_F(ServerTest, FlightRecorderSeesEveryAdmittedRequestExactlyOnce) {
   EXPECT_TRUE(b0->Find("batch")->bool_value());
   EXPECT_EQ(b0->Find("rows")->number_value(), 3.0);
 
-  EXPECT_EQ(server_->flight_recorder().total_recorded(), singles + 1);
+  // The stage histograms filed the same requests exactly once.
+  EXPECT_EQ(registry_.GetRollingHistogram("karl_server_total_us")
+                ->CumulativeSnapshot()
+                .count,
+            singles + 1);
 
   // The access log saw the same six requests with the same totals.
   server_->Shutdown();
@@ -576,8 +582,37 @@ TEST_F(ServerTest, FlightRecorderSeesEveryAdmittedRequestExactlyOnce) {
   EXPECT_EQ(logged, singles + 1);
 }
 
-TEST_F(ServerTest, StatuszReportsStageHistogramsAndUptime) {
+double UnixSeconds() {
+  return std::chrono::duration<double>(
+             std::chrono::system_clock::now().time_since_epoch())
+      .count();
+}
+
+// A raw TCP connection to 127.0.0.1:`port`, for tests that need the bare
+// socket (HTTP requests, abortive close); -1 on failure.
+int DialLoopback(int port) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) return -1;
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(static_cast<uint16_t>(port));
+  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
+                sizeof(addr)) != 0) {
+    ::close(fd);
+    return -1;
+  }
+  return fd;
+}
+
+TEST_F(ServerTest, StageHistogramsCountAdmittedRequestsAndStartTime) {
+  const double before_start = UnixSeconds();
   StartServer();
+  const double after_start = UnixSeconds();
+  // Set once at start, before any engine attaches or query arrives.
+  EXPECT_GE(GaugeValue("karl_server_start_time_seconds"), before_start);
+  EXPECT_LE(GaugeValue("karl_server_start_time_seconds"), after_start);
+
   Client client = Dial();
   const size_t n = 4;
   for (size_t i = 0; i < n; ++i) {
@@ -586,37 +621,73 @@ TEST_F(ServerTest, StatuszReportsStageHistogramsAndUptime) {
   // The health round trip is an event-loop barrier: every query's
   // completion (and its stage records) finished before it was framed.
   ASSERT_TRUE(Health(client).ok());
-  const std::string statusz = server_->StatuszJson();
-  auto parsed = Json::Parse(statusz);
-  ASSERT_TRUE(parsed.ok()) << statusz;
-  const Json& root = parsed.value();
-  ASSERT_NE(root.Find("uptime_s"), nullptr);
-  EXPECT_GE(root.Find("uptime_s")->number_value(), 0.0);
-  EXPECT_EQ(root.Find("port")->number_value(),
-            static_cast<double>(server_->port()));
-  const Json* counters = root.Find("counters");
-  ASSERT_NE(counters, nullptr);
-  const Json* requests_total = counters->Find("karl_server_requests_total");
-  ASSERT_NE(requests_total, nullptr);
-  EXPECT_GE(requests_total->number_value(), static_cast<double>(n));
+  EXPECT_GE(CounterValue("karl_server_requests_total"), n);
 
-  const Json* stages = root.Find("stages");
-  ASSERT_NE(stages, nullptr);
+  std::map<std::string, telemetry::HistogramSnapshot> stages;
   for (const char* stage : {"read", "parse", "queue_wait", "coalesce_wait",
                             "eval", "serialize", "write", "total"}) {
-    const Json* entry = stages->Find(stage);
-    ASSERT_NE(entry, nullptr) << stage;
+    const telemetry::HistogramSnapshot h =
+        registry_
+            .GetRollingHistogram(std::string("karl_server_") + stage + "_us")
+            ->CumulativeSnapshot();
     // Exactly the admitted queries: the health op never touches the
     // stage histograms.
-    EXPECT_EQ(entry->Find("count")->number_value(), static_cast<double>(n))
-        << stage;
-    EXPECT_GE(entry->Find("p95_us")->number_value(),
-              entry->Find("p50_us")->number_value())
-        << stage;
+    EXPECT_EQ(h.count, n) << stage;
+    EXPECT_GE(h.Quantile(0.95), h.Quantile(0.5)) << stage;
+    stages[stage] = h;
   }
-  EXPECT_GT(stages->Find("eval")->Find("sum_us")->number_value(), 0.0);
-  EXPECT_GE(stages->Find("total")->Find("sum_us")->number_value(),
-            stages->Find("eval")->Find("sum_us")->number_value());
+  EXPECT_GT(stages["eval"].sum, 0.0);
+  EXPECT_GE(stages["total"].sum, stages["eval"].sum);
+}
+
+// A completion whose peer already left is still filed, and its total
+// runs until the record is filed: it never counts as a zero-latency
+// request in the stage histograms (and so in the SLO budget).
+TEST_F(ServerTest, CompletionForGonePeerRecordsItsFullLatency) {
+  StartServer();
+  server_->PauseCoalescerForTest();
+
+  const int fd = DialLoopback(server_->port());
+  ASSERT_GE(fd, 0);
+  Json request = Json::Object()
+                     .Set("op", Json::Str("query"))
+                     .Set("kind", Json::Str("exact"));
+  Json q = Json::Array();
+  for (const double v : queries_.Row(0)) q.Append(Json::Number(v));
+  request.Set("q", std::move(q));
+  const std::string line = request.Dump() + "\n";
+  ASSERT_EQ(::send(fd, line.data(), line.size(), 0),
+            static_cast<ssize_t>(line.size()));
+  WaitForPendingRows(1.0);
+
+  // Reset the connection (linger 0) while the query waits in the
+  // paused coalescer, and let the event loop close its side.
+  const linger reset{1, 0};
+  ASSERT_EQ(::setsockopt(fd, SOL_SOCKET, SO_LINGER, &reset, sizeof(reset)),
+            0);
+  ::close(fd);
+  while (GaugeValue("karl_server_connections_active") > 0.0) {
+    std::this_thread::yield();
+  }
+  server_->ResumeCoalescerForTest();
+  std::string flightz;
+  while (flightz.empty()) {
+    std::this_thread::yield();
+    flightz = server_->FlightzNdjson();
+  }
+  auto record = Json::Parse(flightz.substr(0, flightz.find('\n')));
+  ASSERT_TRUE(record.ok()) << flightz;
+  EXPECT_FALSE(record.value().Find("ok")->bool_value()) << flightz;
+  EXPECT_EQ(record.value().Find("peer"), nullptr) << flightz;
+  const double queue_wait = record.value().Find("queue_wait_us")->number_value();
+  EXPECT_GT(queue_wait, 0.0) << flightz;
+  EXPECT_GE(record.value().Find("total_us")->number_value(), queue_wait)
+      << flightz;
+  const telemetry::HistogramSnapshot total =
+      registry_.GetRollingHistogram("karl_server_total_us")
+          ->CumulativeSnapshot();
+  EXPECT_EQ(total.count, 1u);
+  EXPECT_GT(total.min, 0.0);
 }
 
 // Tentpole acceptance: with a tracer attached, each request renders as
@@ -795,17 +866,8 @@ TEST(ServerProtocolTest, ParseRequestValidates) {
 // request and reads to EOF is a complete client.
 
 std::string HttpFetch(int port, const std::string& raw_request) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  const int fd = DialLoopback(port);
   if (fd < 0) return "";
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<uint16_t>(port));
-  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
-  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
-                sizeof(addr)) != 0) {
-    ::close(fd);
-    return "";
-  }
   size_t sent = 0;
   while (sent < raw_request.size()) {
     const ssize_t n = ::send(fd, raw_request.data() + sent,
@@ -862,25 +924,43 @@ TEST_F(ServerTest, AdminEndpointsServeUnderConcurrentTraffic) {
             std::string::npos);
   EXPECT_NE(metrics.find("karl_server_total_us_window60s"),
             std::string::npos);
-  // ...and the build-info gauge carries its labels (satellite 2).
-  EXPECT_NE(metrics.find("karl_build_info{version="), std::string::npos);
+  // ...and the build-info gauge carries its labels, next to the SIMD
+  // tier and the start time (set at start, before any engine attaches).
+  const size_t build_info = metrics.find("karl_build_info{version=");
+  ASSERT_NE(build_info, std::string::npos);
+  const std::string build_info_line =
+      metrics.substr(build_info, metrics.find('\n', build_info) - build_info);
+  EXPECT_NE(build_info_line.find("git_sha="), std::string::npos)
+      << build_info_line;
+  EXPECT_NE(metrics.find("\nkarl_simd_tier "), std::string::npos);
+  EXPECT_NE(metrics.find("\nkarl_server_start_time_seconds "),
+            std::string::npos);
 
-  const std::string statusz = HttpGet(admin_port, "/statusz");
-  EXPECT_NE(statusz.find("HTTP/1.1 200"), std::string::npos);
-  const size_t statusz_body = statusz.find("\r\n\r\n");
-  ASSERT_NE(statusz_body, std::string::npos);
-  auto statusz_json = Json::Parse(statusz.substr(statusz_body + 4));
-  ASSERT_TRUE(statusz_json.ok()) << statusz.substr(statusz_body + 4);
-  EXPECT_NE(statusz.find("\"window60s\""), std::string::npos);
+  // One page per fact: the retired status pages are gone.
+  for (const char* retired : {"/statusz", "/varz"}) {
+    const std::string page = HttpGet(admin_port, retired);
+    EXPECT_NE(page.find("HTTP/1.1 404"), std::string::npos) << page;
+  }
 
-  const std::string varz = HttpGet(admin_port, "/varz");
-  EXPECT_NE(varz.find("HTTP/1.1 200"), std::string::npos);
-  const size_t varz_body = varz.find("\r\n\r\n");
-  ASSERT_NE(varz_body, std::string::npos);
-  auto varz_json = Json::Parse(varz.substr(varz_body + 4));
-  ASSERT_TRUE(varz_json.ok()) << varz.substr(varz_body + 4);
-  EXPECT_NE(varz.find("\"git_sha\""), std::string::npos);
-  EXPECT_NE(varz.find("\"model\""), std::string::npos);
+  // /modelz carries the resident model's shape.
+  const std::string modelz = HttpGet(admin_port, "/modelz");
+  EXPECT_NE(modelz.find("HTTP/1.1 200"), std::string::npos);
+  const size_t modelz_body = modelz.find("\r\n\r\n");
+  ASSERT_NE(modelz_body, std::string::npos);
+  auto modelz_json = Json::Parse(modelz.substr(modelz_body + 4));
+  ASSERT_TRUE(modelz_json.ok()) << modelz.substr(modelz_body + 4);
+  const Json* models = modelz_json.value().Find("models");
+  ASSERT_NE(models, nullptr);
+  ASSERT_EQ(models->items().size(), 1u);
+  const Json& model = models->items()[0];
+  EXPECT_EQ(model.Find("dims")->number_value(),
+            static_cast<double>(points_.cols()));
+  EXPECT_EQ(model.Find("points")->number_value(),
+            static_cast<double>(points_.rows()));
+  EXPECT_EQ(model.Find("weighting_type")->string_value(),
+            WeightingTypeToString(engine_->weighting_type()));
+  EXPECT_EQ(model.Find("bounds")->string_value(),
+            core::BoundKindToString(engine_->options().bounds));
 
   const std::string flightz = HttpGet(admin_port, "/flightz");
   EXPECT_NE(flightz.find("HTTP/1.1 200"), std::string::npos);
@@ -1380,13 +1460,11 @@ TEST_F(ServerTest, PerModelMetricsReconcileAndSloBudgetBurnsForSlowModel) {
   EXPECT_NE(flightz.find("\"model\":\"alpha\""), std::string::npos);
   EXPECT_NE(flightz.find("\"model\":\"beta\""), std::string::npos);
 
-  // Admin pages carry the per-model resident/generation view.
-  const std::string varz = HttpGet(admin_port, "/varz");
-  EXPECT_NE(varz.find("\"per_model\""), std::string::npos) << varz;
-  EXPECT_NE(varz.find("\"generation\""), std::string::npos);
-  const std::string statusz = HttpGet(admin_port, "/statusz");
-  EXPECT_NE(statusz.find("\"models\""), std::string::npos);
-  EXPECT_NE(statusz.find("\"resident_bytes\""), std::string::npos);
+  // /modelz carries the per-model resident/generation view.
+  const std::string modelz = HttpGet(admin_port, "/modelz");
+  EXPECT_NE(modelz.find("\"models\""), std::string::npos) << modelz;
+  EXPECT_NE(modelz.find("\"resident_bytes\""), std::string::npos);
+  EXPECT_NE(modelz.find("\"generation\""), std::string::npos);
 
   // Crossing the burn threshold logged exactly one WARN edge for beta.
   server_->Shutdown();

@@ -41,7 +41,7 @@
 //       protocol; output format matches the local `query` subcommand.
 //       --batch sends one batch request instead of per-row queries.
 //       Server status lives on karl_server's HTTP admin plane
-//       (/metrics, /statusz, ...), not here.
+//       (/metrics, /flightz, /modelz, ...), not here.
 //
 // Exit status: 0 on success, 1 on usage or runtime errors.
 

@@ -28,9 +28,9 @@
 // scripts can scrape it.
 //
 // Observability:
-//   --admin-port     HTTP admin plane (GET /metrics /healthz /statusz
-//                    /varz /flightz /modelz /explainz /sloz) on its
-//                    own thread — the server's one status surface; -1
+//   --admin-port     HTTP admin plane (GET /metrics /healthz /flightz
+//                    /modelz /explainz /sloz) on its own thread — the
+//                    server's one status surface, one page per fact; -1
 //                    (default) disables, 0 binds an ephemeral port. The
 //                    chosen port is part of the "admin on" line printed
 //                    at startup.
@@ -249,6 +249,8 @@ int main(int argc, char** argv) {
               {"threads", static_cast<uint64_t>(pool_threads)},
               {"host", host},
               {"port", static_cast<int64_t>(server.value()->port())},
+              {"admin_port",
+               static_cast<int64_t>(server.value()->admin_port())},
               {"max_pending", static_cast<uint64_t>(max_pending.value())},
               {"slow_query_us",
                static_cast<uint64_t>(slow_query_us.value())},
