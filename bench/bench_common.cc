@@ -227,27 +227,9 @@ void RecordBenchMetric(const std::string& name, double value) {
   }
   telemetry::GlobalRegistry().GetGauge(metric)->Set(value);
 
-  const char* path = std::getenv("KARL_BENCH_METRICS_OUT");
+  const char* path = std::getenv("KARL_BENCH_JSON_OUT");
   if (path != nullptr && *path != '\0') {
     static const bool armed = [] {
-      std::atexit(+[] {
-        const char* out = std::getenv("KARL_BENCH_METRICS_OUT");
-        if (out == nullptr || *out == '\0') return;
-        if (auto st = telemetry::WriteMetricsFile(
-                telemetry::GlobalRegistry(), out);
-            !st.ok()) {
-          std::fprintf(stderr, "bench metrics sidecar write failed: %s\n",
-                       st.ToString().c_str());
-        }
-      });
-      return true;
-    }();
-    (void)armed;
-  }
-
-  const char* json_path = std::getenv("KARL_BENCH_JSON_OUT");
-  if (json_path != nullptr && *json_path != '\0') {
-    static const bool json_armed = [] {
       std::atexit(+[] {
         const char* out = std::getenv("KARL_BENCH_JSON_OUT");
         if (out == nullptr || *out == '\0') return;
@@ -255,7 +237,7 @@ void RecordBenchMetric(const std::string& name, double value) {
       });
       return true;
     }();
-    (void)json_armed;
+    (void)armed;
   }
 }
 

@@ -9,12 +9,6 @@
 //   KARL_BENCH_THREADS      worker-thread count for batch runners
 //                           (default 1 = serial; tools also accept
 //                           --threads=N which takes precedence)
-//   KARL_BENCH_METRICS_OUT  when set, the process writes the telemetry
-//                           registry (every metric recorded via
-//                           RecordBenchMetric plus any engine-level
-//                           instrumentation) to this path at exit —
-//                           a machine-readable sidecar next to the
-//                           human-readable tables on stdout
 //   KARL_BENCH_JSON_OUT     when set, the process writes a
 //                           perf-trajectory document (schema
 //                           "karl-bench-v1") to this path at exit:
@@ -135,10 +129,10 @@ EngineOptions DefaultOptions(const Workload& w);
 
 /// Records a benchmark result as gauge "karl_bench_<name>" (characters
 /// outside [A-Za-z0-9_] are mapped to '_') in the global telemetry
-/// registry. When KARL_BENCH_METRICS_OUT is set, the first call arms an
-/// atexit hook that dumps the registry to that path, so bench binaries
-/// emit a machine-readable metrics sidecar without any per-binary
-/// plumbing. The Measure* runners call this automatically.
+/// registry. When KARL_BENCH_JSON_OUT is set, the first call arms an
+/// atexit hook that writes every karl_bench_* gauge to that path, so
+/// bench binaries emit a machine-readable sidecar without any
+/// per-binary plumbing. The Measure* runners call this automatically.
 void RecordBenchMetric(const std::string& name, double value);
 
 }  // namespace karl::bench

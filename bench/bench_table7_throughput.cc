@@ -151,7 +151,7 @@ int main(int argc, char** argv) {
   // Serving stage breakdown: the Type-I Gaussian "home" workload pushed
   // through the full network stack (epoll loop -> coalescer -> pool) on
   // loopback, reported per pipeline stage from the server's stage
-  // histograms. Each quantile lands in the KARL_BENCH_METRICS_OUT
+  // histograms. Each quantile lands in the KARL_BENCH_JSON_OUT
   // sidecar, so CI can track where serving latency goes, not just how
   // much there is.
   {

@@ -5,6 +5,7 @@
 
 #include "telemetry/context.h"
 #include "telemetry/metrics.h"
+#include "telemetry/rolling.h"
 #include "util/check.h"
 #include "util/stopwatch.h"
 #include "util/thread_pool.h"
@@ -15,7 +16,7 @@ void BatchEvaluator::ResolveInstruments(telemetry::Registry* registry) {
   if (registry == nullptr) return;
   instruments_.batches = registry->GetCounter("karl_batch_batches_total");
   instruments_.queries = registry->GetCounter("karl_batch_queries_total");
-  instruments_.batch_usec = registry->GetHistogram("karl_batch_usec");
+  instruments_.batch_usec = registry->GetRollingHistogram("karl_batch_usec");
   instruments_.executors = registry->GetGauge("karl_batch_executors");
 }
 
@@ -72,7 +73,7 @@ std::vector<T> BatchEvaluator::Run(const data::Matrix& queries,
     executors = pool->num_threads() + 1;
     std::vector<EvalStats> slot_stats(executors);
     pool->ParallelFor(
-        n, options_.chunk,
+        n, /*chunk=*/0,
         [&queries, &out, &slot_stats, &run_row](size_t begin, size_t end,
                                                 size_t slot) {
           EvalStats& local = slot_stats[slot];

@@ -8,7 +8,7 @@
 // Determinism contract: each query runs the identical single-threaded
 // refinement it would run in a serial loop, and results are stored by
 // query index — so batch output is bit-identical to the serial loop for
-// every thread count and chunk size. That holds whichever SIMD tier
+// every thread count and schedule. That holds whichever SIMD tier
 // (core/simd) the process runs under, because the tier is process-wide
 // and every row executes the same per-row code path; only *across*
 // tiers (e.g. a KARL_SIMD=scalar run vs an avx2 run) do results differ,
@@ -44,9 +44,6 @@ struct BatchOptions {
   /// calling thread (still through the same code path, so serial and
   /// parallel results are directly comparable). Non-owning.
   util::ThreadPool* pool = nullptr;
-  /// Queries per dynamically-scheduled chunk; 0 picks ~8 chunks per
-  /// executor. Chunking only affects scheduling, never results.
-  size_t chunk = 0;
   /// Per-row completion hook, invoked on the executing thread right
   /// after each row finishes with the row's index, its begin/end stamps
   /// (telemetry::MonotonicMicros domain), and the engine work that row
@@ -95,7 +92,7 @@ class BatchEvaluator {
   struct Instruments {
     telemetry::Counter* batches = nullptr;
     telemetry::Counter* queries = nullptr;
-    telemetry::Histogram* batch_usec = nullptr;
+    telemetry::RollingHistogram* batch_usec = nullptr;
     telemetry::Gauge* executors = nullptr;
   };
 

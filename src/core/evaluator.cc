@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "core/simd/simd.h"
+#include "telemetry/context.h"
 #include "telemetry/metrics.h"
 #include "telemetry/rolling.h"
 #include "telemetry/trace.h"
@@ -116,7 +117,7 @@ class Evaluator::RefineObserver {
       }
     }
     if (tracer_ != nullptr) {
-      const uint64_t now = tracer_->NowMicros();
+      const uint64_t now = telemetry::MonotonicMicros();
       tracer_->CounterEvent("karl.bounds", now,
                             {{"lb", lb}, {"ub", ub}, {"gap", ub - lb}});
       tracer_->CounterEvent(
@@ -470,7 +471,8 @@ bool Evaluator::QueryThreshold(std::span<const double> q, double tau,
   telemetry::TraceRecorder* const tracer = options_.tracer;
   std::optional<util::Stopwatch> timer;
   if (instrumented_) timer.emplace();
-  const uint64_t trace_start = tracer != nullptr ? tracer->NowMicros() : 0;
+  const uint64_t trace_start =
+      tracer != nullptr ? telemetry::MonotonicMicros() : 0;
 
   double lb = 0.0, ub = 0.0;
   const auto stop = [tau](double l, double u) { return l > tau || u <= tau; };
@@ -492,7 +494,7 @@ bool Evaluator::QueryThreshold(std::span<const double> q, double tau,
   }
   if (tracer != nullptr) {
     tracer->CompleteEvent(
-        "tkaq", trace_start, tracer->NowMicros() - trace_start,
+        "tkaq", trace_start, telemetry::MonotonicMicros() - trace_start,
         {{"tau", tau},
          {"result", result ? 1.0 : 0.0},
          {"lb", lb},
@@ -511,7 +513,8 @@ double Evaluator::QueryApproximate(std::span<const double> q, double eps,
   telemetry::TraceRecorder* const tracer = options_.tracer;
   std::optional<util::Stopwatch> timer;
   if (instrumented_) timer.emplace();
-  const uint64_t trace_start = tracer != nullptr ? tracer->NowMicros() : 0;
+  const uint64_t trace_start =
+      tracer != nullptr ? telemetry::MonotonicMicros() : 0;
 
   double lb = 0.0, ub = 0.0;
   // Terminate when ub <= (1+ε)·lb (paper §II-B); returning lb then
@@ -543,7 +546,7 @@ double Evaluator::QueryApproximate(std::span<const double> q, double eps,
   }
   if (tracer != nullptr) {
     tracer->CompleteEvent(
-        "ekaq", trace_start, tracer->NowMicros() - trace_start,
+        "ekaq", trace_start, telemetry::MonotonicMicros() - trace_start,
         {{"eps", eps},
          {"value", result},
          {"iterations", static_cast<double>(work.iterations)},
@@ -568,7 +571,8 @@ double Evaluator::QueryExact(std::span<const double> q,
   telemetry::TraceRecorder* const tracer = options_.tracer;
   std::optional<util::Stopwatch> timer;
   if (instrumented_) timer.emplace();
-  const uint64_t trace_start = tracer != nullptr ? tracer->NowMicros() : 0;
+  const uint64_t trace_start =
+      tracer != nullptr ? telemetry::MonotonicMicros() : 0;
 
   const double total = ScanExact(q);
   const size_t evals = TotalPoints();
@@ -582,7 +586,7 @@ double Evaluator::QueryExact(std::span<const double> q,
   }
   if (tracer != nullptr) {
     tracer->CompleteEvent(
-        "exact", trace_start, tracer->NowMicros() - trace_start,
+        "exact", trace_start, telemetry::MonotonicMicros() - trace_start,
         {{"value", total}, {"kernel_evals", static_cast<double>(evals)}});
   }
   return total;

@@ -30,7 +30,6 @@
 namespace karl::telemetry {
 class Counter;
 class Gauge;
-class Histogram;
 class Registry;
 class RollingHistogram;
 class TraceRecorder;

@@ -1,15 +1,14 @@
 #include "core/karl.h"
 
 #include <cmath>
-#include <optional>
 #include <vector>
 
 #include "core/simd/simd.h"
 #include "index/ball_tree.h"
 #include "index/kd_tree.h"
+#include "telemetry/context.h"
 #include "telemetry/metrics.h"
-#include "telemetry/trace.h"
-#include "util/stopwatch.h"
+#include "telemetry/rolling.h"
 
 namespace karl {
 
@@ -68,12 +67,8 @@ util::Result<Engine> Engine::Build(const data::Matrix& points,
   }
   KARL_RETURN_NOT_OK(options.kernel.Validate());
 
-  std::optional<util::Stopwatch> build_timer;
-  if (options.metrics != nullptr || options.tracer != nullptr) {
-    build_timer.emplace();
-  }
-  const uint64_t trace_start =
-      options.tracer != nullptr ? options.tracer->NowMicros() : 0;
+  // One clock reading brackets the build for the metric and the trace.
+  const uint64_t build_begin_us = telemetry::MonotonicMicros();
 
   // Split into positive and negative sides (§IV-A2); the minus tree
   // stores |w_i| so both trees carry positive weights.
@@ -126,6 +121,7 @@ util::Result<Engine> Engine::Build(const data::Matrix& points,
   engine.evaluator_ = std::make_unique<core::Evaluator>(
       std::move(evaluator).ValueOrDie());
 
+  const uint64_t build_us = telemetry::MonotonicMicros() - build_begin_us;
   if (options.metrics != nullptr) {
     telemetry::Registry& reg = *options.metrics;
     // Which SIMD tier the evaluator hot path runs under (0 = scalar,
@@ -133,8 +129,8 @@ util::Result<Engine> Engine::Build(const data::Matrix& points,
     reg.GetGauge("karl_simd_tier")
         ->Set(static_cast<double>(core::simd::ActiveTier()));
     reg.GetCounter("karl_engine_builds_total")->Increment();
-    reg.GetHistogram("karl_engine_build_usec")
-        ->Record(build_timer->ElapsedSeconds() * 1e6);
+    reg.GetRollingHistogram("karl_engine_build_usec")
+        ->Record(static_cast<double>(build_us));
     reg.GetGauge("karl_engine_index_bytes")
         ->Set(static_cast<double>(engine.MemoryUsageBytes()));
     reg.GetGauge("karl_engine_points")
@@ -153,8 +149,7 @@ util::Result<Engine> Engine::Build(const data::Matrix& points,
   }
   if (options.tracer != nullptr) {
     options.tracer->CompleteEvent(
-        "engine_build", trace_start,
-        options.tracer->NowMicros() - trace_start,
+        "engine_build", build_begin_us, build_us,
         {{"points",
           static_cast<double>(pos_rows.size() + neg_rows.size())},
          {"index_bytes", static_cast<double>(engine.MemoryUsageBytes())},
@@ -178,8 +173,7 @@ util::Result<Engine> Engine::Attach(
   }
   KARL_RETURN_NOT_OK(options.kernel.Validate());
 
-  std::optional<util::Stopwatch> attach_timer;
-  if (options.metrics != nullptr) attach_timer.emplace();
+  const uint64_t attach_begin_us = telemetry::MonotonicMicros();
 
   Engine engine;
   engine.options_ = options;
@@ -206,8 +200,9 @@ util::Result<Engine> Engine::Attach(
     reg.GetGauge("karl_simd_tier")
         ->Set(static_cast<double>(core::simd::ActiveTier()));
     reg.GetCounter("karl_engine_attaches_total")->Increment();
-    reg.GetHistogram("karl_engine_attach_usec")
-        ->Record(attach_timer->ElapsedSeconds() * 1e6);
+    const uint64_t attach_us = telemetry::MonotonicMicros() - attach_begin_us;
+    reg.GetRollingHistogram("karl_engine_attach_usec")
+        ->Record(static_cast<double>(attach_us));
     reg.GetGauge("karl_engine_index_bytes")
         ->Set(static_cast<double>(engine.MemoryUsageBytes()));
   }

@@ -9,6 +9,7 @@
 #include <utility>
 
 #include "telemetry/metrics.h"
+#include "telemetry/rolling.h"
 #include "util/stopwatch.h"
 
 namespace karl::registry {
@@ -228,9 +229,9 @@ util::Result<ModelHandle> ModelRegistry::LoadEntry(const std::string& name,
     options_.metrics->GetCounter("karl_model_loads_total")->Increment();
     options_.metrics->GetCounter("karl_model_loads_total", labels)
         ->Increment();
-    options_.metrics->GetHistogram("karl_model_coldstart_us")
+    options_.metrics->GetRollingHistogram("karl_model_coldstart_us")
         ->Record(static_cast<double>(model->coldstart_us_));
-    options_.metrics->GetHistogram("karl_model_coldstart_us", labels)
+    options_.metrics->GetRollingHistogram("karl_model_coldstart_us", labels)
         ->Record(static_cast<double>(model->coldstart_us_));
   }
   util::Log(options_.logger, util::LogLevel::kInfo, "model_load",
@@ -289,7 +290,7 @@ util::Status ModelRegistry::Reload() {
     status = ReloadLocked(&released);
   }
   if (options_.metrics != nullptr) {
-    options_.metrics->GetHistogram("karl_model_reload_us")
+    options_.metrics->GetRollingHistogram("karl_model_reload_us")
         ->Record(timer.ElapsedSeconds() * 1e6);
   }
   return status;

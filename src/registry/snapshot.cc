@@ -428,7 +428,7 @@ util::Result<MappedSnapshot> MappedSnapshot::Map(const std::string& path) {
   snap.fd_ = fd;
   snap.path_ = path;
   KARL_RETURN_NOT_OK(snap.Parse());  // Destructor unmaps and closes.
-  return std::move(snap);
+  return snap;
 }
 
 util::Status MappedSnapshot::Parse() {

@@ -6,7 +6,6 @@
 #include "core/karl.h"
 #include "telemetry/metrics.h"
 #include "telemetry/rolling.h"
-#include "util/stopwatch.h"
 
 namespace karl::server {
 
@@ -196,7 +195,6 @@ void Coalescer::RunExplain(WorkItem item) {
   const Engine& engine = item.handle->engine();
   const std::span<const double> q = item.queries.Row(0);
   const uint64_t eval_begin_us = telemetry::MonotonicMicros();
-  util::Stopwatch timer;
   bool above = false;
   double value = 0.0;
   if (item.kind == QueryKind::kTkaq) {
@@ -206,8 +204,8 @@ void Coalescer::RunExplain(WorkItem item) {
     value = engine.evaluator().QueryApproximate(q, item.param, &stats,
                                                 nullptr, &profile);
   }
-  const double usec = timer.ElapsedSeconds() * 1e6;
   const uint64_t eval_end_us = telemetry::MonotonicMicros();
+  const auto usec = static_cast<double>(eval_end_us - eval_begin_us);
 
   if (groups_total_ != nullptr) {
     groups_total_->Increment();
@@ -325,7 +323,6 @@ void Coalescer::RunGroup(std::vector<WorkItem> group) {
   // the registry evicts or swaps the model meanwhile.
   const core::BatchEvaluator evaluator(group.front().handle->engine(),
                                        ObservedOptions(pool_, this));
-  util::Stopwatch timer;
   std::vector<uint8_t> bools;
   std::vector<double> values;
   switch (kind) {
@@ -339,8 +336,8 @@ void Coalescer::RunGroup(std::vector<WorkItem> group) {
       values = evaluator.Exact(*queries);
       break;
   }
-  const double usec = timer.ElapsedSeconds() * 1e6;
   const uint64_t eval_end_us = telemetry::MonotonicMicros();
+  const auto usec = static_cast<double>(eval_end_us - eval_begin_us);
   if (groups_total_ != nullptr) {
     groups_total_->Increment();
     queries_total_->Add(total_rows);

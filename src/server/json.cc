@@ -2,61 +2,15 @@
 
 #include <cctype>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
 
 #include "util/check.h"
+#include "util/json_text.h"
 
 namespace karl::server {
 namespace {
 
 constexpr int kMaxDepth = 64;
-
-void AppendEscaped(std::string_view s, std::string* out) {
-  out->push_back('"');
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        *out += "\\\"";
-        break;
-      case '\\':
-        *out += "\\\\";
-        break;
-      case '\n':
-        *out += "\\n";
-        break;
-      case '\r':
-        *out += "\\r";
-        break;
-      case '\t':
-        *out += "\\t";
-        break;
-      case '\b':
-        *out += "\\b";
-        break;
-      case '\f':
-        *out += "\\f";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          *out += buf;
-        } else {
-          out->push_back(c);
-        }
-    }
-  }
-  out->push_back('"');
-}
-
-void AppendNumber(double v, std::string* out) {
-  // %.17g round-trips every finite double exactly through strtod.
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  *out += buf;
-}
 
 // Recursive-descent parser over a bounded cursor.
 class Parser {
@@ -417,10 +371,12 @@ std::string Json::Dump() const {
       out = bool_ ? "true" : "false";
       break;
     case Type::kNumber:
-      AppendNumber(number_, &out);
+      util::AppendJsonNumber(&out, number_);
       break;
     case Type::kString:
-      AppendEscaped(string_, &out);
+      out.push_back('"');
+      util::AppendJsonEscaped(&out, string_);
+      out.push_back('"');
       break;
     case Type::kArray: {
       out.push_back('[');
@@ -435,8 +391,9 @@ std::string Json::Dump() const {
       out.push_back('{');
       for (size_t i = 0; i < members_.size(); ++i) {
         if (i > 0) out.push_back(',');
-        AppendEscaped(members_[i].first, &out);
-        out.push_back(':');
+        out.push_back('"');
+        util::AppendJsonEscaped(&out, members_[i].first);
+        out += "\":";
         out += members_[i].second.Dump();
       }
       out.push_back('}');

@@ -5,9 +5,11 @@
 // in insertion order (deterministic output), and a parser hardened
 // against malformed and deeply nested input — wire bytes are untrusted.
 //
-// Number fidelity: numbers serialize with %.17g, so a double round-trips
-// bit-exactly through Dump() + Parse(). The server relies on this for
-// its "responses are bit-identical to a local Engine" contract.
+// Number fidelity: numbers serialize with %.17g (util/json_text.h), so a
+// finite double round-trips bit-exactly through Dump() + Parse(). The
+// server relies on this for its "responses are bit-identical to a local
+// Engine" contract. JSON has no NaN or infinity, so Dump() writes a
+// non-finite number as null.
 
 #ifndef KARL_SERVER_JSON_H_
 #define KARL_SERVER_JSON_H_
@@ -64,7 +66,8 @@ class Json {
 
   /// Compact single-line serialization (no spaces, no trailing newline).
   /// Strings escape `"`/`\`/control characters, so the output never
-  /// contains a raw newline — safe to frame line-delimited.
+  /// contains a raw newline — safe to frame line-delimited. Non-finite
+  /// numbers are written as null.
   std::string Dump() const;
 
   /// Parses exactly one JSON document (trailing garbage rejected).

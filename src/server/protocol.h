@@ -36,7 +36,9 @@
 //
 // Determinism: numbers travel as %.17g text (see server/json.h), so a
 // query round-trips bit-exactly and server answers are bit-identical
-// to calling the local Engine.
+// to calling the local Engine. An answer that is not finite (a
+// polynomial kernel can overflow to inf on an extreme but finite query)
+// has no JSON literal and travels as null: {"ok":true,"value":null}.
 
 #ifndef KARL_SERVER_PROTOCOL_H_
 #define KARL_SERVER_PROTOCOL_H_

@@ -31,35 +31,25 @@ uint64_t NextRequestId() {
   return next.fetch_add(1, std::memory_order_relaxed);
 }
 
-RequestTracer::RequestTracer(TraceRecorder* recorder) : recorder_(recorder) {
-  if (recorder_ != nullptr) {
-    offset_us_ = MonotonicMicros() - recorder_->NowMicros();
-  }
-}
-
 void RequestTracer::Span(const char* name, uint64_t begin_us, uint64_t end_us,
                          TraceArgs args) const {
   if (recorder_ == nullptr || begin_us == 0 || end_us < begin_us) return;
-  recorder_->CompleteEvent(name, ToTrace(begin_us), end_us - begin_us,
-                           std::move(args));
+  recorder_->CompleteEvent(name, begin_us, end_us - begin_us, std::move(args));
 }
 
 void RequestTracer::FlowBegin(uint64_t request_id, uint64_t ts_us) const {
   if (recorder_ == nullptr) return;
-  recorder_->FlowEvent(TraceRecorder::FlowPhase::kStart, request_id,
-                       ToTrace(ts_us));
+  recorder_->FlowEvent(TraceRecorder::FlowPhase::kStart, request_id, ts_us);
 }
 
 void RequestTracer::FlowStep(uint64_t request_id, uint64_t ts_us) const {
   if (recorder_ == nullptr) return;
-  recorder_->FlowEvent(TraceRecorder::FlowPhase::kStep, request_id,
-                       ToTrace(ts_us));
+  recorder_->FlowEvent(TraceRecorder::FlowPhase::kStep, request_id, ts_us);
 }
 
 void RequestTracer::FlowEnd(uint64_t request_id, uint64_t ts_us) const {
   if (recorder_ == nullptr) return;
-  recorder_->FlowEvent(TraceRecorder::FlowPhase::kEnd, request_id,
-                       ToTrace(ts_us));
+  recorder_->FlowEvent(TraceRecorder::FlowPhase::kEnd, request_id, ts_us);
 }
 
 }  // namespace karl::telemetry

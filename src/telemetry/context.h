@@ -38,8 +38,8 @@
 namespace karl::telemetry {
 
 /// Microseconds since a process-wide steady-clock epoch (fixed at the
-/// first call). The timestamp domain of RequestContext stamps; safe
-/// from any thread.
+/// first call). The timestamp domain of RequestContext stamps and of
+/// every TraceRecorder event; safe from any thread.
 uint64_t MonotonicMicros();
 
 /// Next value of the process-wide monotonic request id (starts at 1).
@@ -93,16 +93,14 @@ struct RequestContext {
 };
 
 /// Emits request-scoped spans and flow events into a TraceRecorder,
-/// translating MonotonicMicros stamps into the recorder's timestamp
-/// domain. Copyable, cheap, and a complete no-op when constructed with
-/// a null recorder — call sites never branch on "tracing enabled".
+/// whose timestamps are MonotonicMicros values too, so stamps pass
+/// through unchanged. Copyable, cheap, and a complete no-op when
+/// constructed with a null recorder — call sites never branch on
+/// "tracing enabled".
 class RequestTracer {
  public:
   RequestTracer() = default;
-
-  /// Captures the offset between MonotonicMicros and the recorder's
-  /// clock once; both run on the steady clock, so it stays constant.
-  explicit RequestTracer(TraceRecorder* recorder);
+  explicit RequestTracer(TraceRecorder* recorder) : recorder_(recorder) {}
 
   bool enabled() const { return recorder_ != nullptr; }
 
@@ -122,12 +120,7 @@ class RequestTracer {
   void FlowEnd(uint64_t request_id, uint64_t ts_us) const;
 
  private:
-  uint64_t ToTrace(uint64_t mono_us) const {
-    return mono_us > offset_us_ ? mono_us - offset_us_ : 0;
-  }
-
   TraceRecorder* recorder_ = nullptr;
-  uint64_t offset_us_ = 0;  // MonotonicMicros - recorder->NowMicros().
 };
 
 }  // namespace karl::telemetry

@@ -6,8 +6,8 @@
 //   1. The record path stays lock-free: a LabelSet participates only in
 //      *lookup* (Registry::GetX(name, labels), mutex-guarded, construction
 //      time); the returned handle is the same plain Counter/Gauge/
-//      Histogram as the unlabeled path. Callers intern handles per label
-//      set — never render a LabelSet per request.
+//      RollingHistogram as the unlabeled path. Callers intern handles per
+//      label set — never render a LabelSet per request.
 //   2. Cardinality is bounded twice: at most kMaxLabelsPerSet keys per
 //      set (the canonical keys are `model`, `op`, `kernel`, `simd_tier`),
 //      and at most Registry::kMaxSeriesPerMetric distinct label sets

@@ -15,43 +15,20 @@ namespace karl::telemetry {
 
 namespace {
 
-// Shortest round-trippable formatting; JSON has no Inf/NaN literals, so
-// non-finite values degrade to null.
-void AppendNumber(std::string* out, double v) {
-  if (!std::isfinite(v)) {
-    out->append("null");
+// Prometheus text sample value: %.17g round-trips every finite double;
+// the exposition format spells the rest NaN, +Inf and -Inf.
+void AppendSampleValue(std::string* out, double v) {
+  if (std::isnan(v)) {
+    out->append("NaN");
+    return;
+  }
+  if (std::isinf(v)) {
+    out->append(v > 0 ? "+Inf" : "-Inf");
     return;
   }
   char buffer[32];
   std::snprintf(buffer, sizeof(buffer), "%.17g", v);
   out->append(buffer);
-}
-
-void AppendEscaped(std::string* out, const std::string& s) {
-  for (const char ch : s) {
-    switch (ch) {
-      case '"':
-        out->append("\\\"");
-        break;
-      case '\\':
-        out->append("\\\\");
-        break;
-      case '\n':
-        out->append("\\n");
-        break;
-      case '\t':
-        out->append("\\t");
-        break;
-      default:
-        if (static_cast<unsigned char>(ch) < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof(buffer), "\\u%04x", ch);
-          out->append(buffer);
-        } else {
-          out->push_back(ch);
-        }
-    }
-  }
 }
 
 void AtomicAdd(std::atomic<double>& target, double delta) {
@@ -217,14 +194,6 @@ Gauge* Registry::GetGauge(const std::string& name) {
   return slot.get();
 }
 
-Histogram* Registry::GetHistogram(const std::string& name) {
-  const util::MutexLock lock(&mu_);
-  RegisterKind(name, Kind::kHistogram);
-  auto& slot = histograms_[name];
-  if (slot == nullptr) slot = std::make_unique<Histogram>();
-  return slot.get();
-}
-
 RollingHistogram* Registry::GetRollingHistogram(const std::string& name) {
   const util::MutexLock lock(&mu_);
   RegisterKind(name, Kind::kRollingHistogram);
@@ -248,16 +217,6 @@ Gauge* Registry::GetGauge(const std::string& name, const LabelSet& labels) {
   return slot.get();
 }
 
-Histogram* Registry::GetHistogram(const std::string& name,
-                                  const LabelSet& labels) {
-  const util::MutexLock lock(&mu_);
-  const std::string series = AdmitSeries(name, labels);
-  RegisterKind(series, Kind::kHistogram);
-  auto& slot = histograms_[series];
-  if (slot == nullptr) slot = std::make_unique<Histogram>();
-  return slot.get();
-}
-
 RollingHistogram* Registry::GetRollingHistogram(const std::string& name,
                                                 const LabelSet& labels) {
   const util::MutexLock lock(&mu_);
@@ -278,10 +237,6 @@ RegistrySnapshot Registry::Snapshot() const {
   snap.gauges.reserve(gauges_.size());
   for (const auto& [name, gauge] : gauges_) {
     snap.gauges.emplace_back(name, gauge->value());
-  }
-  snap.histograms.reserve(histograms_.size());
-  for (const auto& [name, histogram] : histograms_) {
-    snap.histograms.emplace_back(name, histogram->Snapshot());
   }
   snap.rolling.reserve(rolling_.size());
   for (const auto& [name, rolling] : rolling_) {
@@ -337,11 +292,11 @@ void AppendSummaryText(std::string* out, const std::string& series,
       {"1", h.max}};
   for (const auto& [q, value] : quantiles) {
     *out += SeriesWithLabel(series, "quantile", q) + " ";
-    AppendNumber(out, value);
+    AppendSampleValue(out, value);
     *out += "\n";
   }
   *out += SeriesWithSuffix(series, "_sum") + " ";
-  AppendNumber(out, h.sum);
+  AppendSampleValue(out, h.sum);
   *out += "\n";
   char line[32];
   std::snprintf(line, sizeof(line), " %llu\n",
@@ -378,12 +333,8 @@ std::string DumpText(const Registry& registry) {
       out += "# TYPE " + MetricBaseName(name) + " gauge\n";
     }
     out += name + " ";
-    AppendNumber(&out, value);
+    AppendSampleValue(&out, value);
     out += "\n";
-  }
-  last_family.clear();
-  for (const auto& [name, h] : SortedByFamily(snap.histograms)) {
-    AppendSummaryText(&out, name, h, family_changed(name));
   }
   // Rolling histograms expose two families: the cumulative summaries
   // under the family name, then every series' last window under
@@ -411,94 +362,8 @@ std::string DumpText(const Registry& registry) {
   return out;
 }
 
-std::string DumpJson(const Registry& registry) {
-  const RegistrySnapshot snap = registry.Snapshot();
-  std::string out = "{\n  \"counters\": {";
-  bool first = true;
-  for (const auto& [name, value] : snap.counters) {
-    out += first ? "\n" : ",\n";
-    first = false;
-    out += "    \"";
-    AppendEscaped(&out, name);
-    char buffer[32];
-    std::snprintf(buffer, sizeof(buffer), "\": %llu",
-                  static_cast<unsigned long long>(value));
-    out += buffer;
-  }
-  out += first ? "},\n" : "\n  },\n";
-  out += "  \"gauges\": {";
-  first = true;
-  for (const auto& [name, value] : snap.gauges) {
-    out += first ? "\n" : ",\n";
-    first = false;
-    out += "    \"";
-    AppendEscaped(&out, name);
-    out += "\": ";
-    AppendNumber(&out, value);
-  }
-  out += first ? "},\n" : "\n  },\n";
-  out += "  \"histograms\": {";
-  first = true;
-  // {count, sum, min, max, p50, p95, p99, buckets} — shared between plain
-  // histograms, rolling cumulatives, and the nested window objects.
-  const auto append_histogram_body = [&out](const HistogramSnapshot& h) {
-    char buffer[64];
-    std::snprintf(buffer, sizeof(buffer), "{\"count\": %llu, \"sum\": ",
-                  static_cast<unsigned long long>(h.count));
-    out += buffer;
-    AppendNumber(&out, h.sum);
-    const std::pair<const char*, double> fields[] = {
-        {"min", h.min},           {"max", h.max},
-        {"p50", h.Quantile(0.5)}, {"p95", h.Quantile(0.95)},
-        {"p99", h.Quantile(0.99)}};
-    for (const auto& [key, value] : fields) {
-      out += std::string(", \"") + key + "\": ";
-      AppendNumber(&out, value);
-    }
-    out += ", \"buckets\": [";
-    bool first_bucket = true;
-    for (int i = 0; i < kHistogramBuckets; ++i) {
-      const uint64_t c = h.buckets[static_cast<size_t>(i)];
-      if (c == 0) continue;
-      if (!first_bucket) out += ", ";
-      first_bucket = false;
-      out += "[";
-      AppendNumber(&out, HistogramBucketLowerBound(i));
-      std::snprintf(buffer, sizeof(buffer), ", %llu]",
-                    static_cast<unsigned long long>(c));
-      out += buffer;
-    }
-    out += "]";
-  };
-  for (const auto& [name, h] : snap.histograms) {
-    out += first ? "\n" : ",\n";
-    first = false;
-    out += "    \"";
-    AppendEscaped(&out, name);
-    out += "\": ";
-    append_histogram_body(h);
-    out += "}";
-  }
-  for (const auto& [name, r] : snap.rolling) {
-    out += first ? "\n" : ",\n";
-    first = false;
-    out += "    \"";
-    AppendEscaped(&out, name);
-    out += "\": ";
-    append_histogram_body(r.cumulative);
-    out += ", \"window" + std::to_string(r.window_span_s) + "s\": ";
-    append_histogram_body(r.window);
-    out += "}}";
-  }
-  out += first ? "}\n" : "\n  }\n";
-  out += "}\n";
-  return out;
-}
-
 util::Status WriteMetricsFile(const Registry& registry,
                               const std::string& path) {
-  const bool json =
-      path.size() >= 5 && path.compare(path.size() - 5, 5, ".json") == 0;
   // Write-to-temp + rename so a concurrent scraper reading `path` always
   // observes a complete old or new file, never a truncated one. The temp
   // name is pid-qualified so concurrent processes scraping into the same
@@ -509,7 +374,7 @@ util::Status WriteMetricsFile(const Registry& registry,
     if (!out) {
       return util::Status::IOError("cannot open metrics file '" + tmp + "'");
     }
-    const std::string body = json ? DumpJson(registry) : DumpText(registry);
+    const std::string body = DumpText(registry);
     out.write(body.data(), static_cast<std::streamsize>(body.size()));
     out.flush();
     if (!out) {

@@ -1,6 +1,6 @@
 // Thread-safe metrics layer: monotonic counters, gauges, and log-bucketed
 // latency histograms with quantile estimation, collected in a named
-// registry and exported as Prometheus-style text or JSON.
+// registry and exported as Prometheus text.
 //
 // Cost model: metric *lookup* (Registry::GetX) takes a mutex and is meant
 // for construction time; the returned handles are stable for the life of
@@ -97,7 +97,9 @@ struct HistogramSnapshot {
 
 /// Log-bucketed distribution of a positive quantity. Recording is a few
 /// relaxed atomic operations; snapshots and quantiles are taken off the
-/// hot path.
+/// hot path. Not a registry kind of its own: it is the cumulative half
+/// of RollingHistogram, and a local summary for callers that export
+/// nothing.
 class Histogram {
  public:
   void Record(double value);
@@ -132,7 +134,6 @@ struct RollingHistogramSnapshot {
 struct RegistrySnapshot {
   std::vector<std::pair<std::string, uint64_t>> counters;
   std::vector<std::pair<std::string, double>> gauges;
-  std::vector<std::pair<std::string, HistogramSnapshot>> histograms;
   std::vector<std::pair<std::string, RollingHistogramSnapshot>> rolling;
 };
 
@@ -164,10 +165,10 @@ class Registry {
 
   Counter* GetCounter(const std::string& name);
   Gauge* GetGauge(const std::string& name);
-  Histogram* GetHistogram(const std::string& name);
-  /// Histogram that additionally tracks a rolling last-60s window; shows
-  /// up in the expositions under `name` (cumulative) and
-  /// `name_window60s` (windowed). See telemetry/rolling.h.
+  /// The registry's one histogram kind: cumulative plus a rolling
+  /// last-60s window; shows up in the exposition under `name`
+  /// (cumulative) and `name_window60s` (windowed). See
+  /// telemetry/rolling.h.
   RollingHistogram* GetRollingHistogram(const std::string& name);
 
   /// Labeled variants: resolve the series `name + labels.Render()`,
@@ -175,14 +176,13 @@ class Registry {
   /// unlabeled series. `name` must be the bare family name (no '{').
   Counter* GetCounter(const std::string& name, const LabelSet& labels);
   Gauge* GetGauge(const std::string& name, const LabelSet& labels);
-  Histogram* GetHistogram(const std::string& name, const LabelSet& labels);
   RollingHistogram* GetRollingHistogram(const std::string& name,
                                         const LabelSet& labels);
 
   RegistrySnapshot Snapshot() const;
 
  private:
-  enum class Kind { kCounter, kGauge, kHistogram, kRollingHistogram };
+  enum class Kind { kCounter, kGauge, kRollingHistogram };
   // Records the family→kind binding; aborts on a kind clash.
   void RegisterKind(const std::string& name, Kind kind)
       KARL_REQUIRES(mu_);
@@ -198,8 +198,6 @@ class Registry {
   std::map<std::string, std::unique_ptr<Counter>> counters_
       KARL_GUARDED_BY(mu_);
   std::map<std::string, std::unique_ptr<Gauge>> gauges_
-      KARL_GUARDED_BY(mu_);
-  std::map<std::string, std::unique_ptr<Histogram>> histograms_
       KARL_GUARDED_BY(mu_);
   std::map<std::string, std::unique_ptr<RollingHistogram>> rolling_
       KARL_GUARDED_BY(mu_);
@@ -217,10 +215,10 @@ Registry& GlobalRegistry();
 /// `karl_build_info{version="...",git_sha="..."}`.
 std::string MetricBaseName(const std::string& name);
 
-/// Prometheus-style text exposition: counters and gauges as single
-/// samples, histograms as summaries with {quantile="0|0.5|0.95|0.99|1"}
-/// plus _sum and _count. Rolling histograms emit the cumulative summary
-/// under their name plus a `name_window60s` summary for the last window.
+/// Prometheus text exposition: counters and gauges as single samples,
+/// rolling histograms as summaries with {quantile="0|0.5|0.95|0.99|1"}
+/// plus _sum and _count — the cumulative summary under the histogram's
+/// name plus a `name_window60s` summary for the last window.
 /// Labeled series render with exact label syntax — the quantile label
 /// merges into the series' label block (`f{model="a",quantile="0.5"}`),
 /// suffixes bind to the name (`f_sum{model="a"}`,
@@ -228,13 +226,7 @@ std::string MetricBaseName(const std::string& name);
 /// `# TYPE` is emitted once per family.
 std::string DumpText(const Registry& registry);
 
-/// JSON exposition: {"counters":{...},"gauges":{...},"histograms":{name:
-/// {count,sum,min,max,p50,p95,p99,buckets:[[lower_bound,count],...]}}}.
-/// Always valid JSON (non-finite numbers are emitted as null).
-std::string DumpJson(const Registry& registry);
-
-/// Writes the registry to `path`: JSON when the path ends in ".json",
-/// Prometheus text otherwise.
+/// Writes DumpText(registry) to `path` (whatever its extension).
 util::Status WriteMetricsFile(const Registry& registry,
                               const std::string& path);
 

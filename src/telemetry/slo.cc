@@ -1,12 +1,12 @@
 #include "telemetry/slo.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <utility>
 
 #include "telemetry/context.h"
 #include "telemetry/labels.h"
+#include "util/json_text.h"
 #include "util/log.h"
 
 namespace karl::telemetry {
@@ -32,43 +32,6 @@ double BudgetRemaining(uint64_t bad, uint64_t total, double target) {
   const double allowed = (1.0 - target) * static_cast<double>(total);
   if (allowed <= 0.0) return bad == 0 ? 1.0 : 0.0;
   return std::clamp(1.0 - static_cast<double>(bad) / allowed, 0.0, 1.0);
-}
-
-void AppendJsonEscaped(std::string* out, const std::string& s) {
-  for (const char ch : s) {
-    switch (ch) {
-      case '"':
-        out->append("\\\"");
-        break;
-      case '\\':
-        out->append("\\\\");
-        break;
-      case '\n':
-        out->append("\\n");
-        break;
-      case '\t':
-        out->append("\\t");
-        break;
-      default:
-        if (static_cast<unsigned char>(ch) < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof(buffer), "\\u%04x", ch);
-          out->append(buffer);
-        } else {
-          out->push_back(ch);
-        }
-    }
-  }
-}
-
-void AppendJsonNumber(std::string* out, double v) {
-  if (!std::isfinite(v)) {
-    out->append("null");
-    return;
-  }
-  char buffer[32];
-  std::snprintf(buffer, sizeof(buffer), "%.17g", v);
-  out->append(buffer);
 }
 
 }  // namespace
@@ -221,7 +184,7 @@ std::string SloEngine::SlozJsonAt(uint64_t now_us) {
     out += first_model ? "\n" : ",\n";
     first_model = false;
     out += "    \"";
-    AppendJsonEscaped(&out, model);
+    util::AppendJsonEscaped(&out, model);
     out += "\": {";
     const SloObjective& obj = tracker->objective;
     const uint64_t fast_s =
@@ -236,11 +199,11 @@ std::string SloEngine::SlozJsonAt(uint64_t now_us) {
       char buffer[96];
       if (k == kLatency) {
         out += "\"threshold_us\": ";
-        AppendJsonNumber(&out, obj.latency_threshold_us);
+        util::AppendJsonNumber(&out, obj.latency_threshold_us);
         out += ", ";
       }
       out += "\"target\": ";
-      AppendJsonNumber(&out, targets[k]);
+      util::AppendJsonNumber(&out, targets[k]);
       std::snprintf(buffer, sizeof(buffer),
                     ", \"window_s\": %llu, \"window_total\": %llu, "
                     "\"window_bad\": %llu, \"fast_total\": %llu, "
@@ -252,15 +215,15 @@ std::string SloEngine::SlozJsonAt(uint64_t now_us) {
                     static_cast<unsigned long long>(fast.bad[k]));
       out += buffer;
       out += ", \"burn_rate_fast\": ";
-      AppendJsonNumber(&out, tracker->last_burn_fast[k]);
+      util::AppendJsonNumber(&out, tracker->last_burn_fast[k]);
       out += ", \"burn_rate_slow\": ";
-      AppendJsonNumber(&out, tracker->last_burn_slow[k]);
+      util::AppendJsonNumber(&out, tracker->last_burn_slow[k]);
       out += ", \"fast_burn_threshold\": ";
-      AppendJsonNumber(&out, obj.fast_burn_threshold);
+      util::AppendJsonNumber(&out, obj.fast_burn_threshold);
       out += ", \"slow_burn_threshold\": ";
-      AppendJsonNumber(&out, obj.slow_burn_threshold);
+      util::AppendJsonNumber(&out, obj.slow_burn_threshold);
       out += ", \"budget_remaining\": ";
-      AppendJsonNumber(&out, tracker->last_budget[k]);
+      util::AppendJsonNumber(&out, tracker->last_budget[k]);
       out += std::string(", \"burning\": ") +
              (tracker->burning[k] ? "true" : "false") + "}";
     }

@@ -1,63 +1,14 @@
 #include "telemetry/trace.h"
 
-#include <cmath>
 #include <cstdio>
 #include <fstream>
 
 #include "telemetry/metrics.h"
+#include "util/json_text.h"
 
 namespace karl::telemetry {
 
-namespace {
-
-void AppendEscaped(std::string* out, const std::string& s) {
-  for (const char ch : s) {
-    switch (ch) {
-      case '"':
-        out->append("\\\"");
-        break;
-      case '\\':
-        out->append("\\\\");
-        break;
-      case '\n':
-        out->append("\\n");
-        break;
-      case '\t':
-        out->append("\\t");
-        break;
-      default:
-        if (static_cast<unsigned char>(ch) < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof(buffer), "\\u%04x", ch);
-          out->append(buffer);
-        } else {
-          out->push_back(ch);
-        }
-    }
-  }
-}
-
-void AppendNumber(std::string* out, double v) {
-  if (!std::isfinite(v)) {
-    out->append("null");
-    return;
-  }
-  char buffer[32];
-  std::snprintf(buffer, sizeof(buffer), "%.17g", v);
-  out->append(buffer);
-}
-
-}  // namespace
-
-TraceRecorder::TraceRecorder(size_t max_events)
-    : max_events_(max_events), epoch_(std::chrono::steady_clock::now()) {}
-
-uint64_t TraceRecorder::NowMicros() const {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          std::chrono::steady_clock::now() - epoch_)
-          .count());
-}
+TraceRecorder::TraceRecorder(size_t max_events) : max_events_(max_events) {}
 
 void TraceRecorder::Add(Event event) {
   const util::MutexLock lock(&mu_);
@@ -145,7 +96,7 @@ std::string TraceRecorder::ToJson() const {
     out += first ? "\n" : ",\n";
     first = false;
     out += "  {\"name\": \"";
-    AppendEscaped(&out, event.name);
+    util::AppendJsonEscaped(&out, event.name);
     std::snprintf(buffer, sizeof(buffer),
                   "\", \"ph\": \"%c\", \"ts\": %llu, \"pid\": 1, "
                   "\"tid\": %d",
@@ -173,9 +124,9 @@ std::string TraceRecorder::ToJson() const {
         if (!first_arg) out += ", ";
         first_arg = false;
         out += "\"";
-        AppendEscaped(&out, key);
+        util::AppendJsonEscaped(&out, key);
         out += "\": ";
-        AppendNumber(&out, value);
+        util::AppendJsonNumber(&out, value);
       }
       out += "}";
     }

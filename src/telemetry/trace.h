@@ -18,12 +18,13 @@
 // are mapped to stable small tids) and bounded: past `max_events` new
 // events are counted as dropped instead of stored, so an accidental
 // trace of a huge run degrades instead of exhausting memory. Timestamps
-// are microseconds on the steady clock since recorder construction.
+// are telemetry::MonotonicMicros() values (telemetry/context.h), the one
+// clock the serving stack stamps requests with, so engine spans and
+// request spans share a time axis.
 
 #ifndef KARL_TELEMETRY_TRACE_H_
 #define KARL_TELEMETRY_TRACE_H_
 
-#include <chrono>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -51,10 +52,6 @@ class TraceRecorder {
 
   TraceRecorder(const TraceRecorder&) = delete;
   TraceRecorder& operator=(const TraceRecorder&) = delete;
-
-  /// Microseconds since recorder construction (steady clock) — the `ts`
-  /// domain of every event.
-  uint64_t NowMicros() const;
 
   /// Adds a complete ("X") event covering [ts_us, ts_us + dur_us].
   void CompleteEvent(std::string name, uint64_t ts_us, uint64_t dur_us,
@@ -107,7 +104,6 @@ class TraceRecorder {
   int TidLocked() KARL_REQUIRES(mu_);
 
   const size_t max_events_;
-  const std::chrono::steady_clock::time_point epoch_;
   mutable util::Mutex mu_;
   std::vector<Event> events_ KARL_GUARDED_BY(mu_);
   size_t dropped_ KARL_GUARDED_BY(mu_) = 0;

@@ -2,54 +2,13 @@
 
 #include <cctype>
 #include <chrono>
-#include <cmath>
 #include <ctime>
+
+#include "util/json_text.h"
 
 namespace karl::util {
 
 namespace {
-
-// Escapes a string for a double-quoted context (JSON-compatible, also
-// used for quoted text values) — no raw newlines ever reach the line.
-void AppendEscaped(std::string* out, std::string_view s) {
-  for (const char ch : s) {
-    switch (ch) {
-      case '"':
-        out->append("\\\"");
-        break;
-      case '\\':
-        out->append("\\\\");
-        break;
-      case '\n':
-        out->append("\\n");
-        break;
-      case '\r':
-        out->append("\\r");
-        break;
-      case '\t':
-        out->append("\\t");
-        break;
-      default:
-        if (static_cast<unsigned char>(ch) < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof(buffer), "\\u%04x", ch);
-          out->append(buffer);
-        } else {
-          out->push_back(ch);
-        }
-    }
-  }
-}
-
-void AppendNumber(std::string* out, double v) {
-  if (!std::isfinite(v)) {
-    out->append("null");
-    return;
-  }
-  char buffer[32];
-  std::snprintf(buffer, sizeof(buffer), "%.17g", v);
-  out->append(buffer);
-}
 
 // UTC wall-clock timestamp with microseconds, ISO 8601.
 void AppendTimestamp(std::string* out) {
@@ -73,16 +32,17 @@ void AppendTimestamp(std::string* out) {
   out->append(buffer);
 }
 
-void AppendFieldValue(std::string* out, const LogField& field, bool ndjson) {
+// Both renderings write a field's value as its JSON text.
+void AppendFieldValue(std::string* out, const LogField& field) {
   char buffer[32];
   switch (field.kind) {
     case LogField::Kind::kString:
       out->push_back('"');
-      AppendEscaped(out, field.str);
+      AppendJsonEscaped(out, field.str);
       out->push_back('"');
       break;
     case LogField::Kind::kNumber:
-      AppendNumber(out, field.num);
+      AppendJsonNumber(out, field.num);
       break;
     case LogField::Kind::kUint:
       std::snprintf(buffer, sizeof(buffer), "%llu",
@@ -98,7 +58,6 @@ void AppendFieldValue(std::string* out, const LogField& field, bool ndjson) {
       out->append(field.flag ? "true" : "false");
       break;
   }
-  (void)ndjson;
 }
 
 }  // namespace
@@ -163,13 +122,13 @@ void Logger::Log(LogLevel level, std::string_view event,
     line += "\",\"level\":\"";
     line += LogLevelName(level);
     line += "\",\"event\":\"";
-    AppendEscaped(&line, event);
+    AppendJsonEscaped(&line, event);
     line += "\"";
     for (const LogField& field : fields) {
       line += ",\"";
-      AppendEscaped(&line, field.key);
+      AppendJsonEscaped(&line, field.key);
       line += "\":";
-      AppendFieldValue(&line, field, /*ndjson=*/true);
+      AppendFieldValue(&line, field);
     }
     line += "}\n";
   } else {
@@ -179,12 +138,12 @@ void Logger::Log(LogLevel level, std::string_view event,
     for (char& ch : level_name) ch = static_cast<char>(std::toupper(ch));
     line += level_name;
     line.push_back(' ');
-    AppendEscaped(&line, event);
+    AppendJsonEscaped(&line, event);
     for (const LogField& field : fields) {
       line.push_back(' ');
-      AppendEscaped(&line, field.key);
+      AppendJsonEscaped(&line, field.key);
       line.push_back('=');
-      AppendFieldValue(&line, field, /*ndjson=*/false);
+      AppendFieldValue(&line, field);
     }
     line.push_back('\n');
   }

@@ -1,6 +1,6 @@
 // Concurrency tests for the batch-query engine (core/batch.h): batch
 // results must be bit-identical to the serial query loop for every
-// kernel, weighting type, thread count and chunk size; per-worker
+// kernel, weighting type and thread count; per-worker
 // EvalStats must merge to exactly the serial totals; and the whole
 // surface must be clean under TSan (CI job tsan-batch) with telemetry
 // attached.
@@ -28,6 +28,7 @@
 #include "core/simd/simd.h"
 #include "data/synthetic.h"
 #include "telemetry/metrics.h"
+#include "telemetry/rolling.h"
 #include "telemetry/trace.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
@@ -203,25 +204,6 @@ struct BatchFixture {
   }
 };
 
-TEST(BatchEvaluatorTest, ChunkSizeNeverChangesResults) {
-  BatchFixture fx;
-  ASSERT_TRUE(fx.engine.ok()) << fx.engine.status().ToString();
-  util::ThreadPool pool(TestThreads());
-
-  const auto reference = fx.engine.value().ExactBatch(fx.queries);
-  for (const size_t chunk :
-       {size_t{0}, size_t{1}, size_t{3}, size_t{1000}}) {
-    BatchOptions options;
-    options.pool = &pool;
-    options.chunk = chunk;
-    const BatchEvaluator batch(fx.engine.value(), options);
-    EXPECT_EQ(batch.Exact(fx.queries), reference) << "chunk=" << chunk;
-    EXPECT_EQ(batch.Tkaq(fx.queries, 0.5),
-              fx.engine.value().TkaqBatch(fx.queries, 0.5))
-        << "chunk=" << chunk;
-  }
-}
-
 // Satellite-3 regression: sharing one plain-integer EvalStats across
 // workers was a data race (TSan: concurrent size_t increments from
 // Evaluator::QueryThreshold). The fix accumulates into per-slot
@@ -273,7 +255,7 @@ TEST(BatchEvaluatorTest, InstrumentedBatchUnderConcurrencyIsCoherent) {
   EXPECT_EQ(registry.GetCounter("karl_batch_batches_total")->value(), 1u);
   EXPECT_EQ(registry.GetCounter("karl_batch_queries_total")->value(),
             fx.queries.rows());
-  EXPECT_EQ(registry.GetHistogram("karl_batch_usec")->count(), 1u);
+  EXPECT_EQ(registry.GetRollingHistogram("karl_batch_usec")->count(), 1u);
   EXPECT_EQ(registry.GetGauge("karl_batch_executors")->value(),
             static_cast<double>(pool.num_threads() + 1));
 }
@@ -316,9 +298,9 @@ TEST(BatchEvaluatorTest, ConcurrentCallersOnOneEngine) {
 
 // Satellite regression for the SIMD PR: under EVERY tier the host can
 // run — forced through the core/simd test seam — batch results across
-// thread counts and chunk sizes are bit-identical to each other and to
-// the serial per-query loop run under the same tier. Vectorization may
-// only change results across tiers, never across work distributions.
+// thread counts are bit-identical to each other and to the serial
+// per-query loop run under the same tier. Vectorization may only change
+// results across tiers, never across work distributions.
 TEST(BatchEvaluatorTest, BatchIsBitStableUnderEverySimdTier) {
   namespace simd = core::simd;
   BatchFixture fx;
@@ -344,15 +326,11 @@ TEST(BatchEvaluatorTest, BatchIsBitStableUnderEverySimdTier) {
 
     for (const size_t threads : {size_t{1}, size_t{2}, TestThreads()}) {
       util::ThreadPool pool(threads);
-      for (const size_t chunk : {size_t{0}, size_t{1}, size_t{7}}) {
-        BatchOptions options;
-        options.pool = &pool;
-        options.chunk = chunk;
-        const BatchEvaluator batch(fx.engine.value(), options);
-        EXPECT_EQ(batch.Exact(fx.queries), serial)  // Bit-identical.
-            << simd::TierName(tier) << " threads=" << threads
-            << " chunk=" << chunk;
-      }
+      BatchOptions options;
+      options.pool = &pool;
+      const BatchEvaluator batch(fx.engine.value(), options);
+      EXPECT_EQ(batch.Exact(fx.queries), serial)  // Bit-identical.
+          << simd::TierName(tier) << " threads=" << threads;
     }
   }
   simd::ForceTier(saved);

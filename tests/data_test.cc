@@ -206,8 +206,8 @@ TEST(CsvIoTest, RoundTrip) {
 TEST(SyntheticTest, GaussianMixtureShape) {
   util::Rng rng(1);
   std::vector<MixtureComponent> comps(2);
-  comps[0] = {{0.0, 0.0}, 0.1, 1.0};
-  comps[1] = {{10.0, 10.0}, 0.1, 1.0};
+  comps[0] = {{0.0, 0.0}, 0.1, 1.0, {}};
+  comps[1] = {{10.0, 10.0}, 0.1, 1.0, {}};
   const Matrix m = SampleGaussianMixture(comps, 500, rng);
   EXPECT_EQ(m.rows(), 500u);
   EXPECT_EQ(m.cols(), 2u);

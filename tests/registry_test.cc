@@ -29,6 +29,7 @@
 #include "registry/registry.h"
 #include "registry/snapshot.h"
 #include "telemetry/metrics.h"
+#include "telemetry/rolling.h"
 #include "util/log.h"
 #include "util/rng.h"
 
@@ -1126,7 +1127,8 @@ TEST(RegistryTest, GenerationTracksTheReloadThatLoadedEachModel) {
   EXPECT_EQ(metrics.GetCounter("karl_model_loads_total")->value(), 3u);
   // One reload-duration sample per Reload() call.
   const telemetry::HistogramSnapshot reload_us =
-      metrics.GetHistogram("karl_model_reload_us")->Snapshot();
+      metrics.GetRollingHistogram("karl_model_reload_us")
+          ->CumulativeSnapshot();
   EXPECT_EQ(reload_us.count, 1u);
   EXPECT_GT(reload_us.sum, 0.0);
   EXPECT_GT(metrics

@@ -453,6 +453,40 @@ TEST_F(ServerTest, EkaqOnTypeThreeWeightsIsRejectedUpFront) {
   EXPECT_EQ(above.value(), mixed.value().Tkaq(queries_.Row(0), 0.0));
 }
 
+TEST_F(ServerTest, NonFiniteAnswerTravelsAsJsonNull) {
+  // A cubic kernel overflows to a non-finite aggregate on a query that
+  // is finite and accepted; JSON has no literal for it, so the reply
+  // must still parse, carrying null.
+  data::Matrix points(4, 2);
+  const double coords[4][2] = {{1.0, 1.0}, {2.0, 2.0}, {1.0, 2.0}, {2.0, 1.0}};
+  for (size_t i = 0; i < 4; ++i) {
+    points.MutableRow(i)[0] = coords[i][0];
+    points.MutableRow(i)[1] = coords[i][1];
+  }
+  EngineOptions options;
+  options.kernel = core::KernelParams::Polynomial(1.0, 0.0, 3);
+  auto poly = Engine::BuildUniform(points, 1.0, options);
+  ASSERT_TRUE(poly.ok()) << poly.status().ToString();
+  StartServerWith(ServerOptions{}, &poly.value());
+
+  Client client = Dial();
+  ASSERT_TRUE(client
+                  .SendLine(R"({"op":"query","kind":"exact",)"
+                            R"("q":[1e300,1e300],"id":"r1"})")
+                  .ok());
+  auto line = client.ReceiveLine();
+  ASSERT_TRUE(line.ok()) << line.status().ToString();
+  auto reply = Json::Parse(line.value());
+  ASSERT_TRUE(reply.ok()) << line.value() << ": "
+                          << reply.status().ToString();
+  ASSERT_NE(reply.value().Find("ok"), nullptr) << line.value();
+  EXPECT_TRUE(reply.value().Find("ok")->bool_value()) << line.value();
+  const Json* value = reply.value().Find("value");
+  ASSERT_NE(value, nullptr) << line.value();
+  EXPECT_EQ(value->type(), Json::Type::kNull) << line.value();
+  EXPECT_EQ(reply.value().Find("id")->string_value(), "r1");
+}
+
 // Tentpole acceptance: every admitted request lands in the flight
 // recorder exactly once, with a stage breakdown whose sum nests inside
 // the request's own latency window, and the access log agrees.

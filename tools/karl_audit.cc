@@ -10,10 +10,11 @@
 // means zero violations over the whole sweep.
 //
 // Usage: karl_audit [--trials N] [--seed S] [--max-n N] [--verbose]
-//                   [--metrics-out <file[.json]>] [--trace-out <file.json>]
+//                   [--metrics-out <file>] [--trace-out <file.json>]
 //
 // --metrics-out dumps the telemetry registry after the sweep (per-query
-// latency/iteration/kernel-eval metrics across every audited engine);
+// latency/iteration/kernel-eval metrics across every audited engine) as
+// Prometheus text;
 // --trace-out records the sweep as Chrome trace-event JSON (bounded by
 // the recorder's event cap, so long sweeps truncate rather than grow
 // without bound).

@@ -15,7 +15,7 @@
 //       sampled queries must be bit-identical to the built engine's.
 //   query     --model <model.snap> --queries <file.csv>
 //             (--tau T | --eps E) [--limit N] [--threads N] [--explain]
-//             [--metrics-out <file[.json]>] [--trace-out <file.json>]
+//             [--metrics-out <file>] [--trace-out <file.json>]
 //       Runs TKAQ or eKAQ over every query row; prints results,
 //       throughput, and a per-query latency histogram summary.
 //       --explain swaps the per-query output for one JSON line per
@@ -26,9 +26,9 @@
 //       batch engine — output is bit-identical to the serial loop, in
 //       the same order (per-query latency lines are then omitted; the
 //       batch has no per-query timings). --metrics-out dumps the
-//       telemetry registry (JSON when the path ends in .json,
-//       Prometheus text otherwise); --trace-out writes a Chrome
-//       trace-event JSON loadable in Perfetto.
+//       telemetry registry as the Prometheus text karl_server's
+//       /metrics serves; --trace-out writes a Chrome trace-event JSON
+//       loadable in Perfetto.
 //   tune      --data <file.csv|file.libsvm> --queries <file.csv>
 //             (--tau T | --eps E) [build's kernel and weight flags]
 //       Offline-tunes the index configuration (paper §III-C): builds
