@@ -21,11 +21,14 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <filesystem>
 #include <string>
+#include <system_error>
 #include <vector>
 
 #include "bench_common.h"
 #include "registry/registry.h"
+#include "registry/snapshot.h"
 #include "server/client.h"
 #include "server/server.h"
 #include "telemetry/metrics.h"
@@ -164,6 +167,15 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "%s\n", engine.status().ToString().c_str());
       return 1;
     }
+    // Served the way karl_server serves a model: as a mapped snapshot.
+    const std::string snapshot =
+        (std::filesystem::temp_directory_path() / "karl_bench_table7.snap")
+            .string();
+    if (auto st = karl::registry::WriteSnapshot(snapshot, engine.value());
+        !st.ok()) {
+      std::fprintf(stderr, "%s\n", st.ToString().c_str());
+      return 1;
+    }
     karl::telemetry::Registry registry;
     karl::registry::RegistryOptions registry_options;
     registry_options.default_model = "default";
@@ -173,7 +185,11 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "%s\n", models.status().ToString().c_str());
       return 1;
     }
-    models.value()->AdoptEngine("default", &engine.value());
+    if (auto st = models.value()->AddModelFile("default", snapshot);
+        !st.ok()) {
+      std::fprintf(stderr, "%s\n", st.ToString().c_str());
+      return 1;
+    }
     karl::server::ServerOptions server_options;
     server_options.port = 0;
     server_options.threads = std::max<size_t>(batch_threads, 2);
@@ -225,6 +241,8 @@ int main(int argc, char** argv) {
     }
     server.value()->Shutdown();
     server.value()->Wait();
+    std::error_code ec;
+    std::filesystem::remove(snapshot, ec);
   }
 
   return 0;

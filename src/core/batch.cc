@@ -55,35 +55,28 @@ std::vector<T> BatchEvaluator::Run(const data::Matrix& queries,
     return result;
   };
 
+  // One EvalStats per executor slot: workers never share a work
+  // accumulator (sharing the caller's EvalStats across workers is a
+  // plain-integer data race), and the slot sums merge into the caller's
+  // stats exactly once per batch. Without a pool the caller runs the
+  // whole batch as slot 0.
   util::ThreadPool* const pool = options_.pool;
-  size_t executors = 1;
-  if (pool == nullptr) {
-    // Serial path: the caller's stats are the single accumulator, so a
-    // pool-less batch is operation-for-operation the plain query loop.
-    EvalStats local;
-    EvalStats* const work = stats != nullptr ? stats : &local;
-    for (size_t i = 0; i < n; ++i) {
-      out[i] = run_row(i, queries.Row(i), work);
+  const size_t executors = pool != nullptr ? pool->num_threads() + 1 : 1;
+  std::vector<EvalStats> slot_stats(executors);
+  const auto fan_out = [&queries, &out, &slot_stats, &run_row](
+                           size_t begin, size_t end, size_t slot) {
+    EvalStats& local = slot_stats[slot];
+    for (size_t i = begin; i < end; ++i) {
+      out[i] = run_row(i, queries.Row(i), &local);
     }
+  };
+  if (pool != nullptr) {
+    pool->ParallelFor(n, /*chunk=*/0, fan_out);
   } else {
-    // One EvalStats per executor slot: workers never share a work
-    // accumulator (sharing the caller's EvalStats across workers is a
-    // plain-integer data race), and the slot sums merge into the
-    // caller's stats exactly once per batch.
-    executors = pool->num_threads() + 1;
-    std::vector<EvalStats> slot_stats(executors);
-    pool->ParallelFor(
-        n, /*chunk=*/0,
-        [&queries, &out, &slot_stats, &run_row](size_t begin, size_t end,
-                                                size_t slot) {
-          EvalStats& local = slot_stats[slot];
-          for (size_t i = begin; i < end; ++i) {
-            out[i] = run_row(i, queries.Row(i), &local);
-          }
-        });
-    if (stats != nullptr) {
-      for (const EvalStats& s : slot_stats) *stats += s;
-    }
+    fan_out(0, n, 0);
+  }
+  if (stats != nullptr) {
+    for (const EvalStats& s : slot_stats) *stats += s;
   }
 
   if (instruments_.batches != nullptr) {

@@ -2,8 +2,8 @@
 //
 // KARL's per-query refinement (paper §V) is embarrassingly parallel
 // across query points: a built Engine is immutable, so a batch of
-// queries fans out across a work-stealing thread pool with zero
-// coordination on the hot path.
+// queries fans out across a thread pool with zero coordination on the
+// hot path.
 //
 // Determinism contract: each query runs the identical single-threaded
 // refinement it would run in a serial loop, and results are stored by
@@ -16,10 +16,12 @@
 //
 // Stats & telemetry: each executor accumulates work counters into its
 // own slot-local EvalStats and the slots are summed once per batch into
-// the caller's EvalStats. Fanning one caller-supplied EvalStats pointer
-// across workers instead would be a data race (plain size_t increments;
-// TSan flags it) — the slot-local merge is the supported pattern, and
-// batch_evaluator_test pins it under TSan. Batch-level metrics
+// the caller's EvalStats; a batch without a pool is the same fan-out
+// body run once over every row with one slot. Fanning one
+// caller-supplied EvalStats pointer across workers instead would be a
+// data race (plain size_t increments; TSan flags it) — the slot-local
+// merge is the supported pattern, and batch_evaluator_test pins it
+// under TSan. Batch-level metrics
 // (karl_batch_*) land in the engine's registry once per batch, never per
 // query.
 
@@ -41,8 +43,8 @@ namespace karl::core {
 /// How a batch is scheduled.
 struct BatchOptions {
   /// Pool to fan queries across; null runs the batch serially on the
-  /// calling thread (still through the same code path, so serial and
-  /// parallel results are directly comparable). Non-owning.
+  /// calling thread through the same fan-out body, so serial and
+  /// parallel results are directly comparable. Non-owning.
   util::ThreadPool* pool = nullptr;
   /// Per-row completion hook, invoked on the executing thread right
   /// after each row finishes with the row's index, its begin/end stamps

@@ -79,13 +79,20 @@ namespace fs = std::filesystem;
 // Model name of a scanned file: the stem ("home.snap" → "home").
 std::string StemName(const fs::path& path) { return path.stem().string(); }
 
-int64_t MtimeNanos(const fs::path& path, std::error_code& ec) {
+// Size and mtime of `path`, the pair a reload compares to tell that a
+// file changed. Returns the error when the file cannot be stat-ed.
+std::error_code StatFile(const fs::path& path, uint64_t* bytes,
+                         int64_t* mtime_ns) {
+  std::error_code ec;
+  *bytes = static_cast<uint64_t>(fs::file_size(path, ec));
+  if (ec) return ec;
   const auto t = fs::last_write_time(path, ec);
-  if (ec) return 0;
-  return static_cast<int64_t>(
+  if (ec) return ec;
+  *mtime_ns = static_cast<int64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           t.time_since_epoch())
           .count());
+  return ec;
 }
 
 }  // namespace
@@ -125,8 +132,7 @@ util::Status ModelRegistry::ScanDir(
     Entry entry;
     entry.path = p.string();
     entry.from_scan = true;
-    entry.file_bytes = static_cast<uint64_t>(fs::file_size(p, ec));
-    entry.mtime_ns = MtimeNanos(p, ec);
+    if (StatFile(p, &entry.file_bytes, &entry.mtime_ns)) continue;  // Gone.
     (*found)[name] = std::move(entry);
   }
   return util::Status::OK();
@@ -137,49 +143,33 @@ util::Status ModelRegistry::AddModelFile(const std::string& name,
   if (name.empty()) {
     return util::Status::InvalidArgument("model name must not be empty");
   }
-  std::error_code ec;
-  const uint64_t bytes = static_cast<uint64_t>(fs::file_size(path, ec));
-  if (ec) {
+  Entry entry;
+  entry.path = path;
+  if (const std::error_code ec =
+          StatFile(path, &entry.file_bytes, &entry.mtime_ns)) {
     return util::Status::IOError("cannot stat model file " + path + ": " +
                                  ec.message());
   }
-  Entry entry;
-  entry.path = path;
-  entry.file_bytes = bytes;
-  entry.mtime_ns = MtimeNanos(path, ec);
   util::MutexLock lock(&mu_);
   models_[name] = std::move(entry);
   return util::Status::OK();
 }
 
-void ModelRegistry::AdoptEngine(const std::string& name,
-                                const Engine* engine) {
-  std::shared_ptr<LoadedModel> loaded(new LoadedModel());
-  loaded->external_ = engine;
-  loaded->resident_bytes_ = engine->MemoryUsageBytes();
-  Entry entry;
-  entry.adopted = true;
-  entry.loaded = std::move(loaded);
-  util::MutexLock lock(&mu_);
-  models_[name] = std::move(entry);
-  UpdateResidentGauge();
+std::string ModelRegistry::ResolveLocked(const std::string& name) const {
+  if (!name.empty()) return name;
+  if (!options_.default_model.empty()) return options_.default_model;
+  if (models_.size() == 1) return models_.begin()->first;
+  return "";
 }
 
 util::Result<ModelHandle> ModelRegistry::Acquire(const std::string& name) {
   util::MutexLock lock(&mu_);
-  std::string resolved = name;
+  const std::string resolved = ResolveLocked(name);
   if (resolved.empty()) {
-    resolved = options_.default_model;
-    if (resolved.empty()) {
-      if (models_.size() == 1) {
-        resolved = models_.begin()->first;
-      } else {
-        return util::Status::InvalidArgument(
-            "request names no model and the registry serves " +
-            std::to_string(models_.size()) +
-            " models with no default configured");
-      }
-    }
+    return util::Status::InvalidArgument(
+        "request names no model and the registry serves " +
+        std::to_string(models_.size()) +
+        " models with no default configured");
   }
   auto it = models_.find(resolved);
   if (it == models_.end()) {
@@ -210,6 +200,7 @@ util::Result<ModelHandle> ModelRegistry::LoadEntry(const std::string& name,
   util::Stopwatch timer;
   std::shared_ptr<LoadedModel> loaded(new LoadedModel());
   LoadedModel* model = loaded.get();
+  model->name_ = name;
   model->reclaimer_ = reclaimer_;
   auto snapshot = MappedSnapshot::Map(entry->path);
   if (!snapshot.ok()) return snapshot.status();
@@ -246,21 +237,21 @@ util::Result<ModelHandle> ModelRegistry::LoadEntry(const std::string& name,
 void ModelRegistry::EnforceBudget() {
   if (options_.memory_budget_bytes == 0) return;
   while (ResidentBytesLocked() > options_.memory_budget_bytes) {
-    // LRU sweep over evictable entries: resident, not adopted, and not
-    // pinned — use_count() == 1 means the registry holds the only
-    // reference, so releasing it frees (or defers to the last in-flight
-    // handle, which cannot exist when the count is 1 under this lock).
+    // LRU sweep over evictable entries: resident and not pinned —
+    // use_count() == 1 means the registry holds the only reference, so
+    // releasing it frees (or defers to the last in-flight handle, which
+    // cannot exist when the count is 1 under this lock).
     auto victim = models_.end();
     for (auto it = models_.begin(); it != models_.end(); ++it) {
       Entry& entry = it->second;
-      if (entry.adopted || entry.loaded == nullptr) continue;
+      if (entry.loaded == nullptr) continue;
       if (entry.loaded.use_count() > 1) continue;  // Pinned by queries.
       if (victim == models_.end() ||
           entry.last_used_tick < victim->second.last_used_tick) {
         victim = it;
       }
     }
-    if (victim == models_.end()) return;  // Everything pinned or adopted.
+    if (victim == models_.end()) return;  // Everything pinned.
     Entry& entry = victim->second;
     entry.loaded.reset();  // The munmap happens here (count was 1).
     ++entry.evictions;
@@ -319,24 +310,24 @@ util::Status ModelRegistry::ReloadLocked(std::vector<ModelHandle>* released) {
     }
   }
 
-  // Add new files; refresh changed ones (scan set and explicit files).
+  // Add new stems. A name already registered, scanned or explicit,
+  // keeps its own file.
   for (auto& [name, fresh] : found) {
-    auto it = models_.find(name);
-    if (it == models_.end()) {
-      util::Log(options_.logger, util::LogLevel::kInfo, "model_found",
-                {{"model", name}, {"path", fresh.path}});
-      models_[name] = std::move(fresh);
-      continue;
-    }
-    if (it->second.adopted) continue;  // Adopted names shadow files.
-    Entry& entry = it->second;
-    const bool changed = entry.path != fresh.path ||
-                         entry.file_bytes != fresh.file_bytes ||
-                         entry.mtime_ns != fresh.mtime_ns;
-    if (!changed) continue;
-    entry.path = fresh.path;
-    entry.file_bytes = fresh.file_bytes;
-    entry.mtime_ns = fresh.mtime_ns;
+    if (models_.contains(name)) continue;
+    util::Log(options_.logger, util::LogLevel::kInfo, "model_found",
+              {{"model", name}, {"path", fresh.path}});
+    models_[name] = std::move(fresh);
+  }
+
+  // Refresh every entry from a stat of its own path, and swap resident
+  // ones whose file changed.
+  for (auto& [name, entry] : models_) {
+    uint64_t bytes = 0;
+    int64_t mtime_ns = 0;
+    if (StatFile(entry.path, &bytes, &mtime_ns)) continue;  // Keep serving.
+    if (bytes == entry.file_bytes && mtime_ns == entry.mtime_ns) continue;
+    entry.file_bytes = bytes;
+    entry.mtime_ns = mtime_ns;
     if (entry.loaded == nullptr) continue;  // Next Acquire loads fresh.
     // RCU swap: load the new artifact, then replace the handle. Queries
     // holding the old handle finish on the old mapping; its memory is
@@ -349,30 +340,6 @@ util::Status ModelRegistry::ReloadLocked(std::vector<ModelHandle>* released) {
                  {"error", handle.status().message()}});
       if (first_error.ok()) first_error = handle.status();
       continue;  // Keep serving the old version.
-    }
-    released->push_back(
-        std::exchange(entry.loaded, std::move(handle).ValueOrDie()));
-    util::Log(options_.logger, util::LogLevel::kInfo, "model_reload",
-              {{"model", name}, {"path", entry.path}});
-  }
-
-  // Explicit (non-scan) files: refresh stats so a changed file is
-  // noticed; swap resident ones just like scanned entries.
-  for (auto& [name, entry] : models_) {
-    if (entry.from_scan || entry.adopted) continue;
-    std::error_code ec;
-    const uint64_t bytes =
-        static_cast<uint64_t>(fs::file_size(entry.path, ec));
-    if (ec) continue;  // Keep serving what we have.
-    const int64_t mtime = MtimeNanos(entry.path, ec);
-    if (bytes == entry.file_bytes && mtime == entry.mtime_ns) continue;
-    entry.file_bytes = bytes;
-    entry.mtime_ns = mtime;
-    if (entry.loaded == nullptr) continue;
-    auto handle = LoadEntry(name, &entry);
-    if (!handle.ok()) {
-      if (first_error.ok()) first_error = handle.status();
-      continue;
     }
     released->push_back(
         std::exchange(entry.loaded, std::move(handle).ValueOrDie()));
@@ -393,10 +360,7 @@ std::vector<ModelInfo> ModelRegistry::List() const {
     ModelInfo info;
     info.name = name;
     info.path = entry.path;
-    info.adopted = entry.adopted;
     info.resident = entry.loaded != nullptr;
-    info.mmap_backed =
-        entry.loaded != nullptr && entry.loaded->mmap_backed();
     info.file_bytes = entry.file_bytes;
     info.resident_bytes =
         entry.loaded != nullptr ? entry.loaded->resident_bytes() : 0;
@@ -422,9 +386,7 @@ std::vector<ModelInfo> ModelRegistry::List() const {
 
 std::string ModelRegistry::default_model() const {
   util::MutexLock lock(&mu_);
-  if (!options_.default_model.empty()) return options_.default_model;
-  if (models_.size() == 1) return models_.begin()->first;
-  return "";
+  return ResolveLocked("");
 }
 
 uint64_t ModelRegistry::resident_bytes() const {

@@ -11,12 +11,14 @@
 //     in-flight query handle is gone, so eviction never unmaps memory a
 //     query is reading (RCU-style grace period via shared_ptr).
 //   * LRU eviction — when resident bytes exceed the budget, the least
-//     recently used unpinned, non-adopted model is released. Entries
-//     whose handles are still held by queries are skipped (pinned).
-//   * Hot reload — Reload() rescans the directory; new files appear,
-//     deleted files disappear, and changed files (size/mtime) are
-//     re-loaded and swapped in atomically: in-flight queries finish on
-//     the old mapping, new queries see the new one.
+//     recently used unpinned model is released. Entries whose handles
+//     are still held by queries are skipped (pinned).
+//   * Hot reload — Reload() rescans the directory, so new files appear
+//     and deleted ones disappear, then stats every entry's own file:
+//     changed files (size/mtime) are re-loaded and swapped in
+//     atomically, so in-flight queries finish on the old mapping and
+//     new queries see the new one. A name registered by AddModelFile
+//     keeps its file even when the directory holds the same stem.
 //
 // Thread safety: every public method is safe to call concurrently; one
 // annotated util::Mutex (mu_) guards the table, and loads run under it.
@@ -69,41 +71,37 @@ struct RegistryOptions {
   /// reject unnamed requests.
   std::string default_model;
   /// Resident-byte budget enforced by LRU eviction; 0 = unlimited.
-  /// Adopted engines count toward residency but are never evicted.
   uint64_t memory_budget_bytes = 0;
   telemetry::Registry* metrics = nullptr;   ///< Null disables metrics.
   util::Logger* logger = nullptr;           ///< Null disables logging.
 };
 
-/// One resident model: the engine plus whatever keeps its memory alive
-/// (a snapshot mapping, or nothing for adopted engines). Immutable after
-/// construction; destroyed when the registry entry and every query
-/// handle release it. The destructor unmaps at once and leaves the close
-/// of the file to the registry's reclaimer thread.
+/// One resident model: the engine plus the snapshot mapping it views.
+/// Immutable after construction; destroyed when the registry entry and
+/// every query handle release it. The destructor unmaps at once and
+/// leaves the close of the file to the registry's reclaimer thread.
 class LoadedModel {
  public:
   ~LoadedModel();
   LoadedModel(const LoadedModel&) = delete;
   LoadedModel& operator=(const LoadedModel&) = delete;
 
-  const Engine& engine() const {
-    return external_ != nullptr ? *external_ : *engine_;
-  }
+  const Engine& engine() const { return *engine_; }
+  /// Registry name the model was loaded under.
+  const std::string& name() const { return name_; }
   /// Bytes this model keeps resident (mapped sections + derived heap).
   size_t resident_bytes() const { return resident_bytes_; }
   /// Load latency (mmap + attach), microseconds.
   uint64_t coldstart_us() const { return coldstart_us_; }
-  /// True when backed by an mmap snapshot (false: adopted).
-  bool mmap_backed() const { return snapshot_.has_value(); }
 
  private:
   friend class ModelRegistry;
   LoadedModel() = default;
 
+  std::string name_;
   // engine_ views the mapping; the destructor drops it before unmapping.
   std::optional<MappedSnapshot> snapshot_;
   std::unique_ptr<Engine> engine_;
-  const Engine* external_ = nullptr;  // Adopted engines (non-owning).
   // Closes snapshot_'s descriptor; shared so it outlives the registry.
   std::shared_ptr<FdReclaimer> reclaimer_;
   size_t resident_bytes_ = 0;
@@ -117,10 +115,8 @@ using ModelHandle = std::shared_ptr<const LoadedModel>;
 /// Per-model state for /modelz and tests.
 struct ModelInfo {
   std::string name;
-  std::string path;        ///< Empty for adopted engines.
-  bool adopted = false;
+  std::string path;
   bool resident = false;
-  bool mmap_backed = false;
   uint64_t file_bytes = 0;
   uint64_t resident_bytes = 0;  ///< 0 when not resident.
   uint64_t coldstart_us = 0;    ///< Last load; 0 before first load.
@@ -141,21 +137,17 @@ struct ModelInfo {
 class ModelRegistry {
  public:
   /// Opens a registry over `model_dir` (scanned for *.snap; empty
-  /// string = no directory, models come from AddModelFile/AdoptEngine).
+  /// string = no directory, models come from AddModelFile).
   /// Fails if a named directory cannot be scanned.
   static util::Result<std::unique_ptr<ModelRegistry>> Open(
       const std::string& model_dir, const RegistryOptions& options);
 
-  /// Registers one explicit snapshot file (any extension) under `name`.
-  /// The file is stat-ed now, mapped on first Acquire; a file that is
-  /// not a snapshot fails that Acquire with an error naming its path.
+  /// Registers one explicit snapshot file (any extension) under `name`,
+  /// replacing a scanned file of the same stem for good. The file is
+  /// stat-ed now, mapped on first Acquire; a file that is not a snapshot
+  /// fails that Acquire with an error naming its path.
   util::Status AddModelFile(const std::string& name,
                             const std::string& path) KARL_EXCLUDES(mu_);
-
-  /// Registers an externally owned engine as a permanently resident,
-  /// never-evicted model. `engine` must outlive the registry.
-  void AdoptEngine(const std::string& name, const Engine* engine)
-      KARL_EXCLUDES(mu_);
 
   /// Resolves `name` ("" = default model) to a pinned handle, loading
   /// the model first if it is not resident. May evict colder models to
@@ -163,17 +155,19 @@ class ModelRegistry {
   util::Result<ModelHandle> Acquire(const std::string& name)
       KARL_EXCLUDES(mu_);
 
-  /// Rescans the directory and refreshes explicit files: adds new
-  /// models, drops deleted ones, and atomically swaps entries whose
-  /// file changed (in-flight queries keep the old mapping). Returns the
-  /// first load error encountered; unaffected entries still refresh.
-  /// Records its duration in the `karl_model_reload_us` histogram.
+  /// Rescans the directory, adding new stems and dropping scanned
+  /// models whose file is gone, then atomically swaps every resident
+  /// model whose file changed (in-flight queries keep the old mapping).
+  /// Each failed load logs a WARN `model_reload_failed` and keeps the
+  /// old mapping serving; the first one is returned, and the other
+  /// entries still refresh. Records its duration in the
+  /// `karl_model_reload_us` histogram.
   util::Status Reload() KARL_EXCLUDES(mu_);
 
   /// Snapshot of every model's state (sorted by name).
   std::vector<ModelInfo> List() const KARL_EXCLUDES(mu_);
 
-  /// The effective default model name ("" when unresolved).
+  /// The model an unnamed request resolves to ("" when none does).
   std::string default_model() const KARL_EXCLUDES(mu_);
 
   /// Sum of resident bytes over loaded models.
@@ -190,8 +184,7 @@ class ModelRegistry {
 
  private:
   struct Entry {
-    std::string path;          // Empty for adopted engines.
-    bool adopted = false;
+    std::string path;
     bool from_scan = false;    // Discovered by directory scan.
     uint64_t file_bytes = 0;
     int64_t mtime_ns = 0;
@@ -209,6 +202,12 @@ class ModelRegistry {
   /// Scans model_dir_ into (name → path/stat); no table mutation.
   util::Status ScanDir(std::map<std::string, Entry>* found) const;
 
+  /// Resolves "" to the configured default, else to the only model of
+  /// a single-model registry, else to "" (unresolved). Any other name
+  /// resolves to itself.
+  std::string ResolveLocked(const std::string& name) const
+      KARL_REQUIRES(mu_);
+
   /// Maps and attaches entry's snapshot into a fresh LoadedModel.
   util::Result<ModelHandle> LoadEntry(const std::string& name, Entry* entry)
       KARL_REQUIRES(mu_);
@@ -218,7 +217,7 @@ class ModelRegistry {
   util::Status ReloadLocked(std::vector<ModelHandle>* released)
       KARL_REQUIRES(mu_);
 
-  /// Evicts LRU unpinned non-adopted entries until the budget holds.
+  /// Evicts LRU unpinned entries until the budget holds.
   void EnforceBudget() KARL_REQUIRES(mu_);
 
   uint64_t ResidentBytesLocked() const KARL_REQUIRES(mu_);

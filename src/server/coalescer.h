@@ -5,17 +5,18 @@
 // a bounded queue; a dedicated dispatcher thread drains it. Each drain
 // gathers every queued *single* query with the same (model, kind,
 // parameter) into one core::BatchEvaluator call fanned across the
-// work-stealing ThreadPool — so a flood of concurrent single-query
-// clients is served with batch efficiency while each response keeps its
-// per-request identity (connection + echoed id). Each item carries its
-// own pinned registry handle (registry/registry.h), so the engine a
-// group evaluates against stays mapped even if the registry evicts or
+// ThreadPool — so a flood of concurrent single-query clients is served
+// with batch efficiency while each response keeps its per-request
+// identity (connection + echoed id). Each item carries its own pinned
+// registry handle (registry/registry.h), so the engine a group
+// evaluates against stays mapped even if the registry evicts or
 // hot-reloads the model mid-flight; grouping compares engine identity
 // (the handle), not just the name, so requests admitted across a reload
-// never share a batch with a different model generation. Explicit batch requests dispatch
-// as their own evaluator call. While one group runs, newly arriving
-// queries accumulate and form the next group: coalescing emerges from
-// backpressure rather than from a timer, adding no idle latency.
+// never share a batch with a different model generation. Explicit batch
+// requests dispatch as their own evaluator call. While one group runs,
+// newly arriving queries accumulate and form the next group: coalescing
+// emerges from backpressure rather than from a timer, adding no idle
+// latency.
 //
 // Admission control: the queue is bounded by total queued query *rows*
 // (the actual memory bound). Enqueue refuses instead of buffering
@@ -62,7 +63,7 @@ struct WorkItem {
   /// the profile must describe exactly one query's traversal) with the
   /// EXPLAIN profiler attached.
   bool explain = false;
-  /// Resolved model name (diagnostics; "" = default).
+  /// Resolved model name, read off `handle` by the router.
   std::string model;
   /// Pinned engine this item evaluates against. The handle keeps the
   /// model resident (mapping and all) until every item referencing it

@@ -197,11 +197,11 @@ Router::Outcome Router::Handle(uint64_t conn_id, std::string_view line,
   item.param = request.param;
   item.is_batch = request.op == Request::Op::kBatch;
   item.explain = request.op == Request::Op::kExplain;
-  // Carry the *resolved* model name: per-model metrics, SLO budgets,
-  // and logs must attribute default-model traffic to the concrete
-  // model it ran on, not to "".
-  item.model = request.model.empty() ? models_->default_model()
-                                     : std::move(request.model);
+  // Carry the *resolved* model name, read off the handle that was
+  // resolved with it: per-model metrics, SLO budgets, and logs must
+  // attribute default-model traffic to the concrete model it ran on,
+  // not to "".
+  item.model = handle->name();
   item.handle = std::move(handle);
   item.queries = std::move(request.queries);
   const std::string id = item.request_id;  // Enqueue consumes the item.
@@ -828,9 +828,7 @@ std::string Server::ModelzJson() const {
         Json::Object()
             .Set("name", Json::Str(info.name))
             .Set("path", Json::Str(info.path))
-            .Set("adopted", Json::Bool(info.adopted))
             .Set("resident", Json::Bool(info.resident))
-            .Set("mmap_backed", Json::Bool(info.mmap_backed))
             .Set("file_bytes",
                  Json::Number(static_cast<double>(info.file_bytes)))
             .Set("resident_bytes",

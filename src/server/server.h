@@ -1,14 +1,16 @@
 // Epoll-based TCP front end for KARL engines served out of a model
 // registry (registry/registry.h): requests pick a model by name,
-// SIGHUP / op=reload hot-reloads the registry. A single built engine
-// is served by adopting it into a registry (ModelRegistry::AdoptEngine).
+// SIGHUP / op=reload hot-reloads the registry. Every served model is a
+// mapped snapshot; a single built engine is served by writing it with
+// registry::WriteSnapshot and registering the file
+// (ModelRegistry::AddModelFile).
 //
 // Threading model (three kinds of threads, strict ownership):
 //   * one event-loop thread owns every socket, connection buffer, and
 //     the epoll set — no connection state is ever touched elsewhere;
 //   * one coalescer dispatcher thread groups admitted queries and runs
 //     them through core::BatchEvaluator (server/coalescer.h);
-//   * the work-stealing ThreadPool workers execute the batch fan-out.
+//   * the ThreadPool workers execute the batch fan-out.
 // The two sides meet at exactly two lock-protected hand-offs: the
 // coalescer's bounded admission queue (event loop -> dispatcher) and a
 // completion vector + eventfd (dispatcher -> event loop).
@@ -41,10 +43,12 @@
 // so a stuck scraper never touches the query path.
 //
 // Per-model observability: the router resolves every admitted
-// request's model name up front, so completions carry it end to end —
-// {model=...} labeled twins of the serving histograms and counters,
-// the SLO engine's error budgets, the access log, the slow-query WARN,
-// and the flight record all attribute to the concrete model served.
+// request's model name up front, in the one registry call that also
+// pins the model (the handle records the name it was loaded under), so
+// completions carry it end to end — {model=...} labeled twins of the
+// serving histograms and counters, the SLO engine's error budgets, the
+// access log, the slow-query WARN, and the flight record all attribute
+// to the concrete model served.
 
 #ifndef KARL_SERVER_SERVER_H_
 #define KARL_SERVER_SERVER_H_

@@ -1,7 +1,9 @@
 #include "util/thread_pool.h"
 
 #include <algorithm>
+#include <atomic>
 #include <exception>
+#include <memory>
 #include <utility>
 
 #include "telemetry/metrics.h"
@@ -13,23 +15,19 @@ ThreadPool::ThreadPool(size_t num_threads) {
   const size_t count = std::max<size_t>(1, num_threads);
   workers_.reserve(count);
   for (size_t i = 0; i < count; ++i) {
-    workers_.push_back(std::make_unique<Worker>());
-  }
-  threads_.reserve(count);
-  for (size_t i = 0; i < count; ++i) {
-    threads_.emplace_back([this, i] { WorkerLoop(i); });
+    workers_.emplace_back([this] { WorkerLoop(); });
   }
 }
 
 ThreadPool::~ThreadPool() {
   {
-    const MutexLock lock(&wake_mu_);
+    const MutexLock lock(&mu_);
     stop_ = true;
   }
-  wake_cv_.SignalAll();
-  for (auto& thread : threads_) thread.join();
-  KARL_DCHECK(pending_.load(std::memory_order_relaxed) == 0)
-      << ": thread pool destroyed with undrained tasks";
+  wake_.SignalAll();
+  for (auto& worker : workers_) worker.join();
+  const MutexLock lock(&mu_);
+  KARL_DCHECK(tasks_.empty()) << ": thread pool destroyed with undrained tasks";
 }
 
 size_t ThreadPool::DefaultThreadCount() {
@@ -49,88 +47,38 @@ void ThreadPool::AttachMetrics(telemetry::Registry* registry) {
   active_workers_gauge_->Set(0.0);
 }
 
+void ThreadPool::PublishGauges() {
+  if (queue_depth_gauge_ == nullptr) return;
+  queue_depth_gauge_->Set(static_cast<double>(tasks_.size()));
+  active_workers_gauge_->Set(static_cast<double>(active_));
+}
+
 void ThreadPool::Submit(std::function<void()> task) {
   KARL_DCHECK(task != nullptr) << ": null task submitted to thread pool";
-  const size_t queue =
-      next_queue_.fetch_add(1, std::memory_order_relaxed) % workers_.size();
   {
-    Worker& worker = *workers_[queue];
-    const MutexLock lock(&worker.mu);
-    worker.tasks.push_back(std::move(task));
+    const MutexLock lock(&mu_);
+    tasks_.push_back(std::move(task));
+    PublishGauges();
   }
-  {
-    // Increment under wake_mu_ so it cannot slip between a worker's
-    // sleep-predicate check and its wait (lost wakeup).
-    const MutexLock lock(&wake_mu_);
-    pending_.fetch_add(1, std::memory_order_release);
-  }
-  if (queue_depth_gauge_ != nullptr) {
-    queue_depth_gauge_->Set(
-        static_cast<double>(pending_.load(std::memory_order_relaxed)));
-  }
-  wake_cv_.Signal();
+  wake_.Signal();
 }
 
-std::function<void()> ThreadPool::NextTask(size_t self) {
-  // Own deque first, newest task first: the task most likely still warm
-  // in this core's cache.
-  {
-    Worker& own = *workers_[self];
-    const MutexLock lock(&own.mu);
-    if (!own.tasks.empty()) {
-      std::function<void()> task = std::move(own.tasks.back());
-      own.tasks.pop_back();
-      return task;
-    }
-  }
-  // Steal oldest-first from siblings, starting after self so victims
-  // rotate instead of piling onto worker 0.
-  for (size_t i = 1; i < workers_.size(); ++i) {
-    Worker& victim = *workers_[(self + i) % workers_.size()];
-    const MutexLock lock(&victim.mu);
-    if (!victim.tasks.empty()) {
-      std::function<void()> task = std::move(victim.tasks.front());
-      victim.tasks.pop_front();
-      return task;
-    }
-  }
-  return nullptr;
-}
-
-void ThreadPool::WorkerLoop(size_t self) {
+void ThreadPool::WorkerLoop() {
   while (true) {
-    if (std::function<void()> task = NextTask(self); task != nullptr) {
-      const size_t left = pending_.fetch_sub(1, std::memory_order_acquire) - 1;
-      if (queue_depth_gauge_ != nullptr) {
-        queue_depth_gauge_->Set(static_cast<double>(left));
-      }
-      const size_t running = active_.fetch_add(1, std::memory_order_relaxed) + 1;
-      if (active_workers_gauge_ != nullptr) {
-        active_workers_gauge_->Set(static_cast<double>(running));
-      }
-      task();
-      const size_t now_running =
-          active_.fetch_sub(1, std::memory_order_relaxed) - 1;
-      if (active_workers_gauge_ != nullptr) {
-        active_workers_gauge_->Set(static_cast<double>(now_running));
-      }
-      continue;
+    std::function<void()> task;
+    {
+      const MutexLock lock(&mu_);
+      while (tasks_.empty() && !stop_) wake_.Wait(&mu_);
+      if (tasks_.empty()) return;  // Stopping, and every task has run.
+      task = std::move(tasks_.front());
+      tasks_.pop_front();
+      ++active_;
+      PublishGauges();
     }
-    wake_mu_.Lock();
-    if (stop_ && pending_.load(std::memory_order_acquire) == 0) {
-      wake_mu_.Unlock();
-      return;
-    }
-    while (!stop_ && pending_.load(std::memory_order_acquire) == 0) {
-      wake_cv_.Wait(&wake_mu_);
-    }
-    if (stop_ && pending_.load(std::memory_order_acquire) == 0) {
-      wake_mu_.Unlock();
-      return;
-    }
-    wake_mu_.Unlock();
-    // Either shutdown began with tasks still queued (drain them) or new
-    // work arrived; loop back and scan the deques again.
+    task();
+    const MutexLock lock(&mu_);
+    --active_;
+    PublishGauges();
   }
 }
 

@@ -1,9 +1,10 @@
-// Work-stealing thread pool for batch-parallel query execution.
+// Fixed-size thread pool for batch-parallel query execution.
 //
-// A fixed set of worker threads each own a deque of tasks: a worker pops
-// its own deque LIFO (cache-warm), and when empty steals FIFO from a
-// sibling (oldest task first, minimising contention with the victim's
-// own LIFO end). External submissions are distributed round-robin.
+// Workers pop tasks FIFO from one shared queue guarded by one mutex.
+// The pool's only producer in the serving stack is ParallelFor, which
+// enqueues at most one helper task per worker, each of which joins a
+// shared chunk cursor; that cursor, not the queue, balances the load,
+// so a single queue is all the scheduling the pool needs.
 //
 // Scheduling model for data-parallel loops: ParallelFor splits [0, n)
 // into chunks handed out dynamically from a shared cursor (chunked
@@ -26,11 +27,9 @@
 #ifndef KARL_UTIL_THREAD_POOL_H_
 #define KARL_UTIL_THREAD_POOL_H_
 
-#include <atomic>
 #include <cstddef>
 #include <deque>
 #include <functional>
-#include <memory>
 #include <thread>
 #include <vector>
 
@@ -43,7 +42,7 @@ class Registry;
 
 namespace karl::util {
 
-/// Fixed-size work-stealing thread pool.
+/// Fixed-size thread pool over one FIFO task queue.
 class ThreadPool {
  public:
   /// Spawns `num_threads` workers (clamped to at least 1).
@@ -87,27 +86,19 @@ class ThreadPool {
   void ParallelFor(size_t n, size_t chunk, const LoopBody& body);
 
  private:
-  struct Worker {
-    Mutex mu;
-    std::deque<std::function<void()>> tasks KARL_GUARDED_BY(mu);
-  };
+  void WorkerLoop();
 
-  // Pops from the worker's own deque (LIFO) or steals from a sibling
-  // (FIFO). Returns an empty function when every deque is empty.
-  std::function<void()> NextTask(size_t self);
+  // Updates the AttachMetrics gauges from the queue state.
+  void PublishGauges() KARL_REQUIRES(mu_);
 
-  void WorkerLoop(size_t self);
-
-  std::vector<std::unique_ptr<Worker>> workers_;
-  std::vector<std::thread> threads_;
-  std::atomic<size_t> next_queue_{0};  // Round-robin submission cursor.
-  std::atomic<size_t> pending_{0};     // Tasks enqueued, not yet popped.
-  std::atomic<size_t> active_{0};      // Workers inside a task.
+  std::vector<std::thread> workers_;
   telemetry::Gauge* queue_depth_gauge_ = nullptr;    // See AttachMetrics.
   telemetry::Gauge* active_workers_gauge_ = nullptr;
-  Mutex wake_mu_;
-  CondVar wake_cv_;
-  bool stop_ KARL_GUARDED_BY(wake_mu_) = false;
+  Mutex mu_;
+  CondVar wake_;
+  std::deque<std::function<void()>> tasks_ KARL_GUARDED_BY(mu_);
+  size_t active_ KARL_GUARDED_BY(mu_) = 0;  // Workers inside a task.
+  bool stop_ KARL_GUARDED_BY(mu_) = false;
 };
 
 }  // namespace karl::util

@@ -741,8 +741,6 @@ TEST(RegistryTest, ScansLazilyAndServesNamedModels) {
   ASSERT_TRUE(ha.ok()) << ha.status().ToString();
   auto hb = reg.Acquire("beta");
   ASSERT_TRUE(hb.ok()) << hb.status().ToString();
-  EXPECT_TRUE(ha.value()->mmap_backed());
-  EXPECT_TRUE(hb.value()->mmap_backed());
 
   ExpectSameAnswers(a, ha.value()->engine(), 31, /*check_ekaq=*/false);
   ExpectSameAnswers(b, hb.value()->engine(), 32, /*check_ekaq=*/false);
@@ -751,7 +749,6 @@ TEST(RegistryTest, ScansLazilyAndServesNamedModels) {
   ASSERT_EQ(listed.size(), 2u);
   EXPECT_TRUE(listed[0].resident);
   EXPECT_TRUE(listed[1].resident);
-  EXPECT_TRUE(listed[0].mmap_backed);
   EXPECT_GT(reg.resident_bytes(), 0u);
 }
 
@@ -1157,34 +1154,6 @@ TEST(RegistryTest, ReloadAddsNewFilesAndDropsDeletedOnes) {
   EXPECT_EQ(gone.status().code(), util::StatusCode::kNotFound);
 }
 
-TEST(RegistryTest, AdoptedEnginesServeAndResistEviction) {
-  const data::Matrix points = MakePoints(71, 200);
-  const std::vector<double> weights = MixedWeights(71, points.rows());
-  const Engine external =
-      BuildEngine(points, weights, core::KernelParams::Gaussian(2.0));
-
-  RegistryOptions options;
-  options.memory_budget_bytes = 1;  // Absurdly tight.
-  auto registry = ModelRegistry::Open("", options);
-  ASSERT_TRUE(registry.ok());
-  ModelRegistry& reg = *registry.value();
-  reg.AdoptEngine("local", &external);
-
-  auto handle = reg.Acquire("");  // Sole model → implicit default.
-  ASSERT_TRUE(handle.ok()) << handle.status().ToString();
-  EXPECT_FALSE(handle.value()->mmap_backed());
-  util::Rng rng(72);
-  const std::vector<double> q = RandomQuery(rng);
-  EXPECT_DOUBLE_EQ(handle.value()->engine().Exact(q), external.Exact(q));
-
-  // Adopted engines are never evicted, budget notwithstanding.
-  EXPECT_EQ(reg.evictions(), 0u);
-  const auto listed = reg.List();
-  ASSERT_EQ(listed.size(), 1u);
-  EXPECT_TRUE(listed[0].adopted);
-  EXPECT_TRUE(listed[0].resident);
-}
-
 TEST(RegistryTest, ExplicitModelFilesRegisterAndReload) {
   TempDir dir("karl_reg_explicit");
   const Engine v1 = WriteModel(dir.File("standalone"), 81, 300);
@@ -1198,7 +1167,6 @@ TEST(RegistryTest, ExplicitModelFilesRegisterAndReload) {
 
   auto h1 = reg.Acquire("solo");
   ASSERT_TRUE(h1.ok()) << h1.status().ToString();
-  EXPECT_TRUE(h1.value()->mmap_backed());  // Any name maps as a snapshot.
   util::Rng rng(82);
   const std::vector<double> q = RandomQuery(rng);
   EXPECT_DOUBLE_EQ(h1.value()->engine().Exact(q), v1.Exact(q));
@@ -1210,6 +1178,111 @@ TEST(RegistryTest, ExplicitModelFilesRegisterAndReload) {
   auto h2 = reg.Acquire("solo");
   ASSERT_TRUE(h2.ok());
   EXPECT_DOUBLE_EQ(h2.value()->engine().Exact(q), v2.Exact(q));
+}
+
+// A name registered with AddModelFile keeps its file when the model
+// directory holds a file of the same stem: across a reload, and after
+// that directory file is deleted.
+TEST(RegistryTest, ExplicitFileKeepsItsNameOverSameStemScannedFile) {
+  TempDir dir("karl_reg_explicit_stem");
+  fs::create_directories(dir.File("models"));
+  const Engine named = WriteModel(dir.File("x.snap"), 111, 300);
+  const Engine scanned = WriteModel(dir.File("models/x.snap"), 112, 200);
+
+  auto registry = ModelRegistry::Open(dir.File("models"), RegistryOptions{});
+  ASSERT_TRUE(registry.ok()) << registry.status().ToString();
+  ModelRegistry& reg = *registry.value();
+  ASSERT_TRUE(reg.AddModelFile("x", dir.File("x.snap")).ok());
+
+  util::Rng rng(113);
+  const std::vector<double> q = RandomQuery(rng);
+  ASSERT_NE(named.Exact(q), scanned.Exact(q));
+  const auto expect_named_file = [&](const char* when) {
+    auto handle = reg.Acquire("x");
+    ASSERT_TRUE(handle.ok()) << when << ": " << handle.status().ToString();
+    EXPECT_EQ(handle.value()->engine().Exact(q), named.Exact(q)) << when;
+    const auto listed = reg.List();
+    ASSERT_EQ(listed.size(), 1u) << when;
+    EXPECT_EQ(listed[0].path, dir.File("x.snap")) << when;
+  };
+  expect_named_file("at registration");
+  ASSERT_TRUE(reg.Reload().ok());
+  expect_named_file("after a reload");
+  ASSERT_TRUE(fs::remove(dir.File("models/x.snap")));
+  ASSERT_TRUE(reg.Reload().ok());
+  expect_named_file("after the directory file is deleted");
+}
+
+// A reload whose changed file fails to load logs a WARN for that model,
+// scanned or explicit, returns the error, and keeps the old generation
+// serving.
+TEST(RegistryTest, FailedReloadWarnsForScannedAndExplicitModels) {
+  TempDir dir("karl_reg_reload_failed");
+  fs::create_directories(dir.File("models"));
+  const std::string scanned_path = dir.File("models/scanned.snap");
+  const std::string explicit_path = dir.File("explicit.snap");
+  const Engine scanned = WriteModel(scanned_path, 121, 300);
+  const Engine named = WriteModel(explicit_path, 122, 300);
+
+  std::FILE* log_file = std::tmpfile();
+  ASSERT_NE(log_file, nullptr);
+  util::Logger::Options log_options;
+  log_options.ndjson = true;
+  util::Logger logger(log_file, log_options);
+  RegistryOptions options;
+  options.logger = &logger;
+  auto registry = ModelRegistry::Open(dir.File("models"), options);
+  ASSERT_TRUE(registry.ok()) << registry.status().ToString();
+  ModelRegistry& reg = *registry.value();
+  ASSERT_TRUE(reg.AddModelFile("explicit", explicit_path).ok());
+
+  util::Rng rng(123);
+  const std::vector<double> q = RandomQuery(rng);
+  auto old_scanned = reg.Acquire("scanned");
+  auto old_named = reg.Acquire("explicit");
+  ASSERT_TRUE(old_scanned.ok()) << old_scanned.status().ToString();
+  ASSERT_TRUE(old_named.ok()) << old_named.status().ToString();
+
+  for (const std::string& path : {scanned_path, explicit_path}) {
+    {
+      std::ofstream garbage(path + ".tmp", std::ios::binary);
+      garbage << "not a snapshot";
+    }
+    fs::rename(path + ".tmp", path);
+  }
+  EXPECT_FALSE(reg.Reload().ok());
+
+  EXPECT_EQ(old_scanned.value()->engine().Exact(q), scanned.Exact(q));
+  EXPECT_EQ(old_named.value()->engine().Exact(q), named.Exact(q));
+  for (const auto& [name, engine] :
+       {std::pair<std::string, const Engine*>{"scanned", &scanned},
+        {"explicit", &named}}) {
+    auto handle = reg.Acquire(name);
+    ASSERT_TRUE(handle.ok()) << name << ": " << handle.status().ToString();
+    EXPECT_EQ(handle.value()->engine().Exact(q), engine->Exact(q)) << name;
+  }
+
+  std::rewind(log_file);
+  std::map<std::string, int> warnings;
+  char line[4096];
+  while (std::fgets(line, sizeof(line), log_file) != nullptr) {
+    const std::string_view text(line);
+    if (text.find("\"event\":\"model_reload_failed\"") ==
+        std::string_view::npos) {
+      continue;
+    }
+    EXPECT_NE(text.find("\"level\":\"warn\""), std::string_view::npos)
+        << text;
+    for (const char* name : {"scanned", "explicit"}) {
+      if (text.find("\"model\":\"" + std::string(name) + "\"") !=
+          std::string_view::npos) {
+        ++warnings[name];
+      }
+    }
+  }
+  std::fclose(log_file);
+  EXPECT_EQ(warnings["scanned"], 1);
+  EXPECT_EQ(warnings["explicit"], 1);
 }
 
 // Four query threads, two threads reloading back to back, and a writer

@@ -67,8 +67,20 @@ class ServerTest : public ::testing::Test {
 
   // Same, but with caller-supplied options, serving `engine` (default:
   // this test's engine) as the only model of a directory-less registry.
+  // The engine is served the way karl_server serves one: written as a
+  // snapshot and registered as an explicit file, which answers
+  // bit-identically to the built engine.
   void StartServerWith(ServerOptions options,
                        const Engine* engine = nullptr) {
+    // Named after the test: ctest runs tests as concurrent processes.
+    const std::string snapshot = TempPath(
+        std::string("server_test_") +
+        ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+        ".snap");
+    ASSERT_TRUE(
+        registry::WriteSnapshot(snapshot,
+                                engine != nullptr ? *engine : *engine_)
+            .ok());
     registry::RegistryOptions registry_options;
     registry_options.default_model = "default";
     registry_options.metrics = &registry_;
@@ -76,7 +88,7 @@ class ServerTest : public ::testing::Test {
     auto models = registry::ModelRegistry::Open("", registry_options);
     ASSERT_TRUE(models.ok()) << models.status().ToString();
     models_ = std::move(models).ValueOrDie();
-    models_->AdoptEngine("default", engine != nullptr ? engine : &*engine_);
+    ASSERT_TRUE(models_->AddModelFile("default", snapshot).ok());
     options.port = 0;
     options.threads = 2;
     options.metrics = &registry_;
@@ -1440,6 +1452,17 @@ TEST_F(ServerTest, PerModelMetricsReconcileAndSloBudgetBurnsForSlowModel) {
           << response.value().Dump();
     }
   }
+  // Unnamed requests run on the default model and are attributed to
+  // it by name, never to "".
+  constexpr size_t kUnnamed = 5;
+  for (size_t i = 0; i < kUnnamed; ++i) {
+    Json request = ExactQueryRequest(queries_.Row(i), "");
+    request.Set("id", Json::Str("unnamed-" + std::to_string(i)));
+    auto response = client.RoundTrip(request);
+    ASSERT_TRUE(response.ok()) << response.status().ToString();
+    ASSERT_NE(response.value().Find("value"), nullptr)
+        << response.value().Dump();
+  }
 
   // The labeled serving series reconcile against the global histogram:
   // per-model counts are exact and sum to the unlabeled family.
@@ -1452,9 +1475,13 @@ TEST_F(ServerTest, PerModelMetricsReconcileAndSloBudgetBurnsForSlowModel) {
   const double beta_count =
       MetricValue(body, "karl_serving_eval_us_count{model=\"beta\"}");
   const double global_count = MetricValue(body, "karl_server_eval_us_count");
-  EXPECT_EQ(alpha_count, static_cast<double>(kPerModel)) << body;
+  EXPECT_EQ(alpha_count, static_cast<double>(kPerModel + kUnnamed))
+      << body;
   EXPECT_EQ(beta_count, static_cast<double>(kPerModel)) << body;
   EXPECT_EQ(alpha_count + beta_count, global_count);
+  EXPECT_NE(body.find("karl_serving_requests_total{model=\"alpha\"} 25"),
+            std::string::npos);
+  EXPECT_EQ(body.find("model=\"\""), std::string::npos) << body;
   EXPECT_NE(body.find("karl_serving_eval_us{model=\"alpha\",quantile="),
             std::string::npos);
   EXPECT_NE(
@@ -1489,10 +1516,29 @@ TEST_F(ServerTest, PerModelMetricsReconcileAndSloBudgetBurnsForSlowModel) {
   EXPECT_FALSE(alpha_latency->Find("burning")->bool_value());
   EXPECT_EQ(alpha_latency->Find("budget_remaining")->number_value(), 1.0);
 
-  // The flight recorder attributes every request to its model.
+  // The flight recorder attributes every request to its model, the
+  // unnamed ones to the default.
   const std::string flightz = HttpGet(admin_port, "/flightz");
   EXPECT_NE(flightz.find("\"model\":\"alpha\""), std::string::npos);
   EXPECT_NE(flightz.find("\"model\":\"beta\""), std::string::npos);
+  const size_t flightz_body_at = flightz.find("\r\n\r\n");
+  ASSERT_NE(flightz_body_at, std::string::npos);
+  size_t unnamed_records = 0;
+  for (size_t begin = flightz_body_at + 4; begin < flightz.size();) {
+    const size_t end = flightz.find('\n', begin);
+    ASSERT_NE(end, std::string::npos) << flightz;
+    auto record = Json::Parse(flightz.substr(begin, end - begin));
+    ASSERT_TRUE(record.ok()) << flightz;
+    begin = end + 1;
+    const Json* id = record.value().Find("id");
+    if (id == nullptr || id->string_value().rfind("unnamed-", 0) != 0) {
+      continue;
+    }
+    ++unnamed_records;
+    EXPECT_EQ(record.value().Find("model")->string_value(), "alpha")
+        << record.value().Dump();
+  }
+  EXPECT_EQ(unnamed_records, kUnnamed);
 
   // /modelz carries the per-model resident/generation view.
   const std::string modelz = HttpGet(admin_port, "/modelz");
