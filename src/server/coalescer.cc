@@ -1,6 +1,7 @@
 #include "server/coalescer.h"
 
 #include <algorithm>
+#include <span>
 #include <utility>
 
 #include "core/karl.h"
@@ -235,13 +236,15 @@ void Coalescer::RunExplain(WorkItem item) {
   item.ctx.stats.nodes_expanded = stats.nodes_expanded;
   item.ctx.stats.kernel_evals = stats.kernel_evals;
 
-  const Json explain = TraversalProfileJson(profile);
   Completion completion;
   completion.conn_id = item.conn_id;
+  completion.explain_json = TraversalProfileJson(profile).Dump();
   completion.response =
       item.kind == QueryKind::kTkaq
-          ? OkExplainBoolResponse(item.request_id, above, explain)
-          : OkExplainValueResponse(item.request_id, value, explain);
+          ? OkExplainBoolResponse(item.request_id, above,
+                                  completion.explain_json)
+          : OkExplainValueResponse(item.request_id, value,
+                                   completion.explain_json);
   item.ctx.serialized_us = telemetry::MonotonicMicros();
   completion.ctx = item.ctx;
   completion.kind = item.kind;
@@ -249,7 +252,6 @@ void Coalescer::RunExplain(WorkItem item) {
   completion.rows = 1;
   completion.model = std::move(item.model);
   completion.request_id = std::move(item.request_id);
-  completion.explain_json = explain.Dump();
 
   std::vector<Completion> completions;
   completions.push_back(std::move(completion));
@@ -382,13 +384,11 @@ void Coalescer::RunGroup(std::vector<WorkItem> group) {
       if (kind == QueryKind::kTkaq) {
         response = OkBoolsResponse(
             item.request_id,
-            {bools.begin() + static_cast<ptrdiff_t>(offset),
-             bools.begin() + static_cast<ptrdiff_t>(offset + rows)});
+            std::span<const uint8_t>(bools).subspan(offset, rows));
       } else {
         response = OkValuesResponse(
             item.request_id,
-            {values.begin() + static_cast<ptrdiff_t>(offset),
-             values.begin() + static_cast<ptrdiff_t>(offset + rows)});
+            std::span<const double>(values).subspan(offset, rows));
       }
     } else {
       if (kind == QueryKind::kTkaq) {

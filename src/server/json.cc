@@ -1,8 +1,9 @@
 #include "server/json.h"
 
-#include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdlib>
+#include <string>
 
 #include "util/check.h"
 #include "util/json_text.h"
@@ -12,19 +13,20 @@ namespace {
 
 constexpr int kMaxDepth = 64;
 
-// Recursive-descent parser over a bounded cursor.
-class Parser {
+// Recursive-descent walk over a bounded cursor, reporting each value to
+// the visitor as it is read.
+class Walker {
  public:
-  explicit Parser(std::string_view text) : text_(text) {}
+  Walker(std::string_view text, JsonVisitor* visitor)
+      : text_(text), visitor_(visitor) {}
 
-  util::Result<Json> ParseDocument() {
-    auto value = ParseValue(0);
-    if (!value.ok()) return value.status();
+  util::Status WalkDocument() {
+    KARL_RETURN_NOT_OK(WalkValue(0));
     SkipWs();
     if (pos_ != text_.size()) {
       return Error("trailing characters after JSON document");
     }
-    return value;
+    return util::Status::OK();
   }
 
  private:
@@ -47,55 +49,81 @@ class Parser {
     return true;
   }
 
-  util::Result<Json> ParseValue(int depth) {
+  util::Status WalkValue(int depth) {
     if (depth > kMaxDepth) return Error("nesting too deep");
     SkipWs();
     if (pos_ >= text_.size()) return Error("unexpected end of input");
     const char c = text_[pos_];
     switch (c) {
       case '{':
-        return ParseObject(depth);
+        return WalkObject(depth);
       case '[':
-        return ParseArray(depth);
+        return WalkArray(depth);
       case '"': {
-        auto s = ParseString();
-        if (!s.ok()) return s.status();
-        return Json::Str(std::move(s).ValueOrDie());
+        std::string_view s;
+        KARL_RETURN_NOT_OK(ParseString(&s));
+        visitor_->String(s);
+        return util::Status::OK();
       }
       case 't':
-        if (ConsumeLiteral("true")) return Json::Bool(true);
-        return Error("invalid literal");
+        if (!ConsumeLiteral("true")) return Error("invalid literal");
+        visitor_->Bool(true);
+        return util::Status::OK();
       case 'f':
-        if (ConsumeLiteral("false")) return Json::Bool(false);
-        return Error("invalid literal");
+        if (!ConsumeLiteral("false")) return Error("invalid literal");
+        visitor_->Bool(false);
+        return util::Status::OK();
       case 'n':
-        if (ConsumeLiteral("null")) return Json();
-        return Error("invalid literal");
-      default:
-        return ParseNumber();
+        if (!ConsumeLiteral("null")) return Error("invalid literal");
+        visitor_->Null();
+        return util::Status::OK();
+      default: {
+        double value = 0.0;
+        KARL_RETURN_NOT_OK(ParseNumber(&value));
+        visitor_->Number(value);
+        return util::Status::OK();
+      }
     }
   }
 
-  util::Result<Json> ParseNumber() {
+  // A character of a number token: the token is the longest run of
+  // digits, '.', 'e', 'E', '+' and '-'.
+  static bool InNumber(char c) {
+    return (c >= '0' && c <= '9') || c == '.' || c == 'e' || c == 'E' ||
+           c == '+' || c == '-';
+  }
+
+  // A number's value is what strtod makes of its whole token. The fast
+  // path reads it with std::from_chars in place: a finite from_chars
+  // result read only token characters, so when it stops where the token
+  // ends it read the token, to the same correctly rounded value (strtod
+  // also takes a leading '+', skipped here). Anything else (a malformed
+  // token, a result out of double's range, a non-finite spelling such as
+  // "inf") takes the token through strtod, whose verdict stands.
+  util::Status ParseNumber(double* out) {
     const size_t start = pos_;
-    if (pos_ < text_.size() && text_[pos_] == '-') ++pos_;
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) ||
-            text_[pos_] == '.' || text_[pos_] == 'e' || text_[pos_] == 'E' ||
-            text_[pos_] == '+' || text_[pos_] == '-')) {
-      ++pos_;
+    const char* first = text_.data() + start;
+    const char* const text_end = text_.data() + text_.size();
+    if (*first == '+' && first + 1 < text_end && first[1] != '-') ++first;
+    const std::from_chars_result parsed =
+        std::from_chars(first, text_end, *out);
+    if (parsed.ec == std::errc() && std::isfinite(*out) &&
+        (parsed.ptr == text_end || !InNumber(*parsed.ptr))) {
+      pos_ = static_cast<size_t>(parsed.ptr - text_.data());
+      return util::Status::OK();
     }
+    while (pos_ < text_.size() && InNumber(text_[pos_])) ++pos_;
     if (pos_ == start) return Error("expected a value");
     const std::string token(text_.substr(start, pos_ - start));
     char* end = nullptr;
-    const double value = std::strtod(token.c_str(), &end);
+    *out = std::strtod(token.c_str(), &end);
     if (end != token.c_str() + token.size()) {
       return Error("malformed number '" + token + "'");
     }
-    if (!std::isfinite(value)) {
+    if (!std::isfinite(*out)) {
       return Error("number out of range '" + token + "'");
     }
-    return Json::Number(value);
+    return util::Status::OK();
   }
 
   // Decodes one \uXXXX escape (pos_ past the 'u'), pairing surrogates,
@@ -156,70 +184,82 @@ class Parser {
     return util::Status::OK();
   }
 
-  util::Result<std::string> ParseString() {
+  // Reads the string at pos_ (its opening quote). A string without
+  // escapes is a view into the text; one with escapes is decoded into
+  // scratch_, valid until the next string.
+  util::Status ParseString(std::string_view* out) {
     KARL_DCHECK(text_[pos_] == '"');
-    ++pos_;
-    std::string out;
+    const size_t begin = ++pos_;
+    while (pos_ < text_.size() && text_[pos_] != '"' &&
+           text_[pos_] != '\\' &&
+           static_cast<unsigned char>(text_[pos_]) >= 0x20) {
+      ++pos_;
+    }
+    if (pos_ < text_.size() && text_[pos_] == '"') {
+      *out = text_.substr(begin, pos_++ - begin);
+      return util::Status::OK();
+    }
+    scratch_.assign(text_.data() + begin, pos_ - begin);
     while (true) {
       if (pos_ >= text_.size()) return Error("unterminated string");
       const char c = text_[pos_++];
-      if (c == '"') return out;
+      if (c == '"') break;
       if (static_cast<unsigned char>(c) < 0x20) {
         return Error("raw control character in string");
       }
       if (c != '\\') {
-        out.push_back(c);
+        scratch_.push_back(c);
         continue;
       }
       if (pos_ >= text_.size()) return Error("unterminated escape");
       const char e = text_[pos_++];
       switch (e) {
         case '"':
-          out.push_back('"');
+          scratch_.push_back('"');
           break;
         case '\\':
-          out.push_back('\\');
+          scratch_.push_back('\\');
           break;
         case '/':
-          out.push_back('/');
+          scratch_.push_back('/');
           break;
         case 'n':
-          out.push_back('\n');
+          scratch_.push_back('\n');
           break;
         case 'r':
-          out.push_back('\r');
+          scratch_.push_back('\r');
           break;
         case 't':
-          out.push_back('\t');
+          scratch_.push_back('\t');
           break;
         case 'b':
-          out.push_back('\b');
+          scratch_.push_back('\b');
           break;
         case 'f':
-          out.push_back('\f');
+          scratch_.push_back('\f');
           break;
-        case 'u': {
-          if (auto st = ParseUnicodeEscape(&out); !st.ok()) return st;
+        case 'u':
+          KARL_RETURN_NOT_OK(ParseUnicodeEscape(&scratch_));
           break;
-        }
         default:
           return Error("invalid escape");
       }
     }
+    *out = scratch_;
+    return util::Status::OK();
   }
 
-  util::Result<Json> ParseArray(int depth) {
+  util::Status WalkArray(int depth) {
     ++pos_;  // '['
-    Json array = Json::Array();
+    visitor_->BeginArray();
     SkipWs();
     if (pos_ < text_.size() && text_[pos_] == ']') {
       ++pos_;
-      return array;
+      visitor_->EndArray();
+      return util::Status::OK();
     }
     while (true) {
-      auto value = ParseValue(depth + 1);
-      if (!value.ok()) return value.status();
-      array.Append(std::move(value).ValueOrDie());
+      KARL_RETURN_NOT_OK(WalkValue(depth + 1));
       SkipWs();
       if (pos_ >= text_.size()) return Error("unterminated array");
       if (text_[pos_] == ',') {
@@ -228,35 +268,36 @@ class Parser {
       }
       if (text_[pos_] == ']') {
         ++pos_;
-        return array;
+        visitor_->EndArray();
+        return util::Status::OK();
       }
       return Error("expected ',' or ']'");
     }
   }
 
-  util::Result<Json> ParseObject(int depth) {
+  util::Status WalkObject(int depth) {
     ++pos_;  // '{'
-    Json object = Json::Object();
+    visitor_->BeginObject();
     SkipWs();
     if (pos_ < text_.size() && text_[pos_] == '}') {
       ++pos_;
-      return object;
+      visitor_->EndObject();
+      return util::Status::OK();
     }
     while (true) {
       SkipWs();
       if (pos_ >= text_.size() || text_[pos_] != '"') {
         return Error("expected object key");
       }
-      auto key = ParseString();
-      if (!key.ok()) return key.status();
+      std::string_view key;
+      KARL_RETURN_NOT_OK(ParseString(&key));
+      visitor_->Key(key);
       SkipWs();
       if (pos_ >= text_.size() || text_[pos_] != ':') {
         return Error("expected ':'");
       }
       ++pos_;
-      auto value = ParseValue(depth + 1);
-      if (!value.ok()) return value.status();
-      object.Set(std::move(key).ValueOrDie(), std::move(value).ValueOrDie());
+      KARL_RETURN_NOT_OK(WalkValue(depth + 1));
       SkipWs();
       if (pos_ >= text_.size()) return Error("unterminated object");
       if (text_[pos_] == ',') {
@@ -265,14 +306,59 @@ class Parser {
       }
       if (text_[pos_] == '}') {
         ++pos_;
-        return object;
+        visitor_->EndObject();
+        return util::Status::OK();
       }
       return Error("expected ',' or '}'");
     }
   }
 
   std::string_view text_;
+  JsonVisitor* visitor_;
   size_t pos_ = 0;
+  std::string scratch_;
+};
+
+// Json::Parse's visitor: builds the tree. A value is appended to the
+// innermost open array, or set on the innermost open object under the
+// innermost pending key (a repeated key keeps its last value).
+class TreeBuilder final : public JsonVisitor {
+ public:
+  Json Take() { return std::move(root_); }
+
+  void Null() override { Add(Json()); }
+  void Bool(bool value) override { Add(Json::Bool(value)); }
+  void Number(double value) override { Add(Json::Number(value)); }
+  void String(std::string_view value) override {
+    Add(Json::Str(std::string(value)));
+  }
+  void BeginArray() override { open_.push_back(Json::Array()); }
+  void BeginObject() override { open_.push_back(Json::Object()); }
+  void Key(std::string_view key) override { keys_.emplace_back(key); }
+  void EndArray() override { Close(); }
+  void EndObject() override { Close(); }
+
+ private:
+  void Close() {
+    Json done = std::move(open_.back());
+    open_.pop_back();
+    Add(std::move(done));
+  }
+
+  void Add(Json value) {
+    if (open_.empty()) {
+      root_ = std::move(value);
+    } else if (open_.back().is_array()) {
+      open_.back().Append(std::move(value));
+    } else {
+      open_.back().Set(std::move(keys_.back()), std::move(value));
+      keys_.pop_back();
+    }
+  }
+
+  std::vector<Json> open_;
+  std::vector<std::string> keys_;
+  Json root_;
 };
 
 }  // namespace
@@ -404,7 +490,13 @@ std::string Json::Dump() const {
 }
 
 util::Result<Json> Json::Parse(std::string_view text) {
-  return Parser(text).ParseDocument();
+  TreeBuilder builder;
+  KARL_RETURN_NOT_OK(Visit(text, &builder));
+  return builder.Take();
+}
+
+util::Status Json::Visit(std::string_view text, JsonVisitor* visitor) {
+  return Walker(text, visitor).WalkDocument();
 }
 
 }  // namespace karl::server

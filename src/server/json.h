@@ -1,15 +1,21 @@
 // Minimal dependency-free JSON value: parse, build, and compact
-// single-line serialization. This backs the server's newline-delimited
-// JSON wire protocol (see server/protocol.h), so it deliberately stays
-// small: doubles only (no 64-bit integer preservation), object members
-// in insertion order (deterministic output), and a parser hardened
-// against malformed and deeply nested input — wire bytes are untrusted.
+// single-line serialization. It deliberately stays small: doubles only
+// (no 64-bit integer preservation), object members in insertion order
+// (deterministic output), and a parser hardened against malformed and
+// deeply nested input — wire bytes are untrusted.
 //
-// Number fidelity: numbers serialize with %.17g (util/json_text.h), so a
-// finite double round-trips bit-exactly through Dump() + Parse(). The
-// server relies on this for its "responses are bit-identical to a local
-// Engine" contract. JSON has no NaN or infinity, so Dump() writes a
-// non-finite number as null.
+// One grammar: Json::Visit walks a document and reports it as events
+// to a JsonVisitor. Json::Parse is the visitor that builds a tree (for
+// the admin plane, SLO configs, the client and tests); the wire request
+// reader (server/protocol.h) is one that decodes only the members a
+// request has, with no tree. Both therefore accept the same documents
+// and refuse the same ones with the same message.
+//
+// Number fidelity: numbers serialize as %.17g text (util/json_text.h),
+// so a finite double round-trips bit-exactly through Dump() + Parse().
+// The server relies on this for its "responses are bit-identical to a
+// local Engine" contract. JSON has no NaN or infinity, so Dump() writes
+// a non-finite number as null.
 
 #ifndef KARL_SERVER_JSON_H_
 #define KARL_SERVER_JSON_H_
@@ -22,6 +28,8 @@
 #include "util/status.h"
 
 namespace karl::server {
+
+class JsonVisitor;
 
 /// One JSON value: null, bool, number, string, array, or object.
 class Json {
@@ -74,6 +82,11 @@ class Json {
   /// Rejects non-finite numbers and nesting deeper than 64 levels.
   static util::Result<Json> Parse(std::string_view text);
 
+  /// Walks exactly one JSON document under Parse's rules, reporting it
+  /// to `visitor` in document order. On an error the events already
+  /// reported are moot; the status says what and at which byte.
+  static util::Status Visit(std::string_view text, JsonVisitor* visitor);
+
  private:
   Type type_ = Type::kNull;
   bool bool_ = false;
@@ -81,6 +94,24 @@ class Json {
   std::string string_;
   std::vector<Json> items_;
   std::vector<std::pair<std::string, Json>> members_;
+};
+
+/// The events of one document walk (Json::Visit). Strings and keys
+/// arrive decoded; a view is valid only for the duration of the call.
+/// A container's members or items arrive between its Begin and End; an
+/// object member is its Key followed by its value.
+class JsonVisitor {
+ public:
+  virtual ~JsonVisitor() = default;
+  virtual void Null() = 0;
+  virtual void Bool(bool value) = 0;
+  virtual void Number(double value) = 0;
+  virtual void String(std::string_view value) = 0;
+  virtual void BeginArray() = 0;
+  virtual void EndArray() = 0;
+  virtual void BeginObject() = 0;
+  virtual void Key(std::string_view key) = 0;
+  virtual void EndObject() = 0;
 };
 
 }  // namespace karl::server

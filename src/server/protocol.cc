@@ -1,9 +1,8 @@
 #include "server/protocol.h"
 
-#include <cmath>
+#include <utility>
 
-#include "server/json.h"
-#include "util/check.h"
+#include "util/json_text.h"
 
 namespace karl::server {
 namespace {
@@ -12,50 +11,341 @@ util::Status BadRequest(const std::string& what) {
   return util::Status::InvalidArgument(what);
 }
 
-// Extracts a finite-number row from a JSON array.
-util::Status ReadRow(const Json& array, std::vector<double>* out) {
-  if (!array.is_array()) return BadRequest("query must be a number array");
-  out->clear();
-  out->reserve(array.items().size());
-  for (const Json& v : array.items()) {
-    if (!v.is_number()) return BadRequest("query must contain only numbers");
-    out->push_back(v.number_value());
+// Reads a request line from the events of one Json::Visit walk,
+// straight into a Request: strings decoded into it, numbers as they
+// come, rows into one flat buffer, no tree. A repeated key replaces the
+// earlier value, as Json::Set does; values the protocol does not read
+// are walked (so malformed JSON is refused anywhere in the line) and
+// ignored. What a member means (its type, the op it belongs to) is
+// checked by Finish once the document is known to be well-formed, in
+// the order the tree-based reader checked it, so every refusal keeps
+// its message.
+class RequestVisitor final : public JsonVisitor {
+ public:
+  util::Result<Request> Finish();
+
+  void Null() override { Other(); }
+  void Bool(bool) override { Other(); }
+  void Number(double value) override;
+  void String(std::string_view value) override;
+  void BeginArray() override;
+  void EndArray() override;
+  void BeginObject() override {
+    if (depth_ == 0) root_is_object_ = true;
+    Other();
+    ++depth_;
   }
-  return util::Status::OK();
+  void Key(std::string_view key) override;
+  void EndObject() override { --depth_; }
+
+ private:
+  // The root members the protocol reads; kOther is any other key.
+  enum Member : uint8_t {
+    kId,
+    kModel,
+    kOp,
+    kKind,
+    kTau,
+    kEps,
+    kQ,
+    kQueries,
+    kOther,
+    kMemberCount,
+  };
+  // The JSON type of a member's value; kAbsent until it is seen.
+  enum class Shape : uint8_t { kAbsent, kString, kNumber, kArray, kOther };
+  // The first thing wrong with the rows of "queries", in row order.
+  enum class RowsError : uint8_t {
+    kNone,
+    kNotArray,
+    kNotNumber,
+    kEmpty,
+    kRagged,
+  };
+  // What the value now starting is: the value of root member member_,
+  // an item of the "q" row, a row of "queries", an item of that row, or
+  // something nested the protocol ignores.
+  enum class Place : uint8_t { kMember, kQItem, kRow, kRowItem, kIgnored };
+
+  Place Here() const {
+    if (depth_ == 1) return Place::kMember;
+    if (depth_ == 2 && member_ == kQ && shape_[kQ] == Shape::kArray) {
+      return Place::kQItem;
+    }
+    if (depth_ == 2 && member_ == kQueries &&
+        shape_[kQueries] == Shape::kArray) {
+      return Place::kRow;
+    }
+    if (depth_ == 3 && in_row_) return Place::kRowItem;
+    return Place::kIgnored;
+  }
+
+  std::string* StringOf(Member member) {
+    switch (member) {
+      case kId:
+        return &request_.id;
+      case kModel:
+        return &request_.model;
+      case kOp:
+        return &op_;
+      case kKind:
+        return &kind_;
+      default:
+        return nullptr;
+    }
+  }
+
+  // A value other than a number or a string, or a container opening.
+  void Other() {
+    switch (Here()) {
+      case Place::kMember:
+        shape_[member_] = Shape::kOther;
+        break;
+      case Place::kQItem:
+        q_not_number_ = true;
+        break;
+      case Place::kRow:
+        if (rows_error_ == RowsError::kNone) {
+          rows_error_ = RowsError::kNotArray;
+        }
+        break;
+      case Place::kRowItem:
+        row_not_number_ = true;
+        break;
+      case Place::kIgnored:
+        break;
+    }
+  }
+
+  util::Status ReadKindAndParam();
+
+  int depth_ = 0;  // Containers open around the next event.
+  bool root_is_object_ = false;
+  Member member_ = kOther;  // The root member being read.
+
+  // The members read so far (the last occurrence of each key wins).
+  Shape shape_[kMemberCount] = {};
+  Request request_;  // Its id and model are decoded into it directly.
+  std::string op_;
+  std::string kind_;
+  double tau_ = 0.0;
+  double eps_ = 0.0;
+  std::vector<double> q_;
+  bool q_not_number_ = false;
+  std::vector<double> rows_;  // "queries", flattened.
+  size_t rows_count_ = 0;
+  size_t rows_width_ = 0;
+  RowsError rows_error_ = RowsError::kNone;
+  bool in_row_ = false;
+  size_t row_begin_ = 0;  // Offset of the open row in rows_.
+  bool row_not_number_ = false;
+};
+
+void RequestVisitor::Key(std::string_view key) {
+  if (depth_ != 1) return;
+  static constexpr std::pair<std::string_view, Member> kMembers[] = {
+      {"id", kId},     {"model", kModel}, {"op", kOp},
+      {"kind", kKind}, {"tau", kTau},     {"eps", kEps},
+      {"q", kQ},       {"queries", kQueries},
+  };
+  member_ = kOther;
+  for (const auto& [name, member] : kMembers) {
+    if (key == name) member_ = member;
+  }
 }
 
-util::Status ReadKindAndParam(const Json& root, Request* request) {
-  const Json* kind = root.Find("kind");
-  if (kind == nullptr || !kind->is_string()) {
+void RequestVisitor::Number(double value) {
+  switch (Here()) {
+    case Place::kMember:
+      shape_[member_] = Shape::kNumber;
+      if (member_ == kTau) tau_ = value;
+      if (member_ == kEps) eps_ = value;
+      break;
+    case Place::kQItem:
+      q_.push_back(value);
+      break;
+    case Place::kRowItem:
+      rows_.push_back(value);
+      break;
+    default:
+      Other();
+  }
+}
+
+void RequestVisitor::String(std::string_view value) {
+  if (Here() != Place::kMember) return Other();
+  shape_[member_] = Shape::kString;
+  if (std::string* out = StringOf(member_); out != nullptr) {
+    out->assign(value);
+  }
+}
+
+void RequestVisitor::BeginArray() {
+  const Place place = Here();
+  if (place == Place::kMember && member_ == kQ) {
+    shape_[kQ] = Shape::kArray;
+    q_.clear();
+    q_.reserve(64);  // Most rows then fill one allocation.
+    q_not_number_ = false;
+  } else if (place == Place::kMember && member_ == kQueries) {
+    shape_[kQueries] = Shape::kArray;
+    rows_.clear();
+    rows_count_ = 0;
+    rows_width_ = 0;
+    rows_error_ = RowsError::kNone;
+  } else if (place == Place::kRow) {
+    in_row_ = true;
+    row_begin_ = rows_.size();
+    row_not_number_ = false;
+  } else {
+    Other();
+  }
+  ++depth_;
+}
+
+void RequestVisitor::EndArray() {
+  --depth_;
+  if (!(in_row_ && depth_ == 2)) return;
+  // A row of "queries" closed: the first bad row decides the refusal.
+  in_row_ = false;
+  const size_t width = rows_.size() - row_begin_;
+  if (rows_error_ != RowsError::kNone) {
+    rows_.resize(row_begin_);
+  } else if (row_not_number_) {
+    rows_error_ = RowsError::kNotNumber;
+  } else if (width == 0) {
+    rows_error_ = RowsError::kEmpty;
+  } else if (rows_count_ > 0 && width != rows_width_) {
+    rows_error_ = RowsError::kRagged;
+  } else {
+    rows_width_ = width;
+    ++rows_count_;
+  }
+}
+
+util::Status RequestVisitor::ReadKindAndParam() {
+  if (shape_[kKind] != Shape::kString) {
     return BadRequest("missing \"kind\" (tkaq|ekaq|exact)");
   }
-  const std::string& name = kind->string_value();
-  if (name == "tkaq") {
-    request->kind = QueryKind::kTkaq;
-    const Json* tau = root.Find("tau");
-    if (tau == nullptr || !tau->is_number()) {
+  if (kind_ == "tkaq") {
+    request_.kind = QueryKind::kTkaq;
+    if (shape_[kTau] != Shape::kNumber) {
       return BadRequest("tkaq requires a numeric \"tau\"");
     }
-    request->param = tau->number_value();
-  } else if (name == "ekaq") {
-    request->kind = QueryKind::kEkaq;
-    const Json* eps = root.Find("eps");
-    if (eps == nullptr || !eps->is_number() || eps->number_value() <= 0.0) {
+    request_.param = tau_;
+  } else if (kind_ == "ekaq") {
+    request_.kind = QueryKind::kEkaq;
+    if (shape_[kEps] != Shape::kNumber || eps_ <= 0.0) {
       return BadRequest("ekaq requires a positive numeric \"eps\"");
     }
-    request->param = eps->number_value();
-  } else if (name == "exact") {
-    request->kind = QueryKind::kExact;
-    request->param = 0.0;
+    request_.param = eps_;
+  } else if (kind_ == "exact") {
+    request_.kind = QueryKind::kExact;
+    request_.param = 0.0;
   } else {
-    return BadRequest("unknown kind '" + name + "' (tkaq|ekaq|exact)");
+    return BadRequest("unknown kind '" + kind_ + "' (tkaq|ekaq|exact)");
   }
   return util::Status::OK();
 }
 
-std::string Finish(Json response, const std::string& id) {
-  if (!id.empty()) response.Set("id", Json::Str(id));
-  return response.Dump() + "\n";
+util::Result<Request> RequestVisitor::Finish() {
+  if (!root_is_object_) return BadRequest("request must be a JSON object");
+  if (shape_[kId] != Shape::kAbsent && shape_[kId] != Shape::kString) {
+    return BadRequest("\"id\" must be a string");
+  }
+  if (shape_[kOp] != Shape::kString) {
+    return BadRequest("missing \"op\" (query|batch|explain|health|reload)");
+  }
+  if (op_ == "health" || op_ == "reload") {
+    Request admin;
+    admin.op = op_ == "health" ? Request::Op::kHealth : Request::Op::kReload;
+    admin.id = std::move(request_.id);
+    return admin;
+  }
+  if (shape_[kModel] != Shape::kAbsent && shape_[kModel] != Shape::kString) {
+    return BadRequest("\"model\" must be a string");
+  }
+
+  if (op_ == "query" || op_ == "explain") {
+    request_.op = op_ == "query" ? Request::Op::kQuery : Request::Op::kExplain;
+    KARL_RETURN_NOT_OK(ReadKindAndParam());
+    if (request_.op == Request::Op::kExplain &&
+        request_.kind == QueryKind::kExact) {
+      return BadRequest(
+          "explain requires kind tkaq or ekaq — a full scan has no "
+          "traversal to profile");
+    }
+    if (shape_[kQ] == Shape::kAbsent) {
+      return BadRequest(op_ + " requires \"q\"");
+    }
+    if (shape_[kQ] != Shape::kArray) {
+      return BadRequest("query must be a number array");
+    }
+    if (q_not_number_) return BadRequest("query must contain only numbers");
+    if (q_.empty()) return BadRequest("\"q\" must be non-empty");
+    const size_t dims = q_.size();
+    request_.queries = data::Matrix(1, dims, std::move(q_));
+    return std::move(request_);
+  }
+  if (op_ == "batch") {
+    request_.op = Request::Op::kBatch;
+    KARL_RETURN_NOT_OK(ReadKindAndParam());
+    if (shape_[kQueries] != Shape::kArray) {
+      return BadRequest("batch requires a \"queries\" array of rows");
+    }
+    switch (rows_error_) {
+      case RowsError::kNone:
+        break;
+      case RowsError::kNotArray:
+        return BadRequest("query must be a number array");
+      case RowsError::kNotNumber:
+        return BadRequest("query must contain only numbers");
+      case RowsError::kEmpty:
+        return BadRequest("batch rows must be non-empty");
+      case RowsError::kRagged:
+        return BadRequest("batch rows must share one dimensionality");
+    }
+    if (rows_count_ > 0) {
+      request_.queries =
+          data::Matrix(rows_count_, rows_width_, std::move(rows_));
+    }
+    return std::move(request_);
+  }
+  return BadRequest("unknown op '" + op_ +
+                    "' (query|batch|explain|health|reload)");
+}
+
+// Reply lines are built by appending into one string: `{"ok":...`, then
+// ReplyEnd's optional id and the closing `}\n` — the bytes Json::Dump
+// printed for the same members in the same order.
+void AppendString(std::string* out, std::string_view s) {
+  out->push_back('"');
+  util::AppendJsonEscaped(out, s);
+  out->push_back('"');
+}
+
+std::string ReplyEnd(std::string out, std::string_view id) {
+  if (!id.empty()) {
+    out += ",\"id\":";
+    AppendString(&out, id);
+  }
+  out += "}\n";
+  return out;
+}
+
+std::string OkReply(std::string_view key, size_t reserve) {
+  std::string out;
+  out.reserve(reserve);
+  out += "{\"ok\":true,\"";
+  out += key;
+  out += "\":";
+  return out;
+}
+
+// Room for a reply of `items` numbers and an id, so building it never
+// reallocates.
+size_t ReplySize(size_t items, std::string_view id) {
+  return 48 + 25 * items + id.size();
 }
 
 }  // namespace
@@ -73,116 +363,82 @@ std::string_view QueryKindToString(QueryKind kind) {
 }
 
 util::Result<Request> ParseRequest(std::string_view line) {
-  auto parsed = Json::Parse(line);
-  if (!parsed.ok()) return parsed.status();
-  const Json root = std::move(parsed).ValueOrDie();
-  if (!root.is_object()) return BadRequest("request must be a JSON object");
-
-  Request request;
-  if (const Json* id = root.Find("id"); id != nullptr) {
-    if (!id->is_string()) return BadRequest("\"id\" must be a string");
-    request.id = id->string_value();
-  }
-
-  const Json* op = root.Find("op");
-  if (op == nullptr || !op->is_string()) {
-    return BadRequest(
-        "missing \"op\" (query|batch|explain|health|reload)");
-  }
-  const std::string& name = op->string_value();
-  if (name == "health") {
-    request.op = Request::Op::kHealth;
-    return request;
-  }
-  if (name == "reload") {
-    request.op = Request::Op::kReload;
-    return request;
-  }
-  if (const Json* model = root.Find("model"); model != nullptr) {
-    if (!model->is_string()) return BadRequest("\"model\" must be a string");
-    request.model = model->string_value();
-  }
-
-  std::vector<double> row;
-  if (name == "query" || name == "explain") {
-    request.op =
-        name == "query" ? Request::Op::kQuery : Request::Op::kExplain;
-    KARL_RETURN_NOT_OK(ReadKindAndParam(root, &request));
-    if (request.op == Request::Op::kExplain &&
-        request.kind == QueryKind::kExact) {
-      return BadRequest(
-          "explain requires kind tkaq or ekaq — a full scan has no "
-          "traversal to profile");
-    }
-    const Json* q = root.Find("q");
-    if (q == nullptr) return BadRequest(name + " requires \"q\"");
-    KARL_RETURN_NOT_OK(ReadRow(*q, &row));
-    if (row.empty()) return BadRequest("\"q\" must be non-empty");
-    const size_t dims = row.size();
-    request.queries = data::Matrix(1, dims, std::move(row));
-    return request;
-  }
-  if (name == "batch") {
-    request.op = Request::Op::kBatch;
-    KARL_RETURN_NOT_OK(ReadKindAndParam(root, &request));
-    const Json* queries = root.Find("queries");
-    if (queries == nullptr || !queries->is_array()) {
-      return BadRequest("batch requires a \"queries\" array of rows");
-    }
-    for (const Json& entry : queries->items()) {
-      KARL_RETURN_NOT_OK(ReadRow(entry, &row));
-      if (row.empty()) return BadRequest("batch rows must be non-empty");
-      if (!request.queries.empty() &&
-          row.size() != request.queries.cols()) {
-        return BadRequest("batch rows must share one dimensionality");
-      }
-      request.queries.AppendRow(row);
-    }
-    return request;
-  }
-  return BadRequest("unknown op '" + name +
-                    "' (query|batch|explain|health|reload)");
+  RequestVisitor visitor;
+  KARL_RETURN_NOT_OK(Json::Visit(line, &visitor));
+  return visitor.Finish();
 }
 
-std::string OkBoolResponse(const std::string& id, bool above) {
-  return Finish(
-      Json::Object().Set("ok", Json::Bool(true)).Set("above",
-                                                     Json::Bool(above)),
-      id);
+std::string OkBoolResponse(std::string_view id, bool above) {
+  std::string out = OkReply("above", ReplySize(1, id));
+  out += above ? "true" : "false";
+  return ReplyEnd(std::move(out), id);
 }
 
-std::string OkValueResponse(const std::string& id, double value) {
-  return Finish(
-      Json::Object().Set("ok", Json::Bool(true)).Set("value",
-                                                     Json::Number(value)),
-      id);
+std::string OkValueResponse(std::string_view id, double value) {
+  std::string out = OkReply("value", ReplySize(1, id));
+  util::AppendJsonNumber(&out, value);
+  return ReplyEnd(std::move(out), id);
 }
 
-std::string OkBoolsResponse(const std::string& id,
-                            const std::vector<uint8_t>& above) {
-  Json list = Json::Array();
-  for (const uint8_t b : above) list.Append(Json::Bool(b != 0));
-  return Finish(
-      Json::Object().Set("ok", Json::Bool(true)).Set("above",
-                                                     std::move(list)),
-      id);
+std::string OkBoolsResponse(std::string_view id,
+                            std::span<const uint8_t> above) {
+  std::string out = OkReply("above", ReplySize(above.size(), id));
+  out.push_back('[');
+  for (size_t i = 0; i < above.size(); ++i) {
+    if (i > 0) out.push_back(',');
+    out += above[i] != 0 ? "true" : "false";
+  }
+  out.push_back(']');
+  return ReplyEnd(std::move(out), id);
 }
 
-std::string OkValuesResponse(const std::string& id,
-                             const std::vector<double>& values) {
-  Json list = Json::Array();
-  for (const double v : values) list.Append(Json::Number(v));
-  return Finish(
-      Json::Object().Set("ok", Json::Bool(true)).Set("values",
-                                                     std::move(list)),
-      id);
+std::string OkValuesResponse(std::string_view id,
+                             std::span<const double> values) {
+  std::string out = OkReply("values", ReplySize(values.size(), id));
+  out.push_back('[');
+  for (size_t i = 0; i < values.size(); ++i) {
+    if (i > 0) out.push_back(',');
+    util::AppendJsonNumber(&out, values[i]);
+  }
+  out.push_back(']');
+  return ReplyEnd(std::move(out), id);
 }
 
 std::string OkStatusResponse(std::string_view status) {
-  return Finish(Json::Object()
-                    .Set("ok", Json::Bool(true))
-                    .Set("status", Json::Str(std::string(status))),
-                "");
+  std::string out = OkReply("status", ReplySize(0, status));
+  AppendString(&out, status);
+  return ReplyEnd(std::move(out), "");
+}
+
+std::string OkExplainBoolResponse(std::string_view id, bool above,
+                                  std::string_view explain) {
+  std::string out = OkReply("above", ReplySize(0, id) + explain.size());
+  out += above ? "true" : "false";
+  out += ",\"explain\":";
+  out += explain;
+  return ReplyEnd(std::move(out), id);
+}
+
+std::string OkExplainValueResponse(std::string_view id, double value,
+                                   std::string_view explain) {
+  std::string out = OkReply("value", ReplySize(1, id) + explain.size());
+  util::AppendJsonNumber(&out, value);
+  out += ",\"explain\":";
+  out += explain;
+  return ReplyEnd(std::move(out), id);
+}
+
+std::string ErrorResponse(std::string_view id, std::string_view code,
+                          std::string_view detail) {
+  std::string out;
+  out.reserve(ReplySize(0, id) + code.size() + detail.size());
+  out += "{\"ok\":false,\"error\":";
+  AppendString(&out, code);
+  if (!detail.empty()) {
+    out += ",\"detail\":";
+    AppendString(&out, detail);
+  }
+  return ReplyEnd(std::move(out), id);
 }
 
 Json TraversalProfileJson(const core::TraversalProfile& profile) {
@@ -239,33 +495,6 @@ Json TraversalProfileJson(const core::TraversalProfile& profile) {
       .Set("levels", std::move(levels))
       .Set("timeline", std::move(timeline))
       .Set("timeline_truncated", Json::Bool(profile.timeline_truncated));
-}
-
-std::string OkExplainBoolResponse(const std::string& id, bool above,
-                                  const Json& explain) {
-  return Finish(Json::Object()
-                    .Set("ok", Json::Bool(true))
-                    .Set("above", Json::Bool(above))
-                    .Set("explain", explain),
-                id);
-}
-
-std::string OkExplainValueResponse(const std::string& id, double value,
-                                   const Json& explain) {
-  return Finish(Json::Object()
-                    .Set("ok", Json::Bool(true))
-                    .Set("value", Json::Number(value))
-                    .Set("explain", explain),
-                id);
-}
-
-std::string ErrorResponse(const std::string& id, std::string_view code,
-                          std::string_view detail) {
-  Json response = Json::Object()
-                      .Set("ok", Json::Bool(false))
-                      .Set("error", Json::Str(std::string(code)));
-  if (!detail.empty()) response.Set("detail", Json::Str(std::string(detail)));
-  return Finish(std::move(response), id);
 }
 
 }  // namespace karl::server

@@ -34,19 +34,21 @@
 // clients that pipeline can match answers to questions; responses to
 // coalesced queries may complete out of request order.
 //
-// Determinism: numbers travel as %.17g text (see server/json.h), so a
-// query round-trips bit-exactly and server answers are bit-identical
-// to calling the local Engine. An answer that is not finite (a
-// polynomial kernel can overflow to inf on an extreme but finite query)
-// has no JSON literal and travels as null: {"ok":true,"value":null}.
+// Determinism: numbers travel as %.17g text — replies print them with
+// std::to_chars (general format, precision 17; util/json_text.h), the
+// same bytes — so a query round-trips bit-exactly and server answers
+// are bit-identical to calling the local Engine. An answer that is not
+// finite (a polynomial kernel can overflow to inf on an extreme but
+// finite query) has no JSON literal and travels as null:
+// {"ok":true,"value":null}.
 
 #ifndef KARL_SERVER_PROTOCOL_H_
 #define KARL_SERVER_PROTOCOL_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "core/traversal_profile.h"
 #include "data/matrix.h"
@@ -77,22 +79,28 @@ struct Request {
   std::string model;
 };
 
-/// Parses one request line. Validates shape and values (finite query
+/// Parses one request line in a single pass over Json::Visit, the
+/// grammar walk Json::Parse also uses: strings and rows are decoded
+/// straight into the Request, with no JSON tree and no per-token
+/// allocation. So it accepts exactly what Json::Parse accepts (a
+/// repeated key keeps its last value) and refuses malformed JSON with
+/// the same message. Validates shape and values (finite query
 /// coordinates, finite tau, positive finite eps, rectangular batch);
 /// the caller still checks engine-dependent constraints
 /// (dimensionality, weighting type).
 util::Result<Request> ParseRequest(std::string_view line);
 
-/// Response builders; each returns one newline-terminated JSON line.
-/// `id` is attached when non-empty.
-std::string OkBoolResponse(const std::string& id, bool above);
-std::string OkValueResponse(const std::string& id, double value);
-std::string OkBoolsResponse(const std::string& id,
-                            const std::vector<uint8_t>& above);
-std::string OkValuesResponse(const std::string& id,
-                             const std::vector<double>& values);
+/// Response builders; each returns one newline-terminated JSON line,
+/// appended member by member into one string. `id` is attached when
+/// non-empty.
+std::string OkBoolResponse(std::string_view id, bool above);
+std::string OkValueResponse(std::string_view id, double value);
+std::string OkBoolsResponse(std::string_view id,
+                            std::span<const uint8_t> above);
+std::string OkValuesResponse(std::string_view id,
+                             std::span<const double> values);
 std::string OkStatusResponse(std::string_view status);
-std::string ErrorResponse(const std::string& id, std::string_view code,
+std::string ErrorResponse(std::string_view id, std::string_view code,
                           std::string_view detail);
 
 /// Renders a traversal profile as the "explain" JSON object shared by
@@ -104,11 +112,12 @@ std::string ErrorResponse(const std::string& id, std::string_view code,
 /// timeline.
 Json TraversalProfileJson(const core::TraversalProfile& profile);
 
-/// Explain responses: the plain answer plus the profile object.
-std::string OkExplainBoolResponse(const std::string& id, bool above,
-                                  const Json& explain);
-std::string OkExplainValueResponse(const std::string& id, double value,
-                                   const Json& explain);
+/// Explain responses: the plain answer plus the profile object,
+/// `explain` being TraversalProfileJson(...).Dump().
+std::string OkExplainBoolResponse(std::string_view id, bool above,
+                                  std::string_view explain);
+std::string OkExplainValueResponse(std::string_view id, double value,
+                                   std::string_view explain);
 
 }  // namespace karl::server
 

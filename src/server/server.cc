@@ -596,11 +596,15 @@ void Server::OnWritable(Connection* conn) {
 }
 
 void Server::ProcessLines(Connection* conn) {
-  size_t pos;
-  while ((pos = conn->in.find('\n')) != std::string::npos) {
+  // Frames every complete line with a cursor and drops the consumed
+  // prefix once per pass: a pipelined burst costs linear time, and each
+  // line reaches the router as a view into the buffer.
+  const std::string_view in = conn->in;
+  size_t begin = 0;
+  for (size_t end; (end = in.find('\n', begin)) != std::string_view::npos;) {
     // A complete-but-oversized line gets the same treatment as an
     // unterminated one: answer bad_request, stop reading, close.
-    if (pos > kMaxLineBytes) {
+    if (end - begin > kMaxLineBytes) {
       conn->out += ErrorResponse(
           "", "bad_request",
           "request line exceeds " + std::to_string(kMaxLineBytes) + " bytes");
@@ -608,9 +612,9 @@ void Server::ProcessLines(Connection* conn) {
       conn->in.clear();
       return;
     }
-    std::string line = conn->in.substr(0, pos);
-    conn->in.erase(0, pos + 1);
-    if (!line.empty() && line.back() == '\r') line.pop_back();
+    std::string_view line = in.substr(begin, end - begin);
+    begin = end + 1;
+    if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
     if (line.empty()) continue;
     // Birth of the request's observability context: a fresh monotonic
     // id plus the read-stage stamps. Pipelined lines framed from one
@@ -638,6 +642,7 @@ void Server::ProcessLines(Connection* conn) {
       conn->out += outcome.immediate_response;
     }
   }
+  conn->in.erase(0, begin);
 }
 
 bool Server::FlushOut(Connection* conn) {

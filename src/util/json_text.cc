@@ -1,12 +1,18 @@
 #include "util/json_text.h"
 
+#include <charconv>
 #include <cmath>
-#include <cstdio>
 
 namespace karl::util {
 
 void AppendJsonEscaped(std::string* out, std::string_view s) {
-  for (const char c : s) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  size_t run = 0;  // Start of the pending run of bytes that pass through.
+  for (size_t i = 0; i < s.size(); ++i) {
+    const auto c = static_cast<unsigned char>(s[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') continue;
+    out->append(s.data() + run, i - run);
+    run = i + 1;
     switch (c) {
       case '"':
         *out += "\\\"";
@@ -29,17 +35,14 @@ void AppendJsonEscaped(std::string* out, std::string_view s) {
       case '\f':
         *out += "\\f";
         break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          *out += buf;
-        } else {
-          out->push_back(c);
-        }
+      default: {
+        const char escape[] = {'\\', 'u', '0', '0', kHex[c >> 4],
+                               kHex[c & 0xF]};
+        out->append(escape, sizeof(escape));
+      }
     }
   }
+  out->append(s.data() + run, s.size() - run);
 }
 
 void AppendJsonNumber(std::string* out, double v) {
@@ -47,9 +50,11 @@ void AppendJsonNumber(std::string* out, double v) {
     *out += "null";
     return;
   }
+  // "%.17g" is at most 24 characters ("-2.2250738585072014e-308").
   char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  *out += buf;
+  const std::to_chars_result printed = std::to_chars(
+      buf, buf + sizeof(buf), v, std::chars_format::general, 17);
+  out->append(buf, printed.ptr);
 }
 
 }  // namespace karl::util

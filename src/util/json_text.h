@@ -19,9 +19,10 @@ namespace karl::util {
 /// line-delimited. Bytes >= 0x20 pass through unchanged.
 void AppendJsonEscaped(std::string* out, std::string_view s);
 
-/// Appends `v` as a JSON number with %.17g, which round-trips every
-/// finite double bit-exactly through strtod. JSON has no literal for
-/// NaN or ±inf, so a non-finite `v` is written as `null`.
+/// Appends `v` as a JSON number: std::to_chars in general format with
+/// precision 17, byte-for-byte the text of printf's %.17g, which
+/// round-trips every finite double bit-exactly through strtod. JSON has
+/// no literal for NaN or ±inf, so a non-finite `v` is written as `null`.
 void AppendJsonNumber(std::string* out, double v);
 
 }  // namespace karl::util

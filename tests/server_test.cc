@@ -18,6 +18,7 @@
 #include <map>
 #include <optional>
 #include <set>
+#include <span>
 #include <string>
 #include <thread>
 #include <utility>
@@ -132,6 +133,20 @@ class ServerTest : public ::testing::Test {
       return util::Status::IOError("no status in " + line.value());
     }
     return status->string_value();
+  }
+
+  // One {"op":"query","kind":"exact"} line for `q`, tagged with `id`
+  // when non-empty.
+  static std::string ExactLine(std::span<const double> q,
+                               const std::string& id) {
+    Json request = Json::Object()
+                       .Set("op", Json::Str("query"))
+                       .Set("kind", Json::Str("exact"));
+    if (!id.empty()) request.Set("id", Json::Str(id));
+    Json row = Json::Array();
+    for (const double v : q) row.Append(Json::Number(v));
+    request.Set("q", std::move(row));
+    return request.Dump();
   }
 
   double GaugeValue(const std::string& name) {
@@ -944,14 +959,26 @@ TEST_F(ServerTest, AdminEndpointsServeUnderConcurrentTraffic) {
 
   // Keep query traffic in flight on the data plane while scraping.
   std::atomic<bool> stop{false};
-  std::thread traffic([this, &stop] {
+  std::atomic<size_t> answered{0};
+  std::thread traffic([this, &stop, &answered] {
     auto client = Client::Connect("127.0.0.1", server_->port());
     if (!client.ok()) return;
     size_t i = 0;
     while (!stop.load(std::memory_order_relaxed)) {
-      (void)client.value().Exact(queries_.Row(i++ % queries_.rows()));
+      if (client.value().Exact(queries_.Row(i++ % queries_.rows())).ok()) {
+        answered.fetch_add(1, std::memory_order_relaxed);
+      }
     }
   });
+  // The pages below describe a server that has answered a query (the
+  // model resident, stage histograms fed), so scrape after the first.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (answered.load(std::memory_order_relaxed) == 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_GT(answered.load(std::memory_order_relaxed), 0u);
 
   const std::string health = HttpGet(admin_port, "/healthz");
   EXPECT_NE(health.find("HTTP/1.1 200"), std::string::npos) << health;
@@ -1116,7 +1143,10 @@ TEST_F(ServerTest, ExplainQueryReturnsProfileReconcilingWithLocalStats) {
   ASSERT_NE(value, nullptr) << line2.value();
   EXPECT_EQ(value->number_value(), engine_->Ekaq(q, kEps));
 
-  // Both explains landed in the admin ring, newest first.
+  // Both explains landed in the admin ring, newest first. The loop files
+  // a request after flushing its reply; it has filed e1 before it can
+  // frame this health request.
+  ASSERT_TRUE(Health(client).ok());
   const std::string explainz =
       HttpGet(server_->admin_port(), "/explainz?last=8");
   EXPECT_NE(explainz.find("HTTP/1.1 200"), std::string::npos);
@@ -1558,6 +1588,104 @@ TEST_F(ServerTest, PerModelMetricsReconcileAndSloBudgetBurnsForSlowModel) {
     }
   }
   EXPECT_EQ(burn_lines, 1u);
+}
+
+// ---------------------------------------------------------------------------
+// Wire path: line framing.
+
+// Writes all of `data` to `fd`.
+bool SendAll(int fd, std::string_view data) {
+  while (!data.empty()) {
+    const ssize_t n = ::send(fd, data.data(), data.size(), 0);
+    if (n <= 0) return false;
+    data.remove_prefix(static_cast<size_t>(n));
+  }
+  return true;
+}
+
+// Reads `count` newline-terminated lines from `fd` (fewer on EOF).
+std::vector<std::string> ReceiveLines(int fd, size_t count) {
+  std::vector<std::string> lines;
+  std::string pending;
+  char buf[65536];
+  while (lines.size() < count) {
+    const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
+    if (n <= 0) break;
+    pending.append(buf, static_cast<size_t>(n));
+    size_t begin = 0;
+    for (size_t end; (end = pending.find('\n', begin)) != std::string::npos;
+         begin = end + 1) {
+      lines.push_back(pending.substr(begin, end - begin));
+    }
+    pending.erase(0, begin);
+  }
+  return lines;
+}
+
+// Thousands of pipelined lines, cut into writes at arbitrary bytes (so
+// lines straddle reads), all come back answered under their own id.
+TEST_F(ServerTest, PipelinedBurstSplitAcrossWritesAnswersEveryLineById) {
+  const size_t n = 3000;
+  StartServer(/*max_pending=*/n);
+  std::string burst;
+  std::vector<double> expected(n);
+  for (size_t i = 0; i < n; ++i) {
+    const auto q = queries_.Row(i % queries_.rows());
+    const std::string id = "p" + std::to_string(i);
+    if (i % 2 == 0) {
+      burst += ExactLine(q, id);
+      expected[i] = engine_->Exact(q);
+    } else {
+      Json request = Json::Object()
+                         .Set("op", Json::Str("query"))
+                         .Set("kind", Json::Str("ekaq"))
+                         .Set("eps", Json::Number(kEps))
+                         .Set("id", Json::Str(id));
+      Json row = Json::Array();
+      for (const double v : q) row.Append(Json::Number(v));
+      request.Set("q", std::move(row));
+      burst += request.Dump();
+      expected[i] = engine_->Ekaq(q, kEps);
+    }
+    burst += i % 7 == 0 ? "\r\n" : "\n";
+  }
+
+  const int fd = DialLoopback(server_->port());
+  ASSERT_GE(fd, 0);
+  util::Rng rng(99);
+  size_t writes = 0;
+  for (size_t begin = 0; begin < burst.size(); ++writes) {
+    const size_t size = std::min(
+        burst.size() - begin,
+        static_cast<size_t>(1 + rng.Uniform(0.0, 1.0) * 20000.0));
+    ASSERT_TRUE(SendAll(fd, std::string_view(burst).substr(begin, size)));
+    begin += size;
+    // Now and then let the server drain what it has, so a read ends
+    // inside a line.
+    if (writes % 4 == 0) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  }
+  const std::vector<std::string> lines = ReceiveLines(fd, n);
+  ::close(fd);
+  ASSERT_EQ(lines.size(), n);
+
+  std::vector<int> seen(n, 0);
+  for (const std::string& line : lines) {
+    auto reply = Json::Parse(line);
+    ASSERT_TRUE(reply.ok()) << line;
+    ASSERT_TRUE(reply.value().Find("ok")->bool_value()) << line;
+    const std::string id = reply.value().Find("id")->string_value();
+    const size_t i = std::stoul(id.substr(1));
+    ASSERT_LT(i, n) << line;
+    ++seen[i];
+    EXPECT_EQ(reply.value().Find("value")->number_value(), expected[i])
+        << line;
+  }
+  for (size_t i = 0; i < n; ++i) EXPECT_EQ(seen[i], 1) << "p" << i;
+  EXPECT_EQ(CounterValue("karl_server_queries_total"), n);
+  // Pipelined lines coalesced into shared groups.
+  EXPECT_LT(CounterValue("karl_server_batches_total"), n);
 }
 
 }  // namespace
