@@ -1,10 +1,10 @@
 #include "core/evaluator.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
 #include <optional>
-#include <queue>
 #include <type_traits>
 #include <vector>
 
@@ -24,20 +24,125 @@ namespace {
 // One frontier entry: an index node of one side (+1 / −1) with its signed
 // contribution bounds to F_P(q).
 struct Entry {
-  double gap = 0.0;  // ub − lb; the refinement priority.
-  double lb = 0.0;   // Signed contribution lower bound.
-  double ub = 0.0;   // Signed contribution upper bound.
+  double lb = 0.0;  // Signed contribution lower bound.
+  double ub = 0.0;  // Signed contribution upper bound.
   index::NodeId node = index::kInvalidNode;
   int8_t side = +1;  // +1: plus tree, −1: minus tree.
 };
 
-struct EntryLess {
-  bool operator()(const Entry& a, const Entry& b) const {
-    return a.gap < b.gap;  // Largest gap on top.
+// The best-first frontier: a binary max-heap of 16-byte keys over an
+// append-only array of entries. A key packs an entry's gap (ub − lb) and
+// its slot in the array, which is its admission order in the query. The
+// widest gap pops first, and equal gaps pop in admission order (DESIGN.md
+// §2). Sifts move a hole and pick the higher child without a branch. Pop
+// leaves the popped key at the root; the next Push overwrites it and sifts
+// it down, and Settle fills a root that no Push took with the last key. So
+// an expansion costs one sift-down instead of a pop plus a push. Both
+// arrays start with room for kInitialCapacity and double past it.
+class Frontier {
+ public:
+  Frontier() {
+    keys_.reserve(kInitialCapacity);
+    entries_.reserve(kInitialCapacity);
   }
-};
 
-using Frontier = std::priority_queue<Entry, std::vector<Entry>, EntryLess>;
+  bool empty() const { return keys_.empty(); }
+
+  void Push(const Entry& e, double gap) {
+    const Key key = MakeKey(gap, static_cast<uint32_t>(entries_.size()));
+    entries_.push_back(e);
+    if (root_open_) {
+      root_open_ = false;
+      SiftDown(key);
+    } else {
+      SiftUp(key);
+    }
+  }
+
+  // The entry to expand next. Its key holds the root until the next Push
+  // or Settle replaces it.
+  Entry Pop() {
+    root_open_ = true;
+    return entries_[Slot(keys_[0])];
+  }
+
+  // Ends an expansion: removes the popped key if no Push replaced it.
+  void Settle() {
+    if (!root_open_) return;
+    root_open_ = false;
+    const Key last = keys_.back();
+    keys_.pop_back();
+    if (!keys_.empty()) SiftDown(last);
+  }
+
+  // Calls fn on every live entry, in heap order.
+  template <typename Fn>
+  void ForEach(Fn fn) const {
+    for (const Key key : keys_) fn(entries_[Slot(key)]);
+  }
+
+ private:
+  static constexpr size_t kInitialCapacity = 64;
+
+  // A key compares higher iff its entry pops first, in one 128-bit
+  // compare. The high word is the gap's bit pattern mapped so that
+  // unsigned order is numeric order; the low word is the slot's
+  // complement, so that of two equal gaps the earlier admission is higher.
+  __extension__ using Key = unsigned __int128;
+
+  static Key MakeKey(double gap, uint32_t slot) {
+    // A NaN gap (from infinite bounds) counts as +∞; adding +0 turns −0
+    // into +0, which it equals.
+    const double g =
+        std::isnan(gap) ? std::numeric_limits<double>::infinity() : gap + 0.0;
+    const uint64_t bits = std::bit_cast<uint64_t>(g);
+    // Flip every bit of a negative and the sign bit of a positive.
+    const uint64_t flip =
+        static_cast<uint64_t>(static_cast<int64_t>(bits) >> 63) |
+        (uint64_t{1} << 63);
+    return (static_cast<Key>(bits ^ flip) << 64) | static_cast<uint32_t>(~slot);
+  }
+
+  static uint32_t Slot(Key key) { return ~static_cast<uint32_t>(key); }
+
+  // Places `key` by moving the hole at the root down past higher children.
+  void SiftDown(Key key) {
+    Key* const k = keys_.data();
+    const size_t n = keys_.size();
+    size_t hole = 0;
+    size_t child = 1;
+    while (child + 1 < n) {
+      child += static_cast<size_t>(k[child + 1] > k[child]);
+      if (!(k[child] > key)) break;
+      k[hole] = k[child];
+      hole = child;
+      child = 2 * hole + 1;
+    }
+    if (child + 1 == n && k[child] > key) {
+      k[hole] = k[child];
+      hole = child;
+    }
+    k[hole] = key;
+  }
+
+  // Appends `key` by moving a hole up from the end past lower parents.
+  void SiftUp(Key key) {
+    keys_.push_back(key);
+    Key* const k = keys_.data();
+    size_t hole = keys_.size() - 1;
+    while (hole > 0) {
+      const size_t parent = (hole - 1) / 2;
+      if (!(key > k[parent])) break;
+      k[hole] = k[parent];
+      hole = parent;
+    }
+    k[hole] = key;
+  }
+
+  std::vector<Key> keys_;
+  std::vector<Entry> entries_;
+  bool root_open_ = false;  // Pop ran; no Push or Settle since.
+};
 
 // The refinement loop's observer hooks, called in loop order: OnPush for
 // every bounded node entering the frontier, OnLeaf for every effective
@@ -50,7 +155,7 @@ struct NullObserver {
   void OnLeaf(const index::TreeIndex::Node&) {}
   void OnExpand(const index::TreeIndex::Node&) {}
   void OnStep(double, double, const EvalStats&) {}
-  void OnFinish(Frontier&, const EvalStats&) {}
+  void OnFinish(const Frontier&, const EvalStats&) {}
 };
 
 }  // namespace
@@ -128,17 +233,15 @@ class Evaluator::RefineObserver {
     }
   }
 
-  void OnFinish(Frontier& frontier, const EvalStats& work) {
+  void OnFinish(const Frontier& frontier, const EvalStats& work) {
     if (profile_ == nullptr) return;
     // Whatever is left on the frontier was never expanded: the bound was
     // tight enough to decide the query without opening these subtrees.
-    while (!frontier.empty()) {
-      const Entry rest = frontier.top();
-      frontier.pop();
+    frontier.ForEach([&](const Entry& rest) {
       const index::TreeIndex& tree =
           rest.side > 0 ? *ev_.plus_tree_ : *ev_.minus_tree_;
       ++Level(tree.node(rest.node).depth).pruned;
-    }
+    });
     profile_->iterations = work.iterations;
     profile_->nodes_expanded = work.nodes_expanded;
     profile_->kernel_evals = work.kernel_evals;
@@ -363,12 +466,13 @@ EvalStats Evaluator::RefineWith(const Bound& bound, std::span<const double> q,
 
   // Treats a node as a leaf when it has no children or sits at the level
   // cap (the in-situ tuner's T_i simulation).
+  const int depth_cap = options_.max_level < 0
+                            ? std::numeric_limits<int>::max()
+                            : static_cast<uint16_t>(options_.max_level);
   const auto is_effective_leaf = [&](const index::TreeIndex& tree,
                                      index::NodeId id) {
     const auto& nd = tree.node(id);
-    if (nd.is_leaf()) return true;
-    return options_.max_level >= 0 &&
-           nd.depth >= static_cast<uint16_t>(options_.max_level);
+    return nd.is_leaf() || nd.depth >= depth_cap;
   };
 
   // Folds node `id`'s bounds [node.lb, node.ub] (signed by `side`) into
@@ -386,11 +490,10 @@ EvalStats Evaluator::RefineWith(const Bound& bound, std::span<const double> q,
       e.lb = -node.ub;
       e.ub = -node.lb;
     }
-    e.gap = e.ub - e.lb;
     observer.OnPush(tree, e);
     lb += e.lb;
     ub += e.ub;
-    frontier.push(e);
+    frontier.Push(e, e.ub - e.lb);
   };
 
   // Either folds the exact leaf value of node `id` into [lb, ub], or
@@ -416,10 +519,17 @@ EvalStats Evaluator::RefineWith(const Bound& bound, std::span<const double> q,
   // Admits both children of an expanded node, left then right. Two
   // bounded kd children of the full Gaussian KARL bound take one fused
   // pass; its intervals equal NodeBounds', so the frontier is the same.
+  [[maybe_unused]] bool fuse_plus = false;
+  [[maybe_unused]] bool fuse_minus = false;
+  if constexpr (std::is_same_v<Bound, KarlDistanceBounds>) {
+    fuse_plus = bound.FusesBoxes(*plus_tree_);
+    fuse_minus = minus_tree_ != nullptr && bound.FusesBoxes(*minus_tree_);
+  }
   const auto expand = [&](const index::TreeIndex& tree, int8_t side,
                           const index::TreeIndex::Node& nd) {
     if constexpr (std::is_same_v<Bound, KarlDistanceBounds>) {
-      if (bound.FusesBoxes(tree) && !is_effective_leaf(tree, nd.left) &&
+      if ((side > 0 ? fuse_plus : fuse_minus) &&
+          !is_effective_leaf(tree, nd.left) &&
           !is_effective_leaf(tree, nd.right)) {
         simd::NodeInterval both[2];
         bound.SiblingBounds(tree, nd.left, nd.right, ctx, both);
@@ -437,8 +547,7 @@ EvalStats Evaluator::RefineWith(const Bound& bound, std::span<const double> q,
   observer.OnStep(lb, ub, work);
 
   while (!frontier.empty() && !stop(lb, ub)) {
-    const Entry top = frontier.top();
-    frontier.pop();
+    const Entry top = frontier.Pop();
     ++work.iterations;
     lb -= top.lb;
     ub -= top.ub;
@@ -451,15 +560,14 @@ EvalStats Evaluator::RefineWith(const Bound& bound, std::span<const double> q,
     ++work.nodes_expanded;
     observer.OnExpand(nd);
     expand(tree, top.side, nd);
+    frontier.Settle();
     observer.OnStep(lb, ub, work);
   }
 
-  // Captured before OnFinish, which may drain the queue.
-  const bool frontier_drained = frontier.empty();
   observer.OnFinish(frontier, work);
   // Drained frontier means [lb, ub] collapsed to the exact value (modulo
   // floating-point accumulation); guard against a tiny inversion.
-  if (frontier_drained && lb > ub) lb = ub = 0.5 * (lb + ub);
+  if (frontier.empty() && lb > ub) lb = ub = 0.5 * (lb + ub);
   *out_lb = lb;
   *out_ub = ub;
   return work;

@@ -3,11 +3,13 @@
 // plugged-in BoundFunction).
 //
 // The evaluator maintains global [lb, ub] on F_P(q) as the sum of
-// per-entry bounds over a frontier of index nodes, kept in a priority
-// queue ordered by bound gap. Each iteration pops the widest entry and
-// replaces it with its children's bounds (or the exact leaf aggregate),
-// monotonically tightening [lb, ub] until the query's termination
-// condition holds.
+// per-entry bounds over a frontier of index nodes. Each iteration pops the
+// entry with the widest bound gap and replaces it with its children's
+// bounds (or the exact leaf aggregate), monotonically tightening [lb, ub]
+// until the query's termination condition holds. The frontier is a binary
+// max-heap of 16-byte {gap, admission order} keys over an append-only
+// entry array; the first child admitted after a pop takes the popped
+// root in place, and equal gaps pop in admission order (DESIGN.md §2).
 //
 // Type III weighting is handled by evaluating two positive-weight trees
 // (P⁺ and P⁻, split by the caller) in one interleaved refinement: a P⁻
@@ -39,7 +41,7 @@ namespace karl::core {
 
 /// Per-query work counters.
 struct EvalStats {
-  size_t iterations = 0;      ///< Priority-queue pops.
+  size_t iterations = 0;      ///< Frontier pops.
   size_t nodes_expanded = 0;  ///< Internal nodes whose children were bounded.
   size_t kernel_evals = 0;    ///< Exact kernel evaluations at leaves.
 

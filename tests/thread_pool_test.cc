@@ -156,6 +156,26 @@ TEST(ThreadPoolTest, ParallelForPropagatesException) {
   EXPECT_EQ(ran.load(), 100);
 }
 
+TEST(ThreadPoolTest, ParallelForRunsOneChunkOnCallerAsSlotZero) {
+  ThreadPool pool(TestThreads());
+  const std::thread::id caller = std::this_thread::get_id();
+  int calls = 0;
+  pool.ParallelFor(5, 5, [&](size_t begin, size_t end, size_t slot) {
+    ++calls;
+    EXPECT_EQ(begin, 0u);
+    EXPECT_EQ(end, 5u);
+    EXPECT_EQ(slot, 0u);
+    EXPECT_EQ(std::this_thread::get_id(), caller);
+  });
+  EXPECT_EQ(calls, 1);
+
+  EXPECT_THROW(pool.ParallelFor(1, 0,
+                                [](size_t, size_t, size_t) {
+                                  throw std::runtime_error("one chunk");
+                                }),
+               std::runtime_error);
+}
+
 TEST(ThreadPoolTest, ParallelForWorksOnSingleThreadPool) {
   ThreadPool pool(1);
   EXPECT_EQ(pool.num_threads(), 1u);

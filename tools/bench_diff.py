@@ -9,13 +9,18 @@ Timings on a shared host spread too widely for a CI gate, but the work
 counts do not move at all: refinement iterations, node expansions and
 kernel evaluations per query, the prune ratio, the index size and the
 registry's cold starts, evictions and reloads. This script runs every
-workload of the reference once at smoke size, traced, with one seed and
-the scalar SIMD tier (so nothing depends on the machine's vector units),
-and compares those counts exactly against tools/bench_counts.json.
+workload of the reference once at smoke size, traced, with one seed, on
+every SIMD tier the binary can run, and compares each run's counts
+exactly against tools/bench_counts.json. The vector tiers are what
+production serves, and their leaf sums round differently from the scalar
+tier's, yet no count differs between tiers: all are checked against the
+one reference. A tier the binary refuses (not compiled in, or not
+supported by the CPU; the library's own KARL_SIMD check decides) is
+skipped with a note; the scalar tier always runs.
 
 A difference means the change altered how much work a query does. If
-that is intended, regenerate the reference with --write and say why in
-the commit. Standard library only.
+that is intended, regenerate the reference with --write (it measures the
+scalar tier) and say why in the commit. Standard library only.
 """
 
 import argparse
@@ -43,6 +48,10 @@ COUNTS = [
     "registry.evictions",
     "registry.reloads",
 ]
+TIERS = ["scalar", "avx2", "avx512"]
+# What src/core/simd/simd.cc's ResolveTier prints when KARL_SIMD names a
+# tier this build or CPU cannot run.
+TIER_REFUSED = "requests a tier this build/CPU cannot run"
 RUN_ARGS = ["--smoke", "--trace", "1", "--seed", "7", "--seconds", "1"]
 TIMEOUT_S = 300
 
@@ -52,29 +61,36 @@ def fail(message):
     sys.exit(2)
 
 
-def measure(binary, workload):
-    """Runs one workload; returns {count name: value}."""
-    env = dict(os.environ, KARL_SIMD="scalar")
+def measure(binary, workload, tier):
+    """Runs one workload on one SIMD tier; returns {count name: value},
+    or None if the binary refuses the tier."""
+    env = dict(os.environ, KARL_SIMD=tier)
     with tempfile.TemporaryDirectory(prefix="bench-diff-") as work_dir:
         command = [str(binary), "--work-dir", work_dir, "--source-digest",
                    "bench-diff", "--workload", workload] + RUN_ARGS
         try:
-            proc = subprocess.run(command, stdout=subprocess.PIPE, text=True,
-                                  env=env, timeout=TIMEOUT_S)
+            proc = subprocess.run(command, stdout=subprocess.PIPE,
+                                  stderr=subprocess.PIPE, text=True, env=env,
+                                  timeout=TIMEOUT_S)
         except subprocess.TimeoutExpired:
-            fail(f"{workload}: perfbench timed out after {TIMEOUT_S} s")
+            fail(f"{tier} {workload}: perfbench timed out after "
+                 f"{TIMEOUT_S} s")
+    if (proc.returncode != 0 and tier != "scalar"
+            and TIER_REFUSED in proc.stderr):
+        return None
+    sys.stderr.write(proc.stderr)
     if proc.returncode != 0:
-        fail(f"{workload}: perfbench exited with {proc.returncode}")
+        fail(f"{tier} {workload}: perfbench exited with {proc.returncode}")
     lines = proc.stdout.strip().splitlines()
     if not lines:
-        fail(f"{workload}: perfbench printed nothing")
+        fail(f"{tier} {workload}: perfbench printed nothing")
     result = json.loads(lines[-1])
     if result.get("failed", 1) != 0 or not result.get("correct", False):
-        fail(f"{workload}: {result.get('failed')} failed operations")
+        fail(f"{tier} {workload}: {result.get('failed')} failed operations")
     metrics = result["metrics"]
     missing = [name for name in COUNTS if name not in metrics]
     if missing:
-        fail(f"{workload}: perfbench printed no {missing}")
+        fail(f"{tier} {workload}: perfbench printed no {missing}")
     return {name: metrics[name]["value"] for name in COUNTS}
 
 
@@ -91,9 +107,8 @@ def main():
     if not args.binary.is_file():
         fail(f"no perfbench binary at {args.binary}; run "
              "python3 perfbench/run.py --self-test first")
-    measured = {w: measure(args.binary, w) for w in WORKLOADS}
-
     if args.write:
+        measured = {w: measure(args.binary, w, "scalar") for w in WORKLOADS}
         doc = {"run": " ".join(["KARL_SIMD=scalar"] + RUN_ARGS),
                "counts": measured}
         args.reference.write_text(json.dumps(doc, indent=2) + "\n")
@@ -102,24 +117,33 @@ def main():
 
     reference = json.loads(args.reference.read_text())["counts"]
     mismatches = []
-    for workload in WORKLOADS:
-        want = reference.get(workload, {})
-        for name in COUNTS:
-            got = measured[workload][name]
-            if name not in want:
-                mismatches.append(f"{workload} {name}: {got!r}, "
-                                  "not in the reference")
-            elif got != want[name]:
-                mismatches.append(f"{workload} {name}: {got!r}, "
-                                  f"reference {want[name]!r}")
+    checked = []
+    for tier in TIERS:
+        for workload in WORKLOADS:
+            measured = measure(args.binary, workload, tier)
+            if measured is None:
+                print(f"bench_diff: the binary cannot run the {tier} tier "
+                      "here; skipping it")
+                break
+            want = reference.get(workload, {})
+            for name in COUNTS:
+                got = measured[name]
+                if name not in want:
+                    mismatches.append(f"{tier} {workload} {name}: {got!r}, "
+                                      "not in the reference")
+                elif got != want[name]:
+                    mismatches.append(f"{tier} {workload} {name}: {got!r}, "
+                                      f"reference {want[name]!r}")
+        else:
+            checked.append(tier)
     if mismatches:
         print("bench_diff: work counts differ from "
               f"{args.reference.name}:", file=sys.stderr)
         for line in mismatches:
             print(f"  {line}", file=sys.stderr)
         sys.exit(1)
-    print(f"bench_diff: {len(WORKLOADS) * len(COUNTS)} counts match "
-          f"{args.reference.name}")
+    print(f"bench_diff: {len(checked) * len(WORKLOADS) * len(COUNTS)} "
+          f"counts match {args.reference.name} ({', '.join(checked)})")
 
 
 if __name__ == "__main__":
