@@ -41,7 +41,6 @@ struct Avx2Ops {
   static Vec Div(Vec a, Vec b) { return _mm256_div_pd(a, b); }
   static Vec Fma(Vec a, Vec b, Vec c) { return _mm256_fmadd_pd(a, b, c); }
   static Vec Fnma(Vec a, Vec b, Vec c) { return _mm256_fnmadd_pd(a, b, c); }
-  static Vec Min(Vec a, Vec b) { return _mm256_min_pd(a, b); }
   static Vec Max(Vec a, Vec b) { return _mm256_max_pd(a, b); }
   static Vec Sqrt(Vec a) { return _mm256_sqrt_pd(a); }
   static Vec Ldexpk(Vec p, Vec k) {

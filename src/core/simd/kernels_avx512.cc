@@ -36,12 +36,10 @@ struct Avx512Ops {
   static Vec Div(Vec a, Vec b) { return _mm512_div_pd(a, b); }
   static Vec Fma(Vec a, Vec b, Vec c) { return _mm512_fmadd_pd(a, b, c); }
   static Vec Fnma(Vec a, Vec b, Vec c) { return _mm512_fnmadd_pd(a, b, c); }
-  // The all-lanes maskz forms of min and max compile to the plain
-  // instructions; the unmasked intrinsics route through an
-  // undefined-source builtin that trips -Wuninitialized once VExp is
-  // inlined into a caller that packs its lanes in memory (the fused box
-  // bounds).
-  static Vec Min(Vec a, Vec b) { return _mm512_maskz_min_pd(0xFF, a, b); }
+  // The all-lanes maskz form of max compiles to the plain instruction;
+  // the unmasked intrinsic routes through an undefined-source builtin
+  // that trips -Wuninitialized once VExp is inlined into a caller that
+  // packs its lanes in memory (the fused box bounds).
   static Vec Max(Vec a, Vec b) { return _mm512_maskz_max_pd(0xFF, a, b); }
   static Vec Sqrt(Vec a) { return _mm512_sqrt_pd(a); }
   // scalef is p·2^⌊k⌋ in one instruction, rounded once like the multiply

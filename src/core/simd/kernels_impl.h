@@ -16,7 +16,7 @@
 //   Vec  Add/Sub/Mul/Div(Vec, Vec);
 //   Vec  Fma(a, b, c)  = a*b + c;       // fused
 //   Vec  Fnma(a, b, c) = c - a*b;       // fused
-//   Vec  Min/Max(Vec, Vec);  Vec Sqrt(Vec);
+//   Vec  Max(Vec, Vec);  Vec Sqrt(Vec);
 //   Vec  Ldexpk(Vec p, Vec k);          // p·2^k, k integral ∈ [-1022,1023]
 //   double ReduceAdd(Vec);
 //
@@ -30,7 +30,6 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
-#include <utility>
 
 #include "core/kernel.h"
 #include "core/simd/simd.h"
@@ -40,8 +39,8 @@
 namespace karl::core::simd::internal {
 
 // Two-part Cody–Waite ln2 split: kLn2Hi has 21 trailing zero bits, so
-// k·kLn2Hi is exact for the |k| ≤ 1024 range the [-708, 709] clamp
-// allows, making the reduction r = x − k·ln2 accurate to an ulp of r.
+// k·kLn2Hi is exact for the |k| ≤ 1024 range of arguments in
+// [-708, 709], making the reduction r = x − k·ln2 accurate to an ulp of r.
 inline constexpr double kInvLn2 = 1.4426950408889634;
 inline constexpr double kLn2Hi = 6.93145751953125e-1;
 inline constexpr double kLn2Lo = 1.42860682030941723212e-6;
@@ -72,11 +71,13 @@ inline constexpr double kExpTaylor[14] = {
 };
 
 // exp(x) ≈ 2^k·P(r), k = round(x/ln2), r = x − k·ln2 — accurate to a
-// couple of ulp (contract: kVectorExpUlpBound). Arguments are clamped
-// to [-708, 709]: below the clamp the true result is subnormal or zero
-// and the clamped value ≤ 3.4e-308 (contract: kVectorExpUnderflowAbs);
-// above it the true result overflows and callers never produce it
-// (kernel profiles are ≤ 1).
+// couple of ulp (contract: kVectorExpUlpBound) for x ≤ 709. Arguments
+// below −708 are raised to it: there the true result is subnormal or
+// zero and the clamped value ≤ 3.4e-308 (contract:
+// kVectorExpUnderflowAbs). There is no upper clamp, which keeps one op
+// off every exp's dependency chain: above 709 the result would overflow,
+// and no caller gets there. Leaf and box-bound arguments are ≤ 0 (kernel
+// profiles are ≤ 1), and ExpBlock is a test seam fed [−708, 709].
 //
 // P(r) = 1 + r·Q(r), with the degree-12 Q = Σ c_{i+1}·rⁱ evaluated in
 // Estrin form: coefficient pairs, then pairs of pairs joined by r², r⁴
@@ -88,7 +89,7 @@ template <typename O>
 inline typename O::Vec VExp(typename O::Vec x) {
   using V = typename O::Vec;
   const auto c = [](int i) { return O::Set1(kExpTaylor[i]); };
-  const V xc = O::Min(O::Max(x, O::Set1(-708.0)), O::Set1(709.0));
+  const V xc = O::Max(x, O::Set1(-708.0));
   const V shifter = O::Set1(kRoundShifter);
   const V k = O::Sub(O::Fma(xc, O::Set1(kInvLn2), shifter), shifter);
   V r = O::Fnma(k, O::Set1(kLn2Hi), xc);
@@ -151,106 +152,119 @@ inline typename O::Vec ProfileV(const KernelParams& kernel,
   }
 }
 
-// Σ wᵢ·K(q,pᵢ) over SoA rows [begin, end) for kernel family K. D fixes
-// the dimensionality at compile time for the common dims (full unroll of
-// the j-loops); D = -1 is the runtime-dim fallback.
-template <typename O, KernelType K, int D>
+// Inner-product kernels take γ·(q·p)+β, distance kernels scale·dist².
+template <KernelType K>
+inline constexpr bool kInnerProductKernel =
+    K == KernelType::kPolynomial || K == KernelType::kSigmoid;
+
+// The kernel profiles of N ∈ {1, 2} vectors of SoA lanes, x[i] pointing
+// at vector i's lanes of dimension 0 (dimension j lies j·kBlockPoints
+// further on). The vectors' distance (or dot) chains and then their exps
+// run side by side; each vector's arithmetic is the one it runs alone.
+template <typename O, KernelType K, size_t N>
+inline void LeafProfiles(const KernelParams& kernel, const double* const* x,
+                         const double* q, size_t d, double scale,
+                         typename O::Vec* profile) {
+  using V = typename O::Vec;
+  constexpr size_t kB = SoaLeafBlocks::kBlockPoints;
+  V arg[N];
+  if constexpr (kInnerProductKernel<K>) {
+    V dot[N] = {};
+    for (size_t j = 0; j < d; ++j) {
+      const V qj = O::Set1(q[j]);
+#pragma GCC unroll 2
+      for (size_t i = 0; i < N; ++i) {
+        dot[i] = O::Fma(qj, O::Load(x[i] + j * kB), dot[i]);
+      }
+    }
+#pragma GCC unroll 2
+    for (size_t i = 0; i < N; ++i) {
+      arg[i] = O::Fma(O::Set1(scale), dot[i], O::Set1(kernel.beta));
+    }
+  } else {
+    // Even and odd dimensions feed two independent FMA chains per vector,
+    // which halves the serial latency of each distance.
+    V sq_even[N] = {}, sq_odd[N] = {};
+    size_t j = 0;
+    for (; j + 1 < d; j += 2) {
+      const V q_even = O::Set1(q[j]);
+      const V q_odd = O::Set1(q[j + 1]);
+#pragma GCC unroll 2
+      for (size_t i = 0; i < N; ++i) {
+        const V diff_even = O::Sub(q_even, O::Load(x[i] + j * kB));
+        const V diff_odd = O::Sub(q_odd, O::Load(x[i] + (j + 1) * kB));
+        sq_even[i] = O::Fma(diff_even, diff_even, sq_even[i]);
+        sq_odd[i] = O::Fma(diff_odd, diff_odd, sq_odd[i]);
+      }
+    }
+    if (j < d) {
+      const V q_last = O::Set1(q[j]);
+#pragma GCC unroll 2
+      for (size_t i = 0; i < N; ++i) {
+        const V diff = O::Sub(q_last, O::Load(x[i] + j * kB));
+        sq_even[i] = O::Fma(diff, diff, sq_even[i]);
+      }
+    }
+#pragma GCC unroll 2
+    for (size_t i = 0; i < N; ++i) {
+      arg[i] = O::Mul(O::Set1(scale), O::Add(sq_even[i], sq_odd[i]));
+    }
+  }
+#pragma GCC unroll 2
+  for (size_t i = 0; i < N; ++i) profile[i] = ProfileV<O, K>(kernel, arg[i]);
+}
+
+// Σ wᵢ·K(q,pᵢ) over SoA rows [begin, end) for kernel family K. The range
+// is read as the W-lane vectors of its whole blocks, in row order, and
+// each step computes two vectors' profiles before it accumulates either:
+// two blocks per step on AVX-512, a block's two halves on AVX2, and a
+// lone last vector alone. A single vector's ~90-cycle chain of distance,
+// exp and FMA otherwise runs with nothing independent beside it. Even
+// vectors go into one accumulator and odd ones into the other, so
+// consecutive FMAs into the sum do not wait on each other either.
+template <typename O, KernelType K>
 double LeafAggregateImpl(const KernelParams& kernel, const SoaLeafBlocks& soa,
                          uint32_t begin, uint32_t end, const double* q) {
   using V = typename O::Vec;
   constexpr size_t W = O::kLanes;
   constexpr size_t kB = SoaLeafBlocks::kBlockPoints;
-  constexpr size_t kVecs = kB / W;
-  constexpr bool kInnerProduct =
-      K == KernelType::kPolynomial || K == KernelType::kSigmoid;
-  const size_t d = D >= 0 ? static_cast<size_t>(D) : soa.dims();
-  const double scale = kInnerProduct ? kernel.gamma : DistanceArgScale(kernel);
+  const size_t d = soa.dims();
+  const double scale =
+      kInnerProductKernel<K> ? kernel.gamma : DistanceArgScale(kernel);
+  const double* weights = soa.block_weights().data();
+  // Vector t holds rows [row0 + t·W, row0 + (t + 1)·W).
+  const size_t row0 = begin / kB * kB;
+  const size_t vecs = ((end - 1) / kB + 1) * (kB / W) - row0 / W;
+  const auto lanes = [&](size_t t) {
+    const size_t row = row0 + t * W;
+    return soa.BlockDim(row / kB, 0) + row % kB;
+  };
+  // Vector t's weights; lanes outside [begin, end) load as zero, which
+  // kills their contributions exactly.
+  const auto vector_weights = [&](size_t t) {
+    const size_t row = row0 + t * W;
+    if (row >= begin && row + W <= end) return O::Load(weights + row);
+    return O::LoadLanes(weights + row,
+                        std::clamp<size_t>(begin, row, row + W) - row,
+                        std::clamp<size_t>(end, row, row + W) - row);
+  };
 
-  // Two accumulators, swapped after every vector, so consecutive
-  // vectors' FMAs into the sum do not wait on each other.
-  V acc = O::Zero();
-  V acc_other = O::Zero();
-  const size_t first_block = begin / kB;
-  const size_t last_block = (end - 1) / kB;
-  for (size_t b = first_block; b <= last_block; ++b) {
-    const size_t row0 = b * kB;
-    const double* w = soa.BlockWeights(b);
-    // In-range rows of the block, [head, tail) relative to row0; a
-    // partial head/tail block loads the out-of-range lanes' weights as
-    // zero, which kills their contributions exactly.
-    const size_t head = begin > row0 ? begin - row0 : 0;
-    const size_t tail = std::min<size_t>(end - row0, kB);
-    const bool partial = head > 0 || tail < kB;
-    for (size_t v = 0; v < kVecs; ++v) {
-      const size_t off = v * W;
-      V arg;
-      if constexpr (kInnerProduct) {
-        V dot = O::Zero();
-        for (size_t j = 0; j < d; ++j) {
-          dot = O::Fma(O::Set1(q[j]), O::Load(soa.BlockDim(b, j) + off), dot);
-        }
-        arg = O::Fma(O::Set1(scale), dot, O::Set1(kernel.beta));
-      } else {
-        // Even and odd dimensions feed two independent FMA chains, which
-        // halves the serial latency of the distance per block.
-        V sq_even = O::Zero();
-        V sq_odd = O::Zero();
-        size_t j = 0;
-        for (; j + 1 < d; j += 2) {
-          const V diff_even =
-              O::Sub(O::Set1(q[j]), O::Load(soa.BlockDim(b, j) + off));
-          const V diff_odd = O::Sub(O::Set1(q[j + 1]),
-                                    O::Load(soa.BlockDim(b, j + 1) + off));
-          sq_even = O::Fma(diff_even, diff_even, sq_even);
-          sq_odd = O::Fma(diff_odd, diff_odd, sq_odd);
-        }
-        if (j < d) {
-          const V diff =
-              O::Sub(O::Set1(q[j]), O::Load(soa.BlockDim(b, j) + off));
-          sq_even = O::Fma(diff, diff, sq_even);
-        }
-        arg = O::Mul(O::Set1(scale), O::Add(sq_even, sq_odd));
-      }
-      const V weights =
-          partial ? O::LoadLanes(w + off, std::clamp(head, off, off + W) - off,
-                                 std::clamp(tail, off, off + W) - off)
-                  : O::Load(w + off);
-      acc = O::Fma(weights, ProfileV<O, K>(kernel, arg), acc);
-      std::swap(acc, acc_other);
-    }
+  V acc[2] = {O::Zero(), O::Zero()};
+  size_t t = 0;
+  for (; t + 2 <= vecs; t += 2) {
+    const double* const x[2] = {lanes(t), lanes(t + 1)};
+    V profile[2];
+    LeafProfiles<O, K, 2>(kernel, x, q, d, scale, profile);
+    acc[0] = O::Fma(vector_weights(t), profile[0], acc[0]);
+    acc[1] = O::Fma(vector_weights(t + 1), profile[1], acc[1]);
   }
-  return O::ReduceAdd(O::Add(acc, acc_other));
-}
-
-// Fixed-dim instantiations for small synthetic dims and a few common
-// widths (8, 16, 18, 28, 32, 64). Every other dim takes the runtime-dim
-// path, including all the benchmarked ones (home 10, miniboone 50,
-// covtype 54).
-template <typename O, KernelType K>
-double LeafAggregateDims(const KernelParams& kernel, const SoaLeafBlocks& soa,
-                         uint32_t begin, uint32_t end, const double* q) {
-  switch (soa.dims()) {
-    case 2:
-      return LeafAggregateImpl<O, K, 2>(kernel, soa, begin, end, q);
-    case 3:
-      return LeafAggregateImpl<O, K, 3>(kernel, soa, begin, end, q);
-    case 4:
-      return LeafAggregateImpl<O, K, 4>(kernel, soa, begin, end, q);
-    case 8:
-      return LeafAggregateImpl<O, K, 8>(kernel, soa, begin, end, q);
-    case 16:
-      return LeafAggregateImpl<O, K, 16>(kernel, soa, begin, end, q);
-    case 18:
-      return LeafAggregateImpl<O, K, 18>(kernel, soa, begin, end, q);
-    case 28:
-      return LeafAggregateImpl<O, K, 28>(kernel, soa, begin, end, q);
-    case 32:
-      return LeafAggregateImpl<O, K, 32>(kernel, soa, begin, end, q);
-    case 64:
-      return LeafAggregateImpl<O, K, 64>(kernel, soa, begin, end, q);
-    default:
-      return LeafAggregateImpl<O, K, -1>(kernel, soa, begin, end, q);
+  if (t < vecs) {
+    const double* const x[1] = {lanes(t)};
+    V profile[1];
+    LeafProfiles<O, K, 1>(kernel, x, q, d, scale, profile);
+    acc[0] = O::Fma(vector_weights(t), profile[0], acc[0]);
   }
+  return O::ReduceAdd(O::Add(acc[0], acc[1]));
 }
 
 // Resolves the kernel family once per leaf range, so the block loop runs
@@ -260,19 +274,19 @@ double LeafAggregateN(const KernelParams& kernel, const SoaLeafBlocks& soa,
                       uint32_t begin, uint32_t end, const double* q) {
   switch (kernel.type) {
     case KernelType::kGaussian:
-      return LeafAggregateDims<O, KernelType::kGaussian>(kernel, soa, begin,
+      return LeafAggregateImpl<O, KernelType::kGaussian>(kernel, soa, begin,
                                                          end, q);
     case KernelType::kLaplacian:
-      return LeafAggregateDims<O, KernelType::kLaplacian>(kernel, soa, begin,
+      return LeafAggregateImpl<O, KernelType::kLaplacian>(kernel, soa, begin,
                                                           end, q);
     case KernelType::kCauchy:
-      return LeafAggregateDims<O, KernelType::kCauchy>(kernel, soa, begin,
+      return LeafAggregateImpl<O, KernelType::kCauchy>(kernel, soa, begin,
                                                        end, q);
     case KernelType::kPolynomial:
-      return LeafAggregateDims<O, KernelType::kPolynomial>(kernel, soa, begin,
+      return LeafAggregateImpl<O, KernelType::kPolynomial>(kernel, soa, begin,
                                                            end, q);
     case KernelType::kSigmoid:
-      return LeafAggregateDims<O, KernelType::kSigmoid>(kernel, soa, begin,
+      return LeafAggregateImpl<O, KernelType::kSigmoid>(kernel, soa, begin,
                                                         end, q);
   }
   return 0.0;

@@ -63,7 +63,9 @@ inline constexpr double kDotRelTolerance = 1e-12;
 /// Vector exp error vs std::exp in units-in-last-place, for arguments in
 /// [-708, 709] with normal (non-subnormal) results. Arguments below
 /// -708 are clamped, so results smaller than ~3.3e-308 carry an
-/// absolute error of at most kVectorExpUnderflowAbs instead.
+/// absolute error of at most kVectorExpUnderflowAbs instead. The domain
+/// ends at 709, where exp nears overflow, with no upper clamp: the leaf
+/// and box-bound arguments the vector exp serves are ≤ 0.
 inline constexpr int kVectorExpUlpBound = 4;
 inline constexpr double kVectorExpUnderflowAbs = 1e-307;
 

@@ -13,6 +13,9 @@
 //    1-box calls in every tier, the scalar tier bit-equal to the
 //    NodeBounds arithmetic it replaced, the vector tiers near scalar, and
 //    every tier enclosing the exact node aggregate;
+//  * the vector tiers' leaf sums and box bounds hashed bit for bit
+//    against digests pinned per tier, so a rewrite of a vector kernel
+//    that claims an unchanged arithmetic order is held to it;
 //  * the vector exp within kVectorExpUlpBound ULPs of std::exp;
 //  * dispatch: tier parsing/forcing, loud failure on invalid values,
 //    and the karl_simd_tier gauge.
@@ -581,6 +584,124 @@ TEST(SimdBoxBoundsTest, PairsMatchSinglesScalarMatchesLegacyAndBoundsHold) {
     }
     // The lattice and tiny point sets must reach the degenerate branch.
     EXPECT_GT(degenerate_boxes, 0u) << "d=" << d;
+  }
+}
+
+// ---------------------------------------------------------------------
+// Bit pins: the exact bits each vector tier returns for a fixed input
+// set, so a rewrite of a vector kernel that keeps its arithmetic order
+// keeps every answer. Sigmoid and the scalar tier are left out: both
+// call libm, whose bits follow the host's C library.
+// ---------------------------------------------------------------------
+
+// FNV-1a over the bytes of each value's bits.
+class BitsDigest {
+ public:
+  void Add(double v) {
+    const uint64_t bits = Bits(v);
+    for (int byte = 0; byte < 8; ++byte) {
+      hash_ = (hash_ ^ ((bits >> (8 * byte)) & 0xff)) * 0x100000001b3ULL;
+    }
+  }
+  uint64_t value() const { return hash_; }
+
+ private:
+  uint64_t hash_ = 0xcbf29ce484222325ULL;
+};
+
+// LeafAggregate of the Gaussian, Laplacian, Cauchy and polynomial
+// families with signed weights: every range of a 5-block set (each
+// (begin mod 8, end mod 8) split) and a whole 203-row array.
+uint64_t LeafDigest() {
+  BitsDigest digest;
+  for (const size_t d : {1, 2, 3, 4, 7, 8, 10, 16, 18, 33, 54, 100}) {
+    util::Rng rng(4040 + static_cast<uint64_t>(d));
+    for (const uint32_t rows : {40u, 203u}) {
+      const data::Matrix pts = RandomMatrix(rows, d, rng);
+      const auto weights = WeightsForType(3, rows, rng);
+      SoaLeafBlocks soa;
+      soa.Build(pts, weights);
+      std::vector<double> q(d);
+      for (auto& v : q) v = rng.Uniform(-1.0, 1.0);
+      for (const KernelParams& kernel : KernelsForDim(d)) {
+        if (kernel.type == KernelType::kSigmoid) continue;
+        if (rows != 40) {
+          digest.Add(simd::LeafAggregate(kernel, soa, 0, rows, q));
+          continue;
+        }
+        for (uint32_t begin = 0; begin < rows; ++begin) {
+          for (uint32_t end = begin + 1; end <= rows; ++end) {
+            digest.Add(simd::LeafAggregate(kernel, soa, begin, end, q));
+          }
+        }
+      }
+    }
+  }
+  return digest.value();
+}
+
+// KarlGaussianBoxBounds of every sibling pair of a kd tree, as a pair
+// and as two singles.
+uint64_t BoxBoundsDigest() {
+  BitsDigest digest;
+  util::Rng rng(5050);
+  for (const size_t d : {3, 10, 54}) {
+    const double scale = core::DistanceArgScale(KernelsForDim(d)[0]);
+    for (const data::Matrix& pts : BoxTestPointSets(d, rng)) {
+      const auto weights = WeightsForType(2, pts.rows(), rng);
+      const auto tree = index::KdTree::Build(pts, weights, 2).ValueOrDie();
+      const auto box = [&](index::NodeId id) {
+        const size_t off = static_cast<size_t>(id) * d;
+        return simd::KdBoxSummary{tree->region_data_a().data() + off,
+                                  tree->region_data_b().data() + off,
+                                  tree->weighted_point_sum(id).data(),
+                                  tree->weight_sum(id),
+                                  tree->weighted_sqnorm_sum(id)};
+      };
+      for (const auto& q : BoxTestQueries(*tree, pts, rng)) {
+        const double qq = util::SquaredNorm(q);
+        for (size_t id = 0; id < tree->num_nodes(); ++id) {
+          const auto& nd = tree->node(id);
+          if (nd.is_leaf()) continue;
+          const simd::KdBoxSummary pair[2] = {box(nd.left), box(nd.right)};
+          simd::NodeInterval out[4];
+          simd::KarlGaussianBoxBounds(q, qq, scale, pair, out);
+          simd::KarlGaussianBoxBounds(q, qq, scale, {&pair[0], 1}, &out[2]);
+          simd::KarlGaussianBoxBounds(q, qq, scale, {&pair[1], 1}, &out[3]);
+          for (const simd::NodeInterval& interval : out) {
+            digest.Add(interval.lb);
+            digest.Add(interval.ub);
+          }
+        }
+      }
+    }
+  }
+  return digest.value();
+}
+
+// The digests were captured at 3987d23, the one-vector-per-step leaf
+// loop with fixed-dim instantiations; a change that moves them changes
+// answers and must say so.
+TEST(SimdBitsTest, VectorTiersReturnPinnedBits) {
+  struct Pin {
+    Tier tier;
+    uint64_t leaf;
+    uint64_t box_bounds;
+  };
+  const Pin pins[] = {
+      {Tier::kAvx2, 0x5dc4e5dd3e09af51ULL, 0x3dd83c8b65c6cbb1ULL},
+      {Tier::kAvx512, 0xf5ffac02d5429982ULL, 0x880c2db36d48da95ULL},
+  };
+  for (const Pin& pin : pins) {
+    if (!simd::TierSupported(pin.tier)) continue;
+    TierGuard guard;
+    simd::ForceTier(pin.tier);
+    EXPECT_EQ(LeafDigest(), pin.leaf)
+        << simd::TierName(pin.tier) << " leaf digest 0x" << std::hex
+        << LeafDigest();
+    EXPECT_EQ(BoxBoundsDigest(), pin.box_bounds)
+        << simd::TierName(pin.tier) << " box-bound digest 0x" << std::hex
+        << BoxBoundsDigest();
   }
 }
 
