@@ -215,13 +215,14 @@ inline void LeafProfiles(const KernelParams& kernel, const double* const* x,
 }
 
 // Σ wᵢ·K(q,pᵢ) over SoA rows [begin, end) for kernel family K. The range
-// is read as the W-lane vectors of its whole blocks, in row order, and
-// each step computes two vectors' profiles before it accumulates either:
-// two blocks per step on AVX-512, a block's two halves on AVX2, and a
-// lone last vector alone. A single vector's ~90-cycle chain of distance,
-// exp and FMA otherwise runs with nothing independent beside it. Even
-// vectors go into one accumulator and odd ones into the other, so
-// consecutive FMAs into the sum do not wait on each other either.
+// is read as W-lane vectors from its first block's first lane to its
+// last row, in row order, and each step computes two vectors' profiles
+// before it accumulates either: two blocks per step on AVX-512, a
+// block's two halves on AVX2, and a lone last vector alone. A single
+// vector's ~90-cycle chain of distance, exp and FMA otherwise runs with
+// nothing independent beside it. Even vectors go into one accumulator
+// and odd ones into the other, so consecutive FMAs into the sum do not
+// wait on each other either.
 template <typename O, KernelType K>
 double LeafAggregateImpl(const KernelParams& kernel, const SoaLeafBlocks& soa,
                          uint32_t begin, uint32_t end, const double* q) {
@@ -232,9 +233,14 @@ double LeafAggregateImpl(const KernelParams& kernel, const SoaLeafBlocks& soa,
   const double scale =
       kInnerProductKernel<K> ? kernel.gamma : DistanceArgScale(kernel);
   const double* weights = soa.block_weights().data();
-  // Vector t holds rows [row0 + t·W, row0 + (t + 1)·W).
+  // Vector t holds rows [row0 + t·W, row0 + (t + 1)·W). The vectors
+  // start at the first lane of the range's first block, so on AVX2 a
+  // leading half-block outside the range is still computed, masked:
+  // skipping it would move every later vector to the other accumulator
+  // and change the sum's bits. They stop at the vector holding the last
+  // row; a fully masked trailing half-block would only add +0.
   const size_t row0 = begin / kB * kB;
-  const size_t vecs = ((end - 1) / kB + 1) * (kB / W) - row0 / W;
+  const size_t vecs = (end + W - 1) / W - row0 / W;
   const auto lanes = [&](size_t t) {
     const size_t row = row0 + t * W;
     return soa.BlockDim(row / kB, 0) + row % kB;

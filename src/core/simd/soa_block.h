@@ -18,7 +18,11 @@
 // any node range [begin, end) — a real leaf, a level-capped effective
 // leaf, or the full array for QueryExact — maps onto whole blocks plus
 // at most two partial blocks handled with masked weights. Only the last
-// block can hold pad lanes.
+// block can hold pad lanes. A newly built kd tree splits on block
+// boundaries (index/kd_tree.h), so its ranges start on a block and have
+// at most a partial last one, save the exceptions DESIGN.md §5 lists;
+// ball trees, kd trees of older snapshots and arbitrary ranges can
+// still start mid-block.
 //
 // Storage duality, as for TreeIndex: the blocks are either *built*
 // (Build — owned vectors) or *attached* (Attach — non-owning views into

@@ -2,8 +2,44 @@
 
 #include <algorithm>
 #include <limits>
+#include <utility>
+
+#include "core/simd/soa_block.h"
 
 namespace karl::index {
+namespace {
+
+// The rank at which a node of [begin, end) splits: the median, moved to
+// the nearest multiple of kBlockPoints strictly inside the node, so each
+// child range starts on a SoA block and a leaf scan reads only its own
+// blocks (DESIGN.md §5). Where the median split would give two leaves,
+// the boundary on the other side is taken if the nearest one would
+// leave a child over `capacity`; if neither fits (capacity not a
+// multiple of kBlockPoints), the median stays, so alignment never adds
+// a split. Nodes under two blocks keep the median.
+size_t SplitRank(size_t begin, size_t end, size_t capacity) {
+  constexpr size_t kB = core::simd::SoaLeafBlocks::kBlockPoints;
+  const size_t median = begin + (end - begin) / 2;
+  if (end - begin < 2 * kB) return median;
+  // The block boundaries below and above the exact median
+  // (begin + end) / 2, nearest first; a tie takes the lower one.
+  const size_t below = median / kB * kB;
+  size_t boundary[2] = {below, below + kB};
+  if (2 * (below + kB) - (begin + end) < (begin + end) - 2 * below) {
+    std::swap(boundary[0], boundary[1]);
+  }
+  const auto inside = [&](size_t c) { return begin < c && c < end; };
+  const auto fits = [&](size_t c) {
+    return c - begin <= capacity && end - c <= capacity;
+  };
+  if (!fits(median)) return inside(boundary[0]) ? boundary[0] : boundary[1];
+  for (const size_t c : boundary) {
+    if (inside(c) && fits(c)) return c;
+  }
+  return median;
+}
+
+}  // namespace
 
 util::Result<std::unique_ptr<KdTree>> KdTree::Build(
     const data::Matrix& points, std::span<const double> weights,
@@ -46,7 +82,7 @@ size_t KdTree::Partition(const data::Matrix& input_points,
   }
   if (best_extent <= 0.0) return begin;  // All points identical: stay a leaf.
 
-  const size_t mid = begin + (end - begin) / 2;
+  const size_t mid = SplitRank(begin, end, leaf_capacity());
   std::nth_element(perm.begin() + begin, perm.begin() + mid,
                    perm.begin() + end, [&](size_t a, size_t b) {
                      return input_points(a, split_dim) <

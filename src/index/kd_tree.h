@@ -1,5 +1,9 @@
 // kd-tree index [Samet'06, §1.5] with bounding-rectangle node regions:
-// splits on the widest dimension at the median.
+// splits on the widest dimension at the median, moved to the nearest
+// SoA block boundary (a multiple of SoaLeafBlocks::kBlockPoints) once a
+// node holds two blocks, so leaf ranges start on a block and a leaf
+// scan reads no lanes of its neighbour (DESIGN.md §5 gives the rule and
+// its exceptions, §14 the scan).
 
 #ifndef KARL_INDEX_KD_TREE_H_
 #define KARL_INDEX_KD_TREE_H_

@@ -5,8 +5,10 @@
 
 #include <cmath>
 #include <numeric>
+#include <string>
 #include <vector>
 
+#include "core/simd/soa_block.h"
 #include "data/synthetic.h"
 #include "index/ball_tree.h"
 #include "index/bounding_ball.h"
@@ -400,8 +402,58 @@ TEST(TreeBuildTest, LeafCapacityOneGivesLogDepth) {
   std::vector<double> weights(pts.rows(), 1.0);
   auto tree = KdTree::Build(pts, weights, 1);
   ASSERT_TRUE(tree.ok());
-  // Median splits give depth exactly ceil(log2(256)) = 8.
+  // Balanced splits (on block boundaries down to 16 points, at the
+  // median below) give depth exactly ceil(log2(256)) = 8.
   EXPECT_EQ(tree.value()->max_depth(), 8u);
+}
+
+// Nodes of a kd tree over `n` distinct points that splits every node
+// at its median.
+size_t MedianSplitNodes(size_t n, size_t capacity) {
+  if (n <= capacity) return 1;
+  return 1 + MedianSplitNodes(n / 2, capacity) +
+         MedianSplitNodes(n - n / 2, capacity);
+}
+
+// A node of at least two blocks splits on a block boundary, so both
+// children start on one; the one exception is a node the median would
+// cut into two leaves and no boundary inside it can, which keeps the
+// median. Leaves stay within capacity, and alignment never adds a node.
+TEST(KdSplitTest, NodesOfTwoBlocksOrMoreSplitOnABlockBoundary) {
+  constexpr size_t kB = core::simd::SoaLeafBlocks::kBlockPoints;
+  auto spec = data::FindDataset("home").ValueOrDie();
+  for (const size_t n : {2000u, 3200u, 4099u}) {
+    spec.n = n;
+    const data::Matrix pts = data::MakeUciLike(spec);
+    const std::vector<double> weights(n, 1.0);
+    for (const size_t capacity : {8u, 40u, 80u, 100u, 320u}) {
+      SCOPED_TRACE("n " + std::to_string(n) + " capacity " +
+                   std::to_string(capacity));
+      const auto tree = KdTree::Build(pts, weights, capacity).ValueOrDie();
+      EXPECT_LE(tree->num_nodes(), MedianSplitNodes(n, capacity));
+      for (size_t id = 0; id < tree->num_nodes(); ++id) {
+        const auto& nd = tree->node(static_cast<NodeId>(id));
+        if (nd.is_leaf()) {
+          EXPECT_LE(nd.count(), capacity) << "node " << id;
+          continue;
+        }
+        if (nd.count() < 2 * kB) continue;
+        const uint32_t mid = tree->node(nd.left).end;
+        EXPECT_EQ(nd.begin % kB, 0u) << "node " << id;
+        // Within a block of the median.
+        EXPECT_LT(std::abs(2.0 * (mid - nd.begin) - nd.count()), 2.0 * kB)
+            << "node " << id;
+        if (mid % kB == 0) continue;
+        EXPECT_TRUE(tree->node(nd.left).is_leaf() &&
+                    tree->node(nd.right).is_leaf())
+            << "node " << id;
+        for (uint32_t c = (nd.begin / kB + 1) * kB; c < nd.end; c += kB) {
+          EXPECT_TRUE(c - nd.begin > capacity || nd.end - c > capacity)
+              << "node " << id << " could split at " << c;
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

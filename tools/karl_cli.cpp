@@ -181,6 +181,11 @@ karl::util::Result<BuildInputs> ParseBuildInputs(const ParsedArgs& args) {
   }
   const auto capacity = args.GetInt("leaf-capacity", 80);
   if (!capacity.ok()) return capacity.status();
+  // Checked before the cast: a negative value would wrap to SIZE_MAX and
+  // build a one-leaf (full scan) model.
+  if (capacity.value() < 1) {
+    return Status::InvalidArgument("leaf capacity must be >= 1");
+  }
   in.options.leaf_capacity = static_cast<size_t>(capacity.value());
   const std::string bounds = args.GetString("bounds", "karl");
   in.options.bounds = bounds == "sota" ? karl::core::BoundKind::kSota
