@@ -37,7 +37,9 @@ struct Entry {
 // §2). Sifts move a hole and pick the higher child without a branch. Pop
 // leaves the popped key at the root; the next Push overwrites it and sifts
 // it down, and Settle fills a root that no Push took with the last key. So
-// an expansion costs one sift-down instead of a pop plus a push. Both
+// an expansion costs one sift-down instead of a pop plus a push. Pop also
+// zeroes the popped entry's bounds in the array, so that SumBounds can add
+// up the live bounds in admission order without consulting the heap. Both
 // arrays start with room for kInitialCapacity and double past it.
 class Frontier {
  public:
@@ -63,7 +65,11 @@ class Frontier {
   // or Settle replaces it.
   Entry Pop() {
     root_open_ = true;
-    return entries_[Slot(keys_[0])];
+    Entry& slot = entries_[Slot(keys_[0])];
+    const Entry top = slot;
+    slot.lb = 0.0;
+    slot.ub = 0.0;
+    return top;
   }
 
   // Ends an expansion: removes the popped key if no Push replaced it.
@@ -73,6 +79,19 @@ class Frontier {
     const Key last = keys_.back();
     keys_.pop_back();
     if (!keys_.empty()) SiftDown(last);
+  }
+
+  // Sets [*lb, *ub] to `base` plus every live entry's bounds, added in
+  // admission order (popped entries hold [0, 0]).
+  void SumBounds(double base, double* lb, double* ub) const {
+    double l = base;
+    double u = base;
+    for (const Entry& e : entries_) {
+      l += e.lb;
+      u += e.ub;
+    }
+    *lb = l;
+    *ub = u;
   }
 
   // Calls fn on every live entry, in heap order.
@@ -157,6 +176,20 @@ struct NullObserver {
   void OnStep(double, double, const EvalStats&) {}
   void OnFinish(const Frontier&, const EvalStats&) {}
 };
+
+// The harmonic mean 2·l·u/(l+u) of an enclosure [l, u] on one side of
+// zero, in a form that neither underflows (l·u does below 1e-154) nor
+// overflows where the mean does not. A point enclosure answers itself
+// (so a drained frontier answers its exact leaf sum), and l + u == 0
+// answers 0 rather than 0/0.
+double HarmonicMean(double l, double u) {
+  if (l == u) return l;
+  if (l + u == 0.0) return 0.0;
+  const bool l_nearer = std::abs(l) < std::abs(u);
+  const double near = l_nearer ? l : u;
+  const double far = l_nearer ? u : l;
+  return near / (0.5 + 0.5 * (near / far));
+}
 
 }  // namespace
 
@@ -460,8 +493,14 @@ EvalStats Evaluator::RefineWith(const Bound& bound, std::span<const double> q,
                                 double* out_ub) const {
   const QueryContext ctx = QueryContext::Make(q);
   Frontier frontier;
+  // [lb, ub] are running sums: every admission adds a node's bounds and
+  // every pop subtracts them, which leaves a rounding residue of about an
+  // ulp of the largest bound ever held. `leaf` sums the exact leaf values
+  // alone, and only ever grows by them; with the live frontier bounds it
+  // re-sums the enclosure without that residue (DESIGN.md §2).
   double lb = 0.0;
   double ub = 0.0;
+  double leaf = 0.0;
   EvalStats work;
 
   // Treats a node as a leaf when it has no children or sits at the level
@@ -507,6 +546,7 @@ EvalStats Evaluator::RefineWith(const Bound& bound, std::span<const double> q,
           simd::LeafAggregate(kernel_, tree.points(), nd.begin, nd.end, q);
       work.kernel_evals += nd.count();
       observer.OnLeaf(nd);
+      leaf += exact;
       lb += exact;
       ub += exact;
       return;
@@ -546,7 +586,13 @@ EvalStats Evaluator::RefineWith(const Bound& bound, std::span<const double> q,
   if (minus_tree_ != nullptr) admit(*minus_tree_, -1, minus_tree_->root());
   observer.OnStep(lb, ub, work);
 
-  while (!frontier.empty() && !stop(lb, ub)) {
+  while (!frontier.empty()) {
+    // The running sums only propose a stop; the re-summed enclosure
+    // confirms it, or refinement goes on from the re-summed values.
+    if (stop(lb, ub)) {
+      frontier.SumBounds(leaf, &lb, &ub);
+      if (stop(lb, ub)) break;
+    }
     const Entry top = frontier.Pop();
     ++work.iterations;
     lb -= top.lb;
@@ -565,9 +611,8 @@ EvalStats Evaluator::RefineWith(const Bound& bound, std::span<const double> q,
   }
 
   observer.OnFinish(frontier, work);
-  // Drained frontier means [lb, ub] collapsed to the exact value (modulo
-  // floating-point accumulation); guard against a tiny inversion.
-  if (frontier.empty() && lb > ub) lb = ub = 0.5 * (lb + ub);
+  // A drained frontier leaves the exact leaf sum alone.
+  if (frontier.empty()) lb = ub = leaf;
   *out_lb = lb;
   *out_ub = ub;
   return work;
@@ -586,15 +631,9 @@ bool Evaluator::QueryThreshold(std::span<const double> q, double tau,
   const auto stop = [tau](double l, double u) { return l > tau || u <= tau; };
   const EvalStats work = Refine(q, stop, trace, profile, &lb, &ub);
   if (stats != nullptr) *stats += work;
-  bool result;
-  if (lb > tau) {
-    result = true;
-  } else if (ub <= tau) {
-    result = false;
-  } else {
-    // Frontier drained without a decision: lb ≈ ub ≈ exact value.
-    result = 0.5 * (lb + ub) > tau;
-  }
+  // Refinement ends on a decided enclosure, or on a drained frontier whose
+  // lb == ub is the exact leaf sum; either way lb decides.
+  const bool result = lb > tau;
 
   if (instrumented_) {
     RecordQueryMetrics(instruments_.queries_tkaq, work,
@@ -617,7 +656,8 @@ bool Evaluator::QueryThreshold(std::span<const double> q, double tau,
 double Evaluator::QueryApproximate(std::span<const double> q, double eps,
                                    EvalStats* stats, const TraceFn* trace,
                                    TraversalProfile* profile) const {
-  KARL_CHECK(eps > 0.0) << ": eKAQ needs a positive epsilon, got " << eps;
+  KARL_CHECK(eps > 0.0 && std::isfinite(eps))
+      << ": eKAQ needs a finite positive epsilon, got " << eps;
   telemetry::TraceRecorder* const tracer = options_.tracer;
   std::optional<util::Stopwatch> timer;
   if (instrumented_) timer.emplace();
@@ -625,28 +665,27 @@ double Evaluator::QueryApproximate(std::span<const double> q, double eps,
       tracer != nullptr ? telemetry::MonotonicMicros() : 0;
 
   double lb = 0.0, ub = 0.0;
-  // Terminate when ub <= (1+ε)·lb (paper §II-B); returning lb then
-  // guarantees (1−ε)F <= lb <= (1+ε)F given lb <= F <= ub. The mirrored
-  // clause covers negative aggregates (possible for polynomial/sigmoid
-  // kernels even under positive weights). The final clause
-  // short-circuits only when F is provably (numerically) zero — any
-  // looser absolute cutoff would break the relative guarantee for tiny
-  // densities.
-  const auto stop = [eps](double l, double u) {
-    if (l >= 0.0 && u <= (1.0 + eps) * l) return true;
-    if (u <= 0.0 && l >= (1.0 + eps) * u) return true;
-    return u <= 1e-300 && l >= -1e-300;
+  // The contract is (1−ε)F <= F̂ <= (1+ε)F. Given 0 <= lb <= F <= ub, some
+  // F̂ meets it for every such F exactly when (1−ε)·ub <= (1+ε)·lb, and
+  // the harmonic mean of lb and ub is that F̂; the mirrored clause covers
+  // negative aggregates (polynomial/sigmoid kernels, even under positive
+  // weights). The paper stops at ub <= (1+ε)·lb and returns lb, which
+  // refines until the gap is about half of what the contract needs
+  // (DESIGN.md §2). For ε >= 1 the first enclosure on one side of zero
+  // suffices. The last stop clause short-circuits only when F is provably
+  // (numerically) zero; any looser absolute cutoff would break the
+  // relative guarantee for tiny densities.
+  const auto within = [eps](double l, double u) {
+    return (l >= 0.0 && (1.0 - eps) * u <= (1.0 + eps) * l) ||
+           (u <= 0.0 && (1.0 - eps) * l >= (1.0 + eps) * u);
+  };
+  const auto stop = [&within](double l, double u) {
+    return within(l, u) || (u <= 1e-300 && l >= -1e-300);
   };
   const EvalStats work = Refine(q, stop, trace, profile, &lb, &ub);
   if (stats != nullptr) *stats += work;
-  double result;
-  if (lb >= 0.0 && ub <= (1.0 + eps) * lb) {
-    result = lb;
-  } else if (ub <= 0.0 && lb >= (1.0 + eps) * ub) {
-    result = ub;
-  } else {
-    result = 0.5 * (lb + ub);
-  }
+  const double result =
+      within(lb, ub) ? HarmonicMean(lb, ub) : 0.5 * (lb + ub);
 
   if (instrumented_) {
     RecordQueryMetrics(instruments_.queries_ekaq, work,

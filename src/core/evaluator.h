@@ -6,10 +6,14 @@
 // per-entry bounds over a frontier of index nodes. Each iteration pops the
 // entry with the widest bound gap and replaces it with its children's
 // bounds (or the exact leaf aggregate), monotonically tightening [lb, ub]
-// until the query's termination condition holds. The frontier is a binary
-// max-heap of 16-byte {gap, admission order} keys over an append-only
-// entry array; the first child admitted after a pop takes the popped
-// root in place, and equal gaps pop in admission order (DESIGN.md §2).
+// until the query's termination condition holds. [lb, ub] are kept as
+// running sums; when the condition holds on them, the enclosure is
+// re-summed from the exact leaf sums and the live frontier bounds and
+// tested again, and a drained frontier answers the leaf sum exactly
+// (DESIGN.md §2). The frontier is a binary max-heap of 16-byte
+// {gap, admission order} keys over an append-only entry array; the first
+// child admitted after a pop takes the popped root in place, and equal
+// gaps pop in admission order (DESIGN.md §2).
 //
 // Type III weighting is handled by evaluating two positive-weight trees
 // (P⁺ and P⁻, split by the caller) in one interleaved refinement: a P⁻
@@ -122,10 +126,10 @@ class Evaluator {
 
   /// TKAQ (Problem 1): returns whether F_P(q) > tau.
   ///
-  /// Like the original KARL/SOTA algorithms, the global bounds are
-  /// maintained incrementally, so decisions carry an absolute noise
-  /// floor of roughly machine-epsilon times the root bound magnitude;
-  /// margins |F_P(q) − tau| below that floor may be misreported.
+  /// The decision is taken on an enclosure re-summed from the live
+  /// frontier, so bounds added and later subtracted leave no residue in
+  /// it; what remains is the rounding of the leaf sums and of the re-sum
+  /// itself, which for Type III cancellation may exceed |F_P(q) − tau|.
   /// `profile`, when non-null, is cleared and filled with the query's
   /// EXPLAIN traversal profile (see core/traversal_profile.h); null (the
   /// default) skips collection entirely.
@@ -135,7 +139,10 @@ class Evaluator {
                       TraversalProfile* profile = nullptr) const;
 
   /// eKAQ (Problem 2): returns F̂ with relative error at most eps
-  /// (requires eps > 0 and F_P(q) >= 0, i.e. Type I/II weighting).
+  /// (requires a finite eps > 0; specified for Type I/II weighting).
+  /// Stops as soon as some F̂ meets the contract for every F in [lb, ub],
+  /// that is (1−ε)·ub <= (1+ε)·lb (or its mirror for ub <= 0), and
+  /// returns the harmonic mean 2·lb·ub/(lb+ub), not the paper's lb.
   /// `profile` as in QueryThreshold.
   double QueryApproximate(std::span<const double> q, double eps,
                           EvalStats* stats = nullptr,
@@ -189,8 +196,11 @@ class Evaluator {
   // tracer's counter tracks and the bound audit (defined in evaluator.cc).
   class RefineObserver;
 
-  // Runs the refinement loop until `stop(lb, ub)` holds or the frontier
-  // drains; outputs the final bounds and returns the loop's work. Picks
+  // Runs the refinement loop until `stop(lb, ub)` holds on the re-summed
+  // enclosure or the frontier drains; outputs the final bounds and returns
+  // the loop's work. When `stop` holds on the running sums it is asked
+  // again on the re-summed values, so a stateful `stop` must keep holding
+  // once it has held, as RefineToConvergence's call cap does. Picks
   // the observer (RefineObserver only when the query has a profile, a
   // trace callback, the tracer or the auditor attached) and the concrete
   // bound class once per query, then runs RefineWith.

@@ -7,6 +7,7 @@
 
 #include <bit>
 #include <cmath>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -348,6 +349,132 @@ TEST(EvaluatorTest, StatsAccumulateAcrossCalls) {
   const size_t after_one = stats.iterations + stats.kernel_evals;
   ev.QueryThreshold(q, 1.0, &stats);
   EXPECT_GE(stats.iterations + stats.kernel_evals, 2 * after_one);
+}
+
+// |F̂ − F| <= ε|F| up to a relative rounding slack, with no absolute floor.
+bool MeetsEkaqContract(double approx, double exact, double eps) {
+  return std::abs(approx - exact) <=
+         eps * std::abs(exact) + 1e-9 * std::abs(exact);
+}
+
+// F ≈ 1e-15 at the centre of a ring of radius about 4, under γ = 3. The
+// root and the top levels bound boxes that contain the centre, so they
+// hold bounds of the size of the total weight (4000), and a running sum
+// that adds and later subtracts them keeps a residue near 1e-13: far
+// more than F. Answers and decisions must still be right.
+TEST(EvaluatorTest, SmallAggregateUnderLargeTopBoundsKeepsTheContract) {
+  constexpr size_t kN = 4000;
+  std::vector<double> coords;
+  std::vector<double> weights;
+  for (size_t i = 0; i < kN; ++i) {
+    const double t = static_cast<double>(i);
+    const double radius = 4.0 + 0.3 * std::sin(7.1 * t);
+    const double angle = 2.0 * M_PI * t / static_cast<double>(kN);
+    coords.push_back(radius * std::cos(angle));
+    coords.push_back(radius * std::sin(angle));
+    weights.push_back(1.0 + 0.5 * std::sin(1.3 * t));
+  }
+  const data::Matrix points(kN, 2, std::move(coords));
+  const auto kernel = KernelParams::Gaussian(3.0);
+  std::vector<std::unique_ptr<index::TreeIndex>> trees;
+  trees.push_back(index::KdTree::Build(points, weights, 16).ValueOrDie());
+  trees.push_back(index::BallTree::Build(points, weights, 16).ValueOrDie());
+
+  for (const auto& tree : trees) {
+    for (const BoundKind kind : {BoundKind::kSota, BoundKind::kKarl}) {
+      Evaluator::Options options;
+      options.bounds = kind;
+      auto ev =
+          Evaluator::Create(tree.get(), nullptr, kernel, options).ValueOrDie();
+      for (int i = 0; i < 25; ++i) {
+        // Within 0.1 of the centre.
+        const std::vector<double> q = {0.07 * std::sin(2.3 * i),
+                                       0.07 * std::cos(1.7 * i)};
+        const double exact = ExactAggregate(points, weights, kernel, q);
+        ASSERT_GT(exact, 0.0);
+        ASSERT_LT(exact, 1e-12);
+        SCOPED_TRACE(std::string(index::IndexKindToString(tree->kind())) +
+                     " " + std::string(BoundKindToString(kind)) + " query " +
+                     std::to_string(i) + " exact " + std::to_string(exact));
+        for (const double eps : {0.05, 0.3}) {
+          const double approx = ev.QueryApproximate(q, eps);
+          EXPECT_TRUE(MeetsEkaqContract(approx, exact, eps))
+              << "eps " << eps << " answer " << approx;
+        }
+        for (const double rel : {0.6, 1.5}) {
+          EXPECT_EQ(ev.QueryThreshold(q, rel * exact), rel < 1.0)
+              << "tau " << rel << "·F";
+        }
+      }
+    }
+  }
+}
+
+// For ε >= 1 the lower side of the contract is vacuous, and the rule
+// stops at the first enclosure on one side of zero, whatever ε: ε = 1
+// and ε = 2.5 do the same work. The odd-degree polynomial gives
+// aggregates of both signs.
+TEST(EvaluatorTest, EpsAtLeastOneStopsOnOneSideOfZeroAndKeepsTheContract) {
+  const auto wb = MakeBench(300, 4, 31, false);
+  for (const auto kernel :
+       {KernelParams::Gaussian(4.0), KernelParams::Polynomial(0.5, 0.2, 3)}) {
+    for (const auto bound_kind : {BoundKind::kSota, BoundKind::kKarl}) {
+      Evaluator::Options options;
+      options.bounds = bound_kind;
+      auto ev = Evaluator::Create(wb.tree.get(), nullptr, kernel, options)
+                    .ValueOrDie();
+      util::Rng rng(32);
+      bool saw_negative = false;
+      for (int trial = 0; trial < 12; ++trial) {
+        std::vector<double> q(4);
+        for (auto& v : q) v = rng.Uniform(-1.0, 1.0);
+        const double exact = ExactAggregate(wb.points, wb.weights, kernel, q);
+        saw_negative |= exact < 0.0;
+        SCOPED_TRACE(std::string(KernelTypeToString(kernel.type)) + " " +
+                     std::string(BoundKindToString(bound_kind)) + " trial " +
+                     std::to_string(trial));
+        EvalStats at_one;
+        EvalStats at_more;
+        const double one = ev.QueryApproximate(q, 1.0, &at_one);
+        const double more = ev.QueryApproximate(q, 2.5, &at_more);
+        EXPECT_TRUE(MeetsEkaqContract(one, exact, 1.0))
+            << "exact " << exact << " answer " << one;
+        EXPECT_TRUE(MeetsEkaqContract(more, exact, 2.5))
+            << "exact " << exact << " answer " << more;
+        EXPECT_EQ(at_one.iterations, at_more.iterations);
+        EXPECT_EQ(at_one.kernel_evals, at_more.kernel_evals);
+      }
+      if (kernel.type == KernelType::kPolynomial) {
+        EXPECT_TRUE(saw_negative);
+      }
+    }
+  }
+}
+
+// A query so far away that every bound underflows to [0, 0]: the answer
+// is 0 from the root, never the NaN of 0/0. The vector tiers clamp exp's
+// argument at −708 (core/simd/simd.h), so their bounds stay just above
+// 0; the scalar tier's reach it.
+TEST(EvaluatorTest, FarQueryWithUnderflowedBoundsAnswersZero) {
+  const simd::Tier saved = simd::ActiveTier();
+  simd::ForceTier(simd::Tier::kScalar);
+  const auto wb = MakeBench(200, 3, 33, false);
+  const auto kernel = KernelParams::Gaussian(50.0);
+  const std::vector<double> q(3, 40.0);
+  ASSERT_EQ(ExactAggregate(wb.points, wb.weights, kernel, q), 0.0);
+  for (const auto bound_kind : {BoundKind::kSota, BoundKind::kKarl}) {
+    Evaluator::Options options;
+    options.bounds = bound_kind;
+    auto ev = Evaluator::Create(wb.tree.get(), nullptr, kernel, options)
+                  .ValueOrDie();
+    for (const double eps : {0.1, 1.0, 2.5}) {
+      EvalStats stats;
+      EXPECT_EQ(ev.QueryApproximate(q, eps, &stats), 0.0) << "eps " << eps;
+      EXPECT_EQ(stats.iterations, 0u);
+    }
+    EXPECT_FALSE(ev.QueryThreshold(q, 0.0));
+  }
+  simd::ForceTier(saved);
 }
 
 

@@ -6,6 +6,12 @@
 // kernels, kd and ball trees, every bound kind, Type I/II/III weights,
 // every level cap and every SIMD tier this binary and host can run.
 //
+// The reference encodes the shipped stop rule: when the stop holds on the
+// running sums, the enclosure is re-summed as the exact leaf sum plus the
+// live entries' bounds in admission order and tested again; a drained
+// frontier answers the leaf sum; eKAQ stops at (1−ε)·ub <= (1+ε)·lb and
+// answers the harmonic mean of lb and ub.
+//
 // Tie rule: the widest gap pops first, and equal gaps pop in admission
 // order (the order the loop bounded the entries in, within one query).
 // The loop this replaced left ties to std::priority_queue's layout; exact
@@ -25,6 +31,7 @@
 #include <span>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "core/bounds.h"
@@ -89,6 +96,9 @@ RefResult ReferenceRefine(const index::TreeIndex& plus,
 
   const QueryContext ctx = QueryContext::Make(q);
   std::priority_queue<RefEntry, std::vector<RefEntry>, RefEntryLess> frontier;
+  // Every bounded entry's (lb, ub) by admission order, zeroed on pop.
+  std::vector<std::pair<double, double>> admitted_bounds;
+  double leaf = 0.0;
   uint32_t admitted = 0;
   const auto admit = [&](const index::TreeIndex& tree, int8_t side,
                          index::NodeId id) {
@@ -103,6 +113,7 @@ RefResult ReferenceRefine(const index::TreeIndex& plus,
       ++l.visited;
       ++l.exact_leaves;
       l.kernel_evals += nd.count();
+      leaf += exact;
       r.lb += exact;
       r.ub += exact;
       return;
@@ -117,6 +128,7 @@ RefResult ReferenceRefine(const index::TreeIndex& plus,
     e.ub = side > 0 ? node_ub : -node_lb;
     e.gap = e.ub - e.lb;
     e.seq = admitted++;
+    admitted_bounds.emplace_back(e.lb, e.ub);
     ++level(nd.depth).visited;
     r.lb += e.lb;
     r.ub += e.ub;
@@ -127,9 +139,19 @@ RefResult ReferenceRefine(const index::TreeIndex& plus,
   admit(plus, +1, plus.root());
   if (minus != nullptr) admit(*minus, -1, minus->root());
   step();
-  while (!frontier.empty() && !stop(r.lb, r.ub)) {
+  while (!frontier.empty()) {
+    if (stop(r.lb, r.ub)) {
+      r.lb = leaf;
+      r.ub = leaf;
+      for (const auto& [lb, ub] : admitted_bounds) {
+        r.lb += lb;
+        r.ub += ub;
+      }
+      if (stop(r.lb, r.ub)) break;
+    }
     const RefEntry top = frontier.top();
     frontier.pop();
+    admitted_bounds[top.seq] = {0.0, 0.0};
     ++r.work.iterations;
     r.lb -= top.lb;
     r.ub -= top.ub;
@@ -151,8 +173,18 @@ RefResult ReferenceRefine(const index::TreeIndex& plus,
   r.profile.iterations = r.work.iterations;
   r.profile.nodes_expanded = r.work.nodes_expanded;
   r.profile.kernel_evals = r.work.kernel_evals;
-  if (drained && r.lb > r.ub) r.lb = r.ub = 0.5 * (r.lb + r.ub);
+  if (drained) r.lb = r.ub = leaf;
   return r;
+}
+
+// The eKAQ contract holds for every F in [l, u] (the stop's first clauses).
+bool WithinContract(double l, double u, double eps) {
+  return (l >= 0.0 && (1.0 - eps) * u <= (1.0 + eps) * l) ||
+         (u <= 0.0 && (1.0 - eps) * l >= (1.0 + eps) * u);
+}
+
+bool ApproximateStop(double l, double u, double eps) {
+  return WithinContract(l, u, eps) || (u <= 1e-300 && l >= -1e-300);
 }
 
 // The answers QueryThreshold and QueryApproximate derive from [lb, ub].
@@ -163,9 +195,14 @@ bool ThresholdAnswer(const RefResult& r, double tau) {
 }
 
 double ApproximateAnswer(const RefResult& r, double eps) {
-  if (r.lb >= 0.0 && r.ub <= (1.0 + eps) * r.lb) return r.lb;
-  if (r.ub <= 0.0 && r.lb >= (1.0 + eps) * r.ub) return r.ub;
-  return 0.5 * (r.lb + r.ub);
+  if (!WithinContract(r.lb, r.ub, eps)) return 0.5 * (r.lb + r.ub);
+  // 2·lb·ub/(lb+ub), as the evaluator computes it.
+  if (r.lb == r.ub) return r.lb;
+  if (r.lb + r.ub == 0.0) return 0.0;
+  const bool lb_nearer = std::abs(r.lb) < std::abs(r.ub);
+  const double near = lb_nearer ? r.lb : r.ub;
+  const double far = lb_nearer ? r.ub : r.lb;
+  return near / (0.5 + 0.5 * (near / far));
 }
 
 // ---------------------------------------------------------------------
@@ -355,12 +392,10 @@ size_t CheckQueries(const Evaluator& ev, const Model& m,
     }
 
     if (type == 3) continue;  // eKAQ needs F ≥ 0 (Type I/II).
-    for (const double eps : {0.05, 1e-3, 1e-12}) {
+    for (const double eps : {0.05, 1e-3, 1e-12, 2.5}) {
       SCOPED_TRACE("eps " + std::to_string(eps));
       const auto stop = [eps](double l, double u) {
-        if (l >= 0.0 && u <= (1.0 + eps) * l) return true;
-        if (u <= 0.0 && l >= (1.0 + eps) * u) return true;
-        return u <= 1e-300 && l >= -1e-300;
+        return ApproximateStop(l, u, eps);
       };
       const RefResult want = ReferenceRefine(*m.plus, m.minus.get(), kernel,
                                              bound, kind, max_level, q, stop);

@@ -11,6 +11,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
@@ -189,6 +190,32 @@ TEST_F(ServerTest, SingleQueriesMatchLocalEngineBitExactly) {
     auto exact = client.Exact(q);
     ASSERT_TRUE(exact.ok()) << exact.status().ToString();
     EXPECT_EQ(exact.value(), engine_->Exact(q));
+  }
+}
+
+// "eps":2 is a valid request: for ε >= 1 the contract's lower side is
+// vacuous, and the answer is the in-process engine's, bit for bit.
+TEST_F(ServerTest, EpsOfTwoIsAnsweredLikeTheLocalEngine) {
+  StartServer();
+  Client client = Dial();
+  for (size_t i = 0; i < 8; ++i) {
+    const auto q = queries_.Row(i);
+    std::string line = R"({"op":"query","kind":"ekaq","eps":2,"q":[)";
+    for (size_t j = 0; j < q.size(); ++j) {
+      if (j > 0) line += ',';
+      line += Json::Number(q[j]).Dump();
+    }
+    line += "]}";
+    ASSERT_TRUE(client.SendLine(line).ok());
+    auto reply = client.ReceiveLine();
+    ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+    auto response = Json::Parse(reply.value());
+    ASSERT_TRUE(response.ok()) << response.status().ToString();
+    const Json* value = response.value().Find("value");
+    ASSERT_NE(value, nullptr) << reply.value();
+    EXPECT_EQ(std::bit_cast<uint64_t>(value->number_value()),
+              std::bit_cast<uint64_t>(engine_->Ekaq(q, 2.0)))
+        << "query " << i;
   }
 }
 

@@ -6,8 +6,11 @@
 // bound auditor enabled on every engine. Any violated invariant — a node
 // bound excluding its exact aggregate, a global [lb, ub] excluding the
 // exact answer, an inverted interval, or a non-monotone refinement where
-// monotonicity is a theorem — aborts with full diagnostics. A clean exit
-// means zero violations over the whole sweep.
+// monotonicity is a theorem — aborts with full diagnostics. So does a
+// wrong answer: a TKAQ decision other than exact > τ (τ at 0.6 and 1.5
+// times the exact answer), or an eKAQ answer F̂ outside
+// |F̂ − F| <= ε|F| + 1e-9·|F|, a relative slack with no absolute floor.
+// A clean exit means zero violations over the whole sweep.
 //
 // Usage: karl_audit [--trials N] [--seed S] [--max-n N] [--verbose]
 //                   [--metrics-out <file>] [--trace-out <file.json>]
@@ -19,6 +22,7 @@
 // the recorder's event cap, so long sweeps truncate rather than grow
 // without bound).
 
+#include <cmath>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -27,6 +31,7 @@
 #include "data/synthetic.h"
 #include "telemetry/metrics.h"
 #include "telemetry/trace.h"
+#include "util/check.h"
 #include "util/flags.h"
 #include "util/rng.h"
 
@@ -149,14 +154,26 @@ int main(int argc, char** argv) {
       for (auto& v : q) v = rng.Uniform(-0.2, 1.2);
       const double exact = engine.value().Exact(q);
       // TKAQ around the exact answer (both decidable sides plus a far
-      // threshold); every refinement step is audited.
+      // threshold); every refinement step is audited, and so is the
+      // decision.
       for (const double rel : {0.6, 1.5}) {
-        (void)engine.value().Tkaq(q, exact * rel + (exact == 0.0 ? 0.1 : 0.0));
+        const double tau = exact * rel + (exact == 0.0 ? 0.1 : 0.0);
+        const bool decision = engine.value().Tkaq(q, tau);
+        KARL_CHECK(decision == (exact > tau))
+            << ": wrong TKAQ decision at trial " << trial << " query "
+            << query << "; exact=" << exact << " tau=" << tau
+            << " decision=" << decision;
         ++queries_run;
       }
       // eKAQ is specified for Type I/II weighting only.
       if (weighting != 3) {
-        (void)engine.value().Ekaq(q, rng.Uniform(0.05, 0.5));
+        const double eps = rng.Uniform(0.05, 0.5);
+        const double answer = engine.value().Ekaq(q, eps);
+        KARL_CHECK(std::abs(answer - exact) <=
+                   eps * std::abs(exact) + 1e-9 * std::abs(exact))
+            << ": eKAQ answer breaks the contract at trial " << trial
+            << " query " << query << "; exact=" << exact
+            << " answer=" << answer << " eps=" << eps;
         ++queries_run;
       }
     }
