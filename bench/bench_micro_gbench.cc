@@ -12,6 +12,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <memory>
+#include <numeric>
 #include <string>
 #include <vector>
 
@@ -214,8 +215,10 @@ void BM_SimdLeafAggregate(benchmark::State& state, karl::core::simd::Tier tier,
   const size_t n = 4096;
   const auto pts = MakePoints(n, d);
   const std::vector<double> weights(n, 0.7);
+  std::vector<size_t> rows(n);
+  std::iota(rows.begin(), rows.end(), size_t{0});
   simd::SoaLeafBlocks soa;
-  soa.Build(pts, weights);
+  soa.Build(pts, rows, weights);
   const auto kernel = KernelParams::Gaussian(3.0 / static_cast<double>(d));
   const std::vector<double> q(d, 0.4);
   for (auto _ : state) {

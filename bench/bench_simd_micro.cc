@@ -19,6 +19,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstdint>
+#include <numeric>
 #include <string>
 #include <vector>
 
@@ -62,7 +63,9 @@ struct LeafFixture {
       for (double& v : pts.MutableRow(i)) v = rng.Uniform(-1.0, 1.0);
     }
     for (auto& v : q) v = rng.Uniform(-1.0, 1.0);
-    soa.Build(pts, weights);
+    std::vector<size_t> rows(n);
+    std::iota(rows.begin(), rows.end(), size_t{0});
+    soa.Build(pts, rows, weights);
   }
 };
 

@@ -1,6 +1,7 @@
 #include "core/karl.h"
 
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include "core/simd/simd.h"
@@ -70,17 +71,20 @@ util::Result<Engine> Engine::Build(const data::Matrix& points,
   // One clock reading brackets the build for the metric and the trace.
   const uint64_t build_begin_us = telemetry::MonotonicMicros();
 
-  // Split into positive and negative sides (§IV-A2); the minus tree
-  // stores |w_i| so both trees carry positive weights.
-  std::vector<size_t> pos_rows, neg_rows;
+  // A NaN weight is neither positive nor negative: the split below
+  // would drop its point without a word.
+  size_t num_pos = 0;
+  size_t num_neg = 0;
   for (size_t i = 0; i < weights.size(); ++i) {
-    if (weights[i] > 0.0) {
-      pos_rows.push_back(i);
-    } else if (weights[i] < 0.0) {
-      neg_rows.push_back(i);
+    if (!std::isfinite(weights[i])) {
+      return util::Status::InvalidArgument(
+          "non-finite weight " + std::to_string(weights[i]) + " at row " +
+          std::to_string(i));
     }
+    num_pos += weights[i] > 0.0 ? 1 : 0;
+    num_neg += weights[i] < 0.0 ? 1 : 0;
   }
-  if (pos_rows.empty()) {
+  if (num_pos == 0) {
     return util::Status::InvalidArgument(
         "engine requires at least one positive-weight point");
   }
@@ -89,22 +93,43 @@ util::Result<Engine> Engine::Build(const data::Matrix& points,
   engine.options_ = options;
   engine.weighting_type_ = ClassifyWeights(weights);
 
-  data::Matrix pos_points = points.SelectRows(pos_rows);
-  std::vector<double> pos_weights;
-  pos_weights.reserve(pos_rows.size());
-  for (const size_t i : pos_rows) pos_weights.push_back(weights[i]);
-  auto plus = BuildIndex(pos_points, pos_weights, options);
-  if (!plus.ok()) return plus.status();
-  engine.plus_tree_ = std::move(plus).ValueOrDie();
+  if (num_pos == points.rows()) {
+    // Types I and II: one tree over the caller's points and weights as
+    // they are; the tree build checks the points.
+    auto plus = BuildIndex(points, weights, options);
+    if (!plus.ok()) return plus.status();
+    engine.plus_tree_ = std::move(plus).ValueOrDie();
+  } else {
+    // Split into positive and negative sides (§IV-A2), dropping zero
+    // weights; the minus tree stores |w_i| so both trees carry positive
+    // weights. Checked first, so an error names the caller's row.
+    KARL_RETURN_NOT_OK(index::CheckFinitePoints(points));
+    std::vector<size_t> pos_rows, neg_rows;
+    pos_rows.reserve(num_pos);
+    neg_rows.reserve(num_neg);
+    for (size_t i = 0; i < weights.size(); ++i) {
+      if (weights[i] > 0.0) {
+        pos_rows.push_back(i);
+      } else if (weights[i] < 0.0) {
+        neg_rows.push_back(i);
+      }
+    }
+    std::vector<double> pos_weights;
+    pos_weights.reserve(num_pos);
+    for (const size_t i : pos_rows) pos_weights.push_back(weights[i]);
+    auto plus = BuildIndex(points.SelectRows(pos_rows), pos_weights, options);
+    if (!plus.ok()) return plus.status();
+    engine.plus_tree_ = std::move(plus).ValueOrDie();
 
-  if (!neg_rows.empty()) {
-    data::Matrix neg_points = points.SelectRows(neg_rows);
-    std::vector<double> neg_weights;
-    neg_weights.reserve(neg_rows.size());
-    for (const size_t i : neg_rows) neg_weights.push_back(-weights[i]);
-    auto minus = BuildIndex(neg_points, neg_weights, options);
-    if (!minus.ok()) return minus.status();
-    engine.minus_tree_ = std::move(minus).ValueOrDie();
+    if (!neg_rows.empty()) {
+      std::vector<double> neg_weights;
+      neg_weights.reserve(num_neg);
+      for (const size_t i : neg_rows) neg_weights.push_back(-weights[i]);
+      auto minus =
+          BuildIndex(points.SelectRows(neg_rows), neg_weights, options);
+      if (!minus.ok()) return minus.status();
+      engine.minus_tree_ = std::move(minus).ValueOrDie();
+    }
   }
 
   core::Evaluator::Options eval_options;
@@ -134,7 +159,7 @@ util::Result<Engine> Engine::Build(const data::Matrix& points,
     reg.GetGauge("karl_engine_index_bytes")
         ->Set(static_cast<double>(engine.MemoryUsageBytes()));
     reg.GetGauge("karl_engine_points")
-        ->Set(static_cast<double>(pos_rows.size() + neg_rows.size()));
+        ->Set(static_cast<double>(num_pos + num_neg));
     switch (engine.weighting_type_) {
       case WeightingType::kTypeI:
         reg.GetCounter("karl_engine_weighting_type_i_total")->Increment();
@@ -150,8 +175,7 @@ util::Result<Engine> Engine::Build(const data::Matrix& points,
   if (options.tracer != nullptr) {
     options.tracer->CompleteEvent(
         "engine_build", build_begin_us, build_us,
-        {{"points",
-          static_cast<double>(pos_rows.size() + neg_rows.size())},
+        {{"points", static_cast<double>(num_pos + num_neg)},
          {"index_bytes", static_cast<double>(engine.MemoryUsageBytes())},
          {"weighting_type",
           static_cast<double>(static_cast<int>(engine.weighting_type_))}});
@@ -212,9 +236,9 @@ util::Result<Engine> Engine::Attach(
 util::Result<Engine> Engine::BuildUniform(const data::Matrix& points,
                                           double common_weight,
                                           const EngineOptions& options) {
-  if (common_weight <= 0.0) {
+  if (!std::isfinite(common_weight) || common_weight <= 0.0) {
     return util::Status::InvalidArgument(
-        "Type I weighting requires a positive common weight");
+        "Type I weighting requires a positive finite common weight");
   }
   const std::vector<double> weights(points.rows(), common_weight);
   return Build(points, weights, options);

@@ -7,10 +7,11 @@
 namespace karl::core::simd {
 
 void SoaLeafBlocks::Build(const data::Matrix& points,
+                          std::span<const size_t> perm,
                           std::span<const double> weights) {
-  KARL_CHECK(weights.size() == points.rows())
-      << ": " << weights.size() << " weights for " << points.rows()
-      << " points";
+  KARL_CHECK(perm.size() == points.rows() && weights.size() == points.rows())
+      << ": " << perm.size() << " permutation entries and " << weights.size()
+      << " weights for " << points.rows() << " points";
   rows_ = points.rows();
   dims_ = points.cols();
   num_blocks_ = NumBlocks(rows_);
@@ -19,10 +20,10 @@ void SoaLeafBlocks::Build(const data::Matrix& points,
   for (size_t i = 0; i < rows_; ++i) {
     const size_t block = i / kBlockPoints;
     const size_t lane = i % kBlockPoints;
-    const auto row = points.Row(i);
+    const auto row = points.Row(perm[i]);
     double* base = owned_coords_.data() + block * dims_ * kBlockPoints + lane;
     for (size_t j = 0; j < dims_; ++j) base[j * kBlockPoints] = row[j];
-    owned_weights_[i] = weights[i];
+    owned_weights_[i] = weights[perm[i]];
   }
   coords_ = owned_coords_;
   weights_ = owned_weights_;

@@ -62,9 +62,11 @@ class SoaLeafBlocks {
   SoaLeafBlocks(SoaLeafBlocks&&) = default;
   SoaLeafBlocks& operator=(SoaLeafBlocks&&) = default;
 
-  /// Builds owned blocks from `points` (row-major, already in
-  /// tree-permuted order) and the matching `weights`. O(n·d) copy.
-  void Build(const data::Matrix& points, std::span<const double> weights);
+  /// Builds owned blocks whose row i is row perm[i] of `points`, with
+  /// weight weights[perm[i]]: one gather through the tree's permutation
+  /// (perm.size() == points.rows() == weights.size()). O(n·d).
+  void Build(const data::Matrix& points, std::span<const size_t> perm,
+             std::span<const double> weights);
 
   /// Adopts external blocked arrays without copying: `coords` holds
   /// NumBlocks(rows)·dims·kBlockPoints values, `weights`
@@ -95,6 +97,12 @@ class SoaLeafBlocks {
   /// Scalar gather of one coordinate of permuted row `row`.
   double At(size_t row, size_t dim) const {
     return *(BlockDim(row / kBlockPoints, dim) + row % kBlockPoints);
+  }
+
+  /// The coordinates of permuted row `row`, kBlockPoints apart:
+  /// dimension j is RowLanes(row)[j * kBlockPoints].
+  const double* RowLanes(size_t row) const {
+    return BlockDim(row / kBlockPoints, 0) + row % kBlockPoints;
   }
 
   /// Weight of permuted row `row` (< rows()).

@@ -1,6 +1,7 @@
 #include "data/csv_io.h"
 
 #include <cerrno>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
@@ -32,6 +33,13 @@ util::Result<Matrix> ParseCsv(const std::string& text,
         return util::Status::InvalidArgument(
             "csv parse error at line " + std::to_string(line_number) +
             ": expected a number near '" + std::string(p).substr(0, 16) + "'");
+      }
+      // nan, inf and overflow (1e999) parse; no index can hold them.
+      if (!std::isfinite(v)) {
+        const std::string token(p, static_cast<size_t>(end - p));
+        return util::Status::InvalidArgument(
+            "csv parse error at line " + std::to_string(line_number) +
+            ": non-finite value '" + token + "'");
       }
       row.push_back(v);
       p = end;

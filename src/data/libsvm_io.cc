@@ -1,6 +1,7 @@
 #include "data/libsvm_io.h"
 
 #include <cerrno>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
@@ -30,6 +31,11 @@ bool ParseLine(const std::string& line, SparseRow* row, std::string* error) {
     *error = "missing label";
     return false;
   }
+  if (!std::isfinite(row->label)) {
+    *error = "non-finite label '" +
+             std::string(p, static_cast<size_t>(end - p)) + "'";
+    return false;
+  }
   p = end;
   row->features.clear();
   while (*p != '\0') {
@@ -45,6 +51,11 @@ bool ParseLine(const std::string& line, SparseRow* row, std::string* error) {
     const double value = std::strtod(p, &end);
     if (end == p) {
       *error = "malformed feature value";
+      return false;
+    }
+    if (!std::isfinite(value)) {
+      *error = "non-finite feature value '" +
+               std::string(p, static_cast<size_t>(end - p)) + "'";
       return false;
     }
     p = end;

@@ -2,43 +2,59 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include "util/math_util.h"
 
 namespace karl::index {
+namespace {
+
+// Adds rows rows[0, count) of `points` into `sums`, one row after the
+// other. With kCheckFinite it also returns false if a value read is not
+// finite (otherwise true).
+template <bool kCheckFinite>
+bool SumRows(const data::Matrix& points, const size_t* rows, size_t count,
+             double* __restrict sums) {
+  const size_t d = points.cols();
+  uint64_t bits = 0;
+  for (size_t i = 0; i < count; ++i) {
+    const double* __restrict row = points.Row(rows[i]).data();
+    for (size_t j = 0; j < d; ++j) {
+      sums[j] += row[j];
+      if constexpr (kCheckFinite) bits |= NonFiniteBits(row[j]);
+    }
+  }
+  return (bits >> 63) == 0;
+}
+
+}  // namespace
 
 util::Result<std::unique_ptr<BallTree>> BallTree::Build(
     const data::Matrix& points, std::span<const double> weights,
     size_t leaf_capacity) {
-  if (points.empty()) {
-    return util::Status::InvalidArgument(
-        "cannot build ball-tree on empty data");
-  }
-  if (weights.size() != points.rows()) {
-    return util::Status::InvalidArgument(
-        "weight count " + std::to_string(weights.size()) +
-        " does not match point count " + std::to_string(points.rows()));
-  }
-  if (leaf_capacity < 1) {
-    return util::Status::InvalidArgument("leaf capacity must be >= 1");
-  }
   std::unique_ptr<BallTree> tree(new BallTree());
-  tree->BuildShared(points, weights, leaf_capacity);
+  KARL_RETURN_NOT_OK(tree->BuildShared(points, weights, leaf_capacity));
   return tree;
 }
 
 size_t BallTree::Partition(const data::Matrix& input_points,
                            std::vector<size_t>& perm, size_t begin,
-                           size_t end) {
+                           size_t end, PartitionScratch& scratch) {
   const size_t d = input_points.cols();
 
   // Farthest-pair heuristic: pivot A = farthest point from the centroid,
   // pivot B = farthest point from A; partition by nearer pivot.
-  std::vector<double> centroid(d, 0.0);
-  for (size_t i = begin; i < end; ++i) {
-    const auto row = input_points.Row(perm[i]);
-    for (size_t j = 0; j < d; ++j) centroid[j] += row[j];
+  const std::span<double> centroid(scratch.dims.data(), d);
+  std::fill(centroid.begin(), centroid.end(), 0.0);
+  const size_t* rows = perm.data() + begin;
+  // The root's sum reads every row, so it checks them all.
+  if (end - begin == input_points.rows()
+          ? !SumRows<true>(input_points, rows, end - begin, centroid.data())
+          : !SumRows<false>(input_points, rows, end - begin,
+                            centroid.data())) {
+    scratch.saw_non_finite = true;
+    return begin;
   }
   const double inv_n = 1.0 / static_cast<double>(end - begin);
   for (auto& c : centroid) c *= inv_n;
@@ -53,41 +69,49 @@ size_t BallTree::Partition(const data::Matrix& input_points,
       pivot_a = i;
     }
   }
-  const std::vector<double> a(input_points.Row(perm[pivot_a]).begin(),
-                              input_points.Row(perm[pivot_a]).end());
+  const auto a = input_points.Row(perm[pivot_a]);
+  // Each row's squared distance to A, kept for the split below.
+  KeyedRow* keyed = scratch.rows.data();
+  const size_t count = end - begin;
   size_t pivot_b = begin;
   best = -1.0;
-  for (size_t i = begin; i < end; ++i) {
-    const double sq = util::SquaredDistance(input_points.Row(perm[i]), a);
+  for (size_t i = 0; i < count; ++i) {
+    const size_t row = perm[begin + i];
+    const double sq = util::SquaredDistance(input_points.Row(row), a);
+    keyed[i] = {sq, row};
     if (sq > best) {
       best = sq;
-      pivot_b = i;
+      pivot_b = begin + i;
     }
   }
-  const std::vector<double> b(input_points.Row(perm[pivot_b]).begin(),
-                              input_points.Row(perm[pivot_b]).end());
+  const auto b = input_points.Row(perm[pivot_b]);
 
   if (best <= 0.0) return begin;  // All points identical: stay a leaf.
 
-  // Stable two-way partition: nearer to A goes left.
-  const auto nearer_a = [&](size_t original_index) {
-    const auto row = input_points.Row(original_index);
-    return util::SquaredDistance(row, a) <= util::SquaredDistance(row, b);
-  };
-  size_t mid = static_cast<size_t>(
-      std::stable_partition(perm.begin() + begin, perm.begin() + end,
-                            nearer_a) -
-      perm.begin());
+  // Stable two-way partition: nearer to A goes left, in order, into
+  // perm; the rest, in order, into the front of `keyed`, then after.
+  size_t mid = begin;
+  size_t far = 0;
+  for (size_t i = 0; i < count; ++i) {
+    const KeyedRow k = keyed[i];
+    if (k.key <= util::SquaredDistance(input_points.Row(k.row), b)) {
+      perm[mid++] = k.row;
+    } else {
+      keyed[far++].row = k.row;
+    }
+  }
+  for (size_t i = 0; i < far; ++i) perm[mid + i] = keyed[i].row;
 
   // Both pivots exist, but ties can still empty one side; force a
-  // median-by-pivot-distance split in that case.
+  // median-by-pivot-distance split in that case. One side empty leaves
+  // perm and `keyed` as they were.
   if (mid == begin || mid == end) {
-    mid = begin + (end - begin) / 2;
-    std::nth_element(perm.begin() + begin, perm.begin() + mid,
-                     perm.begin() + end, [&](size_t x, size_t y) {
-                       return util::SquaredDistance(input_points.Row(x), a) <
-                              util::SquaredDistance(input_points.Row(y), a);
+    mid = begin + count / 2;
+    std::nth_element(keyed, keyed + count / 2, keyed + count,
+                     [](const KeyedRow& x, const KeyedRow& y) {
+                       return x.key < y.key;
                      });
+    for (size_t i = 0; i < count; ++i) perm[begin + i] = keyed[i].row;
   }
   return mid;
 }
@@ -110,17 +134,36 @@ util::Result<std::unique_ptr<BallTree>> BallTree::Attach(
   return tree;
 }
 
-void BallTree::ComputeRegions(const data::Matrix& points) {
+void BallTree::ComputeRegions() {
+  constexpr size_t kStride = core::simd::SoaLeafBlocks::kBlockPoints;
   const size_t num = num_nodes();
-  const size_t d = points.cols();
+  const size_t d = points().dims();
   owned_balls_.assign(num * d + num, 0.0);
   double* centers = owned_balls_.data();
   double* radii = centers + num * d;
+  // Every ball is centred at its node's centroid, summed over the node's
+  // rows in order, with radius the farthest row from it: an exact cover,
+  // not the minimal ball.
   for (size_t id = 0; id < num; ++id) {
     const Node& nd = node(static_cast<NodeId>(id));
-    const BoundingBall ball = BoundingBall::FitRange(points, nd.begin, nd.end);
-    std::copy(ball.center().begin(), ball.center().end(), centers + id * d);
-    radii[id] = ball.radius();
+    double* center = centers + id * d;
+    for (size_t i = nd.begin; i < nd.end; ++i) {
+      const double* row = points().RowLanes(i);
+      for (size_t j = 0; j < d; ++j) center[j] += row[j * kStride];
+    }
+    const double inv_n = 1.0 / static_cast<double>(nd.count());
+    for (size_t j = 0; j < d; ++j) center[j] *= inv_n;
+    double max_sq = 0.0;
+    for (size_t i = nd.begin; i < nd.end; ++i) {
+      const double* row = points().RowLanes(i);
+      double sq = 0.0;
+      for (size_t j = 0; j < d; ++j) {
+        const double diff = row[j * kStride] - center[j];
+        sq += diff * diff;
+      }
+      max_sq = std::max(max_sq, sq);
+    }
+    radii[id] = std::sqrt(max_sq);
   }
   region_a_ = {centers, num * d};
   region_b_ = {radii, num};

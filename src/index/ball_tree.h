@@ -6,7 +6,6 @@
 
 #include <memory>
 
-#include "index/bounding_ball.h"
 #include "index/tree_index.h"
 #include "util/status.h"
 
@@ -35,9 +34,9 @@ class BallTree final : public TreeIndex {
   BallTree() : TreeIndex(IndexKind::kBallTree) {}
 
   size_t Partition(const data::Matrix& input_points,
-                   std::vector<size_t>& perm, size_t begin,
-                   size_t end) override;
-  void ComputeRegions(const data::Matrix& points) override;
+                   std::vector<size_t>& perm, size_t begin, size_t end,
+                   PartitionScratch& scratch) override;
+  void ComputeRegions() override;
 
   // Owned backing (build path): centres (num_nodes × d) then radii
   // (num_nodes), the region_a_ / region_b_ arrays.

@@ -5,23 +5,13 @@
 #define KARL_INDEX_BOUNDING_BALL_H_
 
 #include <span>
-#include <vector>
-
-#include "data/matrix.h"
 
 namespace karl::index {
 
-/// Minimal enclosing ball approximation (centroid-centred) for a point set.
+/// Bounding ball (centre, radius) of a point set; the ball-tree centres
+/// each node's ball at the node's centroid, radius the farthest point.
 class BoundingBall {
  public:
-  /// Constructs an empty (invalid) ball; call FitRange before use.
-  BoundingBall() = default;
-
-  /// Fits a ball centred at the centroid of rows [begin, end), with radius
-  /// the maximum centroid distance (exact cover, not minimal).
-  static BoundingBall FitRange(const data::Matrix& points, size_t begin,
-                               size_t end);
-
   /// Bounds over the ball given by a raw (centre, radius) pair — the
   /// representation the ball-tree keeps its per-node geometry in
   /// (packed, possibly memory-mapped). DistanceBoundsFlat returns
@@ -35,16 +25,6 @@ class BoundingBall {
                                      double radius,
                                      std::span<const double> q,
                                      double* ip_min, double* ip_max);
-
-  /// Ball centre.
-  const std::vector<double>& center() const { return center_; }
-
-  /// Ball radius.
-  double radius() const { return radius_; }
-
- private:
-  std::vector<double> center_;
-  double radius_ = 0.0;
 };
 
 }  // namespace karl::index

@@ -1,30 +1,10 @@
 #include "index/bounding_box.h"
 
 #include <algorithm>
-#include <limits>
 
 #include "util/check.h"
 
 namespace karl::index {
-
-BoundingBox BoundingBox::FitRange(const data::Matrix& points, size_t begin,
-                                  size_t end) {
-  KARL_CHECK(begin < end && end <= points.rows())
-      << ": bad point range [" << begin << ", " << end << ") of "
-      << points.rows();
-  BoundingBox box;
-  const size_t d = points.cols();
-  box.lower_.assign(d, std::numeric_limits<double>::infinity());
-  box.upper_.assign(d, -std::numeric_limits<double>::infinity());
-  for (size_t i = begin; i < end; ++i) {
-    const auto row = points.Row(i);
-    for (size_t j = 0; j < d; ++j) {
-      box.lower_[j] = std::min(box.lower_[j], row[j]);
-      box.upper_[j] = std::max(box.upper_[j], row[j]);
-    }
-  }
-  return box;
-}
 
 void BoundingBox::InnerProductBoundsFlat(std::span<const double> lower,
                                          std::span<const double> upper,

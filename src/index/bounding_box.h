@@ -5,22 +5,13 @@
 #define KARL_INDEX_BOUNDING_BOX_H_
 
 #include <span>
-#include <vector>
-
-#include "data/matrix.h"
 
 namespace karl::index {
 
-/// Axis-aligned bounding rectangle over a point set.
+/// Axis-aligned bounding rectangle over a point set, given by its lower
+/// and upper corners (the kd-tree fits them while it builds).
 class BoundingBox {
  public:
-  /// Constructs an empty (invalid) box; call FitRange before use.
-  BoundingBox() = default;
-
-  /// Fits the tightest box over rows [begin, end) of `points`.
-  static BoundingBox FitRange(const data::Matrix& points, size_t begin,
-                              size_t end);
-
   /// [IP_min, IP_max]: range of the inner product q·p over p in the box
   /// given by its raw corner arrays — the representation the trees keep
   /// their per-node geometry in (packed, possibly memory-mapped). The
@@ -29,16 +20,6 @@ class BoundingBox {
                                      std::span<const double> upper,
                                      std::span<const double> q,
                                      double* ip_min, double* ip_max);
-
-  /// Lower corner (per-dimension minima).
-  const std::vector<double>& lower() const { return lower_; }
-
-  /// Upper corner (per-dimension maxima).
-  const std::vector<double>& upper() const { return upper_; }
-
- private:
-  std::vector<double> lower_;
-  std::vector<double> upper_;
 };
 
 }  // namespace karl::index

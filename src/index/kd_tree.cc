@@ -1,6 +1,8 @@
 #include "index/kd_tree.h"
 
 #include <algorithm>
+#include <cstdint>
+#include <cstring>
 #include <limits>
 #include <utility>
 
@@ -39,55 +41,109 @@ size_t SplitRank(size_t begin, size_t end, size_t capacity) {
   return median;
 }
 
+// Two doubles as one value: GCC and Clang compile an element-wise
+// compare-and-select of it to one min or max instruction where the
+// target has one (minpd / maxpd on x86-64).
+using DoublePair = double __attribute__((vector_size(16)));
+
+// Asks the cache for every line of a row ahead of its read. A hint only.
+void PrefetchRow(std::span<const double> row) {
+  constexpr size_t kDoublesPerLine = 8;  // A 64-byte cache line.
+  for (size_t j = 0; j < row.size(); j += kDoublesPerLine) {
+    __builtin_prefetch(row.data() + j);
+  }
+  if (!row.empty()) __builtin_prefetch(&row.back());
+}
+
+// Folds rows rows[0, count) of `points` into the per-dimension minima
+// `lo` and maxima `hi`, reading each row once. With kCheckFinite it also
+// returns false if a value read is not finite (otherwise true). The
+// extents only choose the split dimension, so which of two equal zeros
+// they keep does not matter.
+template <bool kCheckFinite>
+bool FoldExtents(const data::Matrix& points, const size_t* rows,
+                 size_t count, double* __restrict lo,
+                 double* __restrict hi) {
+  constexpr size_t kAhead = 8;  // Rows prefetched ahead of the fold.
+  const size_t d = points.cols();
+  uint64_t bits = 0;
+  for (size_t i = 0; i < count; ++i) {
+    if (i + kAhead < count) PrefetchRow(points.Row(rows[i + kAhead]));
+    const double* __restrict row = points.Row(rows[i]).data();
+    size_t j = 0;
+    for (; j + 2 <= d; j += 2) {
+      DoublePair v, l, h;
+      std::memcpy(&v, row + j, sizeof(v));
+      std::memcpy(&l, lo + j, sizeof(l));
+      std::memcpy(&h, hi + j, sizeof(h));
+      l = v < l ? v : l;
+      h = h < v ? v : h;
+      std::memcpy(lo + j, &l, sizeof(l));
+      std::memcpy(hi + j, &h, sizeof(h));
+      if constexpr (kCheckFinite) {
+        bits |= NonFiniteBits(row[j]) | NonFiniteBits(row[j + 1]);
+      }
+    }
+    if (j < d) {
+      lo[j] = std::min(lo[j], row[j]);
+      hi[j] = std::max(hi[j], row[j]);
+      if constexpr (kCheckFinite) bits |= NonFiniteBits(row[j]);
+    }
+  }
+  return (bits >> 63) == 0;
+}
+
 }  // namespace
 
 util::Result<std::unique_ptr<KdTree>> KdTree::Build(
     const data::Matrix& points, std::span<const double> weights,
     size_t leaf_capacity) {
-  if (points.empty()) {
-    return util::Status::InvalidArgument("cannot build kd-tree on empty data");
-  }
-  if (weights.size() != points.rows()) {
-    return util::Status::InvalidArgument(
-        "weight count " + std::to_string(weights.size()) +
-        " does not match point count " + std::to_string(points.rows()));
-  }
-  if (leaf_capacity < 1) {
-    return util::Status::InvalidArgument("leaf capacity must be >= 1");
-  }
   std::unique_ptr<KdTree> tree(new KdTree());
-  tree->BuildShared(points, weights, leaf_capacity);
+  KARL_RETURN_NOT_OK(tree->BuildShared(points, weights, leaf_capacity));
   return tree;
 }
 
 size_t KdTree::Partition(const data::Matrix& input_points,
-                         std::vector<size_t>& perm, size_t begin,
-                         size_t end) {
-  // Split dimension: widest extent over the node's points.
+                         std::vector<size_t>& perm, size_t begin, size_t end,
+                         PartitionScratch& scratch) {
+  // Split dimension: widest extent over the node's points, all d
+  // extents from one read of each row.
   const size_t d = input_points.cols();
+  double* lo = scratch.dims.data();
+  double* hi = lo + d;
+  std::fill(lo, hi, std::numeric_limits<double>::infinity());
+  std::fill(hi, hi + d, -std::numeric_limits<double>::infinity());
+  // The root's fold reads every row, so it checks them all.
+  const size_t* rows = perm.data() + begin;
+  if (end - begin == input_points.rows()
+          ? !FoldExtents<true>(input_points, rows, end - begin, lo, hi)
+          : !FoldExtents<false>(input_points, rows, end - begin, lo, hi)) {
+    scratch.saw_non_finite = true;
+    return begin;
+  }
   size_t split_dim = 0;
   double best_extent = -1.0;
   for (size_t j = 0; j < d; ++j) {
-    double lo = std::numeric_limits<double>::infinity();
-    double hi = -lo;
-    for (size_t i = begin; i < end; ++i) {
-      const double v = input_points(perm[i], j);
-      lo = std::min(lo, v);
-      hi = std::max(hi, v);
-    }
-    if (hi - lo > best_extent) {
-      best_extent = hi - lo;
+    if (hi[j] - lo[j] > best_extent) {
+      best_extent = hi[j] - lo[j];
       split_dim = j;
     }
   }
   if (best_extent <= 0.0) return begin;  // All points identical: stay a leaf.
 
+  // Select on (key, row) pairs, so a comparison reads no input row.
   const size_t mid = SplitRank(begin, end, leaf_capacity());
-  std::nth_element(perm.begin() + begin, perm.begin() + mid,
-                   perm.begin() + end, [&](size_t a, size_t b) {
-                     return input_points(a, split_dim) <
-                            input_points(b, split_dim);
+  KeyedRow* keyed = scratch.rows.data();
+  const size_t count = end - begin;
+  for (size_t i = 0; i < count; ++i) {
+    const size_t row = perm[begin + i];
+    keyed[i] = {input_points(row, split_dim), row};
+  }
+  std::nth_element(keyed, keyed + (mid - begin), keyed + count,
+                   [](const KeyedRow& a, const KeyedRow& b) {
+                     return a.key < b.key;
                    });
+  for (size_t i = 0; i < count; ++i) perm[begin + i] = keyed[i].row;
   return mid;
 }
 
@@ -108,17 +164,39 @@ util::Result<std::unique_ptr<KdTree>> KdTree::Attach(
   return tree;
 }
 
-void KdTree::ComputeRegions(const data::Matrix& points) {
+void KdTree::ComputeRegions() {
+  constexpr size_t kStride = core::simd::SoaLeafBlocks::kBlockPoints;
   const size_t num = num_nodes();
-  const size_t d = points.cols();
+  const size_t d = points().dims();
   owned_corners_.assign(2 * num * d, 0.0);
   double* lo = owned_corners_.data();
   double* up = lo + num * d;
-  for (size_t id = 0; id < num; ++id) {
+  // Leaves are fitted from their rows; an inner box is its children's,
+  // merged left first. Both give what one scan of the node's rows in
+  // order gives: std::min and std::max keep the first of equal values,
+  // so even a signed zero comes out the same.
+  for (size_t id = num; id-- > 0;) {
     const Node& nd = node(static_cast<NodeId>(id));
-    const BoundingBox box = BoundingBox::FitRange(points, nd.begin, nd.end);
-    std::copy(box.lower().begin(), box.lower().end(), lo + id * d);
-    std::copy(box.upper().begin(), box.upper().end(), up + id * d);
+    double* l = lo + id * d;
+    double* u = up + id * d;
+    if (nd.is_leaf()) {
+      std::fill(l, l + d, std::numeric_limits<double>::infinity());
+      std::fill(u, u + d, -std::numeric_limits<double>::infinity());
+      for (size_t i = nd.begin; i < nd.end; ++i) {
+        const double* row = points().RowLanes(i);
+        for (size_t j = 0; j < d; ++j) {
+          l[j] = std::min(l[j], row[j * kStride]);
+          u[j] = std::max(u[j], row[j * kStride]);
+        }
+      }
+    } else {
+      const size_t left = static_cast<size_t>(nd.left) * d;
+      const size_t right = static_cast<size_t>(nd.right) * d;
+      for (size_t j = 0; j < d; ++j) {
+        l[j] = std::min(lo[left + j], lo[right + j]);
+        u[j] = std::max(up[left + j], up[right + j]);
+      }
+    }
   }
   region_a_ = {lo, num * d};
   region_b_ = {up, num * d};

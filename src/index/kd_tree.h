@@ -10,7 +10,6 @@
 
 #include <memory>
 
-#include "index/bounding_box.h"
 #include "index/tree_index.h"
 #include "util/status.h"
 
@@ -39,9 +38,9 @@ class KdTree final : public TreeIndex {
   KdTree() : TreeIndex(IndexKind::kKdTree) {}
 
   size_t Partition(const data::Matrix& input_points,
-                   std::vector<size_t>& perm, size_t begin,
-                   size_t end) override;
-  void ComputeRegions(const data::Matrix& points) override;
+                   std::vector<size_t>& perm, size_t begin, size_t end,
+                   PartitionScratch& scratch) override;
+  void ComputeRegions() override;
 
   // Owned backing (build path): lower corners then upper corners, the
   // region_a_ / region_b_ arrays (each num_nodes × d).

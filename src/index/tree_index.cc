@@ -1,6 +1,7 @@
 #include "index/tree_index.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <numeric>
 #include <string>
@@ -11,7 +12,6 @@
 #include "index/bounding_ball.h"
 #include "index/bounding_box.h"
 #include "util/check.h"
-#include "util/math_util.h"
 
 namespace karl::index {
 
@@ -28,16 +28,21 @@ std::string_view IndexKindToString(IndexKind kind) {
 namespace {
 
 // Index of the first non-finite value in `values`, or values.size().
-// The all-finite case runs without a branch per value: x·0 is ±0 for a
-// finite x and NaN otherwise, summed in four independent chains.
+// The all-finite case runs without a branch per value, ORing
+// NonFiniteBits over eight independent lanes.
 size_t FirstNonFinite(std::span<const double> values) {
-  double acc[4] = {};
+  constexpr size_t kLanes = 8;
+  uint64_t bits[kLanes] = {};
   size_t i = 0;
-  for (; i + 4 <= values.size(); i += 4) {
-    for (size_t k = 0; k < 4; ++k) acc[k] += values[i + k] * 0.0;
+  for (; i + kLanes <= values.size(); i += kLanes) {
+    for (size_t k = 0; k < kLanes; ++k) {
+      bits[k] |= NonFiniteBits(values[i + k]);
+    }
   }
-  for (; i < values.size(); ++i) acc[0] += values[i] * 0.0;
-  if (acc[0] + acc[1] + acc[2] + acc[3] == 0.0) return values.size();
+  for (; i < values.size(); ++i) bits[0] |= NonFiniteBits(values[i]);
+  uint64_t any = 0;
+  for (const uint64_t b : bits) any |= b;
+  if ((any >> 63) == 0) return values.size();
   return static_cast<size_t>(
       std::find_if(values.begin(), values.end(),
                    [](double v) { return !std::isfinite(v); }) -
@@ -67,15 +72,43 @@ util::Status CheckPermutation(std::span<const size_t> perm) {
 
 }  // namespace
 
-void TreeIndex::BuildShared(const data::Matrix& input_points,
-                            std::span<const double> input_weights,
-                            size_t leaf_capacity) {
-  KARL_CHECK(input_points.rows() > 0)
-      << ": cannot index an empty point set";
-  KARL_CHECK(input_weights.size() == input_points.rows())
-      << ": " << input_weights.size() << " weights for "
-      << input_points.rows() << " points";
-  KARL_CHECK(leaf_capacity >= 1) << ": leaf capacity must be positive";
+util::Status CheckFinitePoints(const data::Matrix& points) {
+  const auto values = points.Flat();
+  const size_t bad = FirstNonFinite(values);
+  if (bad == values.size()) return util::Status::OK();
+  return util::Status::InvalidArgument(
+      "non-finite value " + std::to_string(values[bad]) + " at row " +
+      std::to_string(bad / points.cols()) + ", column " +
+      std::to_string(bad % points.cols()));
+}
+
+util::Status TreeIndex::BuildShared(const data::Matrix& input_points,
+                                    std::span<const double> input_weights,
+                                    size_t leaf_capacity) {
+  if (input_points.empty()) {
+    return util::Status::InvalidArgument(
+        "cannot build " + std::string(IndexKindToString(kind_)) +
+        " on empty data");
+  }
+  if (input_weights.size() != input_points.rows()) {
+    return util::Status::InvalidArgument(
+        "weight count " + std::to_string(input_weights.size()) +
+        " does not match point count " + std::to_string(input_points.rows()));
+  }
+  if (leaf_capacity < 1) {
+    return util::Status::InvalidArgument("leaf capacity must be >= 1");
+  }
+  const size_t bad_weight = FirstNonFinite(input_weights);
+  if (bad_weight < input_weights.size()) {
+    return util::Status::InvalidArgument(
+        "non-finite weight " + std::to_string(input_weights[bad_weight]) +
+        " at row " + std::to_string(bad_weight));
+  }
+  // The root's Partition reads every coordinate and reports a non-finite
+  // one (see Partition); a root that stays a leaf is checked here.
+  if (input_points.rows() <= leaf_capacity) {
+    KARL_RETURN_NOT_OK(CheckFinitePoints(input_points));
+  }
 
   leaf_capacity_ = leaf_capacity;
   const size_t n = input_points.rows();
@@ -94,6 +127,12 @@ void TreeIndex::BuildShared(const data::Matrix& input_points,
                               static_cast<uint32_t>(n), 0});
   stack.push_back({0, 0, n});
   max_depth_ = 0;
+  const size_t d = input_points.cols();
+  PartitionScratch scratch;
+  if (n > leaf_capacity) {
+    scratch.rows.resize(n);
+    scratch.dims.resize(kPartitionDimArrays * d);
+  }
 
   while (!stack.empty()) {
     const Frame frame = stack.back();
@@ -101,8 +140,14 @@ void TreeIndex::BuildShared(const data::Matrix& input_points,
     Node& nd = owned_nodes_[frame.id];
     if (nd.count() <= leaf_capacity) continue;
 
-    const size_t mid =
-        Partition(input_points, owned_perm_, frame.begin, frame.end);
+    const size_t mid = Partition(input_points, owned_perm_, frame.begin,
+                                 frame.end, scratch);
+    if (scratch.saw_non_finite) {
+      const util::Status finite = CheckFinitePoints(input_points);
+      KARL_CHECK(!finite.ok()) << ": a split read a non-finite value that "
+                                  "the scan of the input did not find";
+      return finite;
+    }
     // A degenerate split (all points identical) keeps the node a leaf.
     if (mid <= frame.begin || mid >= frame.end) continue;
 
@@ -124,31 +169,23 @@ void TreeIndex::BuildShared(const data::Matrix& input_points,
     stack.push_back({right_id, mid, frame.end});
   }
 
-  // Phase 2: a row-major temporary of the permuted points and weights,
-  // from which the blocks, the aggregates and the regions are computed.
-  const size_t d = input_points.cols();
-  data::Matrix permuted(n, d);
-  std::vector<double> permuted_weights(n);
-  for (size_t i = 0; i < n; ++i) {
-    const auto src = input_points.Row(owned_perm_[i]);
-    auto dst = permuted.MutableRow(i);
-    for (size_t j = 0; j < d; ++j) dst[j] = src[j];
-    permuted_weights[i] = input_weights[owned_perm_[i]];
-  }
+  scratch = {};  // Freed before the blocks are allocated.
 
-  // Phase 3: the blocked SoA layout — the tree's only copy of the points.
-  soa_.Build(permuted, permuted_weights);
+  // Phase 2: the blocked SoA layout, gathered from the input through the
+  // permutation — the tree's only copy of the points.
+  soa_.Build(input_points, owned_perm_, input_weights);
 
-  // Phase 4: aggregates, then point the read-side spans at the owned
+  // Phase 3: aggregates, then point the read-side spans at the owned
   // storage (all vectors have reached their final size), then the
-  // subclass region geometry (ComputeRegions reads via the spans).
-  ComputeSummaries(permuted, permuted_weights);
+  // subclass region geometry. Both read the blocks.
+  ComputeSummaries();
   nodes_ = owned_nodes_;
   perm_ = owned_perm_;
   weight_sums_ = owned_weight_sums_;
   sqnorm_sums_ = owned_sqnorm_sums_;
   point_sums_ = owned_point_sums_;
-  ComputeRegions(permuted);
+  ComputeRegions();
+  return util::Status::OK();
 }
 
 util::Status TreeIndex::AttachShared(const TreeIndexView& view) {
@@ -259,9 +296,9 @@ util::Status TreeIndex::AttachShared(const TreeIndexView& view) {
   return util::Status::OK();
 }
 
-void TreeIndex::ComputeSummaries(const data::Matrix& points,
-                                 std::span<const double> weights) {
-  const size_t d = points.cols();
+void TreeIndex::ComputeSummaries() {
+  constexpr size_t kStride = core::simd::SoaLeafBlocks::kBlockPoints;
+  const size_t d = soa_.dims();
   const size_t num = owned_nodes_.size();
   owned_weight_sums_.assign(num, 0.0);
   owned_sqnorm_sums_.assign(num, 0.0);
@@ -276,12 +313,17 @@ void TreeIndex::ComputeSummaries(const data::Matrix& points,
     if (nd.is_leaf()) {
       double w_sum = 0.0;
       double b_sum = 0.0;
+      // Row by row, in the order util::SquaredNorm sums a row.
       for (size_t i = nd.begin; i < nd.end; ++i) {
-        const double w = weights[i];
-        const auto row = points.Row(i);
+        const double w = soa_.WeightAt(i);
+        const double* row = soa_.RowLanes(i);
+        double sq = 0.0;
+        for (size_t j = 0; j < d; ++j) {
+          sq += row[j * kStride] * row[j * kStride];
+        }
         w_sum += w;
-        b_sum += w * util::SquaredNorm(row);
-        for (size_t j = 0; j < d; ++j) sums[j] += w * row[j];
+        b_sum += w * sq;
+        for (size_t j = 0; j < d; ++j) sums[j] += w * row[j * kStride];
       }
       owned_weight_sums_[idx] = w_sum;
       owned_sqnorm_sums_[idx] = b_sum;

@@ -26,6 +26,7 @@
 #ifndef KARL_INDEX_TREE_INDEX_H_
 #define KARL_INDEX_TREE_INDEX_H_
 
+#include <bit>
 #include <cstdint>
 #include <span>
 #include <string_view>
@@ -49,6 +50,21 @@ enum class IndexKind {
 
 /// Human-readable name ("kd-tree" / "ball-tree").
 std::string_view IndexKindToString(IndexKind kind);
+
+/// The finiteness test the builder folds into its reads: the top bit of
+/// NonFiniteBits(v) is set iff `v` is NaN or ±inf (adding one to an
+/// all-ones exponent field carries into the sign bit). ORing it over
+/// values and testing the top bit checks them all without a branch per
+/// value.
+inline uint64_t NonFiniteBits(double v) {
+  constexpr uint64_t kExponent = 0x7ff0000000000000ull;
+  constexpr uint64_t kExponentOne = 0x0010000000000000ull;
+  return (std::bit_cast<uint64_t>(v) & kExponent) + kExponentOne;
+}
+
+/// OK iff every value of `points` is finite; otherwise InvalidArgument
+/// naming the first non-finite value's row and column.
+util::Status CheckFinitePoints(const data::Matrix& points);
 
 struct TreeIndexView;
 
@@ -155,14 +171,18 @@ class TreeIndex {
  protected:
   explicit TreeIndex(IndexKind kind) : kind_(kind) {}
 
-  /// Shared build driver: recursively partitions the permutation using the
-  /// subclass's Partition hook, then materialises the permuted points as
-  /// a row-major temporary, writes the blocks from it, and computes the
-  /// per-node aggregates and the subclass's ComputeRegions from it. The
-  /// temporary is dropped on return.
-  void BuildShared(const data::Matrix& input_points,
-                   std::span<const double> input_weights,
-                   size_t leaf_capacity);
+  /// Shared build driver: checks the input, recursively partitions the
+  /// permutation using the subclass's Partition hook, gathers the blocks
+  /// from `input_points` through the permutation, and then computes the
+  /// per-node aggregates and the subclass's ComputeRegions from the
+  /// blocks. Nothing else copies the input. Fails with InvalidArgument
+  /// on empty input, a weight count that is not the point count, a zero
+  /// leaf capacity, or a non-finite weight or coordinate (naming its row
+  /// and column): a non-finite value would build a tree whose snapshot
+  /// can never attach.
+  util::Status BuildShared(const data::Matrix& input_points,
+                           std::span<const double> input_weights,
+                           size_t leaf_capacity);
 
   /// Shared attach driver: adopts pre-built arrays (typically views into
   /// an mmap-ed snapshot section — see registry/snapshot.h) without
@@ -174,17 +194,36 @@ class TreeIndex {
   /// BallTree::Attach).
   util::Status AttachShared(const TreeIndexView& view);
 
+  /// A row of the input and the key it is selected by.
+  struct KeyedRow {
+    double key;
+    size_t row;
+  };
+
+  /// Work arrays every Partition call reuses: BuildShared sizes them at
+  /// the root and frees them with the build, so a split allocates
+  /// nothing.
+  struct PartitionScratch {
+    std::vector<KeyedRow> rows;  ///< One entry per input row.
+    std::vector<double> dims;    ///< kPartitionDimArrays × cols values.
+    bool saw_non_finite = false;
+  };
+  static constexpr size_t kPartitionDimArrays = 2;
+
   /// Subclass hook: reorders perm[begin, end) (indices into
   /// `input_points`) and returns the split position `mid` in (begin, end)
-  /// so children cover [begin, mid) and [mid, end). Called only when
-  /// end - begin > leaf capacity.
+  /// so children cover [begin, mid) and [mid, end), or `begin` to keep
+  /// the node a leaf. Called only when end - begin > leaf capacity. At
+  /// the root it also checks every coordinate, in the pass that reads
+  /// them all anyway, before it reorders any: on a non-finite one it sets
+  /// scratch.saw_non_finite and returns `begin`.
   virtual size_t Partition(const data::Matrix& input_points,
                            std::vector<size_t>& perm, size_t begin,
-                           size_t end) = 0;
+                           size_t end, PartitionScratch& scratch) = 0;
 
   /// Subclass hook: compute each node's region geometry from its
-  /// contiguous range of `points` (the permuted row-major temporary).
-  virtual void ComputeRegions(const data::Matrix& points) = 0;
+  /// contiguous range of points() (the built blocks).
+  virtual void ComputeRegions() = 0;
 
   // Region geometry (see region_data_a()), pointed at owned or attached
   // storage by the subclass's ComputeRegions / Attach.
@@ -192,8 +231,7 @@ class TreeIndex {
   std::span<const double> region_b_;
 
  private:
-  void ComputeSummaries(const data::Matrix& points,
-                        std::span<const double> weights);
+  void ComputeSummaries();
 
   // Owned storage; empty for an attached tree.
   std::vector<Node> owned_nodes_;

@@ -6,9 +6,11 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
 #include <cerrno>
 #include <cstddef>
+#include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <utility>
@@ -243,7 +245,34 @@ uint64_t SnapshotChecksum(std::span<const unsigned char> bytes) {
   return hasher.Digest();
 }
 
-util::Status WriteSnapshot(const std::string& path, const Engine& engine) {
+namespace {
+
+// Creates an empty file beside `path`, named "<path>.<pid>-<n>.tmp",
+// that no other writer is using, and returns its name. The extension is
+// not .snap, so a registry scan never loads it.
+util::Result<std::string> CreateTemporaryBeside(const std::string& path) {
+  static std::atomic<uint64_t> next{0};
+  constexpr int kAttempts = 64;
+  for (int attempt = 0; attempt < kAttempts; ++attempt) {
+    std::string temp = path + "." + std::to_string(::getpid()) + "-" +
+                       std::to_string(next.fetch_add(1)) + ".tmp";
+    const int fd =
+        ::open(temp.c_str(), O_WRONLY | O_CREAT | O_EXCL | O_CLOEXEC, 0666);
+    if (fd >= 0) {
+      ::close(fd);
+      return temp;
+    }
+    if (errno != EEXIST) {
+      return util::Status::IOError("cannot create " + temp + ": " +
+                                   util::ErrnoString(errno));
+    }
+  }
+  return util::Status::IOError("cannot create a temporary file beside " +
+                               path);
+}
+
+// Writes the snapshot of `engine` to `path`, which exists and is empty.
+util::Status WriteSnapshotFile(const std::string& path, const Engine& engine) {
   const index::TreeIndex* trees[2] = {&engine.plus_tree(),
                                       engine.minus_tree()};
   const size_t num_trees = trees[1] != nullptr ? 2 : 1;
@@ -342,11 +371,28 @@ util::Status WriteSnapshot(const std::string& path, const Engine& engine) {
   out.seekp(static_cast<std::streamoff>(kOffChecksum));
   const uint64_t checksum = hasher.Digest();
   out.write(reinterpret_cast<const char*>(&checksum), sizeof(checksum));
-  out.flush();
+  out.close();
   if (!out) {
     return util::Status::IOError("snapshot write to " + path + " failed");
   }
   return util::Status::OK();
+}
+
+}  // namespace
+
+util::Status WriteSnapshot(const std::string& path, const Engine& engine,
+                           const SnapshotCheck& check) {
+  auto temp = CreateTemporaryBeside(path);
+  if (!temp.ok()) return temp.status();
+  const std::string& temp_path = temp.value();
+  util::Status status = WriteSnapshotFile(temp_path, engine);
+  if (status.ok() && check) status = check(temp_path);
+  if (status.ok() && std::rename(temp_path.c_str(), path.c_str()) != 0) {
+    status = util::Status::IOError("cannot rename " + temp_path + " to " +
+                                   path + ": " + util::ErrnoString(errno));
+  }
+  if (!status.ok()) ::unlink(temp_path.c_str());
+  return status;
 }
 
 MappedSnapshot::~MappedSnapshot() {

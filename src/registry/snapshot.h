@@ -41,6 +41,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <span>
 #include <string>
@@ -82,9 +83,20 @@ class SnapshotHasher {
 /// value over the whole file with the checksum field zeroed.
 uint64_t SnapshotChecksum(std::span<const unsigned char> bytes);
 
+/// A check of a fully written snapshot file, run by WriteSnapshot before
+/// the file takes its name; a non-OK status aborts the write.
+using SnapshotCheck = std::function<util::Status(const std::string& path)>;
+
 /// Serializes a built engine to `path`. The engine may itself be
-/// attached (re-snapshotting round-trips). Overwrites any existing file.
-util::Status WriteSnapshot(const std::string& path, const Engine& engine);
+/// attached (re-snapshotting round-trips). The bytes go to a new file
+/// beside `path` ("<path>.<pid>-<n>.tmp", which a registry scan skips),
+/// `check` (if set) runs on it, and a rename(2) then puts it in place of
+/// any existing `path`. A process that has the old file mapped keeps
+/// reading the old bytes, where rewriting it in place would kill it with
+/// SIGBUS. On any failure the new file is removed and `path` is left as
+/// it was.
+util::Status WriteSnapshot(const std::string& path, const Engine& engine,
+                           const SnapshotCheck& check = nullptr);
 
 /// A validated, read-only mmap(2) of a snapshot file.
 ///
@@ -95,7 +107,8 @@ util::Status WriteSnapshot(const std::string& path, const Engine& engine);
 /// The mapping (and therefore every engine attached over it) stays valid
 /// until destruction — including after the file is unlinked, per POSIX
 /// mmap semantics. Truncating a live snapshot file in place is NOT safe
-/// (SIGBUS on fault); replace-by-rename and reload instead.
+/// (SIGBUS on fault); replace it by rename, as WriteSnapshot does, and
+/// reload instead.
 ///
 /// The file descriptor stays open as long as the mapping does, and the
 /// destructor unmaps and then closes it. The split matters for a file

@@ -127,6 +127,23 @@ TEST(LibsvmIoTest, RejectsZeroIndex) {
   EXPECT_FALSE(ParseLibsvm("1 0:1\n").ok());
 }
 
+// A label or feature value that strtod reads as nan or ±inf (1e999
+// overflows) is refused with its line; one that underflows reads as 0.
+TEST(LibsvmIoTest, RejectsNonFiniteValuesNamingTheLine) {
+  for (const char* text : {"1 1:0.5\n1 2:nan\n", "1 1:0.5\n-1 1:inf\n",
+                           "1 1:0.5\n1 3:-1e999\n", "1 1:0.5\nnan 1:1\n",
+                           "1 1:0.5\ninf 1:1\n"}) {
+    auto result = ParseLibsvm(text);
+    ASSERT_FALSE(result.ok()) << text;
+    EXPECT_NE(result.status().message().find("line 2: non-finite"),
+              std::string::npos)
+        << result.status().message();
+  }
+  auto tiny = ParseLibsvm("1 1:1e-999\n");
+  ASSERT_TRUE(tiny.ok());
+  EXPECT_EQ(tiny.value().points(0, 0), 0.0);
+}
+
 // Sparse text in, dense rows out: omitted features read as zeros.
 TEST(LibsvmIoTest, RoundTrip) {
   auto result = ParseLibsvm("1 1:0.5 3:2\n-1 2:1.5\n", 3);
@@ -188,6 +205,24 @@ TEST(CsvIoTest, RejectsInconsistentWidth) {
 
 TEST(CsvIoTest, RejectsGarbage) {
   EXPECT_FALSE(ParseCsv("1,x\n").ok());
+}
+
+// nan, ±inf and an overflowing 1e999 parse under strtod; the reader
+// refuses each and names its line. Underflow to 0 is still a value.
+TEST(CsvIoTest, RejectsNonFiniteValuesNamingTheLine) {
+  for (const char* cell : {"nan", "NAN", "inf", "-inf", "infinity", "1e999",
+                           "-1e999"}) {
+    const std::string text = "x,y\n1,2\n3," + std::string(cell) + "\n";
+    auto result = ParseCsv(text, 1);
+    ASSERT_FALSE(result.ok()) << cell;
+    EXPECT_NE(result.status().message().find("line 3: non-finite value '" +
+                                             std::string(cell) + "'"),
+              std::string::npos)
+        << result.status().message();
+  }
+  auto tiny = ParseCsv("1e-999,2\n");
+  ASSERT_TRUE(tiny.ok());
+  EXPECT_EQ(tiny.value()(0, 0), 0.0);
 }
 
 TEST(CsvIoTest, RoundTrip) {

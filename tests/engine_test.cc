@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include "core/evaluator.h"
@@ -66,6 +67,48 @@ TEST(EngineTest, BuildRejectsAllNonPositiveWeights) {
 TEST(EngineTest, BuildUniformRejectsNonPositiveWeight) {
   data::Matrix pts(3, 2);
   EXPECT_FALSE(Engine::BuildUniform(pts, 0.0, GaussianOptions(1.0)).ok());
+}
+
+// A non-finite weight or coordinate is refused where it enters, naming
+// its row (and column). Unchecked, a NaN weight would drop its point as
+// neither positive nor negative, and a non-finite coordinate would build
+// an engine whose snapshot can never attach.
+TEST(EngineTest, BuildRejectsNonFiniteInputNamingRowAndColumn) {
+  util::Rng rng(9);
+  const data::Matrix clean = data::SampleUniform(100, 3, 0.0, 1.0, rng);
+  std::vector<double> mixed(100);
+  for (size_t i = 0; i < mixed.size(); ++i) mixed[i] = i % 3 ? 1.0 : -0.5;
+  const auto expect_refused = [](const util::Result<Engine>& built,
+                                 const std::string& where) {
+    ASSERT_FALSE(built.ok()) << where;
+    EXPECT_EQ(built.status().code(), util::StatusCode::kInvalidArgument);
+    EXPECT_NE(built.status().message().find(where), std::string::npos)
+        << built.status().message();
+  };
+  for (const double bad : {std::nan(""), HUGE_VAL, -HUGE_VAL}) {
+    for (const auto kind :
+         {index::IndexKind::kKdTree, index::IndexKind::kBallTree}) {
+      EngineOptions options = GaussianOptions(1.0);
+      options.index_kind = kind;
+      // Weights: Types II and III.
+      for (std::vector<double> w : {std::vector<double>(100, 1.0), mixed}) {
+        w[41] = bad;
+        expect_refused(Engine::Build(clean, w, options), "at row 41");
+      }
+      // Coordinates: Type I indexes them as given, Type III through
+      // copies; either way the caller's row is named.
+      data::Matrix pts = clean;
+      pts(57, 2) = bad;
+      expect_refused(Engine::Build(pts, std::vector<double>(100, 1.0),
+                                   options),
+                     "at row 57, column 2");
+      expect_refused(Engine::Build(pts, mixed, options),
+                     "at row 57, column 2");
+      expect_refused(Engine::BuildUniform(pts, 1.0, options),
+                     "at row 57, column 2");
+      EXPECT_FALSE(Engine::BuildUniform(clean, bad, options).ok());
+    }
+  }
 }
 
 TEST(EngineTest, DetectsWeightingTypes) {

@@ -3,7 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <numeric>
 #include <string>
 #include <vector>
@@ -11,7 +15,6 @@
 #include "core/simd/soa_block.h"
 #include "data/synthetic.h"
 #include "index/ball_tree.h"
-#include "index/bounding_ball.h"
 #include "index/bounding_box.h"
 #include "index/kd_tree.h"
 #include "util/math_util.h"
@@ -32,11 +35,19 @@ data::Matrix TestPoints() {
   return data::Matrix(6, 2, {0, 0, 1, 0, 0, 1, 2, 2, 3, 1, 1, 3});
 }
 
-// Single-node kd-tree over `pts`: its root region is FitRange's box, and
-// its DistanceBounds runs the serving geometry (simd::BoxGeometry).
+// Single-node kd-tree over `pts`: its root region is the box over all of
+// `pts`, and its DistanceBounds runs the serving geometry
+// (simd::BoxGeometry).
 std::unique_ptr<KdTree> OneBoxTree(const data::Matrix& pts) {
   const std::vector<double> weights(pts.rows(), 1.0);
   return KdTree::Build(pts, weights, pts.rows()).ValueOrDie();
+}
+
+// Single-node ball-tree over `pts`: its root region is the ball over all
+// of `pts`.
+std::unique_ptr<BallTree> OneBallTree(const data::Matrix& pts) {
+  const std::vector<double> weights(pts.rows(), 1.0);
+  return BallTree::Build(pts, weights, pts.rows()).ValueOrDie();
 }
 
 // TreeIndex::DistanceBounds or TreeIndex::InnerProductBounds, and the
@@ -68,19 +79,26 @@ void ExpectEveryNodeSandwiches(const TreeIndex& tree,
 
 // ------------------------------ BoundingBox ------------------------------
 
-TEST(BoundingBoxTest, FitRangeCoversAllPoints) {
+TEST(BoundingBoxTest, RootBoxIsTheTightBox) {
   const auto pts = TestPoints();
-  const BoundingBox box = BoundingBox::FitRange(pts, 0, pts.rows());
-  EXPECT_DOUBLE_EQ(box.lower()[0], 0.0);
-  EXPECT_DOUBLE_EQ(box.upper()[0], 3.0);
-  EXPECT_DOUBLE_EQ(box.lower()[1], 0.0);
-  EXPECT_DOUBLE_EQ(box.upper()[1], 3.0);
-  for (size_t i = 0; i < pts.rows(); ++i) {
-    for (size_t j = 0; j < pts.cols(); ++j) {
-      EXPECT_LE(box.lower()[j], pts(i, j));
-      EXPECT_GE(box.upper()[j], pts(i, j));
+  const auto tree = OneBoxTree(pts);
+  const auto lower = tree->region_data_a();
+  const auto upper = tree->region_data_b();
+  ASSERT_EQ(lower.size(), pts.cols());
+  ASSERT_EQ(upper.size(), pts.cols());
+  for (size_t j = 0; j < pts.cols(); ++j) {
+    double lo = pts(0, j), hi = pts(0, j);
+    for (size_t i = 1; i < pts.rows(); ++i) {
+      lo = std::min(lo, pts(i, j));
+      hi = std::max(hi, pts(i, j));
     }
+    EXPECT_EQ(lower[j], lo) << j;
+    EXPECT_EQ(upper[j], hi) << j;
   }
+  EXPECT_DOUBLE_EQ(lower[0], 0.0);
+  EXPECT_DOUBLE_EQ(upper[0], 3.0);
+  EXPECT_DOUBLE_EQ(lower[1], 0.0);
+  EXPECT_DOUBLE_EQ(upper[1], 3.0);
 }
 
 TEST(BoundingBoxTest, MinDistZeroInsideBox) {
@@ -122,11 +140,9 @@ TEST(BoundingBoxTest, InnerProductBoundsSandwichTruePoints) {
 }
 
 TEST(BoundingBoxTest, InnerProductBoundsNegativeQuery) {
-  data::Matrix pts(2, 1, {1.0, 3.0});
-  const BoundingBox box = BoundingBox::FitRange(pts, 0, 2);
-  const std::vector<double> q{-2.0};
+  const std::vector<double> lower{1.0}, upper{3.0}, q{-2.0};
   double lo = 0.0, hi = 0.0;
-  BoundingBox::InnerProductBoundsFlat(box.lower(), box.upper(), q, &lo, &hi);
+  BoundingBox::InnerProductBoundsFlat(lower, upper, q, &lo, &hi);
   EXPECT_DOUBLE_EQ(lo, -6.0);
   EXPECT_DOUBLE_EQ(hi, -2.0);
 }
@@ -152,22 +168,35 @@ TEST(BoundingBoxTest, WidestDimension) {
 
 TEST(BoundingBallTest, CoversAllPoints) {
   const auto pts = TestPoints();
-  const BoundingBall ball = BoundingBall::FitRange(pts, 0, pts.rows());
+  const auto tree = OneBallTree(pts);
+  const auto center = tree->region_data_a();
+  const double radius = tree->region_data_b()[0];
+  // Centred at the centroid, radius the farthest point: brute force.
+  std::vector<double> centroid(pts.cols(), 0.0);
   for (size_t i = 0; i < pts.rows(); ++i) {
-    const double dist =
-        std::sqrt(util::SquaredDistance(pts.Row(i), ball.center()));
-    EXPECT_LE(dist, ball.radius() + 1e-12);
+    for (size_t j = 0; j < pts.cols(); ++j) centroid[j] += pts(i, j);
+  }
+  double farthest = 0.0;
+  for (auto& c : centroid) c /= static_cast<double>(pts.rows());
+  for (size_t i = 0; i < pts.rows(); ++i) {
+    farthest = std::max(farthest, util::SquaredDistance(pts.Row(i), centroid));
+  }
+  for (size_t j = 0; j < pts.cols(); ++j) {
+    EXPECT_DOUBLE_EQ(center[j], centroid[j]) << j;
+  }
+  EXPECT_DOUBLE_EQ(radius, std::sqrt(farthest));
+  for (size_t i = 0; i < pts.rows(); ++i) {
+    const double dist = std::sqrt(util::SquaredDistance(pts.Row(i), center));
+    EXPECT_LE(dist, radius + 1e-12);
   }
 }
 
 TEST(BoundingBallTest, SinglePointHasZeroRadius) {
-  data::Matrix pts(1, 2, {3.0, 4.0});
-  const BoundingBall ball = BoundingBall::FitRange(pts, 0, 1);
-  EXPECT_DOUBLE_EQ(ball.radius(), 0.0);
+  const auto tree = OneBallTree(data::Matrix(1, 2, {3.0, 4.0}));
+  EXPECT_DOUBLE_EQ(tree->region_data_b()[0], 0.0);
   const std::vector<double> q{0.0, 0.0};
   double min_sq = 0.0, max_sq = 0.0;
-  BoundingBall::DistanceBoundsFlat(ball.center(), ball.radius(), q, &min_sq,
-                                   &max_sq);
+  tree->DistanceBounds(tree->root(), q, &min_sq, &max_sq);
   EXPECT_DOUBLE_EQ(min_sq, 25.0);
   EXPECT_DOUBLE_EQ(max_sq, 25.0);
 }
@@ -195,11 +224,80 @@ TEST(BoundingBallTest, InnerProductBoundsSandwichTruePoints) {
 TEST(BoundingBallTest, MinDistInsideBallIsZero) {
   util::Rng rng(5);
   const data::Matrix pts = data::SampleUniform(50, 2, 0.0, 1.0, rng);
-  const BoundingBall ball = BoundingBall::FitRange(pts, 0, pts.rows());
+  const auto tree = OneBallTree(pts);
   double min_sq = 0.0, max_sq = 0.0;
-  BoundingBall::DistanceBoundsFlat(ball.center(), ball.radius(),
-                                   ball.center(), &min_sq, &max_sq);
+  tree->DistanceBounds(tree->root(), tree->region_data_a(), &min_sq,
+                       &max_sq);
   EXPECT_DOUBLE_EQ(min_sq, 0.0);
+}
+
+// Both trees refuse a non-finite coordinate or weight, naming where it
+// is: such a tree answers as if the point were infinitely far away, and
+// its snapshot can never attach. The root's split pass finds a bad
+// coordinate; a root that stays a leaf (capacity 64) is scanned.
+TEST(TreeBuildTest, RejectsNonFiniteInputNamingRowAndColumn) {
+  util::Rng rng(6);
+  const data::Matrix clean = data::SampleUniform(40, 4, -1.0, 1.0, rng);
+  for (const double bad : {std::nan(""), HUGE_VAL, -HUGE_VAL}) {
+    for (const size_t capacity : {size_t{4}, size_t{64}}) {
+      data::Matrix pts = clean;
+      pts(13, 3) = bad;
+      std::vector<double> weights(clean.rows(), 1.0);
+      const auto kd = KdTree::Build(pts, weights, capacity);
+      const auto ball = BallTree::Build(pts, weights, capacity);
+      for (const util::Status& st : {kd.status(), ball.status()}) {
+        EXPECT_EQ(st.code(), util::StatusCode::kInvalidArgument);
+        EXPECT_NE(st.message().find("at row 13, column 3"),
+                  std::string::npos)
+            << st.message();
+      }
+      weights[22] = bad;
+      const auto kd_w = KdTree::Build(clean, weights, capacity);
+      const auto ball_w = BallTree::Build(clean, weights, capacity);
+      for (const util::Status& st : {kd_w.status(), ball_w.status()}) {
+        EXPECT_EQ(st.code(), util::StatusCode::kInvalidArgument);
+        EXPECT_NE(st.message().find("weight"), std::string::npos);
+        EXPECT_NE(st.message().find("at row 22"), std::string::npos)
+            << st.message();
+      }
+    }
+  }
+}
+
+// Each kd box is exactly what one std::min / std::max scan of the node's
+// rows, in tree order, gives, signed zeros included: the builder fits
+// only the leaves and merges inner boxes from their children.
+TEST(TreeBuildTest, KdBoxesMatchAScanOfTheirRowsBitForBit) {
+  util::Rng rng(8);
+  const double values[] = {-0.0, 0.0, -1.0, 1.0, 0.5};
+  data::Matrix pts(301, 3);
+  for (size_t i = 0; i < pts.rows(); ++i) {
+    for (size_t j = 0; j < pts.cols(); ++j) {
+      pts(i, j) = values[rng.UniformInt(5)];
+    }
+  }
+  const std::vector<double> weights(pts.rows(), 1.0);
+  for (const size_t capacity : {size_t{1}, size_t{3}, size_t{16}}) {
+    const auto tree = KdTree::Build(pts, weights, capacity).ValueOrDie();
+    const size_t d = pts.cols();
+    for (size_t id = 0; id < tree->num_nodes(); ++id) {
+      const auto& nd = tree->node(static_cast<NodeId>(id));
+      for (size_t j = 0; j < d; ++j) {
+        double lo = std::numeric_limits<double>::infinity();
+        double hi = -lo;
+        for (uint32_t i = nd.begin; i < nd.end; ++i) {
+          lo = std::min(lo, tree->points().At(i, j));
+          hi = std::max(hi, tree->points().At(i, j));
+        }
+        const double got_lo = tree->region_data_a()[id * d + j];
+        const double got_hi = tree->region_data_b()[id * d + j];
+        EXPECT_EQ(std::bit_cast<uint64_t>(got_lo), std::bit_cast<uint64_t>(lo))
+            << "capacity " << capacity << " node " << id << " dim " << j;
+        EXPECT_EQ(std::bit_cast<uint64_t>(got_hi), std::bit_cast<uint64_t>(hi))
+            << "capacity " << capacity << " node " << id << " dim " << j;
+      }
+    }
+  }
 }
 
 // ----------------------- Tree structure invariants -----------------------

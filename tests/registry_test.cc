@@ -654,6 +654,96 @@ TEST(SnapshotTest, UnlinkedFileKeepsAnswering) {
   ExpectSameAnswers(original, attached.value(), 11, /*check_ekaq=*/false);
 }
 
+// Names in `dir`, for checking that a write left no temporary behind.
+std::vector<std::string> DirEntries(const std::string& dir) {
+  std::vector<std::string> names;
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    names.push_back(entry.path().filename().string());
+  }
+  std::sort(names.begin(), names.end());
+  return names;
+}
+
+// Rewriting a snapshot that an engine has mapped leaves that engine
+// answering from the old bytes: WriteSnapshot renames a new file over
+// the path. Truncating the file in place would kill the reader with
+// SIGBUS on its next query.
+TEST(SnapshotTest, RewriteKeepsMappedEngineAnswering) {
+  TempDir dir("karl_snap_rewrite");
+  const data::Matrix points = MakePoints(13, 20000);
+  const std::vector<double> weights = MixedWeights(13, points.rows());
+  const Engine original =
+      BuildEngine(points, weights, core::KernelParams::Gaussian(2.0));
+  const std::string path = dir.File("m.snap");
+  ASSERT_TRUE(WriteSnapshot(path, original).ok());
+  auto snapshot = MappedSnapshot::Map(path);
+  ASSERT_TRUE(snapshot.ok());
+  auto attached = AttachEngine(snapshot.value(), nullptr, nullptr);
+  ASSERT_TRUE(attached.ok());
+
+  const data::Matrix few = MakePoints(14, 500);
+  const Engine smaller = BuildEngine(few, MixedWeights(14, few.rows()),
+                                     core::KernelParams::Gaussian(2.0));
+  ASSERT_TRUE(WriteSnapshot(path, smaller).ok());
+  ExpectSameAnswers(original, attached.value(), 15, /*check_ekaq=*/true);
+
+  auto rewritten = MappedSnapshot::Map(path);
+  ASSERT_TRUE(rewritten.ok());
+  auto reattached = AttachEngine(rewritten.value(), nullptr, nullptr);
+  ASSERT_TRUE(reattached.ok());
+  ExpectSameAnswers(smaller, reattached.value(), 16, /*check_ekaq=*/true);
+  EXPECT_EQ(DirEntries(dir.File("")), std::vector<std::string>{"m.snap"});
+}
+
+// The check runs on the complete new file, under a name a registry scan
+// skips, before it replaces anything; when it fails, the new file is
+// removed and the old one stays as it was.
+TEST(SnapshotTest, FailedCheckKeepsTheOldFileAndLeavesNoTemporary) {
+  TempDir dir("karl_snap_check");
+  const std::string path = dir.File("m.snap");
+  const Engine v1 = BuildEngine(MakePoints(17), MixedWeights(17, 400),
+                                core::KernelParams::Gaussian(2.0));
+  ASSERT_TRUE(WriteSnapshot(path, v1).ok());
+  const std::string before = ReadFileBytes(path);
+  const Engine v2 = BuildEngine(MakePoints(18), MixedWeights(18, 400),
+                                core::KernelParams::Gaussian(2.0));
+  std::string checked;
+  const util::Status status =
+      WriteSnapshot(path, v2, [&](const std::string& written) {
+        checked = written;
+        EXPECT_NE(written, path);
+        EXPECT_EQ(fs::path(written).parent_path(),
+                  fs::path(path).parent_path());
+        EXPECT_EQ(fs::path(written).extension(), ".tmp");
+        auto mapped = MappedSnapshot::Map(written);
+        EXPECT_TRUE(mapped.ok()) << mapped.status().ToString();
+        return util::Status::Internal("refused by the check");
+      });
+  EXPECT_EQ(status.code(), util::StatusCode::kInternal);
+  EXPECT_EQ(status.message(), "refused by the check");
+  EXPECT_FALSE(checked.empty());
+  EXPECT_FALSE(fs::exists(checked));
+  EXPECT_EQ(ReadFileBytes(path), before);
+  EXPECT_EQ(DirEntries(dir.File("")), std::vector<std::string>{"m.snap"});
+
+  // A passing check lets the new file take the name.
+  ASSERT_TRUE(WriteSnapshot(path, v2, [](const std::string&) {
+                return util::Status::OK();
+              }).ok());
+  EXPECT_NE(ReadFileBytes(path), before);
+  EXPECT_EQ(DirEntries(dir.File("")), std::vector<std::string>{"m.snap"});
+}
+
+TEST(SnapshotTest, WriteIntoMissingDirectoryNamesThePath) {
+  const Engine engine = BuildEngine(MakePoints(19), PositiveWeights(19, 400),
+                                    core::KernelParams::Gaussian(2.0));
+  const std::string path = "/nonexistent/karl/model.snap";
+  const util::Status status = WriteSnapshot(path, engine);
+  EXPECT_EQ(status.code(), util::StatusCode::kIOError);
+  EXPECT_NE(status.message().find(path), std::string::npos)
+      << status.message();
+}
+
 // A mapping holds its file descriptor until it is destroyed or moved
 // over, and no failed Map keeps one.
 TEST(SnapshotTest, DescriptorLivesExactlyAsLongAsTheMapping) {
@@ -982,6 +1072,40 @@ TEST(RegistryTest, HotReloadSwapsAtomicallyWhileOldHandlesKeepServing) {
   h1 = util::Result<ModelHandle>(ModelHandle());
   EXPECT_TRUE(WaitUntil([&] { return OpenFdsOn(replaced) == 0; }));
   EXPECT_EQ(OpenFdsOn(dir.File("m.snap")), 1u);  // v2, still resident.
+}
+
+// A model rewritten in place by WriteSnapshot, while the registry serves
+// it: the pinned generation keeps answering from the replaced file, and
+// Reload() serves the new one. Truncating the file in place would crash
+// the server.
+TEST(RegistryTest, RewriteInPlaceKeepsServingAndReloadServesTheNewModel) {
+  TempDir dir("karl_reg_rewrite");
+  const Engine v1 = WriteModel(dir.File("m.snap"), 61, 20000);
+  auto registry = ModelRegistry::Open(dir.File(""), RegistryOptions{});
+  ASSERT_TRUE(registry.ok());
+  ModelRegistry& reg = *registry.value();
+  auto h1 = reg.Acquire("m");
+  ASSERT_TRUE(h1.ok());
+  util::Rng rng(62);
+  std::vector<std::vector<double>> probes;
+  std::vector<double> answers;
+  for (int i = 0; i < 20; ++i) {
+    probes.push_back(RandomQuery(rng));
+    answers.push_back(h1.value()->engine().Exact(probes.back()));
+    EXPECT_EQ(answers.back(), v1.Exact(probes.back()));
+  }
+
+  const Engine v2 = WriteModel(dir.File("m.snap"), 63, 500);
+  for (size_t i = 0; i < probes.size(); ++i) {
+    EXPECT_EQ(h1.value()->engine().Exact(probes[i]), answers[i]);
+  }
+  ASSERT_TRUE(reg.Reload().ok());
+  auto h2 = reg.Acquire("m");
+  ASSERT_TRUE(h2.ok());
+  for (const auto& q : probes) {
+    EXPECT_EQ(h2.value()->engine().Exact(q), v2.Exact(q));
+  }
+  EXPECT_EQ(DirEntries(dir.File("")), std::vector<std::string>{"m.snap"});
 }
 
 // Rename-swap reloads with some generations pinned past their

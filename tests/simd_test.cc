@@ -34,6 +34,8 @@
 #include <cstdint>
 #include <limits>
 #include <memory>
+#include <numeric>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -120,6 +122,16 @@ data::Matrix RandomMatrix(size_t n, size_t d, util::Rng& rng) {
   return m;
 }
 
+// Blocks over `pts` in row order (the identity permutation).
+SoaLeafBlocks BlocksInRowOrder(const data::Matrix& pts,
+                               std::span<const double> weights) {
+  std::vector<size_t> perm(pts.rows());
+  std::iota(perm.begin(), perm.end(), size_t{0});
+  SoaLeafBlocks soa;
+  soa.Build(pts, perm, weights);
+  return soa;
+}
+
 // Σ |wᵢ·K(q,pᵢ)| over [begin, end) — the conditioning scale the leaf
 // tolerance is stated against.
 double AbsMass(const KernelParams& kernel, const data::Matrix& pts,
@@ -171,8 +183,7 @@ TEST_P(SimdDifferentialTest, VectorLeafAggregatesMatchScalarOracle) {
 
   for (const int weighting : {1, 2, 3}) {
     const auto weights = WeightsForType(weighting, n, rng);
-    SoaLeafBlocks soa;
-    soa.Build(pts, weights);
+    const SoaLeafBlocks soa = BlocksInRowOrder(pts, weights);
 
     for (const KernelParams& kernel : KernelsForDim(d)) {
       std::vector<double> q(d);
@@ -361,8 +372,7 @@ TEST(SimdDifferentialTest, LeafMasksCoverEveryRangeAlignment) {
     const data::Matrix pts = RandomMatrix(kRows, d, rng);
     for (const int weighting : {2, 3}) {
       const auto weights = WeightsForType(weighting, kRows, rng);
-      SoaLeafBlocks soa;
-      soa.Build(pts, weights);
+      const SoaLeafBlocks soa = BlocksInRowOrder(pts, weights);
       std::vector<double> q(d);
       for (auto& v : q) v = rng.Uniform(-1.0, 1.0);
       for (const KernelParams& kernel : KernelsForDim(d)) {
@@ -619,8 +629,7 @@ uint64_t LeafDigest() {
     for (const uint32_t rows : {40u, 203u}) {
       const data::Matrix pts = RandomMatrix(rows, d, rng);
       const auto weights = WeightsForType(3, rows, rng);
-      SoaLeafBlocks soa;
-      soa.Build(pts, weights);
+      const SoaLeafBlocks soa = BlocksInRowOrder(pts, weights);
       std::vector<double> q(d);
       for (auto& v : q) v = rng.Uniform(-1.0, 1.0);
       for (const KernelParams& kernel : KernelsForDim(d)) {
@@ -885,17 +894,22 @@ TEST(SoaBlockTest, LayoutRoundTripsAndPadsWithZeros) {
   std::vector<double> weights(n);
   for (auto& w : weights) w = rng.Uniform(-1.0, 1.0);
 
+  // Row i of the blocks is row perm[i] of the input, with its weight.
+  std::vector<size_t> perm(n);
+  for (size_t i = 0; i < n; ++i) perm[i] = (5 * i + 3) % n;
   SoaLeafBlocks soa;
-  soa.Build(pts, weights);
+  soa.Build(pts, perm, weights);
   ASSERT_EQ(soa.rows(), n);
   ASSERT_EQ(soa.dims(), d);
   ASSERT_EQ(soa.num_blocks(), 2u);
   EXPECT_GT(soa.MemoryUsageBytes(), 0u);
 
   for (size_t i = 0; i < n; ++i) {
-    EXPECT_EQ(soa.WeightAt(i), weights[i]) << i;
+    EXPECT_EQ(soa.WeightAt(i), weights[perm[i]]) << i;
     for (size_t j = 0; j < d; ++j) {
-      EXPECT_EQ(soa.At(i, j), pts.Row(i)[j]) << i << "," << j;
+      EXPECT_EQ(soa.At(i, j), pts.Row(perm[i])[j]) << i << "," << j;
+      EXPECT_EQ(soa.RowLanes(i)[j * SoaLeafBlocks::kBlockPoints],
+                soa.At(i, j)) << i << "," << j;
     }
   }
   // Pad lanes: weight 0 and coordinate 0, so a vector kernel evaluated
@@ -912,7 +926,7 @@ TEST(SoaBlockTest, LayoutRoundTripsAndPadsWithZeros) {
 TEST(SoaBlockTest, EmptyInputStaysEmpty) {
   SoaLeafBlocks soa;
   EXPECT_TRUE(soa.empty());
-  soa.Build(data::Matrix(), {});
+  soa.Build(data::Matrix(), {}, {});
   EXPECT_TRUE(soa.empty());
   EXPECT_EQ(soa.num_blocks(), 0u);
 }

@@ -205,36 +205,47 @@ int RunBuild(const ParsedArgs& args) {
   auto engine =
       karl::Engine::Build(model.points, model.weights, model.options);
   if (!engine.ok()) return Fail(engine.status().ToString());
-  if (auto st = karl::registry::WriteSnapshot(out, engine.value());
+
+  // Round trip, on the written file before it takes the --out name:
+  // attach an engine over it and require exact aggregates on sampled
+  // queries to be bit-identical to the built engine's — the snapshot
+  // stores the same doubles the builder computed, so any difference is
+  // corruption, not rounding. A file that fails is removed, and no
+  // --out file is left behind.
+  const size_t samples = std::min<size_t>(64, model.points.rows());
+  size_t file_bytes = 0;
+  const auto round_trip =
+      [&](const std::string& written) -> karl::util::Status {
+    using karl::util::Status;
+    auto mapped = karl::registry::MappedSnapshot::Map(written);
+    if (!mapped.ok()) return mapped.status();
+    file_bytes = mapped.value().file_bytes();
+    auto attached =
+        karl::registry::AttachEngine(mapped.value(), nullptr, nullptr);
+    if (!attached.ok()) return attached.status();
+    const size_t dims = model.points.cols();
+    karl::util::Rng rng(0x6b61726cu);
+    std::vector<double> q(dims);
+    for (size_t i = 0; i < samples; ++i) {
+      const auto base = model.points.Row((i * 7919) % model.points.rows());
+      for (size_t d = 0; d < dims; ++d) {
+        q[d] = base[d] + rng.Uniform(-0.05, 0.05);
+      }
+      const double expected = engine.value().Exact(q);
+      const double actual = attached.value().Exact(q);
+      if (expected != actual) {
+        return Status::Internal(
+            "round trip FAILED: exact aggregate mismatch on sample " +
+            std::to_string(i) + " (built " + std::to_string(expected) +
+            ", snapshot " + std::to_string(actual) + ")");
+      }
+    }
+    return Status::OK();
+  };
+  if (auto st =
+          karl::registry::WriteSnapshot(out, engine.value(), round_trip);
       !st.ok()) {
     return Fail(st.ToString());
-  }
-
-  // Round trip: attach an engine over the written file and require
-  // exact aggregates on sampled queries to be bit-identical to the
-  // built engine's — the snapshot stores the same doubles the builder
-  // computed, so any difference is corruption, not rounding.
-  auto mapped = karl::registry::MappedSnapshot::Map(out);
-  if (!mapped.ok()) return Fail(mapped.status().ToString());
-  auto attached =
-      karl::registry::AttachEngine(mapped.value(), nullptr, nullptr);
-  if (!attached.ok()) return Fail(attached.status().ToString());
-  const size_t dims = model.points.cols();
-  const size_t samples = std::min<size_t>(64, model.points.rows());
-  karl::util::Rng rng(0x6b61726cu);
-  std::vector<double> q(dims);
-  for (size_t i = 0; i < samples; ++i) {
-    const auto base = model.points.Row((i * 7919) % model.points.rows());
-    for (size_t d = 0; d < dims; ++d) {
-      q[d] = base[d] + rng.Uniform(-0.05, 0.05);
-    }
-    const double expected = engine.value().Exact(q);
-    const double actual = attached.value().Exact(q);
-    if (expected != actual) {
-      return Fail("round trip FAILED: exact aggregate mismatch on sample " +
-                  std::to_string(i) + " (built " + std::to_string(expected) +
-                  ", snapshot " + std::to_string(actual) + ")");
-    }
   }
 
   std::printf("snapshot saved: %zu points, %zu dims, %s kernel "
@@ -246,7 +257,7 @@ int RunBuild(const ParsedArgs& args) {
               std::string(IndexKindToString(model.options.index_kind))
                   .c_str(),
               std::string(BoundKindToString(model.options.bounds)).c_str(),
-              mapped.value().file_bytes(), out.c_str());
+              file_bytes, out.c_str());
   std::printf("round trip: %zu exact aggregates bit-identical\n", samples);
   return 0;
 }
