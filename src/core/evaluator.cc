@@ -397,6 +397,12 @@ util::Result<Evaluator> Evaluator::CreateWithBounds(
   }
   KARL_RETURN_NOT_OK(kernel.Validate());
 
+  if (minus_tree != nullptr &&
+      !std::ranges::equal(plus_tree->frame(), minus_tree->frame())) {
+    return util::Status::InvalidArgument(
+        "plus and minus trees are stored in different frames");
+  }
+
   Evaluator ev;
   ev.plus_tree_ = plus_tree;
   ev.minus_tree_ = minus_tree;
@@ -422,6 +428,17 @@ util::Result<Evaluator> Evaluator::CreateWithBounds(
     ev.instrumented_ = true;
   }
   return ev;
+}
+
+std::span<const double> Evaluator::InTreeFrame(std::span<const double> q,
+                                               FrameBuffer& buffer) const {
+  const size_t d = plus_tree_->points().dims();
+  KARL_CHECK(q.size() == d) << ": query has " << q.size()
+                            << " values, the index " << d << " dimensions";
+  const std::span<const double> frame = plus_tree_->frame();
+  if (frame.empty()) return q;
+  simd::RotateRows(frame, d, q.data(), 1, buffer.data());
+  return {buffer.data(), d};
 }
 
 size_t Evaluator::TotalPoints() const {
@@ -627,9 +644,11 @@ bool Evaluator::QueryThreshold(std::span<const double> q, double tau,
   const uint64_t trace_start =
       tracer != nullptr ? telemetry::MonotonicMicros() : 0;
 
+  FrameBuffer frame_q;
+  const std::span<const double> q_in_frame = InTreeFrame(q, frame_q);
   double lb = 0.0, ub = 0.0;
   const auto stop = [tau](double l, double u) { return l > tau || u <= tau; };
-  const EvalStats work = Refine(q, stop, trace, profile, &lb, &ub);
+  const EvalStats work = Refine(q_in_frame, stop, trace, profile, &lb, &ub);
   if (stats != nullptr) *stats += work;
   // Refinement ends on a decided enclosure, or on a drained frontier whose
   // lb == ub is the exact leaf sum; either way lb decides.
@@ -682,7 +701,9 @@ double Evaluator::QueryApproximate(std::span<const double> q, double eps,
   const auto stop = [&within](double l, double u) {
     return within(l, u) || (u <= 1e-300 && l >= -1e-300);
   };
-  const EvalStats work = Refine(q, stop, trace, profile, &lb, &ub);
+  FrameBuffer frame_q;
+  const EvalStats work =
+      Refine(InTreeFrame(q, frame_q), stop, trace, profile, &lb, &ub);
   if (stats != nullptr) *stats += work;
   const double result =
       within(lb, ub) ? HarmonicMean(lb, ub) : 0.5 * (lb + ub);
@@ -721,7 +742,8 @@ double Evaluator::QueryExact(std::span<const double> q,
   const uint64_t trace_start =
       tracer != nullptr ? telemetry::MonotonicMicros() : 0;
 
-  const double total = ScanExact(q);
+  FrameBuffer frame_q;
+  const double total = ScanExact(InTreeFrame(q, frame_q));
   const size_t evals = TotalPoints();
   if (stats != nullptr) stats->kernel_evals += evals;
 
@@ -745,7 +767,8 @@ void Evaluator::RefineToConvergence(std::span<const double> q,
   auto cap = [seen = size_t{0}, max_iterations](double, double) mutable {
     return seen++ >= max_iterations;
   };
-  Refine(q, cap, trace, nullptr, lb, ub);
+  FrameBuffer frame_q;
+  Refine(InTreeFrame(q, frame_q), cap, trace, nullptr, lb, ub);
 }
 
 double ExactAggregate(const data::Matrix& points,

@@ -22,6 +22,7 @@
 #ifndef KARL_CORE_EVALUATOR_H_
 #define KARL_CORE_EVALUATOR_H_
 
+#include <array>
 #include <functional>
 #include <memory>
 #include <span>
@@ -104,7 +105,13 @@ class Evaluator {
 
   /// Creates an evaluator. `plus_tree` is required and must carry positive
   /// weights; `minus_tree` is optional (Type III) and carries |w_i| of the
-  /// negative-weight points. Both pointers must outlive the evaluator.
+  /// negative-weight points, in the same frame as `plus_tree` (see
+  /// index::TreeIndex::frame()). Both pointers must outlive the
+  /// evaluator.
+  ///
+  /// Every query method takes `q` in the caller's coordinates, with
+  /// exactly as many values as the trees have dimensions (a KARL_CHECK),
+  /// and rotates it into the trees' frame once before refinement.
   static util::Result<Evaluator> Create(const index::TreeIndex* plus_tree,
                                         const index::TreeIndex* minus_tree,
                                         const KernelParams& kernel,
@@ -213,7 +220,16 @@ class Evaluator {
                        Stop stop, Observer& observer, double* lb,
                        double* ub) const;
 
-  // Exact F_P(q) by full scan of both trees, recorded nowhere.
+  // Room for a query rotated into the trees' frame.
+  using FrameBuffer = std::array<double, index::kMaxFrameDims>;
+
+  // `q` in the trees' frame: `q` itself for the identity, else Tᵀq in
+  // `buffer`. Checks that q has the trees' dimension first.
+  std::span<const double> InTreeFrame(std::span<const double> q,
+                                      FrameBuffer& buffer) const;
+
+  // Exact F_P(q) by full scan of both trees, recorded nowhere; `q` is in
+  // the trees' frame.
   double ScanExact(std::span<const double> q) const;
 
   // Points across both trees — the work a full scan would do per query.

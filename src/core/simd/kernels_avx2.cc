@@ -18,6 +18,7 @@ namespace {
 struct Avx2Ops {
   using Vec = __m256d;
   static constexpr size_t kLanes = 4;
+  static constexpr size_t kRegisters = 16;
 
   static Vec Load(const double* p) { return _mm256_loadu_pd(p); }
   static Vec LoadLanes(const double* p, size_t lo, size_t hi) {
@@ -30,6 +31,12 @@ struct Avx2Ops {
     return _mm256_maskload_pd(p, mask);
   }
   static void Store(double* p, Vec v) { _mm256_storeu_pd(p, v); }
+  static void StoreLanes(double* p, Vec v, size_t n) {
+    const __m256i mask = _mm256_cmpgt_epi64(
+        _mm256_set1_epi64x(static_cast<long long>(n)),
+        _mm256_setr_epi64x(0, 1, 2, 3));
+    _mm256_maskstore_pd(p, mask, v);
+  }
   static Vec FromLanes(const double* p) {
     return _mm256_setr_pd(p[0], p[1], p[2], p[3]);
   }
@@ -69,6 +76,8 @@ constexpr Ops kAvx2OpsTable = {
     ExpBlockN<Avx2Ops>,
     BoxGeometryN<Avx2Ops>,
     KarlGaussianBoxBoundsN<Avx2Ops>,
+    RotateRowsN<Avx2Ops>,
+    ReflectRowsN<Avx2Ops>,
 };
 
 }  // namespace

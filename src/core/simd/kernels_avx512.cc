@@ -18,6 +18,7 @@ namespace {
 struct Avx512Ops {
   using Vec = __m512d;
   static constexpr size_t kLanes = 8;
+  static constexpr size_t kRegisters = 32;
 
   static Vec Load(const double* p) { return _mm512_loadu_pd(p); }
   static Vec LoadLanes(const double* p, size_t lo, size_t hi) {
@@ -25,6 +26,9 @@ struct Avx512Ops {
         static_cast<__mmask8>((1u << hi) - (1u << lo)), p);
   }
   static void Store(double* p, Vec v) { _mm512_storeu_pd(p, v); }
+  static void StoreLanes(double* p, Vec v, size_t n) {
+    _mm512_mask_storeu_pd(p, static_cast<__mmask8>((1u << n) - 1), v);
+  }
   static Vec FromLanes(const double* p) {
     return _mm512_setr_pd(p[0], p[1], p[2], p[3], p[4], p[5], p[6], p[7]);
   }
@@ -68,6 +72,8 @@ constexpr Ops kAvx512OpsTable = {
     ExpBlockN<Avx512Ops>,
     BoxGeometryN<Avx512Ops>,
     KarlGaussianBoxBoundsN<Avx512Ops>,
+    RotateRowsN<Avx512Ops>,
+    ReflectRowsN<Avx512Ops>,
 };
 
 }  // namespace

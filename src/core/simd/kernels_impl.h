@@ -4,6 +4,7 @@
 //
 //   using Vec;                          // __m256d / __m512d
 //   static constexpr size_t kLanes;     // 4 / 8
+//   static constexpr size_t kRegisters; // 16 / 32 vector registers
 //   Vec  Load(const double*);           // unaligned
 //   Vec  LoadLanes(const double* p, size_t lo, size_t hi);
 //        // lanes [lo, hi) of p, the rest 0 (lo ≤ hi ≤ kLanes); never
@@ -12,6 +13,9 @@
 //                                       // registers: no store-forwarding
 //                                       // stall on just-written values
 //   void Store(double*, Vec);
+//   void StoreLanes(double* p, Vec v, size_t n);
+//        // lanes [0, n) of v to p (n ≤ kLanes); never touches memory
+//        // past them
 //   Vec  Set1(double);  Vec Zero();
 //   Vec  Add/Sub/Mul/Div(Vec, Vec);
 //   Vec  Fma(a, b, c)  = a*b + c;       // fused
@@ -30,6 +34,8 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
+#include <utility>
 
 #include "core/kernel.h"
 #include "core/simd/simd.h"
@@ -537,6 +543,175 @@ void ExpBlockN(const double* in, double* out, size_t n) {
       if (i + l < n) out[i + l] = res[l];
     }
   }
+}
+
+// Tᵀx of R row-major rows of `d` values, the output coordinates in C
+// vectors of kLanes (the last one masked to the d − (C−1)·kLanes left).
+// Each output is the scalar tier's sum: the j = 0 product, then each
+// further product added in ascending j, every product and every sum
+// rounded on its own (Mul then Add, never Fma). So each tier writes the
+// same bits. The R rows run side by side, so that narrow rows still keep
+// several add chains in flight.
+template <typename O, size_t C, size_t R>
+inline void RotateRowsStep(const double* t, size_t d, const double* in,
+                           double* out) {
+  using V = typename O::Vec;
+  constexpr size_t W = O::kLanes;
+  const size_t tail = d - (C - 1) * W;
+  const auto load = [&](const double* row, size_t c) {
+    return c + 1 < C ? O::Load(row + c * W)
+                     : O::LoadLanes(row + c * W, 0, tail);
+  };
+  V acc[R][C];
+  V x[R];
+  for (size_t r = 0; r < R; ++r) x[r] = O::Set1(in[r * d]);
+  for (size_t c = 0; c < C; ++c) {
+    const V tc = load(t, c);
+    for (size_t r = 0; r < R; ++r) acc[r][c] = O::Mul(tc, x[r]);
+  }
+  for (size_t j = 1; j < d; ++j) {
+    const double* row = t + j * d;
+    for (size_t r = 0; r < R; ++r) x[r] = O::Set1(in[r * d + j]);
+    for (size_t c = 0; c < C; ++c) {
+      const V tc = load(row, c);
+      for (size_t r = 0; r < R; ++r) {
+        acc[r][c] = O::Add(acc[r][c], O::Mul(tc, x[r]));
+      }
+    }
+  }
+  for (size_t r = 0; r < R; ++r) {
+    alignas(64) double buf[C * W];
+    for (size_t c = 0; c < C; ++c) O::Store(buf + c * W, acc[r][c]);
+    std::memcpy(out + r * d, buf, d * sizeof(double));
+  }
+}
+
+// Rows per step: as many as keep R·C accumulators in three quarters of
+// the vector registers, 1 to 8.
+template <typename O, size_t C>
+void RotateRowsC(const double* t, size_t d, const double* in, size_t count,
+                 double* out) {
+  constexpr size_t R = std::clamp<size_t>(O::kRegisters * 3 / 4 / C, 1, 8);
+  size_t r = 0;
+  for (; r + R <= count; r += R) {
+    RotateRowsStep<O, C, R>(t, d, in + r * d, out + r * d);
+  }
+  for (; r < count; ++r) {
+    RotateRowsStep<O, C, 1>(t, d, in + r * d, out + r * d);
+  }
+}
+
+template <typename O, size_t... Cm1>
+void RotateRowsDispatch(size_t chunks, const double* t, size_t d,
+                        const double* in, size_t count, double* out,
+                        std::index_sequence<Cm1...>) {
+  (void)((chunks == Cm1 + 1 &&
+          (RotateRowsC<O, Cm1 + 1>(t, d, in, count, out), true)) ||
+         ...);
+}
+
+// Resolves the number of output vectors once per call.
+template <typename O>
+void RotateRowsN(const double* t, size_t d, const double* in, size_t count,
+                 double* out) {
+  constexpr size_t W = O::kLanes;
+  constexpr size_t kMaxChunks = kMaxRotationDims / W;
+  RotateRowsDispatch<O>((d + W - 1) / W, t, d, in, count, out,
+                        std::make_index_sequence<kMaxChunks>{});
+}
+
+// Applies the k reflections H_r = I − 2·v_r·v_rᵀ, r = 0 first, to R
+// row-major rows of `d` values, each held in C vectors of registers from
+// its load to its store, with the scalar tier's arithmetic (simd.h):
+// s = v_r·x summed in eight lanes — lane l takes the products of j ≡ l
+// (mod 8) in ascending j, a product past d counting as +0 — joined as
+// ((s0+s4)+(s2+s6))+((s1+s5)+(s3+s7)), which is what ReduceAdd of lanes
+// 0–3 plus lanes 4–7 does on either width; then x_j − (s + s)·v_rj. C
+// covers whole groups of eight lanes; the R rows carry independent
+// chains.
+template <typename O, size_t C, size_t R>
+inline void ReflectRowsStep(const double* v, size_t k, size_t d,
+                            const double* in, double* out) {
+  using V = typename O::Vec;
+  constexpr size_t W = O::kLanes;
+  constexpr size_t G = 8 / W;  // Vectors per group of eight lanes.
+  static_assert(G * W == 8 && C % G == 0, "C covers whole lane groups");
+  const auto load = [d](const double* p, size_t c) {
+    const size_t off = c * W;
+    return off + W <= d ? O::Load(p + off)
+                        : O::LoadLanes(p + off, 0, off < d ? d - off : 0);
+  };
+  V x[R][C];
+  for (size_t r = 0; r < R; ++r) {
+    for (size_t c = 0; c < C; ++c) x[r][c] = load(in + r * d, c);
+  }
+  for (size_t h = 0; h < k; ++h) {
+    const double* u = v + h * d;
+    V uv[C];
+    for (size_t c = 0; c < C; ++c) uv[c] = load(u, c);
+    for (size_t r = 0; r < R; ++r) {
+      V acc[G];
+      for (size_t g = 0; g < G; ++g) acc[g] = O::Mul(uv[g], x[r][g]);
+      for (size_t c = G; c < C; ++c) {
+        acc[c % G] = O::Add(acc[c % G], O::Mul(uv[c], x[r][c]));
+      }
+      double s;
+      if constexpr (G == 1) {
+        s = O::ReduceAdd(acc[0]);
+      } else {
+        s = O::ReduceAdd(O::Add(acc[0], acc[1]));
+      }
+      const V b = O::Set1(s + s);
+      for (size_t c = 0; c < C; ++c) {
+        x[r][c] = O::Sub(x[r][c], O::Mul(b, uv[c]));
+      }
+    }
+  }
+  for (size_t r = 0; r < R; ++r) {
+    double* y = out + r * d;
+    for (size_t c = 0; c < C; ++c) {
+      const size_t off = c * W;
+      if (off + W <= d) {
+        O::Store(y + off, x[r][c]);
+      } else if (off < d) {
+        O::StoreLanes(y + off, x[r][c], d - off);
+      }
+    }
+  }
+}
+
+// Rows per step: as many as keep R·C row vectors in half the registers,
+// 1 to 8.
+template <typename O, size_t C>
+void ReflectRowsC(const double* v, size_t k, size_t d, const double* in,
+                  size_t count, double* out) {
+  constexpr size_t R = std::clamp<size_t>(O::kRegisters / 2 / C, 1, 8);
+  size_t r = 0;
+  for (; r + R <= count; r += R) {
+    ReflectRowsStep<O, C, R>(v, k, d, in + r * d, out + r * d);
+  }
+  for (; r < count; ++r) {
+    ReflectRowsStep<O, C, 1>(v, k, d, in + r * d, out + r * d);
+  }
+}
+
+template <typename O, size_t... Gm1>
+void ReflectRowsDispatch(size_t groups, const double* v, size_t k, size_t d,
+                         const double* in, size_t count, double* out,
+                         std::index_sequence<Gm1...>) {
+  constexpr size_t G = 8 / O::kLanes;
+  (void)((groups == Gm1 + 1 &&
+          (ReflectRowsC<O, (Gm1 + 1) * G>(v, k, d, in, count, out), true)) ||
+         ...);
+}
+
+// Resolves the number of eight-lane groups once per call.
+template <typename O>
+void ReflectRowsN(const double* v, size_t k, size_t d, const double* in,
+                  size_t count, double* out) {
+  constexpr size_t kMaxGroups = kMaxRotationDims / 8;
+  ReflectRowsDispatch<O>((d + 7) / 8, v, k, d, in, count, out,
+                         std::make_index_sequence<kMaxGroups>{});
 }
 
 }  // namespace karl::core::simd::internal

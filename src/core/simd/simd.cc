@@ -62,9 +62,51 @@ void ScalarKarlGaussianBoxBounds(const double* q, size_t d, double q_sqnorm,
   }
 }
 
+// The arithmetic every tier's RotateRows repeats (see simd.h): the j = 0
+// product, then each further product added in ascending j.
+void ScalarRotateRows(const double* t, size_t d, const double* in,
+                      size_t count, double* out) {
+  for (size_t r = 0; r < count; ++r) {
+    const double* x = in + r * d;
+    double* y = out + r * d;
+    for (size_t i = 0; i < d; ++i) y[i] = t[i] * x[0];
+    for (size_t j = 1; j < d; ++j) {
+      const double* row = t + j * d;
+      for (size_t i = 0; i < d; ++i) y[i] = y[i] + row[i] * x[j];
+    }
+  }
+}
+
+// The arithmetic every tier's ReflectRows repeats (see simd.h): v·x in
+// eight lanes of ascending j ≡ l (mod 8), padded with +0 products, joined
+// as ((s0+s4)+(s2+s6))+((s1+s5)+(s3+s7)).
+void ScalarReflectRows(const double* v, size_t k, size_t d, const double* in,
+                       size_t count, double* out) {
+  constexpr size_t kLanes = 8;
+  for (size_t r = 0; r < count; ++r) {
+    double* x = out + r * d;
+    std::copy(in + r * d, in + (r + 1) * d, x);
+    for (size_t h = 0; h < k; ++h) {
+      const double* u = v + h * d;
+      double s[kLanes];
+      for (size_t c = 0; c < d; c += kLanes) {
+        for (size_t l = 0; l < kLanes; ++l) {
+          const double p = c + l < d ? u[c + l] * x[c + l] : 0.0;
+          s[l] = c == 0 ? p : s[l] + p;
+        }
+      }
+      const double dot = ((s[0] + s[4]) + (s[2] + s[6])) +
+                         ((s[1] + s[5]) + (s[3] + s[7]));
+      const double b = dot + dot;
+      for (size_t j = 0; j < d; ++j) x[j] = x[j] - b * u[j];
+    }
+  }
+}
+
 constexpr internal::Ops kScalarOps = {
     ScalarDot,         ScalarSqnorm,      ScalarLeafAggregate,
-    ScalarExpBlock,    ScalarBoxGeometry, ScalarKarlGaussianBoxBounds};
+    ScalarExpBlock,    ScalarBoxGeometry, ScalarKarlGaussianBoxBounds,
+    ScalarRotateRows,  ScalarReflectRows};
 
 const internal::Ops& OpsForTier(Tier tier) {
   switch (tier) {

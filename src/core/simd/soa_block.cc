@@ -1,6 +1,8 @@
 #include "core/simd/soa_block.h"
 
+#include <algorithm>
 #include <string>
+#include <utility>
 
 #include "util/check.h"
 
@@ -25,6 +27,35 @@ void SoaLeafBlocks::Build(const data::Matrix& points,
     for (size_t j = 0; j < dims_; ++j) base[j * kBlockPoints] = row[j];
     owned_weights_[i] = weights[perm[i]];
   }
+  coords_ = owned_coords_;
+  weights_ = owned_weights_;
+}
+
+void SoaLeafBlocks::BuildFromRows(size_t rows, size_t dims,
+                                  BlockStorage coords,
+                                  std::vector<double> weights) {
+  const size_t blocks = NumBlocks(rows);
+  KARL_CHECK(coords.size() == blocks * dims * kBlockPoints &&
+             weights.size() == blocks * kBlockPoints)
+      << ": " << coords.size() << "/" << weights.size()
+      << " coordinate/weight values for " << rows << " rows of " << dims;
+  std::fill(coords.begin() + rows * dims, coords.end(), 0.0);  // Pad rows.
+  // A group of 8 rows and its block cover the same 8·dims values, so
+  // each group is transposed through one block-sized buffer.
+  std::vector<double> group(dims * kBlockPoints);
+  for (size_t b = 0; b < blocks; ++b) {
+    double* base = coords.data() + b * dims * kBlockPoints;
+    std::copy(base, base + group.size(), group.begin());
+    for (size_t lane = 0; lane < kBlockPoints; ++lane) {
+      const double* row = group.data() + lane * dims;
+      for (size_t j = 0; j < dims; ++j) base[j * kBlockPoints + lane] = row[j];
+    }
+  }
+  rows_ = rows;
+  dims_ = dims;
+  num_blocks_ = blocks;
+  owned_coords_ = std::move(coords);
+  owned_weights_ = std::move(weights);
   coords_ = owned_coords_;
   weights_ = owned_weights_;
 }

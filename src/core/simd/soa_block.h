@@ -21,8 +21,7 @@
 // block can hold pad lanes. A newly built kd tree splits on block
 // boundaries (index/kd_tree.h), so its ranges start on a block and have
 // at most a partial last one, save the exceptions DESIGN.md §5 lists;
-// ball trees, kd trees of older snapshots and arbitrary ranges can
-// still start mid-block.
+// ball trees and arbitrary ranges can still start mid-block.
 //
 // Storage duality, as for TreeIndex: the blocks are either *built*
 // (Build — owned vectors) or *attached* (Attach — non-owning views into
@@ -34,13 +33,40 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "data/matrix.h"
 #include "util/status.h"
 
 namespace karl::core::simd {
+
+/// std::allocator, except that a value-initialised element is left
+/// uninitialised: a vector the caller then writes in full is not
+/// zero-filled first.
+template <typename T>
+struct NoInitAllocator : std::allocator<T> {
+  template <typename U>
+  struct rebind {
+    using other = NoInitAllocator<U>;
+  };
+  NoInitAllocator() = default;
+  template <typename U>
+  NoInitAllocator(const NoInitAllocator<U>&) noexcept {}
+  template <typename U, typename... Args>
+  void construct(U* p, Args&&... args) {
+    if constexpr (sizeof...(Args) == 0) {
+      ::new (static_cast<void*>(p)) U;
+    } else {
+      ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
+    }
+  }
+};
+
+/// Storage for blocked coordinates, written in full by its builder.
+using BlockStorage = std::vector<double, NoInitAllocator<double>>;
 
 /// Dimension-major blocked point set + weights, in tree-permuted order.
 class SoaLeafBlocks {
@@ -67,6 +93,16 @@ class SoaLeafBlocks {
   /// (perm.size() == points.rows() == weights.size()). O(n·d).
   void Build(const data::Matrix& points, std::span<const size_t> perm,
              std::span<const double> weights);
+
+  /// Takes `coords` holding `rows` row-major rows of `dims` values,
+  /// sized NumBlocks(rows)·dims·kBlockPoints (what follows the last row
+  /// need not be initialised), and `weights` sized
+  /// NumBlocks(rows)·kBlockPoints with zeros past the last row, and turns
+  /// each 8-row group into its block in place, zeroing the pad lanes:
+  /// the owned blocks then hold row i as Build's do, and no second n×d
+  /// buffer exists at any point.
+  void BuildFromRows(size_t rows, size_t dims, BlockStorage coords,
+                     std::vector<double> weights);
 
   /// Adopts external blocked arrays without copying: `coords` holds
   /// NumBlocks(rows)·dims·kBlockPoints values, `weights`
@@ -129,7 +165,7 @@ class SoaLeafBlocks {
   size_t dims_ = 0;
   size_t num_blocks_ = 0;
   // Owned storage; empty for attached blocks.
-  std::vector<double> owned_coords_;
+  BlockStorage owned_coords_;
   std::vector<double> owned_weights_;
   // Active storage: the owned vectors or caller memory.
   std::span<const double> coords_;   // num_blocks * dims * kBlockPoints.

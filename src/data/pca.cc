@@ -15,61 +15,77 @@ void JacobiEigenSymmetric(std::vector<double> a, size_t d,
   KARL_CHECK(a.size() == d * d)
       << ": Jacobi input has " << a.size() << " entries, want " << d << "x"
       << d;
-  // v starts as identity and accumulates the rotations; its columns end up
+  // vt starts as identity and accumulates the rotations; its rows end up
   // as the eigenvectors.
-  std::vector<double>& v = *eigenvectors;
-  v.assign(d * d, 0.0);
-  for (size_t i = 0; i < d; ++i) v[i * d + i] = 1.0;
+  std::vector<double> vt(d * d, 0.0);
+  for (size_t i = 0; i < d; ++i) vt[i * d + i] = 1.0;
 
-  auto at = [&](std::vector<double>& m, size_t i, size_t j) -> double& {
-    return m[i * d + j];
+  // The rotations keep the squared Frobenius norm, so one reading of it
+  // scales the stop: a matrix counts as diagonal when its off-diagonal
+  // mass is below 1e-22 of its whole mass, whatever its units.
+  double total = 0.0;
+  for (const double x : a) total += x * x;
+  const double stop = 1e-22 * total;
+
+  // Rows p and q of a d×d row-major matrix m, rotated: (row_p, row_q) ←
+  // (c·row_p − s·row_q, s·row_p + c·row_q).
+  const auto rotate_rows = [d](double* m, size_t p, size_t q, double c,
+                               double s) {
+    double* rp = m + p * d;
+    double* rq = m + q * d;
+    for (size_t k = 0; k < d; ++k) {
+      const double x = rp[k];
+      const double y = rq[k];
+      rp[k] = c * x - s * y;
+      rq[k] = s * x + c * y;
+    }
   };
 
   for (int sweep = 0; sweep < max_sweeps; ++sweep) {
-    // Off-diagonal Frobenius mass; stop when numerically diagonal.
+    // Off-diagonal Frobenius mass (upper triangle).
     double off = 0.0;
     for (size_t i = 0; i < d; ++i) {
       for (size_t j = i + 1; j < d; ++j) off += a[i * d + j] * a[i * d + j];
     }
-    if (off < 1e-22) break;
+    if (off <= stop) break;
 
     for (size_t p = 0; p < d; ++p) {
       for (size_t q = p + 1; q < d; ++q) {
-        const double apq = at(a, p, q);
-        if (std::fabs(apq) < 1e-300) continue;
-        const double app = at(a, p, p);
-        const double aqq = at(a, q, q);
+        const double apq = a[p * d + q];
+        if (apq == 0.0) continue;
+        const double app = a[p * d + p];
+        const double aqq = a[q * d + q];
         // Classic Jacobi rotation annihilating a[p][q].
         const double theta = (aqq - app) / (2.0 * apq);
         const double t = (theta >= 0.0 ? 1.0 : -1.0) /
                          (std::fabs(theta) + std::sqrt(theta * theta + 1.0));
         const double c = 1.0 / std::sqrt(t * t + 1.0);
         const double s = t * c;
-
+        // Jᵀ·a on rows p and q; a·J on columns p and q then equals them
+        // by symmetry, except in the 2×2 block, which takes its closed
+        // form (the zero in it is what the rotation is for).
+        rotate_rows(a.data(), p, q, c, s);
+        a[p * d + p] = app - t * apq;
+        a[q * d + q] = aqq + t * apq;
+        a[p * d + q] = 0.0;
+        a[q * d + p] = 0.0;
         for (size_t k = 0; k < d; ++k) {
-          const double akp = at(a, k, p);
-          const double akq = at(a, k, q);
-          at(a, k, p) = c * akp - s * akq;
-          at(a, k, q) = s * akp + c * akq;
+          if (k == p || k == q) continue;
+          a[k * d + p] = a[p * d + k];
+          a[k * d + q] = a[q * d + k];
         }
-        for (size_t k = 0; k < d; ++k) {
-          const double apk = at(a, p, k);
-          const double aqk = at(a, q, k);
-          at(a, p, k) = c * apk - s * aqk;
-          at(a, q, k) = s * apk + c * aqk;
-        }
-        for (size_t k = 0; k < d; ++k) {
-          const double vkp = at(v, k, p);
-          const double vkq = at(v, k, q);
-          at(v, k, p) = c * vkp - s * vkq;
-          at(v, k, q) = s * vkp + c * vkq;
-        }
+        rotate_rows(vt.data(), p, q, c, s);
       }
     }
   }
 
   eigenvalues->resize(d);
   for (size_t i = 0; i < d; ++i) (*eigenvalues)[i] = a[i * d + i];
+  std::vector<double>& v = *eigenvectors;
+  v.resize(d * d);
+  for (size_t i = 0; i < d; ++i) {
+    for (size_t k = 0; k < d; ++k) v[k * d + i] = vt[i * d + k];
+  }
 }
 
 util::Result<PcaModel> PcaModel::Fit(const Matrix& m) {

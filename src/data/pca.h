@@ -44,7 +44,11 @@ class PcaModel {
 
 /// Jacobi eigendecomposition of a symmetric d x d matrix (row-major).
 /// Outputs eigenvalues (unsorted) and the matrix of eigenvectors as
-/// columns of `eigenvectors`. Exposed for testing.
+/// columns of `eigenvectors`. Sweeps stop after `max_sweeps`, or once the
+/// off-diagonal mass is below 1e-22 of the matrix's squared Frobenius
+/// norm: the stop is relative, so a matrix and any multiple of it get
+/// the same axes. Used by PcaModel and the kd trees' principal frames
+/// (index/principal_frame.h).
 void JacobiEigenSymmetric(std::vector<double> matrix, size_t d,
                           std::vector<double>* eigenvalues,
                           std::vector<double>* eigenvectors,

@@ -5,57 +5,43 @@
 #include <cstdint>
 #include <vector>
 
+#include "index/row_ops.h"
 #include "util/math_util.h"
 
 namespace karl::index {
 namespace {
 
 // Adds rows rows[0, count) of `points` into `sums`, one row after the
-// other. With kCheckFinite it also returns false if a value read is not
-// finite (otherwise true).
-template <bool kCheckFinite>
-bool SumRows(const data::Matrix& points, const size_t* rows, size_t count,
-             double* __restrict sums) {
-  const size_t d = points.cols();
-  uint64_t bits = 0;
+// other.
+template <typename Rows>
+void SumRows(const Rows& points, const size_t* rows, size_t count,
+             double* sums) {
   for (size_t i = 0; i < count; ++i) {
-    const double* __restrict row = points.Row(rows[i]).data();
-    for (size_t j = 0; j < d; ++j) {
-      sums[j] += row[j];
-      if constexpr (kCheckFinite) bits |= NonFiniteBits(row[j]);
-    }
+    row_ops::Add(points.Row(rows[i]).data(), points.cols, sums);
   }
-  return (bits >> 63) == 0;
 }
 
 }  // namespace
 
 util::Result<std::unique_ptr<BallTree>> BallTree::Build(
     const data::Matrix& points, std::span<const double> weights,
-    size_t leaf_capacity) {
+    size_t leaf_capacity, std::span<const size_t> rows) {
   std::unique_ptr<BallTree> tree(new BallTree());
-  KARL_RETURN_NOT_OK(tree->BuildShared(points, weights, leaf_capacity));
+  KARL_RETURN_NOT_OK(
+      tree->BuildShared(points, rows, weights, leaf_capacity, {}));
   return tree;
 }
 
-size_t BallTree::Partition(const data::Matrix& input_points,
+size_t BallTree::Partition(const BuildRows& input_points,
                            std::vector<size_t>& perm, size_t begin,
                            size_t end, PartitionScratch& scratch) {
-  const size_t d = input_points.cols();
+  const size_t d = input_points.cols;
 
   // Farthest-pair heuristic: pivot A = farthest point from the centroid,
   // pivot B = farthest point from A; partition by nearer pivot.
   const std::span<double> centroid(scratch.dims.data(), d);
   std::fill(centroid.begin(), centroid.end(), 0.0);
-  const size_t* rows = perm.data() + begin;
-  // The root's sum reads every row, so it checks them all.
-  if (end - begin == input_points.rows()
-          ? !SumRows<true>(input_points, rows, end - begin, centroid.data())
-          : !SumRows<false>(input_points, rows, end - begin,
-                            centroid.data())) {
-    scratch.saw_non_finite = true;
-    return begin;
-  }
+  SumRows(input_points, perm.data() + begin, end - begin, centroid.data());
   const double inv_n = 1.0 / static_cast<double>(end - begin);
   for (auto& c : centroid) c *= inv_n;
 
@@ -134,10 +120,9 @@ util::Result<std::unique_ptr<BallTree>> BallTree::Attach(
   return tree;
 }
 
-void BallTree::ComputeRegions() {
-  constexpr size_t kStride = core::simd::SoaLeafBlocks::kBlockPoints;
+void BallTree::ComputeRegions(const BuildRows& rows) {
   const size_t num = num_nodes();
-  const size_t d = points().dims();
+  const size_t d = rows.cols;
   owned_balls_.assign(num * d + num, 0.0);
   double* centers = owned_balls_.data();
   double* radii = centers + num * d;
@@ -148,17 +133,16 @@ void BallTree::ComputeRegions() {
     const Node& nd = node(static_cast<NodeId>(id));
     double* center = centers + id * d;
     for (size_t i = nd.begin; i < nd.end; ++i) {
-      const double* row = points().RowLanes(i);
-      for (size_t j = 0; j < d; ++j) center[j] += row[j * kStride];
+      row_ops::Add(rows.Row(i).data(), d, center);
     }
     const double inv_n = 1.0 / static_cast<double>(nd.count());
     for (size_t j = 0; j < d; ++j) center[j] *= inv_n;
     double max_sq = 0.0;
     for (size_t i = nd.begin; i < nd.end; ++i) {
-      const double* row = points().RowLanes(i);
+      const double* row = rows.Row(i).data();
       double sq = 0.0;
       for (size_t j = 0; j < d; ++j) {
-        const double diff = row[j * kStride] - center[j];
+        const double diff = row[j] - center[j];
         sq += diff * diff;
       }
       max_sq = std::max(max_sq, sq);

@@ -19,10 +19,11 @@ namespace karl::index {
 /// of a memory-mapped snapshot section.
 class BallTree final : public TreeIndex {
  public:
-  /// Builds a ball-tree. Fails on empty input or mismatched weight count.
+  /// Builds a ball-tree; `rows` as for KdTree::Build. Fails on empty
+  /// input, a mismatched weight count or a row out of range.
   static util::Result<std::unique_ptr<BallTree>> Build(
       const data::Matrix& points, std::span<const double> weights,
-      size_t leaf_capacity);
+      size_t leaf_capacity, std::span<const size_t> rows = {});
 
   /// Attaches over pre-built external storage (see TreeIndexView):
   /// region_a = packed centres (num_nodes × d), region_b = radii
@@ -33,10 +34,10 @@ class BallTree final : public TreeIndex {
  private:
   BallTree() : TreeIndex(IndexKind::kBallTree) {}
 
-  size_t Partition(const data::Matrix& input_points,
-                   std::vector<size_t>& perm, size_t begin, size_t end,
+  size_t Partition(const BuildRows& input_points, std::vector<size_t>& perm,
+                   size_t begin, size_t end,
                    PartitionScratch& scratch) override;
-  void ComputeRegions() override;
+  void ComputeRegions(const BuildRows& rows) override;
 
   // Owned backing (build path): centres (num_nodes × d) then radii
   // (num_nodes), the region_a_ / region_b_ arrays.

@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <cstring>
 #include <limits>
 #include <utility>
 
 #include "core/simd/soa_block.h"
+#include "index/row_ops.h"
 
 namespace karl::index {
 namespace {
@@ -41,11 +41,6 @@ size_t SplitRank(size_t begin, size_t end, size_t capacity) {
   return median;
 }
 
-// Two doubles as one value: GCC and Clang compile an element-wise
-// compare-and-select of it to one min or max instruction where the
-// target has one (minpd / maxpd on x86-64).
-using DoublePair = double __attribute__((vector_size(16)));
-
 // Asks the cache for every line of a row ahead of its read. A hint only.
 void PrefetchRow(std::span<const double> row) {
   constexpr size_t kDoublesPerLine = 8;  // A 64-byte cache line.
@@ -56,70 +51,48 @@ void PrefetchRow(std::span<const double> row) {
 }
 
 // Folds rows rows[0, count) of `points` into the per-dimension minima
-// `lo` and maxima `hi`, reading each row once. With kCheckFinite it also
-// returns false if a value read is not finite (otherwise true). The
-// extents only choose the split dimension, so which of two equal zeros
-// they keep does not matter.
-template <bool kCheckFinite>
-bool FoldExtents(const data::Matrix& points, const size_t* rows,
-                 size_t count, double* __restrict lo,
-                 double* __restrict hi) {
+// `lo` and maxima `hi`, reading each row once. The extents only choose
+// the split dimension, so which of two equal zeros they keep does not
+// matter.
+template <typename Rows>
+void FoldExtents(const Rows& points, const size_t* rows, size_t count,
+                 double* lo, double* hi) {
   constexpr size_t kAhead = 8;  // Rows prefetched ahead of the fold.
-  const size_t d = points.cols();
-  uint64_t bits = 0;
+  const size_t d = points.cols;
   for (size_t i = 0; i < count; ++i) {
     if (i + kAhead < count) PrefetchRow(points.Row(rows[i + kAhead]));
-    const double* __restrict row = points.Row(rows[i]).data();
-    size_t j = 0;
-    for (; j + 2 <= d; j += 2) {
-      DoublePair v, l, h;
-      std::memcpy(&v, row + j, sizeof(v));
-      std::memcpy(&l, lo + j, sizeof(l));
-      std::memcpy(&h, hi + j, sizeof(h));
-      l = v < l ? v : l;
-      h = h < v ? v : h;
-      std::memcpy(lo + j, &l, sizeof(l));
-      std::memcpy(hi + j, &h, sizeof(h));
-      if constexpr (kCheckFinite) {
-        bits |= NonFiniteBits(row[j]) | NonFiniteBits(row[j + 1]);
-      }
-    }
-    if (j < d) {
-      lo[j] = std::min(lo[j], row[j]);
-      hi[j] = std::max(hi[j], row[j]);
-      if constexpr (kCheckFinite) bits |= NonFiniteBits(row[j]);
-    }
+    row_ops::FoldMinMax(points.Row(rows[i]).data(), d, lo, hi);
   }
-  return (bits >> 63) == 0;
 }
 
 }  // namespace
 
 util::Result<std::unique_ptr<KdTree>> KdTree::Build(
     const data::Matrix& points, std::span<const double> weights,
-    size_t leaf_capacity) {
+    size_t leaf_capacity, Frame frame, std::span<const size_t> rows) {
   std::unique_ptr<KdTree> tree(new KdTree());
-  KARL_RETURN_NOT_OK(tree->BuildShared(points, weights, leaf_capacity));
+  KARL_RETURN_NOT_OK(tree->BuildShared(points, rows, weights, leaf_capacity,
+                                       std::move(frame)));
   return tree;
 }
 
-size_t KdTree::Partition(const data::Matrix& input_points,
+size_t KdTree::Partition(const BuildRows& input_rows,
                          std::vector<size_t>& perm, size_t begin, size_t end,
                          PartitionScratch& scratch) {
   // Split dimension: widest extent over the node's points, all d
-  // extents from one read of each row.
-  const size_t d = input_points.cols();
-  double* lo = scratch.dims.data();
-  double* hi = lo + d;
-  std::fill(lo, hi, std::numeric_limits<double>::infinity());
-  std::fill(hi, hi + d, -std::numeric_limits<double>::infinity());
-  // The root's fold reads every row, so it checks them all.
-  const size_t* rows = perm.data() + begin;
-  if (end - begin == input_points.rows()
-          ? !FoldExtents<true>(input_points, rows, end - begin, lo, hi)
-          : !FoldExtents<false>(input_points, rows, end - begin, lo, hi)) {
-    scratch.saw_non_finite = true;
-    return begin;
+  // extents from one read of each row; the root's came with the rows.
+  const size_t d = input_rows.cols;
+  const double* lo = scratch.root_extents.data();
+  const double* hi = lo + d;
+  if (end - begin < input_rows.rows) {
+    double* node_lo = scratch.dims.data();
+    double* node_hi = node_lo + d;
+    std::fill(node_lo, node_hi, std::numeric_limits<double>::infinity());
+    std::fill(node_hi, node_hi + d, -std::numeric_limits<double>::infinity());
+    FoldExtents(input_rows, perm.data() + begin, end - begin, node_lo,
+                node_hi);
+    lo = node_lo;
+    hi = node_hi;
   }
   size_t split_dim = 0;
   double best_extent = -1.0;
@@ -137,7 +110,7 @@ size_t KdTree::Partition(const data::Matrix& input_points,
   const size_t count = end - begin;
   for (size_t i = 0; i < count; ++i) {
     const size_t row = perm[begin + i];
-    keyed[i] = {input_points(row, split_dim), row};
+    keyed[i] = {input_rows(row, split_dim), row};
   }
   std::nth_element(keyed, keyed + (mid - begin), keyed + count,
                    [](const KeyedRow& a, const KeyedRow& b) {
@@ -164,10 +137,9 @@ util::Result<std::unique_ptr<KdTree>> KdTree::Attach(
   return tree;
 }
 
-void KdTree::ComputeRegions() {
-  constexpr size_t kStride = core::simd::SoaLeafBlocks::kBlockPoints;
+void KdTree::ComputeRegions(const BuildRows& rows) {
   const size_t num = num_nodes();
-  const size_t d = points().dims();
+  const size_t d = rows.cols;
   owned_corners_.assign(2 * num * d, 0.0);
   double* lo = owned_corners_.data();
   double* up = lo + num * d;
@@ -183,11 +155,7 @@ void KdTree::ComputeRegions() {
       std::fill(l, l + d, std::numeric_limits<double>::infinity());
       std::fill(u, u + d, -std::numeric_limits<double>::infinity());
       for (size_t i = nd.begin; i < nd.end; ++i) {
-        const double* row = points().RowLanes(i);
-        for (size_t j = 0; j < d; ++j) {
-          l[j] = std::min(l[j], row[j * kStride]);
-          u[j] = std::max(u[j], row[j * kStride]);
-        }
+        row_ops::FoldMinMax(rows.Row(i).data(), d, l, u);
       }
     } else {
       const size_t left = static_cast<size_t>(nd.left) * d;

@@ -23,10 +23,16 @@ namespace karl::index {
 /// memory-mapped snapshot section.
 class KdTree final : public TreeIndex {
  public:
-  /// Builds a kd-tree. Fails on empty input or mismatched weight count.
+  /// Builds a kd-tree over `points` stored in `frame` (the identity by
+  /// default; see TreeIndex::frame()). `rows`, if not empty, picks the
+  /// rows to index, in order, and weights[i] is row rows[i]'s; the
+  /// permutation (original_indices()) then indexes into `rows`. Fails on
+  /// empty input, a mismatched weight count, a row out of range or a
+  /// frame that is not d×d.
   static util::Result<std::unique_ptr<KdTree>> Build(
       const data::Matrix& points, std::span<const double> weights,
-      size_t leaf_capacity);
+      size_t leaf_capacity, Frame frame = {},
+      std::span<const size_t> rows = {});
 
   /// Attaches over pre-built external storage (see TreeIndexView):
   /// region_a = packed lower corners, region_b = packed upper corners,
@@ -37,10 +43,10 @@ class KdTree final : public TreeIndex {
  private:
   KdTree() : TreeIndex(IndexKind::kKdTree) {}
 
-  size_t Partition(const data::Matrix& input_points,
-                   std::vector<size_t>& perm, size_t begin, size_t end,
+  size_t Partition(const BuildRows& input_rows, std::vector<size_t>& perm,
+                   size_t begin, size_t end,
                    PartitionScratch& scratch) override;
-  void ComputeRegions() override;
+  void ComputeRegions(const BuildRows& rows) override;
 
   // Owned backing (build path): lower corners then upper corners, the
   // region_a_ / region_b_ arrays (each num_nodes × d).

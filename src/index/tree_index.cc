@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <limits>
 #include <numeric>
 #include <string>
 #include <utility>
@@ -11,6 +12,8 @@
 #include "core/simd/simd.h"
 #include "index/bounding_ball.h"
 #include "index/bounding_box.h"
+#include "index/principal_frame.h"
+#include "index/row_ops.h"
 #include "util/check.h"
 
 namespace karl::index {
@@ -82,21 +85,91 @@ util::Status CheckFinitePoints(const data::Matrix& points) {
       std::to_string(bad % points.cols()));
 }
 
+namespace {
+
+// Rows written per step of the build's first pass: the rows just written
+// are folded while they are still in L1.
+constexpr size_t kFillChunkRows = 64;
+
+// Folds `count` row-major rows of `d` values into the per-dimension
+// minima `lo` and maxima `hi`, and returns the OR of every value's
+// NonFiniteBits.
+uint64_t FoldRows(const double* rows, size_t count, size_t d, double* lo,
+                  double* hi) {
+  uint64_t bits = 0;
+  for (size_t i = 0; i < count; ++i) {
+    const double* row = rows + i * d;
+    row_ops::FoldMinMax(row, d, lo, hi);
+    for (size_t j = 0; j < d; ++j) bits |= NonFiniteBits(row[j]);
+  }
+  return bits;
+}
+
+// Moves row perm[i] of the `cols`-wide row-major `rows` to row i for
+// every i, in place: each cycle of the permutation is walked once with
+// one row held aside.
+void PermuteRowsInPlace(std::span<const size_t> perm, size_t cols,
+                        double* rows) {
+  const size_t n = perm.size();
+  std::vector<uint64_t> done((n + 63) / 64);
+  std::vector<double> held(cols);
+  const auto row = [&](size_t i) { return rows + i * cols; };
+  for (size_t start = 0; start < n; ++start) {
+    if ((done[start / 64] >> (start % 64) & 1) != 0 || perm[start] == start) {
+      continue;
+    }
+    std::copy(row(start), row(start) + cols, held.begin());
+    size_t to = start;
+    for (;;) {
+      done[to / 64] |= uint64_t{1} << (to % 64);
+      const size_t from = perm[to];
+      if (from == start) {
+        std::copy(held.begin(), held.end(), row(to));
+        break;
+      }
+      std::copy(row(from), row(from) + cols, row(to));
+      to = from;
+    }
+  }
+}
+
+}  // namespace
+
 util::Status TreeIndex::BuildShared(const data::Matrix& input_points,
+                                    std::span<const size_t> input_rows,
                                     std::span<const double> input_weights,
-                                    size_t leaf_capacity) {
-  if (input_points.empty()) {
+                                    size_t leaf_capacity, Frame frame) {
+  const size_t n = input_rows.empty() ? input_points.rows() : input_rows.size();
+  const size_t d = input_points.cols();
+  if (n == 0 || d == 0) {
     return util::Status::InvalidArgument(
         "cannot build " + std::string(IndexKindToString(kind_)) +
         " on empty data");
   }
-  if (input_weights.size() != input_points.rows()) {
+  if (input_weights.size() != n) {
     return util::Status::InvalidArgument(
         "weight count " + std::to_string(input_weights.size()) +
-        " does not match point count " + std::to_string(input_points.rows()));
+        " does not match point count " + std::to_string(n));
+  }
+  for (const size_t row : input_rows) {
+    if (row >= input_points.rows()) {
+      return util::Status::InvalidArgument(
+          "row " + std::to_string(row) + " of " +
+          std::to_string(input_points.rows()));
+    }
   }
   if (leaf_capacity < 1) {
     return util::Status::InvalidArgument("leaf capacity must be >= 1");
+  }
+  const bool framed = !frame.matrix.empty();
+  if (framed != !frame.reflectors.empty() ||
+      (framed && (frame.matrix.size() != d * d || d > kMaxFrameDims ||
+                  frame.reflectors.size() % d != 0))) {
+    return util::Status::InvalidArgument(
+        "a frame of " + std::to_string(frame.matrix.size()) + " values and " +
+        std::to_string(frame.reflectors.size()) + " reflector values for " +
+        std::to_string(d) + " dimensions (want d×d and k×d, d <= " +
+        std::to_string(kMaxFrameDims) + ")");
   }
   const size_t bad_weight = FirstNonFinite(input_weights);
   if (bad_weight < input_weights.size()) {
@@ -104,87 +177,131 @@ util::Status TreeIndex::BuildShared(const data::Matrix& input_points,
         "non-finite weight " + std::to_string(input_weights[bad_weight]) +
         " at row " + std::to_string(bad_weight));
   }
-  // The root's Partition reads every coordinate and reports a non-finite
-  // one (see Partition); a root that stays a leaf is checked here.
-  if (input_points.rows() <= leaf_capacity) {
+
+  // Phase 1: every row, in the tree's frame, into the storage that
+  // becomes the blocks, row-major for now. The pass checks every value
+  // it writes and folds the root's extents for the first split.
+  constexpr size_t kB = core::simd::SoaLeafBlocks::kBlockPoints;
+  const size_t num_blocks = core::simd::SoaLeafBlocks::NumBlocks(n);
+  core::simd::BlockStorage coords(num_blocks * d * kB);
+  PartitionScratch scratch;
+  scratch.root_extents.assign(d, std::numeric_limits<double>::infinity());
+  scratch.root_extents.resize(2 * d, -std::numeric_limits<double>::infinity());
+  double* lo = scratch.root_extents.data();
+  double* hi = lo + d;
+  uint64_t bits = 0;
+  // A subset's rows are gathered a chunk at a time — straight into the
+  // storage for the identity — so that only the blocks hold all of them.
+  std::vector<double> gathered(input_rows.empty() || !framed
+                                   ? 0
+                                   : kFillChunkRows * d);
+  for (size_t first = 0; first < n; first += kFillChunkRows) {
+    const size_t count = std::min(kFillChunkRows, n - first);
+    double* out = coords.data() + first * d;
+    const double* in = nullptr;
+    if (input_rows.empty()) {
+      in = input_points.Row(first).data();
+    } else {
+      double* to = framed ? gathered.data() : out;
+      for (size_t i = 0; i < count; ++i) {
+        const auto row = input_points.Row(input_rows[first + i]);
+        std::copy(row.begin(), row.end(), to + i * d);
+      }
+      in = to;
+    }
+    if (framed) {
+      core::simd::ReflectRows(frame.reflectors, d, in, count, out);
+    } else if (in != out) {
+      std::copy(in, in + count * d, out);
+    }
+    bits |= FoldRows(out, count, d, lo, hi);
+  }
+  if ((bits >> 63) != 0) {
+    // A non-finite input value makes some output non-finite (every row
+    // of an orthonormal T has a non-zero entry); name the input's.
     KARL_RETURN_NOT_OK(CheckFinitePoints(input_points));
+    const size_t bad = FirstNonFinite({coords.data(), n * d});
+    return util::Status::InvalidArgument(
+        "row " + std::to_string(bad / d) +
+        " overflows when rotated into the principal frame");
   }
 
   leaf_capacity_ = leaf_capacity;
-  const size_t n = input_points.rows();
   owned_perm_.resize(n);
   std::iota(owned_perm_.begin(), owned_perm_.end(), size_t{0});
 
-  // Phase 1: recursive structure build over the permutation. Explicit
+  // Phase 2: recursive structure build over the permutation. Explicit
   // stack to stay robust on deep trees (leaf capacity 1, skewed splits).
   owned_nodes_.clear();
-  struct Frame {
+  struct Pending {
     NodeId id;
     size_t begin, end;
   };
-  std::vector<Frame> stack;
+  std::vector<Pending> stack;
   owned_nodes_.push_back(Node{kInvalidNode, kInvalidNode, 0,
                               static_cast<uint32_t>(n), 0});
   stack.push_back({0, 0, n});
   max_depth_ = 0;
-  const size_t d = input_points.cols();
-  PartitionScratch scratch;
+  const BuildRows rows{coords.data(), n, d};
   if (n > leaf_capacity) {
     scratch.rows.resize(n);
     scratch.dims.resize(kPartitionDimArrays * d);
   }
 
   while (!stack.empty()) {
-    const Frame frame = stack.back();
+    const Pending pending = stack.back();
     stack.pop_back();
-    Node& nd = owned_nodes_[frame.id];
+    Node& nd = owned_nodes_[pending.id];
     if (nd.count() <= leaf_capacity) continue;
 
-    const size_t mid = Partition(input_points, owned_perm_, frame.begin,
-                                 frame.end, scratch);
-    if (scratch.saw_non_finite) {
-      const util::Status finite = CheckFinitePoints(input_points);
-      KARL_CHECK(!finite.ok()) << ": a split read a non-finite value that "
-                                  "the scan of the input did not find";
-      return finite;
-    }
+    const size_t mid =
+        Partition(rows, owned_perm_, pending.begin, pending.end, scratch);
     // A degenerate split (all points identical) keeps the node a leaf.
-    if (mid <= frame.begin || mid >= frame.end) continue;
+    if (mid <= pending.begin || mid >= pending.end) continue;
 
     const uint16_t child_depth =
-        static_cast<uint16_t>(owned_nodes_[frame.id].depth + 1);
+        static_cast<uint16_t>(owned_nodes_[pending.id].depth + 1);
     const NodeId left_id = static_cast<NodeId>(owned_nodes_.size());
     owned_nodes_.push_back(Node{kInvalidNode, kInvalidNode,
-                                static_cast<uint32_t>(frame.begin),
+                                static_cast<uint32_t>(pending.begin),
                                 static_cast<uint32_t>(mid), child_depth});
     const NodeId right_id = static_cast<NodeId>(owned_nodes_.size());
     owned_nodes_.push_back(Node{kInvalidNode, kInvalidNode,
                                 static_cast<uint32_t>(mid),
-                                static_cast<uint32_t>(frame.end),
+                                static_cast<uint32_t>(pending.end),
                                 child_depth});
-    owned_nodes_[frame.id].left = left_id;
-    owned_nodes_[frame.id].right = right_id;
+    owned_nodes_[pending.id].left = left_id;
+    owned_nodes_[pending.id].right = right_id;
     max_depth_ = std::max(max_depth_, static_cast<size_t>(child_depth));
-    stack.push_back({left_id, frame.begin, mid});
-    stack.push_back({right_id, mid, frame.end});
+    stack.push_back({left_id, pending.begin, mid});
+    stack.push_back({right_id, mid, pending.end});
   }
 
-  scratch = {};  // Freed before the blocks are allocated.
+  scratch = {};  // Freed before the rows are moved.
 
-  // Phase 2: the blocked SoA layout, gathered from the input through the
-  // permutation — the tree's only copy of the points.
-  soa_.Build(input_points, owned_perm_, input_weights);
-
-  // Phase 3: aggregates, then point the read-side spans at the owned
-  // storage (all vectors have reached their final size), then the
-  // subclass region geometry. Both read the blocks.
-  ComputeSummaries();
+  // Phase 3: the rows into tree order in place, with the weights
+  // gathered beside; the aggregates and the subclass's regions from them
+  // while they are still row-major; then each 8-row group into its block
+  // — the tree's only copy of the points.
+  PermuteRowsInPlace(owned_perm_, d, coords.data());
+  std::vector<double> block_weights(num_blocks * kB, 0.0);
+  for (size_t i = 0; i < n; ++i) {
+    block_weights[i] = input_weights[owned_perm_[i]];
+  }
+  const BuildRows ordered{coords.data(), n, d};
+  ComputeSummaries(ordered, block_weights);
+  // The read-side spans point at the owned storage from here on (every
+  // vector has reached its final size); the regions read nodes().
   nodes_ = owned_nodes_;
   perm_ = owned_perm_;
   weight_sums_ = owned_weight_sums_;
   sqnorm_sums_ = owned_sqnorm_sums_;
   point_sums_ = owned_point_sums_;
-  ComputeRegions();
+  owned_frame_ = std::move(frame.matrix);
+  frame_ = owned_frame_;
+  frame_extent_ratio_ = frame.extent_ratio;
+  ComputeRegions(ordered);
+  soa_.BuildFromRows(n, d, std::move(coords), std::move(block_weights));
   return util::Status::OK();
 }
 
@@ -280,6 +397,35 @@ util::Status TreeIndex::AttachShared(const TreeIndexView& view) {
     }
   }
   KARL_RETURN_NOT_OK(CheckPermutation(view.perm));
+  if (!view.frame.empty()) {
+    if (kind_ != IndexKind::kKdTree) {
+      return util::Status::InvalidArgument(
+          "attach: a frame on a " + std::string(IndexKindToString(kind_)));
+    }
+    if (d < 2 || d > kMaxFrameDims || view.frame.size() != d * d) {
+      return util::Status::InvalidArgument(
+          "attach: a frame of " + std::to_string(view.frame.size()) +
+          " values at d = " + std::to_string(d) + " (a frame is d×d, 2 <= d "
+          "<= " + std::to_string(kMaxFrameDims) + ")");
+    }
+    const size_t bad = FirstNonFinite(view.frame);
+    if (bad < view.frame.size()) {
+      return util::Status::InvalidArgument(
+          "attach: non-finite value in frame[" + std::to_string(bad) + "]");
+    }
+    const double error = FrameOrthonormalityError(view.frame, d);
+    if (!(error <= FrameOrthonormalityTolerance(d))) {
+      return util::Status::InvalidArgument(
+          "attach: frame is not orthonormal (max |TᵀT − I| = " +
+          std::to_string(error) + ")");
+    }
+  }
+  if (!std::isfinite(view.frame_extent_ratio) ||
+      view.frame_extent_ratio <= 0.0) {
+    return util::Status::InvalidArgument(
+        "attach: frame extent ratio " +
+        std::to_string(view.frame_extent_ratio) + " is not positive");
+  }
 
   const util::Status blocks =
       soa_.Attach(n, d, view.blocks, view.block_weights);
@@ -293,12 +439,14 @@ util::Status TreeIndex::AttachShared(const TreeIndexView& view) {
   weight_sums_ = view.weight_sums;
   sqnorm_sums_ = view.sqnorm_sums;
   point_sums_ = view.point_sums;
+  frame_ = view.frame;
+  frame_extent_ratio_ = view.frame_extent_ratio;
   return util::Status::OK();
 }
 
-void TreeIndex::ComputeSummaries() {
-  constexpr size_t kStride = core::simd::SoaLeafBlocks::kBlockPoints;
-  const size_t d = soa_.dims();
+void TreeIndex::ComputeSummaries(const BuildRows& rows,
+                                 std::span<const double> weights) {
+  const size_t d = rows.cols;
   const size_t num = owned_nodes_.size();
   owned_weight_sums_.assign(num, 0.0);
   owned_sqnorm_sums_.assign(num, 0.0);
@@ -315,15 +463,13 @@ void TreeIndex::ComputeSummaries() {
       double b_sum = 0.0;
       // Row by row, in the order util::SquaredNorm sums a row.
       for (size_t i = nd.begin; i < nd.end; ++i) {
-        const double w = soa_.WeightAt(i);
-        const double* row = soa_.RowLanes(i);
+        const double w = weights[i];
+        const double* row = rows.Row(i).data();
         double sq = 0.0;
-        for (size_t j = 0; j < d; ++j) {
-          sq += row[j * kStride] * row[j * kStride];
-        }
+        for (size_t j = 0; j < d; ++j) sq += row[j] * row[j];
         w_sum += w;
         b_sum += w * sq;
-        for (size_t j = 0; j < d; ++j) sums[j] += w * row[j * kStride];
+        row_ops::AddScaled(w, row, d, sums);
       }
       owned_weight_sums_[idx] = w_sum;
       owned_sqnorm_sums_[idx] = b_sum;
@@ -375,7 +521,7 @@ void TreeIndex::InnerProductBounds(NodeId id, std::span<const double> q,
 size_t TreeIndex::MemoryUsageBytes() const {
   return nodes_.size() * sizeof(Node) +
          (weight_sums_.size() + sqnorm_sums_.size() + point_sums_.size() +
-          region_a_.size() + region_b_.size()) *
+          region_a_.size() + region_b_.size() + frame_.size()) *
              sizeof(double) +
          perm_.size() * sizeof(size_t) + soa_.MemoryUsageBytes();
 }

@@ -15,6 +15,13 @@
 // (a box or a ball); the region arrays, and the distance and
 // inner-product bounds over them, are shared.
 //
+// Frame: a kd tree may store its points in an orthonormal frame of its
+// own, x' = Tᵀx (DESIGN.md §17). Every array above then holds rotated
+// coordinates, and a query must be rotated the same way before it meets
+// them; core::Evaluator does that once per query. frame() is empty for
+// the identity, which is what ball trees and trees outside
+// [2, kMaxFrameDims] dimensions always keep.
+//
 // Storage duality: a tree is either *built* (BuildShared — it owns every
 // array) or *attached* (AttachShared — node, point block, permutation,
 // aggregate and geometry arrays are non-owning views into caller-provided
@@ -50,6 +57,27 @@ enum class IndexKind {
 
 /// Human-readable name ("kd-tree" / "ball-tree").
 std::string_view IndexKindToString(IndexKind kind);
+
+/// Widest point set a tree is built in a fitted frame for; the rotated
+/// query then fits in a stack buffer of this many values.
+inline constexpr size_t kMaxFrameDims = 64;
+
+/// The frame a tree stores its points in: x' = Tᵀx.
+struct Frame {
+  /// T, d×d row-major: matrix[j·d + i] is coordinate j of axis i. Empty
+  /// means identity.
+  std::vector<double> matrix;
+  /// T factored for the build, empty exactly when `matrix` is: k×d unit
+  /// vectors v_r with Tᵀ = H_{k−1}⋯H_0, H_r = I − 2·v_r·v_rᵀ.
+  /// The build rotates its points with them (core::simd::ReflectRows,
+  /// 2·k·d multiply-adds per row, against d² for T); a tree keeps T
+  /// alone, for its queries and its snapshot.
+  std::vector<double> reflectors;
+  /// The fit's reading that decided the frame: the sample's summed
+  /// per-axis extent in the principal frame over that in the data
+  /// frame. 1 when no fit ran.
+  double extent_ratio = 1.0;
+};
 
 /// The finiteness test the builder folds into its reads: the top bit of
 /// NonFiniteBits(v) is set iff `v` is NaN or ±inf (adding one to an
@@ -163,6 +191,13 @@ class TreeIndex {
   /// The concrete index kind.
   IndexKind kind() const { return kind_; }
 
+  /// T of the frame the points are stored in (d×d row-major, see
+  /// Frame::matrix); empty for the identity.
+  std::span<const double> frame() const { return frame_; }
+
+  /// Frame::extent_ratio of the frame (1 when no fit ran).
+  double frame_extent_ratio() const { return frame_extent_ratio_; }
+
   /// Total bytes of index data reachable from this tree (diagnostics).
   /// For an attached tree this counts the mapped sections it references,
   /// not heap — mapped pages are resident memory all the same.
@@ -171,18 +206,24 @@ class TreeIndex {
  protected:
   explicit TreeIndex(IndexKind kind) : kind_(kind) {}
 
-  /// Shared build driver: checks the input, recursively partitions the
-  /// permutation using the subclass's Partition hook, gathers the blocks
-  /// from `input_points` through the permutation, and then computes the
-  /// per-node aggregates and the subclass's ComputeRegions from the
-  /// blocks. Nothing else copies the input. Fails with InvalidArgument
-  /// on empty input, a weight count that is not the point count, a zero
-  /// leaf capacity, or a non-finite weight or coordinate (naming its row
-  /// and column): a non-finite value would build a tree whose snapshot
-  /// can never attach.
+  /// Shared build driver: writes every input row, rotated into `frame`
+  /// (copied for the identity), into the storage that becomes the SoA
+  /// blocks, checking each value and folding the root's extents as it
+  /// goes; recursively partitions the permutation over those rows using
+  /// the subclass's Partition hook; permutes the rows into tree order in
+  /// place; computes the per-node aggregates and the subclass's
+  /// ComputeRegions from them; and turns each 8-row group into its
+  /// block. No other n×d buffer is allocated. Fails with
+  /// InvalidArgument on empty input, a weight count that is not the point
+  /// count, a zero leaf capacity, a frame that is not d×d, or a
+  /// non-finite weight or coordinate (naming its row and column): a
+  /// non-finite value would build a tree whose snapshot can never attach.
+  /// `input_rows` picks the rows of `input_points` to index, in order
+  /// (input_weights[i] is row input_rows[i]'s); empty means every row.
   util::Status BuildShared(const data::Matrix& input_points,
+                           std::span<const size_t> input_rows,
                            std::span<const double> input_weights,
-                           size_t leaf_capacity);
+                           size_t leaf_capacity, Frame frame);
 
   /// Shared attach driver: adopts pre-built arrays (typically views into
   /// an mmap-ed snapshot section — see registry/snapshot.h) without
@@ -193,6 +234,19 @@ class TreeIndex {
   /// Region geometry stays with the subclass (see KdTree::Attach /
   /// BallTree::Attach).
   util::Status AttachShared(const TreeIndexView& view);
+
+  /// The rows a build partitions: row-major, in the tree's frame, in
+  /// input order (the order of `input_rows`, if given).
+  struct BuildRows {
+    const double* data = nullptr;
+    size_t rows = 0;
+    size_t cols = 0;
+
+    std::span<const double> Row(size_t i) const {
+      return {data + i * cols, cols};
+    }
+    double operator()(size_t i, size_t j) const { return data[i * cols + j]; }
+  };
 
   /// A row of the input and the key it is selected by.
   struct KeyedRow {
@@ -206,24 +260,24 @@ class TreeIndex {
   struct PartitionScratch {
     std::vector<KeyedRow> rows;  ///< One entry per input row.
     std::vector<double> dims;    ///< kPartitionDimArrays × cols values.
-    bool saw_non_finite = false;
+    /// Per-dimension minima then maxima of every row, folded by the pass
+    /// that wrote the rows.
+    std::vector<double> root_extents;
   };
   static constexpr size_t kPartitionDimArrays = 2;
 
-  /// Subclass hook: reorders perm[begin, end) (indices into
-  /// `input_points`) and returns the split position `mid` in (begin, end)
-  /// so children cover [begin, mid) and [mid, end), or `begin` to keep
-  /// the node a leaf. Called only when end - begin > leaf capacity. At
-  /// the root it also checks every coordinate, in the pass that reads
-  /// them all anyway, before it reorders any: on a non-finite one it sets
-  /// scratch.saw_non_finite and returns `begin`.
-  virtual size_t Partition(const data::Matrix& input_points,
-                           std::vector<size_t>& perm, size_t begin,
-                           size_t end, PartitionScratch& scratch) = 0;
+  /// Subclass hook: reorders perm[begin, end) (indices into `rows`) and
+  /// returns the split position `mid` in (begin, end) so children cover
+  /// [begin, mid) and [mid, end), or `begin` to keep the node a leaf.
+  /// Called only when end - begin > leaf capacity, on finite rows.
+  virtual size_t Partition(const BuildRows& rows, std::vector<size_t>& perm,
+                           size_t begin, size_t end,
+                           PartitionScratch& scratch) = 0;
 
   /// Subclass hook: compute each node's region geometry from its
-  /// contiguous range of points() (the built blocks).
-  virtual void ComputeRegions() = 0;
+  /// contiguous range of `rows`, the tree's rows in tree order, still
+  /// row-major (row i is the one the blocks will hold as row i).
+  virtual void ComputeRegions(const BuildRows& rows) = 0;
 
   // Region geometry (see region_data_a()), pointed at owned or attached
   // storage by the subclass's ComputeRegions / Attach.
@@ -231,7 +285,10 @@ class TreeIndex {
   std::span<const double> region_b_;
 
  private:
-  void ComputeSummaries();
+  // The per-node aggregates from the rows in tree order and their
+  // weights.
+  void ComputeSummaries(const BuildRows& rows,
+                        std::span<const double> weights);
 
   // Owned storage; empty for an attached tree.
   std::vector<Node> owned_nodes_;
@@ -247,6 +304,10 @@ class TreeIndex {
   std::span<const double> weight_sums_;
   std::span<const double> sqnorm_sums_;
   std::span<const double> point_sums_;
+
+  std::vector<double> owned_frame_;
+  std::span<const double> frame_;  // Empty: identity.
+  double frame_extent_ratio_ = 1.0;
 
   core::simd::SoaLeafBlocks soa_;  // Points and weights, built or attached.
   IndexKind kind_;
@@ -273,6 +334,9 @@ struct TreeIndexView {
   std::span<const double> region_b;     ///< kd: upper; ball: radii.
   size_t leaf_capacity = 0;
   size_t max_depth = 0;
+  /// T of the tree's frame, cols × cols, or empty for the identity.
+  std::span<const double> frame;
+  double frame_extent_ratio = 1.0;
 };
 
 }  // namespace karl::index

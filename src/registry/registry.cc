@@ -8,6 +8,7 @@
 #include <thread>
 #include <utility>
 
+#include "index/principal_frame.h"
 #include "telemetry/metrics.h"
 #include "telemetry/rolling.h"
 #include "util/stopwatch.h"
@@ -378,6 +379,8 @@ std::vector<ModelInfo> ModelRegistry::List() const {
       }
       info.weighting_type = WeightingTypeToString(engine.weighting_type());
       info.bounds = core::BoundKindToString(engine.options().bounds);
+      info.frame = index::FrameName(engine.plus_tree());
+      info.frame_extent_ratio = engine.plus_tree().frame_extent_ratio();
     }
     out.push_back(std::move(info));
   }

@@ -131,6 +131,9 @@ struct ModelInfo {
   uint64_t points = 0;          ///< Positive plus negative tree points.
   std::string weighting_type;   ///< WeightingTypeToString.
   std::string bounds;           ///< core::BoundKindToString.
+  std::string frame;            ///< index::FrameName.
+  /// index::TreeIndex::frame_extent_ratio: the reading that decided it.
+  double frame_extent_ratio = 0.0;
 };
 
 /// See file comment.

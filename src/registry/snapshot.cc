@@ -57,8 +57,12 @@ constexpr size_t kOffFileBytes = 72;
 constexpr size_t kOffChecksum = 80;
 constexpr size_t kOffTreeBlock = 88;  // Per tree: rows, num_nodes, max_depth.
 constexpr size_t kTreeBlockBytes = 24;
+constexpr size_t kOffFrame = 136;       // u32: 1 = a frame section follows.
+constexpr size_t kOffFrameRatio = 144;  // f64: the fit's extent ratio.
 static_assert(kOffChecksum == kSnapshotChecksumOffset);
-static_assert(kOffTreeBlock + 2 * kTreeBlockBytes <= kSnapshotHeaderBytes);
+static_assert(kOffTreeBlock + 2 * kTreeBlockBytes <= kOffFrame);
+static_assert(kOffFrame == kSnapshotFrameFlagOffset);
+static_assert(kOffFrameRatio + sizeof(double) <= kSnapshotHeaderBytes);
 
 void PutU32(unsigned char* buf, size_t off, uint32_t v) {
   std::memcpy(buf + off, &v, sizeof(v));
@@ -279,8 +283,13 @@ util::Status WriteSnapshotFile(const std::string& path, const Engine& engine) {
   const uint64_t cols = trees[0]->points().dims();
   const EngineOptions& options = engine.options();
 
+  // The frame, shared by both trees, right after the header.
+  const std::span<const double> frame = trees[0]->frame();
+  const size_t frame_at = AlignUp(kSnapshotHeaderBytes);
+  size_t off = frame.empty()
+                   ? kSnapshotHeaderBytes
+                   : AlignUp(frame_at + frame.size() * sizeof(double));
   SectionLayout layouts[2];
-  size_t off = kSnapshotHeaderBytes;
   for (size_t t = 0; t < num_trees; ++t) {
     layouts[t] = ComputeLayout(off, trees[t]->points().rows(),
                                trees[t]->num_nodes(), cols,
@@ -306,6 +315,8 @@ util::Status WriteSnapshotFile(const std::string& path, const Engine& engine) {
   PutU64(header, kOffLeafCapacity, options.leaf_capacity);
   PutU64(header, kOffCols, cols);
   PutU64(header, kOffFileBytes, file_bytes);
+  PutU32(header, kOffFrame, frame.empty() ? 0 : 1);
+  PutF64(header, kOffFrameRatio, trees[0]->frame_extent_ratio());
   // Checksum field stays zero for hashing; patched in at the end.
   for (size_t t = 0; t < num_trees; ++t) {
     const size_t at = kOffTreeBlock + t * kTreeBlockBytes;
@@ -323,6 +334,8 @@ util::Status WriteSnapshotFile(const std::string& path, const Engine& engine) {
   hasher.Update(header);
   out.write(reinterpret_cast<const char*>(header), sizeof(header));
   size_t cur = kSnapshotHeaderBytes;
+  KARL_RETURN_NOT_OK(WriteSection(out, hasher, &cur, frame_at, frame.data(),
+                                  frame.size() * sizeof(double)));
 
   for (size_t t = 0; t < num_trees; ++t) {
     const index::TreeIndex& tree = *trees[t];
@@ -542,7 +555,28 @@ util::Status MappedSnapshot::Parse() {
   if (cols == 0) return reject("zero columns");
   if (options_.leaf_capacity == 0) return reject("zero leaf capacity");
 
+  // The frame section, if any, comes first; the structural checks of its
+  // values are the attach's (TreeIndex::AttachShared).
+  const uint32_t has_frame = GetU32(base, kOffFrame);
+  const double frame_ratio = GetF64(base, kOffFrameRatio);
+  if (has_frame > 1) return reject("corrupt frame flag");
+  std::span<const double> frame;
   size_t off = kSnapshotHeaderBytes;
+  if (has_frame == 1) {
+    if (options_.index_kind != index::IndexKind::kKdTree) {
+      return reject("a frame on a ball-tree snapshot");
+    }
+    if (cols < 2 || cols > index::kMaxFrameDims) {
+      return reject("a frame at " + std::to_string(cols) +
+                    " dimensions (a frame needs 2 to " +
+                    std::to_string(index::kMaxFrameDims) + ")");
+    }
+    const size_t frame_at = AlignUp(kSnapshotHeaderBytes);
+    frame = {reinterpret_cast<const double*>(base + frame_at), cols * cols};
+    off = AlignUp(frame_at + frame.size_bytes());
+    if (off > bytes_) return reject("frame section overruns the file");
+  }
+
   for (size_t t = 0; t < num_trees_; ++t) {
     const size_t at = kOffTreeBlock + t * kTreeBlockBytes;
     const uint64_t rows = GetU64(base, at);
@@ -593,6 +627,8 @@ util::Status MappedSnapshot::Parse() {
                      region_b_count};
     view.leaf_capacity = options_.leaf_capacity;
     view.max_depth = max_depth;
+    view.frame = frame;
+    view.frame_extent_ratio = frame_ratio;
     off = sec.end;
   }
   if (off != bytes_) {

@@ -850,7 +850,9 @@ std::string Server::ModelzJson() const {
       entry.Set("dims", Json::Number(static_cast<double>(info.dims)))
           .Set("points", Json::Number(static_cast<double>(info.points)))
           .Set("weighting_type", Json::Str(info.weighting_type))
-          .Set("bounds", Json::Str(info.bounds));
+          .Set("bounds", Json::Str(info.bounds))
+          .Set("frame", Json::Str(info.frame))
+          .Set("frame_extent_ratio", Json::Number(info.frame_extent_ratio));
     }
     entries.Append(std::move(entry));
   }

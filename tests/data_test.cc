@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <filesystem>
 #include <fstream>
@@ -433,6 +434,57 @@ TEST(PcaTest, EigenvaluesSortedDescending) {
   ASSERT_TRUE(model.ok());
   const auto& ev = model.value().eigenvalues();
   for (size_t i = 1; i < ev.size(); ++i) EXPECT_GE(ev[i - 1], ev[i]);
+}
+
+// The Jacobi stop is relative to the matrix's own size, so data in any
+// units get the same axes and the same eigenvalue/scale² (an absolute
+// stop took a 1e-6-scaled covariance for already diagonal).
+TEST(PcaTest, AxesAndEigenvaluesDoNotDependOnTheDataScale) {
+  auto spec = FindDataset("miniboone");
+  ASSERT_TRUE(spec.ok());
+  spec.value().n = 2000;
+  const Matrix base = MakeUciLike(spec.value());
+  util::Rng rng(12);
+  Matrix pair(500, 2);
+  for (size_t i = 0; i < pair.rows(); ++i) {
+    const double t = rng.Gaussian(0.0, 1.0);
+    pair(i, 0) = t + rng.Gaussian(0.0, 0.05);
+    pair(i, 1) = 0.8 * t + rng.Gaussian(0.0, 0.05);
+  }
+  for (const Matrix* data : {&base, static_cast<const Matrix*>(&pair)}) {
+    auto unit = PcaModel::Fit(*data);
+    ASSERT_TRUE(unit.ok());
+    const size_t k = std::min<size_t>(3, data->cols());
+    auto unit_proj = unit.value().Project(*data, k);
+    ASSERT_TRUE(unit_proj.ok());
+    for (const double scale : {1e-6, 1e3}) {
+      SCOPED_TRACE(scale);
+      Matrix scaled = *data;
+      for (size_t i = 0; i < scaled.rows(); ++i) {
+        for (double& v : scaled.MutableRow(i)) v *= scale;
+      }
+      auto model = PcaModel::Fit(scaled);
+      ASSERT_TRUE(model.ok());
+      const auto& want = unit.value().eigenvalues();
+      const auto& got = model.value().eigenvalues();
+      for (size_t c = 0; c < k; ++c) {
+        EXPECT_NEAR(got[c] / (scale * scale), want[c], 1e-9 * want[0])
+            << "eigenvalue " << c;
+      }
+      // Same axes up to sign: each projection scales with the data.
+      auto proj = model.value().Project(scaled, k);
+      ASSERT_TRUE(proj.ok());
+      for (size_t c = 0; c < k; ++c) {
+        const double sign =
+            proj.value()(0, c) * unit_proj.value()(0, c) < 0.0 ? -1.0 : 1.0;
+        for (size_t i = 0; i < 20; ++i) {
+          EXPECT_NEAR(sign * proj.value()(i, c) / scale,
+                      unit_proj.value()(i, c), 1e-6)
+              << "row " << i << ", axis " << c;
+        }
+      }
+    }
+  }
 }
 
 TEST(PcaTest, FullProjectionPreservesDistances) {

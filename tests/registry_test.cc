@@ -20,6 +20,7 @@
 #include <string>
 #include <string_view>
 #include <thread>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -198,14 +199,31 @@ enum Extent : size_t {
 };
 constexpr size_t kExtentsPerTree = kRegionB + 1;
 
+// The mapping's base address: the first section — the frame if the file
+// has one, else tree 0's nodes — starts right after the header.
+const unsigned char* MappingBase(const MappedSnapshot& snap) {
+  const index::TreeIndexView& v = snap.tree_view(0);
+  const void* first = v.frame.empty()
+                          ? static_cast<const void*>(v.nodes.data())
+                          : static_cast<const void*>(v.frame.data());
+  return static_cast<const unsigned char*>(first) - kSnapshotHeaderBytes;
+}
+
+// (file offset, byte length) of the frame section (empty when the file has
+// none).
+std::pair<size_t, size_t> FrameExtent(const MappedSnapshot& snap) {
+  const std::span<const double> frame = snap.tree_view(0).frame;
+  if (frame.empty()) return {0, 0};
+  return {reinterpret_cast<const unsigned char*>(frame.data()) -
+              MappingBase(snap),
+          frame.size_bytes()};
+}
+
 // (file offset, byte length) of every extent of every tree, in file
-// order. Tree 0's node section starts right after the header, which
-// anchors the mapping's base address.
+// order.
 std::vector<std::pair<size_t, size_t>> SectionExtents(
     const MappedSnapshot& snap) {
-  const auto* base =
-      reinterpret_cast<const unsigned char*>(snap.tree_view(0).nodes.data()) -
-      kSnapshotHeaderBytes;
+  const unsigned char* base = MappingBase(snap);
   std::vector<std::pair<size_t, size_t>> out;
   const auto add = [&](const void* p, size_t bytes) {
     out.emplace_back(static_cast<const unsigned char*>(p) - base, bytes);
@@ -389,10 +407,10 @@ TEST(SnapshotTest, RejectsCorruptHeaderFields) {
   WriteFileBytes(bad_path, bad);
   EXPECT_FALSE(MappedSnapshot::Map(bad_path).ok());
 
-  // Wrong version, including a format v1 (FNV-1a) and a format v2
-  // (row-major points) file. Resealed, so the version check alone must
-  // reject it.
-  for (const uint32_t version : {1u, 2u, 0x7Fu}) {
+  // Wrong version, including a format v1 (FNV-1a), a format v2
+  // (row-major points) and a format v3 (no frame) file. Resealed, so the
+  // version check alone must reject it.
+  for (const uint32_t version : {1u, 2u, 3u, 0x7Fu}) {
     bad = bytes;
     std::memcpy(bad.data() + 4, &version, sizeof(version));
     Reseal(bad);
@@ -416,17 +434,19 @@ TEST(SnapshotTest, RejectsCorruptHeaderFields) {
             std::string::npos)
       << bad_checksum.status().ToString();
 
-  // One flipped byte inside every section of both trees (the blocks
-  // section's coordinates and weights separately), then one in the zero
-  // padding between two sections, then one in a pad-lane weight and a
-  // pad-lane coordinate of each tree's last block: the checksum covers
-  // it all.
+  // One flipped byte inside the frame section and inside every section
+  // of both trees (the blocks section's coordinates and weights
+  // separately), then one in the zero padding between two sections, then
+  // one in a pad-lane weight and a pad-lane coordinate of each tree's
+  // last block: the checksum covers it all.
   auto snapshot = MappedSnapshot::Map(path);
   ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
   ASSERT_EQ(snapshot.value().num_trees(), 2u);
   const auto sections = SectionExtents(snapshot.value());
   ASSERT_EQ(sections.size(), 2 * kExtentsPerTree);
-  std::vector<size_t> flips;
+  const auto [frame_at, frame_len] = FrameExtent(snapshot.value());
+  ASSERT_GT(frame_len, 0u) << "the test engine has no principal frame";
+  std::vector<size_t> flips = {frame_at + frame_len / 2};
   for (const auto& [at, len] : sections) {
     ASSERT_GT(len, 0u);
     flips.push_back(at + len / 2);
@@ -439,7 +459,7 @@ TEST(SnapshotTest, RejectsCorruptHeaderFields) {
       break;
     }
   }
-  ASSERT_EQ(flips.size(), sections.size() + 1) << "no inter-section padding";
+  ASSERT_EQ(flips.size(), sections.size() + 2) << "no inter-section padding";
   for (size_t t = 0; t < 2; ++t) {
     const index::TreeIndexView& v = snapshot.value().tree_view(t);
     ASSERT_NE(v.rows % kLanes, 0u) << "tree " << t << " has no pad lanes";
@@ -599,6 +619,79 @@ TEST(SnapshotTest, RejectsWrongMaxDepthEvenWhenResealed) {
       ExpectAttachRejects(dir, bad, "max_depth");
     }
   }
+}
+
+// The v4 frame section: a cut inside it, a non-finite or
+// non-orthonormal T, and a frame flag on a ball tree or past 64
+// dimensions are each refused by Map or Attach, naming the file.
+TEST(SnapshotTest, RejectsBadFrameSectionsNamingThePath) {
+  TempDir dir("karl_snap_frame");
+  const TestSnapshot snap = WriteTestSnapshot(dir, 13);
+  const std::string bad_path = dir.File("bad.snap");
+  size_t frame_at = 0;
+  size_t frame_len = 0;
+  {
+    auto mapped = MappedSnapshot::Map(dir.File("m.snap"));
+    ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
+    std::tie(frame_at, frame_len) = FrameExtent(mapped.value());
+  }
+  ASSERT_EQ(frame_at, kSnapshotHeaderBytes);
+  ASSERT_EQ(frame_len, snap.cols * snap.cols * sizeof(double));
+
+  // Truncated inside the frame section, header resealed.
+  std::string bad = snap.bytes.substr(0, frame_at + frame_len / 2);
+  Reseal(bad);
+  WriteFileBytes(bad_path, bad);
+  auto cut = MappedSnapshot::Map(bad_path);
+  ASSERT_FALSE(cut.ok());
+  EXPECT_NE(cut.status().message().find(bad_path), std::string::npos)
+      << cut.status().ToString();
+
+  // A non-finite entry, and a T that is off orthonormal by far more than
+  // rounding.
+  for (const double value : {std::nan(""), HUGE_VAL}) {
+    bad = snap.bytes;
+    Poke(bad, frame_at + 3 * sizeof(double), value);
+    ExpectAttachRejects(dir, bad, "non-finite value in frame[3]");
+  }
+  bad = snap.bytes;
+  double t0 = 0.0;
+  std::memcpy(&t0, bad.data() + frame_at, sizeof(t0));
+  Poke(bad, frame_at, t0 * (1.0 + 1e-9));
+  ExpectAttachRejects(dir, bad, "not orthonormal");
+
+  // The frame flag on files that cannot carry a frame.
+  const auto expect_map_rejects = [&](const std::string& bytes,
+                                      const std::string& why) {
+    std::string flagged = bytes;
+    Poke(flagged, kSnapshotFrameFlagOffset, uint32_t{1});
+    Reseal(flagged);
+    WriteFileBytes(bad_path, flagged);
+    auto mapped = MappedSnapshot::Map(bad_path);
+    ASSERT_FALSE(mapped.ok()) << why;
+    EXPECT_NE(mapped.status().message().find(why), std::string::npos)
+        << mapped.status().ToString();
+    EXPECT_NE(mapped.status().message().find(bad_path), std::string::npos)
+        << mapped.status().ToString();
+  };
+  const data::Matrix points = MakePoints(14, 200);
+  const std::vector<double> weights = PositiveWeights(14, points.rows());
+  const Engine ball =
+      BuildEngine(points, weights, core::KernelParams::Gaussian(1.0),
+                  index::IndexKind::kBallTree);
+  ASSERT_TRUE(ball.plus_tree().frame().empty());
+  ASSERT_TRUE(WriteSnapshot(dir.File("ball.snap"), ball).ok());
+  expect_map_rejects(ReadFileBytes(dir.File("ball.snap")),
+                     "a frame on a ball-tree");
+  util::Rng rng(15);
+  const data::Matrix wide = data::SampleClustered(300, 70, 3, 0.08, rng);
+  const Engine wide_engine =
+      BuildEngine(wide, PositiveWeights(15, wide.rows()),
+                  core::KernelParams::Gaussian(1.0));
+  ASSERT_TRUE(wide_engine.plus_tree().frame().empty());
+  ASSERT_TRUE(WriteSnapshot(dir.File("wide.snap"), wide_engine).ok());
+  expect_map_rejects(ReadFileBytes(dir.File("wide.snap")),
+                     "a frame at 70 dimensions");
 }
 
 TEST(SnapshotTest, AttachedMemoryMatchesBuiltEngineAndFileSize) {

@@ -1061,6 +1061,10 @@ TEST_F(ServerTest, AdminEndpointsServeUnderConcurrentTraffic) {
             WeightingTypeToString(engine_->weighting_type()));
   EXPECT_EQ(model.Find("bounds")->string_value(),
             core::BoundKindToString(engine_->options().bounds));
+  EXPECT_EQ(model.Find("frame")->string_value(),
+            engine_->plus_tree().frame().empty() ? "identity" : "principal");
+  EXPECT_EQ(model.Find("frame_extent_ratio")->number_value(),
+            engine_->plus_tree().frame_extent_ratio());
 
   const std::string flightz = HttpGet(admin_port, "/flightz");
   EXPECT_NE(flightz.find("HTTP/1.1 200"), std::string::npos);

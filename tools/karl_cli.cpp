@@ -53,6 +53,7 @@
 #include "data/csv_io.h"
 #include "data/libsvm_io.h"
 #include "data/synthetic.h"
+#include "index/principal_frame.h"
 #include "core/traversal_profile.h"
 #include "ml/kde.h"
 #include "registry/snapshot.h"
@@ -258,6 +259,10 @@ int RunBuild(const ParsedArgs& args) {
                   .c_str(),
               std::string(BoundKindToString(model.options.bounds)).c_str(),
               file_bytes, out.c_str());
+  std::printf("frame: %s (sample extent ratio %.4f)\n",
+              std::string(karl::index::FrameName(engine.value().plus_tree()))
+                  .c_str(),
+              engine.value().plus_tree().frame_extent_ratio());
   std::printf("round trip: %zu exact aggregates bit-identical\n", samples);
   return 0;
 }
@@ -292,6 +297,15 @@ int RunQuery(const ParsedArgs& args) {
   if (!engine.ok()) return Fail(engine.status().ToString());
   auto queries = karl::data::ReadCsvFile(query_path);
   if (!queries.ok()) return Fail(queries.status().ToString());
+  // Every query must be a point of the model's space: a row of another
+  // width would be read past its end, or cut short.
+  const size_t dims = engine.value().plus_tree().points().dims();
+  if (queries.value().cols() != dims) {
+    return Fail("query file " + query_path + " has " +
+                std::to_string(queries.value().cols()) +
+                " columns, but the model has " + std::to_string(dims) +
+                " dimensions");
+  }
 
   const auto limit = args.GetInt(
       "limit", static_cast<int64_t>(queries.value().rows()));
