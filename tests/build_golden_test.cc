@@ -1,9 +1,10 @@
 // Pins the index builder's output byte for byte: builds seeded inputs
 // through Engine::Build, writes each engine as a snapshot and compares
 // the file's XXH64 with a recorded digest. A snapshot holds every array
-// a build produces (nodes, SoA blocks, permutation, aggregates, regions),
-// so any change to the split order, a summation order or a fitted region
-// shows up here. The digests change only with a deliberate change to the
+// a build produces (the frame, nodes, SoA blocks, permutation,
+// aggregates, regions), so any change to the frame fit, the split order,
+// a summation order or a fitted region shows up here, on every SIMD
+// tier alike. The digests change only with a deliberate change to the
 // tree layout or the snapshot format.
 
 #include <gtest/gtest.h>
@@ -54,39 +55,39 @@ constexpr auto kBall = index::IndexKind::kBallTree;
 
 const GoldenCase kCases[] = {
     {"kd_I_c1_n50_d1_dup", kKd, 1, 50, 1, Points::kDuplicated,
-     Weights::kTypeI, 0xa740d1888acc491f},
+     Weights::kTypeI, 0x49eca80f2c4ad018},
     {"kd_II_c10_n1000_d10", kKd, 10, 1000, 10, Points::kUniform,
-     Weights::kTypeII, 0xb550123101f1dc82},
+     Weights::kTypeII, 0xff7984e9507b059e},
     {"kd_III_c33_n2003_d54", kKd, 33, 2003, 54, Points::kUniform,
-     Weights::kTypeIII, 0xdec608f7f10534f9},
+     Weights::kTypeIII, 0xf6b4ebbf9a275cdd},
     {"kd_I_c80_n20000_d10", kKd, 80, 20000, 10, Points::kUniform,
-     Weights::kTypeI, 0xe5f59430ca08cdbd},
+     Weights::kTypeI, 0x61994acb43a7c068},
     {"kd_II_c80_n50_d10_below_capacity", kKd, 80, 50, 10, Points::kUniform,
-     Weights::kTypeII, 0xe92162e4520342cf},
+     Weights::kTypeII, 0x23ba2a7a2d50e8cf},
     {"kd_III_c1_n517_d10_tied", kKd, 1, 517, 10, Points::kTied,
-     Weights::kTypeIII, 0x01e26f2f149f67e0},
+     Weights::kTypeIII, 0x98fc19e0e80af601},
     {"kd_II_c10_n777_d3_tied", kKd, 10, 777, 3, Points::kTied,
-     Weights::kTypeII, 0x744ba5d0135c2a3c},
+     Weights::kTypeII, 0x33445b1fbf19705f},
     {"kd_I_c33_n100_d10_identical", kKd, 33, 100, 10, Points::kIdentical,
-     Weights::kTypeI, 0xe3a83b463d39a734},
+     Weights::kTypeI, 0xc00285e43824a56a},
     {"kd_zero_c10_n403_d54_dup", kKd, 10, 403, 54, Points::kDuplicated,
-     Weights::kSomeZero, 0xfb571ba1fddcf6d1},
+     Weights::kSomeZero, 0x4373867271fe4807},
     {"ball_I_c1_n300_d10", kBall, 1, 300, 10, Points::kUniform,
-     Weights::kTypeI, 0x5f91a6c09abec744},
+     Weights::kTypeI, 0x36dbbe2585cd60c8},
     {"ball_II_c10_n2001_d1", kBall, 10, 2001, 1, Points::kUniform,
-     Weights::kTypeII, 0x9bc5ca474df328d9},
+     Weights::kTypeII, 0x711b3401eb8c28ea},
     {"ball_III_c33_n1500_d54", kBall, 33, 1500, 54, Points::kUniform,
-     Weights::kTypeIII, 0x4b8865705f25eef6},
+     Weights::kTypeIII, 0x381111249e49dc07},
     {"ball_I_c80_n20000_d10", kBall, 80, 20000, 10, Points::kUniform,
-     Weights::kTypeI, 0x65b5fca5bdca6f46},
+     Weights::kTypeI, 0x80fc3fc1175a43c5},
     {"ball_II_c80_n60_d54_below_capacity", kBall, 80, 60, 54,
-     Points::kUniform, Weights::kTypeII, 0x0629801e8398e722},
+     Points::kUniform, Weights::kTypeII, 0xf01f4d464abeecee},
     {"ball_III_c10_n999_d4_tied", kBall, 10, 999, 4, Points::kTied,
-     Weights::kTypeIII, 0xe05bcdb0b91baab0},
+     Weights::kTypeIII, 0x9491b18000589d30},
     {"ball_II_c1_n131_d1_dup", kBall, 1, 131, 1, Points::kDuplicated,
-     Weights::kTypeII, 0x26dc413cd6334a3b},
+     Weights::kTypeII, 0x8f0edce02c3c0a69},
     {"ball_zero_c33_n700_d10_tied", kBall, 33, 700, 10, Points::kTied,
-     Weights::kSomeZero, 0xbe13489e1d53dc5f},
+     Weights::kSomeZero, 0xc5e09b47d69bb5be},
 };
 
 data::Matrix MakePoints(const GoldenCase& c, util::Rng& rng) {
