@@ -262,7 +262,8 @@ TEST(PrincipalFrameTest, FramedTkaqMatchesAnExactScanOfTheCallersPoints) {
       }
       const double f =
           core::ExactAggregate(points, weights, options.kernel, q);
-      for (const double rel : {-0.5, -1e-3, -1e-9, 1e-9, 1e-3, 0.5}) {
+      for (const double rel :
+           {-0.5, -1e-3, -1e-9, -1e-11, 1e-11, 1e-9, 1e-3, 0.5}) {
         const double tau = f + rel * std::max(std::abs(f), 1e-300);
         EXPECT_EQ(engine.value().Tkaq(q, tau), f > tau)
             << "query " << i << " F=" << f << " tau=" << tau;
