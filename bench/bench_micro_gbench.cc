@@ -9,11 +9,12 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <cstring>
 #include <memory>
-#include <numeric>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/bounds.h"
@@ -214,11 +215,13 @@ void BM_SimdLeafAggregate(benchmark::State& state, karl::core::simd::Tier tier,
   simd::ForceTier(tier);
   const size_t n = 4096;
   const auto pts = MakePoints(n, d);
-  const std::vector<double> weights(n, 0.7);
-  std::vector<size_t> rows(n);
-  std::iota(rows.begin(), rows.end(), size_t{0});
+  simd::BlockStorage coords(simd::SoaLeafBlocks::NumBlocks(n) * d *
+                            simd::SoaLeafBlocks::kBlockPoints);
+  for (size_t i = 0; i < n; ++i) {
+    std::copy(pts.Row(i).begin(), pts.Row(i).end(), coords.begin() + i * d);
+  }
   simd::SoaLeafBlocks soa;
-  soa.Build(pts, rows, weights);
+  soa.BuildFromRows(n, d, std::move(coords), std::vector<double>(n, 0.7));
   const auto kernel = KernelParams::Gaussian(3.0 / static_cast<double>(d));
   const std::vector<double> q(d, 0.4);
   for (auto _ : state) {

@@ -16,11 +16,12 @@
 // leaf and dot kernels expected well above 2x for d >= 8 on AVX2+
 // hardware.
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
-#include <numeric>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_common.h"
@@ -63,9 +64,12 @@ struct LeafFixture {
       for (double& v : pts.MutableRow(i)) v = rng.Uniform(-1.0, 1.0);
     }
     for (auto& v : q) v = rng.Uniform(-1.0, 1.0);
-    std::vector<size_t> rows(n);
-    std::iota(rows.begin(), rows.end(), size_t{0});
-    soa.Build(pts, rows, weights);
+    simd::BlockStorage coords(simd::SoaLeafBlocks::NumBlocks(n) * d *
+                              simd::SoaLeafBlocks::kBlockPoints);
+    for (size_t i = 0; i < n; ++i) {
+      std::copy(pts.Row(i).begin(), pts.Row(i).end(), coords.begin() + i * d);
+    }
+    soa.BuildFromRows(n, d, std::move(coords), weights);
   }
 };
 

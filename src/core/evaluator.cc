@@ -437,7 +437,7 @@ std::span<const double> Evaluator::InTreeFrame(std::span<const double> q,
                             << " values, the index " << d << " dimensions";
   const std::span<const double> frame = plus_tree_->frame();
   if (frame.empty()) return q;
-  simd::RotateRows(frame, d, q.data(), 1, buffer.data());
+  simd::ReflectRows(frame, d, q.data(), 1, buffer.data());
   return {buffer.data(), d};
 }
 

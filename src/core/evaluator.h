@@ -111,7 +111,7 @@ class Evaluator {
   ///
   /// Every query method takes `q` in the caller's coordinates, with
   /// exactly as many values as the trees have dimensions (a KARL_CHECK),
-  /// and rotates it into the trees' frame once before refinement.
+  /// and reflects it into the trees' frame once before refinement.
   static util::Result<Evaluator> Create(const index::TreeIndex* plus_tree,
                                         const index::TreeIndex* minus_tree,
                                         const KernelParams& kernel,
@@ -220,11 +220,12 @@ class Evaluator {
                        Stop stop, Observer& observer, double* lb,
                        double* ub) const;
 
-  // Room for a query rotated into the trees' frame.
+  // Room for a query reflected into the trees' frame.
   using FrameBuffer = std::array<double, index::kMaxFrameDims>;
 
   // `q` in the trees' frame: `q` itself for the identity, else Tᵀq in
-  // `buffer`. Checks that q has the trees' dimension first.
+  // `buffer`, reflected as the trees' points were. Checks that q has the
+  // trees' dimension first.
   std::span<const double> InTreeFrame(std::span<const double> q,
                                       FrameBuffer& buffer) const;
 

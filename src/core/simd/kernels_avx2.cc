@@ -76,7 +76,6 @@ constexpr Ops kAvx2OpsTable = {
     ExpBlockN<Avx2Ops>,
     BoxGeometryN<Avx2Ops>,
     KarlGaussianBoxBoundsN<Avx2Ops>,
-    RotateRowsN<Avx2Ops>,
     ReflectRowsN<Avx2Ops>,
 };
 

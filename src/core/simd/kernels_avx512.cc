@@ -72,7 +72,6 @@ constexpr Ops kAvx512OpsTable = {
     ExpBlockN<Avx512Ops>,
     BoxGeometryN<Avx512Ops>,
     KarlGaussianBoxBoundsN<Avx512Ops>,
-    RotateRowsN<Avx512Ops>,
     ReflectRowsN<Avx512Ops>,
 };
 

@@ -34,7 +34,6 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
-#include <cstring>
 #include <utility>
 
 #include "core/kernel.h"
@@ -545,81 +544,6 @@ void ExpBlockN(const double* in, double* out, size_t n) {
   }
 }
 
-// Tᵀx of R row-major rows of `d` values, the output coordinates in C
-// vectors of kLanes (the last one masked to the d − (C−1)·kLanes left).
-// Each output is the scalar tier's sum: the j = 0 product, then each
-// further product added in ascending j, every product and every sum
-// rounded on its own (Mul then Add, never Fma). So each tier writes the
-// same bits. The R rows run side by side, so that narrow rows still keep
-// several add chains in flight.
-template <typename O, size_t C, size_t R>
-inline void RotateRowsStep(const double* t, size_t d, const double* in,
-                           double* out) {
-  using V = typename O::Vec;
-  constexpr size_t W = O::kLanes;
-  const size_t tail = d - (C - 1) * W;
-  const auto load = [&](const double* row, size_t c) {
-    return c + 1 < C ? O::Load(row + c * W)
-                     : O::LoadLanes(row + c * W, 0, tail);
-  };
-  V acc[R][C];
-  V x[R];
-  for (size_t r = 0; r < R; ++r) x[r] = O::Set1(in[r * d]);
-  for (size_t c = 0; c < C; ++c) {
-    const V tc = load(t, c);
-    for (size_t r = 0; r < R; ++r) acc[r][c] = O::Mul(tc, x[r]);
-  }
-  for (size_t j = 1; j < d; ++j) {
-    const double* row = t + j * d;
-    for (size_t r = 0; r < R; ++r) x[r] = O::Set1(in[r * d + j]);
-    for (size_t c = 0; c < C; ++c) {
-      const V tc = load(row, c);
-      for (size_t r = 0; r < R; ++r) {
-        acc[r][c] = O::Add(acc[r][c], O::Mul(tc, x[r]));
-      }
-    }
-  }
-  for (size_t r = 0; r < R; ++r) {
-    alignas(64) double buf[C * W];
-    for (size_t c = 0; c < C; ++c) O::Store(buf + c * W, acc[r][c]);
-    std::memcpy(out + r * d, buf, d * sizeof(double));
-  }
-}
-
-// Rows per step: as many as keep R·C accumulators in three quarters of
-// the vector registers, 1 to 8.
-template <typename O, size_t C>
-void RotateRowsC(const double* t, size_t d, const double* in, size_t count,
-                 double* out) {
-  constexpr size_t R = std::clamp<size_t>(O::kRegisters * 3 / 4 / C, 1, 8);
-  size_t r = 0;
-  for (; r + R <= count; r += R) {
-    RotateRowsStep<O, C, R>(t, d, in + r * d, out + r * d);
-  }
-  for (; r < count; ++r) {
-    RotateRowsStep<O, C, 1>(t, d, in + r * d, out + r * d);
-  }
-}
-
-template <typename O, size_t... Cm1>
-void RotateRowsDispatch(size_t chunks, const double* t, size_t d,
-                        const double* in, size_t count, double* out,
-                        std::index_sequence<Cm1...>) {
-  (void)((chunks == Cm1 + 1 &&
-          (RotateRowsC<O, Cm1 + 1>(t, d, in, count, out), true)) ||
-         ...);
-}
-
-// Resolves the number of output vectors once per call.
-template <typename O>
-void RotateRowsN(const double* t, size_t d, const double* in, size_t count,
-                 double* out) {
-  constexpr size_t W = O::kLanes;
-  constexpr size_t kMaxChunks = kMaxRotationDims / W;
-  RotateRowsDispatch<O>((d + W - 1) / W, t, d, in, count, out,
-                        std::make_index_sequence<kMaxChunks>{});
-}
-
 // Applies the k reflections H_r = I − 2·v_r·v_rᵀ, r = 0 first, to R
 // row-major rows of `d` values, each held in C vectors of registers from
 // its load to its store, with the scalar tier's arithmetic (simd.h):
@@ -709,7 +633,7 @@ void ReflectRowsDispatch(size_t groups, const double* v, size_t k, size_t d,
 template <typename O>
 void ReflectRowsN(const double* v, size_t k, size_t d, const double* in,
                   size_t count, double* out) {
-  constexpr size_t kMaxGroups = kMaxRotationDims / 8;
+  constexpr size_t kMaxGroups = kMaxReflectDims / 8;
   ReflectRowsDispatch<O>((d + 7) / 8, v, k, d, in, count, out,
                          std::make_index_sequence<kMaxGroups>{});
 }

@@ -62,21 +62,6 @@ void ScalarKarlGaussianBoxBounds(const double* q, size_t d, double q_sqnorm,
   }
 }
 
-// The arithmetic every tier's RotateRows repeats (see simd.h): the j = 0
-// product, then each further product added in ascending j.
-void ScalarRotateRows(const double* t, size_t d, const double* in,
-                      size_t count, double* out) {
-  for (size_t r = 0; r < count; ++r) {
-    const double* x = in + r * d;
-    double* y = out + r * d;
-    for (size_t i = 0; i < d; ++i) y[i] = t[i] * x[0];
-    for (size_t j = 1; j < d; ++j) {
-      const double* row = t + j * d;
-      for (size_t i = 0; i < d; ++i) y[i] = y[i] + row[i] * x[j];
-    }
-  }
-}
-
 // The arithmetic every tier's ReflectRows repeats (see simd.h): v·x in
 // eight lanes of ascending j ≡ l (mod 8), padded with +0 products, joined
 // as ((s0+s4)+(s2+s6))+((s1+s5)+(s3+s7)).
@@ -106,7 +91,7 @@ void ScalarReflectRows(const double* v, size_t k, size_t d, const double* in,
 constexpr internal::Ops kScalarOps = {
     ScalarDot,         ScalarSqnorm,      ScalarLeafAggregate,
     ScalarExpBlock,    ScalarBoxGeometry, ScalarKarlGaussianBoxBounds,
-    ScalarRotateRows,  ScalarReflectRows};
+    ScalarReflectRows};
 
 const internal::Ops& OpsForTier(Tier tier) {
   switch (tier) {

@@ -18,10 +18,10 @@
 //    therefore reproduces historical results exactly. For a kd tree
 //    stored in a principal frame (index/principal_frame.h) it is the
 //    oracle over the rotated coordinates the tree stores.
-//  * RotateRows and ReflectRows are exempt from the tolerances below:
-//    every tier computes them with the scalar tier's arithmetic, bit for
-//    bit, so a tree's rotated points and a query's rotation do not
-//    depend on the tier.
+//  * ReflectRows is exempt from the tolerances below: every tier
+//    computes it with the scalar tier's arithmetic, bit for bit, so a
+//    tree's reflected points and a query's reflection do not depend on
+//    the tier.
 //  * Vector tiers reorder reductions and use a polynomial vector exp, so
 //    results are NOT bit-identical; they agree with the scalar oracle
 //    within the relative tolerances below, measured against the sum of
@@ -75,8 +75,8 @@ inline constexpr double kDotRelTolerance = 1e-12;
 inline constexpr int kVectorExpUlpBound = 4;
 inline constexpr double kVectorExpUnderflowAbs = 1e-307;
 
-/// Widest rows RotateRows takes.
-inline constexpr size_t kMaxRotationDims = 64;
+/// Widest rows ReflectRows takes.
+inline constexpr size_t kMaxReflectDims = 64;
 
 /// Below this profile-argument interval width a node's profile is
 /// numerically constant, and the linear bound constructions would divide
@@ -156,8 +156,6 @@ struct Ops {
                                    double q_sqnorm, double scale,
                                    const KdBoxSummary* boxes, size_t count,
                                    NodeInterval* out);
-  void (*rotate_rows)(const double* frame, size_t d, const double* in,
-                      size_t count, double* out);
   void (*reflect_rows)(const double* reflectors, size_t k, size_t d,
                        const double* in, size_t count, double* out);
 };
@@ -234,19 +232,6 @@ inline void KarlGaussianBoxBounds(std::span<const double> q, double q_sqnorm,
       q.data(), q.size(), q_sqnorm, scale, boxes.data(), boxes.size(), out);
 }
 
-/// Rotates `count` row-major rows of `d` values into a frame:
-/// out row r = Tᵀ·(in row r), with T = `frame` (d×d row-major, so
-/// output i is Σ_j frame[j·d + i]·in[j]). Every tier computes each output
-/// as the j = 0 product plus the further products in ascending j, each
-/// product and sum rounded on its own, so the bits do not depend on the
-/// tier. `in` and `out` must not overlap; 1 ≤ d ≤ kMaxRotationDims.
-inline void RotateRows(std::span<const double> frame, size_t d,
-                       const double* in, size_t count, double* out) {
-  KARL_DCHECK(d >= 1 && d <= kMaxRotationDims && frame.size() == d * d)
-      << ": RotateRows of a " << frame.size() << "-value frame at d " << d;
-  internal::ActiveOps().rotate_rows(frame.data(), d, in, count, out);
-}
-
 /// Applies k Householder reflections to `count` row-major rows of `d`
 /// values: out row = H_{k−1}⋯H_0·(in row), H_r = I − 2·v_r·v_rᵀ with
 /// v_r row r of the k×d row-major `reflectors` (unit vectors).
@@ -254,11 +239,11 @@ inline void RotateRows(std::span<const double> frame, size_t d,
 /// same way — eight lane sums, lane l adding the products of j ≡ l
 /// (mod 8) in ascending j, joined as ((s0+s4)+(s2+s6))+((s1+s5)+(s3+s7))
 /// — and rounds every product and sum on its own, so the bits do not
-/// depend on the tier. Costs 2·k·d multiply-adds per row where RotateRows
-/// costs d². `in` and `out` must not overlap; 1 ≤ d ≤ kMaxRotationDims.
+/// depend on the tier. Costs 2·k·d multiply-adds per row. `in` and `out`
+/// must not overlap; 1 ≤ d ≤ kMaxReflectDims.
 inline void ReflectRows(std::span<const double> reflectors, size_t d,
                         const double* in, size_t count, double* out) {
-  KARL_DCHECK(d >= 1 && d <= kMaxRotationDims && reflectors.size() % d == 0)
+  KARL_DCHECK(d >= 1 && d <= kMaxReflectDims && reflectors.size() % d == 0)
       << ": ReflectRows of " << reflectors.size() << " values at d " << d;
   internal::ActiveOps().reflect_rows(reflectors.data(), reflectors.size() / d,
                                      d, in, count, out);

@@ -8,38 +8,16 @@
 
 namespace karl::core::simd {
 
-void SoaLeafBlocks::Build(const data::Matrix& points,
-                          std::span<const size_t> perm,
-                          std::span<const double> weights) {
-  KARL_CHECK(perm.size() == points.rows() && weights.size() == points.rows())
-      << ": " << perm.size() << " permutation entries and " << weights.size()
-      << " weights for " << points.rows() << " points";
-  rows_ = points.rows();
-  dims_ = points.cols();
-  num_blocks_ = NumBlocks(rows_);
-  owned_coords_.assign(num_blocks_ * dims_ * kBlockPoints, 0.0);
-  owned_weights_.assign(num_blocks_ * kBlockPoints, 0.0);
-  for (size_t i = 0; i < rows_; ++i) {
-    const size_t block = i / kBlockPoints;
-    const size_t lane = i % kBlockPoints;
-    const auto row = points.Row(perm[i]);
-    double* base = owned_coords_.data() + block * dims_ * kBlockPoints + lane;
-    for (size_t j = 0; j < dims_; ++j) base[j * kBlockPoints] = row[j];
-    owned_weights_[i] = weights[perm[i]];
-  }
-  coords_ = owned_coords_;
-  weights_ = owned_weights_;
-}
-
 void SoaLeafBlocks::BuildFromRows(size_t rows, size_t dims,
                                   BlockStorage coords,
                                   std::vector<double> weights) {
   const size_t blocks = NumBlocks(rows);
   KARL_CHECK(coords.size() == blocks * dims * kBlockPoints &&
-             weights.size() == blocks * kBlockPoints)
+             weights.size() == rows)
       << ": " << coords.size() << "/" << weights.size()
       << " coordinate/weight values for " << rows << " rows of " << dims;
   std::fill(coords.begin() + rows * dims, coords.end(), 0.0);  // Pad rows.
+  weights.resize(blocks * kBlockPoints, 0.0);
   // A group of 8 rows and its block cover the same 8·dims values, so
   // each group is transposed through one block-sized buffer.
   std::vector<double> group(dims * kBlockPoints);

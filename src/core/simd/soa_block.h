@@ -24,7 +24,7 @@
 // ball trees and arbitrary ranges can still start mid-block.
 //
 // Storage duality, as for TreeIndex: the blocks are either *built*
-// (Build — owned vectors) or *attached* (Attach — non-owning views into
+// (BuildFromRows — owned vectors) or *attached* (Attach — non-owning views into
 // caller memory, typically the blocks section of an mmap-ed snapshot;
 // see registry/snapshot.h). Readers go through spans either way.
 
@@ -38,7 +38,6 @@
 #include <utility>
 #include <vector>
 
-#include "data/matrix.h"
 #include "util/status.h"
 
 namespace karl::core::simd {
@@ -88,19 +87,12 @@ class SoaLeafBlocks {
   SoaLeafBlocks(SoaLeafBlocks&&) = default;
   SoaLeafBlocks& operator=(SoaLeafBlocks&&) = default;
 
-  /// Builds owned blocks whose row i is row perm[i] of `points`, with
-  /// weight weights[perm[i]]: one gather through the tree's permutation
-  /// (perm.size() == points.rows() == weights.size()). O(n·d).
-  void Build(const data::Matrix& points, std::span<const size_t> perm,
-             std::span<const double> weights);
-
-  /// Takes `coords` holding `rows` row-major rows of `dims` values,
-  /// sized NumBlocks(rows)·dims·kBlockPoints (what follows the last row
-  /// need not be initialised), and `weights` sized
-  /// NumBlocks(rows)·kBlockPoints with zeros past the last row, and turns
-  /// each 8-row group into its block in place, zeroing the pad lanes:
-  /// the owned blocks then hold row i as Build's do, and no second n×d
-  /// buffer exists at any point.
+  /// Builds owned blocks whose row i is row i of `coords`, with weight
+  /// weights[i]. Takes `coords` holding `rows` row-major rows of `dims`
+  /// values, sized NumBlocks(rows)·dims·kBlockPoints (what follows the
+  /// last row need not be initialised), and `rows` weights, and turns
+  /// each 8-row group into its block in place, zeroing the pad lanes and
+  /// their weights: no second n×d buffer exists at any point. O(n·d).
   void BuildFromRows(size_t rows, size_t dims, BlockStorage coords,
                      std::vector<double> weights);
 

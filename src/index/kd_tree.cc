@@ -51,16 +51,25 @@ void PrefetchRow(std::span<const double> row) {
 }
 
 // Folds rows rows[0, count) of `points` into the per-dimension minima
-// `lo` and maxima `hi`, reading each row once. The extents only choose
-// the split dimension, so which of two equal zeros they keep does not
-// matter.
+// `lo` and maxima `hi`, reading each row once, four at a time. The
+// extents only choose the split dimension, so which of two equal zeros
+// they keep does not matter.
 template <typename Rows>
 void FoldExtents(const Rows& points, const size_t* rows, size_t count,
                  double* lo, double* hi) {
   constexpr size_t kAhead = 8;  // Rows prefetched ahead of the fold.
   const size_t d = points.cols;
-  for (size_t i = 0; i < count; ++i) {
-    if (i + kAhead < count) PrefetchRow(points.Row(rows[i + kAhead]));
+  size_t i = 0;
+  for (; i + 4 <= count; i += 4) {
+    for (size_t r = i + kAhead; r < std::min(i + 4 + kAhead, count); ++r) {
+      PrefetchRow(points.Row(rows[r]));
+    }
+    const double* four[4] = {
+        points.Row(rows[i]).data(), points.Row(rows[i + 1]).data(),
+        points.Row(rows[i + 2]).data(), points.Row(rows[i + 3]).data()};
+    row_ops::FoldMinMax4(four, d, lo, hi);
+  }
+  for (; i < count; ++i) {
     row_ops::FoldMinMax(points.Row(rows[i]).data(), d, lo, hi);
   }
 }
@@ -69,10 +78,10 @@ void FoldExtents(const Rows& points, const size_t* rows, size_t count,
 
 util::Result<std::unique_ptr<KdTree>> KdTree::Build(
     const data::Matrix& points, std::span<const double> weights,
-    size_t leaf_capacity, Frame frame, std::span<const size_t> rows) {
+    size_t leaf_capacity, Frame frame) {
   std::unique_ptr<KdTree> tree(new KdTree());
-  KARL_RETURN_NOT_OK(tree->BuildShared(points, rows, weights, leaf_capacity,
-                                       std::move(frame)));
+  KARL_RETURN_NOT_OK(
+      tree->BuildShared(points, weights, leaf_capacity, std::move(frame)));
   return tree;
 }
 
@@ -154,9 +163,14 @@ void KdTree::ComputeRegions(const BuildRows& rows) {
     if (nd.is_leaf()) {
       std::fill(l, l + d, std::numeric_limits<double>::infinity());
       std::fill(u, u + d, -std::numeric_limits<double>::infinity());
-      for (size_t i = nd.begin; i < nd.end; ++i) {
-        row_ops::FoldMinMax(rows.Row(i).data(), d, l, u);
+      size_t i = nd.begin;
+      for (; i + 4 <= nd.end; i += 4) {
+        const double* four[4] = {rows.Row(i).data(), rows.Row(i + 1).data(),
+                                 rows.Row(i + 2).data(),
+                                 rows.Row(i + 3).data()};
+        row_ops::FoldMinMax4(four, d, l, u);
       }
+      for (; i < nd.end; ++i) row_ops::FoldMinMax(rows.Row(i).data(), d, l, u);
     } else {
       const size_t left = static_cast<size_t>(nd.left) * d;
       const size_t right = static_cast<size_t>(nd.right) * d;

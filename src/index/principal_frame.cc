@@ -13,8 +13,8 @@
 namespace karl::index {
 namespace {
 
-static_assert(kMaxFrameDims == core::simd::kMaxRotationDims,
-              "a frame must fit the rotation kernel");
+static_assert(kMaxFrameDims == core::simd::kMaxReflectDims,
+              "a frame must fit the reflection kernel");
 
 // Jacobi sweeps of the fit. The axes only have to align boxes with the
 // data, not resolve the spectrum, and one sweep does that as well as
@@ -128,12 +128,6 @@ Frame FitPrincipalFrame(const data::Matrix& points) {
     norm = std::sqrt(norm);
     for (size_t j = 0; j < d; ++j) frame.reflectors[r * d + j] = w[j] / norm;
   }
-  // Row j of T is Tᵀ·e_j, reflected exactly as the points will be.
-  std::vector<double> identity(d * d, 0.0);
-  for (size_t j = 0; j < d; ++j) identity[j * d + j] = 1.0;
-  frame.matrix.resize(d * d);
-  core::simd::ReflectRows(frame.reflectors, d, identity.data(), d,
-                          frame.matrix.data());
 
   // The identity rule: keep the frame only if the sample's boxes shrink
   // in it.
@@ -156,23 +150,13 @@ std::string_view FrameName(const TreeIndex& tree) {
   return tree.frame().empty() ? "identity" : "principal";
 }
 
-double FrameOrthonormalityError(std::span<const double> frame, size_t d) {
-  double worst = 0.0;
-  for (size_t a = 0; a < d; ++a) {
-    for (size_t b = a; b < d; ++b) {
-      double dot = 0.0;
-      for (size_t j = 0; j < d; ++j) {
-        dot += frame[j * d + a] * frame[j * d + b];
-      }
-      const double error = std::abs(dot - (a == b ? 1.0 : 0.0));
-      if (std::isnan(error)) return error;
-      worst = std::max(worst, error);
-    }
-  }
-  return worst;
+double FrameReflectorNormError(std::span<const double> v) {
+  double sq = 0.0;
+  for (const double x : v) sq += x * x;
+  return std::abs(sq - 1.0);
 }
 
-double FrameOrthonormalityTolerance(size_t d) {
+double FrameReflectorNormTolerance(size_t d) {
   return 8.0 * static_cast<double>(d) * std::numeric_limits<double>::epsilon();
 }
 

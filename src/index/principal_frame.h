@@ -27,24 +27,25 @@ inline constexpr size_t kFrameSampleRows = 512;
 
 /// Principal axes a fitted frame aligns with: one per kDimsPerFrameAxis
 /// dimensions, rounded up, at most kFrameAxes. The frame is the product
-/// of that many Householder reflections, so the build rotates a row in
-/// 2·k·d multiply-adds.
+/// of that many Householder reflections, so a point or a query enters it
+/// in 2·k·d multiply-adds.
 inline constexpr size_t kFrameAxes = 4;
 inline constexpr size_t kDimsPerFrameAxis = 5;
 
 /// True iff a tree of `kind` over `d` dimensions is built in a fitted
 /// frame: kd trees with 2 ≤ d ≤ kMaxFrameDims. Ball trees are
 /// rotation-invariant, so a frame buys them nothing; past kMaxFrameDims
-/// the n·d² rotation of the build and the d² one of every query cost
-/// more than the tighter boxes save.
+/// the fit's d² scatter and d³ eigensolve cost more than the tighter
+/// boxes save.
 bool TakesPrincipalFrame(IndexKind kind, size_t d);
 
 /// Fits the principal frame of `points` (2 ≤ cols ≤ kMaxFrameDims). Its
 /// first k = min(kFrameAxes, ⌈d / kDimsPerFrameAxis⌉) axes are the top
 /// eigenvectors of the centred covariance of a strided sample of at most
 /// kFrameSampleRows rows, in decreasing variance; the rest complete them
-/// to an orthonormal basis. T is the product of k Householder reflections, and
-/// the result carries them for the build (Frame::reflectors). The frame
+/// to an orthonormal basis. Tᵀ is the product of k Householder
+/// reflections, and the result carries their unit vectors
+/// (Frame::reflectors). The frame
 /// is kept only if the sample's summed per-axis extent shrinks in it;
 /// otherwise — isotropic data, data already aligned with the axes, or a
 /// non-finite sample value, which the build then reports — the identity
@@ -55,12 +56,13 @@ Frame FitPrincipalFrame(const data::Matrix& points);
 /// "principal" for a tree stored in a fitted frame, "identity" otherwise.
 std::string_view FrameName(const TreeIndex& tree);
 
-/// max over all entries of |TᵀT − I| for a d×d `frame`.
-double FrameOrthonormalityError(std::span<const double> frame, size_t d);
+/// |‖v‖² − 1| for one reflector `v` of a frame (NaN if `v` is not
+/// finite).
+double FrameReflectorNormError(std::span<const double> v);
 
-/// The largest FrameOrthonormalityError an attached frame may show at
-/// `d` dimensions: a few ulp per term of a d-term dot product.
-double FrameOrthonormalityTolerance(size_t d);
+/// The largest FrameReflectorNormError an attached frame may show at `d`
+/// dimensions: a few ulp per term of a d-term sum.
+double FrameReflectorNormTolerance(size_t d);
 
 }  // namespace karl::index
 

@@ -92,16 +92,19 @@ namespace {
 constexpr size_t kFillChunkRows = 64;
 
 // Folds `count` row-major rows of `d` values into the per-dimension
-// minima `lo` and maxima `hi`, and returns the OR of every value's
-// NonFiniteBits.
+// minima `lo` and maxima `hi`, four rows at a time, and returns the OR
+// of every value's NonFiniteBits.
 uint64_t FoldRows(const double* rows, size_t count, size_t d, double* lo,
                   double* hi) {
-  uint64_t bits = 0;
-  for (size_t i = 0; i < count; ++i) {
-    const double* row = rows + i * d;
-    row_ops::FoldMinMax(row, d, lo, hi);
-    for (size_t j = 0; j < d; ++j) bits |= NonFiniteBits(row[j]);
+  size_t i = 0;
+  for (; i + 4 <= count; i += 4) {
+    const double* four[4] = {rows + i * d, rows + (i + 1) * d,
+                             rows + (i + 2) * d, rows + (i + 3) * d};
+    row_ops::FoldMinMax4(four, d, lo, hi);
   }
+  for (; i < count; ++i) row_ops::FoldMinMax(rows + i * d, d, lo, hi);
+  uint64_t bits = 0;
+  for (const double v : std::span(rows, count * d)) bits |= NonFiniteBits(v);
   return bits;
 }
 
@@ -136,10 +139,9 @@ void PermuteRowsInPlace(std::span<const size_t> perm, size_t cols,
 }  // namespace
 
 util::Status TreeIndex::BuildShared(const data::Matrix& input_points,
-                                    std::span<const size_t> input_rows,
                                     std::span<const double> input_weights,
                                     size_t leaf_capacity, Frame frame) {
-  const size_t n = input_rows.empty() ? input_points.rows() : input_rows.size();
+  const size_t n = input_points.rows();
   const size_t d = input_points.cols();
   if (n == 0 || d == 0) {
     return util::Status::InvalidArgument(
@@ -151,25 +153,15 @@ util::Status TreeIndex::BuildShared(const data::Matrix& input_points,
         "weight count " + std::to_string(input_weights.size()) +
         " does not match point count " + std::to_string(n));
   }
-  for (const size_t row : input_rows) {
-    if (row >= input_points.rows()) {
-      return util::Status::InvalidArgument(
-          "row " + std::to_string(row) + " of " +
-          std::to_string(input_points.rows()));
-    }
-  }
   if (leaf_capacity < 1) {
     return util::Status::InvalidArgument("leaf capacity must be >= 1");
   }
-  const bool framed = !frame.matrix.empty();
-  if (framed != !frame.reflectors.empty() ||
-      (framed && (frame.matrix.size() != d * d || d > kMaxFrameDims ||
-                  frame.reflectors.size() % d != 0))) {
+  const bool framed = !frame.reflectors.empty();
+  if (framed && (d > kMaxFrameDims || frame.reflectors.size() % d != 0)) {
     return util::Status::InvalidArgument(
-        "a frame of " + std::to_string(frame.matrix.size()) + " values and " +
-        std::to_string(frame.reflectors.size()) + " reflector values for " +
-        std::to_string(d) + " dimensions (want d×d and k×d, d <= " +
-        std::to_string(kMaxFrameDims) + ")");
+        "a frame of " + std::to_string(frame.reflectors.size()) +
+        " reflector values for " + std::to_string(d) +
+        " dimensions (want k×d, d <= " + std::to_string(kMaxFrameDims) + ")");
   }
   const size_t bad_weight = FirstNonFinite(input_weights);
   if (bad_weight < input_weights.size()) {
@@ -190,40 +182,25 @@ util::Status TreeIndex::BuildShared(const data::Matrix& input_points,
   double* lo = scratch.root_extents.data();
   double* hi = lo + d;
   uint64_t bits = 0;
-  // A subset's rows are gathered a chunk at a time — straight into the
-  // storage for the identity — so that only the blocks hold all of them.
-  std::vector<double> gathered(input_rows.empty() || !framed
-                                   ? 0
-                                   : kFillChunkRows * d);
   for (size_t first = 0; first < n; first += kFillChunkRows) {
     const size_t count = std::min(kFillChunkRows, n - first);
+    const double* in = input_points.Row(first).data();
     double* out = coords.data() + first * d;
-    const double* in = nullptr;
-    if (input_rows.empty()) {
-      in = input_points.Row(first).data();
-    } else {
-      double* to = framed ? gathered.data() : out;
-      for (size_t i = 0; i < count; ++i) {
-        const auto row = input_points.Row(input_rows[first + i]);
-        std::copy(row.begin(), row.end(), to + i * d);
-      }
-      in = to;
-    }
     if (framed) {
       core::simd::ReflectRows(frame.reflectors, d, in, count, out);
-    } else if (in != out) {
+    } else {
       std::copy(in, in + count * d, out);
     }
     bits |= FoldRows(out, count, d, lo, hi);
   }
   if ((bits >> 63) != 0) {
-    // A non-finite input value makes some output non-finite (every row
-    // of an orthonormal T has a non-zero entry); name the input's.
+    // A reflection keeps a non-finite input value non-finite somewhere
+    // in its row; name the input's.
     KARL_RETURN_NOT_OK(CheckFinitePoints(input_points));
     const size_t bad = FirstNonFinite({coords.data(), n * d});
     return util::Status::InvalidArgument(
         "row " + std::to_string(bad / d) +
-        " overflows when rotated into the principal frame");
+        " overflows when reflected into the principal frame");
   }
 
   leaf_capacity_ = leaf_capacity;
@@ -284,9 +261,10 @@ util::Status TreeIndex::BuildShared(const data::Matrix& input_points,
   // while they are still row-major; then each 8-row group into its block
   // — the tree's only copy of the points.
   PermuteRowsInPlace(owned_perm_, d, coords.data());
-  std::vector<double> block_weights(num_blocks * kB, 0.0);
+  std::vector<double> block_weights;
+  block_weights.reserve(num_blocks * kB);  // BuildFromRows pads in place.
   for (size_t i = 0; i < n; ++i) {
-    block_weights[i] = input_weights[owned_perm_[i]];
+    block_weights.push_back(input_weights[owned_perm_[i]]);
   }
   const BuildRows ordered{coords.data(), n, d};
   ComputeSummaries(ordered, block_weights);
@@ -297,7 +275,7 @@ util::Status TreeIndex::BuildShared(const data::Matrix& input_points,
   weight_sums_ = owned_weight_sums_;
   sqnorm_sums_ = owned_sqnorm_sums_;
   point_sums_ = owned_point_sums_;
-  owned_frame_ = std::move(frame.matrix);
+  owned_frame_ = std::move(frame.reflectors);
   frame_ = owned_frame_;
   frame_extent_ratio_ = frame.extent_ratio;
   ComputeRegions(ordered);
@@ -402,22 +380,23 @@ util::Status TreeIndex::AttachShared(const TreeIndexView& view) {
       return util::Status::InvalidArgument(
           "attach: a frame on a " + std::string(IndexKindToString(kind_)));
     }
-    if (d < 2 || d > kMaxFrameDims || view.frame.size() != d * d) {
+    if (d < 2 || d > kMaxFrameDims || view.frame.size() % d != 0 ||
+        view.frame.size() > d * d) {
       return util::Status::InvalidArgument(
           "attach: a frame of " + std::to_string(view.frame.size()) +
-          " values at d = " + std::to_string(d) + " (a frame is d×d, 2 <= d "
-          "<= " + std::to_string(kMaxFrameDims) + ")");
+          " values at d = " + std::to_string(d) + " (a frame is k×d, 1 <= k "
+          "<= d, 2 <= d <= " + std::to_string(kMaxFrameDims) + ")");
     }
-    const size_t bad = FirstNonFinite(view.frame);
-    if (bad < view.frame.size()) {
-      return util::Status::InvalidArgument(
-          "attach: non-finite value in frame[" + std::to_string(bad) + "]");
-    }
-    const double error = FrameOrthonormalityError(view.frame, d);
-    if (!(error <= FrameOrthonormalityTolerance(d))) {
-      return util::Status::InvalidArgument(
-          "attach: frame is not orthonormal (max |TᵀT − I| = " +
-          std::to_string(error) + ")");
+    // Reflections through unit vectors compose to an orthonormal map, so
+    // each vector's norm is all there is to check.
+    for (size_t r = 0; r < view.frame.size() / d; ++r) {
+      const double error = FrameReflectorNormError(view.frame.subspan(r * d, d));
+      if (!(error <= FrameReflectorNormTolerance(d))) {
+        return util::Status::InvalidArgument(
+            "attach: frame reflector " + std::to_string(r) +
+            " is not a unit vector (|‖v‖² − 1| = " + std::to_string(error) +
+            ")");
+      }
     }
   }
   if (!std::isfinite(view.frame_extent_ratio) ||

@@ -16,10 +16,11 @@
 // inner-product bounds over them, are shared.
 //
 // Frame: a kd tree may store its points in an orthonormal frame of its
-// own, x' = Tᵀx (DESIGN.md §17). Every array above then holds rotated
-// coordinates, and a query must be rotated the same way before it meets
-// them; core::Evaluator does that once per query. frame() is empty for
-// the identity, which is what ball trees and trees outside
+// own, x' = Tᵀx, with Tᵀ a product of Householder reflections
+// (DESIGN.md §17). Every array above then holds reflected coordinates,
+// and a query must be reflected the same way before it meets them;
+// core::Evaluator does that once per query. frame() is empty for the
+// identity, which is what ball trees and trees outside
 // [2, kMaxFrameDims] dimensions always keep.
 //
 // Storage duality: a tree is either *built* (BuildShared — it owns every
@@ -58,20 +59,16 @@ enum class IndexKind {
 /// Human-readable name ("kd-tree" / "ball-tree").
 std::string_view IndexKindToString(IndexKind kind);
 
-/// Widest point set a tree is built in a fitted frame for; the rotated
+/// Widest point set a tree is built in a fitted frame for; the reflected
 /// query then fits in a stack buffer of this many values.
 inline constexpr size_t kMaxFrameDims = 64;
 
 /// The frame a tree stores its points in: x' = Tᵀx.
 struct Frame {
-  /// T, d×d row-major: matrix[j·d + i] is coordinate j of axis i. Empty
-  /// means identity.
-  std::vector<double> matrix;
-  /// T factored for the build, empty exactly when `matrix` is: k×d unit
-  /// vectors v_r with Tᵀ = H_{k−1}⋯H_0, H_r = I − 2·v_r·v_rᵀ.
-  /// The build rotates its points with them (core::simd::ReflectRows,
-  /// 2·k·d multiply-adds per row, against d² for T); a tree keeps T
-  /// alone, for its queries and its snapshot.
+  /// Tᵀ = H_{k−1}⋯H_0, H_r = I − 2·v_r·v_rᵀ: the k unit vectors v_r, k×d
+  /// row-major. Points and queries alike are reflected with them
+  /// (core::simd::ReflectRows, 2·k·d multiply-adds per row). Empty means
+  /// identity.
   std::vector<double> reflectors;
   /// The fit's reading that decided the frame: the sample's summed
   /// per-axis extent in the principal frame over that in the data
@@ -191,8 +188,8 @@ class TreeIndex {
   /// The concrete index kind.
   IndexKind kind() const { return kind_; }
 
-  /// T of the frame the points are stored in (d×d row-major, see
-  /// Frame::matrix); empty for the identity.
+  /// The reflectors of the frame the points are stored in (k×d
+  /// row-major, see Frame::reflectors); empty for the identity.
   std::span<const double> frame() const { return frame_; }
 
   /// Frame::extent_ratio of the frame (1 when no fit ran).
@@ -206,7 +203,7 @@ class TreeIndex {
  protected:
   explicit TreeIndex(IndexKind kind) : kind_(kind) {}
 
-  /// Shared build driver: writes every input row, rotated into `frame`
+  /// Shared build driver: writes every input row, reflected into `frame`
   /// (copied for the identity), into the storage that becomes the SoA
   /// blocks, checking each value and folding the root's extents as it
   /// goes; recursively partitions the permutation over those rows using
@@ -215,13 +212,10 @@ class TreeIndex {
   /// ComputeRegions from them; and turns each 8-row group into its
   /// block. No other n×d buffer is allocated. Fails with
   /// InvalidArgument on empty input, a weight count that is not the point
-  /// count, a zero leaf capacity, a frame that is not d×d, or a
+  /// count, a zero leaf capacity, reflectors that are not k×d, or a
   /// non-finite weight or coordinate (naming its row and column): a
   /// non-finite value would build a tree whose snapshot can never attach.
-  /// `input_rows` picks the rows of `input_points` to index, in order
-  /// (input_weights[i] is row input_rows[i]'s); empty means every row.
   util::Status BuildShared(const data::Matrix& input_points,
-                           std::span<const size_t> input_rows,
                            std::span<const double> input_weights,
                            size_t leaf_capacity, Frame frame);
 
@@ -236,7 +230,7 @@ class TreeIndex {
   util::Status AttachShared(const TreeIndexView& view);
 
   /// The rows a build partitions: row-major, in the tree's frame, in
-  /// input order (the order of `input_rows`, if given).
+  /// input order.
   struct BuildRows {
     const double* data = nullptr;
     size_t rows = 0;
@@ -334,7 +328,8 @@ struct TreeIndexView {
   std::span<const double> region_b;     ///< kd: upper; ball: radii.
   size_t leaf_capacity = 0;
   size_t max_depth = 0;
-  /// T of the tree's frame, cols × cols, or empty for the identity.
+  /// The reflectors of the tree's frame, k × cols, or empty for the
+  /// identity.
   std::span<const double> frame;
   double frame_extent_ratio = 1.0;
 };

@@ -57,11 +57,11 @@ constexpr size_t kOffFileBytes = 72;
 constexpr size_t kOffChecksum = 80;
 constexpr size_t kOffTreeBlock = 88;  // Per tree: rows, num_nodes, max_depth.
 constexpr size_t kTreeBlockBytes = 24;
-constexpr size_t kOffFrame = 136;       // u32: 1 = a frame section follows.
+constexpr size_t kOffFrame = 136;       // u32: the frame's reflectors, k.
 constexpr size_t kOffFrameRatio = 144;  // f64: the fit's extent ratio.
 static_assert(kOffChecksum == kSnapshotChecksumOffset);
 static_assert(kOffTreeBlock + 2 * kTreeBlockBytes <= kOffFrame);
-static_assert(kOffFrame == kSnapshotFrameFlagOffset);
+static_assert(kOffFrame == kSnapshotFrameAxesOffset);
 static_assert(kOffFrameRatio + sizeof(double) <= kSnapshotHeaderBytes);
 
 void PutU32(unsigned char* buf, size_t off, uint32_t v) {
@@ -315,7 +315,7 @@ util::Status WriteSnapshotFile(const std::string& path, const Engine& engine) {
   PutU64(header, kOffLeafCapacity, options.leaf_capacity);
   PutU64(header, kOffCols, cols);
   PutU64(header, kOffFileBytes, file_bytes);
-  PutU32(header, kOffFrame, frame.empty() ? 0 : 1);
+  PutU32(header, kOffFrame, static_cast<uint32_t>(frame.size() / cols));
   PutF64(header, kOffFrameRatio, trees[0]->frame_extent_ratio());
   // Checksum field stays zero for hashing; patched in at the end.
   for (size_t t = 0; t < num_trees; ++t) {
@@ -557,12 +557,11 @@ util::Status MappedSnapshot::Parse() {
 
   // The frame section, if any, comes first; the structural checks of its
   // values are the attach's (TreeIndex::AttachShared).
-  const uint32_t has_frame = GetU32(base, kOffFrame);
+  const uint32_t frame_axes = GetU32(base, kOffFrame);
   const double frame_ratio = GetF64(base, kOffFrameRatio);
-  if (has_frame > 1) return reject("corrupt frame flag");
   std::span<const double> frame;
   size_t off = kSnapshotHeaderBytes;
-  if (has_frame == 1) {
+  if (frame_axes > 0) {
     if (options_.index_kind != index::IndexKind::kKdTree) {
       return reject("a frame on a ball-tree snapshot");
     }
@@ -571,8 +570,13 @@ util::Status MappedSnapshot::Parse() {
                     " dimensions (a frame needs 2 to " +
                     std::to_string(index::kMaxFrameDims) + ")");
     }
+    if (frame_axes > cols) {
+      return reject("a frame of " + std::to_string(frame_axes) +
+                    " reflectors at " + std::to_string(cols) + " dimensions");
+    }
     const size_t frame_at = AlignUp(kSnapshotHeaderBytes);
-    frame = {reinterpret_cast<const double*>(base + frame_at), cols * cols};
+    frame = {reinterpret_cast<const double*>(base + frame_at),
+             frame_axes * cols};
     off = AlignUp(frame_at + frame.size_bytes());
     if (off > bytes_) return reject("frame section overruns the file");
   }

@@ -16,10 +16,12 @@
 //   [0,256)  header — magic "KSNP", version, geometry counts, engine
 //            options, weighting type, file size, XXH64 (seed 0)
 //            checksum of the entire file (checksum field zeroed during
-//            hashing), the frame flag and the frame fit's extent ratio.
-//   [256,…)  the frame section, present iff the frame flag is 1: T of
-//            the kd trees' principal frame (index/principal_frame.h),
-//            d×d doubles, row-major. Both trees store their points in it.
+//            hashing), the frame's reflector count k and the frame fit's
+//            extent ratio.
+//   [256,…)  the frame section, present iff k > 0: the k unit vectors
+//            of the Householder reflections that make up the kd trees'
+//            principal frame (index/principal_frame.h), k×d doubles,
+//            row-major. Both trees store their points in it.
 //   then     per-tree sections in fixed order, each aligned to 64 bytes:
 //            nodes, blocks, perm, weight_sums, sqnorm_sums, point_sums,
 //            region_a, region_b. The blocks section holds
@@ -29,13 +31,13 @@
 //            side); I/II store one.
 //
 // Section offsets are *derived* from the header counts, not stored: the
-// layout is a pure function of (frame flag, rows, num_nodes, cols, index
-// kind), so a reader computes offsets and validates that the final
-// offset equals the file size. An engine with the identity frame writes
+// layout is a pure function of (k, rows, num_nodes, cols, index kind),
+// so a reader computes offsets and validates that the final offset
+// equals the file size. An engine with the identity frame writes
 // no frame section, so its trees start at byte 256 as in version 3.
 //
 // Determinism and portability: index construction is deterministic, and
-// its one vectorized step, the rotation into the frame, writes the same
+// its one vectorized step, the reflection into the frame, writes the same
 // bits on every SIMD tier, so `karl build` writes identical bytes for
 // identical inputs on any tier. A snapshot written on one tier loads on
 // any other; answers are then subject to the core/simd tolerance
@@ -61,14 +63,16 @@ namespace karl::registry {
 inline constexpr uint32_t kSnapshotMagic = 0x504E534Bu;  // "KSNP" LE.
 /// Version 2 replaced the v1 FNV-1a checksum with XXH64; version 3
 /// replaced the row-major points and weights sections with the blocks
-/// section; version 4 added the frame flag and section. Older files are
-/// rejected as an unsupported version and must be recompiled.
+/// section; version 4 added the frame's reflector count and section.
+/// Older files are rejected as an unsupported version and must be
+/// recompiled.
 inline constexpr uint32_t kSnapshotVersion = 4;
 inline constexpr size_t kSnapshotHeaderBytes = 256;
 inline constexpr size_t kSnapshotSectionAlign = 64;
 inline constexpr size_t kSnapshotChecksumOffset = 80;
-/// u32 header field: 1 iff a frame section follows the header.
-inline constexpr size_t kSnapshotFrameFlagOffset = 136;
+/// u32 header field: the frame's reflector count k; a frame section of
+/// k×d doubles follows the header iff k > 0.
+inline constexpr size_t kSnapshotFrameAxesOffset = 136;
 
 /// Streaming XXH64 with seed 0: the snapshot checksum. Up to 31 bytes
 /// that do not yet fill a 32-byte stripe are carried between Update()

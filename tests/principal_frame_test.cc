@@ -1,5 +1,5 @@
 // Principal frames (index/principal_frame.h, DESIGN.md §17): the fit,
-// which trees get one, the tier-identical rotation kernels, and that an
+// which trees get one, the tier-identical reflection kernel, and that an
 // engine built in a frame still answers for the caller's coordinates.
 
 #include "index/principal_frame.h"
@@ -12,6 +12,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -69,24 +70,27 @@ class TierGuard {
   simd::Tier saved_;
 };
 
-TEST(PrincipalFrameTest, FitOnObliqueDataIsOrthonormalAndShrinksExtents) {
+TEST(PrincipalFrameTest, FitOnObliqueDataHasUnitReflectorsAndShrinksExtents) {
   for (const size_t d : {2, 3, 10, 54, 64}) {
     SCOPED_TRACE(d);
     const data::Matrix points = ObliquePoints(3000, d, 11 + d);
     const index::Frame frame = index::FitPrincipalFrame(points);
-    ASSERT_EQ(frame.matrix.size(), d * d);
     EXPECT_LT(frame.extent_ratio, 1.0);
     const size_t axes =
         std::min(index::kFrameAxes, (d + index::kDimsPerFrameAxis - 1) /
                                         index::kDimsPerFrameAxis);
-    EXPECT_EQ(frame.reflectors.size(), axes * d);
-    EXPECT_LE(index::FrameOrthonormalityError(frame.matrix, d),
-              index::FrameOrthonormalityTolerance(d));
+    ASSERT_EQ(frame.reflectors.size(), axes * d);
+    for (size_t r = 0; r < axes; ++r) {
+      EXPECT_LE(index::FrameReflectorNormError(
+                    std::span(frame.reflectors).subspan(r * d, d)),
+                index::FrameReflectorNormTolerance(d))
+          << "reflector " << r;
+    }
     // The first axis is the data's long direction: the sample's variance
     // along it is the largest of any axis.
     std::vector<double> rotated(points.rows() * d);
-    simd::RotateRows(frame.matrix, d, points.Row(0).data(), points.rows(),
-                     rotated.data());
+    simd::ReflectRows(frame.reflectors, d, points.Row(0).data(),
+                      points.rows(), rotated.data());
     std::vector<double> var(d, 0.0), mean(d, 0.0);
     for (size_t i = 0; i < points.rows(); ++i) {
       for (size_t j = 0; j < d; ++j) mean[j] += rotated[i * d + j];
@@ -107,7 +111,6 @@ TEST(PrincipalFrameTest, IsotropicAndAxisAlignedDataKeepTheIdentity) {
   // A uniform cube: any rotation only fattens its boxes.
   const data::Matrix cube = data::SampleUniform(4000, 8, -1.0, 1.0, rng);
   const index::Frame cube_frame = index::FitPrincipalFrame(cube);
-  EXPECT_TRUE(cube_frame.matrix.empty());
   EXPECT_TRUE(cube_frame.reflectors.empty());
   EXPECT_GE(cube_frame.extent_ratio, 1.0);
   // An axis-aligned box with distinct widths: already principal, and any
@@ -119,11 +122,11 @@ TEST(PrincipalFrameTest, IsotropicAndAxisAlignedDataKeepTheIdentity) {
       aligned(i, j) = rng.Uniform(0.0, 1.0 + static_cast<double>(j));
     }
   }
-  EXPECT_TRUE(index::FitPrincipalFrame(aligned).matrix.empty());
+  EXPECT_TRUE(index::FitPrincipalFrame(aligned).reflectors.empty());
   // A non-finite sample value: no frame; the build then names the value.
   data::Matrix bad = ObliquePoints(100, 4, 5);
   bad(0, 2) = std::nan("");
-  EXPECT_TRUE(index::FitPrincipalFrame(bad).matrix.empty());
+  EXPECT_TRUE(index::FitPrincipalFrame(bad).reflectors.empty());
   // Values whose scatter overflows: no frame, and a ratio a snapshot
   // header can carry.
   data::Matrix huge = ObliquePoints(100, 4, 6);
@@ -131,7 +134,7 @@ TEST(PrincipalFrameTest, IsotropicAndAxisAlignedDataKeepTheIdentity) {
     for (double& v : huge.MutableRow(i)) v *= 1e200;
   }
   const index::Frame huge_frame = index::FitPrincipalFrame(huge);
-  EXPECT_TRUE(huge_frame.matrix.empty());
+  EXPECT_TRUE(huge_frame.reflectors.empty());
   EXPECT_TRUE(std::isfinite(huge_frame.extent_ratio));
 }
 
@@ -153,7 +156,8 @@ TEST(PrincipalFrameTest, OnlyKdTreesFromTwoToSixtyFourDimensionsTakeAFrame) {
   ASSERT_TRUE(kd.ok()) << kd.status().ToString();
   // Type III: one frame, fitted on every point, in both trees.
   ASSERT_NE(kd.value().minus_tree(), nullptr);
-  EXPECT_EQ(kd.value().plus_tree().frame().size(), 36u);
+  // d = 6 takes ⌈6/5⌉ = 2 reflectors.
+  EXPECT_EQ(kd.value().plus_tree().frame().size(), 12u);
   EXPECT_TRUE(std::ranges::equal(kd.value().plus_tree().frame(),
                                  kd.value().minus_tree()->frame()));
   EXPECT_LT(kd.value().plus_tree().frame_extent_ratio(), 1.0);
@@ -179,7 +183,7 @@ TEST(PrincipalFrameTest, EvaluatorRefusesTreesInDifferentFrames) {
       << ev.status().ToString();
 }
 
-TEST(PrincipalFrameTest, RotationKernelsWriteTheSameBitsOnEveryTier) {
+TEST(PrincipalFrameTest, ReflectionKernelWritesTheSameBitsOnEveryTier) {
   TierGuard guard;
   util::Rng rng(21);
   for (const size_t d : {1, 2, 3, 7, 8, 9, 10, 16, 17, 50, 54, 63, 64}) {
@@ -188,51 +192,48 @@ TEST(PrincipalFrameTest, RotationKernelsWriteTheSameBitsOnEveryTier) {
     std::vector<double> in(rows * d);
     for (double& x : in) x = rng.Uniform(-3.0, 3.0);
     in[0] = -0.0;  // Signed zeros must come out the same too.
-    const data::Matrix points =
-        d >= 2 ? ObliquePoints(200, d, d) : data::Matrix();
-    const index::Frame frame =
-        d >= 2 ? index::FitPrincipalFrame(points) : index::Frame{};
-    std::vector<double> t = frame.matrix;
-    std::vector<double> v = frame.reflectors;
-    if (t.empty()) {
-      t.assign(d * d, 0.0);
-      for (size_t j = 0; j < d; ++j) t[j * d + j] = 1.0;
-    }
+    std::vector<double> v;
+    if (d >= 2) v = index::FitPrincipalFrame(ObliquePoints(200, d, d)).reflectors;
     if (v.empty()) {
       v.assign(d, 0.0);
       v[0] = 1.0;
     }
     simd::ForceTier(simd::Tier::kScalar);
-    std::vector<double> want_rot(rows * d), want_ref(rows * d);
-    simd::RotateRows(t, d, in.data(), rows, want_rot.data());
-    simd::ReflectRows(v, d, in.data(), rows, want_ref.data());
+    std::vector<double> want(rows * d);
+    simd::ReflectRows(v, d, in.data(), rows, want.data());
     for (const simd::Tier tier : SupportedTiers()) {
       SCOPED_TRACE(simd::TierName(tier));
       simd::ForceTier(tier);
-      std::vector<double> rot(rows * d), ref(rows * d);
-      simd::RotateRows(t, d, in.data(), rows, rot.data());
-      simd::ReflectRows(v, d, in.data(), rows, ref.data());
-      EXPECT_EQ(0, std::memcmp(rot.data(), want_rot.data(),
-                               rot.size() * sizeof(double)));
-      EXPECT_EQ(0, std::memcmp(ref.data(), want_ref.data(),
-                               ref.size() * sizeof(double)));
+      std::vector<double> got(rows * d);
+      simd::ReflectRows(v, d, in.data(), rows, got.data());
+      EXPECT_EQ(0, std::memcmp(got.data(), want.data(),
+                               got.size() * sizeof(double)));
     }
   }
 }
 
-TEST(PrincipalFrameTest, ReflectionsAndTheirMatrixRotateAlike) {
+// The reflections make an orthonormal map: inner products, and so
+// distances, come through to within rounding.
+TEST(PrincipalFrameTest, ReflectionsKeepInnerProducts) {
   const size_t d = 12;
   const data::Matrix points = ObliquePoints(500, d, 31);
   const index::Frame frame = index::FitPrincipalFrame(points);
-  ASSERT_FALSE(frame.matrix.empty());
-  std::vector<double> by_matrix(points.rows() * d), by_reflectors(
-                                                        points.rows() * d);
-  simd::RotateRows(frame.matrix, d, points.Row(0).data(), points.rows(),
-                   by_matrix.data());
+  ASSERT_FALSE(frame.reflectors.empty());
+  std::vector<double> reflected(points.rows() * d);
   simd::ReflectRows(frame.reflectors, d, points.Row(0).data(), points.rows(),
-                    by_reflectors.data());
-  for (size_t i = 0; i < by_matrix.size(); ++i) {
-    EXPECT_NEAR(by_matrix[i], by_reflectors[i], 1e-12) << "value " << i;
+                    reflected.data());
+  for (size_t i = 0; i + 1 < points.rows(); i += 7) {
+    const auto a = points.Row(i);
+    const auto b = points.Row(i + 1);
+    double want = 0.0, got = 0.0, aa = 0.0, bb = 0.0;
+    for (size_t j = 0; j < d; ++j) {
+      want += a[j] * b[j];
+      got += reflected[i * d + j] * reflected[(i + 1) * d + j];
+      aa += a[j] * a[j];
+      bb += b[j] * b[j];
+    }
+    EXPECT_NEAR(got, want, 1e-13 * std::sqrt(aa * bb))
+        << "rows " << i << ", " << i + 1;
   }
 }
 
@@ -263,7 +264,8 @@ TEST(PrincipalFrameTest, FramedTkaqMatchesAnExactScanOfTheCallersPoints) {
       const double f =
           core::ExactAggregate(points, weights, options.kernel, q);
       for (const double rel :
-           {-0.5, -1e-3, -1e-9, -1e-11, 1e-11, 1e-9, 1e-3, 0.5}) {
+           {-0.5, -1e-3, -1e-9, -1e-11, -1e-12, 1e-12, 1e-11, 1e-9, 1e-3,
+            0.5}) {
         const double tau = f + rel * std::max(std::abs(f), 1e-300);
         EXPECT_EQ(engine.value().Tkaq(q, tau), f > tau)
             << "query " << i << " F=" << f << " tau=" << tau;

@@ -621,9 +621,10 @@ TEST(SnapshotTest, RejectsWrongMaxDepthEvenWhenResealed) {
   }
 }
 
-// The v4 frame section: a cut inside it, a non-finite or
-// non-orthonormal T, and a frame flag on a ball tree or past 64
-// dimensions are each refused by Map or Attach, naming the file.
+// The v4 frame section: a cut inside it, a non-finite or non-unit
+// reflector, more reflectors than dimensions, and a frame on a ball tree
+// or past 64 dimensions are each refused by Map or Attach, naming the
+// file.
 TEST(SnapshotTest, RejectsBadFrameSectionsNamingThePath) {
   TempDir dir("karl_snap_frame");
   const TestSnapshot snap = WriteTestSnapshot(dir, 13);
@@ -635,8 +636,12 @@ TEST(SnapshotTest, RejectsBadFrameSectionsNamingThePath) {
     ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
     std::tie(frame_at, frame_len) = FrameExtent(mapped.value());
   }
+  uint32_t axes = 0;
+  std::memcpy(&axes, snap.bytes.data() + kSnapshotFrameAxesOffset,
+              sizeof(axes));
+  ASSERT_GE(axes, 1u);
   ASSERT_EQ(frame_at, kSnapshotHeaderBytes);
-  ASSERT_EQ(frame_len, snap.cols * snap.cols * sizeof(double));
+  ASSERT_EQ(frame_len, axes * snap.cols * sizeof(double));
 
   // Truncated inside the frame section, header resealed.
   std::string bad = snap.bytes.substr(0, frame_at + frame_len / 2);
@@ -647,24 +652,31 @@ TEST(SnapshotTest, RejectsBadFrameSectionsNamingThePath) {
   EXPECT_NE(cut.status().message().find(bad_path), std::string::npos)
       << cut.status().ToString();
 
-  // A non-finite entry, and a T that is off orthonormal by far more than
-  // rounding.
+  // A non-finite entry, and a reflector off unit length by far more
+  // than rounding.
   for (const double value : {std::nan(""), HUGE_VAL}) {
     bad = snap.bytes;
     Poke(bad, frame_at + 3 * sizeof(double), value);
-    ExpectAttachRejects(dir, bad, "non-finite value in frame[3]");
+    ExpectAttachRejects(dir, bad, "frame reflector 0 is not a unit vector");
   }
   bad = snap.bytes;
-  double t0 = 0.0;
-  std::memcpy(&t0, bad.data() + frame_at, sizeof(t0));
-  Poke(bad, frame_at, t0 * (1.0 + 1e-9));
-  ExpectAttachRejects(dir, bad, "not orthonormal");
+  const size_t last = frame_at + (axes - 1) * snap.cols * sizeof(double);
+  for (size_t j = 0; j < snap.cols; ++j) {
+    double v = 0.0;
+    std::memcpy(&v, bad.data() + last + j * sizeof(double), sizeof(v));
+    Poke(bad, last + j * sizeof(double), v * (1.0 + 1e-9));
+  }
+  ExpectAttachRejects(dir, bad,
+                      "frame reflector " + std::to_string(axes - 1) +
+                          " is not a unit vector");
 
-  // The frame flag on files that cannot carry a frame.
+  // More reflectors than dimensions, or a frame on a file that cannot
+  // carry one.
   const auto expect_map_rejects = [&](const std::string& bytes,
-                                      const std::string& why) {
+                                      const std::string& why,
+                                      uint32_t frame_axes = 1) {
     std::string flagged = bytes;
-    Poke(flagged, kSnapshotFrameFlagOffset, uint32_t{1});
+    Poke(flagged, kSnapshotFrameAxesOffset, frame_axes);
     Reseal(flagged);
     WriteFileBytes(bad_path, flagged);
     auto mapped = MappedSnapshot::Map(bad_path);
@@ -674,6 +686,10 @@ TEST(SnapshotTest, RejectsBadFrameSectionsNamingThePath) {
     EXPECT_NE(mapped.status().message().find(bad_path), std::string::npos)
         << mapped.status().ToString();
   };
+  expect_map_rejects(snap.bytes,
+                     "a frame of " + std::to_string(snap.cols + 1) +
+                         " reflectors",
+                     static_cast<uint32_t>(snap.cols + 1));
   const data::Matrix points = MakePoints(14, 200);
   const std::vector<double> weights = PositiveWeights(14, points.rows());
   const Engine ball =

@@ -37,6 +37,7 @@
 #include <numeric>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/bounds.h"
@@ -122,14 +123,32 @@ data::Matrix RandomMatrix(size_t n, size_t d, util::Rng& rng) {
   return m;
 }
 
+// Blocks whose row i is row perm[i] of `pts`, with weight
+// weights[perm[i]].
+SoaLeafBlocks BlocksThrough(const data::Matrix& pts,
+                            std::span<const size_t> perm,
+                            std::span<const double> weights) {
+  const size_t d = pts.cols();
+  simd::BlockStorage coords(SoaLeafBlocks::NumBlocks(pts.rows()) * d *
+                            SoaLeafBlocks::kBlockPoints);
+  std::vector<double> permuted_weights;
+  for (size_t i = 0; i < perm.size(); ++i) {
+    const auto row = pts.Row(perm[i]);
+    std::copy(row.begin(), row.end(), coords.begin() + i * d);
+    permuted_weights.push_back(weights[perm[i]]);
+  }
+  SoaLeafBlocks soa;
+  soa.BuildFromRows(pts.rows(), d, std::move(coords),
+                    std::move(permuted_weights));
+  return soa;
+}
+
 // Blocks over `pts` in row order (the identity permutation).
 SoaLeafBlocks BlocksInRowOrder(const data::Matrix& pts,
                                std::span<const double> weights) {
   std::vector<size_t> perm(pts.rows());
   std::iota(perm.begin(), perm.end(), size_t{0});
-  SoaLeafBlocks soa;
-  soa.Build(pts, perm, weights);
-  return soa;
+  return BlocksThrough(pts, perm, weights);
 }
 
 // Σ |wᵢ·K(q,pᵢ)| over [begin, end) — the conditioning scale the leaf
@@ -897,8 +916,7 @@ TEST(SoaBlockTest, LayoutRoundTripsAndPadsWithZeros) {
   // Row i of the blocks is row perm[i] of the input, with its weight.
   std::vector<size_t> perm(n);
   for (size_t i = 0; i < n; ++i) perm[i] = (5 * i + 3) % n;
-  SoaLeafBlocks soa;
-  soa.Build(pts, perm, weights);
+  const SoaLeafBlocks soa = BlocksThrough(pts, perm, weights);
   ASSERT_EQ(soa.rows(), n);
   ASSERT_EQ(soa.dims(), d);
   ASSERT_EQ(soa.num_blocks(), 2u);
@@ -926,7 +944,7 @@ TEST(SoaBlockTest, LayoutRoundTripsAndPadsWithZeros) {
 TEST(SoaBlockTest, EmptyInputStaysEmpty) {
   SoaLeafBlocks soa;
   EXPECT_TRUE(soa.empty());
-  soa.Build(data::Matrix(), {}, {});
+  soa.BuildFromRows(0, 0, {}, {});
   EXPECT_TRUE(soa.empty());
   EXPECT_EQ(soa.num_blocks(), 0u);
 }
