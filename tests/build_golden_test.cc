@@ -71,7 +71,7 @@ const GoldenCase kCases[] = {
     {"kd_I_c33_n100_d10_identical", kKd, 33, 100, 10, Points::kIdentical,
      Weights::kTypeI, 0xc00285e43824a56a},
     {"kd_zero_c10_n403_d54_dup", kKd, 10, 403, 54, Points::kDuplicated,
-     Weights::kSomeZero, 0x4373867271fe4807},
+     Weights::kSomeZero, 0x8ec1a6be2bccd76c},
     {"ball_I_c1_n300_d10", kBall, 1, 300, 10, Points::kUniform,
      Weights::kTypeI, 0x36dbbe2585cd60c8},
     {"ball_II_c10_n2001_d1", kBall, 10, 2001, 1, Points::kUniform,
