@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <numeric>
 
 #include "util/check.h"
@@ -28,12 +29,25 @@ void JacobiEigenSymmetric(std::vector<double> a, size_t d,
   const double stop = 1e-22 * total;
 
   // Rows p and q of a d×d row-major matrix m, rotated: (row_p, row_q) ←
-  // (c·row_p − s·row_q, s·row_p + c·row_q).
+  // (c·row_p − s·row_q, s·row_p + c·row_q), two columns at a time on a
+  // vector-extension type (each element rounded as the scalar loop
+  // rounds it, so the same bits on any target).
+  using Double2 = double __attribute__((vector_size(16)));
   const auto rotate_rows = [d](double* m, size_t p, size_t q, double c,
                                double s) {
     double* rp = m + p * d;
     double* rq = m + q * d;
-    for (size_t k = 0; k < d; ++k) {
+    size_t k = 0;
+    for (; k + 2 <= d; k += 2) {
+      Double2 x, y;
+      std::memcpy(&x, rp + k, sizeof(x));
+      std::memcpy(&y, rq + k, sizeof(y));
+      const Double2 new_p = c * x - s * y;
+      const Double2 new_q = s * x + c * y;
+      std::memcpy(rp + k, &new_p, sizeof(new_p));
+      std::memcpy(rq + k, &new_q, sizeof(new_q));
+    }
+    for (; k < d; ++k) {
       const double x = rp[k];
       const double y = rq[k];
       rp[k] = c * x - s * y;
@@ -65,15 +79,14 @@ void JacobiEigenSymmetric(std::vector<double> a, size_t d,
         // by symmetry, except in the 2×2 block, which takes its closed
         // form (the zero in it is what the rotation is for).
         rotate_rows(a.data(), p, q, c, s);
+        for (size_t k = 0; k < d; ++k) {
+          a[k * d + p] = a[p * d + k];
+          a[k * d + q] = a[q * d + k];
+        }
         a[p * d + p] = app - t * apq;
         a[q * d + q] = aqq + t * apq;
         a[p * d + q] = 0.0;
         a[q * d + p] = 0.0;
-        for (size_t k = 0; k < d; ++k) {
-          if (k == p || k == q) continue;
-          a[k * d + p] = a[p * d + k];
-          a[k * d + q] = a[q * d + k];
-        }
         rotate_rows(vt.data(), p, q, c, s);
       }
     }

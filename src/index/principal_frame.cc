@@ -21,16 +21,76 @@ static_assert(kMaxFrameDims == core::simd::kMaxReflectDims,
 // eight (DESIGN.md §17); the frame is orthonormal whatever their number.
 constexpr int kFitSweeps = 1;
 
-// Σ_j (max_j − min_j) over `count` row-major rows of `d` values.
-double SummedExtent(const double* rows, size_t count, size_t d) {
-  std::vector<double> lo(rows, rows + d);
-  std::vector<double> hi(rows, rows + d);
-  for (size_t r = 1; r < count; ++r) {
-    row_ops::FoldMinMax(rows + r * d, d, lo.data(), hi.data());
-  }
+// Sample rows reflected per step of the identity rule's extent fold.
+constexpr size_t kChunkRows = 64;
+
+// Folds the rows rows[0, count) of `d` values each into the extents
+// `lo` and `hi`, which start as rows[0].
+void FoldSampleRows(const double* const* rows, size_t count, size_t d,
+                    double* lo, double* hi) {
+  size_t i = 0;
+  for (; i + 4 <= count; i += 4) row_ops::FoldMinMax4(rows + i, d, lo, hi);
+  for (; i < count; ++i) row_ops::FoldMinMax(rows[i], d, lo, hi);
+}
+
+// Σ_j (hi_j − lo_j).
+double SummedExtent(const std::vector<double>& lo,
+                    const std::vector<double>& hi) {
   double total = 0.0;
-  for (size_t j = 0; j < d; ++j) total += hi[j] - lo[j];
+  for (size_t j = 0; j < lo.size(); ++j) total += hi[j] - lo[j];
   return total;
+}
+
+// The centred scatter matrix of `d` columns of `stride` values each,
+// zero-padded to whole groups of four vectors: entry (j, k) is the dot
+// product of columns j and k, summed in four vectors of partial sums
+// joined as (p0 + p1) + (p2 + p3), then its two lanes added. The code,
+// and so the bits, do not depend on the SIMD tier. Two entries share
+// each pass over column j, which loads it once for both.
+std::vector<double> Scatter(const std::vector<double>& columns, size_t d,
+                            size_t stride) {
+  using row_ops::Double2;
+  constexpr size_t kStep = 4 * row_ops::kLanes;
+  const auto join = [](const Double2* part) {
+    const Double2 sum = (part[0] + part[1]) + (part[2] + part[3]);
+    return sum[0] + sum[1];
+  };
+  std::vector<double> scatter(d * d);
+  const auto put = [&](size_t j, size_t k, double v) {
+    scatter[j * d + k] = scatter[k * d + j] = v;
+  };
+  for (size_t j = 0; j < d; ++j) {
+    const double* a = columns.data() + j * stride;
+    size_t k = j;
+    for (; k + 2 <= d; k += 2) {
+      const double* b0 = columns.data() + k * stride;
+      const double* b1 = b0 + stride;
+      Double2 p0[4] = {};
+      Double2 p1[4] = {};
+      for (size_t i = 0; i < stride; i += kStep) {
+        for (size_t p = 0; p < 4; ++p) {
+          const size_t at = i + p * row_ops::kLanes;
+          const Double2 x = row_ops::Load(a + at);
+          p0[p] += x * row_ops::Load(b0 + at);
+          p1[p] += x * row_ops::Load(b1 + at);
+        }
+      }
+      put(j, k, join(p0));
+      put(j, k + 1, join(p1));
+    }
+    if (k < d) {
+      const double* b = columns.data() + k * stride;
+      Double2 part[4] = {};
+      for (size_t i = 0; i < stride; i += kStep) {
+        for (size_t p = 0; p < 4; ++p) {
+          const size_t at = i + p * row_ops::kLanes;
+          part[p] += row_ops::Load(a + at) * row_ops::Load(b + at);
+        }
+      }
+      put(j, k, join(part));
+    }
+  }
+  return scatter;
 }
 
 }  // namespace
@@ -45,56 +105,42 @@ Frame FitPrincipalFrame(const data::Matrix& points) {
   Frame identity_frame;
   if (n == 0 || d < 2 || d > kMaxFrameDims) return identity_frame;
 
-  // Every ⌊n/m⌋-th row or so: row ⌊i·n/m⌋ for i < m.
+  // Every ⌊n/m⌋-th row or so: row ⌊i·n/m⌋ for i < m, read in place.
   const size_t m = std::min(n, kFrameSampleRows);
-  std::vector<double> sample(m * d);
+  std::vector<const double*> sample(m);
+  for (size_t i = 0; i < m; ++i) sample[i] = points.Row(i * n / m).data();
+
+  // One pass over the sample checks it, sums the mean and folds the
+  // extents in the data frame.
+  std::vector<double> mean(d, 0.0);
+  std::vector<double> lo(sample[0], sample[0] + d);
+  std::vector<double> hi = lo;
   uint64_t bits = 0;
   for (size_t i = 0; i < m; ++i) {
-    const auto row = points.Row(i * n / m);
-    for (size_t j = 0; j < d; ++j) bits |= NonFiniteBits(row[j]);
-    std::copy(row.begin(), row.end(), sample.begin() + i * d);
+    for (size_t j = 0; j < d; ++j) {
+      bits |= NonFiniteBits(sample[i][j]);
+      mean[j] += sample[i][j];
+    }
   }
   if ((bits >> 63) != 0) return identity_frame;
+  FoldSampleRows(sample.data(), m, d, lo.data(), hi.data());
+  const double before = SummedExtent(lo, hi);
+  for (double& v : mean) v /= static_cast<double>(m);
 
   // The centred scatter matrix (the covariance times m: the factor
-  // changes no axis): each entry one dot product of two centred columns.
-  std::vector<double> mean(d, 0.0);
-  for (size_t i = 0; i < m; ++i) {
-    for (size_t j = 0; j < d; ++j) mean[j] += sample[i * d + j];
-  }
-  for (double& v : mean) v /= static_cast<double>(m);
-  // Zero-padded to whole groups of four vectors, the scatter's dot
-  // products run in four vectors of partial sums; the code, and so the
-  // bits, do not depend on the SIMD tier.
+  // changes no axis), from the centred sample stored column by column.
   constexpr size_t kStep = 4 * row_ops::kLanes;
   const size_t stride = (m + kStep - 1) / kStep * kStep;
   std::vector<double> columns(d * stride, 0.0);
-  for (size_t i = 0; i < m; ++i) {
-    for (size_t j = 0; j < d; ++j) {
-      columns[j * stride + i] = sample[i * d + j] - mean[j];
-    }
-  }
-  std::vector<double> scatter(d * d);
   for (size_t j = 0; j < d; ++j) {
-    for (size_t k = j; k < d; ++k) {
-      const double* a = columns.data() + j * stride;
-      const double* b = columns.data() + k * stride;
-      row_ops::Double2 part[4] = {};
-      for (size_t i = 0; i < stride; i += kStep) {
-        for (size_t p = 0; p < 4; ++p) {
-          const size_t at = i + p * row_ops::kLanes;
-          part[p] += row_ops::Load(a + at) * row_ops::Load(b + at);
-        }
-      }
-      const row_ops::Double2 sum = (part[0] + part[1]) + (part[2] + part[3]);
-      scatter[j * d + k] = scatter[k * d + j] = sum[0] + sum[1];
-    }
+    double* column = columns.data() + j * stride;
+    for (size_t i = 0; i < m; ++i) column[i] = sample[i][j] - mean[j];
   }
 
   std::vector<double> variances;
   std::vector<double> axes;
-  data::JacobiEigenSymmetric(std::move(scatter), d, &variances, &axes,
-                             kFitSweeps);
+  data::JacobiEigenSymmetric(Scatter(columns, d, stride), d, &variances,
+                             &axes, kFitSweeps);
   std::vector<size_t> order(d);
   std::iota(order.begin(), order.end(), size_t{0});
   std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
@@ -130,12 +176,26 @@ Frame FitPrincipalFrame(const data::Matrix& points) {
   }
 
   // The identity rule: keep the frame only if the sample's boxes shrink
-  // in it.
-  const double before = SummedExtent(sample.data(), m, d);
-  std::vector<double> reflected(m * d);
-  core::simd::ReflectRows(frame.reflectors, d, sample.data(), m,
-                          reflected.data());
-  const double after = SummedExtent(reflected.data(), m, d);
+  // in it. The sample is gathered and reflected a chunk at a time.
+  std::vector<double> gathered(kChunkRows * d);
+  std::vector<double> reflected(kChunkRows * d);
+  std::vector<const double*> chunk_rows(kChunkRows);
+  for (size_t first = 0; first < m; first += kChunkRows) {
+    const size_t count = std::min(kChunkRows, m - first);
+    for (size_t i = 0; i < count; ++i) {
+      std::copy(sample[first + i], sample[first + i] + d,
+                gathered.begin() + i * d);
+      chunk_rows[i] = reflected.data() + i * d;
+    }
+    core::simd::ReflectRows(frame.reflectors, d, gathered.data(), count,
+                            reflected.data());
+    if (first == 0) {
+      lo.assign(reflected.begin(), reflected.begin() + d);
+      hi = lo;
+    }
+    FoldSampleRows(chunk_rows.data(), count, d, lo.data(), hi.data());
+  }
+  const double after = SummedExtent(lo, hi);
   frame.extent_ratio = before > 0.0 ? after / before : 1.0;
   if (!(frame.extent_ratio < 1.0)) {
     if (std::isfinite(frame.extent_ratio)) {
