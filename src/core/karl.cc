@@ -16,18 +16,20 @@ namespace karl {
 
 namespace {
 
-// Builds the configured index kind over (points, weights), a kd tree in
-// `frame`.
+// Builds the configured index kind over `rows` of `points` (every row
+// if empty) with `weights`, a kd tree in `frame`.
 util::Result<std::unique_ptr<index::TreeIndex>> BuildIndex(
-    const data::Matrix& points, std::span<const double> weights,
-    const EngineOptions& options, index::Frame frame) {
+    const data::Matrix& points, std::span<const size_t> rows,
+    std::span<const double> weights, const EngineOptions& options,
+    index::Frame frame) {
   if (options.index_kind == index::IndexKind::kKdTree) {
     auto tree = index::KdTree::Build(points, weights, options.leaf_capacity,
-                                     std::move(frame));
+                                     std::move(frame), rows);
     if (!tree.ok()) return tree.status();
     return std::unique_ptr<index::TreeIndex>(std::move(tree).ValueOrDie());
   }
-  auto tree = index::BallTree::Build(points, weights, options.leaf_capacity);
+  auto tree =
+      index::BallTree::Build(points, weights, options.leaf_capacity, rows);
   if (!tree.ok()) return tree.status();
   return std::unique_ptr<index::TreeIndex>(std::move(tree).ValueOrDie());
 }
@@ -105,13 +107,15 @@ util::Result<Engine> Engine::Build(const data::Matrix& points,
   if (num_pos == points.rows()) {
     // Types I and II: one tree over the caller's points and weights as
     // they are; the tree build checks the points.
-    auto plus = BuildIndex(points, weights, options, std::move(frame));
+    auto plus = BuildIndex(points, {}, weights, options, std::move(frame));
     if (!plus.ok()) return plus.status();
     engine.plus_tree_ = std::move(plus).ValueOrDie();
   } else {
     // Split into positive and negative sides (§IV-A2), dropping zero
     // weights; the minus tree stores |w_i| so both trees carry positive
-    // weights. Checked first, so an error names the caller's row.
+    // weights. Each tree reads its rows of the caller's points in place,
+    // with no copy of them. Every row is checked first, the dropped ones
+    // too, so an error names the caller's row.
     KARL_RETURN_NOT_OK(index::CheckFinitePoints(points));
     std::vector<size_t> pos_rows, neg_rows;
     pos_rows.reserve(num_pos);
@@ -126,8 +130,7 @@ util::Result<Engine> Engine::Build(const data::Matrix& points,
     std::vector<double> pos_weights;
     pos_weights.reserve(num_pos);
     for (const size_t i : pos_rows) pos_weights.push_back(weights[i]);
-    auto plus = BuildIndex(points.SelectRows(pos_rows), pos_weights, options,
-                           frame);
+    auto plus = BuildIndex(points, pos_rows, pos_weights, options, frame);
     if (!plus.ok()) return plus.status();
     engine.plus_tree_ = std::move(plus).ValueOrDie();
 
@@ -135,8 +138,8 @@ util::Result<Engine> Engine::Build(const data::Matrix& points,
       std::vector<double> neg_weights;
       neg_weights.reserve(num_neg);
       for (const size_t i : neg_rows) neg_weights.push_back(-weights[i]);
-      auto minus = BuildIndex(points.SelectRows(neg_rows), neg_weights,
-                              options, std::move(frame));
+      auto minus = BuildIndex(points, neg_rows, neg_weights, options,
+                              std::move(frame));
       if (!minus.ok()) return minus.status();
       engine.minus_tree_ = std::move(minus).ValueOrDie();
     }

@@ -25,9 +25,10 @@ void SumRows(const Rows& points, const size_t* rows, size_t count,
 
 util::Result<std::unique_ptr<BallTree>> BallTree::Build(
     const data::Matrix& points, std::span<const double> weights,
-    size_t leaf_capacity) {
+    size_t leaf_capacity, std::span<const size_t> rows) {
   std::unique_ptr<BallTree> tree(new BallTree());
-  KARL_RETURN_NOT_OK(tree->BuildShared(points, weights, leaf_capacity, {}));
+  KARL_RETURN_NOT_OK(
+      tree->BuildShared(points, rows, weights, leaf_capacity, {}));
   return tree;
 }
 

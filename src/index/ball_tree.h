@@ -19,10 +19,11 @@ namespace karl::index {
 /// of a memory-mapped snapshot section.
 class BallTree final : public TreeIndex {
  public:
-  /// Builds a ball-tree. Fails on empty input or mismatched weight count.
+  /// Builds a ball-tree; `rows` as for KdTree::Build. Fails on empty
+  /// input, a mismatched weight count or a row out of range.
   static util::Result<std::unique_ptr<BallTree>> Build(
       const data::Matrix& points, std::span<const double> weights,
-      size_t leaf_capacity);
+      size_t leaf_capacity, std::span<const size_t> rows = {});
 
   /// Attaches over pre-built external storage (see TreeIndexView):
   /// region_a = packed centres (num_nodes × d), region_b = radii

@@ -78,10 +78,10 @@ void FoldExtents(const Rows& points, const size_t* rows, size_t count,
 
 util::Result<std::unique_ptr<KdTree>> KdTree::Build(
     const data::Matrix& points, std::span<const double> weights,
-    size_t leaf_capacity, Frame frame) {
+    size_t leaf_capacity, Frame frame, std::span<const size_t> rows) {
   std::unique_ptr<KdTree> tree(new KdTree());
-  KARL_RETURN_NOT_OK(
-      tree->BuildShared(points, weights, leaf_capacity, std::move(frame)));
+  KARL_RETURN_NOT_OK(tree->BuildShared(points, rows, weights, leaf_capacity,
+                                       std::move(frame)));
   return tree;
 }
 

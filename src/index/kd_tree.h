@@ -24,11 +24,15 @@ namespace karl::index {
 class KdTree final : public TreeIndex {
  public:
   /// Builds a kd-tree over `points` stored in `frame` (the identity by
-  /// default; see TreeIndex::frame()). Fails on empty input, a
-  /// mismatched weight count or reflectors that are not k×d.
+  /// default; see TreeIndex::frame()). `rows`, if not empty, picks the
+  /// rows to index, in order, and weights[i] is row rows[i]'s; the
+  /// permutation (original_indices()) then indexes into `rows`. Fails on
+  /// empty input, a mismatched weight count, a row out of range or
+  /// reflectors that are not k×d.
   static util::Result<std::unique_ptr<KdTree>> Build(
       const data::Matrix& points, std::span<const double> weights,
-      size_t leaf_capacity, Frame frame = {});
+      size_t leaf_capacity, Frame frame = {},
+      std::span<const size_t> rows = {});
 
   /// Attaches over pre-built external storage (see TreeIndexView):
   /// region_a = packed lower corners, region_b = packed upper corners,

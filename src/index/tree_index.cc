@@ -139,9 +139,10 @@ void PermuteRowsInPlace(std::span<const size_t> perm, size_t cols,
 }  // namespace
 
 util::Status TreeIndex::BuildShared(const data::Matrix& input_points,
+                                    std::span<const size_t> input_rows,
                                     std::span<const double> input_weights,
                                     size_t leaf_capacity, Frame frame) {
-  const size_t n = input_points.rows();
+  const size_t n = input_rows.empty() ? input_points.rows() : input_rows.size();
   const size_t d = input_points.cols();
   if (n == 0 || d == 0) {
     return util::Status::InvalidArgument(
@@ -152,6 +153,13 @@ util::Status TreeIndex::BuildShared(const data::Matrix& input_points,
     return util::Status::InvalidArgument(
         "weight count " + std::to_string(input_weights.size()) +
         " does not match point count " + std::to_string(n));
+  }
+  for (const size_t row : input_rows) {
+    if (row >= input_points.rows()) {
+      return util::Status::InvalidArgument(
+          "row " + std::to_string(row) + " of " +
+          std::to_string(input_points.rows()));
+    }
   }
   if (leaf_capacity < 1) {
     return util::Status::InvalidArgument("leaf capacity must be >= 1");
@@ -182,9 +190,21 @@ util::Status TreeIndex::BuildShared(const data::Matrix& input_points,
   double* lo = scratch.root_extents.data();
   double* hi = lo + d;
   uint64_t bits = 0;
+  // A subset's rows are gathered a chunk at a time, so that only the
+  // blocks ever hold all of them.
+  std::vector<double> gathered(input_rows.empty() ? 0 : kFillChunkRows * d);
   for (size_t first = 0; first < n; first += kFillChunkRows) {
     const size_t count = std::min(kFillChunkRows, n - first);
-    const double* in = input_points.Row(first).data();
+    const double* in = nullptr;
+    if (input_rows.empty()) {
+      in = input_points.Row(first).data();
+    } else {
+      for (size_t i = 0; i < count; ++i) {
+        const auto row = input_points.Row(input_rows[first + i]);
+        std::copy(row.begin(), row.end(), gathered.begin() + i * d);
+      }
+      in = gathered.data();
+    }
     double* out = coords.data() + first * d;
     if (framed) {
       core::simd::ReflectRows(frame.reflectors, d, in, count, out);

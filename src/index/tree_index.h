@@ -215,7 +215,10 @@ class TreeIndex {
   /// count, a zero leaf capacity, reflectors that are not k×d, or a
   /// non-finite weight or coordinate (naming its row and column): a
   /// non-finite value would build a tree whose snapshot can never attach.
+  /// `input_rows` picks the rows of `input_points` to index, in order
+  /// (input_weights[i] is row input_rows[i]'s); empty means every row.
   util::Status BuildShared(const data::Matrix& input_points,
+                           std::span<const size_t> input_rows,
                            std::span<const double> input_weights,
                            size_t leaf_capacity, Frame frame);
 
@@ -230,7 +233,7 @@ class TreeIndex {
   util::Status AttachShared(const TreeIndexView& view);
 
   /// The rows a build partitions: row-major, in the tree's frame, in
-  /// input order.
+  /// input order (the order of `input_rows`, if given).
   struct BuildRows {
     const double* data = nullptr;
     size_t rows = 0;

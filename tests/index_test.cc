@@ -480,6 +480,47 @@ TEST(TreeBuildTest, ZeroLeafCapacityFails) {
   EXPECT_FALSE(BallTree::Build(pts, weights, 0).ok());
 }
 
+// A tree over a subset of the rows, read in place, is the tree over a
+// copy of those rows, bit for bit; a row out of range is refused.
+TEST(TreeBuildTest, RowSubsetBuildsTheTreeOfItsCopy) {
+  util::Rng rng(31);
+  const data::Matrix pts = data::SampleUniform(600, 5, -1.0, 1.0, rng);
+  std::vector<size_t> rows;
+  std::vector<double> weights;
+  for (size_t i = 0; i < pts.rows(); i += 3) {
+    rows.push_back(i);
+    weights.push_back(rng.Uniform(0.1, 1.0));
+  }
+  const data::Matrix copy = pts.SelectRows(rows);
+  const auto bits = [](std::span<const double> v) {
+    std::vector<uint64_t> out;
+    for (const double x : v) out.push_back(std::bit_cast<uint64_t>(x));
+    return out;
+  };
+  const auto expect_same = [&](const TreeIndex& a, const TreeIndex& b) {
+    EXPECT_TRUE(std::ranges::equal(a.original_indices(), b.original_indices()));
+    EXPECT_EQ(a.num_nodes(), b.num_nodes());
+    EXPECT_EQ(bits(a.points().coords()), bits(b.points().coords()));
+    EXPECT_EQ(bits(a.weights()), bits(b.weights()));
+    EXPECT_EQ(bits(a.node_point_sums()), bits(b.node_point_sums()));
+    EXPECT_EQ(bits(a.node_sqnorm_sums()), bits(b.node_sqnorm_sums()));
+    EXPECT_EQ(bits(a.region_data_a()), bits(b.region_data_a()));
+    EXPECT_EQ(bits(a.region_data_b()), bits(b.region_data_b()));
+  };
+  auto kd_subset = KdTree::Build(pts, weights, 10, {}, rows);
+  auto kd_copy = KdTree::Build(copy, weights, 10);
+  ASSERT_TRUE(kd_subset.ok() && kd_copy.ok());
+  expect_same(*kd_subset.value(), *kd_copy.value());
+  auto ball_subset = BallTree::Build(pts, weights, 10, rows);
+  auto ball_copy = BallTree::Build(copy, weights, 10);
+  ASSERT_TRUE(ball_subset.ok() && ball_copy.ok());
+  expect_same(*ball_subset.value(), *ball_copy.value());
+
+  rows.back() = pts.rows();
+  EXPECT_FALSE(KdTree::Build(pts, weights, 10, {}, rows).ok());
+  EXPECT_FALSE(BallTree::Build(pts, weights, 10, rows).ok());
+}
+
 TEST(TreeBuildTest, SinglePointTree) {
   data::Matrix pts(1, 2, {0.5, 0.5});
   std::vector<double> weights(1, 3.0);
