@@ -45,8 +45,8 @@ double SummedExtent(const std::vector<double>& lo,
 // zero-padded to whole groups of four vectors: entry (j, k) is the dot
 // product of columns j and k, summed in four vectors of partial sums
 // joined as (p0 + p1) + (p2 + p3), then its two lanes added. The code,
-// and so the bits, do not depend on the SIMD tier. Two entries share
-// each pass over column j, which loads it once for both.
+// and so the bits, do not depend on the SIMD tier. Entries (j, k) and
+// (j, k + 1) share a pass over column j, which loads it once for both.
 std::vector<double> Scatter(const std::vector<double>& columns, size_t d,
                             size_t stride) {
   using row_ops::Double2;
@@ -56,15 +56,12 @@ std::vector<double> Scatter(const std::vector<double>& columns, size_t d,
     return sum[0] + sum[1];
   };
   std::vector<double> scatter(d * d);
-  const auto put = [&](size_t j, size_t k, double v) {
-    scatter[j * d + k] = scatter[k * d + j] = v;
-  };
   for (size_t j = 0; j < d; ++j) {
     const double* a = columns.data() + j * stride;
-    size_t k = j;
-    for (; k + 2 <= d; k += 2) {
+    for (size_t k = j; k < d; k += 2) {
       const double* b0 = columns.data() + k * stride;
-      const double* b1 = b0 + stride;
+      // A last entry without a partner is paired with itself.
+      const double* b1 = k + 1 < d ? b0 + stride : b0;
       Double2 p0[4] = {};
       Double2 p1[4] = {};
       for (size_t i = 0; i < stride; i += kStep) {
@@ -75,19 +72,10 @@ std::vector<double> Scatter(const std::vector<double>& columns, size_t d,
           p1[p] += x * row_ops::Load(b1 + at);
         }
       }
-      put(j, k, join(p0));
-      put(j, k + 1, join(p1));
-    }
-    if (k < d) {
-      const double* b = columns.data() + k * stride;
-      Double2 part[4] = {};
-      for (size_t i = 0; i < stride; i += kStep) {
-        for (size_t p = 0; p < 4; ++p) {
-          const size_t at = i + p * row_ops::kLanes;
-          part[p] += row_ops::Load(a + at) * row_ops::Load(b + at);
-        }
+      scatter[j * d + k] = scatter[k * d + j] = join(p0);
+      if (k + 1 < d) {
+        scatter[j * d + k + 1] = scatter[(k + 1) * d + j] = join(p1);
       }
-      put(j, k, join(part));
     }
   }
   return scatter;
