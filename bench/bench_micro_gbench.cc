@@ -203,8 +203,8 @@ void BM_BatchTkaq(benchmark::State& state) {
 BENCHMARK(BM_BatchTkaq)->Arg(1)->Arg(2)->Arg(8)->Unit(benchmark::kMillisecond);
 
 // SIMD hot-path micro-kernels, registered per reachable tier from
-// main() (see below): the exact-leaf aggregate over the blocked SoA
-// layout and the linear-bound dot product — the two inner loops the
+// main() (see below): the exact-leaf aggregate over the hi/lo planes
+// and the linear-bound dot product — the two inner loops the
 // core/simd tiers vectorize. Compare scalar vs avx2/avx512 instances of
 // the same benchmark to read off the tier speedup.
 
@@ -215,8 +215,7 @@ void BM_SimdLeafAggregate(benchmark::State& state, karl::core::simd::Tier tier,
   simd::ForceTier(tier);
   const size_t n = 4096;
   const auto pts = MakePoints(n, d);
-  simd::BlockStorage coords(simd::SoaLeafBlocks::NumBlocks(n) * d *
-                            simd::SoaLeafBlocks::kBlockPoints);
+  simd::BlockStorage coords(simd::SoaLeafBlocks::StorageDoubles(n, d));
   for (size_t i = 0; i < n; ++i) {
     std::copy(pts.Row(i).begin(), pts.Row(i).end(), coords.begin() + i * d);
   }

@@ -1,15 +1,23 @@
 // SIMD hot-path speedup harness: measures the vectorized evaluator
-// micro-kernels (exact-leaf aggregation over the blocked SoA layout and
-// the linear-bound dot product) under the scalar tier and under the best
-// tier the host supports, and prints the speedup per dimensionality.
+// micro-kernels (the exact and narrow leaf passes over the hi/lo planes
+// and the linear-bound dot product) under the scalar tier and under the
+// best tier the host supports, and prints the speedup per
+// dimensionality.
 //
 // Records gauges (dumped to the karl-bench-v1 JSON via
 // KARL_BENCH_JSON_OUT, committed as BENCH_simd.json at the repo root):
-//   karl_bench_simd_leaf_<kernel>_d<d>_scalar_mpps   scalar tier, Mpoints/s
-//   karl_bench_simd_leaf_<kernel>_d<d>_vector_mpps   best tier, Mpoints/s
+//   karl_bench_simd_leaf_<kernel>_d<d>_scalar_mpps   exact pass, scalar
+//   karl_bench_simd_leaf_<kernel>_d<d>_vector_mpps   exact pass, best tier
 //   karl_bench_simd_leaf_<kernel>_d<d>_speedup       vector / scalar
+//   karl_bench_simd_leaf_<kernel>_d<d>_narrow_{scalar,vector}_mpps,
+//   karl_bench_simd_leaf_<kernel>_d<d>_narrow_speedup
+//                                          narrow pass (distance kernels)
+//   karl_bench_simd_leaf_<kernel>_d<d>_mem_...  the same rows over planes
+//                                          of 32 MiB, past L2
 //   karl_bench_simd_dot_d<d>_speedup                 linear-bound dot
 //   karl_bench_simd_best_tier                        numeric Tier value
+// The rows without _mem_ scan planes of 1 MiB, which stay in a 2 MiB L2.
+// All rows are Mpoints/s over one whole range.
 //
 // The acceptance bar for the SIMD PR — and the CI bench-smoke assertion
 // — is speedup >= 1.0 (never slower than scalar) on every row, with the
@@ -52,6 +60,15 @@ double BestSeconds(F&& f, int repeats) {
   return best;
 }
 
+// `bytes` of planes: the rows that fill them, a multiple of a group.
+size_t RowsFor(size_t bytes, size_t d) {
+  const size_t group_bytes =
+      simd::SoaLeafBlocks::PlaneWords(simd::SoaLeafBlocks::kGroupRows, d) *
+      sizeof(uint32_t);
+  return std::max<size_t>(1, bytes / group_bytes) *
+         simd::SoaLeafBlocks::kGroupRows;
+}
+
 struct LeafFixture {
   karl::data::Matrix pts;
   std::vector<double> weights;
@@ -64,8 +81,7 @@ struct LeafFixture {
       for (double& v : pts.MutableRow(i)) v = rng.Uniform(-1.0, 1.0);
     }
     for (auto& v : q) v = rng.Uniform(-1.0, 1.0);
-    simd::BlockStorage coords(simd::SoaLeafBlocks::NumBlocks(n) * d *
-                              simd::SoaLeafBlocks::kBlockPoints);
+    simd::BlockStorage coords(simd::SoaLeafBlocks::StorageDoubles(n, d));
     for (size_t i = 0; i < n; ++i) {
       std::copy(pts.Row(i).begin(), pts.Row(i).end(), coords.begin() + i * d);
     }
@@ -73,15 +89,18 @@ struct LeafFixture {
   }
 };
 
-// Mpoints/s of LeafAggregate over the full range under `tier`.
+// Mpoints/s of the exact (narrow = false) or narrow pass over the full
+// range under `tier`, `iters` passes per timing.
 double MeasureLeaf(simd::Tier tier, const KernelParams& kernel,
-                   const LeafFixture& fx, int iters) {
+                   const LeafFixture& fx, int iters, bool narrow) {
   simd::ForceTier(tier);
   const auto n = static_cast<uint32_t>(fx.soa.rows());
+  const simd::NarrowQuery nq(kernel, fx.q);
   const auto run = [&] {
     double acc = 0.0;
     for (int it = 0; it < iters; ++it) {
-      acc += simd::LeafAggregate(kernel, fx.soa, 0, n, fx.q);
+      acc += narrow ? simd::LeafInterval(kernel, fx.soa, 0, n, nq).ub
+                    : simd::LeafAggregate(kernel, fx.soa, 0, n, fx.q);
     }
     g_sink = acc;
   };
@@ -136,14 +155,12 @@ int main() {
     return 0;
   }
 
-  const size_t n = 8192;
-  const int kLeafIters = 60;
-  karl::bench::PrintTableHeader(
-      {"kernel", "d", "scalar Mpts/s", "vector Mpts/s", "speedup"});
+  karl::bench::PrintTableHeader({"kernel", "d", "planes", "pass",
+                                 "scalar Mpts/s", "vector Mpts/s",
+                                 "speedup"});
   // d = 10 and 54 are the served dims (home, covtype); d = 4 is small
   // enough for the loop overhead around each vector to show.
   for (const size_t d : {4, 8, 10, 16, 33, 54, 64, 100}) {
-    const LeafFixture fx(n, d);
     const double dd = static_cast<double>(d);
     const struct {
       const char* name;
@@ -151,20 +168,35 @@ int main() {
     } kernels[] = {
         {"gaussian", KernelParams::Gaussian(3.0 / dd)},
         {"laplacian", KernelParams::Laplacian(2.0 / std::sqrt(dd))},
+        {"cauchy", KernelParams::Cauchy(1.5 / dd)},
         {"poly3", KernelParams::Polynomial(0.4 / dd, 0.1, 3)},
     };
-    for (const auto& k : kernels) {
-      const double scalar = MeasureLeaf(simd::Tier::kScalar, k.kernel, fx,
-                                        kLeafIters);
-      const double vector = MeasureLeaf(best, k.kernel, fx, kLeafIters);
-      const double speedup = vector / scalar;
-      const std::string key =
-          std::string("simd_leaf_") + k.name + "_d" + std::to_string(d);
-      karl::bench::RecordBenchMetric(key + "_scalar_mpps", scalar);
-      karl::bench::RecordBenchMetric(key + "_vector_mpps", vector);
-      karl::bench::RecordBenchMetric(key + "_speedup", speedup);
-      karl::bench::PrintTableRow({k.name, std::to_string(d), Fmt(scalar),
-                                  Fmt(vector), Fmt(speedup)});
+    for (const bool mem : {false, true}) {
+      const LeafFixture fx(RowsFor(mem ? 32u << 20 : 1u << 20, d), d);
+      // About 10⁶ points per timing.
+      const int iters =
+          std::max(1, static_cast<int>(1000000 / fx.soa.rows()));
+      for (const auto& k : kernels) {
+        for (const bool narrow : {false, true}) {
+          if (narrow && karl::core::IsInnerProductKernel(k.kernel.type)) {
+            continue;
+          }
+          const double scalar =
+              MeasureLeaf(simd::Tier::kScalar, k.kernel, fx, iters, narrow);
+          const double vector = MeasureLeaf(best, k.kernel, fx, iters, narrow);
+          const double speedup = vector / scalar;
+          const std::string key = std::string("simd_leaf_") + k.name + "_d" +
+                                  std::to_string(d) + (mem ? "_mem" : "") +
+                                  (narrow ? "_narrow" : "");
+          karl::bench::RecordBenchMetric(key + "_scalar_mpps", scalar);
+          karl::bench::RecordBenchMetric(key + "_vector_mpps", vector);
+          karl::bench::RecordBenchMetric(key + "_speedup", speedup);
+          karl::bench::PrintTableRow(
+              {k.name, std::to_string(d), mem ? "32 MiB" : "1 MiB",
+               narrow ? "narrow" : "exact", Fmt(scalar), Fmt(vector),
+               Fmt(speedup)});
+        }
+      }
     }
   }
 

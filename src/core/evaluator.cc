@@ -81,11 +81,12 @@ class Frontier {
     if (!keys_.empty()) SiftDown(last);
   }
 
-  // Sets [*lb, *ub] to `base` plus every live entry's bounds, added in
-  // admission order (popped entries hold [0, 0]).
-  void SumBounds(double base, double* lb, double* ub) const {
-    double l = base;
-    double u = base;
+  // Sets [*lb, *ub] to [base_lb, base_ub] plus every live entry's
+  // bounds, added in admission order (popped entries hold [0, 0]).
+  void SumBounds(double base_lb, double base_ub, double* lb,
+                 double* ub) const {
+    double l = base_lb;
+    double u = base_ub;
     for (const Entry& e : entries_) {
       l += e.lb;
       u += e.ub;
@@ -164,13 +165,16 @@ class Frontier {
 };
 
 // The refinement loop's observer hooks, called in loop order: OnPush for
-// every bounded node entering the frontier, OnLeaf for every effective
-// leaf folded exactly, OnExpand for every popped node, OnStep after the
+// every bounded node entering the frontier, OnLeafScan for every scan of
+// an effective leaf (narrow or exact, retakes included), OnLeaf for every
+// effective leaf folded, OnExpand for every popped node, OnStep after the
 // root admission(s) and after every iteration, OnFinish once with what
 // is left of the frontier. The empty bodies compile away, so a query
 // with nothing attached runs the bare loop.
 struct NullObserver {
   void OnPush(const index::TreeIndex&, const Entry&) {}
+  void OnLeafScan(const index::TreeIndex&, const index::TreeIndex::Node&,
+                  const simd::NodeInterval&, bool) {}
   void OnLeaf(const index::TreeIndex::Node&) {}
   void OnExpand(const index::TreeIndex::Node&) {}
   void OnStep(double, double, const EvalStats&) {}
@@ -232,12 +236,29 @@ class Evaluator::RefineObserver {
     if (audit_) AuditNode(tree, e);
   }
 
+  // A narrow interval must enclose the scalar oracle's fp64 sum with no
+  // tolerance: the widening already charges that sum's own rounding.
+  void OnLeafScan(const index::TreeIndex& tree,
+                  const index::TreeIndex::Node& nd,
+                  const simd::NodeInterval& value, bool narrow) {
+    if (profile_ != nullptr) Level(nd.depth).kernel_evals += nd.count();
+    if (!audit_ || !narrow) return;
+    const double exact = simd::ScalarLeafAggregate(
+        ev_.kernel_, tree.points(), nd.begin, nd.end, q_.data());
+    KARL_CHECK(value.lb <= exact && exact <= value.ub)
+        << ": narrow leaf interval excludes the exact sum; kernel="
+        << KernelTypeToString(ev_.kernel_.type)
+        << " gamma=" << ev_.kernel_.gamma << " tier="
+        << simd::TierName(simd::ActiveTier()) << " range=[" << nd.begin
+        << "," << nd.end << ") lb=" << value.lb << " exact=" << exact
+        << " ub=" << value.ub;
+  }
+
   void OnLeaf(const index::TreeIndex::Node& nd) {
     if (profile_ == nullptr) return;
     TraversalProfile::Level& level = Level(nd.depth);
     ++level.visited;
     ++level.exact_leaves;
-    level.kernel_evals += nd.count();
   }
 
   void OnExpand(const index::TreeIndex::Node& nd) {
@@ -407,6 +428,10 @@ util::Result<Evaluator> Evaluator::CreateWithBounds(
   ev.plus_tree_ = plus_tree;
   ev.minus_tree_ = minus_tree;
   ev.kernel_ = kernel;
+  ev.narrow_leaves_ =
+      !IsInnerProductKernel(kernel.type) &&
+      plus_tree->points().nonnegative_weights() &&
+      (minus_tree == nullptr || minus_tree->points().nonnegative_weights());
   ev.options_ = options;
   ev.bound_fn_ = std::move(bound_fn);
   if (options.metrics != nullptr) {
@@ -509,15 +534,22 @@ EvalStats Evaluator::RefineWith(const Bound& bound, std::span<const double> q,
                                 Stop stop, Observer& observer, double* out_lb,
                                 double* out_ub) const {
   const QueryContext ctx = QueryContext::Make(q);
+  // Distance-kernel leaves are scanned narrow: the fp32 pass over the hi
+  // planes gives an enclosure of the leaf's fp64 sum (DESIGN.md §14).
+  std::optional<simd::NarrowQuery> narrow_q;
+  if (narrow_leaves_) narrow_q.emplace(kernel_, q);
+  const bool narrow = narrow_q.has_value() && narrow_q->usable();
   Frontier frontier;
   // [lb, ub] are running sums: every admission adds a node's bounds and
   // every pop subtracts them, which leaves a rounding residue of about an
-  // ulp of the largest bound ever held. `leaf` sums the exact leaf values
-  // alone, and only ever grows by them; with the live frontier bounds it
-  // re-sums the enclosure without that residue (DESIGN.md §2).
+  // ulp of the largest bound ever held. [leaf_lb, leaf_ub] sums the leaf
+  // intervals alone, and only ever takes more of them; with the live
+  // frontier bounds it re-sums the enclosure without that residue
+  // (DESIGN.md §2).
   double lb = 0.0;
   double ub = 0.0;
-  double leaf = 0.0;
+  double leaf_lb = 0.0;
+  double leaf_ub = 0.0;
   EvalStats work;
 
   // Treats a node as a leaf when it has no children or sits at the level
@@ -529,6 +561,46 @@ EvalStats Evaluator::RefineWith(const Bound& bound, std::span<const double> q,
                                      index::NodeId id) {
     const auto& nd = tree.node(id);
     return nd.is_leaf() || nd.depth >= depth_cap;
+  };
+
+  // The exact sum of a leaf, as a point interval.
+  const auto exact_leaf = [&](const index::TreeIndex& tree,
+                              const index::TreeIndex::Node& nd) {
+    const double exact =
+        simd::LeafAggregate(kernel_, tree.points(), nd.begin, nd.end, q);
+    work.kernel_evals += nd.count();
+    const simd::NodeInterval value{exact, exact};
+    observer.OnLeafScan(tree, nd, value, false);
+    return value;
+  };
+  // A leaf's narrow interval, or its exact sum where the narrow pass does
+  // not serve or its interval is not finite. Sets *narrowed if narrow.
+  const auto scan_leaf = [&](const index::TreeIndex& tree,
+                             const index::TreeIndex::Node& nd,
+                             bool* narrowed) {
+    *narrowed = false;
+    if (narrow) {
+      const simd::NodeInterval value = simd::LeafInterval(
+          kernel_, tree.points(), nd.begin, nd.end, *narrow_q);
+      work.kernel_evals += nd.count();
+      observer.OnLeafScan(tree, nd, value, true);
+      if (value.ub < std::numeric_limits<double>::infinity()) {
+        *narrowed = true;
+        return value;
+      }
+    }
+    return exact_leaf(tree, nd);
+  };
+
+  // Folds a leaf value (positive space, signed by `side`) into
+  // [leaf_lb, leaf_ub] and [lb, ub].
+  const auto fold_leaf = [&](int8_t side, const simd::NodeInterval& value) {
+    const double l = side > 0 ? value.lb : -value.ub;
+    const double u = side > 0 ? value.ub : -value.lb;
+    leaf_lb += l;
+    leaf_ub += u;
+    lb += l;
+    ub += u;
   };
 
   // Folds node `id`'s bounds [node.lb, node.ub] (signed by `side`) into
@@ -552,20 +624,13 @@ EvalStats Evaluator::RefineWith(const Bound& bound, std::span<const double> q,
     frontier.Push(e, e.ub - e.lb);
   };
 
-  // Either folds the exact leaf value of node `id` into [lb, ub], or
-  // bounds the node and pushes it.
-  const auto admit = [&](const index::TreeIndex& tree, int8_t side,
-                         index::NodeId id) {
+  // Admits the root: its leaf value, or its bounds.
+  const auto admit_root = [&](const index::TreeIndex& tree, int8_t side) {
+    const index::NodeId id = tree.root();
     if (is_effective_leaf(tree, id)) {
-      const auto& nd = tree.node(id);
-      const double exact =
-          static_cast<double>(side) *
-          simd::LeafAggregate(kernel_, tree.points(), nd.begin, nd.end, q);
-      work.kernel_evals += nd.count();
-      observer.OnLeaf(nd);
-      leaf += exact;
-      lb += exact;
-      ub += exact;
+      bool narrowed;
+      observer.OnLeaf(tree.node(id));
+      fold_leaf(side, scan_leaf(tree, tree.node(id), &narrowed));
       return;
     }
     simd::NodeInterval node;
@@ -573,21 +638,33 @@ EvalStats Evaluator::RefineWith(const Bound& bound, std::span<const double> q,
     push(tree, side, id, node);
   };
 
-  // Admits both children of an expanded node, left then right. Two
+  // True iff [sum_lb, sum_ub] (positive space, signed by top.side) is
+  // wider than the popped entry `top` on either side.
+  const auto widens = [](const Entry& top, double sum_lb, double sum_ub) {
+    return top.side > 0 ? sum_lb < top.lb || sum_ub > top.ub
+                        : -sum_ub < top.lb || -sum_lb > top.ub;
+  };
+
+  // Admits both children of the popped entry `top`, left then right. Two
   // bounded kd children of the full Gaussian KARL bound take one fused
   // pass; its intervals equal NodeBounds', so the frontier is the same.
+  // Two narrow sibling leaves tile `top`'s range, so one narrow pass
+  // scans them as one leaf a level down. On a kd tree, narrow leaves that
+  // would leave the children's summed interval wider than `top`'s on
+  // either side are retaken exactly, so refinement stays monotone.
   [[maybe_unused]] bool fuse_plus = false;
   [[maybe_unused]] bool fuse_minus = false;
   if constexpr (std::is_same_v<Bound, KarlDistanceBounds>) {
     fuse_plus = bound.FusesBoxes(*plus_tree_);
     fuse_minus = minus_tree_ != nullptr && bound.FusesBoxes(*minus_tree_);
   }
-  const auto expand = [&](const index::TreeIndex& tree, int8_t side,
+  const auto expand = [&](const index::TreeIndex& tree, const Entry& top,
                           const index::TreeIndex::Node& nd) {
+    const int8_t side = top.side;
+    const bool leaf[2] = {is_effective_leaf(tree, nd.left),
+                          is_effective_leaf(tree, nd.right)};
     if constexpr (std::is_same_v<Bound, KarlDistanceBounds>) {
-      if ((side > 0 ? fuse_plus : fuse_minus) &&
-          !is_effective_leaf(tree, nd.left) &&
-          !is_effective_leaf(tree, nd.right)) {
+      if ((side > 0 ? fuse_plus : fuse_minus) && !leaf[0] && !leaf[1]) {
         simd::NodeInterval both[2];
         bound.SiblingBounds(tree, nd.left, nd.right, ctx, both);
         push(tree, side, nd.left, both[0]);
@@ -595,19 +672,56 @@ EvalStats Evaluator::RefineWith(const Bound& bound, std::span<const double> q,
         return;
       }
     }
-    admit(tree, side, nd.left);
-    admit(tree, side, nd.right);
+    const bool kd = tree.kind() == index::IndexKind::kKdTree;
+    if (narrow && leaf[0] && leaf[1]) {
+      index::TreeIndex::Node pair = nd;
+      pair.left = pair.right = index::kInvalidNode;
+      pair.depth = static_cast<uint16_t>(nd.depth + 1);
+      bool narrowed;
+      simd::NodeInterval value = scan_leaf(tree, pair, &narrowed);
+      if (narrowed && kd && widens(top, value.lb, value.ub)) {
+        value = exact_leaf(tree, pair);
+      }
+      observer.OnLeaf(tree.node(nd.left));
+      observer.OnLeaf(tree.node(nd.right));
+      fold_leaf(side, value);
+      return;
+    }
+    const index::NodeId kids[2] = {nd.left, nd.right};
+    simd::NodeInterval value[2];
+    bool narrowed[2] = {false, false};
+    for (int c = 0; c < 2; ++c) {
+      if (leaf[c]) {
+        value[c] = scan_leaf(tree, tree.node(kids[c]), &narrowed[c]);
+      } else {
+        bound.NodeBounds(tree, kids[c], ctx, &value[c].lb, &value[c].ub);
+      }
+    }
+    if ((narrowed[0] || narrowed[1]) && kd &&
+        widens(top, value[0].lb + value[1].lb, value[0].ub + value[1].ub)) {
+      for (int c = 0; c < 2; ++c) {
+        if (narrowed[c]) value[c] = exact_leaf(tree, tree.node(kids[c]));
+      }
+    }
+    for (int c = 0; c < 2; ++c) {
+      if (leaf[c]) {
+        observer.OnLeaf(tree.node(kids[c]));
+        fold_leaf(side, value[c]);
+      } else {
+        push(tree, side, kids[c], value[c]);
+      }
+    }
   };
 
-  admit(*plus_tree_, +1, plus_tree_->root());
-  if (minus_tree_ != nullptr) admit(*minus_tree_, -1, minus_tree_->root());
+  admit_root(*plus_tree_, +1);
+  if (minus_tree_ != nullptr) admit_root(*minus_tree_, -1);
   observer.OnStep(lb, ub, work);
 
   while (!frontier.empty()) {
     // The running sums only propose a stop; the re-summed enclosure
     // confirms it, or refinement goes on from the re-summed values.
     if (stop(lb, ub)) {
-      frontier.SumBounds(leaf, &lb, &ub);
+      frontier.SumBounds(leaf_lb, leaf_ub, &lb, &ub);
       if (stop(lb, ub)) break;
     }
     const Entry top = frontier.Pop();
@@ -622,14 +736,27 @@ EvalStats Evaluator::RefineWith(const Bound& bound, std::span<const double> q,
         << ": leaf node " << top.node << " reached the frontier";
     ++work.nodes_expanded;
     observer.OnExpand(nd);
-    expand(tree, top.side, nd);
+    expand(tree, top, nd);
     frontier.Settle();
     observer.OnStep(lb, ub, work);
   }
 
+  if (frontier.empty()) {
+    // A drained frontier leaves the leaf intervals alone; if they still
+    // leave the query undecided, the exact scan answers. Its kernel
+    // evaluations count at the roots' level.
+    lb = leaf_lb;
+    ub = leaf_ub;
+    if (lb != ub && !stop(lb, ub)) {
+      lb = ub = ScanExact(q);
+      work.kernel_evals += TotalPoints();
+      for (const index::TreeIndex* tree : {plus_tree_, minus_tree_}) {
+        if (tree == nullptr) continue;
+        observer.OnLeafScan(*tree, tree->node(tree->root()), {lb, ub}, false);
+      }
+    }
+  }
   observer.OnFinish(frontier, work);
-  // A drained frontier leaves the exact leaf sum alone.
-  if (frontier.empty()) lb = ub = leaf;
   *out_lb = lb;
   *out_ub = ub;
   return work;
@@ -650,8 +777,8 @@ bool Evaluator::QueryThreshold(std::span<const double> q, double tau,
   const auto stop = [tau](double l, double u) { return l > tau || u <= tau; };
   const EvalStats work = Refine(q_in_frame, stop, trace, profile, &lb, &ub);
   if (stats != nullptr) *stats += work;
-  // Refinement ends on a decided enclosure, or on a drained frontier whose
-  // lb == ub is the exact leaf sum; either way lb decides.
+  // Refinement ends on a decided enclosure, or on the exact answer of a
+  // drained frontier (lb == ub); either way lb decides.
   const bool result = lb > tau;
 
   if (instrumented_) {

@@ -5,12 +5,14 @@
 // The evaluator maintains global [lb, ub] on F_P(q) as the sum of
 // per-entry bounds over a frontier of index nodes. Each iteration pops the
 // entry with the widest bound gap and replaces it with its children's
-// bounds (or the exact leaf aggregate), monotonically tightening [lb, ub]
-// until the query's termination condition holds. [lb, ub] are kept as
-// running sums; when the condition holds on them, the enclosure is
-// re-summed from the exact leaf sums and the live frontier bounds and
-// tested again, and a drained frontier answers the leaf sum exactly
-// (DESIGN.md §2). The frontier is a binary max-heap of 16-byte
+// bounds or leaf values, monotonically tightening [lb, ub] until the
+// query's termination condition holds. A distance-kernel leaf's value is
+// the narrow pass's enclosure of its fp64 sum (core/simd/simd.h
+// LeafInterval), else its exact sum. [lb, ub] are kept as running sums;
+// when the condition holds on them, the enclosure is re-summed from the
+// leaf intervals and the live frontier bounds and tested again, and a
+// frontier that drains with the query still undecided answers from the
+// exact scan (DESIGN.md §2). The frontier is a binary max-heap of 16-byte
 // {gap, admission order} keys over an append-only entry array; the first
 // child admitted after a pop takes the popped root in place, and equal
 // gaps pop in admission order (DESIGN.md §2).
@@ -246,6 +248,9 @@ class Evaluator {
   Options options_;
   std::unique_ptr<BoundFunction> bound_fn_;
   BoundCall bound_call_ = BoundCall::kVirtual;
+  // True iff leaves are scanned narrow: a distance kernel over trees
+  // whose weights are all ≥ 0.
+  bool narrow_leaves_ = false;
   Instruments instruments_;
   bool instrumented_ = false;  // True iff options_.metrics != nullptr.
 };

@@ -9,7 +9,10 @@
 
 #include <immintrin.h>
 
+#include <cmath>
+
 #include "core/simd/kernels_impl.h"
+#include "core/simd/narrow_impl.h"
 
 namespace karl::core::simd::internal {
 
@@ -36,6 +39,23 @@ struct Avx2Ops {
         _mm256_set1_epi64x(static_cast<long long>(n)),
         _mm256_setr_epi64x(0, 1, 2, 3));
     _mm256_maskstore_pd(p, mask, v);
+  }
+  static Vec LoadPlanes(const uint32_t* hi, const uint32_t* lo) {
+    const __m256d wide =
+        _mm256_cvtps_pd(_mm_loadu_ps(reinterpret_cast<const float*>(hi)));
+    const __m256i low = _mm256_cvtepu32_epi64(
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(lo)));
+    return _mm256_castsi256_pd(
+        _mm256_or_si256(_mm256_castpd_si256(wide), low));
+  }
+  static Vec KeepLanes(Vec v, size_t lo, size_t hi) {
+    const __m256i lane = _mm256_setr_epi64x(0, 1, 2, 3);
+    const __m256i mask = _mm256_andnot_si256(
+        _mm256_cmpgt_epi64(_mm256_set1_epi64x(static_cast<long long>(lo)),
+                           lane),
+        _mm256_cmpgt_epi64(_mm256_set1_epi64x(static_cast<long long>(hi)),
+                           lane));
+    return _mm256_and_pd(v, _mm256_castsi256_pd(mask));
   }
   static Vec FromLanes(const double* p) {
     return _mm256_setr_pd(p[0], p[1], p[2], p[3]);
@@ -69,6 +89,112 @@ struct Avx2Ops {
   }
 };
 
+// The narrow pass's fp32 ops: half a 16-row group per vector.
+struct Avx2F32 {
+  using Vec = __m256;
+  static constexpr size_t kLanes = 8;
+  static constexpr int kTier = static_cast<int>(Tier::kAvx2);
+
+  static Vec LoadWords(const uint32_t* p) {
+    return _mm256_loadu_ps(reinterpret_cast<const float*>(p));
+  }
+  static Vec KeepLanes(Vec v, size_t lo, size_t hi) {
+    const __m256i lane = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+    const __m256i mask = _mm256_andnot_si256(
+        _mm256_cmpgt_epi32(_mm256_set1_epi32(static_cast<int>(lo)), lane),
+        _mm256_cmpgt_epi32(_mm256_set1_epi32(static_cast<int>(hi)), lane));
+    return _mm256_and_ps(v, _mm256_castsi256_ps(mask));
+  }
+  static Vec Load(const float* p) { return _mm256_loadu_ps(p); }
+  static void Store(float* p, Vec v) { _mm256_storeu_ps(p, v); }
+  static Vec Set1(float x) { return _mm256_set1_ps(x); }
+  static Vec Zero() { return _mm256_setzero_ps(); }
+  static Vec Add(Vec a, Vec b) { return _mm256_add_ps(a, b); }
+  static Vec Sub(Vec a, Vec b) { return _mm256_sub_ps(a, b); }
+  static Vec Mul(Vec a, Vec b) { return _mm256_mul_ps(a, b); }
+  static Vec Div(Vec a, Vec b) { return _mm256_div_ps(a, b); }
+  static Vec Min(Vec a, Vec b) { return _mm256_min_ps(a, b); }
+  static Vec Max(Vec a, Vec b) { return _mm256_max_ps(a, b); }
+  static Vec Sqrt(Vec a) { return _mm256_sqrt_ps(a); }
+  static Vec Fma(Vec a, Vec b, Vec c) { return _mm256_fmadd_ps(a, b, c); }
+  static Vec Fnma(Vec a, Vec b, Vec c) { return _mm256_fnmadd_ps(a, b, c); }
+  static Vec ZeroAbove(Vec v, Vec x, Vec t) {
+    return _mm256_and_ps(v, _mm256_cmp_ps(x, t, _CMP_LE_OQ));
+  }
+  static Vec Pow2Mul(Vec p, Vec k) {
+    const __m256i bits = _mm256_slli_epi32(
+        _mm256_add_epi32(_mm256_cvtps_epi32(k), _mm256_set1_epi32(127)), 23);
+    return _mm256_mul_ps(p, _mm256_castsi256_ps(bits));
+  }
+  static double SumLanes(Vec v) {
+    return Avx2Ops::ReduceAdd(
+        _mm256_add_pd(_mm256_cvtps_pd(_mm256_castps256_ps128(v)),
+                      _mm256_cvtps_pd(_mm256_extractf128_ps(v, 1))));
+  }
+  static float MaxLanes(Vec v) {
+    __m128 m4 = _mm_max_ps(_mm256_castps256_ps128(v),
+                           _mm256_extractf128_ps(v, 1));
+    m4 = _mm_max_ps(m4, _mm_movehl_ps(m4, m4));
+    m4 = _mm_max_ss(m4, _mm_shuffle_ps(m4, m4, 1));
+    return _mm_cvtss_f32(m4);
+  }
+};
+
+// SplitToPlanes of the 4 doubles in `bits` into hi[0 .. 4) and
+// lo[0 .. 4), in integer ops; ORs an all-ones lane into *out_of_range
+// for each value at or above 2^128 in magnitude (or NaN).
+inline void SplitFour(__m256i bits, uint32_t* hi, uint32_t* lo,
+                      __m256i* out_of_range) {
+  const __m256i abs_mask = _mm256_set1_epi64x(0x7FFFFFFFFFFFFFFFLL);
+  // mag > these: normal, and out of range (magnitudes compare as
+  // signed, for they are below 2^63).
+  const __m256i below_normal =
+      _mm256_set1_epi64x((int64_t{1023 - 126} << 52) - 1);
+  const __m256i below_limit =
+      _mm256_set1_epi64x((int64_t{1023 + 128} << 52) - 1);
+  const __m256i bias = _mm256_set1_epi64x(int64_t{1023 - 127} << 52);
+  const __m256i lo_mask = _mm256_set1_epi64x(0x1FFFFFFF);
+  const __m256i even = _mm256_setr_epi32(0, 2, 4, 6, 0, 2, 4, 6);
+  const __m256i mag = _mm256_and_si256(bits, abs_mask);
+  const __m256i normal = _mm256_cmpgt_epi64(mag, below_normal);
+  *out_of_range =
+      _mm256_or_si256(*out_of_range, _mm256_cmpgt_epi64(mag, below_limit));
+  const __m256i sign =
+      _mm256_srli_epi64(_mm256_andnot_si256(abs_mask, bits), 32);
+  const __m256i h = _mm256_or_si256(
+      sign, _mm256_and_si256(
+                normal, _mm256_srli_epi64(_mm256_sub_epi64(mag, bias), 29)));
+  const __m256i l = _mm256_and_si256(normal, _mm256_and_si256(bits, lo_mask));
+  _mm_storeu_si128(
+      reinterpret_cast<__m128i*>(hi),
+      _mm256_castsi256_si128(_mm256_permutevar8x32_epi32(h, even)));
+  _mm_storeu_si128(
+      reinterpret_cast<__m128i*>(lo),
+      _mm256_castsi256_si128(_mm256_permutevar8x32_epi32(l, even)));
+}
+
+// A group's planes, 4 rows per step: each dimension's values gathered
+// from the rows, then split.
+bool SplitGroupAvx2(const double* rows, size_t dims, const double* weights,
+                    uint32_t* hi, uint32_t* lo) {
+  constexpr size_t kG = SoaLeafBlocks::kGroupRows;
+  const auto stride = static_cast<int64_t>(dims);
+  const __m256i first = _mm256_setr_epi64x(0, stride, 2 * stride, 3 * stride);
+  __m256i out_of_range = _mm256_setzero_si256();
+  for (size_t j = 0; j < dims; ++j) {
+    for (size_t r = 0; r < kG; r += 4) {
+      const __m256d v = _mm256_i64gather_pd(rows + r * dims + j, first, 8);
+      SplitFour(_mm256_castpd_si256(v), hi + j * kG + r, lo + j * kG + r,
+                &out_of_range);
+    }
+  }
+  for (size_t r = 0; r < kG; r += 4) {
+    SplitFour(_mm256_loadu_si256(reinterpret_cast<const __m256i*>(weights + r)),
+              hi + dims * kG + r, lo + dims * kG + r, &out_of_range);
+  }
+  return _mm256_testz_si256(out_of_range, out_of_range) != 0;
+}
+
 constexpr Ops kAvx2OpsTable = {
     DotN<Avx2Ops>,
     SqnormN<Avx2Ops>,
@@ -77,6 +203,9 @@ constexpr Ops kAvx2OpsTable = {
     BoxGeometryN<Avx2Ops>,
     KarlGaussianBoxBoundsN<Avx2Ops>,
     ReflectRowsN<Avx2Ops>,
+    LeafIntervalN<Avx2F32>,
+    NarrowExpBlockN<Avx2F32>,
+    SplitGroupAvx2,
 };
 
 }  // namespace

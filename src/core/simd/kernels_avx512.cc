@@ -1,4 +1,5 @@
-// AVX-512F tier: one full 8-point SoA block per vector. Built with
+// AVX-512F tier: 8 fp64 lanes per vector in the exact pass, a whole
+// 16-row group per vector in the narrow pass. Built with
 // -mavx512f when the toolchain supports it (KARL_SIMD_TU_AVX512);
 // otherwise a stub, exactly like kernels_avx2.cc. Only the F subset is
 // used, so any AVX-512 machine qualifies.
@@ -9,7 +10,10 @@
 
 #include <immintrin.h>
 
+#include <cmath>
+
 #include "core/simd/kernels_impl.h"
+#include "core/simd/narrow_impl.h"
 
 namespace karl::core::simd::internal {
 
@@ -28,6 +32,18 @@ struct Avx512Ops {
   static void Store(double* p, Vec v) { _mm512_storeu_pd(p, v); }
   static void StoreLanes(double* p, Vec v, size_t n) {
     _mm512_mask_storeu_pd(p, static_cast<__mmask8>((1u << n) - 1), v);
+  }
+  static Vec LoadPlanes(const uint32_t* hi, const uint32_t* lo) {
+    const __m512d wide =
+        _mm512_cvtps_pd(_mm256_loadu_ps(reinterpret_cast<const float*>(hi)));
+    const __m512i low = _mm512_cvtepu32_epi64(
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(lo)));
+    return _mm512_castsi512_pd(
+        _mm512_or_si512(_mm512_castpd_si512(wide), low));
+  }
+  static Vec KeepLanes(Vec v, size_t lo, size_t hi) {
+    return _mm512_maskz_mov_pd(
+        static_cast<__mmask8>((1u << hi) - (1u << lo)), v);
   }
   static Vec FromLanes(const double* p) {
     return _mm512_setr_pd(p[0], p[1], p[2], p[3], p[4], p[5], p[6], p[7]);
@@ -65,6 +81,107 @@ struct Avx512Ops {
   }
 };
 
+// The narrow pass's fp32 ops: one 16-row group per vector.
+struct Avx512F32 {
+  using Vec = __m512;
+  static constexpr size_t kLanes = 16;
+  static constexpr int kTier = static_cast<int>(Tier::kAvx512);
+
+  static Vec LoadWords(const uint32_t* p) {
+    return _mm512_loadu_ps(reinterpret_cast<const float*>(p));
+  }
+  static Vec KeepLanes(Vec v, size_t lo, size_t hi) {
+    return _mm512_maskz_mov_ps(
+        static_cast<__mmask16>((1u << hi) - (1u << lo)), v);
+  }
+  static Vec Load(const float* p) { return _mm512_loadu_ps(p); }
+  static void Store(float* p, Vec v) { _mm512_storeu_ps(p, v); }
+  static Vec Set1(float x) { return _mm512_set1_ps(x); }
+  static Vec Zero() { return _mm512_setzero_ps(); }
+  static Vec Add(Vec a, Vec b) { return _mm512_add_ps(a, b); }
+  static Vec Sub(Vec a, Vec b) { return _mm512_sub_ps(a, b); }
+  static Vec Mul(Vec a, Vec b) { return _mm512_mul_ps(a, b); }
+  static Vec Div(Vec a, Vec b) { return _mm512_div_ps(a, b); }
+  static Vec Min(Vec a, Vec b) { return _mm512_maskz_min_ps(0xFFFF, a, b); }
+  static Vec Max(Vec a, Vec b) { return _mm512_maskz_max_ps(0xFFFF, a, b); }
+  static Vec Sqrt(Vec a) { return _mm512_maskz_sqrt_ps(0xFFFF, a); }
+  static Vec Fma(Vec a, Vec b, Vec c) { return _mm512_fmadd_ps(a, b, c); }
+  static Vec Fnma(Vec a, Vec b, Vec c) { return _mm512_fnmadd_ps(a, b, c); }
+  static Vec ZeroAbove(Vec v, Vec x, Vec t) {
+    return _mm512_maskz_mov_ps(_mm512_cmp_ps_mask(x, t, _CMP_LE_OQ), v);
+  }
+  static Vec Pow2Mul(Vec p, Vec k) {
+    return _mm512_maskz_scalef_ps(0xFFFF, p, k);
+  }
+  // The two 8-lane halves, through the fp64 view (see ReduceAdd).
+  template <int I>
+  static __m256 Half(Vec v) {
+    return _mm256_castpd_ps(
+        _mm512_maskz_extractf64x4_pd(0xF, _mm512_castps_pd(v), I));
+  }
+  static double SumLanes(Vec v) {
+    return Avx512Ops::ReduceAdd(_mm512_add_pd(_mm512_cvtps_pd(Half<0>(v)),
+                                              _mm512_cvtps_pd(Half<1>(v))));
+  }
+  static float MaxLanes(Vec v) {
+    const __m256 m = _mm256_max_ps(Half<0>(v), Half<1>(v));
+    __m128 m4 = _mm_max_ps(_mm256_castps256_ps128(m),
+                           _mm256_extractf128_ps(m, 1));
+    m4 = _mm_max_ps(m4, _mm_movehl_ps(m4, m4));
+    m4 = _mm_max_ss(m4, _mm_shuffle_ps(m4, m4, 1));
+    return _mm_cvtss_f32(m4);
+  }
+};
+
+// SplitToPlanes of the 8 doubles in `bits` into hi[0 .. 8) and
+// lo[0 .. 8), in integer ops; sets a bit of *out_of_range for each value
+// at or above 2^128 in magnitude (or NaN). The all-lanes maskz forms
+// keep gcc 12 from flagging the plain forms' undefined source operand.
+inline void SplitEight(__m512i bits, uint32_t* hi, uint32_t* lo,
+                       __mmask8* out_of_range) {
+  const __m512i abs_mask = _mm512_set1_epi64(0x7FFFFFFFFFFFFFFFLL);
+  const __m512i min_normal = _mm512_set1_epi64(int64_t{1023 - 126} << 52);
+  const __m512i bias = _mm512_set1_epi64(int64_t{1023 - 127} << 52);
+  const __m512i limit = _mm512_set1_epi64(int64_t{1023 + 128} << 52);
+  const __m512i lo_mask = _mm512_set1_epi64(0x1FFFFFFF);
+  const __m512i mag = _mm512_and_si512(bits, abs_mask);
+  const __mmask8 normal = _mm512_cmpge_epu64_mask(mag, min_normal);
+  *out_of_range |= _mm512_cmpge_epu64_mask(mag, limit);
+  const __m512i sign = _mm512_maskz_srli_epi64(
+      0xFF, _mm512_maskz_andnot_epi64(0xFF, abs_mask, bits), 32);
+  const __m512i h = _mm512_or_si512(
+      sign, _mm512_maskz_srli_epi64(normal, _mm512_sub_epi64(mag, bias), 29));
+  const __m512i l = _mm512_maskz_and_epi64(normal, bits, lo_mask);
+  _mm256_storeu_si256(reinterpret_cast<__m256i*>(hi),
+                      _mm512_maskz_cvtepi64_epi32(0xFF, h));
+  _mm256_storeu_si256(reinterpret_cast<__m256i*>(lo),
+                      _mm512_maskz_cvtepi64_epi32(0xFF, l));
+}
+
+// A group's planes, 8 rows per step: each dimension's values gathered
+// from the rows, then split.
+bool SplitGroupAvx512(const double* rows, size_t dims,
+                      const double* weights, uint32_t* hi, uint32_t* lo) {
+  constexpr size_t kG = SoaLeafBlocks::kGroupRows;
+  const auto stride = static_cast<int64_t>(dims);
+  const __m512i first =
+      _mm512_setr_epi64(0, stride, 2 * stride, 3 * stride, 4 * stride,
+                        5 * stride, 6 * stride, 7 * stride);
+  __mmask8 out_of_range = 0;
+  for (size_t j = 0; j < dims; ++j) {
+    for (size_t r = 0; r < kG; r += 8) {
+      const __m512d v = _mm512_i64gather_pd(first, rows + r * dims + j, 8);
+      SplitEight(_mm512_castpd_si512(v), hi + j * kG + r, lo + j * kG + r,
+                 &out_of_range);
+    }
+  }
+  for (size_t r = 0; r < kG; r += 8) {
+    SplitEight(_mm512_loadu_si512(weights + r), hi + dims * kG + r,
+               lo + dims * kG + r, &out_of_range);
+  }
+  return out_of_range == 0;
+}
+
 constexpr Ops kAvx512OpsTable = {
     DotN<Avx512Ops>,
     SqnormN<Avx512Ops>,
@@ -73,6 +190,9 @@ constexpr Ops kAvx512OpsTable = {
     BoxGeometryN<Avx512Ops>,
     KarlGaussianBoxBoundsN<Avx512Ops>,
     ReflectRowsN<Avx512Ops>,
+    LeafIntervalN<Avx512F32>,
+    NarrowExpBlockN<Avx512F32>,
+    SplitGroupAvx512,
 };
 
 }  // namespace

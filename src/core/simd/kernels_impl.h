@@ -16,6 +16,10 @@
 //   void StoreLanes(double* p, Vec v, size_t n);
 //        // lanes [0, n) of v to p (n ≤ kLanes); never touches memory
 //        // past them
+//   Vec  LoadPlanes(const uint32_t* hi, const uint32_t* lo);
+//        // kLanes doubles rebuilt from their hi and lo plane words
+//   Vec  KeepLanes(Vec v, size_t lo, size_t hi);
+//        // lanes [lo, hi) of v, the rest +0 (lo ≤ hi ≤ kLanes)
 //   Vec  Set1(double);  Vec Zero();
 //   Vec  Add/Sub/Mul/Div(Vec, Vec);
 //   Vec  Fma(a, b, c)  = a*b + c;       // fused
@@ -162,16 +166,26 @@ template <KernelType K>
 inline constexpr bool kInnerProductKernel =
     K == KernelType::kPolynomial || K == KernelType::kSigmoid;
 
-// The kernel profiles of N ∈ {1, 2} vectors of SoA lanes, x[i] pointing
-// at vector i's lanes of dimension 0 (dimension j lies j·kBlockPoints
-// further on). The vectors' distance (or dot) chains and then their exps
-// run side by side; each vector's arithmetic is the one it runs alone.
+// One vector's lanes of dimension 0 in the planes: its hi and lo words
+// (dimension j lies j·kGroupRows further on in both, the weights at
+// j = dims).
+struct PlaneLanes {
+  const uint32_t* hi;
+  const uint32_t* lo;
+};
+
+// The kernel profiles of N ∈ {1, 2} vectors of plane lanes x[i]. The
+// vectors' distance (or dot) chains and then their exps run side by
+// side; each vector's arithmetic is the one it runs alone.
 template <typename O, KernelType K, size_t N>
-inline void LeafProfiles(const KernelParams& kernel, const double* const* x,
+inline void LeafProfiles(const KernelParams& kernel, const PlaneLanes* x,
                          const double* q, size_t d, double scale,
                          typename O::Vec* profile) {
   using V = typename O::Vec;
-  constexpr size_t kB = SoaLeafBlocks::kBlockPoints;
+  constexpr size_t kG = SoaLeafBlocks::kGroupRows;
+  const auto load = [&x](size_t i, size_t j) {
+    return O::LoadPlanes(x[i].hi + j * kG, x[i].lo + j * kG);
+  };
   V arg[N];
   if constexpr (kInnerProductKernel<K>) {
     V dot[N] = {};
@@ -179,7 +193,7 @@ inline void LeafProfiles(const KernelParams& kernel, const double* const* x,
       const V qj = O::Set1(q[j]);
 #pragma GCC unroll 2
       for (size_t i = 0; i < N; ++i) {
-        dot[i] = O::Fma(qj, O::Load(x[i] + j * kB), dot[i]);
+        dot[i] = O::Fma(qj, load(i, j), dot[i]);
       }
     }
 #pragma GCC unroll 2
@@ -196,8 +210,8 @@ inline void LeafProfiles(const KernelParams& kernel, const double* const* x,
       const V q_odd = O::Set1(q[j + 1]);
 #pragma GCC unroll 2
       for (size_t i = 0; i < N; ++i) {
-        const V diff_even = O::Sub(q_even, O::Load(x[i] + j * kB));
-        const V diff_odd = O::Sub(q_odd, O::Load(x[i] + (j + 1) * kB));
+        const V diff_even = O::Sub(q_even, load(i, j));
+        const V diff_odd = O::Sub(q_odd, load(i, j + 1));
         sq_even[i] = O::Fma(diff_even, diff_even, sq_even[i]);
         sq_odd[i] = O::Fma(diff_odd, diff_odd, sq_odd[i]);
       }
@@ -206,7 +220,7 @@ inline void LeafProfiles(const KernelParams& kernel, const double* const* x,
       const V q_last = O::Set1(q[j]);
 #pragma GCC unroll 2
       for (size_t i = 0; i < N; ++i) {
-        const V diff = O::Sub(q_last, O::Load(x[i] + j * kB));
+        const V diff = O::Sub(q_last, load(i, j));
         sq_even[i] = O::Fma(diff, diff, sq_even[i]);
       }
     }
@@ -234,13 +248,13 @@ double LeafAggregateImpl(const KernelParams& kernel, const SoaLeafBlocks& soa,
   using V = typename O::Vec;
   constexpr size_t W = O::kLanes;
   constexpr size_t kB = SoaLeafBlocks::kBlockPoints;
+  constexpr size_t kG = SoaLeafBlocks::kGroupRows;
   const size_t d = soa.dims();
   const double scale =
       kInnerProductKernel<K> ? kernel.gamma : DistanceArgScale(kernel);
-  const double* weights = soa.block_weights().data();
   // Vector t holds rows [row0 + t·W, row0 + (t + 1)·W). The vectors
-  // start at the first lane of the range's first block, so on AVX2 a
-  // leading half-block outside the range is still computed, masked:
+  // start at the first lane of the range's first fp64 block, so on AVX2
+  // a leading half-block outside the range is still computed, masked:
   // skipping it would move every later vector to the other accumulator
   // and change the sum's bits. They stop at the vector holding the last
   // row; a fully masked trailing half-block would only add +0.
@@ -248,29 +262,31 @@ double LeafAggregateImpl(const KernelParams& kernel, const SoaLeafBlocks& soa,
   const size_t vecs = (end + W - 1) / W - row0 / W;
   const auto lanes = [&](size_t t) {
     const size_t row = row0 + t * W;
-    return soa.BlockDim(row / kB, 0) + row % kB;
+    return PlaneLanes{soa.GroupHi(row / kG) + row % kG,
+                      soa.GroupLo(row / kG) + row % kG};
   };
-  // Vector t's weights; lanes outside [begin, end) load as zero, which
+  // Vector t's weights; lanes outside [begin, end) are zeroed, which
   // kills their contributions exactly.
   const auto vector_weights = [&](size_t t) {
     const size_t row = row0 + t * W;
-    if (row >= begin && row + W <= end) return O::Load(weights + row);
-    return O::LoadLanes(weights + row,
-                        std::clamp<size_t>(begin, row, row + W) - row,
+    const PlaneLanes x = lanes(t);
+    const V w = O::LoadPlanes(x.hi + d * kG, x.lo + d * kG);
+    if (row >= begin && row + W <= end) return w;
+    return O::KeepLanes(w, std::clamp<size_t>(begin, row, row + W) - row,
                         std::clamp<size_t>(end, row, row + W) - row);
   };
 
   V acc[2] = {O::Zero(), O::Zero()};
   size_t t = 0;
   for (; t + 2 <= vecs; t += 2) {
-    const double* const x[2] = {lanes(t), lanes(t + 1)};
+    const PlaneLanes x[2] = {lanes(t), lanes(t + 1)};
     V profile[2];
     LeafProfiles<O, K, 2>(kernel, x, q, d, scale, profile);
     acc[0] = O::Fma(vector_weights(t), profile[0], acc[0]);
     acc[1] = O::Fma(vector_weights(t + 1), profile[1], acc[1]);
   }
   if (t < vecs) {
-    const double* const x[1] = {lanes(t)};
+    const PlaneLanes x[1] = {lanes(t)};
     V profile[1];
     LeafProfiles<O, K, 1>(kernel, x, q, d, scale, profile);
     acc[0] = O::Fma(vector_weights(t), profile[0], acc[0]);

@@ -2,10 +2,13 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cmath>
 #include <cstdlib>
+#include <limits>
 
 #include "core/bounds.h"
+#include "core/simd/narrow_impl.h"
 #include "util/check.h"
 #include "util/math_util.h"
 
@@ -88,10 +91,65 @@ void ScalarReflectRows(const double* v, size_t k, size_t d, const double* in,
   }
 }
 
+bool ScalarSplitGroup(const double* rows, size_t dims, const double* weights,
+                      uint32_t* hi, uint32_t* lo) {
+  constexpr size_t kG = SoaLeafBlocks::kGroupRows;
+  bool in_range = true;
+  for (size_t j = 0; j <= dims; ++j) {
+    for (size_t r = 0; r < kG; ++r) {
+      const double v = j < dims ? rows[r * dims + j] : weights[r];
+      in_range &= std::abs(v) < kPlaneLimit;
+      SplitToPlanes(v, &hi[j * kG + r], &lo[j * kG + r]);
+    }
+  }
+  return in_range;
+}
+
+// The narrow pass's fp32 ops on one lane, with separately rounded
+// multiplies and adds.
+struct ScalarF32 {
+  using Vec = float;
+  static constexpr size_t kLanes = 1;
+  static constexpr int kTier = static_cast<int>(Tier::kScalar);
+
+  static Vec LoadWords(const uint32_t* p) { return std::bit_cast<float>(*p); }
+  static Vec KeepLanes(Vec v, size_t lo, size_t hi) {
+    return lo < hi ? v : 0.0f;
+  }
+  static Vec Load(const float* p) { return *p; }
+  static void Store(float* p, Vec v) { *p = v; }
+  static Vec Set1(float x) { return x; }
+  static Vec Zero() { return 0.0f; }
+  static Vec Add(Vec a, Vec b) { return a + b; }
+  static Vec Sub(Vec a, Vec b) { return a - b; }
+  static Vec Mul(Vec a, Vec b) { return a * b; }
+  static Vec Div(Vec a, Vec b) { return a / b; }
+  static Vec Min(Vec a, Vec b) { return b < a ? b : a; }
+  static Vec Max(Vec a, Vec b) { return a < b ? b : a; }
+  static Vec Sqrt(Vec a) { return std::sqrt(a); }
+  static Vec Fma(Vec a, Vec b, Vec c) { return a * b + c; }
+  static Vec Fnma(Vec a, Vec b, Vec c) { return c - a * b; }
+  static Vec ZeroAbove(Vec v, Vec x, Vec t) { return x <= t ? v : 0.0f; }
+  static Vec Pow2Mul(Vec p, Vec k) {
+    return p * std::bit_cast<float>(
+                   static_cast<uint32_t>(static_cast<int>(k) + 127) << 23);
+  }
+  static double SumLanes(Vec v) { return v; }
+  static float MaxLanes(Vec v) { return v; }
+};
+
 constexpr internal::Ops kScalarOps = {
-    ScalarDot,         ScalarSqnorm,      ScalarLeafAggregate,
-    ScalarExpBlock,    ScalarBoxGeometry, ScalarKarlGaussianBoxBounds,
-    ScalarReflectRows};
+    ScalarDot,
+    ScalarSqnorm,
+    ScalarLeafAggregate,
+    ScalarExpBlock,
+    ScalarBoxGeometry,
+    ScalarKarlGaussianBoxBounds,
+    ScalarReflectRows,
+    internal::LeafIntervalN<ScalarF32>,
+    internal::NarrowExpBlockN<ScalarF32>,
+    ScalarSplitGroup,
+};
 
 const internal::Ops& OpsForTier(Tier tier) {
   switch (tier) {
@@ -135,18 +193,23 @@ std::atomic<int> g_active_tier{-1};
 double ScalarLeafAggregate(const KernelParams& kernel,
                            const SoaLeafBlocks& soa, uint32_t begin,
                            uint32_t end, const double* q) {
+  constexpr size_t kG = SoaLeafBlocks::kGroupRows;
   const size_t d = soa.dims();
   util::KahanAccumulator acc;
   for (uint32_t i = begin; i < end; ++i) {
+    // Row i's words, dimension j at j·kG; its weight at d·kG.
+    const uint32_t* hi = soa.GroupHi(i / kG) + i % kG;
+    const uint32_t* lo = soa.GroupLo(i / kG) + i % kG;
+    const auto at = [&](size_t j) { return JoinPlanes(hi[j * kG], lo[j * kG]); };
     double value;
     if (IsInnerProductKernel(kernel.type)) {
       double ip = 0.0;
-      for (size_t j = 0; j < d; ++j) ip += q[j] * soa.At(i, j);
+      for (size_t j = 0; j < d; ++j) ip += q[j] * at(j);
       value = KernelProfile(kernel, kernel.gamma * ip + kernel.beta);
     } else {
       double sq = 0.0;
       for (size_t j = 0; j < d; ++j) {
-        const double diff = q[j] - soa.At(i, j);
+        const double diff = q[j] - at(j);
         sq += diff * diff;
       }
       // Matches KernelValue's argument construction per family exactly.
@@ -154,7 +217,7 @@ double ScalarLeafAggregate(const KernelParams& kernel,
                   ? std::exp(-kernel.gamma * std::sqrt(sq))
                   : KernelProfile(kernel, kernel.gamma * sq);
     }
-    acc.Add(soa.WeightAt(i) * value);
+    acc.Add(at(d) * value);
   }
   return acc.Total();
 }
@@ -181,6 +244,87 @@ NodeInterval ScalarKarlGaussianBounds(const NodeGeometry& g, double w,
   const LinearFn tangent = ExpTangent(util::Clamp(sum_x / w, x_lo, x_hi));
   out.lb = std::min(std::max(0.0, tangent.m * sum_x + tangent.c * w), out.ub);
   return out;
+}
+
+namespace {
+
+constexpr double kU32 = 0x1p-24;  // fp32 unit roundoff.
+constexpr double kU64 = 0x1p-53;  // fp64 unit roundoff.
+
+}  // namespace
+
+NarrowQuery::NarrowQuery(const KernelParams& kernel, std::span<const double> q)
+    : dims_(q.size()) {
+  constexpr double u = kU32;
+  const double s = kernel.gamma;
+  if (IsInnerProductKernel(kernel.type) ||
+      !(s >= 0x1p-126 && s < 0x1p127)) {
+    return;
+  }
+  float* buf = inline_;
+  if (dims_ > kInlineDims) {
+    heap_.resize(dims_);
+    buf = heap_.data();
+  }
+  q_ = buf;
+  scale_ = static_cast<float>(s);
+  double sq = 0.0;
+  for (size_t j = 0; j < dims_; ++j) {
+    if (!(std::abs(q[j]) < 0x1p127)) return;
+    buf[j] = static_cast<float>(FlushToPlane(q[j]));
+    sq += static_cast<double>(buf[j]) * buf[j];
+  }
+  const double d = static_cast<double>(dims_);
+  if (!(d * u < 0x1p-8)) return;
+  // |dist − √D̃| ≤ a1·√D̃ + c0 (DESIGN.md §14): each difference is off by
+  // u·|q̃_j| (rounding q), 2u·|hi_j| (truncating p) and u·|d̃_j| (the
+  // subtraction), and |hi_j| ≤ |q̃_j| + |d̃_j|·(1 + u); the sum of d squares
+  // adds γ_d relatively; flushes and underflows add at most 2⁻¹²⁶ per
+  // value and d·2⁻¹²⁶ to D̃.
+  const double a1 = 3.0 * u + 2.0 * u * u + d * u / (1.0 - d * u);
+  const double c0 =
+      (3.0 * u * std::sqrt(sq) + std::sqrt(d) * 0x1p-62) * (1.0 + 0x1p-40);
+  // The oracle's own distance and argument roundings, per unit of x.
+  const double oracle = (d + 8.0) * kU64;
+  // The cross term 2·s·√D̃·c0 ≤ c0·√s·(s·D̃ + 1), since 2y ≤ y² + 1.
+  const double cs = c0 * std::sqrt(s);
+  if (kernel.type == KernelType::kCauchy) {
+    // (1 + x)/(1 + x̃) ∈ [Q⁻, Q⁺], x̃ = s̃ ⊗ D̃ rounding s·D̃ twice; kept
+    // as 1/Q⁺ and 1/Q⁻ (their rounding is within the widening's slack).
+    const double as = 2.0 * u + u * u;
+    const double q_plus =
+        ((1.0 + a1) * (1.0 + a1) + (1.0 + a1) * cs + s * c0 * c0) /
+        (1.0 - as) * (1.0 + oracle);
+    const double q_minus = ((1.0 - a1) * (1.0 - a1) - (1.0 - a1) * cs) /
+                           (1.0 + as) * (1.0 - oracle);
+    ap_ = 1.0 / q_plus;
+    am_ = 1.0 / q_minus;
+    usable_ = q_minus > 0.5;
+    return;
+  }
+  // x ∈ [A⁻·x̃ − B⁻, A⁺·x̃ + B⁺] for the true profile argument x.
+  double ap, am;
+  if (kernel.type == KernelType::kLaplacian) {
+    // x̃ = s̃ ⊗ √D̃: three roundings of s·√D̃.
+    const double as = 3.0 * u + 4.0 * u * u;
+    ap = (1.0 + a1) / (1.0 - as);
+    am = (1.0 - a1) / (1.0 + as);
+    bp_ = bm_ = s * c0 + 0x1p-125;
+  } else {
+    // x̃ = s̃ ⊗ D̃: two roundings of s·D̃.
+    const double as = 2.0 * u + u * u;
+    ap = ((1.0 + a1) * (1.0 + a1) + (1.0 + a1) * cs) / (1.0 - as);
+    const double bracket = (1.0 - a1) * (1.0 - a1) - (1.0 - a1) * cs;
+    am = bracket / (bracket >= 0.0 ? 1.0 + as : 1.0 - as);
+    bp_ = (1.0 + a1) * cs + s * c0 * c0 + 0x1p-125;
+    bm_ = (1.0 - a1) * cs + 0x1p-125;
+  }
+  ap_ = std::max(0.0, ap - 1.0) + oracle;  // α⁺
+  am_ = std::max(0.0, 1.0 - am) + oracle;  // α⁻
+  // A row whose x̃ passed the clamp holds at most e^{−(A⁻·86 − B⁻)}, which
+  // is below e^{−85} ≤ 1.22e-37 once usable_ bounds α⁻ and B⁻.
+  usable_ = bp_ <= 0.5 && bm_ <= 0.5 && am * kNarrowExpClamp - bm_ >= 85.0 &&
+            am_ * kNarrowExpClamp <= 1.0;
 }
 
 namespace internal {
@@ -268,6 +412,13 @@ void ExpBlock(std::span<const double> in, std::span<double> out) {
       << ": ExpBlock of mismatched lengths " << in.size() << " vs "
       << out.size();
   internal::ActiveOps().exp_block(in.data(), out.data(), in.size());
+}
+
+void NarrowExpBlock(std::span<const float> in, std::span<float> out) {
+  KARL_CHECK(in.size() == out.size())
+      << ": NarrowExpBlock of mismatched lengths " << in.size() << " vs "
+      << out.size();
+  internal::ActiveOps().narrow_exp_block(in.data(), out.data(), in.size());
 }
 
 }  // namespace karl::core::simd

@@ -1,8 +1,9 @@
 // Runtime-dispatched SIMD kernels for the evaluator hot path: the O(d)
 // node geometry of each bound (kd-box distances and the dot product
 // against the node summary), the whole Gaussian KARL bound of one or two
-// kd boxes, and the exact leaf kernel sums over the blocked SoA layout
-// (soa_block.h).
+// kd boxes, the exact leaf kernel sums over the hi/lo planes
+// (soa_block.h), and the narrow leaf pass: an fp32 scan of the hi planes
+// alone that returns a rigorous enclosure of the exact sum.
 //
 // Three tiers — scalar / AVX2+FMA / AVX-512F — selected once per process
 // by CPUID, overridable via the KARL_SIMD environment variable
@@ -40,6 +41,7 @@
 #include <cstdint>
 #include <span>
 #include <string_view>
+#include <vector>
 
 #include "core/kernel.h"
 #include "core/simd/soa_block.h"
@@ -74,6 +76,18 @@ inline constexpr double kDotRelTolerance = 1e-12;
 /// and box-bound arguments the vector exp serves are ≤ 0.
 inline constexpr int kVectorExpUlpBound = 4;
 inline constexpr double kVectorExpUnderflowAbs = 1e-307;
+
+/// The narrow pass's fp32 exp(−x), x ∈ [0, kNarrowExpClamp], is within
+/// this many ulps of the correctly rounded fp32 result, per tier
+/// (indexed by Tier). The scalar tier runs the same polynomial without
+/// fused multiply-adds. The widening (DESIGN.md §14) charges
+/// (bound + 1)·2⁻²³ of relative error per kernel value.
+inline constexpr int kNarrowExpUlpBound[3] = {2, 2, 2};
+
+/// Above this fp32 argument the narrow pass's exp(−x) is taken as 0, and
+/// the widening charges e^{−x} ≤ e^{−86} per weight instead; the results
+/// up to it stay normal fp32 values.
+inline constexpr float kNarrowExpClamp = 86.0f;
 
 /// Widest rows ReflectRows takes.
 inline constexpr size_t kMaxReflectDims = 64;
@@ -138,6 +152,48 @@ struct NodeInterval {
   double ub = 0.0;
 };
 
+/// A query as the narrow leaf pass reads it: its fp32 rounding, the
+/// kernel's scale as fp32, and the per-query constants of the widening
+/// (DESIGN.md §14). usable() is false for inner-product kernels, for a
+/// query or scale fp32 cannot hold (a value of magnitude 2¹²⁷ or more, a
+/// scale outside [2⁻¹²⁶, 2¹²⁷)), and where the widening would be too
+/// wide to help; leaves are then taken exactly.
+class NarrowQuery {
+ public:
+  NarrowQuery(const KernelParams& kernel, std::span<const double> q);
+  NarrowQuery(const NarrowQuery&) = delete;
+  NarrowQuery& operator=(const NarrowQuery&) = delete;
+
+  bool usable() const { return usable_; }
+  size_t dims() const { return dims_; }
+  /// The fp32 query, dims() values.
+  const float* q() const { return q_; }
+  /// The profile's scale as fp32: γ, for x = γ·dist² (Gaussian, Cauchy)
+  /// or x = γ·dist (Laplacian).
+  float scale() const { return scale_; }
+  /// Exp profiles: x ∈ [x̃ − α⁺x̃ − B⁺, x̃ + α⁻x̃ + B⁻] for the true
+  /// argument x of the fp32 one x̃ — a_plus() = α⁺, a_minus() = α⁻,
+  /// b_plus() = B⁺, b_minus() = B⁻. Cauchy: (1 + x̃)/(1 + x) lies in
+  /// [a_plus(), a_minus()].
+  double a_plus() const { return ap_; }
+  double a_minus() const { return am_; }
+  double b_plus() const { return bp_; }
+  double b_minus() const { return bm_; }
+
+ private:
+  static constexpr size_t kInlineDims = 64;
+  float inline_[kInlineDims];
+  std::vector<float> heap_;
+  const float* q_ = nullptr;
+  size_t dims_ = 0;
+  float scale_ = 0.0f;
+  double ap_ = 0.0;
+  double am_ = 0.0;
+  double bp_ = 0.0;
+  double bm_ = 0.0;
+  bool usable_ = false;
+};
+
 namespace internal {
 
 /// Per-tier implementation table. One instance per compiled tier;
@@ -158,6 +214,12 @@ struct Ops {
                                    NodeInterval* out);
   void (*reflect_rows)(const double* reflectors, size_t k, size_t d,
                        const double* in, size_t count, double* out);
+  NodeInterval (*leaf_interval)(const KernelParams& kernel,
+                                const SoaLeafBlocks& soa, uint32_t begin,
+                                uint32_t end, const NarrowQuery& q);
+  void (*narrow_exp_block)(const float* in, float* out, size_t n);
+  bool (*split_group)(const double* rows, size_t dims,
+                      const double* weights, uint32_t* hi, uint32_t* lo);
 };
 
 /// Defined in kernels_avx2.cc / kernels_avx512.cc; null when that
@@ -271,6 +333,23 @@ inline double LeafAggregate(const KernelParams& kernel,
                                               q.data());
 }
 
+/// An enclosure [lb, ub] of ScalarLeafAggregate(kernel, soa, begin, end, q)
+/// from the narrow pass under the active tier: an fp32 scan of the hi
+/// planes, widened in fp64 by bounds on every rounding it and the fp64
+/// sum make (DESIGN.md §14). Needs q.usable(), a Gaussian, Laplacian or
+/// Cauchy kernel and weights ≥ 0 over the range. 0 ≤ lb ≤ ub, and both
+/// are finite unless the range's weights sum past fp32's range.
+inline NodeInterval LeafInterval(const KernelParams& kernel,
+                                 const SoaLeafBlocks& soa, uint32_t begin,
+                                 uint32_t end, const NarrowQuery& q) {
+  KARL_DCHECK(q.usable() && q.dims() == soa.dims())
+      << ": narrow query of dim " << q.dims() << " vs SoA dim " << soa.dims();
+  KARL_DCHECK(end <= soa.rows())
+      << ": range end " << end << " past " << soa.rows() << " rows";
+  if (begin >= end) return {};
+  return internal::ActiveOps().leaf_interval(kernel, soa, begin, end, q);
+}
+
 /// The scalar oracle of LeafAggregate, whatever the active tier: a Kahan
 /// sum of wᵢ·K(q, pᵢ) in row order, each kernel argument built exactly as
 /// KernelValue builds it. The KARL_SIMD=scalar tier runs it, and so does
@@ -279,9 +358,25 @@ double ScalarLeafAggregate(const KernelParams& kernel,
                            const SoaLeafBlocks& soa, uint32_t begin,
                            uint32_t end, const double* q);
 
+/// One group's planes (soa_block.h) under the active tier: SplitToPlanes
+/// of value j of row r of the kGroupRows row-major rows of `dims` values
+/// at `rows` into hi[j·kGroupRows + r] and lo[j·kGroupRows + r], and of
+/// weights[r] into row j = dims. The words are the same on every tier.
+/// Returns false iff some value is 2^128 or more in magnitude, or NaN
+/// (its words are then meaningless).
+inline bool SplitGroup(const double* rows, size_t dims, const double* weights,
+                       uint32_t* hi, uint32_t* lo) {
+  return internal::ActiveOps().split_group(rows, dims, weights, hi, lo);
+}
+
 /// out[i] = exp(in[i]) under the active tier — the seam simd_test uses
 /// to pin kVectorExpUlpBound per tier. Spans must have equal length.
 void ExpBlock(std::span<const double> in, std::span<double> out);
+
+/// out[i] = the narrow pass's fp32 exp(−in[i]) under the active tier, for
+/// in[i] ∈ [0, kNarrowExpClamp] — the seam simd_test uses to pin
+/// kNarrowExpUlpBound per tier. Spans must have equal length.
+void NarrowExpBlock(std::span<const float> in, std::span<float> out);
 
 }  // namespace karl::core::simd
 

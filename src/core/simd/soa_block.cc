@@ -1,73 +1,99 @@
 #include "core/simd/soa_block.h"
 
 #include <algorithm>
+#include <cmath>
+#include <cstring>
 #include <string>
 #include <utility>
 
+#include "core/simd/simd.h"
 #include "util/check.h"
 
 namespace karl::core::simd {
 
 void SoaLeafBlocks::BuildFromRows(size_t rows, size_t dims,
                                   BlockStorage coords,
-                                  std::vector<double> weights) {
-  const size_t blocks = NumBlocks(rows);
-  KARL_CHECK(coords.size() == blocks * dims * kBlockPoints &&
+                                  std::span<const double> weights) {
+  const size_t groups = NumGroups(rows);
+  KARL_CHECK(coords.size() == StorageDoubles(rows, dims) &&
              weights.size() == rows)
       << ": " << coords.size() << "/" << weights.size()
       << " coordinate/weight values for " << rows << " rows of " << dims;
-  std::fill(coords.begin() + rows * dims, coords.end(), 0.0);  // Pad rows.
-  weights.resize(blocks * kBlockPoints, 0.0);
-  // A group of 8 rows and its block cover the same 8·dims values, so
-  // each group is transposed through one block-sized buffer.
-  std::vector<double> group(dims * kBlockPoints);
-  for (size_t b = 0; b < blocks; ++b) {
-    double* base = coords.data() + b * dims * kBlockPoints;
-    std::copy(base, base + group.size(), group.begin());
-    for (size_t lane = 0; lane < kBlockPoints; ++lane) {
-      const double* row = group.data() + lane * dims;
-      for (size_t j = 0; j < dims; ++j) base[j * kBlockPoints + lane] = row[j];
+  const size_t plane_words = (dims + 1) * kGroupRows;
+  // Group g's rows start at double g·16·dims and its planes at double
+  // g·16·(dims + 1): never before its rows, and never past the rows of a
+  // later group that has not yet been split, when the groups go last
+  // first. Each group's rows are copied out before its planes overwrite
+  // them; the last group's copy is padded with zero rows and weights.
+  std::vector<double> group_rows(kGroupRows * dims);
+  double group_weights[kGroupRows] = {};
+  uint32_t* const words = reinterpret_cast<uint32_t*>(coords.data());
+  bool in_range = true;
+  for (size_t g = groups; g-- > 0;) {
+    const size_t first = g * kGroupRows;
+    const size_t count = std::min(kGroupRows, rows - first);
+    const double* group_start = coords.data() + first * dims;
+    std::copy(group_start, group_start + count * dims, group_rows.begin());
+    const double* w = weights.data() + first;
+    if (count < kGroupRows) {
+      std::fill(group_rows.begin() + count * dims, group_rows.end(), 0.0);
+      std::copy(w, w + count, group_weights);
+      w = group_weights;
     }
+    uint32_t* const plane_hi = words + 2 * g * plane_words;
+    in_range &= SplitGroup(group_rows.data(), dims, w, plane_hi,
+                           plane_hi + plane_words);
   }
+  KARL_CHECK(in_range)
+      << ": a value at or above 2^128 in magnitude reached the planes";
   rows_ = rows;
   dims_ = dims;
-  num_blocks_ = blocks;
-  owned_coords_ = std::move(coords);
-  owned_weights_ = std::move(weights);
-  coords_ = owned_coords_;
-  weights_ = owned_weights_;
+  nonnegative_weights_ =
+      std::ranges::none_of(weights, [](double w) { return w < 0.0; });
+  owned_ = std::move(coords);
+  planes_ = {reinterpret_cast<const uint32_t*>(owned_.data()),
+             PlaneWords(rows, dims)};
 }
 
 util::Status SoaLeafBlocks::Attach(size_t rows, size_t dims,
-                                   std::span<const double> coords,
-                                   std::span<const double> weights) {
-  const size_t blocks = NumBlocks(rows);
-  if (coords.size() != blocks * dims * kBlockPoints ||
-      weights.size() != blocks * kBlockPoints) {
+                                   std::span<const uint32_t> planes) {
+  if (planes.size() != PlaneWords(rows, dims)) {
     return util::Status::InvalidArgument(
-        "blocks section has " + std::to_string(coords.size()) + "/" +
-        std::to_string(weights.size()) + " coordinate/weight values, want " +
-        std::to_string(blocks * dims * kBlockPoints) + "/" +
-        std::to_string(blocks * kBlockPoints));
-  }
-  // Pad lanes exist only in the last block: lanes [rows % 8, 8).
-  for (size_t i = rows; i < blocks * kBlockPoints; ++i) {
-    const size_t lane = i % kBlockPoints;
-    bool zero = weights[i] == 0.0;
-    for (size_t j = 0; zero && j < dims; ++j) {
-      zero = coords[((blocks - 1) * dims + j) * kBlockPoints + lane] == 0.0;
-    }
-    if (!zero) {
-      return util::Status::InvalidArgument(
-          "pad lane " + std::to_string(lane) + " of the last block has a "
-          "non-zero weight or coordinate");
-    }
+        "planes section has " + std::to_string(planes.size()) +
+        " words, want " + std::to_string(PlaneWords(rows, dims)));
   }
   rows_ = rows;
   dims_ = dims;
-  num_blocks_ = blocks;
-  coords_ = coords;
-  weights_ = weights;
+  nonnegative_weights_ = true;
+  planes_ = planes;
+  // Pad lanes exist only in the last group: lanes [rows % 16, 16).
+  const size_t last = NumGroups(rows) - 1;
+  for (size_t lane = rows - last * kGroupRows; lane < kGroupRows; ++lane) {
+    for (size_t j = 0; j <= dims; ++j) {
+      if (GroupHi(last)[j * kGroupRows + lane] != 0 ||
+          GroupLo(last)[j * kGroupRows + lane] != 0) {
+        rows_ = 0;
+        planes_ = {};
+        return util::Status::InvalidArgument(
+            "pad lane " + std::to_string(lane) +
+            " of the last group has a non-zero word");
+      }
+    }
+  }
+  // A weight's hi word is an fp32 of its sign and exponent: ≥ 0 and
+  // finite is +0 up to the largest finite positive fp32 (-0 is 0x80000000).
+  for (size_t row = 0; row < rows; ++row) {
+    const uint32_t hi = GroupHi(row / kGroupRows)[dims * kGroupRows +
+                                                  row % kGroupRows];
+    if (hi >= 0x7F800000u && hi != 0x80000000u) {
+      const double w = WeightAt(row);
+      rows_ = 0;
+      planes_ = {};
+      return util::Status::InvalidArgument(
+          "weight " + std::to_string(w) + " of row " + std::to_string(row) +
+          " is negative or not finite");
+    }
+  }
   return util::Status::OK();
 }
 

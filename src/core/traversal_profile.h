@@ -45,8 +45,12 @@ struct TraversalProfile {
     uint64_t expanded = 0;      ///< Frontier nodes replaced by children.
     uint64_t pruned = 0;        ///< Frontier nodes never expanded — the
                                 ///< bound was tight enough to stop.
-    uint64_t exact_leaves = 0;  ///< Effective leaves folded exactly.
-    uint64_t kernel_evals = 0;  ///< Exact kernel evaluations at this depth.
+    uint64_t exact_leaves = 0;  ///< Effective leaves folded (their
+                                ///< narrow interval or exact sum).
+    uint64_t kernel_evals = 0;  ///< Kernel evaluations at this depth:
+                                ///< leaf scans, narrow or exact, and
+                                ///< their exact retakes; a drained
+                                ///< frontier's exact scan counts at 0.
   };
 
   /// One point of the bound-convergence timeline: the global interval

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <charconv>
 #include <cmath>
 #include <limits>
 #include <numeric>
@@ -52,6 +53,13 @@ size_t FirstNonFinite(std::span<const double> values) {
       values.begin());
 }
 
+// `v` in the shortest form that reads back to it ("1e+39", not
+// std::to_string's 40 digits).
+std::string FormatValue(double v) {
+  char buf[32];
+  return std::string(buf, std::to_chars(buf, buf + sizeof(buf), v).ptr);
+}
+
 // OK iff `perm` is a permutation of [0, perm.size()): in range and no
 // repeats.
 util::Status CheckPermutation(std::span<const size_t> perm) {
@@ -91,11 +99,51 @@ namespace {
 // are folded while they are still in L1.
 constexpr size_t kFillChunkRows = 64;
 
-// Folds `count` row-major rows of `d` values into the per-dimension
-// minima `lo` and maxima `hi`, four rows at a time, and returns the OR
-// of every value's NonFiniteBits.
-uint64_t FoldRows(const double* rows, size_t count, size_t d, double* lo,
-                  double* hi) {
+// Stores every value of `count` row-major rows of `d` values below 2^-126
+// in magnitude as ±0, as the planes will (core/simd/soa_block.h), and
+// folds the rows into the per-dimension minima `lo` and maxima `hi`, four
+// rows at a time. Returns the index of the first value that is not
+// finite or that the planes cannot hold, or count·d.
+size_t FoldRows(double* rows, size_t count, size_t d, double* lo,
+                double* hi) {
+  const std::span<double> values(rows, count * d);
+  // One branch-free, read-only pass finds what needs writing (flushes
+  // are rare), in the top bits of two ORs over eight lanes: mag + c
+  // carries into bit 63 iff mag >= 2^128's bits (or NaN's), and
+  // (mag − m) & ~(mag − 1) has it iff 0 < mag < 2^-126's bits.
+  constexpr uint64_t kLimit = std::bit_cast<uint64_t>(core::simd::kPlaneLimit);
+  constexpr uint64_t kMin = std::bit_cast<uint64_t>(core::simd::kPlaneMinNormal);
+  constexpr uint64_t kAbs = ~(uint64_t{1} << 63);
+  constexpr size_t kLanes = 8;
+  uint64_t bad[kLanes] = {};
+  uint64_t tiny[kLanes] = {};
+  const auto fold = [&](size_t k, double v) {
+    const uint64_t mag = std::bit_cast<uint64_t>(v) & kAbs;
+    bad[k] |= mag + ((uint64_t{1} << 63) - kLimit);
+    tiny[k] |= (mag - kMin) & ~(mag - 1);
+  };
+  size_t at = 0;
+  for (; at + kLanes <= values.size(); at += kLanes) {
+    for (size_t k = 0; k < kLanes; ++k) fold(k, values[at + k]);
+  }
+  for (; at < values.size(); ++at) fold(0, values[at]);
+  uint64_t any_bad = 0;
+  uint64_t any_tiny = 0;
+  for (size_t k = 0; k < kLanes; ++k) {
+    any_bad |= bad[k];
+    any_tiny |= tiny[k];
+  }
+  if ((any_tiny >> 63) != 0) {
+    for (double& v : values) v = core::simd::FlushToPlane(v);
+  }
+  if ((any_bad >> 63) != 0) {
+    return static_cast<size_t>(
+        std::find_if(rows, rows + count * d,
+                     [](double v) {
+                       return !(std::abs(v) < core::simd::kPlaneLimit);
+                     }) -
+        rows);
+  }
   size_t i = 0;
   for (; i + 4 <= count; i += 4) {
     const double* four[4] = {rows + i * d, rows + (i + 1) * d,
@@ -103,9 +151,7 @@ uint64_t FoldRows(const double* rows, size_t count, size_t d, double* lo,
     row_ops::FoldMinMax4(four, d, lo, hi);
   }
   for (; i < count; ++i) row_ops::FoldMinMax(rows + i * d, d, lo, hi);
-  uint64_t bits = 0;
-  for (const double v : std::span(rows, count * d)) bits |= NonFiniteBits(v);
-  return bits;
+  return count * d;
 }
 
 // Moves row perm[i] of the `cols`-wide row-major `rows` to row i for
@@ -177,19 +223,26 @@ util::Status TreeIndex::BuildShared(const data::Matrix& input_points,
         "non-finite weight " + std::to_string(input_weights[bad_weight]) +
         " at row " + std::to_string(bad_weight));
   }
+  for (size_t i = 0; i < n; ++i) {
+    if (!(std::abs(input_weights[i]) < core::simd::kPlaneLimit)) {
+      return util::Status::InvalidArgument(
+          "weight " + FormatValue(input_weights[i]) + " at row " +
+          std::to_string(i) + " is too large to store (|w| must be below "
+          "2^128)");
+    }
+  }
 
   // Phase 1: every row, in the tree's frame, into the storage that
-  // becomes the blocks, row-major for now. The pass checks every value
-  // it writes and folds the root's extents for the first split.
-  constexpr size_t kB = core::simd::SoaLeafBlocks::kBlockPoints;
-  const size_t num_blocks = core::simd::SoaLeafBlocks::NumBlocks(n);
-  core::simd::BlockStorage coords(num_blocks * d * kB);
+  // becomes the planes, row-major for now. The pass checks every value
+  // it writes, flushes the tiny ones and folds the root's extents for
+  // the first split.
+  core::simd::BlockStorage coords(
+      core::simd::SoaLeafBlocks::StorageDoubles(n, d));
   PartitionScratch scratch;
   scratch.root_extents.assign(d, std::numeric_limits<double>::infinity());
   scratch.root_extents.resize(2 * d, -std::numeric_limits<double>::infinity());
   double* lo = scratch.root_extents.data();
   double* hi = lo + d;
-  uint64_t bits = 0;
   // A subset's rows are gathered a chunk at a time, so that only the
   // blocks ever hold all of them.
   std::vector<double> gathered(input_rows.empty() ? 0 : kFillChunkRows * d);
@@ -211,15 +264,22 @@ util::Status TreeIndex::BuildShared(const data::Matrix& input_points,
     } else {
       std::copy(in, in + count * d, out);
     }
-    bits |= FoldRows(out, count, d, lo, hi);
-  }
-  if ((bits >> 63) != 0) {
+    const size_t bad = FoldRows(out, count, d, lo, hi);
+    if (bad == count * d) continue;
     // A reflection keeps a non-finite input value non-finite somewhere
     // in its row; name the input's.
     KARL_RETURN_NOT_OK(CheckFinitePoints(input_points));
-    const size_t bad = FirstNonFinite({coords.data(), n * d});
+    const size_t row =
+        input_rows.empty() ? first + bad / d : input_rows[first + bad / d];
+    if (std::isfinite(out[bad])) {
+      return util::Status::InvalidArgument(
+          "value " + FormatValue(out[bad]) + " at row " +
+          std::to_string(row) + ", column " + std::to_string(bad % d) +
+          (framed ? " of the principal frame" : "") +
+          " is too large to store (|x| must be below 2^128)");
+    }
     return util::Status::InvalidArgument(
-        "row " + std::to_string(bad / d) +
+        "row " + std::to_string(row) +
         " overflows when reflected into the principal frame");
   }
 
@@ -277,17 +337,17 @@ util::Status TreeIndex::BuildShared(const data::Matrix& input_points,
   scratch = {};  // Freed before the rows are moved.
 
   // Phase 3: the rows into tree order in place, with the weights
-  // gathered beside; the aggregates and the subclass's regions from them
-  // while they are still row-major; then each 8-row group into its block
-  // — the tree's only copy of the points.
+  // gathered beside, flushed as the planes will hold them; the
+  // aggregates and the subclass's regions from them while they are still
+  // row-major; then each 16-row group into its planes — the tree's only
+  // copy of the points.
   PermuteRowsInPlace(owned_perm_, d, coords.data());
-  std::vector<double> block_weights;
-  block_weights.reserve(num_blocks * kB);  // BuildFromRows pads in place.
+  std::vector<double> weights(n);
   for (size_t i = 0; i < n; ++i) {
-    block_weights.push_back(input_weights[owned_perm_[i]]);
+    weights[i] = core::simd::FlushToPlane(input_weights[owned_perm_[i]]);
   }
   const BuildRows ordered{coords.data(), n, d};
-  ComputeSummaries(ordered, block_weights);
+  ComputeSummaries(ordered, weights);
   // The read-side spans point at the owned storage from here on (every
   // vector has reached its final size); the regions read nodes().
   nodes_ = owned_nodes_;
@@ -299,7 +359,7 @@ util::Status TreeIndex::BuildShared(const data::Matrix& input_points,
   frame_ = owned_frame_;
   frame_extent_ratio_ = frame.extent_ratio;
   ComputeRegions(ordered);
-  soa_.BuildFromRows(n, d, std::move(coords), std::move(block_weights));
+  soa_.BuildFromRows(n, d, std::move(coords), weights);
   return util::Status::OK();
 }
 
@@ -426,10 +486,9 @@ util::Status TreeIndex::AttachShared(const TreeIndexView& view) {
         std::to_string(view.frame_extent_ratio) + " is not positive");
   }
 
-  const util::Status blocks =
-      soa_.Attach(n, d, view.blocks, view.block_weights);
-  if (!blocks.ok()) {
-    return util::Status::InvalidArgument("attach: " + blocks.message());
+  const util::Status planes = soa_.Attach(n, d, view.planes);
+  if (!planes.ok()) {
+    return util::Status::InvalidArgument("attach: " + planes.message());
   }
   leaf_capacity_ = view.leaf_capacity;
   max_depth_ = view.max_depth;

@@ -2,7 +2,7 @@
 // ball-tree).
 //
 // A TreeIndex holds the point set and its weights in tree-permuted order
-// (each node's points are contiguous), stored once as blocked SoA
+// (each node's points are contiguous), stored once in hi/lo planes
 // (core/simd/soa_block.h), and per-node *weighted aggregates*
 // that let KARL's linear bound functions be evaluated in O(d) per node
 // (paper Lemma 2 / Lemma 5):
@@ -137,7 +137,7 @@ class TreeIndex {
   /// Leaf capacity the tree was built with.
   size_t leaf_capacity() const { return leaf_capacity_; }
 
-  /// The permuted points and weights as blocked SoA — the one copy of
+  /// The permuted points and weights in hi/lo planes — the one copy of
   /// the point set, read by every leaf kernel tier. Node ranges index
   /// into it directly: row i is At(i, ·) / WeightAt(i).
   const core::simd::SoaLeafBlocks& points() const { return soa_; }
@@ -145,9 +145,6 @@ class TreeIndex {
   /// Same object as points(), under the name it had when it was a
   /// mirror; kept for callers outside the library.
   const core::simd::SoaLeafBlocks& soa() const { return soa_; }
-
-  /// Per-point weights, permuted alongside points().
-  std::span<const double> weights() const { return soa_.weights(); }
 
   /// Maps permuted position -> original row index in the input matrix.
   std::span<const size_t> original_indices() const { return perm_; }
@@ -204,17 +201,21 @@ class TreeIndex {
   explicit TreeIndex(IndexKind kind) : kind_(kind) {}
 
   /// Shared build driver: writes every input row, reflected into `frame`
-  /// (copied for the identity), into the storage that becomes the SoA
-  /// blocks, checking each value and folding the root's extents as it
-  /// goes; recursively partitions the permutation over those rows using
-  /// the subclass's Partition hook; permutes the rows into tree order in
+  /// (copied for the identity), into the storage that becomes the
+  /// planes, checking each value, storing those below 2^-126 in
+  /// magnitude as ±0 and folding the root's extents as it goes;
+  /// recursively partitions the permutation over those rows using the
+  /// subclass's Partition hook; permutes the rows into tree order in
   /// place; computes the per-node aggregates and the subclass's
-  /// ComputeRegions from them; and turns each 8-row group into its
-  /// block. No other n×d buffer is allocated. Fails with
+  /// ComputeRegions from them; and splits each 16-row group into its
+  /// planes. No other n×d buffer is allocated. Fails with
   /// InvalidArgument on empty input, a weight count that is not the point
-  /// count, a zero leaf capacity, reflectors that are not k×d, or a
+  /// count, a zero leaf capacity, reflectors that are not k×d, a
   /// non-finite weight or coordinate (naming its row and column): a
-  /// non-finite value would build a tree whose snapshot can never attach.
+  /// non-finite value would build a tree whose snapshot can never attach,
+  /// or a weight or coordinate (in the tree's frame) of magnitude 2^128
+  /// or more, which the planes cannot hold (naming value, row and
+  /// column).
   /// `input_rows` picks the rows of `input_points` to index, in order
   /// (input_weights[i] is row input_rows[i]'s); empty means every row.
   util::Status BuildShared(const data::Matrix& input_points,
@@ -319,10 +320,9 @@ struct TreeIndexView {
   std::span<const TreeIndex::Node> nodes;
   size_t rows = 0;
   size_t cols = 0;
-  /// Blocked coordinates, NumBlocks(rows) × cols × kBlockPoints, and
-  /// blocked weights, NumBlocks(rows) × kBlockPoints (soa_block.h).
-  std::span<const double> blocks;
-  std::span<const double> block_weights;
+  /// The hi/lo planes of points and weights,
+  /// SoaLeafBlocks::PlaneWords(rows, cols) words (soa_block.h).
+  std::span<const uint32_t> planes;
   std::span<const size_t> perm;         ///< rows.
   std::span<const double> weight_sums;  ///< num_nodes.
   std::span<const double> sqnorm_sums;  ///< num_nodes.

@@ -130,7 +130,7 @@ size_t AlignUp(size_t v) {
 // Byte offsets of one tree's sections; a pure function of the header
 // counts (offsets are derived, never stored).
 struct SectionLayout {
-  size_t nodes, blocks, block_weights, perm;
+  size_t nodes, planes, perm;
   size_t weight_sums, sqnorm_sums, point_sums;
   size_t region_a, region_b;
   size_t end;  // First byte past this tree (aligned).
@@ -145,14 +145,10 @@ SectionLayout ComputeLayout(size_t start, uint64_t rows, uint64_t num_nodes,
     off = AlignUp(off + bytes);
     return at;
   };
-  // One blocks section: the blocked coordinates, then the blocked
-  // weights (soa_block.h). The coordinate part is a whole number of
-  // 64-byte blocks per dimension, so the weights start aligned too.
-  constexpr size_t kLaneBytes = Blocks::kBlockPoints * sizeof(double);
-  const uint64_t num_blocks = Blocks::NumBlocks(rows);
+  // One planes section: each 16-row group's hi plane, then its lo plane
+  // (soa_block.h), every plane row one 64-byte line of 32-bit words.
   out.nodes = section(num_nodes * sizeof(Node));
-  out.blocks = section(num_blocks * (cols + 1) * kLaneBytes);
-  out.block_weights = out.blocks + num_blocks * cols * kLaneBytes;
+  out.planes = section(Blocks::PlaneWords(rows, cols) * sizeof(uint32_t));
   out.perm = section(rows * sizeof(uint64_t));
   out.weight_sums = section(num_nodes * sizeof(double));
   out.sqnorm_sums = section(num_nodes * sizeof(double));
@@ -341,8 +337,7 @@ util::Status WriteSnapshotFile(const std::string& path, const Engine& engine) {
     const index::TreeIndex& tree = *trees[t];
     const SectionLayout& sec = layouts[t];
     const auto nodes = tree.nodes();
-    const auto coords = tree.points().coords();
-    const auto block_weights = tree.points().block_weights();
+    const auto planes = tree.points().planes();
     const auto perm = tree.original_indices();
     const auto wsums = tree.node_weight_sums();
     const auto sqsums = tree.node_sqnorm_sums();
@@ -352,12 +347,8 @@ util::Status WriteSnapshotFile(const std::string& path, const Engine& engine) {
     KARL_RETURN_NOT_OK(WriteSection(out, hasher, &cur, sec.nodes,
                                     nodes.data(),
                                     nodes.size() * sizeof(Node)));
-    KARL_RETURN_NOT_OK(WriteSection(out, hasher, &cur, sec.blocks,
-                                    coords.data(),
-                                    coords.size() * sizeof(double)));
-    KARL_RETURN_NOT_OK(WriteSection(out, hasher, &cur, sec.block_weights,
-                                    block_weights.data(),
-                                    block_weights.size() * sizeof(double)));
+    KARL_RETURN_NOT_OK(WriteSection(out, hasher, &cur, sec.planes,
+                                    planes.data(), planes.size_bytes()));
     KARL_RETURN_NOT_OK(WriteSection(out, hasher, &cur, sec.perm, perm.data(),
                                     perm.size() * sizeof(uint64_t)));
     KARL_RETURN_NOT_OK(WriteSection(out, hasher, &cur, sec.weight_sums,
@@ -608,12 +599,8 @@ util::Status MappedSnapshot::Parse() {
                   num_nodes};
     view.rows = rows;
     view.cols = cols;
-    const uint64_t num_blocks = Blocks::NumBlocks(rows);
-    view.blocks = {reinterpret_cast<const double*>(base + sec.blocks),
-                   num_blocks * cols * Blocks::kBlockPoints};
-    view.block_weights = {
-        reinterpret_cast<const double*>(base + sec.block_weights),
-        num_blocks * Blocks::kBlockPoints};
+    view.planes = {reinterpret_cast<const uint32_t*>(base + sec.planes),
+                   Blocks::PlaneWords(rows, cols)};
     view.perm = {reinterpret_cast<const size_t*>(base + sec.perm), rows};
     view.weight_sums = {
         reinterpret_cast<const double*>(base + sec.weight_sums), num_nodes};

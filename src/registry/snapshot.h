@@ -2,13 +2,13 @@
 //
 // A snapshot is a flat, pointer-free, little-endian binary image of a
 // *built* engine: the tree node arrays, the permuted points and weights
-// in the blocked SoA layout the leaf kernels read (core/simd/
-// soa_block.h), the permutation, and the precomputed per-node
+// in the hi/lo planes the leaf kernels read (core/simd/soa_block.h),
+// the permutation, and the precomputed per-node
 // linear-bound aggregates (w_P, a_P, b_P — the coefficients of paper
 // Lemma 2/5) plus the node region geometry, each stored as a
 // 64-byte-aligned, offset-addressed section. An engine is *constructed
 // over* the mapping with mmap(2): attach validates the sections and
-// points at them, and copies nothing — the mapped blocks are the tree's
+// points at them, and copies nothing — the mapped planes are the tree's
 // only copy of its points.
 //
 // On-disk layout (all integers little-endian; doubles IEEE-754):
@@ -23,10 +23,12 @@
 //            principal frame (index/principal_frame.h), k×d doubles,
 //            row-major. Both trees store their points in it.
 //   then     per-tree sections in fixed order, each aligned to 64 bytes:
-//            nodes, blocks, perm, weight_sums, sqnorm_sums, point_sums,
-//            region_a, region_b. The blocks section holds
-//            num_blocks·d·8 coordinates then num_blocks·8 weights
-//            (num_blocks = ⌈rows/8⌉; pad lanes of the last block are 0).
+//            nodes, planes, perm, weight_sums, sqnorm_sums, point_sums,
+//            region_a, region_b. The planes section holds ⌈rows/16⌉
+//            groups of 2·(d + 1)·16 u32 words: the group's hi plane
+//            (fp32 truncations, d coordinate rows then the weight row)
+//            and its lo plane (the 29 mantissa bits each truncation
+//            dropped); the words of pad lanes are 0.
 //            Type III engines store two trees (positive then negative
 //            side); I/II store one.
 //
@@ -63,10 +65,11 @@ namespace karl::registry {
 inline constexpr uint32_t kSnapshotMagic = 0x504E534Bu;  // "KSNP" LE.
 /// Version 2 replaced the v1 FNV-1a checksum with XXH64; version 3
 /// replaced the row-major points and weights sections with the blocks
-/// section; version 4 added the frame's reflector count and section.
-/// Older files are rejected as an unsupported version and must be
-/// recompiled.
-inline constexpr uint32_t kSnapshotVersion = 4;
+/// section; version 4 added the frame's reflector count and section;
+/// version 5 replaced the fp64 blocks with the hi/lo planes. Older files
+/// are rejected as an unsupported version and must be rebuilt with
+/// `karl build`.
+inline constexpr uint32_t kSnapshotVersion = 5;
 inline constexpr size_t kSnapshotHeaderBytes = 256;
 inline constexpr size_t kSnapshotSectionAlign = 64;
 inline constexpr size_t kSnapshotChecksumOffset = 80;

@@ -55,39 +55,39 @@ constexpr auto kBall = index::IndexKind::kBallTree;
 
 const GoldenCase kCases[] = {
     {"kd_I_c1_n50_d1_dup", kKd, 1, 50, 1, Points::kDuplicated,
-     Weights::kTypeI, 0x49eca80f2c4ad018},
+     Weights::kTypeI, 0xe16648b0292d2edc},
     {"kd_II_c10_n1000_d10", kKd, 10, 1000, 10, Points::kUniform,
-     Weights::kTypeII, 0xff7984e9507b059e},
+     Weights::kTypeII, 0xb74d5b9056c44d2d},
     {"kd_III_c33_n2003_d54", kKd, 33, 2003, 54, Points::kUniform,
-     Weights::kTypeIII, 0xf6b4ebbf9a275cdd},
+     Weights::kTypeIII, 0xeea97cfd4a78b93b},
     {"kd_I_c80_n20000_d10", kKd, 80, 20000, 10, Points::kUniform,
-     Weights::kTypeI, 0x61994acb43a7c068},
+     Weights::kTypeI, 0xb2e2391e92893f86},
     {"kd_II_c80_n50_d10_below_capacity", kKd, 80, 50, 10, Points::kUniform,
-     Weights::kTypeII, 0x23ba2a7a2d50e8cf},
+     Weights::kTypeII, 0xf789d494fe947f22},
     {"kd_III_c1_n517_d10_tied", kKd, 1, 517, 10, Points::kTied,
-     Weights::kTypeIII, 0x98fc19e0e80af601},
+     Weights::kTypeIII, 0xccc2ca6d6c7ffd9f},
     {"kd_II_c10_n777_d3_tied", kKd, 10, 777, 3, Points::kTied,
-     Weights::kTypeII, 0x33445b1fbf19705f},
+     Weights::kTypeII, 0x7137a698b443a05b},
     {"kd_I_c33_n100_d10_identical", kKd, 33, 100, 10, Points::kIdentical,
-     Weights::kTypeI, 0xc00285e43824a56a},
+     Weights::kTypeI, 0xd29b0d132037754f},
     {"kd_zero_c10_n403_d54_dup", kKd, 10, 403, 54, Points::kDuplicated,
-     Weights::kSomeZero, 0x8ec1a6be2bccd76c},
+     Weights::kSomeZero, 0x7a38095b0ee87b5e},
     {"ball_I_c1_n300_d10", kBall, 1, 300, 10, Points::kUniform,
-     Weights::kTypeI, 0x36dbbe2585cd60c8},
+     Weights::kTypeI, 0x7734db6065dc1929},
     {"ball_II_c10_n2001_d1", kBall, 10, 2001, 1, Points::kUniform,
-     Weights::kTypeII, 0x711b3401eb8c28ea},
+     Weights::kTypeII, 0xd90a859d73f3b786},
     {"ball_III_c33_n1500_d54", kBall, 33, 1500, 54, Points::kUniform,
-     Weights::kTypeIII, 0x381111249e49dc07},
+     Weights::kTypeIII, 0x60b6a92831b693dc},
     {"ball_I_c80_n20000_d10", kBall, 80, 20000, 10, Points::kUniform,
-     Weights::kTypeI, 0x80fc3fc1175a43c5},
+     Weights::kTypeI, 0x4a2f003ede56fc33},
     {"ball_II_c80_n60_d54_below_capacity", kBall, 80, 60, 54,
-     Points::kUniform, Weights::kTypeII, 0xf01f4d464abeecee},
+     Points::kUniform, Weights::kTypeII, 0xef136d2f14cf523c},
     {"ball_III_c10_n999_d4_tied", kBall, 10, 999, 4, Points::kTied,
-     Weights::kTypeIII, 0x9491b18000589d30},
+     Weights::kTypeIII, 0x23d3e29ec6f612db},
     {"ball_II_c1_n131_d1_dup", kBall, 1, 131, 1, Points::kDuplicated,
-     Weights::kTypeII, 0x8f0edce02c3c0a69},
+     Weights::kTypeII, 0x211a613d944e8b6b},
     {"ball_zero_c33_n700_d10_tied", kBall, 33, 700, 10, Points::kTied,
-     Weights::kSomeZero, 0xc5e09b47d69bb5be},
+     Weights::kSomeZero, 0xc854d6b4309f117a},
 };
 
 data::Matrix MakePoints(const GoldenCase& c, util::Rng& rng) {

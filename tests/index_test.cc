@@ -500,8 +500,7 @@ TEST(TreeBuildTest, RowSubsetBuildsTheTreeOfItsCopy) {
   const auto expect_same = [&](const TreeIndex& a, const TreeIndex& b) {
     EXPECT_TRUE(std::ranges::equal(a.original_indices(), b.original_indices()));
     EXPECT_EQ(a.num_nodes(), b.num_nodes());
-    EXPECT_EQ(bits(a.points().coords()), bits(b.points().coords()));
-    EXPECT_EQ(bits(a.weights()), bits(b.weights()));
+    EXPECT_TRUE(std::ranges::equal(a.points().planes(), b.points().planes()));
     EXPECT_EQ(bits(a.node_point_sums()), bits(b.node_point_sums()));
     EXPECT_EQ(bits(a.node_sqnorm_sums()), bits(b.node_sqnorm_sums()));
     EXPECT_EQ(bits(a.region_data_a()), bits(b.region_data_a()));
@@ -519,6 +518,55 @@ TEST(TreeBuildTest, RowSubsetBuildsTheTreeOfItsCopy) {
   rows.back() = pts.rows();
   EXPECT_FALSE(KdTree::Build(pts, weights, 10, {}, rows).ok());
   EXPECT_FALSE(BallTree::Build(pts, weights, 10, rows).ok());
+}
+
+// The planes hold |x| < 2^128 (core/simd/soa_block.h): a larger
+// coordinate or weight is refused, naming value, row and column; a value
+// below 2^-126 in magnitude is stored as ±0, in the node boxes and sums
+// too.
+TEST(TreeBuildTest, RefusesValuesThePlanesCannotHoldAndFlushesTinyOnes) {
+  data::Matrix pts(20, 3);
+  for (size_t i = 0; i < pts.rows(); ++i) {
+    for (size_t j = 0; j < 3; ++j) pts(i, j) = 0.1 * static_cast<double>(i + j);
+  }
+  const std::vector<double> weights(pts.rows(), 1.0);
+  data::Matrix big = pts;
+  big(7, 2) = -1e39;
+  for (const util::Status& built :
+       {KdTree::Build(big, weights, 4).status(),
+        BallTree::Build(big, weights, 4).status()}) {
+    ASSERT_FALSE(built.ok());
+    EXPECT_NE(built.message().find(
+                  "value -1e+39 at row 7, column 2 is too large"),
+              std::string::npos)
+        << built.ToString();
+  }
+  std::vector<double> heavy = weights;
+  heavy[5] = 1e39;
+  const auto refused = KdTree::Build(pts, heavy, 4);
+  ASSERT_FALSE(refused.ok());
+  EXPECT_NE(refused.status().message().find("weight 1e+39 at row 5"),
+            std::string::npos)
+      << refused.status().ToString();
+
+  data::Matrix tiny = pts;
+  tiny(3, 1) = -1e-300;
+  std::vector<double> light = weights;
+  light[4] = 1e-310;
+  const auto tree = KdTree::Build(tiny, light, 4).ValueOrDie();
+  for (size_t i = 0; i < tree->points().rows(); ++i) {
+    const size_t orig = tree->original_indices()[i];
+    if (orig == 3) {
+      EXPECT_EQ(tree->points().At(i, 1), 0.0);
+      EXPECT_TRUE(std::signbit(tree->points().At(i, 1)));
+    }
+    if (orig == 4) {
+      EXPECT_EQ(tree->points().WeightAt(i), 0.0);
+    }
+  }
+  EXPECT_EQ(tree->weight_sum(tree->root()), 19.0);
+  // The root box's lower corner in dimension 1 is the flushed -0.
+  EXPECT_EQ(tree->region_data_a()[1], 0.0);
 }
 
 TEST(TreeBuildTest, SinglePointTree) {

@@ -509,15 +509,9 @@ TEST(SimdSoaProperty, BlockedLayoutRoundTripsBitExactly) {
       if (built_trees[t] == nullptr) continue;
       const auto& want = built_trees[t]->points();
       const auto& got = attached_trees[t]->points();
-      ASSERT_EQ(got.coords().size(), want.coords().size());
-      ASSERT_EQ(got.block_weights().size(), want.block_weights().size());
-      EXPECT_EQ(std::memcmp(got.coords().data(), want.coords().data(),
-                            want.coords().size_bytes()),
-                0)
-          << "trial " << trial << " tree " << t;
-      EXPECT_EQ(std::memcmp(got.block_weights().data(),
-                            want.block_weights().data(),
-                            want.block_weights().size_bytes()),
+      ASSERT_EQ(got.planes().size(), want.planes().size());
+      EXPECT_EQ(std::memcmp(got.planes().data(), want.planes().data(),
+                            want.planes().size_bytes()),
                 0)
           << "trial " << trial << " tree " << t;
     }
@@ -588,6 +582,103 @@ TEST(SimdQueryProperty, VectorizedQueriesMatchBruteForce) {
         EXPECT_LE(std::abs(engine.value().Ekaq(q, eps) - exact),
                   eps * std::abs(exact) + 1e-10)
             << simd::TierName(tier) << " trial=" << trial << " q=" << query;
+      }
+      simd::ForceTier(saved);
+    }
+  }
+}
+
+// P7c: leaves folded as the narrow pass's enclosures keep every query
+// contract on the served simulacra, on every tier: eKAQ within (1 ± ε)
+// of an exact scan of the caller's points, and TKAQ deciding as that
+// scan does at τ = F·(1 ± r) for r down to 1e-9, where the narrow
+// intervals cannot decide and the drained frontier's exact scan must.
+// covtype keeps its raw scale (coordinates in the thousands), where the
+// fp32 query's rounding dominates the widening.
+TEST(NarrowContractProperty, EkaqAndTkaqHoldOnTheServedSimulacra) {
+  namespace simd = core::simd;
+  std::vector<simd::Tier> tiers = {simd::Tier::kScalar};
+  if (simd::TierSupported(simd::Tier::kAvx2)) {
+    tiers.push_back(simd::Tier::kAvx2);
+  }
+  if (simd::TierSupported(simd::Tier::kAvx512)) {
+    tiers.push_back(simd::Tier::kAvx512);
+  }
+  const simd::Tier saved = simd::ActiveTier();
+  struct Case {
+    const char* dataset;
+    size_t n;
+    bool raw_scale;
+    double gamma;
+    int weighting;
+  };
+  const Case cases[] = {
+      {"home", 3000, false, 42.0, 1},
+      {"home", 3000, false, 2000.0, 2},
+      {"miniboone", 2000, false, 56.0, 1},
+      {"covtype", 2000, true, 1.0 / 54.0, 2},
+      {"covtype", 2000, true, 1.0, 3},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(std::string(c.dataset) + " gamma " + std::to_string(c.gamma));
+    auto spec = data::FindDataset(c.dataset).ValueOrDie();
+    spec.n = c.n;
+    data::Matrix pts = data::MakeUciLike(spec);
+    // Raw covtype: columns from 0–1 up to 0–3600, most offset from 0.
+    const auto column_scale = [&](size_t j) {
+      return c.raw_scale ? std::pow(10.0, 0.5 * static_cast<double>(j % 8))
+                         : 1.0;
+    };
+    const auto column_offset = [&](size_t j) {
+      return c.raw_scale ? 1000.0 * static_cast<double>(j % 3) : 0.0;
+    };
+    for (size_t i = 0; i < pts.rows(); ++i) {
+      auto row = pts.MutableRow(i);
+      for (size_t j = 0; j < row.size(); ++j) {
+        row[j] = row[j] * column_scale(j) + column_offset(j);
+      }
+    }
+    util::Rng rng(9000 + c.n);
+    std::vector<double> weights(pts.rows());
+    for (double& w : weights) {
+      w = c.weighting == 1 ? 1.0 / static_cast<double>(pts.rows())
+                           : rng.Uniform(0.1, 1.0) *
+                                 (c.weighting == 3 && rng.Uniform(0.0, 1.0) < 0.4
+                                      ? -1.0
+                                      : 1.0);
+    }
+    EngineOptions options;
+    options.kernel = KernelParams::Gaussian(c.gamma);
+    auto engine = Engine::Build(pts, weights, options);
+    ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+
+    for (size_t query = 0; query < 8; ++query) {
+      // Near a data point, at about a kernel width.
+      std::vector<double> q(pts.cols());
+      const auto base = pts.Row((query * 211) % pts.rows());
+      const double width = 1.0 / std::sqrt(c.gamma * pts.cols());
+      for (size_t j = 0; j < q.size(); ++j) {
+        q[j] = base[j] + rng.Gaussian(0.0, 0.5 * width);
+      }
+      const double f = core::ExactAggregate(pts, weights, options.kernel, q);
+      for (const simd::Tier tier : tiers) {
+        simd::ForceTier(tier);
+        SCOPED_TRACE(std::string(simd::TierName(tier)) + " query " +
+                     std::to_string(query) + " F " + std::to_string(f));
+        if (c.weighting != 3) {
+          for (const double eps : {0.01, 0.1}) {
+            EXPECT_LE(std::abs(engine.value().Ekaq(q, eps) - f),
+                      eps * std::abs(f) + 1e-12 * std::abs(f))
+                << "eps " << eps;
+          }
+        }
+        for (const double r : {1e-3, 1e-5, 1e-7, 1e-9}) {
+          for (const double sign : {-1.0, 1.0}) {
+            const double tau = f * (1.0 + sign * r);
+            EXPECT_EQ(engine.value().Tkaq(q, tau), f > tau)
+                << "tau = F·(1 " << (sign > 0 ? "+ " : "- ") << r << ")";
+          }
+        }
       }
       simd::ForceTier(saved);
     }

@@ -1,16 +1,21 @@
 // Differential test of the evaluator's best-first loop against a reference
 // copy of the loop it replaced: a std::priority_queue of frontier entries
 // (pop, then push the children), node bounds through the BoundFunction
-// vtable and leaves through simd::LeafAggregate. Answers, EvalStats and
-// EXPLAIN profiles must be bit-equal for eKAQ and TKAQ over the five
-// kernels, kd and ball trees, every bound kind, Type I/II/III weights,
-// every level cap and every SIMD tier this binary and host can run.
+// vtable and leaves through simd::LeafInterval and simd::LeafAggregate.
+// Answers, EvalStats and EXPLAIN profiles must be bit-equal for eKAQ and
+// TKAQ over the five kernels, kd and ball trees, every bound kind, Type
+// I/II/III weights, every level cap and every SIMD tier this binary and
+// host can run.
 //
-// The reference encodes the shipped stop rule: when the stop holds on the
-// running sums, the enclosure is re-summed as the exact leaf sum plus the
-// live entries' bounds in admission order and tested again; a drained
-// frontier answers the leaf sum; eKAQ stops at (1−ε)·ub <= (1+ε)·lb and
-// answers the harmonic mean of lb and ub.
+// The reference encodes the shipped leaf and stop rules: a distance
+// kernel's leaves fold the narrow pass's interval (simd::LeafInterval),
+// two sibling leaves as one range, and on a kd tree an expansion whose
+// narrow leaves would widen the popped entry retakes them exactly; when
+// the stop holds on the running sums, the enclosure is re-summed as the
+// leaf intervals' sum plus the live entries' bounds in admission order
+// and tested again; a drained frontier answers the leaf sum, or the exact
+// scan if that leaves the query undecided; eKAQ stops at
+// (1−ε)·ub <= (1+ε)·lb and answers the harmonic mean of lb and ub.
 //
 // Tie rule: the widest gap pops first, and equal gaps pop in admission
 // order (the order the loop bounded the entries in, within one query).
@@ -95,37 +100,68 @@ RefResult ReferenceRefine(const index::TreeIndex& plus,
   };
 
   const QueryContext ctx = QueryContext::Make(q);
+  const simd::NarrowQuery narrow_q(kernel, q);
+  const bool narrow =
+      narrow_q.usable() && plus.points().nonnegative_weights() &&
+      (minus == nullptr || minus->points().nonnegative_weights());
   std::priority_queue<RefEntry, std::vector<RefEntry>, RefEntryLess> frontier;
   // Every bounded entry's (lb, ub) by admission order, zeroed on pop.
   std::vector<std::pair<double, double>> admitted_bounds;
-  double leaf = 0.0;
+  double leaf_lb = 0.0;
+  double leaf_ub = 0.0;
   uint32_t admitted = 0;
-  const auto admit = [&](const index::TreeIndex& tree, int8_t side,
-                         index::NodeId id) {
+  const auto is_leaf = [&](const index::TreeIndex& tree, index::NodeId id) {
     const auto& nd = tree.node(id);
-    if (nd.is_leaf() ||
-        (max_level >= 0 && nd.depth >= static_cast<uint16_t>(max_level))) {
-      const double exact =
-          static_cast<double>(side) *
-          simd::LeafAggregate(kernel, tree.points(), nd.begin, nd.end, q);
+    return nd.is_leaf() ||
+           (max_level >= 0 && nd.depth >= static_cast<uint16_t>(max_level));
+  };
+  const auto exact_leaf = [&](const index::TreeIndex& tree,
+                              const index::TreeIndex::Node& nd) {
+    const double exact =
+        simd::LeafAggregate(kernel, tree.points(), nd.begin, nd.end, q);
+    r.work.kernel_evals += nd.count();
+    level(nd.depth).kernel_evals += nd.count();
+    return std::pair<double, double>{exact, exact};
+  };
+  // A leaf's narrow interval, or its exact sum; *narrowed says which.
+  const auto scan_leaf = [&](const index::TreeIndex& tree,
+                             const index::TreeIndex::Node& nd,
+                             bool* narrowed) {
+    *narrowed = false;
+    if (narrow) {
+      const simd::NodeInterval iv =
+          simd::LeafInterval(kernel, tree.points(), nd.begin, nd.end,
+                             narrow_q);
       r.work.kernel_evals += nd.count();
-      TraversalProfile::Level& l = level(nd.depth);
-      ++l.visited;
-      ++l.exact_leaves;
-      l.kernel_evals += nd.count();
-      leaf += exact;
-      r.lb += exact;
-      r.ub += exact;
-      return;
+      level(nd.depth).kernel_evals += nd.count();
+      if (std::isfinite(iv.ub)) {
+        *narrowed = true;
+        return std::pair<double, double>{iv.lb, iv.ub};
+      }
     }
-    double node_lb = 0.0;
-    double node_ub = 0.0;
-    bound.NodeBounds(tree, id, ctx, &node_lb, &node_ub);
+    return exact_leaf(tree, nd);
+  };
+  const auto count_leaf = [&](const index::TreeIndex::Node& nd) {
+    TraversalProfile::Level& l = level(nd.depth);
+    ++l.visited;
+    ++l.exact_leaves;
+  };
+  const auto fold_leaf = [&](int8_t side, std::pair<double, double> v) {
+    const double lo = side > 0 ? v.first : -v.second;
+    const double hi = side > 0 ? v.second : -v.first;
+    leaf_lb += lo;
+    leaf_ub += hi;
+    r.lb += lo;
+    r.ub += hi;
+  };
+  const auto push = [&](const index::TreeIndex& tree, int8_t side,
+                        index::NodeId id, std::pair<double, double> v) {
+    const auto& nd = tree.node(id);
     RefEntry e;
     e.node = id;
     e.side = side;
-    e.lb = side > 0 ? node_lb : -node_ub;
-    e.ub = side > 0 ? node_ub : -node_lb;
+    e.lb = side > 0 ? v.first : -v.second;
+    e.ub = side > 0 ? v.second : -v.first;
     e.gap = e.ub - e.lb;
     e.seq = admitted++;
     admitted_bounds.emplace_back(e.lb, e.ub);
@@ -135,14 +171,77 @@ RefResult ReferenceRefine(const index::TreeIndex& plus,
     frontier.push(e);
     r.max_frontier = std::max(r.max_frontier, frontier.size());
   };
+  const auto bounds_of = [&](const index::TreeIndex& tree, index::NodeId id) {
+    std::pair<double, double> v;
+    bound.NodeBounds(tree, id, ctx, &v.first, &v.second);
+    return v;
+  };
+  const auto admit_root = [&](const index::TreeIndex& tree, int8_t side) {
+    const index::NodeId id = tree.root();
+    bool narrowed;
+    if (is_leaf(tree, id)) {
+      count_leaf(tree.node(id));
+      fold_leaf(side, scan_leaf(tree, tree.node(id), &narrowed));
+    } else {
+      push(tree, side, id, bounds_of(tree, id));
+    }
+  };
+  const auto wider = [](const RefEntry& top, double lo, double hi) {
+    return top.side > 0 ? lo < top.lb || hi > top.ub
+                        : -hi < top.lb || -lo > top.ub;
+  };
+  // Both children of `top`. Two leaves under the narrow pass are scanned
+  // as one leaf over `top`'s range, a level down. Otherwise leaves are
+  // scanned and bounds taken left then right. On a kd tree, narrow leaves
+  // that leave the children wider than `top` on either side are retaken
+  // exactly; then each is folded or pushed, left then right.
+  const auto expand = [&](const index::TreeIndex& tree, const RefEntry& top,
+                          const index::TreeIndex::Node& nd) {
+    const index::NodeId kids[2] = {nd.left, nd.right};
+    const bool kd = tree.kind() == index::IndexKind::kKdTree;
+    bool leaf[2], narrowed[2] = {false, false};
+    for (int c = 0; c < 2; ++c) leaf[c] = is_leaf(tree, kids[c]);
+    if (narrow && leaf[0] && leaf[1]) {
+      index::TreeIndex::Node pair = nd;
+      pair.left = pair.right = index::kInvalidNode;
+      pair.depth = static_cast<uint16_t>(nd.depth + 1);
+      std::pair<double, double> v = scan_leaf(tree, pair, &narrowed[0]);
+      if (narrowed[0] && kd && wider(top, v.first, v.second)) {
+        v = exact_leaf(tree, pair);
+      }
+      count_leaf(tree.node(kids[0]));
+      count_leaf(tree.node(kids[1]));
+      fold_leaf(top.side, v);
+      return;
+    }
+    std::pair<double, double> v[2];
+    for (int c = 0; c < 2; ++c) {
+      v[c] = leaf[c] ? scan_leaf(tree, tree.node(kids[c]), &narrowed[c])
+                     : bounds_of(tree, kids[c]);
+    }
+    if ((narrowed[0] || narrowed[1]) && kd &&
+        wider(top, v[0].first + v[1].first, v[0].second + v[1].second)) {
+      for (int c = 0; c < 2; ++c) {
+        if (narrowed[c]) v[c] = exact_leaf(tree, tree.node(kids[c]));
+      }
+    }
+    for (int c = 0; c < 2; ++c) {
+      if (leaf[c]) {
+        count_leaf(tree.node(kids[c]));
+        fold_leaf(top.side, v[c]);
+      } else {
+        push(tree, top.side, kids[c], v[c]);
+      }
+    }
+  };
 
-  admit(plus, +1, plus.root());
-  if (minus != nullptr) admit(*minus, -1, minus->root());
+  admit_root(plus, +1);
+  if (minus != nullptr) admit_root(*minus, -1);
   step();
   while (!frontier.empty()) {
     if (stop(r.lb, r.ub)) {
-      r.lb = leaf;
-      r.ub = leaf;
+      r.lb = leaf_lb;
+      r.ub = leaf_ub;
       for (const auto& [lb, ub] : admitted_bounds) {
         r.lb += lb;
         r.ub += ub;
@@ -159,8 +258,7 @@ RefResult ReferenceRefine(const index::TreeIndex& plus,
     const auto& nd = tree.node(top.node);
     ++r.work.nodes_expanded;
     ++level(nd.depth).expanded;
-    admit(tree, top.side, nd.left);
-    admit(tree, top.side, nd.right);
+    expand(tree, top, nd);
     step();
   }
   const bool drained = frontier.empty();
@@ -170,10 +268,28 @@ RefResult ReferenceRefine(const index::TreeIndex& plus,
     const index::TreeIndex& tree = rest.side > 0 ? plus : *minus;
     ++level(tree.node(rest.node).depth).pruned;
   }
+  if (drained) {
+    // Leaf intervals that leave the query undecided give way to the
+    // exact scan, counted at the roots' level.
+    r.lb = leaf_lb;
+    r.ub = leaf_ub;
+    if (r.lb != r.ub && !stop(r.lb, r.ub)) {
+      double exact = simd::LeafAggregate(kernel, plus.points(), 0,
+                                         plus.points().rows(), q);
+      size_t points = plus.points().rows();
+      if (minus != nullptr) {
+        exact -= simd::LeafAggregate(kernel, minus->points(), 0,
+                                     minus->points().rows(), q);
+        points += minus->points().rows();
+      }
+      r.lb = r.ub = exact;
+      r.work.kernel_evals += points;
+      level(0).kernel_evals += points;
+    }
+  }
   r.profile.iterations = r.work.iterations;
   r.profile.nodes_expanded = r.work.nodes_expanded;
   r.profile.kernel_evals = r.work.kernel_evals;
-  if (drained) r.lb = r.ub = leaf;
   return r;
 }
 

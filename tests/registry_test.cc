@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <cmath>
 #include <cstddef>
@@ -16,6 +17,7 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <limits>
 #include <map>
 #include <string>
 #include <string_view>
@@ -168,28 +170,27 @@ bool WaitUntil(const std::function<bool()>& done) {
   return true;
 }
 
-constexpr size_t kLanes = core::simd::SoaLeafBlocks::kBlockPoints;
+constexpr size_t kLanes = core::simd::SoaLeafBlocks::kGroupRows;
 
 // Per-tree header block (rows, num_nodes, max_depth; u64 each); see the
 // header layout in registry/snapshot.cc.
 constexpr size_t kHeaderTreeBlock = 88;
 constexpr size_t kHeaderTreeBlockBytes = 24;
 
-// Byte offset, inside the blocked coordinates of a tree with `rows`
-// rows and `cols` dimensions, of dimension `dim` of the first pad lane
-// (the lane after the last real row; requires rows % kLanes != 0).
-size_t PadCoordOffset(size_t rows, size_t cols, size_t dim) {
-  const size_t last_block = rows / kLanes;
-  return ((last_block * cols + dim) * kLanes + rows % kLanes) *
-         sizeof(double);
+// Byte offset, inside the planes of a tree with `rows` rows and `cols`
+// dimensions, of row `dim` (cols = the weight) of the first pad lane
+// (the lane after the last real row; requires rows % kLanes != 0), in
+// the hi plane or the lo plane.
+size_t PadWordOffset(size_t rows, size_t cols, size_t dim, bool lo_plane) {
+  const size_t last_group = rows / kLanes;
+  const size_t plane = (2 * last_group + (lo_plane ? 1 : 0)) * (cols + 1);
+  return ((plane + dim) * kLanes + rows % kLanes) * sizeof(uint32_t);
 }
 
-// The extents SectionExtents reports per tree, in file order; the
-// blocks section counts as two (coordinates, then weights).
+// The extents SectionExtents reports per tree, in file order.
 enum Extent : size_t {
   kNodes,
-  kBlockCoords,
-  kBlockWeights,
+  kPlanes,
   kPerm,
   kWeightSums,
   kSqnormSums,
@@ -231,8 +232,7 @@ std::vector<std::pair<size_t, size_t>> SectionExtents(
   for (size_t t = 0; t < snap.num_trees(); ++t) {
     const index::TreeIndexView& v = snap.tree_view(t);
     add(v.nodes.data(), v.nodes.size_bytes());
-    add(v.blocks.data(), v.blocks.size_bytes());
-    add(v.block_weights.data(), v.block_weights.size_bytes());
+    add(v.planes.data(), v.planes.size_bytes());
     add(v.perm.data(), v.perm.size_bytes());
     add(v.weight_sums.data(), v.weight_sums.size_bytes());
     add(v.sqnorm_sums.data(), v.sqnorm_sums.size_bytes());
@@ -408,9 +408,10 @@ TEST(SnapshotTest, RejectsCorruptHeaderFields) {
   EXPECT_FALSE(MappedSnapshot::Map(bad_path).ok());
 
   // Wrong version, including a format v1 (FNV-1a), a format v2
-  // (row-major points) and a format v3 (no frame) file. Resealed, so the
-  // version check alone must reject it.
-  for (const uint32_t version : {1u, 2u, 3u, 0x7Fu}) {
+  // (row-major points), a format v3 (no frame) and a format v4 (fp64
+  // point blocks) file. Resealed, so the version check alone must reject
+  // it.
+  for (const uint32_t version : {1u, 2u, 3u, 4u, 0x7Fu}) {
     bad = bytes;
     std::memcpy(bad.data() + 4, &version, sizeof(version));
     Reseal(bad);
@@ -464,10 +465,10 @@ TEST(SnapshotTest, RejectsCorruptHeaderFields) {
     const index::TreeIndexView& v = snapshot.value().tree_view(t);
     ASSERT_NE(v.rows % kLanes, 0u) << "tree " << t << " has no pad lanes";
     const size_t first = t * kExtentsPerTree;
-    flips.push_back(sections[first + kBlockWeights].first +
-                    v.rows * sizeof(double));
-    flips.push_back(sections[first + kBlockCoords].first +
-                    PadCoordOffset(v.rows, v.cols, v.cols - 1));
+    flips.push_back(sections[first + kPlanes].first +
+                    PadWordOffset(v.rows, v.cols, v.cols, false));
+    flips.push_back(sections[first + kPlanes].first +
+                    PadWordOffset(v.rows, v.cols, v.cols - 1, true));
   }
   for (const size_t at : flips) {
     bad = bytes;
@@ -558,15 +559,40 @@ TEST(SnapshotTest, RejectsNonZeroPadLaneEvenWhenResealed) {
   for (size_t t = 0; t < 2; ++t) {
     ASSERT_NE(snap.rows[t] % kLanes, 0u) << "tree " << t << " has no pad";
     std::string bad = snap.bytes;
-    Poke(bad, ExtentAt(snap, t, kBlockWeights) + snap.rows[t] * 8, 0.5);
+    Poke(bad,
+         ExtentAt(snap, t, kPlanes) +
+             PadWordOffset(snap.rows[t], snap.cols, snap.cols, false),
+         std::bit_cast<uint32_t>(0.5f));
     ExpectAttachRejects(dir, bad, "pad lane");
     for (const size_t dim : {size_t{0}, snap.cols - 1}) {
-      bad = snap.bytes;
-      Poke(bad,
-           ExtentAt(snap, t, kBlockCoords) +
-               PadCoordOffset(snap.rows[t], snap.cols, dim),
-           -1e-300);
-      ExpectAttachRejects(dir, bad, "pad lane");
+      for (const bool lo_plane : {false, true}) {
+        bad = snap.bytes;
+        Poke(bad,
+             ExtentAt(snap, t, kPlanes) +
+                 PadWordOffset(snap.rows[t], snap.cols, dim, lo_plane),
+             uint32_t{0x80000001u});
+        ExpectAttachRejects(dir, bad, "pad lane");
+      }
+    }
+  }
+}
+
+// The narrow leaf pass needs every weight ≥ 0 and finite; a weight's
+// hi word (its fp32 truncation) carries its sign and exponent.
+TEST(SnapshotTest, RejectsNegativeOrNonFiniteWeightEvenWhenResealed) {
+  TempDir dir("karl_snap_weight");
+  const TestSnapshot snap = WriteTestSnapshot(dir, 13);
+  for (size_t t = 0; t < 2; ++t) {
+    // Row 17's weight: group 1, lane 1, plane row cols, hi plane.
+    const size_t at = ExtentAt(snap, t, kPlanes) +
+                      ((2 * (snap.cols + 1) + snap.cols) * kLanes + 1) *
+                          sizeof(uint32_t);
+    for (const float bad_weight :
+         {-0.5f, std::numeric_limits<float>::infinity(),
+          std::numeric_limits<float>::quiet_NaN()}) {
+      std::string bad = snap.bytes;
+      Poke(bad, at, std::bit_cast<uint32_t>(bad_weight));
+      ExpectAttachRejects(dir, bad, "of row 17 is negative or not finite");
     }
   }
 }

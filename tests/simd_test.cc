@@ -129,8 +129,7 @@ SoaLeafBlocks BlocksThrough(const data::Matrix& pts,
                             std::span<const size_t> perm,
                             std::span<const double> weights) {
   const size_t d = pts.cols();
-  simd::BlockStorage coords(SoaLeafBlocks::NumBlocks(pts.rows()) * d *
-                            SoaLeafBlocks::kBlockPoints);
+  simd::BlockStorage coords(SoaLeafBlocks::StorageDoubles(pts.rows(), d));
   std::vector<double> permuted_weights;
   for (size_t i = 0; i < perm.size(); ++i) {
     const auto row = pts.Row(perm[i]);
@@ -908,35 +907,39 @@ TEST(SimdEngineTest, ExactQueriesAgreeAcrossTiersWithinTolerance) {
 
 TEST(SoaBlockTest, LayoutRoundTripsAndPadsWithZeros) {
   util::Rng rng(9);
-  const size_t n = 13, d = 5;  // 2 blocks, 3 pad lanes.
+  const size_t n = 13, d = 5;  // 1 group, 3 pad lanes.
   const data::Matrix pts = RandomMatrix(n, d, rng);
   std::vector<double> weights(n);
   for (auto& w : weights) w = rng.Uniform(-1.0, 1.0);
 
-  // Row i of the blocks is row perm[i] of the input, with its weight.
+  // Row i of the planes is row perm[i] of the input, with its weight.
   std::vector<size_t> perm(n);
   for (size_t i = 0; i < n; ++i) perm[i] = (5 * i + 3) % n;
   const SoaLeafBlocks soa = BlocksThrough(pts, perm, weights);
   ASSERT_EQ(soa.rows(), n);
   ASSERT_EQ(soa.dims(), d);
-  ASSERT_EQ(soa.num_blocks(), 2u);
-  EXPECT_GT(soa.MemoryUsageBytes(), 0u);
+  ASSERT_EQ(soa.num_groups(), 1u);
+  EXPECT_EQ(soa.MemoryUsageBytes(), 2 * (d + 1) * 16 * sizeof(uint32_t));
+  EXPECT_FALSE(soa.nonnegative_weights());
 
+  constexpr size_t kG = SoaLeafBlocks::kGroupRows;
   for (size_t i = 0; i < n; ++i) {
     EXPECT_EQ(soa.WeightAt(i), weights[perm[i]]) << i;
     for (size_t j = 0; j < d; ++j) {
-      EXPECT_EQ(soa.At(i, j), pts.Row(perm[i])[j]) << i << "," << j;
-      EXPECT_EQ(soa.RowLanes(i)[j * SoaLeafBlocks::kBlockPoints],
-                soa.At(i, j)) << i << "," << j;
+      const double x = pts.Row(perm[i])[j];
+      EXPECT_EQ(soa.At(i, j), x) << i << "," << j;
+      // The hi word is x truncated toward zero to fp32.
+      const float hi = std::bit_cast<float>(soa.GroupHi(0)[j * kG + i]);
+      EXPECT_LE(std::abs(static_cast<double>(hi)), std::abs(x));
+      EXPECT_LT(std::abs(x - hi), std::abs(x) * 0x1p-23) << i << "," << j;
     }
   }
-  // Pad lanes: weight 0 and coordinate 0, so a vector kernel evaluated
-  // over them contributes exactly 0.
-  for (size_t lane = n % SoaLeafBlocks::kBlockPoints;
-       lane < SoaLeafBlocks::kBlockPoints; ++lane) {
-    EXPECT_EQ(soa.BlockWeights(1)[lane], 0.0) << lane;
-    for (size_t j = 0; j < d; ++j) {
-      EXPECT_EQ(soa.BlockDim(1, j)[lane], 0.0) << lane << "," << j;
+  // Pad lanes: every word 0, so a vector kernel evaluated over them
+  // contributes exactly 0.
+  for (size_t lane = n; lane < kG; ++lane) {
+    for (size_t j = 0; j <= d; ++j) {
+      EXPECT_EQ(soa.GroupHi(0)[j * kG + lane], 0u) << lane << "," << j;
+      EXPECT_EQ(soa.GroupLo(0)[j * kG + lane], 0u) << lane << "," << j;
     }
   }
 }
@@ -946,7 +949,207 @@ TEST(SoaBlockTest, EmptyInputStaysEmpty) {
   EXPECT_TRUE(soa.empty());
   soa.BuildFromRows(0, 0, {}, {});
   EXPECT_TRUE(soa.empty());
-  EXPECT_EQ(soa.num_blocks(), 0u);
+  EXPECT_EQ(soa.num_groups(), 0u);
+}
+
+// Every double of the planes' range splits into words that join back to
+// its bits; tiny values become ±0.
+TEST(SoaBlockTest, PlanesSplitAndJoinBitExactly) {
+  util::Rng rng(77);
+  std::vector<double> values = {0.0,     -0.0,         1.0,        -1.0,
+                                0x1p-126, -0x1p-126,    0x1.fffffffffffffp127,
+                                -0x1.fffffffffffffp127, 1e-30,     1e30,
+                                0x1.000001p0, 3.141592653589793};
+  for (int i = 0; i < 10000; ++i) {
+    values.push_back(std::ldexp(rng.Uniform(-1.0, 1.0),
+                                static_cast<int>(rng.Uniform(-125.0, 128.0))));
+  }
+  for (const double raw : values) {
+    const double x = simd::FlushToPlane(raw);
+    uint32_t hi = 0, lo = 0;
+    simd::SplitToPlanes(x, &hi, &lo);
+    EXPECT_EQ(std::bit_cast<uint64_t>(simd::JoinPlanes(hi, lo)),
+              std::bit_cast<uint64_t>(x))
+        << x;
+    EXPECT_LT(lo, 1u << 29) << x;
+  }
+  for (const double tiny : {0x1p-127, -0x1p-127, 1e-300, -5e-324}) {
+    const double flushed = simd::FlushToPlane(tiny);
+    EXPECT_EQ(flushed, 0.0) << tiny;
+    EXPECT_EQ(std::signbit(flushed), std::signbit(tiny)) << tiny;
+  }
+  EXPECT_EQ(simd::FlushToPlane(0x1p-126), 0x1p-126);
+}
+
+// Every tier's group split writes SplitToPlanes' words at the planes'
+// positions, and flags a value the planes cannot hold.
+TEST(SoaBlockTest, SplitGroupWritesTheSameWordsOnEveryTier) {
+  constexpr size_t kG = SoaLeafBlocks::kGroupRows;
+  util::Rng rng(78);
+  const double edges[] = {0.0,     -0.0,      1e-300,    -0x1p-127,
+                          0x1p-126, -1e30,    0x1.fffffffffffffp127,
+                          -3.5,    0x1.000001p0};
+  for (const size_t dims : {size_t{1}, size_t{3}, size_t{10}, size_t{54}}) {
+    std::vector<double> rows(kG * dims);
+    for (size_t i = 0; i < rows.size(); ++i) {
+      const int exponent = static_cast<int>(rng.Uniform(-140.0, 127.0));
+      rows[i] = i % 5 == 0 ? edges[i % std::size(edges)]
+                           : std::ldexp(rng.Uniform(-1.0, 1.0), exponent);
+    }
+    std::vector<double> weights(kG);
+    for (double& w : weights) w = rng.Uniform(0.0, 2.0);
+    std::vector<uint32_t> want_hi((dims + 1) * kG), want_lo(want_hi.size());
+    for (size_t j = 0; j <= dims; ++j) {
+      for (size_t r = 0; r < kG; ++r) {
+        simd::SplitToPlanes(j < dims ? rows[r * dims + j] : weights[r],
+                            &want_hi[j * kG + r], &want_lo[j * kG + r]);
+      }
+    }
+    for (const Tier tier : SupportedTiers()) {
+      TierGuard guard;
+      simd::ForceTier(tier);
+      std::vector<uint32_t> hi(want_hi.size()), lo(want_lo.size());
+      EXPECT_TRUE(simd::SplitGroup(rows.data(), dims, weights.data(),
+                                   hi.data(), lo.data()));
+      EXPECT_EQ(hi, want_hi) << TierName(tier) << " d=" << dims;
+      EXPECT_EQ(lo, want_lo) << TierName(tier) << " d=" << dims;
+      for (const double bad : {0x1p128, -1e39,
+                               std::numeric_limits<double>::quiet_NaN()}) {
+        std::vector<double> out_of_range = rows;
+        out_of_range[(kG - 1) * dims] = bad;
+        EXPECT_FALSE(simd::SplitGroup(out_of_range.data(), dims,
+                                      weights.data(), hi.data(), lo.data()))
+            << TierName(tier) << " d=" << dims << " " << bad;
+      }
+    }
+  }
+}
+
+// ---------------------------------------------------------------------
+// The narrow pass: its fp32 exp within kNarrowExpUlpBound of the
+// correctly rounded result, and its interval around the scalar oracle's
+// fp64 sum on every tier.
+// ---------------------------------------------------------------------
+
+TEST(NarrowExpTest, WithinUlpBoundOfCorrectlyRoundedExp) {
+  util::Rng rng(4343);
+  std::vector<float> args;
+  for (int i = 0; i < 200000; ++i) {
+    args.push_back(static_cast<float>(rng.Uniform(0.0, 86.0)));
+  }
+  for (int i = 0; i < 100000; ++i) {
+    args.push_back(static_cast<float>(rng.Uniform(0.0, 2.0)));
+  }
+  // Every reduced argument around a few k, and the domain's ends.
+  const double half_ln2 = 0.5 * std::log(2.0);
+  for (const int k : {0, 1, 7, 60, 124}) {
+    for (int i = 0; i <= 4000; ++i) {
+      const double x = k * std::log(2.0) + half_ln2 * (i / 2000.0 - 1.0);
+      if (x >= 0.0 && x <= 86.0) args.push_back(static_cast<float>(x));
+    }
+  }
+  for (const float v : {0.0f, 1e-30f, 1e-7f, 0.5f, 1.0f, 85.999f, 86.0f}) {
+    args.push_back(v);
+  }
+  std::vector<float> out(args.size());
+  for (const Tier tier : SupportedTiers()) {
+    TierGuard guard;
+    simd::ForceTier(tier);
+    simd::NarrowExpBlock(args, out);
+    int64_t worst = 0;
+    for (size_t i = 0; i < args.size(); ++i) {
+      const float want = static_cast<float>(std::exp(-double{args[i]}));
+      const int64_t ulps = std::abs(
+          int64_t{std::bit_cast<int32_t>(out[i])} -
+          int64_t{std::bit_cast<int32_t>(want)});
+      worst = std::max(worst, ulps);
+      ASSERT_LE(ulps, simd::kNarrowExpUlpBound[static_cast<int>(tier)])
+          << simd::TierName(tier) << " exp(-" << args[i] << ") = " << out[i]
+          << " want " << want;
+    }
+    RecordProperty(std::string(simd::TierName(tier)) + "_worst_ulps",
+                   static_cast<int>(worst));
+  }
+}
+
+// Per tier and distance kernel, LeafInterval encloses ScalarLeafAggregate
+// on ranges that start mid-block and mid-group, with coordinate and
+// weight magnitudes from 1e-30 to 1e30, and is tight where the data is
+// moderate.
+TEST(NarrowLeafTest, IntervalEnclosesTheScalarSumOnEveryTier) {
+  const std::pair<uint32_t, uint32_t> ranges[] = {
+      {0, 83}, {0, 16}, {8, 40}, {3, 5}, {5, 21}, {13, 61},
+      {24, 83}, {80, 83}, {16, 17}, {9, 24}};
+  for (const size_t d : {1, 2, 3, 7, 8, 10, 16, 33, 54, 64, 100}) {
+    util::Rng rng(2024 + static_cast<uint64_t>(d));
+    for (const double magnitude : {1e-30, 1e-8, 1.0, 1e8, 1e30}) {
+      for (const bool spread : {true, false}) {
+        const size_t n = 83;
+        data::Matrix pts(n, d);
+        for (size_t i = 0; i < n; ++i) {
+          for (double& v : pts.MutableRow(i)) {
+            v = magnitude * rng.Uniform(-1.0, 1.0);
+          }
+        }
+        // Weights across 60 decades, some 0; or all moderate.
+        std::vector<double> weights(n);
+        for (double& w : weights) {
+          w = spread ? std::pow(10.0, rng.Uniform(-30.0, 30.0)) *
+                           (rng.Uniform(0.0, 1.0) < 0.1 ? 0.0 : 1.0)
+                     : rng.Uniform(0.1, 2.0);
+        }
+        const SoaLeafBlocks soa = BlocksInRowOrder(pts, weights);
+        ASSERT_TRUE(soa.nonnegative_weights());
+        // A query near a stored point, so that some kernels are not tiny.
+        std::vector<double> q(pts.Row(7).begin(), pts.Row(7).end());
+        for (double& v : q) v += 0.05 * magnitude * rng.Uniform(-1.0, 1.0);
+        const double dd = static_cast<double>(d);
+        const double m2 = magnitude * magnitude;
+        const KernelParams kernels[] = {
+            KernelParams::Gaussian(3.0 / dd / m2),
+            KernelParams::Gaussian(300.0 / dd / m2),
+            KernelParams::Laplacian(2.0 / std::sqrt(dd) / magnitude),
+            KernelParams::Cauchy(1.5 / dd / m2),
+        };
+        for (const KernelParams& kernel : kernels) {
+          const simd::NarrowQuery nq(kernel, q);
+          if (!nq.usable()) continue;  // γ outside fp32's range.
+          for (const auto& [begin, end] : ranges) {
+            const double exact = simd::ScalarLeafAggregate(kernel, soa, begin,
+                                                           end, q.data());
+            for (const Tier tier : SupportedTiers()) {
+              TierGuard guard;
+              simd::ForceTier(tier);
+              const simd::NodeInterval iv =
+                  simd::LeafInterval(kernel, soa, begin, end, nq);
+              ASSERT_LE(iv.lb, exact)
+                  << simd::TierName(tier) << " "
+                  << core::KernelTypeToString(kernel.type) << " γ "
+                  << kernel.gamma << " d=" << d << " magnitude " << magnitude
+                  << " [" << begin << "," << end << ")";
+              ASSERT_GE(iv.ub, exact)
+                  << simd::TierName(tier) << " "
+                  << core::KernelTypeToString(kernel.type) << " γ "
+                  << kernel.gamma << " d=" << d << " magnitude " << magnitude
+                  << " [" << begin << "," << end << ")";
+              ASSERT_GE(iv.lb, 0.0);
+              // Moderate data: a relative width of 1e-3 at most, unless the
+              // sum is so small that e^{-86}·Σw, what the clamped lanes
+              // may hold, is not small beside it.
+              if (magnitude == 1.0 && !spread &&
+                  exact > 1e-30 * static_cast<double>(end - begin)) {
+                EXPECT_LE(iv.ub - iv.lb, 1e-3 * exact)
+                    << simd::TierName(tier) << " "
+                    << core::KernelTypeToString(kernel.type) << " d=" << d
+                    << " [" << begin << "," << end << ") lb=" << iv.lb
+                    << " exact=" << exact << " ub=" << iv.ub;
+              }
+            }
+          }
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -1,16 +1,21 @@
 // karl_audit: randomized bound-invariant fuzz driver.
 //
-// Sweeps random datasets × kernels {Gaussian, polynomial even/odd,
-// sigmoid} × weighting {Type I, II, III} × bound kinds {SOTA, KARL} ×
-// indexes {kd-tree, ball-tree} × queries {TKAQ, eKAQ}, with the runtime
-// bound auditor enabled on every engine. Any violated invariant — a node
-// bound excluding its exact aggregate, a global [lb, ub] excluding the
-// exact answer, an inverted interval, or a non-monotone refinement where
-// monotonicity is a theorem — aborts with full diagnostics. So does a
-// wrong answer: a TKAQ decision other than exact > τ (τ at 0.6 and 1.5
-// times the exact answer), or an eKAQ answer F̂ outside
-// |F̂ − F| <= ε|F| + 1e-9·|F|, a relative slack with no absolute floor.
-// A clean exit means zero violations over the whole sweep.
+// Sweeps random datasets × kernels {Gaussian, Laplacian, Cauchy,
+// polynomial even/odd, sigmoid} × weighting {Type I, II, III} × bound
+// kinds {SOTA, KARL} × indexes {kd-tree, ball-tree} × queries {TKAQ,
+// eKAQ}, with the runtime bound auditor enabled on every engine. Any
+// violated invariant — a node bound excluding its exact aggregate, a
+// narrow leaf interval excluding its leaf's fp64 sum, a global [lb, ub]
+// excluding the exact answer, an inverted interval, or a non-monotone
+// refinement where monotonicity is a theorem — aborts with full
+// diagnostics. So does a wrong answer: a TKAQ decision other than
+// exact > τ (τ at 0.6, 1 ± 1e-7 and 1.5 times the exact answer), or an
+// eKAQ answer F̂ outside |F̂ − F| <= ε|F| + 1e-9·|F|, a relative slack
+// with no absolute floor. Each query also runs the leaf audit: every
+// leaf's narrow interval (core/simd LeafInterval), queried or not, must
+// enclose ExactNodeAggregate with no tolerance, and so must the interval
+// of every pair of sibling leaves, scanned as one range. A clean exit
+// means zero violations over the whole sweep.
 //
 // Usage: karl_audit [--trials N] [--seed S] [--max-n N] [--verbose]
 //                   [--metrics-out <file>] [--trace-out <file.json>]
@@ -27,7 +32,9 @@
 #include <string>
 #include <vector>
 
+#include "core/bounds.h"
 #include "core/karl.h"
+#include "core/simd/simd.h"
 #include "data/synthetic.h"
 #include "telemetry/metrics.h"
 #include "telemetry/trace.h"
@@ -44,10 +51,16 @@ using karl::core::KernelParams;
 
 KernelParams RandomKernel(karl::util::Rng& rng, size_t d) {
   const double gamma = rng.Uniform(0.2, 4.0) / static_cast<double>(d);
-  switch (rng.UniformInt(4)) {
+  switch (rng.UniformInt(6)) {
     case 0:
       return KernelParams::Gaussian(gamma * static_cast<double>(d) *
                                     rng.Uniform(1.0, 8.0));
+    case 4:
+      return KernelParams::Laplacian(gamma * std::sqrt(static_cast<double>(d)) *
+                                     rng.Uniform(1.0, 8.0));
+    case 5:
+      return KernelParams::Cauchy(gamma * static_cast<double>(d) *
+                                  rng.Uniform(1.0, 8.0));
     case 1:  // Even degree: convex profile, dips to 0 on mixed intervals.
       return KernelParams::Polynomial(gamma, rng.Uniform(-0.3, 0.3),
                                       rng.UniformInt(2) == 0 ? 2 : 4);
@@ -77,6 +90,44 @@ std::vector<double> RandomWeights(karl::util::Rng& rng, size_t n,
     }
   }
   return w;
+}
+
+// Checks the narrow interval for `q` (caller coordinates) of every range
+// the narrow pass scans, each leaf and each node whose children are both
+// leaves, against the exact fp64 sum, with no tolerance.
+void AuditLeaves(const Engine& engine, const std::vector<double>& q,
+                 int64_t trial) {
+  namespace simd = karl::core::simd;
+  const KernelParams& kernel = engine.options().kernel;
+  for (const karl::index::TreeIndex* tree :
+       {&engine.plus_tree(), engine.minus_tree()}) {
+    if (tree == nullptr) continue;
+    std::vector<double> in_frame = q;
+    if (!tree->frame().empty()) {
+      simd::ReflectRows(tree->frame(), q.size(), q.data(), 1,
+                        in_frame.data());
+    }
+    const simd::NarrowQuery narrow(kernel, in_frame);
+    if (!narrow.usable() || !tree->points().nonnegative_weights()) continue;
+    for (size_t id = 0; id < tree->num_nodes(); ++id) {
+      const auto node = static_cast<karl::index::NodeId>(id);
+      const auto& nd = tree->node(node);
+      if (!nd.is_leaf() && !(tree->node(nd.left).is_leaf() &&
+                             tree->node(nd.right).is_leaf())) {
+        continue;
+      }
+      const simd::NodeInterval iv = simd::LeafInterval(
+          kernel, tree->points(), nd.begin, nd.end, narrow);
+      const double exact =
+          karl::core::ExactNodeAggregate(kernel, *tree, node, in_frame);
+      KARL_CHECK(iv.lb <= exact && exact <= iv.ub)
+          << ": narrow leaf interval excludes the exact sum at trial "
+          << trial << "; kernel=" << karl::core::KernelTypeToString(kernel.type)
+          << " tier=" << simd::TierName(simd::ActiveTier()) << " range=["
+          << nd.begin << "," << nd.end << ") lb=" << iv.lb
+          << " exact=" << exact << " ub=" << iv.ub;
+    }
+  }
 }
 
 }  // namespace
@@ -156,7 +207,8 @@ int main(int argc, char** argv) {
       // TKAQ around the exact answer (both decidable sides plus a far
       // threshold); every refinement step is audited, and so is the
       // decision.
-      for (const double rel : {0.6, 1.5}) {
+      AuditLeaves(engine.value(), q, trial);
+      for (const double rel : {0.6, 1.0 - 1e-7, 1.0 + 1e-7, 1.5}) {
         const double tau = exact * rel + (exact == 0.0 ? 0.1 : 0.0);
         const bool decision = engine.value().Tkaq(q, tau);
         KARL_CHECK(decision == (exact > tau))

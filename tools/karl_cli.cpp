@@ -45,7 +45,9 @@
 //
 // Exit status: 0 on success, 1 on usage or runtime errors.
 
+#include <cmath>
 #include <cstdio>
+#include <optional>
 #include <string>
 
 #include "core/batch.h"
@@ -74,6 +76,22 @@ using karl::util::ParsedArgs;
 int Fail(const std::string& message) {
   std::fprintf(stderr, "karl: %s\n", message.c_str());
   return 1;
+}
+
+// Checks the query parameters a command was given: --eps must be finite
+// and positive (the engine's eKAQ contract needs it), --tau finite (a
+// NaN threshold would answer "below" for every row).
+std::optional<std::string> QueryParamsError(const ParsedArgs& args,
+                                            double tau, double eps) {
+  if (args.Has("eps") && !(std::isfinite(eps) && eps > 0.0)) {
+    return "flag --eps expects a finite number > 0, got '" +
+           args.GetString("eps") + "'";
+  }
+  if (args.Has("tau") && !std::isfinite(tau)) {
+    return "flag --tau expects a finite number, got '" +
+           args.GetString("tau") + "'";
+  }
+  return std::nullopt;
 }
 
 int Usage() {
@@ -282,6 +300,9 @@ int RunQuery(const ParsedArgs& args) {
   const auto eps = args.GetDouble("eps", 0.1);
   if (!tau.ok()) return Fail(tau.status().ToString());
   if (!eps.ok()) return Fail(eps.status().ToString());
+  if (const auto bad = QueryParamsError(args, tau.value(), eps.value())) {
+    return Fail(*bad);
+  }
   const std::string metrics_out = args.GetString("metrics-out");
   const std::string trace_out = args.GetString("trace-out");
 
@@ -437,6 +458,9 @@ int RunRemoteQuery(const ParsedArgs& args) {
   const auto eps = args.GetDouble("eps", 0.1);
   if (!tau.ok()) return Fail(tau.status().ToString());
   if (!eps.ok()) return Fail(eps.status().ToString());
+  if (const auto bad = QueryParamsError(args, tau.value(), eps.value())) {
+    return Fail(*bad);
+  }
   const bool batch = args.Has("batch");
 
   auto queries = karl::data::ReadCsvFile(query_path);
@@ -505,6 +529,9 @@ int RunTune(const ParsedArgs& args) {
   const auto eps = args.GetDouble("eps", 0.2);
   if (!tau.ok()) return Fail(tau.status().ToString());
   if (!eps.ok()) return Fail(eps.status().ToString());
+  if (const auto bad = QueryParamsError(args, tau.value(), eps.value())) {
+    return Fail(*bad);
+  }
 
   auto model = ParseBuildInputs(args);
   if (!model.ok()) return Fail(model.status().ToString());
