@@ -140,61 +140,6 @@ struct Avx2F32 {
   }
 };
 
-// SplitToPlanes of the 4 doubles in `bits` into hi[0 .. 4) and
-// lo[0 .. 4), in integer ops; ORs an all-ones lane into *out_of_range
-// for each value at or above 2^128 in magnitude (or NaN).
-inline void SplitFour(__m256i bits, uint32_t* hi, uint32_t* lo,
-                      __m256i* out_of_range) {
-  const __m256i abs_mask = _mm256_set1_epi64x(0x7FFFFFFFFFFFFFFFLL);
-  // mag > these: normal, and out of range (magnitudes compare as
-  // signed, for they are below 2^63).
-  const __m256i below_normal =
-      _mm256_set1_epi64x((int64_t{1023 - 126} << 52) - 1);
-  const __m256i below_limit =
-      _mm256_set1_epi64x((int64_t{1023 + 128} << 52) - 1);
-  const __m256i bias = _mm256_set1_epi64x(int64_t{1023 - 127} << 52);
-  const __m256i lo_mask = _mm256_set1_epi64x(0x1FFFFFFF);
-  const __m256i even = _mm256_setr_epi32(0, 2, 4, 6, 0, 2, 4, 6);
-  const __m256i mag = _mm256_and_si256(bits, abs_mask);
-  const __m256i normal = _mm256_cmpgt_epi64(mag, below_normal);
-  *out_of_range =
-      _mm256_or_si256(*out_of_range, _mm256_cmpgt_epi64(mag, below_limit));
-  const __m256i sign =
-      _mm256_srli_epi64(_mm256_andnot_si256(abs_mask, bits), 32);
-  const __m256i h = _mm256_or_si256(
-      sign, _mm256_and_si256(
-                normal, _mm256_srli_epi64(_mm256_sub_epi64(mag, bias), 29)));
-  const __m256i l = _mm256_and_si256(normal, _mm256_and_si256(bits, lo_mask));
-  _mm_storeu_si128(
-      reinterpret_cast<__m128i*>(hi),
-      _mm256_castsi256_si128(_mm256_permutevar8x32_epi32(h, even)));
-  _mm_storeu_si128(
-      reinterpret_cast<__m128i*>(lo),
-      _mm256_castsi256_si128(_mm256_permutevar8x32_epi32(l, even)));
-}
-
-// A group's planes, 4 rows per step: each dimension's values gathered
-// from the rows, then split.
-bool SplitGroupAvx2(const double* rows, size_t dims, const double* weights,
-                    uint32_t* hi, uint32_t* lo) {
-  constexpr size_t kG = SoaLeafBlocks::kGroupRows;
-  const auto stride = static_cast<int64_t>(dims);
-  const __m256i first = _mm256_setr_epi64x(0, stride, 2 * stride, 3 * stride);
-  __m256i out_of_range = _mm256_setzero_si256();
-  for (size_t j = 0; j < dims; ++j) {
-    for (size_t r = 0; r < kG; r += 4) {
-      const __m256d v = _mm256_i64gather_pd(rows + r * dims + j, first, 8);
-      SplitFour(_mm256_castpd_si256(v), hi + j * kG + r, lo + j * kG + r,
-                &out_of_range);
-    }
-  }
-  for (size_t r = 0; r < kG; r += 4) {
-    SplitFour(_mm256_loadu_si256(reinterpret_cast<const __m256i*>(weights + r)),
-              hi + dims * kG + r, lo + dims * kG + r, &out_of_range);
-  }
-  return _mm256_testz_si256(out_of_range, out_of_range) != 0;
-}
-
 constexpr Ops kAvx2OpsTable = {
     DotN<Avx2Ops>,
     SqnormN<Avx2Ops>,
@@ -205,7 +150,6 @@ constexpr Ops kAvx2OpsTable = {
     ReflectRowsN<Avx2Ops>,
     LeafIntervalN<Avx2F32>,
     NarrowExpBlockN<Avx2F32>,
-    SplitGroupAvx2,
 };
 
 }  // namespace

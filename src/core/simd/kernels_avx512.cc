@@ -133,55 +133,6 @@ struct Avx512F32 {
   }
 };
 
-// SplitToPlanes of the 8 doubles in `bits` into hi[0 .. 8) and
-// lo[0 .. 8), in integer ops; sets a bit of *out_of_range for each value
-// at or above 2^128 in magnitude (or NaN). The all-lanes maskz forms
-// keep gcc 12 from flagging the plain forms' undefined source operand.
-inline void SplitEight(__m512i bits, uint32_t* hi, uint32_t* lo,
-                       __mmask8* out_of_range) {
-  const __m512i abs_mask = _mm512_set1_epi64(0x7FFFFFFFFFFFFFFFLL);
-  const __m512i min_normal = _mm512_set1_epi64(int64_t{1023 - 126} << 52);
-  const __m512i bias = _mm512_set1_epi64(int64_t{1023 - 127} << 52);
-  const __m512i limit = _mm512_set1_epi64(int64_t{1023 + 128} << 52);
-  const __m512i lo_mask = _mm512_set1_epi64(0x1FFFFFFF);
-  const __m512i mag = _mm512_and_si512(bits, abs_mask);
-  const __mmask8 normal = _mm512_cmpge_epu64_mask(mag, min_normal);
-  *out_of_range |= _mm512_cmpge_epu64_mask(mag, limit);
-  const __m512i sign = _mm512_maskz_srli_epi64(
-      0xFF, _mm512_maskz_andnot_epi64(0xFF, abs_mask, bits), 32);
-  const __m512i h = _mm512_or_si512(
-      sign, _mm512_maskz_srli_epi64(normal, _mm512_sub_epi64(mag, bias), 29));
-  const __m512i l = _mm512_maskz_and_epi64(normal, bits, lo_mask);
-  _mm256_storeu_si256(reinterpret_cast<__m256i*>(hi),
-                      _mm512_maskz_cvtepi64_epi32(0xFF, h));
-  _mm256_storeu_si256(reinterpret_cast<__m256i*>(lo),
-                      _mm512_maskz_cvtepi64_epi32(0xFF, l));
-}
-
-// A group's planes, 8 rows per step: each dimension's values gathered
-// from the rows, then split.
-bool SplitGroupAvx512(const double* rows, size_t dims,
-                      const double* weights, uint32_t* hi, uint32_t* lo) {
-  constexpr size_t kG = SoaLeafBlocks::kGroupRows;
-  const auto stride = static_cast<int64_t>(dims);
-  const __m512i first =
-      _mm512_setr_epi64(0, stride, 2 * stride, 3 * stride, 4 * stride,
-                        5 * stride, 6 * stride, 7 * stride);
-  __mmask8 out_of_range = 0;
-  for (size_t j = 0; j < dims; ++j) {
-    for (size_t r = 0; r < kG; r += 8) {
-      const __m512d v = _mm512_i64gather_pd(first, rows + r * dims + j, 8);
-      SplitEight(_mm512_castpd_si512(v), hi + j * kG + r, lo + j * kG + r,
-                 &out_of_range);
-    }
-  }
-  for (size_t r = 0; r < kG; r += 8) {
-    SplitEight(_mm512_loadu_si512(weights + r), hi + dims * kG + r,
-               lo + dims * kG + r, &out_of_range);
-  }
-  return out_of_range == 0;
-}
-
 constexpr Ops kAvx512OpsTable = {
     DotN<Avx512Ops>,
     SqnormN<Avx512Ops>,
@@ -192,7 +143,6 @@ constexpr Ops kAvx512OpsTable = {
     ReflectRowsN<Avx512Ops>,
     LeafIntervalN<Avx512F32>,
     NarrowExpBlockN<Avx512F32>,
-    SplitGroupAvx512,
 };
 
 }  // namespace

@@ -91,20 +91,6 @@ void ScalarReflectRows(const double* v, size_t k, size_t d, const double* in,
   }
 }
 
-bool ScalarSplitGroup(const double* rows, size_t dims, const double* weights,
-                      uint32_t* hi, uint32_t* lo) {
-  constexpr size_t kG = SoaLeafBlocks::kGroupRows;
-  bool in_range = true;
-  for (size_t j = 0; j <= dims; ++j) {
-    for (size_t r = 0; r < kG; ++r) {
-      const double v = j < dims ? rows[r * dims + j] : weights[r];
-      in_range &= std::abs(v) < kPlaneLimit;
-      SplitToPlanes(v, &hi[j * kG + r], &lo[j * kG + r]);
-    }
-  }
-  return in_range;
-}
-
 // The narrow pass's fp32 ops on one lane, with separately rounded
 // multiplies and adds.
 struct ScalarF32 {
@@ -148,7 +134,6 @@ constexpr internal::Ops kScalarOps = {
     ScalarReflectRows,
     internal::LeafIntervalN<ScalarF32>,
     internal::NarrowExpBlockN<ScalarF32>,
-    ScalarSplitGroup,
 };
 
 const internal::Ops& OpsForTier(Tier tier) {

@@ -218,8 +218,6 @@ struct Ops {
                                 const SoaLeafBlocks& soa, uint32_t begin,
                                 uint32_t end, const NarrowQuery& q);
   void (*narrow_exp_block)(const float* in, float* out, size_t n);
-  bool (*split_group)(const double* rows, size_t dims,
-                      const double* weights, uint32_t* hi, uint32_t* lo);
 };
 
 /// Defined in kernels_avx2.cc / kernels_avx512.cc; null when that
@@ -357,17 +355,6 @@ inline NodeInterval LeafInterval(const KernelParams& kernel,
 double ScalarLeafAggregate(const KernelParams& kernel,
                            const SoaLeafBlocks& soa, uint32_t begin,
                            uint32_t end, const double* q);
-
-/// One group's planes (soa_block.h) under the active tier: SplitToPlanes
-/// of value j of row r of the kGroupRows row-major rows of `dims` values
-/// at `rows` into hi[j·kGroupRows + r] and lo[j·kGroupRows + r], and of
-/// weights[r] into row j = dims. The words are the same on every tier.
-/// Returns false iff some value is 2^128 or more in magnitude, or NaN
-/// (its words are then meaningless).
-inline bool SplitGroup(const double* rows, size_t dims, const double* weights,
-                       uint32_t* hi, uint32_t* lo) {
-  return internal::ActiveOps().split_group(rows, dims, weights, hi, lo);
-}
 
 /// out[i] = exp(in[i]) under the active tier — the seam simd_test uses
 /// to pin kVectorExpUlpBound per tier. Spans must have equal length.

@@ -2,11 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <cstring>
+#include <new>
 #include <string>
 #include <utility>
 
-#include "core/simd/simd.h"
 #include "util/check.h"
 
 namespace karl::core::simd {
@@ -23,26 +24,31 @@ void SoaLeafBlocks::BuildFromRows(size_t rows, size_t dims,
   // Group g's rows start at double g·16·dims and its planes at double
   // g·16·(dims + 1): never before its rows, and never past the rows of a
   // later group that has not yet been split, when the groups go last
-  // first. Each group's rows are copied out before its planes overwrite
-  // them; the last group's copy is padded with zero rows and weights.
-  std::vector<double> group_rows(kGroupRows * dims);
-  double group_weights[kGroupRows] = {};
-  uint32_t* const words = reinterpret_cast<uint32_t*>(coords.data());
+  // first. Each group is split into `words` before its planes overwrite
+  // its rows; the last group is padded with zero rows and weights.
+  //
+  // The words go in through std::memcpy, which ends the lifetime of the
+  // doubles it overwrites and begins that of the words (implicit object
+  // creation), so no double is ever read as a uint32_t.
+  std::vector<uint32_t> words(2 * plane_words);
+  auto* const storage = reinterpret_cast<std::byte*>(coords.data());
   bool in_range = true;
   for (size_t g = groups; g-- > 0;) {
     const size_t first = g * kGroupRows;
     const size_t count = std::min(kGroupRows, rows - first);
-    const double* group_start = coords.data() + first * dims;
-    std::copy(group_start, group_start + count * dims, group_rows.begin());
-    const double* w = weights.data() + first;
-    if (count < kGroupRows) {
-      std::fill(group_rows.begin() + count * dims, group_rows.end(), 0.0);
-      std::copy(w, w + count, group_weights);
-      w = group_weights;
+    const double* group_rows = coords.data() + first * dims;
+    for (size_t r = 0; r < kGroupRows; ++r) {
+      for (size_t j = 0; j <= dims; ++j) {
+        const double v = r >= count  ? 0.0
+                         : j < dims ? group_rows[r * dims + j]
+                                    : weights[first + r];
+        in_range &= std::abs(v) < kPlaneLimit;
+        SplitToPlanes(v, &words[j * kGroupRows + r],
+                      &words[plane_words + j * kGroupRows + r]);
+      }
     }
-    uint32_t* const plane_hi = words + 2 * g * plane_words;
-    in_range &= SplitGroup(group_rows.data(), dims, w, plane_hi,
-                           plane_hi + plane_words);
+    std::memcpy(storage + 2 * g * plane_words * sizeof(uint32_t),
+                words.data(), words.size() * sizeof(uint32_t));
   }
   KARL_CHECK(in_range)
       << ": a value at or above 2^128 in magnitude reached the planes";
@@ -51,8 +57,11 @@ void SoaLeafBlocks::BuildFromRows(size_t rows, size_t dims,
   nonnegative_weights_ =
       std::ranges::none_of(weights, [](double w) { return w < 0.0; });
   owned_ = std::move(coords);
-  planes_ = {reinterpret_cast<const uint32_t*>(owned_.data()),
-             PlaneWords(rows, dims)};
+  planes_ = {};
+  if (!owned_.empty()) {
+    planes_ = {std::launder(reinterpret_cast<const uint32_t*>(owned_.data())),
+               PlaneWords(rows, dims)};
+  }
 }
 
 util::Status SoaLeafBlocks::Attach(size_t rows, size_t dims,

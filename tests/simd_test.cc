@@ -981,50 +981,6 @@ TEST(SoaBlockTest, PlanesSplitAndJoinBitExactly) {
   EXPECT_EQ(simd::FlushToPlane(0x1p-126), 0x1p-126);
 }
 
-// Every tier's group split writes SplitToPlanes' words at the planes'
-// positions, and flags a value the planes cannot hold.
-TEST(SoaBlockTest, SplitGroupWritesTheSameWordsOnEveryTier) {
-  constexpr size_t kG = SoaLeafBlocks::kGroupRows;
-  util::Rng rng(78);
-  const double edges[] = {0.0,     -0.0,      1e-300,    -0x1p-127,
-                          0x1p-126, -1e30,    0x1.fffffffffffffp127,
-                          -3.5,    0x1.000001p0};
-  for (const size_t dims : {size_t{1}, size_t{3}, size_t{10}, size_t{54}}) {
-    std::vector<double> rows(kG * dims);
-    for (size_t i = 0; i < rows.size(); ++i) {
-      const int exponent = static_cast<int>(rng.Uniform(-140.0, 127.0));
-      rows[i] = i % 5 == 0 ? edges[i % std::size(edges)]
-                           : std::ldexp(rng.Uniform(-1.0, 1.0), exponent);
-    }
-    std::vector<double> weights(kG);
-    for (double& w : weights) w = rng.Uniform(0.0, 2.0);
-    std::vector<uint32_t> want_hi((dims + 1) * kG), want_lo(want_hi.size());
-    for (size_t j = 0; j <= dims; ++j) {
-      for (size_t r = 0; r < kG; ++r) {
-        simd::SplitToPlanes(j < dims ? rows[r * dims + j] : weights[r],
-                            &want_hi[j * kG + r], &want_lo[j * kG + r]);
-      }
-    }
-    for (const Tier tier : SupportedTiers()) {
-      TierGuard guard;
-      simd::ForceTier(tier);
-      std::vector<uint32_t> hi(want_hi.size()), lo(want_lo.size());
-      EXPECT_TRUE(simd::SplitGroup(rows.data(), dims, weights.data(),
-                                   hi.data(), lo.data()));
-      EXPECT_EQ(hi, want_hi) << TierName(tier) << " d=" << dims;
-      EXPECT_EQ(lo, want_lo) << TierName(tier) << " d=" << dims;
-      for (const double bad : {0x1p128, -1e39,
-                               std::numeric_limits<double>::quiet_NaN()}) {
-        std::vector<double> out_of_range = rows;
-        out_of_range[(kG - 1) * dims] = bad;
-        EXPECT_FALSE(simd::SplitGroup(out_of_range.data(), dims,
-                                      weights.data(), hi.data(), lo.data()))
-            << TierName(tier) << " d=" << dims << " " << bad;
-      }
-    }
-  }
-}
-
 // ---------------------------------------------------------------------
 // The narrow pass: its fp32 exp within kNarrowExpUlpBound of the
 // correctly rounded result, and its interval around the scalar oracle's
