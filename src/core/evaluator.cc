@@ -534,11 +534,12 @@ EvalStats Evaluator::RefineWith(const Bound& bound, std::span<const double> q,
                                 Stop stop, Observer& observer, double* out_lb,
                                 double* out_ub) const {
   const QueryContext ctx = QueryContext::Make(q);
-  // Distance-kernel leaves are scanned narrow: the fp32 pass over the hi
-  // planes gives an enclosure of the leaf's fp64 sum (DESIGN.md §14).
+  // Distance-kernel leaves are scanned narrow, until a retake (below):
+  // the fp32 pass over the hi planes gives an enclosure of the leaf's
+  // fp64 sum (DESIGN.md §14).
   std::optional<simd::NarrowQuery> narrow_q;
   if (narrow_leaves_) narrow_q.emplace(kernel_, q);
-  const bool narrow = narrow_q.has_value() && narrow_q->usable();
+  bool narrow = narrow_q.has_value() && narrow_q->usable();
   Frontier frontier;
   // [lb, ub] are running sums: every admission adds a node's bounds and
   // every pop subtracts them, which leaves a rounding residue of about an
@@ -550,6 +551,15 @@ EvalStats Evaluator::RefineWith(const Bound& bound, std::span<const double> q,
   double ub = 0.0;
   double leaf_lb = 0.0;
   double leaf_ub = 0.0;
+  // The leaves folded as intervals, to retake should the query need their
+  // exact sums, and the sum of the leaves folded as points.
+  struct IntervalLeaf {
+    const index::TreeIndex* tree;
+    index::TreeIndex::Node node;
+    int8_t side;
+  };
+  std::vector<IntervalLeaf> interval_leaves;
+  double leaf_exact = 0.0;
   EvalStats work;
 
   // Treats a node as a leaf when it has no children or sits at the level
@@ -592,11 +602,19 @@ EvalStats Evaluator::RefineWith(const Bound& bound, std::span<const double> q,
     return exact_leaf(tree, nd);
   };
 
-  // Folds a leaf value (positive space, signed by `side`) into
-  // [leaf_lb, leaf_ub] and [lb, ub].
-  const auto fold_leaf = [&](int8_t side, const simd::NodeInterval& value) {
+  // Folds the value of leaf `nd` (positive space, signed by `side`) into
+  // [leaf_lb, leaf_ub] and [lb, ub]. A point is the leaf's exact sum (a
+  // narrow interval encloses it).
+  const auto fold_leaf = [&](const index::TreeIndex& tree,
+                             const index::TreeIndex::Node& nd, int8_t side,
+                             const simd::NodeInterval& value) {
     const double l = side > 0 ? value.lb : -value.ub;
     const double u = side > 0 ? value.ub : -value.lb;
+    if (l == u) {
+      leaf_exact += l;
+    } else {
+      interval_leaves.push_back({&tree, nd, side});
+    }
     leaf_lb += l;
     leaf_ub += u;
     lb += l;
@@ -630,7 +648,8 @@ EvalStats Evaluator::RefineWith(const Bound& bound, std::span<const double> q,
     if (is_effective_leaf(tree, id)) {
       bool narrowed;
       observer.OnLeaf(tree.node(id));
-      fold_leaf(side, scan_leaf(tree, tree.node(id), &narrowed));
+      fold_leaf(tree, tree.node(id), side,
+                scan_leaf(tree, tree.node(id), &narrowed));
       return;
     }
     simd::NodeInterval node;
@@ -684,7 +703,7 @@ EvalStats Evaluator::RefineWith(const Bound& bound, std::span<const double> q,
       }
       observer.OnLeaf(tree.node(nd.left));
       observer.OnLeaf(tree.node(nd.right));
-      fold_leaf(side, value);
+      fold_leaf(tree, pair, side, value);
       return;
     }
     const index::NodeId kids[2] = {nd.left, nd.right};
@@ -706,7 +725,7 @@ EvalStats Evaluator::RefineWith(const Bound& bound, std::span<const double> q,
     for (int c = 0; c < 2; ++c) {
       if (leaf[c]) {
         observer.OnLeaf(tree.node(kids[c]));
-        fold_leaf(side, value[c]);
+        fold_leaf(tree, tree.node(kids[c]), side, value[c]);
       } else {
         push(tree, side, kids[c], value[c]);
       }
@@ -717,12 +736,38 @@ EvalStats Evaluator::RefineWith(const Bound& bound, std::span<const double> q,
   if (minus_tree_ != nullptr) admit_root(*minus_tree_, -1);
   observer.OnStep(lb, ub, work);
 
+  // Retakes every interval leaf exactly, and scans the query's later
+  // leaves exactly too: [leaf_lb, leaf_ub] becomes the exact leaf sum, and
+  // [lb, ub] is re-summed from it and the live frontier bounds.
+  const auto retake_leaves = [&] {
+    narrow = false;
+    for (const IntervalLeaf& leaf : interval_leaves) {
+      leaf_exact += leaf.side * exact_leaf(*leaf.tree, leaf.node).lb;
+    }
+    interval_leaves.clear();
+    leaf_lb = leaf_ub = leaf_exact;
+    frontier.SumBounds(leaf_lb, leaf_ub, &lb, &ub);
+  };
+  // Refinement never narrows the interval leaves' summed width W, so once
+  // no enclosure of width W inside [lb, ub] passes the stop — for the
+  // rules here, neither the one at its top nor the one at its bottom —
+  // the query could only drain undecided, and the leaves are retaken now.
+  // A false alarm (on a ball tree, narrow leaves may reach past their
+  // parent's bounds) costs only retakes that were not needed.
+  const auto doomed = [&] {
+    const double width = leaf_ub - leaf_lb;
+    return !interval_leaves.empty() && !stop(ub - width, ub) &&
+           !stop(lb, lb + width);
+  };
   while (!frontier.empty()) {
     // The running sums only propose a stop; the re-summed enclosure
     // confirms it, or refinement goes on from the re-summed values.
     if (stop(lb, ub)) {
       frontier.SumBounds(leaf_lb, leaf_ub, &lb, &ub);
       if (stop(lb, ub)) break;
+    } else if (doomed()) {
+      retake_leaves();
+      continue;
     }
     const Entry top = frontier.Pop();
     ++work.iterations;
@@ -742,19 +787,11 @@ EvalStats Evaluator::RefineWith(const Bound& bound, std::span<const double> q,
   }
 
   if (frontier.empty()) {
-    // A drained frontier leaves the leaf intervals alone; if they still
-    // leave the query undecided, the exact scan answers. Its kernel
-    // evaluations count at the roots' level.
+    // A drained frontier leaves the leaf values alone; interval leaves
+    // that leave the query undecided are retaken.
     lb = leaf_lb;
     ub = leaf_ub;
-    if (lb != ub && !stop(lb, ub)) {
-      lb = ub = ScanExact(q);
-      work.kernel_evals += TotalPoints();
-      for (const index::TreeIndex* tree : {plus_tree_, minus_tree_}) {
-        if (tree == nullptr) continue;
-        observer.OnLeafScan(*tree, tree->node(tree->root()), {lb, ub}, false);
-      }
-    }
+    if (!interval_leaves.empty() && !stop(lb, ub)) retake_leaves();
   }
   observer.OnFinish(frontier, work);
   *out_lb = lb;

@@ -10,9 +10,9 @@
 // the narrow pass's enclosure of its fp64 sum (core/simd/simd.h
 // LeafInterval), else its exact sum. [lb, ub] are kept as running sums;
 // when the condition holds on them, the enclosure is re-summed from the
-// leaf intervals and the live frontier bounds and tested again, and a
-// frontier that drains with the query still undecided answers from the
-// exact scan (DESIGN.md §2). The frontier is a binary max-heap of 16-byte
+// leaf intervals and the live frontier bounds and tested again. Once the
+// leaf intervals alone leave the query undecidable, or a drained frontier
+// leaves it undecided, they are retaken exactly (DESIGN.md §2). The frontier is a binary max-heap of 16-byte
 // {gap, admission order} keys over an append-only entry array; the first
 // child admitted after a pop takes the popped root in place, and equal
 // gaps pop in admission order (DESIGN.md §2).

@@ -13,8 +13,12 @@
 // narrow leaves would widen the popped entry retakes them exactly; when
 // the stop holds on the running sums, the enclosure is re-summed as the
 // leaf intervals' sum plus the live entries' bounds in admission order
-// and tested again; a drained frontier answers the leaf sum, or the exact
-// scan if that leaves the query undecided; eKAQ stops at
+// and tested again; when it fails while neither [ub − W, ub] nor
+// [lb, lb + W] would pass it, W the summed width of the leaves folded as
+// intervals, those leaves are retaken exactly, in fold order after the
+// sum of the point leaves, every later leaf is scanned exactly, and the
+// enclosure is re-summed; a drained frontier answers the leaf sum, after
+// the same retake if the intervals leave the query undecided; eKAQ stops at
 // (1−ε)·ub <= (1+ε)·lb and answers the harmonic mean of lb and ub.
 //
 // Tie rule: the widest gap pops first, and equal gaps pop in admission
@@ -101,7 +105,7 @@ RefResult ReferenceRefine(const index::TreeIndex& plus,
 
   const QueryContext ctx = QueryContext::Make(q);
   const simd::NarrowQuery narrow_q(kernel, q);
-  const bool narrow =
+  bool narrow =
       narrow_q.usable() && plus.points().nonnegative_weights() &&
       (minus == nullptr || minus->points().nonnegative_weights());
   std::priority_queue<RefEntry, std::vector<RefEntry>, RefEntryLess> frontier;
@@ -109,6 +113,12 @@ RefResult ReferenceRefine(const index::TreeIndex& plus,
   std::vector<std::pair<double, double>> admitted_bounds;
   double leaf_lb = 0.0;
   double leaf_ub = 0.0;
+  // Leaves folded as intervals (tree, range, side), and the sum of those
+  // folded as points.
+  std::vector<std::tuple<const index::TreeIndex*, index::TreeIndex::Node,
+                         int8_t>>
+      interval_leaves;
+  double leaf_exact = 0.0;
   uint32_t admitted = 0;
   const auto is_leaf = [&](const index::TreeIndex& tree, index::NodeId id) {
     const auto& nd = tree.node(id);
@@ -146,9 +156,16 @@ RefResult ReferenceRefine(const index::TreeIndex& plus,
     ++l.visited;
     ++l.exact_leaves;
   };
-  const auto fold_leaf = [&](int8_t side, std::pair<double, double> v) {
+  const auto fold_leaf = [&](const index::TreeIndex& tree,
+                             const index::TreeIndex::Node& nd, int8_t side,
+                             std::pair<double, double> v) {
     const double lo = side > 0 ? v.first : -v.second;
     const double hi = side > 0 ? v.second : -v.first;
+    if (lo == hi) {
+      leaf_exact += lo;
+    } else {
+      interval_leaves.emplace_back(&tree, nd, side);
+    }
     leaf_lb += lo;
     leaf_ub += hi;
     r.lb += lo;
@@ -181,7 +198,8 @@ RefResult ReferenceRefine(const index::TreeIndex& plus,
     bool narrowed;
     if (is_leaf(tree, id)) {
       count_leaf(tree.node(id));
-      fold_leaf(side, scan_leaf(tree, tree.node(id), &narrowed));
+      fold_leaf(tree, tree.node(id), side,
+                scan_leaf(tree, tree.node(id), &narrowed));
     } else {
       push(tree, side, id, bounds_of(tree, id));
     }
@@ -211,7 +229,7 @@ RefResult ReferenceRefine(const index::TreeIndex& plus,
       }
       count_leaf(tree.node(kids[0]));
       count_leaf(tree.node(kids[1]));
-      fold_leaf(top.side, v);
+      fold_leaf(tree, pair, top.side, v);
       return;
     }
     std::pair<double, double> v[2];
@@ -228,7 +246,7 @@ RefResult ReferenceRefine(const index::TreeIndex& plus,
     for (int c = 0; c < 2; ++c) {
       if (leaf[c]) {
         count_leaf(tree.node(kids[c]));
-        fold_leaf(top.side, v[c]);
+        fold_leaf(tree, tree.node(kids[c]), top.side, v[c]);
       } else {
         push(tree, top.side, kids[c], v[c]);
       }
@@ -238,15 +256,34 @@ RefResult ReferenceRefine(const index::TreeIndex& plus,
   admit_root(plus, +1);
   if (minus != nullptr) admit_root(*minus, -1);
   step();
+  const auto resum = [&] {
+    r.lb = leaf_lb;
+    r.ub = leaf_ub;
+    for (const auto& [lb, ub] : admitted_bounds) {
+      r.lb += lb;
+      r.ub += ub;
+    }
+  };
+  // The interval leaves retaken exactly, in fold order after the point
+  // sum, and every later leaf scanned exactly.
+  const auto retake = [&] {
+    narrow = false;
+    for (const auto& [tree, nd, side] : interval_leaves) {
+      leaf_exact += side * exact_leaf(*tree, nd).first;
+    }
+    interval_leaves.clear();
+    leaf_lb = leaf_ub = leaf_exact;
+    resum();
+  };
   while (!frontier.empty()) {
     if (stop(r.lb, r.ub)) {
-      r.lb = leaf_lb;
-      r.ub = leaf_ub;
-      for (const auto& [lb, ub] : admitted_bounds) {
-        r.lb += lb;
-        r.ub += ub;
-      }
+      resum();
       if (stop(r.lb, r.ub)) break;
+    } else if (const double w = leaf_ub - leaf_lb;
+               !interval_leaves.empty() && !stop(r.ub - w, r.ub) &&
+               !stop(r.lb, r.lb + w)) {
+      retake();
+      continue;
     }
     const RefEntry top = frontier.top();
     frontier.pop();
@@ -269,23 +306,9 @@ RefResult ReferenceRefine(const index::TreeIndex& plus,
     ++level(tree.node(rest.node).depth).pruned;
   }
   if (drained) {
-    // Leaf intervals that leave the query undecided give way to the
-    // exact scan, counted at the roots' level.
     r.lb = leaf_lb;
     r.ub = leaf_ub;
-    if (r.lb != r.ub && !stop(r.lb, r.ub)) {
-      double exact = simd::LeafAggregate(kernel, plus.points(), 0,
-                                         plus.points().rows(), q);
-      size_t points = plus.points().rows();
-      if (minus != nullptr) {
-        exact -= simd::LeafAggregate(kernel, minus->points(), 0,
-                                     minus->points().rows(), q);
-        points += minus->points().rows();
-      }
-      r.lb = r.ub = exact;
-      r.work.kernel_evals += points;
-      level(0).kernel_evals += points;
-    }
+    if (!interval_leaves.empty() && !stop(r.lb, r.ub)) retake();
   }
   r.profile.iterations = r.work.iterations;
   r.profile.nodes_expanded = r.work.nodes_expanded;
