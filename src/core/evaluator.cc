@@ -552,13 +552,16 @@ EvalStats Evaluator::RefineWith(const Bound& bound, std::span<const double> q,
   double leaf_lb = 0.0;
   double leaf_ub = 0.0;
   // The leaves folded as intervals, to retake should the query need their
-  // exact sums, and the sum of the leaves folded as points.
+  // exact sums, and the sum of the leaves folded as points. Room for 64
+  // is reserved up front, as for the frontier: growing the list from
+  // empty took about 1 % of an eKAQ on a 10k-point `home` tree.
   struct IntervalLeaf {
     const index::TreeIndex* tree;
     index::TreeIndex::Node node;
     int8_t side;
   };
   std::vector<IntervalLeaf> interval_leaves;
+  if (narrow) interval_leaves.reserve(64);
   double leaf_exact = 0.0;
   EvalStats work;
 
