@@ -31,26 +31,32 @@ void SoaLeafBlocks::BuildFromRows(size_t rows, size_t dims,
   // doubles it overwrites and begins that of the words (implicit object
   // creation), so no double is ever read as a uint32_t.
   std::vector<uint32_t> words(2 * plane_words);
+  uint32_t* const hi = words.data();
+  uint32_t* const lo = hi + plane_words;
   auto* const storage = reinterpret_cast<std::byte*>(coords.data());
-  bool in_range = true;
+  // Bit 63 of a magnitude's bits plus this is set iff the magnitude is at
+  // least 2^128 (or NaN).
+  constexpr uint64_t kOverLimit =
+      (uint64_t{1} << 63) - std::bit_cast<uint64_t>(kPlaneLimit);
+  uint64_t over_limit = 0;
+  const auto split = [&](double v, size_t at) {
+    over_limit |= (std::bit_cast<uint64_t>(v) & ~(uint64_t{1} << 63)) +
+                  kOverLimit;
+    SplitToPlanes(v, &hi[at], &lo[at]);
+  };
   for (size_t g = groups; g-- > 0;) {
     const size_t first = g * kGroupRows;
     const size_t count = std::min(kGroupRows, rows - first);
-    const double* group_rows = coords.data() + first * dims;
-    for (size_t r = 0; r < kGroupRows; ++r) {
-      for (size_t j = 0; j <= dims; ++j) {
-        const double v = r >= count  ? 0.0
-                         : j < dims ? group_rows[r * dims + j]
-                                    : weights[first + r];
-        in_range &= std::abs(v) < kPlaneLimit;
-        SplitToPlanes(v, &words[j * kGroupRows + r],
-                      &words[plane_words + j * kGroupRows + r]);
-      }
+    if (count < kGroupRows) std::fill(words.begin(), words.end(), 0u);
+    for (size_t r = 0; r < count; ++r) {
+      const double* row = coords.data() + (first + r) * dims;
+      for (size_t j = 0; j < dims; ++j) split(row[j], j * kGroupRows + r);
+      split(weights[first + r], dims * kGroupRows + r);
     }
     std::memcpy(storage + 2 * g * plane_words * sizeof(uint32_t),
                 words.data(), words.size() * sizeof(uint32_t));
   }
-  KARL_CHECK(in_range)
+  KARL_CHECK((over_limit >> 63) == 0)
       << ": a value at or above 2^128 in magnitude reached the planes";
   rows_ = rows;
   dims_ = dims;

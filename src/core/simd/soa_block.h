@@ -95,14 +95,19 @@ inline double FlushToPlane(double x) {
 /// Splits FlushToPlane(x) (|x| < kPlaneLimit) into its hi and lo words.
 inline void SplitToPlanes(double x, uint32_t* hi, uint32_t* lo) {
   const uint64_t bits = std::bit_cast<uint64_t>(x);
-  const uint64_t mag = bits & ~(uint64_t{1} << 63);
   const uint32_t sign = static_cast<uint32_t>(bits >> 32) & 0x80000000u;
-  // A normal fp32 is exponent − (1023 − 127) above fp64's, with the top
-  // 23 of fp64's 52 mantissa bits; below 2^-126 both words are ±0.
-  const bool tiny = mag < (uint64_t{1023 - 126} << 52);
-  *hi = sign | (tiny ? 0u
-                     : static_cast<uint32_t>(
-                           (mag - (uint64_t{1023 - 127} << 52)) >> 29));
+  // Below 2^-126 both words are ±0 (the shift drops the sign, so this
+  // compares magnitudes).
+  const bool tiny = (bits << 1) < (uint64_t{1023 - 126} << 53);
+  // Bits 29..60 of x are fp64's top 23 mantissa bits under the low 9 of
+  // its 11 exponent bits. A normal fp32's exponent is fp64's less
+  // 1023 − 127, in [1, 254] on [2^-126, 2^128): taking that off the
+  // 9-bit field modulo 2^9 leaves it, with bit 31 clear for the sign.
+  constexpr uint32_t kRebias =
+      static_cast<uint32_t>(uint64_t{1023 - 127} << 23);
+  const uint32_t normal =
+      (static_cast<uint32_t>(bits >> 29) - kRebias) | sign;
+  *hi = tiny ? sign : normal;
   *lo = tiny ? 0u : static_cast<uint32_t>(bits) & 0x1FFFFFFFu;
 }
 

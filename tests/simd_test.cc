@@ -972,11 +972,23 @@ TEST(SoaBlockTest, PlanesSplitAndJoinBitExactly) {
               std::bit_cast<uint64_t>(x))
         << x;
     EXPECT_LT(lo, 1u << 29) << x;
+    // hi is x truncated toward zero to fp32.
+    const float wide = std::abs(std::bit_cast<float>(hi));
+    EXPECT_LE(wide, std::abs(x)) << x;
+    EXPECT_GT(std::nextafter(wide, std::numeric_limits<float>::infinity()),
+              std::abs(x))
+        << x;
   }
   for (const double tiny : {0x1p-127, -0x1p-127, 1e-300, -5e-324}) {
     const double flushed = simd::FlushToPlane(tiny);
     EXPECT_EQ(flushed, 0.0) << tiny;
     EXPECT_EQ(std::signbit(flushed), std::signbit(tiny)) << tiny;
+    // Split unflushed, a tiny value gives the words of ±0 too.
+    uint32_t hi = 1, lo = 1;
+    simd::SplitToPlanes(tiny, &hi, &lo);
+    EXPECT_EQ(hi, std::bit_cast<uint32_t>(static_cast<float>(flushed)))
+        << tiny;
+    EXPECT_EQ(lo, 0u) << tiny;
   }
   EXPECT_EQ(simd::FlushToPlane(0x1p-126), 0x1p-126);
 }
