@@ -12,10 +12,12 @@
 // when the condition holds on them, the enclosure is re-summed from the
 // leaf intervals and the live frontier bounds and tested again. Once the
 // leaf intervals alone leave the query undecidable, or a drained frontier
-// leaves it undecided, they are retaken exactly (DESIGN.md §2). The frontier is a binary max-heap of 16-byte
-// {gap, admission order} keys over an append-only entry array; the first
-// child admitted after a pop takes the popped root in place, and equal
-// gaps pop in admission order (DESIGN.md §2).
+// leaves it undecided, they are retaken exactly (DESIGN.md §2).
+//
+// The frontier is a binary max-heap of 16-byte {gap, admission order}
+// keys over an append-only entry array; the first child admitted after a
+// pop takes the popped root in place, and equal gaps pop in admission
+// order (DESIGN.md §2).
 //
 // Type III weighting is handled by evaluating two positive-weight trees
 // (P⁺ and P⁻, split by the caller) in one interleaved refinement: a P⁻

@@ -185,7 +185,9 @@ double ScalarLeafAggregate(const KernelParams& kernel,
     // Row i's words, dimension j at j·kG; its weight at d·kG.
     const uint32_t* hi = soa.GroupHi(i / kG) + i % kG;
     const uint32_t* lo = soa.GroupLo(i / kG) + i % kG;
-    const auto at = [&](size_t j) { return JoinPlanes(hi[j * kG], lo[j * kG]); };
+    const auto at = [&](size_t j) {
+      return JoinPlanes(hi[j * kG], lo[j * kG]);
+    };
     double value;
     if (IsInnerProductKernel(kernel.type)) {
       double ip = 0.0;

@@ -112,7 +112,8 @@ size_t FoldRows(double* rows, size_t count, size_t d, double* lo,
   // carries into bit 63 iff mag >= 2^128's bits (or NaN's), and
   // (mag − m) & ~(mag − 1) has it iff 0 < mag < 2^-126's bits.
   constexpr uint64_t kLimit = std::bit_cast<uint64_t>(core::simd::kPlaneLimit);
-  constexpr uint64_t kMin = std::bit_cast<uint64_t>(core::simd::kPlaneMinNormal);
+  constexpr uint64_t kMin =
+      std::bit_cast<uint64_t>(core::simd::kPlaneMinNormal);
   constexpr uint64_t kAbs = ~(uint64_t{1} << 63);
   constexpr size_t kLanes = 8;
   uint64_t bad[kLanes] = {};
